@@ -28,7 +28,6 @@ from .words import (
 from .garside import (
     CanonicalForm,
     ConjugacyResult,
-    PermutationBraid,
     canonical_form,
     conjugate_mod_full_twist,
     delta,
@@ -53,7 +52,6 @@ from .mixed import (
 from .invariants import (
     InvariantReport,
     burau_charpoly,
-    burau_matrix,
     cycle_type,
     kernel_exponent_sum,
     linking_matrix,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import decision, garside, invariants, mixed
@@ -39,8 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact braid-group computations for strong Nielsen "
         "equivalence of periodic orbits on the punctured disc.",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for any randomized self-checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("nf", help="Garside left canonical form")
@@ -122,8 +119,6 @@ def _verdict_exit(verdict: decision.SNVerdict) -> int:
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return _dispatch(args)
     except (WordSyntaxError, ValueError) as exc:

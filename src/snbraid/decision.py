@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 from .garside import ConjugacyResult, canonical_form, is_conjugate
-from .invariants import burau_charpoly, cycle_type, linking_matrix
+from .invariants import cycle_type, linking_matrix
 from .mixed import (
     MixedBraid,
     ensure_kernel,
@@ -160,7 +160,12 @@ def braid_type_equal(a: BraidWord, b: BraidWord) -> ConjugacyResult:
 
 
 def _screen_invariants(inst: SNInstance) -> Certificate | None:
-    """Run the cheap conjugacy invariants; any mismatch is a certificate."""
+    """Run the cheap conjugacy invariants; any mismatch is a certificate.
+
+    The Burau characteristic polynomial of the whole mixed braid is not
+    screened: it is an invariant of conjugacy in the ambient B_{n+m}, so
+    every pair it separates is also rejected by the ambient `is_conjugate`
+    test that follows, and screening it cannot change a verdict."""
     ex, ey = exponent_sum(inst.beta_ox), exponent_sum(inst.beta_oy)
     if ex != ey:
         return Certificate("exponent_sum", ex, ey)
@@ -171,9 +176,6 @@ def _screen_invariants(inst: SNInstance) -> Certificate | None:
     lx, ly = linking_matrix(bx), linking_matrix(by)
     if lx != ly:
         return Certificate("linking_matrix", lx, ly)
-    px, py = burau_charpoly(bx.word), burau_charpoly(by.word)
-    if px != py:
-        return Certificate("burau_charpoly", px, py)
     return None
 
 

@@ -28,7 +28,6 @@ import itertools
 
 from .words import (
     BraidWord,
-    PermutationTable,
     StrandMismatchError,
     exponent_sum,
     free_reduce,
@@ -147,22 +146,6 @@ def _perm_word(p: Perm) -> list[int]:
 
 
 @dataclasses.dataclass(frozen=True)
-class PermutationBraid:
-    """A simple element: positive braid where strand pairs cross at most once."""
-
-    table: PermutationTable
-
-    def crossing_count(self) -> int:
-        img = self.table.images
-        return sum(
-            1
-            for i in range(self.table.size)
-            for j in range(i + 1, self.table.size)
-            if img[i] > img[j]
-        )
-
-
-@dataclasses.dataclass(frozen=True)
 class CanonicalForm:
     """Left canonical form Delta^p A_1 ... A_k; the group-element identity."""
 
@@ -234,12 +217,6 @@ class CanonicalForm:
         for f in self.factors:
             letters.extend(_perm_word(f))
         return BraidWord(n, tuple(letters))
-
-    def factor_tables(self) -> tuple[PermutationBraid, ...]:
-        return tuple(
-            PermutationBraid(PermutationTable(self.strands, tuple(v + 1 for v in f)))
-            for f in self.factors
-        )
 
     def sort_key(self):
         return (self.delta_power, len(self.factors), self.factors)

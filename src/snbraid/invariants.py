@@ -3,17 +3,18 @@ Cheap conjugacy invariants, used as non-equivalence certificates and as
 cross-checks of the heavy conjugacy machinery.
 
 Every value is returned in a canonical encoding (sorted tuples, normalized
-polynomial shift/sign) so that equality is literal comparison. Each function
-is constant on conjugacy classes of the relevant group; the decision layer
-relies on that to turn a mismatch into a certificate.
+polynomial shift) so that equality is literal comparison. Each function is
+constant on conjugacy classes of the relevant group; the decision layer
+relies on that to turn a mismatch into a certificate. The Burau
+characteristic polynomial is reported by `standard_reports` but not screened
+by the decision layer: it is an ambient B_{n+m} invariant, and the ambient
+conjugacy test there already separates every pair it could. It is computed
+exactly over integer Laurent polynomials in t.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
-
-import sympy
 
 from .mixed import MixedBraid
 from .words import BraidWord, exponent_sum, permutation
@@ -91,93 +92,84 @@ def kernel_exponent_sum(beta_ox: BraidWord, beta_oy: BraidWord) -> tuple[int, in
     return exponent_sum(beta_ox), exponent_sum(beta_oy)
 
 
-@functools.lru_cache(maxsize=None)
-def _burau_gen(n: int, i: int, inverse: bool):
-    t = sympy.Symbol("t")
-    m = sympy.eye(n)
-    if inverse:
-        block = [[sympy.Integer(0), sympy.Integer(1)], [1 / t, 1 - 1 / t]]
-    else:
-        block = [[1 - t, t], [sympy.Integer(1), sympy.Integer(0)]]
-    m[i - 1, i - 1] = block[0][0]
-    m[i - 1, i] = block[0][1]
-    m[i, i - 1] = block[1][0]
-    m[i, i] = block[1][1]
-    return sympy.ImmutableMatrix(m)
+# Integer Laurent polynomials in t: {exponent: nonzero coefficient}.
+Laurent = dict[int, int]
+_ONE: Laurent = {0: 1}
 
 
-def burau_matrix(a: BraidWord):
-    """Unreduced Burau matrix over integer Laurent polynomials in t; the map
-    is a homomorphism for the left-to-right word order."""
-    m = sympy.eye(a.strands)
-    for k in a.letters:
-        m = m * _burau_gen(a.strands, abs(k), k < 0)
-    return sympy.ImmutableMatrix(m)
+def _lsum(polys) -> Laurent:
+    out: Laurent = {}
+    for p in polys:
+        for e, c in p.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
-def _polydomain_burau(a: BraidWord):
-    """Burau product with denominators cleared: returns (M, shift) with M a
-    DomainMatrix over ZZ[t] such that the true matrix is t^-shift * M. The
-    inverse generator block [[0,1],[1/t,1-1/t]] becomes t*[[0,t],[1,t-1]]/t^2;
-    clearing one power of t per negative letter keeps everything polynomial."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.matrices import DomainMatrix
+def _lmul(p: Laurent, q: Laurent) -> Laurent:
+    out: Laurent = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
-    t = sympy.Symbol("t")
+
+def _lscale(p: Laurent, coeff: int, shift: int) -> Laurent:
+    """coeff * t^shift * p."""
+    return {e + shift: coeff * c for e, c in p.items()}
+
+
+def _burau_matrix(a: BraidWord) -> list[list[Laurent]]:
+    """Unreduced Burau matrix of the word, read left to right as a product of
+    generator matrices. sigma_i has the block [[1-t, t], [1, 0]] at rows and
+    columns i, i+1, and its inverse [[0, 1], [1/t, 1-1/t]]; multiplying on
+    the right by either changes only columns i and i+1."""
     n = a.strands
-    dom = ZZ[t]
-    tp = dom.from_sympy(t)
-    one, zero = dom.one, dom.zero
-    cur = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    shift = 0
+    rows = [[dict(_ONE) if i == j else {} for j in range(n)] for i in range(n)]
     for k in a.letters:
-        i = abs(k)
-        g = [[one if p == q else zero for q in range(n)] for p in range(n)]
-        if k > 0:
-            g[i - 1][i - 1] = one - tp
-            g[i - 1][i] = tp
-            g[i][i - 1] = one
-            g[i][i] = zero
-        else:
-            for p in range(n):
-                if p not in (i - 1, i):
-                    g[p][p] = tp
-            g[i - 1][i - 1] = zero
-            g[i - 1][i] = tp
-            g[i][i - 1] = one
-            g[i][i] = tp - one
-            shift += 1
-        cur = [
-            [sum((cur[p][r] * g[r][q] for r in range(n)), zero) for q in range(n)]
-            for p in range(n)
+        j = abs(k) - 1
+        for r in rows:
+            u, v = r[j], r[j + 1]
+            if k > 0:
+                r[j], r[j + 1] = _lsum((u, _lscale(u, -1, 1), v)), _lscale(u, 1, 1)
+            else:
+                w = _lscale(v, 1, -1)
+                r[j], r[j + 1] = w, _lsum((u, v, _lscale(w, -1, 0)))
+    return rows
+
+
+def _charpoly(m: list[list[Laurent]]) -> list[Laurent]:
+    """Coefficients of det(x I - m), leading first, by Berkowitz's
+    division-free algorithm: bordering the leading r x r block A by row R,
+    column C and corner a multiplies the polynomial by the lower-triangular
+    Toeplitz matrix with first column 1, -a, -R C, -R A C, ..., -R A^(r-1) C."""
+    poly = [_ONE]
+    for r in range(len(m)):
+        row = m[r][:r]
+        col = [m[i][r] for i in range(r)]
+        toeplitz = [_ONE, _lscale(m[r][r], -1, 0)]
+        for _ in range(r):
+            toeplitz.append(_lscale(_lsum(map(_lmul, row, col)), -1, 0))
+            col = [_lsum(map(_lmul, m[i][:r], col)) for i in range(r)]
+        poly = [
+            _lsum(_lmul(toeplitz[i - j], poly[j]) for j in range(min(i, r) + 1))
+            for i in range(r + 2)
         ]
-    return DomainMatrix(cur, (n, n), dom), shift
+    return poly
 
 
 def burau_charpoly(a: BraidWord) -> tuple[tuple[int, int, int], ...]:
     """Characteristic polynomial of the unreduced Burau matrix, encoded as a
     sorted tuple of (x_exponent, t_exponent, coefficient) with the t powers
-    shifted to start at 0. Equal for conjugate braids."""
-    t = sympy.Symbol("t")
-    if a.strands == 0:
-        return ((0, 0, 1),)
+    shifted to start at 0. Equal for conjugate braids. The polynomial is
+    monic in x, so its last term (x^n) has coefficient 1."""
     n = a.strands
-    dm, shift = _polydomain_burau(a)
-    dom = dm.domain
-    coeffs = dm.charpoly()  # monic, leading coefficient first
-    # True matrix is t^-shift * M, so the x^{n-k} coefficient picks up t^-(shift*k).
-    terms: list[tuple[int, int, int]] = []
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        poly = sympy.Poly(dom.to_sympy(c), t)
-        for (e,), coeff in poly.terms():
-            terms.append((n - k, e - shift * k, int(coeff)))
+    terms = [
+        (n - k, e, c)
+        for k, coeff in enumerate(_charpoly(_burau_matrix(a)))
+        for e, c in coeff.items()
+    ]
     jmin = min(j for _, j, _ in terms)
-    terms = sorted((i, j - jmin, c) for i, j, c in terms)
-    if terms[-1][2] < 0:
-        terms = [(i, j, -c) for i, j, c in terms]
-    return tuple(terms)
+    return tuple(sorted((i, j - jmin, c) for i, j, c in terms))
 
 
 def standard_reports(b: MixedBraid) -> list[InvariantReport]:

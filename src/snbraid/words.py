@@ -16,7 +16,6 @@ given out-of-band.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
 
 
 class StrandMismatchError(ValueError):
@@ -187,12 +186,3 @@ def permutation(a: BraidWord) -> PermutationTable:
 def exponent_sum(a: BraidWord) -> int:
     """Abelianization: sum of letter signs."""
     return sum(1 if k > 0 else -1 for k in a.letters)
-
-
-def concat_all(n: int, words: Iterable[BraidWord]) -> BraidWord:
-    out: list[int] = []
-    for w in words:
-        if w.strands != n:
-            raise StrandMismatchError("strand counts differ in concatenation")
-        out.extend(w.letters)
-    return BraidWord(n, tuple(out))

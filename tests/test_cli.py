@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -131,3 +134,33 @@ class TestErrors:
         code, _, err = run(capsys, ["nf", "-n", "3", "s5"])
         assert code == 1
         assert "error:" in err
+
+
+def test_cli_start_imports_only_standard_library():
+    # The command line must stay quick to start: running it may load
+    # snbraid and standard-library modules, nothing else (no third-party
+    # algebra package, say), beyond what the bare interpreter loaded.
+    src = os.path.dirname(os.path.dirname(sb.__file__))
+    script = (
+        "import runpy, sys\n"
+        "def tops():\n"
+        "    return {m.split('.')[0] for m in sys.modules}\n"
+        "before = tops()\n"
+        "sys.argv = ['snbraid', 'nf', '-n', '3', 's1 s2 s1']\n"
+        "try:\n"
+        "    runpy.run_module('snbraid.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted(tops() - before - sys.stdlib_module_names - {'snbraid'}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    assert json.loads("\n".join(out[:-1])) == {"n": 3, "delta_power": 1, "factors": []}
+    assert out[-1] == "[]"

@@ -103,6 +103,39 @@ class TestRelA:
                 assert vxy.status == vyx.status
 
 
+class TestBurauSubsumedByAmbientConjugacy:
+    """The Burau characteristic polynomial is a conjugacy invariant of the
+    ambient braid group, so the ambient conjugacy test rejects every pair it
+    separates; that is why the decision pipeline does not screen it."""
+
+    def test_differing_charpoly_is_never_conjugate(self):
+        rng = random.Random(43)
+        separated = 0
+        while separated < 60:
+            n = rng.randint(2, 4)
+            a, b = random_word(rng, n, 8), random_word(rng, n, 8)
+            if sb.exponent_sum(a) != sb.exponent_sum(b):
+                continue
+            if sb.burau_charpoly(a) == sb.burau_charpoly(b):
+                continue
+            separated += 1
+            assert not sb.is_conjugate(a, b).conjugate
+
+    def test_formerly_burau_certified_instance(self):
+        # Exponent sums, cycle types and linking numbers agree; only the
+        # Burau polynomial (and hence ambient conjugacy) tells them apart.
+        inst = sb.SNInstance(
+            2, 1, sb.BraidWord(2, (-1,)), sb.BraidWord(3, (2, -1, -1, 2)), sb.BraidWord(3, ())
+        )
+        bx, by = inst.mixed_x(), inst.mixed_y()
+        assert sb.cycle_type(bx) == sb.cycle_type(by)
+        assert sb.linking_matrix(bx) == sb.linking_matrix(by)
+        assert sb.burau_charpoly(bx.word) != sb.burau_charpoly(by.word)
+        v = sb.sn_equivalent_rel_A(inst)
+        assert v.status == sb.NOT_EQUIVALENT
+        assert v.certificate.invariant == "not conjugate in B_3"
+
+
 class TestTwisted:
     def test_agrees_on_fixed_examples(self):
         beta_A = sb.BraidWord(2, (1,))

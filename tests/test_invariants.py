@@ -1,11 +1,11 @@
 import random
 
-import sympy
+import pytest
 
 import snbraid as sb
 from snbraid.invariants import (
+    _burau_matrix,
     burau_charpoly,
-    burau_matrix,
     cycle_type,
     kernel_exponent_sum,
     linking_matrix,
@@ -73,6 +73,28 @@ def test_kernel_exponent_sum():
     assert kernel_exponent_sum(gamma, conj) == (sb.exponent_sum(gamma),) * 2
 
 
+def laurent_identity(n):
+    return [[{0: 1} if i == j else {} for j in range(n)] for i in range(n)]
+
+
+def laurent_matmul(p, q):
+    """Exact product of square matrices of integer Laurent polynomials in t,
+    each stored as {exponent: nonzero coefficient}."""
+    n = len(p)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = {}
+            for k in range(n):
+                for e1, c1 in p[i][k].items():
+                    for e2, c2 in q[k][j].items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+            row.append({e: c for e, c in acc.items() if c})
+        out.append(row)
+    return out
+
+
 class TestBurau:
     def test_identity_charpoly(self):
         # (x - 1)^3, lowest x power first
@@ -83,18 +105,65 @@ class TestBurau:
             (3, 0, 1),
         )
 
+    def test_generator_matrix(self):
+        # sigma_2 on 3 strands: block [[1-t, t], [1, 0]] at rows/columns 2, 3
+        assert _burau_matrix(sb.BraidWord(3, (2,))) == [
+            [{0: 1}, {}, {}],
+            [{}, {0: 1, 1: -1}, {1: 1}],
+            [{}, {0: 1}, {}],
+        ]
+
     def test_generator_inverse_matrices_cancel(self):
-        m = burau_matrix(sb.BraidWord(3, (1,))) * burau_matrix(sb.BraidWord(3, (-1,)))
-        assert sympy.simplify(m - sympy.eye(3)) == sympy.zeros(3)
+        for n in range(2, 5):
+            for i in range(1, n):
+                for k in (i, -i):
+                    m = laurent_matmul(
+                        _burau_matrix(sb.BraidWord(n, (k,))),
+                        _burau_matrix(sb.BraidWord(n, (-k,))),
+                    )
+                    assert m == laurent_identity(n)
 
     def test_homomorphism(self):
         rng = random.Random(33)
         for _ in range(20):
             n = rng.randint(2, 4)
             a, b = random_word(rng, n, 6), random_word(rng, n, 6)
-            lhs = burau_matrix(sb.compose(a, b))
-            rhs = burau_matrix(a) * burau_matrix(b)
-            assert sympy.simplify(lhs - rhs) == sympy.zeros(n)
+            lhs = _burau_matrix(sb.compose(a, b))
+            rhs = laurent_matmul(_burau_matrix(a), _burau_matrix(b))
+            assert lhs == rhs
+
+    @pytest.mark.parametrize(
+        "n, letters, expected",
+        [
+            (2, (1,), ((0, 1, -1), (1, 0, -1), (1, 1, 1), (2, 0, 1))),
+            (
+                3,
+                (1, -2),
+                (
+                    (0, 1, -1), (1, 0, -1), (1, 1, 2), (1, 2, -1),
+                    (2, 0, 1), (2, 1, -2), (2, 2, 1), (3, 1, 1),
+                ),
+            ),
+            (
+                4,
+                (1, 2, 3, -1, 2),
+                (
+                    (0, 3, -1), (1, 2, -1), (1, 3, 1), (2, 1, -1),
+                    (2, 2, 1), (3, 0, -1), (3, 1, 1), (4, 0, 1),
+                ),
+            ),
+            (
+                3,
+                (-1, -1, 2),
+                (
+                    (0, 1, 1), (1, 0, 1), (1, 1, -2), (1, 2, 1), (1, 3, -1),
+                    (2, 0, -1), (2, 1, 1), (2, 2, -2), (2, 3, 1), (3, 2, 1),
+                ),
+            ),
+        ],
+    )
+    def test_charpoly_pinned(self, n, letters, expected):
+        assert burau_charpoly(sb.BraidWord(n, letters)) == expected
 
     def test_charpoly_conjugation_invariant(self):
         rng = random.Random(34)
