@@ -27,7 +27,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
-from .garside import ConjugacyResult, canonical_form, is_conjugate
+from .garside import CanonicalForm, ConjugacyResult, canonical_form, is_conjugate
 from .invariants import cycle_type, linking_matrix
 from .mixed import (
     MixedBraid,
@@ -180,7 +180,9 @@ def _screen_invariants(inst: SNInstance) -> Certificate | None:
 
 
 def _search_kernel_conjugator(
-    inst: SNInstance, budget: Budget, accept: "Callable[[BraidWord, object], bool]"
+    inst: SNInstance,
+    budget: Budget,
+    accept: Callable[[BraidWord, CanonicalForm], bool],
 ) -> tuple[BraidWord | None, BudgetReport]:
     """Breadth-first, length-lexicographic enumeration of kernel elements c
     over the standard generators and their inverses. New generators are
@@ -188,34 +190,41 @@ def _search_kernel_conjugator(
     simple conjugation per step; that makes the visited-set dedup (keyed by
     the canonical form of the conjugate) sound, since two c with the same
     conjugate have identical futures. Appending instead would not: the next
-    conjugate would depend on c itself, and pruning could hide witnesses."""
+    conjugate would depend on c itself, and pruning could hide witnesses.
+
+    A frontier entry holds only the letter tags of c (first letter first)
+    and the canonical form of its conjugate, so a state costs two products.
+    A state matches when its conjugate equals beta_x; only then is c
+    spelled from its tags and passed to `accept`, which re-verifies it. Both
+    formulations accept exactly the c with c * beta_y * c^-1 = beta_x, so
+    the first match is the first state the full check would accept; should
+    `accept` refuse it, the search goes on."""
     beta_y = inst.mixed_y().word
     gens = kernel_generators(inst.n, inst.m)
-    alphabet: list[tuple[int, BraidWord, object, object]] = []
-    for i, g in enumerate(gens):
-        cf = canonical_form(g)
-        alphabet.append((i + 1, g, cf, cf.inv()))
-    for i, g in enumerate(gens):
-        gi = invert(g)
-        cf = canonical_form(gi)
-        alphabet.append((-(i + 1), gi, cf, cf.inv()))
+    spelling: dict[int, BraidWord] = {}
+    alphabet: list[tuple[int, CanonicalForm, CanonicalForm]] = []
+    for sign in (1, -1):
+        for i, g in enumerate(gens):
+            word = g if sign == 1 else invert(g)
+            cf = canonical_form(word)
+            spelling[sign * (i + 1)] = word
+            alphabet.append((sign * (i + 1), cf, cf.inv()))
 
-    total = inst.n + inst.m
-    identity = BraidWord.identity(total)
-    id_cf = canonical_form(identity)
+    identity = BraidWord.identity(inst.n + inst.m)
     states = 1
     max_len_tried = 0
 
-    if accept(identity, id_cf):
+    if accept(identity, canonical_form(identity)):
         return identity, BudgetReport(0, states)
-    visited = {canonical_form(beta_y)}
-    # frontier entries: (letter tags, c word, cf of c, cf of c*beta_y*c^-1)
-    frontier = [((), identity, id_cf, canonical_form(beta_y))]
+    target = canonical_form(inst.mixed_x().word)
+    start = canonical_form(beta_y)
+    visited = {start}
+    frontier: list[tuple[tuple[int, ...], CanonicalForm]] = [((), start)]
     for depth in range(1, budget.max_length + 1):
         max_len_tried = depth
         nxt = []
-        for tag, word, c_cf, conj_cf in frontier:
-            for letter, gen, g_cf, g_inv_cf in alphabet:
+        for tag, conj_cf in frontier:
+            for letter, g_cf, g_inv_cf in alphabet:
                 if tag and tag[0] == -letter:
                     continue
                 states += 1
@@ -225,17 +234,23 @@ def _search_kernel_conjugator(
                 if new_conj in visited:
                     continue
                 visited.add(new_conj)
-                c = free_reduce(compose(gen, word))
-                new_c_cf = g_cf.mul(c_cf)
-                if accept(c, new_c_cf):
-                    return c, BudgetReport(depth, states)
-                nxt.append(((letter,) + tag, c, new_c_cf, new_conj))
+                new_tag = (letter,) + tag
+                if new_conj == target:
+                    c = identity
+                    for t in new_tag:
+                        c = compose(c, spelling[t])
+                    c = free_reduce(c)
+                    if accept(c, canonical_form(c)):
+                        return c, BudgetReport(depth, states)
+                nxt.append((new_tag, new_conj))
         frontier = nxt
     return None, BudgetReport(max_len_tried, states)
 
 
 def _decide(
-    inst: SNInstance, budget: Budget, accept: Callable[[BraidWord], bool]
+    inst: SNInstance,
+    budget: Budget,
+    accept: Callable[[BraidWord, CanonicalForm], bool],
 ) -> SNVerdict:
     cert = _screen_invariants(inst)
     if cert is not None:
@@ -266,7 +281,7 @@ def sn_equivalent_rel_A(inst: SNInstance, budget: Budget = Budget()) -> SNVerdic
     bx_cf = canonical_form(inst.mixed_x().word)
     by_cf = canonical_form(inst.mixed_y().word)
 
-    def accept(c: BraidWord, c_cf) -> bool:
+    def accept(c: BraidWord, c_cf: CanonicalForm) -> bool:
         return c_cf.mul(by_cf).mul(c_cf.inv()) == bx_cf
 
     return _decide(inst, budget, accept)
@@ -281,7 +296,7 @@ def sn_equivalent_twisted(inst: SNInstance, budget: Budget = Budget()) -> SNVerd
     ox_cf = canonical_form(inst.beta_ox)
     oy_cf = canonical_form(inst.beta_oy)
 
-    def accept(c: BraidWord, c_cf) -> bool:
+    def accept(c: BraidWord, c_cf: CanonicalForm) -> bool:
         twisted = lift_inv_cf.mul(c_cf).mul(lift_cf)
         return twisted.mul(oy_cf).mul(c_cf.inv()) == ox_cf
 

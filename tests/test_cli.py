@@ -135,6 +135,23 @@ class TestErrors:
         assert code == 1
         assert "error:" in err
 
+    def test_closure_search_strand_limit(self, capsys, monkeypatch):
+        # Conjugating by all 10! simple elements would exhaust memory, so
+        # the pair is refused before the table of them is built.
+        def no_table(n):
+            raise AssertionError(f"simple-element table built for n={n}")
+
+        monkeypatch.setattr(sb.garside, "_simple_conjugators", no_table)
+        code, out, err = run(capsys, ["conj", "-n", "10", "s1", "s2"])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "10 strands" in err
+        assert f"{sb.garside.MAX_CLOSURE_STRANDS} strands" in err
+
+    def test_pairs_settled_before_closure_beyond_limit(self, capsys):
+        assert run_json(capsys, ["conj", "-n", "10", "s1", "S2"]) == {"conjugate": False}
+        doc = run_json(capsys, ["conj", "-n", "10", "s1 s9", "s1 s9"])
+        assert doc == {"conjugate": True, "witness": ""}
+
 
 def test_cli_start_imports_only_standard_library():
     # The command line must stay quick to start: running it may load

@@ -103,6 +103,51 @@ class TestRelA:
                 assert vxy.status == vyx.status
 
 
+class TestKernelSearchPinned:
+    """Verdicts of the bounded kernel search on two ambient-conjugate
+    instances, and how often it calls `accept`: once for the identity and
+    once for the state whose conjugate matches beta_x."""
+
+    BUDGET = sb.Budget(5, 20000)
+    OY = "s2 s2 s2 s2"
+
+    def instance(self, ox):
+        return sb.SNInstance(
+            2, 1, sb.BraidWord.parse(2, "s1"), sb.BraidWord.parse(3, ox), sb.BraidWord.parse(3, self.OY)
+        )
+
+    @pytest.fixture
+    def accept_calls(self, monkeypatch):
+        calls = []
+        search = sb.decision._search_kernel_conjugator
+
+        def counted_search(inst, budget, accept):
+            def counted(c, c_cf):
+                calls[-1] += 1
+                return accept(c, c_cf)
+
+            calls.append(0)
+            return search(inst, budget, counted)
+
+        monkeypatch.setattr(sb.decision, "_search_kernel_conjugator", counted_search)
+        return calls
+
+    @pytest.mark.parametrize("decide", [sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted])
+    def test_equivalent_witness(self, decide, accept_calls):
+        inst = self.instance("S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1")
+        v = decide(inst, self.BUDGET)
+        assert v.to_json() == {"status": "Equivalent", "witness": "s2 s1 s1 s2 s2 S1 S1 s2 s2 s2"}
+        verify(inst, v)
+        assert accept_calls == [2]
+
+    @pytest.mark.parametrize("decide", [sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted])
+    def test_inconclusive_budget(self, decide, accept_calls):
+        inst = self.instance("S1 S1 S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1 s1 s1")
+        v = decide(inst, self.BUDGET)
+        assert v.to_json() == {"status": "Inconclusive", "budget": {"max_len": 5, "states": 434}}
+        assert accept_calls == [1]
+
+
 class TestBurauSubsumedByAmbientConjugacy:
     """The Burau characteristic polynomial is a conjugacy invariant of the
     ambient braid group, so the ambient conjugacy test rejects every pair it

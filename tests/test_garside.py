@@ -3,7 +3,8 @@ import random
 import pytest
 
 import snbraid as sb
-from snbraid.garside import canonical_form
+from snbraid import garside
+from snbraid.garside import CanonicalForm, canonical_form
 from conftest import random_rewrite, random_word
 
 
@@ -58,6 +59,130 @@ class TestCanonicalForm:
     def test_json_shape(self):
         doc = canonical_form(sb.BraidWord(3, (1,))).to_json()
         assert doc == {"n": 3, "delta_power": 0, "factors": [[2, 1, 3]]}
+
+
+def fixpoint_normalize(n, factors):
+    """Reference normaliser: sweep all adjacent pairs until none changes,
+    then count the leading Delta factors and drop trailing identities."""
+    w0 = tuple(range(n - 1, -1, -1))
+    idp = tuple(range(n))
+    factors = [f for f in factors if f != idp]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors) - 1):
+            a, b = factors[i], factors[i + 1]
+            x, y = garside._leftweight(a, b)
+            if (x, y) != (a, b):
+                factors[i], factors[i + 1] = x, y
+                changed = True
+    lo, hi = 0, len(factors)
+    while lo < hi and factors[lo] == w0:
+        lo += 1
+    while lo < hi and factors[hi - 1] == idp:
+        hi -= 1
+    return lo, tuple(factors[lo:hi])
+
+
+def reference_make(n, delta_power, factors):
+    shift, fs = fixpoint_normalize(n, list(factors))
+    return CanonicalForm(n, delta_power + shift, fs)
+
+
+def random_factors(rng, n, count):
+    """Random simple factors, with Delta, identity and tau-images mixed in."""
+    out = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.1:
+            out.append(tuple(range(n - 1, -1, -1)))
+        elif kind < 0.2:
+            out.append(tuple(range(n)))
+        elif kind < 0.3 and out:
+            out.append(garside._tau(out[-1]))
+        else:
+            p = list(range(n))
+            rng.shuffle(p)
+            out.append(tuple(p))
+    return out
+
+
+def reference_word_form(w):
+    """Canonical form of a word as a product of its letters, each product
+    normalised by the fixpoint sweep: Delta^p A * Delta^q B is
+    Delta^(p+q) tau^q(A) B."""
+    n = w.strands
+    w0 = tuple(range(n - 1, -1, -1))
+    out = CanonicalForm.identity(n)
+    for k in w.letters:
+        i = abs(k) - 1
+        s = list(range(n))
+        s[i], s[i + 1] = s[i + 1], s[i]
+        s = tuple(s)
+        # sigma_i^-1 = Delta^-1 (Delta sigma_i^-1), and Delta sigma_i^-1 is simple
+        q, f = (0, s) if k > 0 else (-1, tuple(s[v] for v in w0))
+        left = out.factors if q % 2 == 0 else [garside._tau(a) for a in out.factors]
+        out = reference_make(n, out.delta_power + q, list(left) + [f])
+    return out
+
+
+class TestIncrementalNormalForm:
+    """The push-and-stop normaliser against the fixpoint sweep it replaced."""
+
+    def test_matches_fixpoint_sweep(self):
+        rng = random.Random(12)
+        for n in range(2, 8):
+            for _ in range(12):
+                factors = random_factors(rng, n, rng.randint(0, 200))
+                assert garside._normalize(n, factors) == fixpoint_normalize(n, factors)
+
+    def test_weighted_prefix(self):
+        rng = random.Random(13)
+        for n in range(2, 8):
+            for _ in range(12):
+                _, head = fixpoint_normalize(n, random_factors(rng, n, rng.randint(0, 100)))
+                tail = random_factors(rng, n, rng.randint(0, 100))
+                got = garside._normalize(n, tail, weighted=head)
+                assert got == fixpoint_normalize(n, list(head) + tail)
+                flipped = [garside._tau(f) for f in head]
+                got = garside._normalize(n, tail, weighted=map(garside._tau, head))
+                assert got == fixpoint_normalize(n, flipped + tail)
+
+    def test_operations_match_reference(self):
+        rng = random.Random(14)
+        for _ in range(150):
+            n = rng.randint(2, 7)
+            x = canonical_form(random_word(rng, n, 40))
+            y = canonical_form(random_word(rng, n, 40))
+            left = x.factors if y.delta_power % 2 == 0 else [garside._tau(f) for f in x.factors]
+            assert x.mul(y) == reference_make(
+                n, x.delta_power + y.delta_power, list(left) + list(y.factors)
+            )
+            assert x.inv() == reference_word_form(sb.invert(x.to_word()))
+            if x.factors:
+                p = x.delta_power
+                first = garside._tau(x.factors[0]) if p % 2 else x.factors[0]
+                last = garside._tau(x.factors[-1]) if p % 2 else x.factors[-1]
+                cycled, _ = garside._cycle(x)
+                assert cycled == reference_make(n, p, list(x.factors[1:]) + [first])
+                decycled, _ = garside._decycle(x)
+                assert decycled == reference_make(n, p, [last] + list(x.factors[:-1]))
+
+    def test_canonical_form_matches_reference(self):
+        rng = random.Random(15)
+        for _ in range(100):
+            w = random_word(rng, rng.randint(2, 7), 60)
+            assert canonical_form(w) == reference_word_form(w)
+
+    def test_no_quadratic_blow_up(self):
+        # A 1600-letter word on 5 strands: the fixpoint sweep makes about
+        # 1.6M _leftweight calls, the incremental normaliser about 106k.
+        rng = random.Random(16)
+        w = sb.BraidWord(5, tuple(rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(1600)))
+        garside._leftweight.cache_clear()
+        canonical_form(w)
+        info = garside._leftweight.cache_info()
+        assert info.hits + info.misses < 300_000
 
 
 class TestWordProblem:
