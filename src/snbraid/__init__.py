@@ -53,7 +53,6 @@ from .invariants import (
     InvariantReport,
     burau_charpoly,
     cycle_type,
-    kernel_exponent_sum,
     linking_matrix,
 )
 from .decision import (

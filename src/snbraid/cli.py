@@ -121,7 +121,7 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (WordSyntaxError, ValueError) as exc:
+    except (WordSyntaxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -180,11 +180,15 @@ def _dispatch(args) -> int:
         )
         return _verdict_exit(verdict)
     if cmd == "partition":
+        orbits = []
         with open(args.file) as fh:
-            lines = [ln.split("#", 1)[0].strip() for ln in fh]
-        orbits = [
-            _parse_word(args.n + args.m, ln) for ln in lines if ln
-        ]
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    word = _parse_word(args.n + args.m, line)
+                except WordSyntaxError as exc:
+                    raise WordSyntaxError(exc.message, lineno, exc.column) from None
+                if word.letters:  # blank and comment-only lines
+                    orbits.append(word)
         result = decision.partition_sn_classes(
             args.n,
             args.m,

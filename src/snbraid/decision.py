@@ -109,6 +109,9 @@ class SNInstance:
     beta_A: BraidWord
     beta_ox: BraidWord
     beta_oy: BraidWord
+    # The two assembled mixed braids, built once by __post_init__.
+    _mixed_x: MixedBraid = dataclasses.field(init=False, repr=False, compare=False)
+    _mixed_y: MixedBraid = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.beta_A.strands != self.n:
@@ -126,16 +129,17 @@ class SNInstance:
                     "orbit block; treating it as a formal instance",
                     stacklevel=2,
                 )
+        lift = section(self.n, self.m, self.beta_A).word
+        for name, w in (("_mixed_x", self.beta_ox), ("_mixed_y", self.beta_oy)):
+            object.__setattr__(self, name, MixedBraid(self.n, self.m, compose(lift, w)))
 
     def mixed_x(self) -> MixedBraid:
-        return MixedBraid(
-            self.n, self.m, compose(section(self.n, self.m, self.beta_A).word, self.beta_ox)
-        )
+        """section(beta_A) * beta_ox."""
+        return self._mixed_x
 
     def mixed_y(self) -> MixedBraid:
-        return MixedBraid(
-            self.n, self.m, compose(section(self.n, self.m, self.beta_A).word, self.beta_oy)
-        )
+        """section(beta_A) * beta_oy."""
+        return self._mixed_y
 
 
 def _orbit_cycle_count(orbit_images: list[int], n: int) -> int:

@@ -14,13 +14,16 @@ leftward only until a pair is already left-weighted (see `_normalize`).
 A product keeps the left-weighted factors of its left operand and pushes
 only those of its right operand; a cycling step pushes one factor.
 
-Conjugacy is decided through summit sets: cycle/decycle a representative to
-maximal infimum and minimal supremum, walk the cycling orbit onto a circuit,
-then close the resulting set under conjugation by simple elements (keeping
-only elements with the summit infimum/supremum and, when circuits were
-reached, only elements lying on their own cycling circuit). Two braids are
-conjugate iff the sets intersect; the recorded parent chain yields an
-explicit conjugating witness.
+Conjugacy is decided through the ultra summit set (Gebhardt 2005): cycle and
+decycle a representative to maximal infimum and minimal supremum, walk its
+cycling orbit onto a circuit, then close the resulting set under conjugation
+by simple elements, keeping only elements with the summit infimum/supremum
+that lie on their own cycling circuit. Every cycling walk ends without a
+step bound: cycling never lowers the infimum nor raises the supremum, and
+a conjugacy class has finitely many elements between given bounds (from a
+super summit element, at most the size of the super summit set). Two
+braids are conjugate iff their ultra summit sets intersect; the recorded
+parent chain yields an explicit conjugating witness.
 
 Internally permutations are 0-based tuples mapping start position to end
 position, composed left-to-right: `_pmul(p, q)` is "p then q".
@@ -227,12 +230,6 @@ class CanonicalForm:
         # and none is Delta or the identity: this is already the normal form.
         return CanonicalForm(self.strands, -k - p, tuple(factors))
 
-    def conjugate_by(self, s: "CanonicalForm", s_inv: "CanonicalForm" | None = None) -> "CanonicalForm":
-        """s^-1 * self * s."""
-        if s_inv is None:
-            s_inv = s.inv()
-        return s_inv.mul(self).mul(s)
-
     def to_word(self) -> BraidWord:
         letters: list[int] = []
         n = self.strands
@@ -338,10 +335,6 @@ class ConjugacyResult:
 MAX_CLOSURE_STRANDS = 8
 
 
-class SummitSearchError(RuntimeError):
-    """Internal bound exceeded while walking a cycling orbit."""
-
-
 @functools.lru_cache(maxsize=None)
 def _simple_conjugators(n: int) -> tuple[tuple[CanonicalForm, CanonicalForm], ...]:
     """All nontrivial simple elements of B_n with their inverses, in
@@ -408,43 +401,44 @@ def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, CanonicalForm]:
     return v, g
 
 
+def _cycling_orbit(
+    v: CanonicalForm,
+) -> tuple[list[CanonicalForm], list[CanonicalForm], int]:
+    """Cycle v until an element repeats. Returns the elements visited, the
+    simple conjugator s_i of each step (orbit[i + 1] = s_i^-1 orbit[i] s_i)
+    and the index where the circuit starts; v lies on its own circuit, that
+    is in its ultra summit set, iff that index is 0."""
+    orbit = [v]
+    steps: list[CanonicalForm] = []
+    seen = {v: 0}
+    while True:
+        w, s = _cycle(orbit[-1])
+        steps.append(s)
+        if w in seen:
+            return orbit, steps, seen[w]
+        seen[w] = len(orbit)
+        orbit.append(w)
+
+
 def _to_circuit(
-    v: CanonicalForm, g: CanonicalForm, bound: int
-) -> tuple[CanonicalForm, CanonicalForm, bool]:
-    """Iterate cycling until the trajectory revisits an element; return the
-    first element of the circuit (with its accumulated conjugator). The flag
-    is False when the bound was hit before a circuit closed."""
-    seen: dict[CanonicalForm, int] = {v: 0}
-    traj = [(v, g)]
-    for _ in range(bound):
-        w, s = _cycle(v)
+    v: CanonicalForm, g: CanonicalForm
+) -> tuple[CanonicalForm, CanonicalForm]:
+    """The first element of v's cycling circuit, with g extended by the
+    conjugators that lead there."""
+    orbit, steps, start = _cycling_orbit(v)
+    for s in steps[:start]:
         g = g.mul(s)
-        if w in seen:
-            return traj[seen[w]][0], traj[seen[w]][1], True
-        seen[w] = len(traj)
-        traj.append((w, g))
-        v = w
-    return v, g, False
-
-
-def _on_own_circuit(v: CanonicalForm, bound: int) -> bool:
-    """Whether v lies on its own cycling circuit (ultra summit membership)."""
-    seen = {v}
-    w = v
-    for _ in range(bound):
-        w, _ = _cycle(w)
-        if w == v:
-            return True
-        if w in seen:
-            return False
-        seen.add(w)
-    raise SummitSearchError("cycling orbit exceeded the circuit bound")
+    return orbit[start], g
 
 
 def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     """Complete conjugacy decision in B_n with witness extraction.
 
     Returns a witness c with c * b * c^-1 = a whenever the answer is yes.
+    Both braids are brought onto a cycling circuit of their ultra summit
+    sets, and the set of a is closed under simple-element conjugation until
+    it reaches b's element; this is the only closure mode, and each cycling
+    walk ends because cycling stays inside the finite super summit set.
     Raises ValueError when the pair needs the closure search on more than
     MAX_CLOSURE_STRANDS strands.
     """
@@ -464,15 +458,9 @@ def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     if (va.inf, va.sup) != (vb.inf, vb.sup):
         return ConjugacyResult(False)
 
-    circuit_bound = max(10 * n * n, 64)
-    va, ga, ok_a = _to_circuit(va, ga, circuit_bound)
-    vb, gb, ok_b = _to_circuit(vb, gb, circuit_bound)
-    uss_mode = ok_a and ok_b
-
-    try:
-        found = _closure_search(va, ga, vb, uss_mode, circuit_bound)
-    except SummitSearchError:
-        found = _closure_search(va, ga, vb, False, circuit_bound)
+    va, ga = _to_circuit(va, ga)
+    vb, gb = _to_circuit(vb, gb)
+    found = _closure_search(va, ga, vb)
     if found is None:
         return ConjugacyResult(False)
     witness_cf = found.mul(gb.inv())
@@ -481,16 +469,12 @@ def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
 
 
 def _closure_search(
-    va: CanonicalForm,
-    ga: CanonicalForm,
-    target: CanonicalForm,
-    uss_mode: bool,
-    circuit_bound: int,
+    va: CanonicalForm, ga: CanonicalForm, target: CanonicalForm
 ) -> CanonicalForm | None:
-    """Close the summit set of va under simple-element conjugation, breadth
-    first in lexicographic order of the canonical-form encoding. Returns the
-    accumulated conjugator h with target = h^-1 * (original a) * h when the
-    target is reached, else None once the set is exhausted."""
+    """Close the ultra summit set of va under simple-element conjugation,
+    breadth first in lexicographic order of the canonical-form encoding.
+    Returns the accumulated conjugator h with target = h^-1 * (original a) * h
+    when the target is reached, else None once the set is exhausted."""
     n = va.strands
     if va == target:
         return ga
@@ -511,12 +495,12 @@ def _closure_search(
         for v in frontier:
             h = visited[v]
             for s, s_inv in simples:
-                w = v.conjugate_by(s, s_inv)
+                w = s_inv.mul(v).mul(s)
                 if (w.inf, w.sup) != inf_sup:
                     continue
                 if w in visited or w in rejected:
                     continue
-                if uss_mode and not _on_own_circuit(w, circuit_bound):
+                if _cycling_orbit(w)[2] != 0:
                     rejected.add(w)
                     continue
                 visited[w] = h.mul(s)

@@ -86,12 +86,6 @@ def linking_matrix(b: MixedBraid) -> tuple[tuple, ...]:
     return tuple(sorted(entries))
 
 
-def kernel_exponent_sum(beta_ox: BraidWord, beta_oy: BraidWord) -> tuple[int, int]:
-    """Exponent sums of the two kernel parts; a mismatch certifies that no
-    (twisted) kernel conjugation can relate them."""
-    return exponent_sum(beta_ox), exponent_sum(beta_oy)
-
-
 # Integer Laurent polynomials in t: {exponent: nonzero coefficient}.
 Laurent = dict[int, int]
 _ONE: Laurent = {0: 1}

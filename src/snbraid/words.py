@@ -27,6 +27,7 @@ class WordSyntaxError(ValueError):
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message
         self.line = line
         self.column = column
 

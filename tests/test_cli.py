@@ -130,6 +130,25 @@ class TestErrors:
         assert code == 1
         assert "line 1" in err and "column 4" in err
 
+    def test_partition_missing_file(self, capsys, tmp_path):
+        missing = tmp_path / "absent" / "orbits.txt"
+        code, out, err = run(
+            capsys,
+            ["partition", "-n", "2", "-m", "1", "--betaA", "s1", "--file", str(missing)],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(missing) in err
+
+    def test_partition_bad_token_names_file_line(self, capsys, tmp_path):
+        f = tmp_path / "orbits.txt"
+        f.write_text(f"{A2}\n# comment line\ns2 x3\n")
+        code, out, err = run(
+            capsys,
+            ["partition", "-n", "2", "-m", "1", "--betaA", "s1", "--file", str(f)],
+        )
+        assert code == 1 and out == ""
+        assert "(line 3, column 4)" in err
+
     def test_out_of_range_letter(self, capsys):
         code, _, err = run(capsys, ["nf", "-n", "3", "s5"])
         assert code == 1

@@ -255,6 +255,15 @@ class TestInstanceValidation:
         with pytest.raises(sb.KernelMembershipError):
             sb.SNInstance(2, 1, sb.BraidWord(2, ()), sb.BraidWord(3, (1,)), A1)
 
+    def test_mixed_braids_built_once(self):
+        beta_A = sb.BraidWord(2, (1,))
+        inst = sb.SNInstance(2, 1, beta_A, A1, A2)
+        lift = sb.section(2, 1, beta_A).word
+        assert inst.mixed_x() is inst.mixed_x()
+        assert inst.mixed_x().word == sb.compose(lift, A1)
+        assert inst.mixed_y().word == sb.compose(lift, A2)
+        assert inst == sb.SNInstance(2, 1, beta_A, A1, A2)
+
     def test_non_primitive_orbit_warns(self):
         with pytest.warns(UserWarning):
             sb.SNInstance(

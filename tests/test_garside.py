@@ -283,6 +283,73 @@ class TestConjugacy:
             assert sb.is_conjugate(a, b).conjugate == sb.is_conjugate(b, a).conjugate
 
 
+def seeded_word(n, seed, length):
+    rng = random.Random(seed)
+    return sb.BraidWord(
+        n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length))
+    )
+
+
+def summit_orbit(w):
+    """The cycling orbit of the summit element that is_conjugate walks."""
+    v, _ = garside._summit(canonical_form(w))
+    return garside._cycling_orbit(v)
+
+
+# Seeded words whose summit element needs more than 10 n^2 cycling steps to
+# close its orbit, so the walk onto the circuit and the ultra summit
+# membership test run past the step bound an earlier design fell back at.
+LONG_ORBIT_WORDS = [(3, 7, 120), (3, 117, 120), (4, 119, 240)]
+
+
+class TestLongCyclingOrbits:
+    @pytest.fixture(params=LONG_ORBIT_WORDS, ids=lambda p: f"n{p[0]}-seed{p[1]}")
+    def pair(self, request):
+        """A long-orbit word a and its conjugate c^-1 a c."""
+        n, seed, length = request.param
+        a = seeded_word(n, seed, length)
+        _, steps, _ = summit_orbit(a)
+        assert len(steps) > 10 * n * n
+        c = seeded_word(n, 1000 + length, length // 4)
+        return a, sb.compose(sb.compose(sb.invert(c), a), c)
+
+    def test_constructed_conjugates(self, pair):
+        a, b = pair
+        check_witness(a, b, sb.is_conjugate(a, b))
+        check_witness(b, a, sb.is_conjugate(b, a))
+
+    def test_burau_separated_pairs(self, pair):
+        """The conjugate with sigma_x^2 sigma_y^-2 inserted: same exponent
+        sum, cycle type and summit infimum/supremum, so the pair reaches the
+        cycling walk, but a different Burau polynomial. (Reversing the word
+        would not do: it never changes the Burau polynomial.)"""
+        a, b = pair
+        n = a.strands
+        va, _ = garside._summit(canonical_form(a))
+        poly = sb.burau_charpoly(a)
+        for cut in range(len(b.letters) + 1):
+            x, y = 1 + cut % (n - 1), 1 + (cut + 1) % (n - 1)
+            d = sb.BraidWord(n, b.letters[:cut] + (x, x, -y, -y) + b.letters[cut:])
+            vd, _ = garside._summit(canonical_form(d))
+            if (vd.inf, vd.sup) == (va.inf, va.sup) and sb.burau_charpoly(d) != poly:
+                break
+        else:
+            pytest.fail("no Burau-separated partner found")
+        assert not sb.is_conjugate(a, d).conjugate
+
+    def test_orbit_circuit(self, pair):
+        """From the conjugate's canonical form, which is not yet a summit
+        element: every element on the returned circuit starts its own
+        circuit, and no element before it does."""
+        _, b = pair
+        n = b.strands
+        orbit, steps, start = garside._cycling_orbit(canonical_form(b))
+        assert len(orbit) == len(steps) > 10 * n * n
+        assert start > 0
+        for i, x in enumerate(orbit):
+            assert (garside._cycling_orbit(x)[2] == 0) == (i >= start)
+
+
 class TestConjugateModFullTwist:
     def test_constructed_power(self):
         a = sb.compose(sb.BraidWord(3, (1,)), sb.full_twist(3))

@@ -7,7 +7,6 @@ from snbraid.invariants import (
     _burau_matrix,
     burau_charpoly,
     cycle_type,
-    kernel_exponent_sum,
     linking_matrix,
     standard_reports,
 )
@@ -62,15 +61,6 @@ class TestLinking:
             )
             assert linking_matrix(conj) == linking_matrix(b)
             assert cycle_type(conj) == cycle_type(b)
-
-
-def test_kernel_exponent_sum():
-    assert kernel_exponent_sum(sb.BraidWord(2, (1, 1)), sb.BraidWord(2, (1,) * 4)) == (2, 4)
-    rng = random.Random(32)
-    gamma = random_kernel_word(rng, 2, 1, 3)
-    c = random_kernel_word(rng, 2, 1, 2)
-    conj = sb.free_reduce(sb.compose(sb.compose(c, gamma), sb.invert(c)))
-    assert kernel_exponent_sum(gamma, conj) == (sb.exponent_sum(gamma),) * 2
 
 
 def laurent_identity(n):
