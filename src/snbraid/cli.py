@@ -21,7 +21,7 @@ def _add_budget_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-len", type=int, default=None,
                    help="max kernel-conjugator generator length")
     p.add_argument("--max-states", type=int, default=None,
-                   help="max enumerated conjugator states")
+                   help="max kernel-search states, both sides counted")
 
 
 def _budget(args) -> decision.Budget:

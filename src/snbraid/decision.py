@@ -16,8 +16,8 @@ verifying witness), certified NotEquivalent (an invariant mismatch or a
 failed conjugacy test in the ambient group), or an honest Inconclusive with
 the exhausted search budget. The pipeline is staged so cheap certificates
 short-circuit the bounded search: invariants, then full-group conjugacy,
-then breadth-first enumeration of kernel conjugators in length-lexicographic
-order over the standard kernel generators.
+then a meet-in-the-middle search for a shortest kernel conjugator over the
+standard kernel generators, grown from both beta_y and beta_x.
 """
 
 from __future__ import annotations
@@ -51,7 +51,9 @@ INCONCLUSIVE = "Inconclusive"
 
 @dataclasses.dataclass(frozen=True)
 class Budget:
-    """Bounds on the kernel-conjugator search."""
+    """Bounds on the kernel-conjugator search: `max_length` is the total
+    length of the conjugator c in generators, and `max_states` bounds the
+    states generated on both sides of the search together."""
 
     max_length: int = 8
     max_states: int = 200000
@@ -59,18 +61,16 @@ class Budget:
 
 @dataclasses.dataclass(frozen=True)
 class Certificate:
-    """A named, machine-checked reason for a NotEquivalent verdict."""
+    """A named, machine-checked reason for a NotEquivalent verdict. The two
+    invariant values are ints or nested tuples of ints and strings, which
+    `json.dumps` writes as numbers and arrays."""
 
     invariant: str
     lhs: object = None
     rhs: object = None
 
     def to_json(self) -> dict:
-        return {
-            "invariant": self.invariant,
-            "lhs": repr(self.lhs) if self.lhs is not None else None,
-            "rhs": repr(self.rhs) if self.rhs is not None else None,
-        }
+        return {"invariant": self.invariant, "lhs": self.lhs, "rhs": self.rhs}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,31 +188,42 @@ def _search_kernel_conjugator(
     budget: Budget,
     accept: Callable[[BraidWord, CanonicalForm], bool],
 ) -> tuple[BraidWord | None, BudgetReport]:
-    """Breadth-first, length-lexicographic enumeration of kernel elements c
-    over the standard generators and their inverses. New generators are
-    PREPENDED, so the tracked conjugate c * beta_y * c^-1 evolves by a single
-    simple conjugation per step; that makes the visited-set dedup (keyed by
-    the canonical form of the conjugate) sound, since two c with the same
-    conjugate have identical futures. Appending instead would not: the next
-    conjugate would depend on c itself, and pruning could hide witnesses.
+    """Meet-in-the-middle search, shortest first, for a kernel element
+    c = v * u with c * beta_y * c^-1 = beta_x, over the standard generators
+    and their inverses.
 
-    A frontier entry holds only the letter tags of c (first letter first)
-    and the canonical form of its conjugate, so a state costs two products.
-    A state matches when its conjugate equals beta_x; only then is c
-    spelled from its tags and passed to `accept`, which re-verifies it. Both
-    formulations accept exactly the c with c * beta_y * c^-1 = beta_x, so
-    the first match is the first state the full check would accept; should
-    `accept` refuse it, the search goes on."""
-    beta_y = inst.mixed_y().word
+    The forward side holds conjugates u * beta_y * u^-1 and grows u by
+    PREPENDING a generator g, one simple conjugation g * . * g^-1 per state;
+    the backward side holds v^-1 * beta_x * v and grows v by APPENDING g,
+    g^-1 * . * g. Each side keeps a visited map keyed by the canonical form
+    of its conjugate, and that dedup is sound: two words with the same
+    conjugate have identical futures on their side. Growing the other end
+    instead would not be: the next conjugate would depend on the word.
+
+    For total length l = 1 .. max_length one side grows one level, forward
+    on odd l and backward on even l, so after level l the sides reach
+    depths ceil(l/2) and floor(l/2) and every reduced c of length <= l
+    splits as v * u across them. Each new state is checked against the
+    other side's visited map, all of its depths, so every length below l
+    is checked before level l and the first match is a shortest c. A state
+    holds only the letter tags of its word, the letter next to the growing
+    end first, and its conjugate, so it costs two products. On a match c
+    is spelled from the two tags and passed to `accept`, which re-verifies
+    it; both formulations accept exactly the c with c * beta_y * c^-1 =
+    beta_x, and should `accept` refuse, the search goes on. `states`
+    counts the identity and every state generated on either side."""
     gens = kernel_generators(inst.n, inst.m)
     spelling: dict[int, BraidWord] = {}
-    alphabet: list[tuple[int, CanonicalForm, CanonicalForm]] = []
+    forward: list[tuple[int, CanonicalForm, CanonicalForm]] = []
     for sign in (1, -1):
         for i, g in enumerate(gens):
             word = g if sign == 1 else invert(g)
             cf = canonical_form(word)
             spelling[sign * (i + 1)] = word
-            alphabet.append((sign * (i + 1), cf, cf.inv()))
+            forward.append((sign * (i + 1), cf, cf.inv()))
+    # Each side conjugates by (left, right): g * . * g^-1 forward,
+    # g^-1 * . * g backward.
+    backward = [(letter, g_inv_cf, g_cf) for letter, g_cf, g_inv_cf in forward]
 
     identity = BraidWord.identity(inst.n + inst.m)
     states = 1
@@ -220,34 +231,45 @@ def _search_kernel_conjugator(
 
     if accept(identity, canonical_form(identity)):
         return identity, BudgetReport(0, states)
+    start = canonical_form(inst.mixed_y().word)
     target = canonical_form(inst.mixed_x().word)
-    start = canonical_form(beta_y)
-    visited = {start}
-    frontier: list[tuple[tuple[int, ...], CanonicalForm]] = [((), start)]
-    for depth in range(1, budget.max_length + 1):
-        max_len_tried = depth
+    # visited[side] maps a conjugate to the tag of its word; side 0 is
+    # forward (tag of u, first letter first), side 1 backward (tag of v,
+    # last letter first).
+    visited: tuple[dict[CanonicalForm, tuple[int, ...]], ...] = (
+        {start: ()},
+        {target: ()},
+    )
+    frontiers = [[((), start)], [((), target)]]
+    for length in range(1, budget.max_length + 1):
+        max_len_tried = length
+        side = 1 - length % 2
+        seen, other = visited[side], visited[1 - side]
+        alphabet = backward if side else forward
         nxt = []
-        for tag, conj_cf in frontier:
-            for letter, g_cf, g_inv_cf in alphabet:
+        for tag, conj_cf in frontiers[side]:
+            for letter, left, right in alphabet:
                 if tag and tag[0] == -letter:
                     continue
                 states += 1
                 if states > budget.max_states:
                     return None, BudgetReport(max_len_tried, states)
-                new_conj = g_cf.mul(conj_cf).mul(g_inv_cf)
-                if new_conj in visited:
+                new_conj = left.mul(conj_cf).mul(right)
+                if new_conj in seen:
                     continue
-                visited.add(new_conj)
                 new_tag = (letter,) + tag
-                if new_conj == target:
+                seen[new_conj] = new_tag
+                if new_conj in other:
+                    tags = (new_tag, other[new_conj])
+                    u_tag, v_tag = tags if side == 0 else tags[::-1]
                     c = identity
-                    for t in new_tag:
+                    for t in v_tag[::-1] + u_tag:
                         c = compose(c, spelling[t])
                     c = free_reduce(c)
                     if accept(c, canonical_form(c)):
-                        return c, BudgetReport(depth, states)
+                        return c, BudgetReport(length, states)
                 nxt.append((new_tag, new_conj))
-        frontier = nxt
+        frontiers[side] = nxt
     return None, BudgetReport(max_len_tried, states)
 
 

@@ -50,6 +50,7 @@ Perm = tuple[int, ...]
 # permutation-braid primitives
 
 
+@functools.lru_cache(maxsize=None)
 def _pid(n: int) -> Perm:
     return tuple(range(n))
 
@@ -474,7 +475,12 @@ def _closure_search(
     """Close the ultra summit set of va under simple-element conjugation,
     breadth first in lexicographic order of the canonical-form encoding.
     Returns the accumulated conjugator h with target = h^-1 * (original a) * h
-    when the target is reached, else None once the set is exhausted."""
+    when the target is reached, else None once the set is exhausted.
+
+    Each cycling walk classifies every element it visits: those before the
+    circuit never return to themselves and are not in the ultra summit set,
+    and those on it are. A candidate met on an earlier walk is therefore not
+    walked again."""
     n = va.strands
     if va == target:
         return ga
@@ -488,6 +494,7 @@ def _closure_search(
     simples = _simple_conjugators(n)
     visited: dict[CanonicalForm, CanonicalForm] = {va: ga}
     rejected: set[CanonicalForm] = set()
+    members: set[CanonicalForm] = set()
     frontier = [va]
     while frontier:
         frontier.sort(key=CanonicalForm.sort_key)
@@ -500,9 +507,12 @@ def _closure_search(
                     continue
                 if w in visited or w in rejected:
                     continue
-                if _cycling_orbit(w)[2] != 0:
-                    rejected.add(w)
-                    continue
+                if w not in members:
+                    orbit, _, start = _cycling_orbit(w)
+                    rejected.update(orbit[:start])
+                    members.update(orbit[start:])
+                    if start != 0:
+                        continue
                 visited[w] = h.mul(s)
                 if w == target:
                     return visited[w]

@@ -55,6 +55,10 @@ class TestRelA:
         assert v.status == sb.NOT_EQUIVALENT
         assert v.certificate.invariant == "exponent_sum"
         assert (v.certificate.lhs, v.certificate.rhs) == (2, 4)
+        assert json.dumps(v.to_json()) == (
+            '{"status": "NotEquivalent", "certificate": '
+            '{"invariant": "exponent_sum", "lhs": 2, "rhs": 4}}'
+        )
 
     def test_constructed_equivalence(self):
         beta_A = sb.BraidWord(2, (1,))
@@ -144,8 +148,127 @@ class TestKernelSearchPinned:
     def test_inconclusive_budget(self, decide, accept_calls):
         inst = self.instance("S1 S1 S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1 s1 s1")
         v = decide(inst, self.BUDGET)
-        assert v.to_json() == {"status": "Inconclusive", "budget": {"max_len": 5, "states": 434}}
+        assert v.to_json() == {"status": "Inconclusive", "budget": {"max_len": 5, "states": 66}}
         assert accept_calls == [1]
+
+    @pytest.mark.parametrize("decide", [sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted])
+    def test_state_cap_counts_both_frontiers(self, decide, accept_calls):
+        # The identity, four states of length 1 on each side and twelve
+        # forward states of length 2 make 21 by total length 3, so a cap of
+        # 25 is passed while the backward side grows to length 2.
+        inst = self.instance("S1 S1 S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1 s1 s1")
+        v = decide(inst, sb.Budget(5, 25))
+        assert v.to_json() == {"status": "Inconclusive", "budget": {"max_len": 4, "states": 26}}
+        assert accept_calls == [1]
+
+
+def one_sided_search(inst, budget, accept):
+    """Reference: the breadth-first kernel search from beta_y alone, which
+    enumerates every c up to max_length by prepending generators."""
+    beta_y = inst.mixed_y().word
+    gens = sb.kernel_generators(inst.n, inst.m)
+    spelling = {}
+    alphabet = []
+    for sign in (1, -1):
+        for i, g in enumerate(gens):
+            word = g if sign == 1 else sb.invert(g)
+            cf = sb.canonical_form(word)
+            spelling[sign * (i + 1)] = word
+            alphabet.append((sign * (i + 1), cf, cf.inv()))
+
+    identity = sb.BraidWord.identity(inst.n + inst.m)
+    states = 1
+    max_len_tried = 0
+
+    if accept(identity, sb.canonical_form(identity)):
+        return identity, sb.decision.BudgetReport(0, states)
+    target = sb.canonical_form(inst.mixed_x().word)
+    start = sb.canonical_form(beta_y)
+    visited = {start}
+    frontier = [((), start)]
+    for depth in range(1, budget.max_length + 1):
+        max_len_tried = depth
+        nxt = []
+        for tag, conj_cf in frontier:
+            for letter, g_cf, g_inv_cf in alphabet:
+                if tag and tag[0] == -letter:
+                    continue
+                states += 1
+                if states > budget.max_states:
+                    return None, sb.decision.BudgetReport(max_len_tried, states)
+                new_conj = g_cf.mul(conj_cf).mul(g_inv_cf)
+                if new_conj in visited:
+                    continue
+                visited.add(new_conj)
+                new_tag = (letter,) + tag
+                if new_conj == target:
+                    c = identity
+                    for t in new_tag:
+                        c = sb.compose(c, spelling[t])
+                    c = sb.free_reduce(c)
+                    if accept(c, sb.canonical_form(c)):
+                        return c, sb.decision.BudgetReport(depth, states)
+                nxt.append((new_tag, new_conj))
+        frontier = nxt
+    return None, sb.decision.BudgetReport(max_len_tried, states)
+
+
+class TestMeetInTheMiddle:
+    """The meet-in-the-middle kernel search against the one-sided reference
+    on seeded random instances that reach it: same statuses, witnesses of
+    the same generator length, and every witness re-verifies."""
+
+    def decide_with(self, monkeypatch, search, decide, inst, budget):
+        reports = []
+
+        def recorded(inst, budget, accept):
+            found, report = search(inst, budget, accept)
+            reports.append(report)
+            return found, report
+
+        monkeypatch.setattr(sb.decision, "_search_kernel_conjugator", recorded)
+        return decide(inst, budget), reports
+
+    def instances(self, rng, count):
+        """Kernel-conjugate pairs, and pairs conjugated by the lift of beta_A
+        times a kernel word, which may or may not be kernel-conjugate."""
+        out = []
+        while len(out) < count:
+            n, m = rng.randint(1, 3), rng.randint(1, 2)
+            beta_A = random_word(rng, n, 3)
+            gamma = random_kernel_word(rng, n, m, rng.randint(0, 3))
+            c = random_kernel_word(rng, n, m, rng.randint(1, 6))
+            if rng.random() < 0.3:
+                c = sb.compose(sb.section(n, m, beta_A).word, c)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ox = conjugated_kernel_part(n, m, beta_A, gamma, c)
+                out.append(sb.SNInstance(n, m, beta_A, ox, gamma))
+        return out
+
+    def test_agrees_with_one_sided_search(self, monkeypatch):
+        rng = random.Random(45)
+        search = sb.decision._search_kernel_conjugator
+        searched = 0
+        for inst in self.instances(rng, 120):
+            budget = sb.Budget(rng.randint(1, 5), 10**6)
+            for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
+                v, reports = self.decide_with(monkeypatch, search, decide, inst, budget)
+                ref, ref_reports = self.decide_with(monkeypatch, one_sided_search, decide, inst, budget)
+                assert v.status == ref.status
+                assert len(reports) == len(ref_reports)
+                if not reports:
+                    continue
+                searched += 1
+                assert ref_reports[0].states_enumerated <= budget.max_states
+                if v.status == sb.EQUIVALENT:
+                    verify(inst, v)
+                    verify(inst, ref)
+                    assert reports[0].max_length_tried == ref_reports[0].max_length_tried
+                else:
+                    assert v.status == sb.INCONCLUSIVE
+                    assert reports[0].max_length_tried == budget.max_length
+        assert searched >= 120
 
 
 class TestBurauSubsumedByAmbientConjugacy:
@@ -214,7 +337,11 @@ class TestFixedPointCase:
     def test_loops_around_distinct_punctures(self):
         v = sb.fixed_point_case(2, sb.BraidWord(2, ()), A1, A2)
         assert v.status == sb.NOT_EQUIVALENT
-        assert v.certificate.invariant == "linking_matrix"
+        assert json.loads(json.dumps(v.certificate.to_json())) == {
+            "invariant": "linking_matrix",
+            "lhs": [[["A", 1], ["A", 2], 0], [["A", 1], ["o", 1], 1], [["A", 2], ["o", 1], 0]],
+            "rhs": [[["A", 1], ["A", 2], 0], [["A", 1], ["o", 1], 0], [["A", 2], ["o", 1], 1]],
+        }
 
     def test_conjugate_loops(self):
         rng = random.Random(43)

@@ -303,7 +303,7 @@ LONG_ORBIT_WORDS = [(3, 7, 120), (3, 117, 120), (4, 119, 240)]
 
 
 class TestLongCyclingOrbits:
-    @pytest.fixture(params=LONG_ORBIT_WORDS, ids=lambda p: f"n{p[0]}-seed{p[1]}")
+    @pytest.fixture(scope="class", params=LONG_ORBIT_WORDS, ids=lambda p: f"n{p[0]}-seed{p[1]}")
     def pair(self, request):
         """A long-orbit word a and its conjugate c^-1 a c."""
         n, seed, length = request.param
@@ -318,7 +318,8 @@ class TestLongCyclingOrbits:
         check_witness(a, b, sb.is_conjugate(a, b))
         check_witness(b, a, sb.is_conjugate(b, a))
 
-    def test_burau_separated_pairs(self, pair):
+    @pytest.fixture(scope="class")
+    def separated(self, pair):
         """The conjugate with sigma_x^2 sigma_y^-2 inserted: same exponent
         sum, cycle type and summit infimum/supremum, so the pair reaches the
         cycling walk, but a different Burau polynomial. (Reversing the word
@@ -332,10 +333,33 @@ class TestLongCyclingOrbits:
             d = sb.BraidWord(n, b.letters[:cut] + (x, x, -y, -y) + b.letters[cut:])
             vd, _ = garside._summit(canonical_form(d))
             if (vd.inf, vd.sup) == (va.inf, va.sup) and sb.burau_charpoly(d) != poly:
-                break
-        else:
-            pytest.fail("no Burau-separated partner found")
+                return a, d
+        pytest.fail("no Burau-separated partner found")
+
+    def test_burau_separated_pairs(self, separated):
+        a, d = separated
         assert not sb.is_conjugate(a, d).conjugate
+
+    def test_closure_walks_each_element_once(self, separated, monkeypatch):
+        """The closure search never starts a cycling walk from an element an
+        earlier walk visited: pre-circuit elements are known non-members
+        and circuit elements known members of the ultra summit set."""
+        a, d = separated
+        va, ga = garside._to_circuit(*garside._summit(canonical_form(a)))
+        vd, _ = garside._to_circuit(*garside._summit(canonical_form(d)))
+        walk = garside._cycling_orbit
+        walked: set = set()
+        starts = []
+
+        def recorded(v):
+            starts.append(v in walked)
+            orbit, steps, start = walk(v)
+            walked.update(orbit)
+            return orbit, steps, start
+
+        monkeypatch.setattr(garside, "_cycling_orbit", recorded)
+        assert garside._closure_search(va, ga, vd) is None
+        assert starts and not any(starts)
 
     def test_orbit_circuit(self, pair):
         """From the conjugate's canonical form, which is not yet a summit
