@@ -58,6 +58,12 @@ class Budget:
     max_length: int = 8
     max_states: int = 200000
 
+    def __post_init__(self):
+        for name in ("max_length", "max_states"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+
 
 @dataclasses.dataclass(frozen=True)
 class Certificate:

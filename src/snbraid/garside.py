@@ -11,8 +11,14 @@ iff their canonical forms are identical, which solves the word problem.
 The form is built incrementally: factors are pushed one at a time onto a
 left-weighted list, and each push left-weights pairs from the right end
 leftward only until a pair is already left-weighted (see `_normalize`).
-A product keeps the left-weighted factors of its left operand and pushes
-only those of its right operand; a cycling step pushes one factor.
+A push that makes a Delta factor drops it and counts it: Delta x = tau(x)
+Delta, so the factors before it only change by tau, and that twist is
+recorded as a parity and applied once at the end (El-Rifai and Morton
+1994; Epstein et al., Word Processing in Groups, ch. 9). A push thus costs
+only the distance it travels, and in practice the normal form of a word
+takes time linear in its length. A product keeps the left-weighted factors
+of its left operand and pushes only those of its right operand; a cycling
+step pushes one factor.
 
 Conjugacy is decided through the ultra summit set (Gebhardt 2005): cycle and
 decycle a representative to maximal infimum and minimal supremum, walk its
@@ -34,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .words import (
     BraidWord,
@@ -116,8 +122,8 @@ def _leftweight(x: Perm, y: Perm) -> tuple[Perm, Perm]:
 def _normalize(
     n: int, factors: Iterable[Perm], weighted: Iterable[Perm] = ()
 ) -> tuple[int, tuple[Perm, ...]]:
-    """Left-weight `weighted + factors`; return the power of Delta that
-    floats to the front and the remaining factors (no Delta, no id).
+    """Left-weight `weighted + factors`; return the power of Delta in the
+    product and the remaining factors (no Delta, no id).
 
     `weighted` must already be left-weighted with no identity factor: the
     factors of a canonical form, or their tau-images, since tau keeps pairs
@@ -131,12 +137,16 @@ def _normalize(
     Only the pushed factor can be absorbed whole, so an identity factor
     can only appear at the end, where it is dropped. The left normal form
     is unique, so this equals what sweeping all pairs to a fixpoint gives,
-    at a fraction of the `_leftweight` calls. Delta factors collect at the
-    front, where they are counted."""
+    at a fraction of the `_leftweight` calls.
+
+    A push that turns a factor into Delta ends there: Delta is absorbed and
+    counted instead of being walked to the front (see `_absorb_rest`). Until
+    the first absorption this loop keeps no twist bookkeeping at all."""
     w0 = _pw0(n)
     idp = _pid(n)
     out = list(weighted)
-    for f in factors:
+    todo = iter(factors)
+    for f in todo:
         if f == idp:
             continue
         i = len(out)
@@ -146,14 +156,83 @@ def _normalize(
             x, y = _leftweight(a, out[i])
             if x == a:
                 break
+            if x == w0:
+                out[i] = y
+                return _absorb_rest(w0, idp, out, i - 1, todo)
             out[i - 1], out[i] = x, y
             i -= 1
         if out[-1] == idp:
             out.pop()
+    return _split_deltas(w0, out, 0)
+
+
+def _absorb_rest(
+    w0: Perm, idp: Perm, out: list[Perm], j: int, todo: Iterator[Perm]
+) -> tuple[int, tuple[Perm, ...]]:
+    """Finish `_normalize` once a push has made out[j] Delta.
+
+    Walking that Delta to the front would only rewrite each factor a before
+    it as tau(a), since a Delta = Delta tau(a) (El-Rifai and Morton 1994;
+    Epstein et al., Word Processing in Groups, ch. 9), and no pair it
+    leaves behind needs left-weighting again. So Delta is removed and
+    counted, and the twist of everything before it is recorded lazily:
+    `flips` counts the absorptions mod 2, each factor carries the parity
+    `stamp` of its last write, and its value is the stored one under tau
+    applied (flips - stamp) mod 2 times. A push re-stamps only the factors
+    it wrote, all of which lie after the absorbed Delta, so it costs the
+    distance it travels; the tau-images are taken once, at the end. Delta
+    factors already at the front stay there and are counted with the rest.
+    """
+    del out[j]
+    stamp = [0] * j + [1] * (len(out) - j)
+    flips = 1
+    absorbed = 1
+    if out[-1] == idp:
+        out.pop()
+        stamp.pop()
+    for f in todo:
+        if f == idp:
+            continue
+        i = len(out)
+        out.append(f)
+        stamp.append(flips)
+        # out[i] is always a value written by this push, stamped `flips`.
+        while i > 0:
+            a = out[i - 1]
+            if stamp[i - 1] != flips:
+                a = _tau(a)
+            x, y = _leftweight(a, out[i])
+            if x == a:
+                break
+            out[i] = y
+            if x == w0:
+                del out[i - 1]
+                del stamp[i - 1]
+                flips ^= 1
+                absorbed += 1
+                stamp[i - 1 :] = [flips] * (len(out) - i + 1)
+                break
+            out[i - 1] = x
+            stamp[i - 1] = flips
+            i -= 1
+        if out[-1] == idp:
+            out.pop()
+            stamp.pop()
+    for k, s in enumerate(stamp):
+        if s != flips:
+            out[k] = _tau(out[k])
+    return _split_deltas(w0, out, absorbed)
+
+
+def _split_deltas(
+    w0: Perm, out: list[Perm], absorbed: int
+) -> tuple[int, tuple[Perm, ...]]:
+    """Split off the Delta factors at the front of a left-weighted list,
+    the only place a Delta can sit, and add them to the `absorbed` ones."""
     lo = 0
     while lo < len(out) and out[lo] == w0:
         lo += 1
-    return lo, tuple(out[lo:])
+    return absorbed + lo, tuple(out[lo:])
 
 
 def _perm_word(p: Perm) -> list[int]:
@@ -264,32 +343,38 @@ def _delta_letters(n: int) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _letter_factors(n: int) -> dict[int, tuple[Perm, Perm]]:
+    """For each letter k of B_n, the simple factor that stands for it in a
+    canonical form and that factor's tau-image: sigma_i itself for k = i,
+    and Delta sigma_i^-1 for k = -i, since sigma_i^-1 = Delta^-1 (Delta
+    sigma_i^-1)."""
+    w0 = _pw0(n)
+    table = {}
+    for i in range(1, n):
+        swap = list(range(n))
+        swap[i - 1], swap[i] = i, i - 1
+        s = tuple(swap)
+        for k, f in ((i, s), (-i, _pmul(w0, s))):
+            table[k] = (f, _tau(f))
+    return table
+
+
 def canonical_form(a: BraidWord) -> CanonicalForm:
     """Left canonical form of a word; idempotent on its own spellings."""
     n = a.strands
     if n <= 1:
         return CanonicalForm(n, 0, ())
-    w0 = _pw0(n)
-    factors: list[Perm] = []
-    dpows: list[int] = []
-    for k in a.letters:
-        i = abs(k) - 1
-        s = tuple(
-            i + 1 if v == i else (i if v == i + 1 else v) for v in range(n)
-        )
-        if k > 0:
-            factors.append(s)
-            dpows.append(0)
-        else:
-            factors.append(_pmul(w0, s))  # Delta * sigma^-1 is simple
-            dpows.append(-1)
     # Collect the Delta^-1 powers at the front; each factor gets conjugated
     # by the Delta power accumulated to its right.
+    table = _letter_factors(n)
+    factors: list[Perm] = []
     delta_pow = 0
-    for i in range(len(factors) - 1, -1, -1):
-        if delta_pow % 2 == 1:
-            factors[i] = _tau(factors[i])
-        delta_pow += dpows[i]
+    for k in reversed(a.letters):
+        factors.append(table[k][delta_pow % 2])
+        if k < 0:
+            delta_pow -= 1
+    factors.reverse()
     return CanonicalForm.make(n, delta_pow, factors)
 
 
@@ -528,13 +613,14 @@ def conjugate_mod_full_twist(
 
     The twist power is forced by exponent sums; the answer is no whenever the
     exponent gap is not divisible by n(n-1). For n = 2 conjugacy degenerates
-    to exponent-sum equality (B_2 is infinite cyclic).
+    to exponent-sum equality (B_2 is infinite cyclic); B_0 and B_1 are
+    trivial.
     """
     if a.strands != b.strands:
         raise StrandMismatchError("cannot compare words on different strand counts")
     n = a.strands
-    if n == 1:
-        return ConjugacyResult(True, BraidWord.identity(1)), 0
+    if n <= 1:
+        return ConjugacyResult(True, BraidWord.identity(n)), 0
     gap = exponent_sum(a) - exponent_sum(b)
     span = n * (n - 1)
     if gap % span != 0:

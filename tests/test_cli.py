@@ -45,6 +45,10 @@ class TestWordCommands:
         doc = run_json(capsys, ["conj-mod-twist", "-n", "3", "s1 s1 s2 s1 s2 s1 s2", "s1"])
         assert doc["conjugate"] is True and doc["k"] == 1
 
+    def test_conj_mod_twist_no_strands(self, capsys):
+        doc = run_json(capsys, ["conj-mod-twist", "-n", "0", "", ""])
+        assert doc == {"conjugate": True, "witness": "", "k": 0}
+
 
 class TestMixedCommands:
     def test_decompose(self, capsys):
@@ -153,6 +157,17 @@ class TestErrors:
         code, _, err = run(capsys, ["nf", "-n", "3", "s5"])
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "flag,field", [("--max-len", "max_length"), ("--max-states", "max_states")]
+    )
+    def test_negative_budget(self, capsys, flag, field):
+        code, out, err = run(
+            capsys,
+            ["sn", "-n", "2", "-m", "1", "--betaA", "s1", "--ox", A2, "--oy", A2, flag, "-1"],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and field in err
 
     def test_closure_search_strand_limit(self, capsys, monkeypatch):
         # Conjugating by all 10! simple elements would exhaust memory, so
