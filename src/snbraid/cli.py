@@ -103,10 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_word(n: int, text: str) -> BraidWord:
-    return BraidWord.parse(n, text)
-
-
 def _emit(doc: dict) -> None:
     json.dump(doc, sys.stdout, indent=2, sort_keys=False)
     sys.stdout.write("\n")
@@ -129,53 +125,53 @@ def run(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "nf":
-        cf = garside.canonical_form(_parse_word(args.n, args.word))
+        cf = garside.canonical_form(BraidWord.parse(args.n, args.word))
         _emit(cf.to_json())
         return 0
     if cmd == "eq":
-        a = _parse_word(args.n, args.word_a)
-        b = _parse_word(args.n, args.word_b)
+        a = BraidWord.parse(args.n, args.word_a)
+        b = BraidWord.parse(args.n, args.word_b)
         _emit({"equal": garside.equal(a, b)})
         return 0
     if cmd == "conj":
-        a = _parse_word(args.n, args.word_a)
-        b = _parse_word(args.n, args.word_b)
+        a = BraidWord.parse(args.n, args.word_a)
+        b = BraidWord.parse(args.n, args.word_b)
         _emit(garside.is_conjugate(a, b).to_json())
         return 0
     if cmd == "conj-mod-twist":
-        a = _parse_word(args.n, args.word_a)
-        b = _parse_word(args.n, args.word_b)
+        a = BraidWord.parse(args.n, args.word_a)
+        b = BraidWord.parse(args.n, args.word_b)
         res, k = garside.conjugate_mod_full_twist(a, b)
         doc = res.to_json()
         doc["k"] = k
         _emit(doc)
         return 0
     if cmd == "decompose":
-        b = mixed.validate(args.n, args.m, _parse_word(args.n + args.m, args.word))
+        b = mixed.validate(args.n, args.m, BraidWord.parse(args.n + args.m, args.word))
         dec = mixed.decompose(b)
         _emit({"base": dec.base.format(), "kernel_part": dec.kernel_part.format()})
         return 0
     if cmd == "act":
-        beta = _parse_word(args.n, args.beta)
-        gamma = _parse_word(args.n + args.m, args.gamma)
+        beta = BraidWord.parse(args.n, args.beta)
+        gamma = BraidWord.parse(args.n + args.m, args.gamma)
         _emit({"result": mixed.act(beta, gamma, args.m).format()})
         return 0
     if cmd in ("sn", "sn-twisted"):
         inst = decision.SNInstance(
             args.n,
             args.m,
-            _parse_word(args.n, args.betaA),
-            _parse_word(args.n + args.m, args.ox),
-            _parse_word(args.n + args.m, args.oy),
+            BraidWord.parse(args.n, args.betaA),
+            BraidWord.parse(args.n + args.m, args.ox),
+            BraidWord.parse(args.n + args.m, args.oy),
         )
         fn = decision.sn_equivalent_rel_A if cmd == "sn" else decision.sn_equivalent_twisted
         return _verdict_exit(fn(inst, _budget(args)))
     if cmd == "fixed":
         verdict = decision.fixed_point_case(
             args.n,
-            _parse_word(args.n, args.betaA),
-            _parse_word(args.n + 1, args.u),
-            _parse_word(args.n + 1, args.v),
+            BraidWord.parse(args.n, args.betaA),
+            BraidWord.parse(args.n + 1, args.u),
+            BraidWord.parse(args.n + 1, args.v),
             _budget(args),
         )
         return _verdict_exit(verdict)
@@ -184,7 +180,7 @@ def _dispatch(args) -> int:
         with open(args.file) as fh:
             for lineno, line in enumerate(fh, start=1):
                 try:
-                    word = _parse_word(args.n + args.m, line)
+                    word = BraidWord.parse(args.n + args.m, line)
                 except WordSyntaxError as exc:
                     raise WordSyntaxError(exc.message, lineno, exc.column) from None
                 if word.letters:  # blank and comment-only lines
@@ -192,7 +188,7 @@ def _dispatch(args) -> int:
         result = decision.partition_sn_classes(
             args.n,
             args.m,
-            _parse_word(args.n, args.betaA),
+            BraidWord.parse(args.n, args.betaA),
             orbits,
             _budget(args),
             workers=args.workers,
@@ -200,7 +196,7 @@ def _dispatch(args) -> int:
         _emit(result.to_json())
         return 0
     if cmd == "invariants":
-        b = mixed.validate(args.n, args.m, _parse_word(args.n + args.m, args.word))
+        b = mixed.validate(args.n, args.m, BraidWord.parse(args.n + args.m, args.word))
         _emit({"invariants": [r.to_json() for r in invariants.standard_reports(b)]})
         return 0
     raise AssertionError(f"unhandled command {cmd}")

@@ -218,6 +218,12 @@ def _search_kernel_conjugator(
     it; both formulations accept exactly the c with c * beta_y * c^-1 =
     beta_x, and should `accept` refuse, the search goes on. `states`
     counts the identity and every state generated on either side."""
+    identity = BraidWord.identity(inst.n + inst.m)
+    states = 1
+    max_len_tried = 0
+    if accept(identity, canonical_form(identity)):
+        return identity, BudgetReport(0, states)
+
     gens = kernel_generators(inst.n, inst.m)
     spelling: dict[int, BraidWord] = {}
     forward: list[tuple[int, CanonicalForm, CanonicalForm]] = []
@@ -231,12 +237,6 @@ def _search_kernel_conjugator(
     # g^-1 * . * g backward.
     backward = [(letter, g_inv_cf, g_cf) for letter, g_cf, g_inv_cf in forward]
 
-    identity = BraidWord.identity(inst.n + inst.m)
-    states = 1
-    max_len_tried = 0
-
-    if accept(identity, canonical_form(identity)):
-        return identity, BudgetReport(0, states)
     start = canonical_form(inst.mixed_y().word)
     target = canonical_form(inst.mixed_x().word)
     # visited[side] maps a conjugate to the tag of its word; side 0 is
@@ -390,6 +390,8 @@ def partition_sn_classes(
     pairwise decision. Inconclusive pairs are reported, never merged; the
     union-find merge is applied in input order, so the result is
     deterministic regardless of worker scheduling."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     pairs = [(i, j) for i in range(len(orbits)) for j in range(i + 1, len(orbits))]
 
     def verdict(pair: tuple[int, int]) -> SNVerdict:

@@ -11,14 +11,15 @@ iff their canonical forms are identical, which solves the word problem.
 The form is built incrementally: factors are pushed one at a time onto a
 left-weighted list, and each push left-weights pairs from the right end
 leftward only until a pair is already left-weighted (see `_normalize`).
-A push that makes a Delta factor drops it and counts it: Delta x = tau(x)
-Delta, so the factors before it only change by tau, and that twist is
-recorded as a parity and applied once at the end (El-Rifai and Morton
-1994; Epstein et al., Word Processing in Groups, ch. 9). A push thus costs
-only the distance it travels, and in practice the normal form of a word
-takes time linear in its length. A product keeps the left-weighted factors
-of its left operand and pushes only those of its right operand; a cycling
-step pushes one factor.
+A push that makes a Delta factor drops it and counts it: x Delta = Delta
+tau(x), so the factors before it only change by tau (El-Rifai and Morton
+1994; Epstein et al., Word Processing in Groups, ch. 9). The list is kept
+in tau^flips coordinates, flips counting the Deltas dropped: left-weighting
+commutes with tau, so an absorption re-twists only the factors its push
+wrote. A push thus costs only the distance it travels, and in practice the
+normal form of a word takes time linear in its length. A product keeps the
+left-weighted factors of its left operand and pushes only those of its
+right operand; a cycling step pushes one factor.
 
 Conjugacy is decided through the ultra summit set (Gebhardt 2005): cycle and
 decycle a representative to maximal infimum and minimal supremum, walk its
@@ -40,7 +41,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .words import (
     BraidWord,
@@ -139,100 +140,47 @@ def _normalize(
     is unique, so this equals what sweeping all pairs to a fixpoint gives,
     at a fraction of the `_leftweight` calls.
 
-    A push that turns a factor into Delta ends there: Delta is absorbed and
-    counted instead of being walked to the front (see `_absorb_rest`). Until
-    the first absorption this loop keeps no twist bookkeeping at all."""
+    A push that turns a factor into Delta ends there: a Delta = Delta tau(a)
+    (Epstein et al., Word Processing in Groups, ch. 9), so the Delta is
+    dropped and counted in `flips`, and only the factors before it change,
+    by tau. Each stored factor is tau^flips of its true value: tau is an
+    automorphism of the simple elements, so `_leftweight` commutes with it
+    and runs on the stored values as they are. An absorption thus leaves
+    the factors before the Delta as stored and re-twists only those after
+    it, all written by this push, so a push costs only the distance it
+    travels; one tau pass at the end undoes an odd `flips`. Delta factors
+    at the front, which `_leftweight` never changes, stay there and are
+    counted with the rest."""
     w0 = _pw0(n)
     idp = _pid(n)
     out = list(weighted)
-    todo = iter(factors)
-    for f in todo:
+    flips = 0
+    for f in factors:
         if f == idp:
             continue
         i = len(out)
-        out.append(f)
+        out.append(_tau(f) if flips & 1 else f)
         while i > 0:
             a = out[i - 1]
-            x, y = _leftweight(a, out[i])
-            if x == a:
-                break
-            if x == w0:
-                out[i] = y
-                return _absorb_rest(w0, idp, out, i - 1, todo)
-            out[i - 1], out[i] = x, y
-            i -= 1
-        if out[-1] == idp:
-            out.pop()
-    return _split_deltas(w0, out, 0)
-
-
-def _absorb_rest(
-    w0: Perm, idp: Perm, out: list[Perm], j: int, todo: Iterator[Perm]
-) -> tuple[int, tuple[Perm, ...]]:
-    """Finish `_normalize` once a push has made out[j] Delta.
-
-    Walking that Delta to the front would only rewrite each factor a before
-    it as tau(a), since a Delta = Delta tau(a) (El-Rifai and Morton 1994;
-    Epstein et al., Word Processing in Groups, ch. 9), and no pair it
-    leaves behind needs left-weighting again. So Delta is removed and
-    counted, and the twist of everything before it is recorded lazily:
-    `flips` counts the absorptions mod 2, each factor carries the parity
-    `stamp` of its last write, and its value is the stored one under tau
-    applied (flips - stamp) mod 2 times. A push re-stamps only the factors
-    it wrote, all of which lie after the absorbed Delta, so it costs the
-    distance it travels; the tau-images are taken once, at the end. Delta
-    factors already at the front stay there and are counted with the rest.
-    """
-    del out[j]
-    stamp = [0] * j + [1] * (len(out) - j)
-    flips = 1
-    absorbed = 1
-    if out[-1] == idp:
-        out.pop()
-        stamp.pop()
-    for f in todo:
-        if f == idp:
-            continue
-        i = len(out)
-        out.append(f)
-        stamp.append(flips)
-        # out[i] is always a value written by this push, stamped `flips`.
-        while i > 0:
-            a = out[i - 1]
-            if stamp[i - 1] != flips:
-                a = _tau(a)
             x, y = _leftweight(a, out[i])
             if x == a:
                 break
             out[i] = y
             if x == w0:
                 del out[i - 1]
-                del stamp[i - 1]
-                flips ^= 1
-                absorbed += 1
-                stamp[i - 1 :] = [flips] * (len(out) - i + 1)
+                flips += 1
+                out[i - 1 :] = map(_tau, out[i - 1 :])
                 break
             out[i - 1] = x
-            stamp[i - 1] = flips
             i -= 1
         if out[-1] == idp:
             out.pop()
-            stamp.pop()
-    for k, s in enumerate(stamp):
-        if s != flips:
-            out[k] = _tau(out[k])
-    return _split_deltas(w0, out, absorbed)
-
-
-def _split_deltas(
-    w0: Perm, out: list[Perm], absorbed: int
-) -> tuple[int, tuple[Perm, ...]]:
-    """Split off the Delta factors at the front of a left-weighted list,
-    the only place a Delta can sit, and add them to the `absorbed` ones."""
+    if flips & 1:
+        out = list(map(_tau, out))
     lo = 0
     while lo < len(out) and out[lo] == w0:
         lo += 1
-    return absorbed + lo, tuple(out[lo:])
+    return flips + lo, tuple(out[lo:])
 
 
 def _perm_word(p: Perm) -> list[int]:

@@ -104,6 +104,14 @@ class TestDecisionCommands:
         assert code == 2
         assert json.loads(out)["status"] == "Inconclusive"
 
+    def test_sn_no_kernel_strands(self, capsys):
+        # With m = 0 the kernel is trivial and the identity already
+        # conjugates beta_y to beta_x; no kernel generator is needed.
+        doc = run_json(
+            capsys, ["sn", "-n", "2", "-m", "0", "--betaA", "s1", "--ox", "s1 S1", "--oy", ""]
+        )
+        assert doc == {"status": "Equivalent", "witness": ""}
+
     def test_fixed(self, capsys):
         doc = run_json(
             capsys,
@@ -168,6 +176,18 @@ class TestErrors:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers(self, capsys, tmp_path, workers):
+        f = tmp_path / "orbits.txt"
+        f.write_text(f"{A2}\n{A1}\n")
+        code, out, err = run(
+            capsys,
+            ["partition", "-n", "2", "-m", "1", "--betaA", "", "--file", str(f),
+             "--workers", workers],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "workers" in err
 
     def test_closure_search_strand_limit(self, capsys, monkeypatch):
         # Conjugating by all 10! simple elements would exhaust memory, so

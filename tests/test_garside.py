@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -222,6 +223,23 @@ class TestIncrementalNormalForm:
                 assert cycled == reference_make(n, p, list(x.factors[1:]) + [first])
                 decycled, _ = garside._decycle(x)
                 assert decycled == reference_make(n, p, [last] + list(x.factors[:-1]))
+
+    def test_leftweight_commutes_with_tau(self):
+        """The single push loop left-weights factors stored as tau-images,
+        which is sound only if `_leftweight` commutes with tau: every pair
+        for n <= 4, random pairs for n = 5..7."""
+        def check(x, y):
+            got = garside._leftweight(garside._tau(x), garside._tau(y))
+            assert got == tuple(map(garside._tau, garside._leftweight(x, y)))
+
+        for n in range(1, 5):
+            perms = list(itertools.permutations(range(n)))
+            for x, y in itertools.product(perms, repeat=2):
+                check(x, y)
+        rng = random.Random(18)
+        for n in range(5, 8):
+            for _ in range(2000):
+                check(*(tuple(rng.sample(range(n), n)) for _ in range(2)))
 
     def test_canonical_form_matches_reference(self):
         rng = random.Random(15)
