@@ -18,18 +18,14 @@ from .words import BraidWord, WordSyntaxError
 
 
 def _add_budget_flags(p: argparse.ArgumentParser):
-    p.add_argument("--max-len", type=int, default=None,
+    p.add_argument("--max-len", type=int, default=decision.Budget.max_length,
                    help="max kernel-conjugator generator length")
-    p.add_argument("--max-states", type=int, default=None,
+    p.add_argument("--max-states", type=int, default=decision.Budget.max_states,
                    help="max kernel-search states, both sides counted")
 
 
 def _budget(args) -> decision.Budget:
-    b = decision.Budget()
-    return decision.Budget(
-        max_length=args.max_len if args.max_len is not None else b.max_length,
-        max_states=args.max_states if args.max_states is not None else b.max_states,
-    )
+    return decision.Budget(args.max_len, args.max_states)
 
 
 def build_parser() -> argparse.ArgumentParser:

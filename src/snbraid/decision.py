@@ -389,9 +389,14 @@ def partition_sn_classes(
     """Partition a list of kernel orbit braids into strong Nielsen classes by
     pairwise decision. Inconclusive pairs are reported, never merged; the
     union-find merge is applied in input order, so the result is
-    deterministic regardless of worker scheduling."""
+    deterministic regardless of worker scheduling. The base braid and every
+    orbit are validated first, even when there are fewer than two orbits
+    and no pair to decide."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    section(n, m, beta_A)
+    for w in orbits:
+        ensure_kernel(n, m, w)
     pairs = [(i, j) for i in range(len(orbits)) for j in range(i + 1, len(orbits))]
 
     def verdict(pair: tuple[int, int]) -> SNVerdict:

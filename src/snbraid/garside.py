@@ -21,11 +21,14 @@ normal form of a word takes time linear in its length. A product keeps the
 left-weighted factors of its left operand and pushes only those of its
 right operand; a cycling step pushes one factor.
 
-Conjugacy is decided through the ultra summit set (Gebhardt 2005): cycle and
-decycle a representative to maximal infimum and minimal supremum, walk its
-cycling orbit onto a circuit, then close the resulting set under conjugation
-by simple elements, keeping only elements with the summit infimum/supremum
-that lie on their own cycling circuit. Every cycling walk ends without a
+Conjugacy is decided through the ultra summit set (Gebhardt 2005). A
+representative reaches the super summit set in one cycling pass per side:
+cycling it makes its infimum maximal, and cycling its inverse decycles it,
+making its supremum minimal without lowering the infimum, so no second
+round is needed (see `_summit`). Its cycling orbit is then walked onto a
+circuit, and the resulting set is closed under conjugation by simple
+elements, keeping only elements with the summit infimum/supremum that lie
+on their own cycling circuit. Every cycling walk ends without a
 step bound: cycling never lowers the infimum nor raises the supremum, and
 a conjugacy class has finitely many elements between given bounds (from a
 super summit element, at most the size of the super summit set). Two
@@ -212,11 +215,6 @@ class CanonicalForm:
     factors: tuple[Perm, ...]
 
     @staticmethod
-    def make(n: int, delta_power: int, factors: list[Perm]) -> "CanonicalForm":
-        shift, fs = _normalize(n, list(factors))
-        return CanonicalForm(n, delta_power + shift, fs)
-
-    @staticmethod
     def identity(n: int) -> "CanonicalForm":
         return CanonicalForm(n, 0, ())
 
@@ -323,7 +321,8 @@ def canonical_form(a: BraidWord) -> CanonicalForm:
         if k < 0:
             delta_pow -= 1
     factors.reverse()
-    return CanonicalForm.make(n, delta_pow, factors)
+    shift, fs = _normalize(n, factors)
+    return CanonicalForm(n, delta_pow + shift, fs)
 
 
 def equal(a: BraidWord, b: BraidWord) -> bool:
@@ -393,45 +392,30 @@ def _cycle(v: CanonicalForm) -> tuple[CanonicalForm, CanonicalForm]:
     return nxt, CanonicalForm.simple(v.strands, iota)
 
 
-def _decycle(v: CanonicalForm) -> tuple[CanonicalForm, CanonicalForm]:
-    """One decycling step; returns (new element, conjugator used)."""
-    if not v.factors:
-        return v, CanonicalForm.identity(v.strands)
-    ak = v.factors[-1]
-    head = _tau(ak) if v.delta_power % 2 == 1 else ak
-    nxt = CanonicalForm.make(
-        v.strands, v.delta_power, [head] + list(v.factors[:-1])
-    )
-    return nxt, CanonicalForm.simple(v.strands, ak).inv()
-
-
 def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, CanonicalForm]:
-    """Cycle to maximal infimum and decycle to minimal supremum; returns the
-    summit element v and a conjugator g with v = g^-1 * cf * g."""
+    """Bring cf into its super summit set by cycling alone; returns the
+    summit element v and a conjugator g with v = g^-1 * cf * g.
+
+    Each side takes one pass. Cycling never lowers the infimum, and if the
+    infimum is not maximal in the conjugacy class, some n(n-1)/2 cycling
+    steps in a row raise it (El-Rifai and Morton 1994): so cycling until
+    that many steps leave it unchanged makes it maximal. Decycling v is
+    cycling v^-1, since sup(v) = -inf(v^-1) (Birman, Gebhardt and
+    Gonzalez-Meneses 2007): the same pass on v^-1 makes the supremum of v
+    minimal, and as cycling never raises sup(v^-1) = -inf(v), the infimum
+    stays maximal. A second round could therefore improve nothing. The
+    conjugators accumulate alike on both sides: s^-1 v^-1 s is the inverse
+    of s^-1 v s."""
     n = cf.strands
     bound = max(1, n * (n - 1) // 2)
     v, g = cf, CanonicalForm.identity(n)
-    improved = True
-    while improved:
-        improved = False
+    for _ in range(2):
         stale = 0
         while stale < bound and v.factors:
             w, s = _cycle(v)
-            if w.inf > v.inf:
-                improved = True
-                stale = 0
-            else:
-                stale += 1
+            stale = 0 if w.inf > v.inf else stale + 1
             v, g = w, g.mul(s)
-        stale = 0
-        while stale < bound and v.factors:
-            w, s = _decycle(v)
-            if w.sup < v.sup:
-                improved = True
-                stale = 0
-            else:
-                stale += 1
-            v, g = w, g.mul(s)
+        v = v.inv()
     return v, g
 
 

@@ -63,14 +63,20 @@ class BraidWord:
 
     @staticmethod
     def parse(n: int, text: str) -> "BraidWord":
-        """Parse a word in the text grammar (see module docstring)."""
+        """Parse a word in the text grammar (see module docstring) on n
+        strands; a letter out of range for n names its position."""
         letters = []
         for lineno, line in enumerate(text.splitlines() or [""], start=1):
             body = line.split("#", 1)[0]
             col = 0
             for token in body.split():
                 col = body.index(token, col)
-                letters.append(_parse_token(token, lineno, col + 1))
+                k = _parse_token(token, lineno, col + 1)
+                if abs(k) > n - 1:
+                    raise WordSyntaxError(
+                        f"letter {k} out of range for {n} strands", lineno, col + 1
+                    )
+                letters.append(k)
                 col += len(token)
         return BraidWord(n, tuple(letters))
 

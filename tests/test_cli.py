@@ -161,10 +161,43 @@ class TestErrors:
         assert code == 1 and out == ""
         assert "(line 3, column 4)" in err
 
+    def test_partition_out_of_range_names_file_line(self, capsys, tmp_path):
+        f = tmp_path / "orbits.txt"
+        f.write_text(f"{A2}\n\n  s1 s3\n")
+        code, out, err = run(
+            capsys,
+            ["partition", "-n", "2", "-m", "1", "--betaA", "s1", "--file", str(f)],
+        )
+        assert code == 1 and out == ""
+        assert "letter 3 out of range for 3 strands (line 3, column 6)" in err
+
+    @pytest.mark.parametrize("orbit", ["s1 s2", "s1 s1"])
+    def test_partition_validates_a_single_orbit(self, capsys, tmp_path, orbit):
+        # s1 s2 mixes the blocks; s1 s1 keeps them but projects to s1^2.
+        f = tmp_path / "orbits.txt"
+        f.write_text(f"# one orbit, no pair to decide\n{orbit}\n")
+        code, out, err = run(
+            capsys,
+            ["partition", "-n", "2", "-m", "1", "--betaA", "s1", "--file", str(f)],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "not in the kernel" in err
+
     def test_out_of_range_letter(self, capsys):
         code, _, err = run(capsys, ["nf", "-n", "3", "s5"])
         assert code == 1
         assert "error:" in err
+
+    def test_out_of_range_letter_position(self, capsys):
+        code, out, err = run(capsys, ["nf", "-n", "3", "s1 s3"])
+        assert code == 1 and out == ""
+        assert "letter 3 out of range for 3 strands (line 1, column 4)" in err
+
+    def test_budget_defaults(self):
+        args = cli.build_parser().parse_args(
+            ["sn", "-n", "2", "-m", "1", "--betaA", "s1", "--ox", A2, "--oy", A2]
+        )
+        assert cli._budget(args) == sb.Budget()
 
     @pytest.mark.parametrize(
         "flag,field", [("--max-len", "max_length"), ("--max-states", "max_states")]

@@ -430,6 +430,19 @@ class TestPartition:
         assert res.classes == ((0,), (1,))
         assert res.unresolved == ((0, 1),)
 
+    @pytest.mark.parametrize(
+        "beta_A,orbits,error",
+        [
+            (sb.BraidWord(2, (1,)), [sb.BraidWord(3, (1, 2))], sb.KernelMembershipError),
+            (sb.BraidWord(3, (1,)), [A2], ValueError),
+            (sb.BraidWord(2, (1,)), [sb.BraidWord(5, ())], sb.KernelMembershipError),
+            (sb.BraidWord(3, (1,)), [], ValueError),
+        ],
+    )
+    def test_validates_fewer_than_two_orbits(self, beta_A, orbits, error):
+        with pytest.raises(error):
+            sb.partition_sn_classes(2, 1, beta_A, orbits)
+
     def test_workers_do_not_change_output(self):
         orbits = [A1, A2, sb.free_reduce(A2 * A2), sb.free_reduce(A1 * A2)]
         seq = sb.partition_sn_classes(2, 1, sb.BraidWord(2, ()), orbits, workers=1)

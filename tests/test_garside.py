@@ -218,11 +218,8 @@ class TestIncrementalNormalForm:
             if x.factors:
                 p = x.delta_power
                 first = garside._tau(x.factors[0]) if p % 2 else x.factors[0]
-                last = garside._tau(x.factors[-1]) if p % 2 else x.factors[-1]
                 cycled, _ = garside._cycle(x)
                 assert cycled == reference_make(n, p, list(x.factors[1:]) + [first])
-                decycled, _ = garside._decycle(x)
-                assert decycled == reference_make(n, p, [last] + list(x.factors[:-1]))
 
     def test_leftweight_commutes_with_tau(self):
         """The single push loop left-weights factors stored as tau-images,
@@ -398,6 +395,78 @@ class TestConjugacy:
             a = random_word(rng, n, 10)
             b = random_word(rng, n, 10)
             assert sb.is_conjugate(a, b).conjugate == sb.is_conjugate(b, a).conjugate
+
+
+def tau_form(x):
+    """Delta^-1 x Delta: tau applied to every factor."""
+    return CanonicalForm(x.strands, x.delta_power, tuple(map(garside._tau, x.factors)))
+
+
+def reference_decycle(v):
+    """One decycling step, A_k v A_k^-1, with the fixpoint sweep; returns
+    (new element, conjugator used)."""
+    n, p = v.strands, v.delta_power
+    last = garside._tau(v.factors[-1]) if p % 2 else v.factors[-1]
+    new = reference_make(n, p, [last] + list(v.factors[:-1]))
+    return new, CanonicalForm.simple(n, v.factors[-1]).inv()
+
+
+def two_round_summit(cf):
+    """The summit search that cycled and decycled in turn, each until
+    n(n-1)/2 steps in a row did not improve, and repeated both until a
+    round improved nothing."""
+    n = cf.strands
+    bound = max(1, n * (n - 1) // 2)
+    v, g = cf, CanonicalForm.identity(n)
+    improved = True
+    while improved:
+        improved = False
+        for step, better in (
+            (garside._cycle, lambda w, v: w.inf > v.inf),
+            (reference_decycle, lambda w, v: w.sup < v.sup),
+        ):
+            stale = 0
+            while stale < bound and v.factors:
+                w, s = step(v)
+                if better(w, v):
+                    improved = True
+                    stale = 0
+                else:
+                    stale += 1
+                v, g = w, g.mul(s)
+    return v, g
+
+
+class TestSummit:
+    def test_decycling_is_cycling_the_inverse(self):
+        """Decycling x gives tau of the inverse of cycling x^-1, and the
+        cycling conjugator s of x^-1 conjugates x to that inverse."""
+        rng = random.Random(19)
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            x = canonical_form(random_word(rng, n, 40))
+            if not x.factors:
+                continue
+            cycled, s = garside._cycle(x.inv())
+            decycled, _ = reference_decycle(x)
+            assert tau_form(cycled.inv()) == decycled
+            assert s.inv().mul(x).mul(s) == cycled.inv()
+
+    def test_matches_two_round_summit(self):
+        """One cycling pass per side reaches the infimum and supremum of
+        the two-round search, with a conjugator that holds."""
+        rng = random.Random(20)
+        forms = []
+        for n in range(2, 8):
+            forms.append(CanonicalForm.identity(n))
+            forms += [CanonicalForm(n, k, ()) for k in (-3, 1, 2)]
+            for _ in range(40):
+                forms.append(canonical_form(random_word(rng, n, 48)))
+        for cf in forms:
+            v, g = garside._summit(cf)
+            ref, _ = two_round_summit(cf)
+            assert (v.inf, v.sup) == (ref.inf, ref.sup)
+            assert g.inv().mul(cf).mul(g) == v
 
 
 def seeded_word(n, seed, length):

@@ -55,6 +55,15 @@ class TestParsing:
         with pytest.raises(ValueError):
             sb.BraidWord(1, (1,))
 
+    @pytest.mark.parametrize(
+        "text,line,column", [("s1 s3", 1, 4), ("s2\n  S3 s1", 2, 3), ("1 -4", 1, 3)]
+    )
+    def test_letter_out_of_range_position(self, text, line, column):
+        with pytest.raises(sb.WordSyntaxError) as exc:
+            sb.BraidWord.parse(3, text)
+        assert "out of range for 3 strands" in str(exc.value)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
 
 class TestGroupPlumbing:
     def test_compose_concatenates(self):
