@@ -23,6 +23,7 @@ standard kernel generators, grown from both beta_y and beta_x.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
@@ -124,17 +125,8 @@ class SNInstance:
             raise ValueError(
                 f"base braid has {self.beta_A.strands} strands, expected {self.n}"
             )
-        ensure_kernel(self.n, self.m, self.beta_ox)
-        ensure_kernel(self.n, self.m, self.beta_oy)
         for name, w in (("beta_ox", self.beta_ox), ("beta_oy", self.beta_oy)):
-            perm = permutation(w)
-            orbit = [perm(i) for i in range(self.n + 1, self.n + self.m + 1)]
-            if self.m >= 1 and _orbit_cycle_count(orbit, self.n) != 1:
-                warnings.warn(
-                    f"{name} does not induce a single {self.m}-cycle on the "
-                    "orbit block; treating it as a formal instance",
-                    stacklevel=2,
-                )
+            _check_orbit(self.n, self.m, name, w)
         lift = section(self.n, self.m, self.beta_A).word
         for name, w in (("_mixed_x", self.beta_ox), ("_mixed_y", self.beta_oy)):
             object.__setattr__(self, name, MixedBraid(self.n, self.m, compose(lift, w)))
@@ -146,6 +138,40 @@ class SNInstance:
     def mixed_y(self) -> MixedBraid:
         """section(beta_A) * beta_oy."""
         return self._mixed_y
+
+
+def _check_orbit(n: int, m: int, name: str, w: BraidWord) -> None:
+    """Require w in the kernel; warn when it does not permute the orbit
+    block as a single m-cycle."""
+    ensure_kernel(n, m, w)
+    perm = permutation(w)
+    orbit = [perm(i) for i in range(n + 1, n + m + 1)]
+    if m >= 1 and _orbit_cycle_count(orbit, n) != 1:
+        warnings.warn(
+            f"{name} does not induce a single {m}-cycle on the "
+            "orbit block; treating it as a formal instance",
+            stacklevel=3,
+        )
+
+
+def _assembled_instance(
+    n: int,
+    m: int,
+    beta_A: BraidWord,
+    x: tuple[BraidWord, MixedBraid],
+    y: tuple[BraidWord, MixedBraid],
+) -> SNInstance:
+    """The SNInstance of two (orbit word, mixed braid) pairs that were
+    checked and assembled already: __post_init__ is skipped, so neither
+    orbit is validated again and the mixed braids are reused."""
+    inst = object.__new__(SNInstance)
+    for name, value in (
+        ("n", n), ("m", m), ("beta_A", beta_A),
+        ("beta_ox", x[0]), ("beta_oy", y[0]),
+        ("_mixed_x", x[1]), ("_mixed_y", y[1]),
+    ):
+        object.__setattr__(inst, name, value)
+    return inst
 
 
 def _orbit_cycle_count(orbit_images: list[int], n: int) -> int:
@@ -175,7 +201,10 @@ def _screen_invariants(inst: SNInstance) -> Certificate | None:
     The Burau characteristic polynomial of the whole mixed braid is not
     screened: it is an invariant of conjugacy in the ambient B_{n+m}, so
     every pair it separates is also rejected by the ambient `is_conjugate`
-    test that follows, and screening it cannot change a verdict."""
+    test that follows, and screening it cannot change a verdict.
+
+    `partition_sn_classes` buckets orbits by these same values, so the two
+    must screen the same invariants."""
     ex, ey = exponent_sum(inst.beta_ox), exponent_sum(inst.beta_oy)
     if ex != ey:
         return Certificate("exponent_sum", ex, ey)
@@ -386,39 +415,68 @@ def partition_sn_classes(
     budget: Budget = Budget(),
     workers: int = 1,
 ) -> PartitionResult:
-    """Partition a list of kernel orbit braids into strong Nielsen classes by
-    pairwise decision. Inconclusive pairs are reported, never merged; the
-    union-find merge is applied in input order, so the result is
-    deterministic regardless of worker scheduling. The base braid and every
-    orbit are validated first, even when there are fewer than two orbits
-    and no pair to decide."""
+    """Partition a list of kernel orbit braids into strong Nielsen classes.
+
+    The base braid and every orbit are validated first, once, even when
+    there are fewer than two orbits and no pair to decide. Each orbit's
+    mixed braid section(beta_A) * w and its screen key (exponent sum of w,
+    cycle type and linking matrix of the mixed braid) are computed once,
+    and the orbits are grouped into buckets of equal key. The key holds
+    exactly the values `_screen_invariants` compares, so a pair across two
+    buckets is NotEquivalent by certificate and is never decided.
+
+    Within a bucket the pairs are decided in (i, j) order with
+    `sn_equivalent_rel_A`, skipping a pair that Equivalent verdicts have
+    already put in one class; Inconclusive pairs are never merged. A class
+    is named by its smallest index, so the classes are those of deciding
+    every pair. `unresolved` lists, sorted, the Inconclusive pairs whose
+    final classes differ: an Inconclusive pair that ends inside one class
+    is equivalent by transitivity through pairs with witnesses, and is
+    dropped.
+
+    With `workers > 1` the buckets, each decided in order, are spread over
+    a thread pool; the result does not depend on the worker count."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    section(n, m, beta_A)
-    for w in orbits:
-        ensure_kernel(n, m, w)
-    pairs = [(i, j) for i in range(len(orbits)) for j in range(i + 1, len(orbits))]
+    lift = section(n, m, beta_A).word
+    assembled = []
+    buckets: dict[tuple, list[int]] = {}
+    for i, w in enumerate(orbits):
+        _check_orbit(n, m, f"orbit {i}", w)
+        braid = MixedBraid(n, m, compose(lift, w))
+        assembled.append((w, braid))
+        key = (exponent_sum(w), cycle_type(braid), linking_matrix(braid))
+        buckets.setdefault(key, []).append(i)
 
-    def verdict(pair: tuple[int, int]) -> SNVerdict:
-        i, j = pair
-        inst = SNInstance(n, m, beta_A, orbits[i], orbits[j])
-        return sn_equivalent_rel_A(inst, budget)
+    def decide(bucket: list[int]) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
+        uf = _UnionFind(len(bucket))
+        inconclusive = []
+        for a, b in itertools.combinations(range(len(bucket)), 2):
+            if uf.find(a) == uf.find(b):
+                continue
+            inst = _assembled_instance(
+                n, m, beta_A, assembled[bucket[a]], assembled[bucket[b]]
+            )
+            status = sn_equivalent_rel_A(inst, budget).status
+            if status == EQUIVALENT:
+                uf.union(a, b)
+            elif status == INCONCLUSIVE:
+                inconclusive.append((a, b))
+        groups: dict[int, list[int]] = {}
+        for a, i in enumerate(bucket):
+            groups.setdefault(uf.find(a), []).append(i)
+        unresolved = [
+            (bucket[a], bucket[b]) for a, b in inconclusive if uf.find(a) != uf.find(b)
+        ]
+        return [tuple(g) for g in groups.values()], unresolved
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(verdict, pairs))
+            decided = list(pool.map(decide, buckets.values()))
     else:
-        verdicts = [verdict(p) for p in pairs]
-
-    uf = _UnionFind(len(orbits))
-    unresolved = []
-    for (i, j), v in zip(pairs, verdicts):
-        if v.status == EQUIVALENT:
-            uf.union(i, j)
-        elif v.status == INCONCLUSIVE:
-            unresolved.append((i, j))
-    groups: dict[int, list[int]] = {}
-    for i in range(len(orbits)):
-        groups.setdefault(uf.find(i), []).append(i)
-    classes = tuple(tuple(groups[r]) for r in sorted(groups))
-    return PartitionResult(classes, tuple(unresolved))
+        decided = [decide(bucket) for bucket in buckets.values()]
+    # Classes are disjoint and ascending, so sorting orders them by their
+    # smallest index.
+    classes = sorted(c for groups, _ in decided for c in groups)
+    unresolved = sorted(p for _, pairs in decided for p in pairs)
+    return PartitionResult(tuple(classes), tuple(unresolved))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import warnings
@@ -443,11 +444,116 @@ class TestPartition:
         with pytest.raises(error):
             sb.partition_sn_classes(2, 1, beta_A, orbits)
 
+    def test_wrong_strand_count_is_named(self):
+        with pytest.raises(sb.KernelMembershipError, match="5 strands, expected 3"):
+            sb.partition_sn_classes(2, 1, sb.BraidWord(2, (1,)), [sb.BraidWord(5, ())])
+
     def test_workers_do_not_change_output(self):
         orbits = [A1, A2, sb.free_reduce(A2 * A2), sb.free_reduce(A1 * A2)]
         seq = sb.partition_sn_classes(2, 1, sb.BraidWord(2, ()), orbits, workers=1)
         par = sb.partition_sn_classes(2, 1, sb.BraidWord(2, ()), orbits, workers=4)
         assert json.dumps(seq.to_json()) == json.dumps(par.to_json())
+
+
+def reference_partition(n, m, beta_A, orbits, budget):
+    """Decide every pair with sn_equivalent_rel_A and union the Equivalent
+    ones; returns the classes and all Inconclusive pairs."""
+    root = list(range(len(orbits)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    inconclusive = []
+    for i, j in itertools.combinations(range(len(orbits)), 2):
+        inst = sb.SNInstance(n, m, beta_A, orbits[i], orbits[j])
+        status = sb.sn_equivalent_rel_A(inst, budget).status
+        if status == sb.EQUIVALENT:
+            ri, rj = find(i), find(j)
+            root[max(ri, rj)] = min(ri, rj)
+        elif status == sb.INCONCLUSIVE:
+            inconclusive.append((i, j))
+    groups = {}
+    for i in range(len(orbits)):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(groups[r]) for r in sorted(groups)), inconclusive
+
+
+def conjugate_classes(rng, n, m, beta_A, cores, copies):
+    """Each core and `copies` kernel conjugates of it, shuffled."""
+    orbits = []
+    for core in cores:
+        orbits.append(core)
+        for _ in range(copies):
+            c = random_kernel_word(rng, n, m, rng.randint(1, 3))
+            orbits.append(conjugated_kernel_part(n, m, beta_A, core, c))
+    rng.shuffle(orbits)
+    return orbits
+
+
+class TestPartitionAgainstReference:
+    SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
+    BUDGETS = [sb.Budget(1, 200), sb.Budget(3, 2000)]
+
+    def test_same_classes_as_deciding_every_pair(self):
+        dropped = 0
+        for seed in range(10):
+            rng = random.Random(9000 + seed)
+            n, m = self.SHAPES[seed % 5]
+            budget = self.BUDGETS[seed // 5]
+            beta_A = random_word(rng, n, 3)
+            cores = [random_kernel_word(rng, n, m, rng.randint(1, 3)) for _ in range(3)]
+            orbits = conjugate_classes(rng, n, m, beta_A, cores, 2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                classes, inconclusive = reference_partition(n, m, beta_A, orbits, budget)
+                res = sb.partition_sn_classes(n, m, beta_A, orbits, budget)
+                par = sb.partition_sn_classes(n, m, beta_A, orbits, budget, workers=4)
+            where = {i: k for k, cls in enumerate(classes) for i in cls}
+            across = tuple(p for p in inconclusive if where[p[0]] != where[p[1]])
+            assert res.classes == classes
+            assert res.unresolved == across
+            assert json.dumps(res.to_json()) == json.dumps(par.to_json())
+            dropped += len(inconclusive) - len(across)
+        # Some Inconclusive pair ends inside a class, so the lists exercise
+        # the pairs that `unresolved` drops.
+        assert dropped > 0
+
+    def test_each_orbit_validated_once_and_merged_pairs_skipped(self, monkeypatch):
+        from snbraid import decision
+
+        counts = {"ensure_kernel": 0, "sn_equivalent_rel_A": 0}
+
+        def counted(name):
+            fn = getattr(decision, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(decision, name, wrapper)
+
+        for name in counts:
+            counted(name)
+        # Five cores with distinct exponent sums, each with five conjugates
+        # by one kernel generator: 30 orbits, 435 pairs.
+        texts = ["s2 s2", "S2 S2", "s2 s1 s1 S2 s2 s1 s1 S2", "s2 s2 s2 s2 s2 s2",
+                 "s2 S1 S1 S2 s2 S1 S1 S2"]
+        beta_A = sb.BraidWord(2, (1,))
+        rng = random.Random(6)
+        orbits = []
+        for text in texts:
+            core = sb.BraidWord.parse(3, text)
+            orbits.append(core)
+            for _ in range(5):
+                c = random_kernel_word(rng, 2, 1, 1)
+                orbits.append(conjugated_kernel_part(2, 1, beta_A, core, c))
+        rng.shuffle(orbits)
+        res = sb.partition_sn_classes(2, 1, beta_A, orbits)
+        assert len(res.classes) == 5 and res.unresolved == ()
+        assert counts["ensure_kernel"] == 30
+        assert counts["sn_equivalent_rel_A"] <= 25
 
 
 def test_verdict_json_shapes():
