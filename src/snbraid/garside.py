@@ -25,15 +25,19 @@ Conjugacy is decided through the ultra summit set (Gebhardt 2005). A
 representative reaches the super summit set in one cycling pass per side:
 cycling it makes its infimum maximal, and cycling its inverse decycles it,
 making its supremum minimal without lowering the infimum, so no second
-round is needed (see `_summit`). Its cycling orbit is then walked onto a
-circuit, and the resulting set is closed under conjugation by simple
-elements, keeping only elements with the summit infimum/supremum that lie
-on their own cycling circuit. Every cycling walk ends without a
-step bound: cycling never lowers the infimum nor raises the supremum, and
-a conjugacy class has finitely many elements between given bounds (from a
-super summit element, at most the size of the super summit set). Two
-braids are conjugate iff their ultra summit sets intersect; the recorded
-parent chain yields an explicit conjugating witness.
+round is needed (see `_summit`). Both cycling orbits are then walked onto a
+circuit. Most conjugate pairs meet there: b's circuit element, or its
+tau-image, lies on a's circuit, and the walk gives the conjugator. Only
+pairs that do not meet go on to the closure, where a's ultra summit set is
+closed under conjugation by simple elements, keeping only elements with the
+summit infimum/supremum that lie on their own cycling circuit; its strand
+limit, MAX_CLOSURE_STRANDS, applies to those pairs alone. Every cycling
+walk ends without a step bound: cycling never lowers the infimum nor
+raises the supremum, and a conjugacy class has finitely many elements
+between given bounds (from a super summit element, at most the size of the
+super summit set). Two braids are conjugate iff their ultra summit sets
+intersect; the recorded parent chain yields an explicit conjugating
+witness.
 
 Internally permutations are 0-based tuples mapping start position to end
 position, composed left-to-right: `_pmul(p, q)` is "p then q".
@@ -365,6 +369,8 @@ class ConjugacyResult:
 # The closure search conjugates by all n! - 1 simple elements, a table that
 # takes about half a second and 30 MB at n = 8 and grows about ninefold per
 # strand; 8 is the largest strand count the tests and benchmark exercise.
+# Pairs that meet on a cycling circuit never reach the closure, so the limit
+# refuses only the pairs that do not.
 MAX_CLOSURE_STRANDS = 8
 
 
@@ -454,10 +460,12 @@ def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
 
     Returns a witness c with c * b * c^-1 = a whenever the answer is yes.
     Both braids are brought onto a cycling circuit of their ultra summit
-    sets, and the set of a is closed under simple-element conjugation until
-    it reaches b's element; this is the only closure mode, and each cycling
-    walk ends because cycling stays inside the finite super summit set.
-    Raises ValueError when the pair needs the closure search on more than
+    sets; each cycling walk ends because cycling stays inside the finite
+    super summit set. If b's circuit element or its tau-image lies on a's
+    circuit, the walk of a already holds the conjugator (`_circuit_meet`).
+    Otherwise the set of a is closed under simple-element conjugation until
+    it reaches b's element. Raises ValueError when a pair that does not
+    meet on the circuit needs the closure search on more than
     MAX_CLOSURE_STRANDS strands.
     """
     if a.strands != b.strands:
@@ -476,14 +484,44 @@ def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     if (va.inf, va.sup) != (vb.inf, vb.sup):
         return ConjugacyResult(False)
 
-    va, ga = _to_circuit(va, ga)
+    orbit, steps, start = _cycling_orbit(va)
+    for s in steps[:start]:
+        ga = ga.mul(s)
     vb, gb = _to_circuit(vb, gb)
-    found = _closure_search(va, ga, vb)
+    found = _circuit_meet(orbit[start:], steps[start:], ga, vb)
+    if found is None:
+        found = _closure_search(orbit[start], ga, vb)
     if found is None:
         return ConjugacyResult(False)
     witness_cf = found.mul(gb.inv())
     witness = free_reduce(witness_cf.to_word())
     return ConjugacyResult(True, witness)
+
+
+def _circuit_meet(
+    circuit: list[CanonicalForm],
+    steps: list[CanonicalForm],
+    g: CanonicalForm,
+    target: CanonicalForm,
+) -> CanonicalForm | None:
+    """Look for target, or its tau-image Delta^-1 target Delta, on a cycling
+    circuit whose first element is g^-1 * (original a) * g, with the simple
+    conjugator of each cycling step (circuit[j + 1] = s_j^-1 circuit[j] s_j).
+    Returns h with target = h^-1 * (original a) * h, or None when neither
+    lies on the circuit.
+
+    circuit[j] is conjugated from a by g * s_0 * ... * s_(j-1), and a
+    tau-match circuit[j] = Delta^-1 target Delta needs one more Delta, as
+    Delta^2 is central. Every element found is an explicit conjugate of a,
+    so a match is sound; a miss decides nothing."""
+    n = target.strands
+    target_tau = CanonicalForm(n, target.delta_power, tuple(map(_tau, target.factors)))
+    for j, v in enumerate(circuit):
+        if v == target or v == target_tau:
+            for s in steps[:j]:
+                g = g.mul(s)
+            return g if v == target else g.mul(CanonicalForm(n, 1, ()))
+    return None
 
 
 def _closure_search(

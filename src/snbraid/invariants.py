@@ -22,11 +22,14 @@ from .words import BraidWord, exponent_sum, permutation
 
 @dataclasses.dataclass(frozen=True)
 class InvariantReport:
+    """One invariant of a mixed braid: an int for the exponent sum, nested
+    tuples otherwise, emitted as JSON numbers and arrays."""
+
     name: str
-    value: tuple
+    value: object
 
     def to_json(self) -> dict:
-        return {"name": self.name, "value": repr(self.value)}
+        return {"name": self.name, "value": self.value}
 
 
 def cycle_type(b: MixedBraid) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -169,7 +172,7 @@ def burau_charpoly(a: BraidWord) -> tuple[tuple[int, int, int], ...]:
 def standard_reports(b: MixedBraid) -> list[InvariantReport]:
     """The invariant battery for one mixed braid, in screening order."""
     return [
-        InvariantReport("exponent_sum", (exponent_sum(b.word),)),
+        InvariantReport("exponent_sum", exponent_sum(b.word)),
         InvariantReport("cycle_type", cycle_type(b)),
         InvariantReport("linking_matrix", linking_matrix(b)),
         InvariantReport("burau_charpoly", burau_charpoly(b.word)),

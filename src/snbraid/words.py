@@ -8,14 +8,16 @@ over the strand at position k+1), k < 0 means its inverse. Words compose
 left-to-right: "a b" means a happens first (cylinders stacked bottom to top).
 
 Text grammar, used by every interface that reads or prints words:
-`s3` = sigma_3, `S3` = sigma_3 inverse, plain signed integers also work
-(`3` / `-3`), tokens separated by whitespace. The strand count is always
-given out-of-band.
+`s3` = sigma_3, `S3` = sigma_3 inverse, plain integers also work (`3` /
+`-3`), tokens separated by whitespace. Indices are ASCII digits; any other
+token (`s+1`, `1_0`, `S-1`, non-ASCII digits) is a bad braid letter. The
+strand count is always given out-of-band.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 
 
 class StrandMismatchError(ValueError):
@@ -88,21 +90,19 @@ class BraidWord:
         return self.format() or "<empty>"
 
 
+# A letter is s<k>, S<k>, <k> or -<k>, with k in ASCII digits.
+_TOKEN = re.compile(r"([sS]|-?)([0-9]+)")
+
+
 def _parse_token(token: str, line: int, column: int) -> int:
-    sign = 1
-    body = token
-    if token[0] in "sS":
-        sign = 1 if token[0] == "s" else -1
-        body = token[1:]
-    try:
-        value = int(body)
-    except ValueError:
-        raise WordSyntaxError(f"bad braid letter {token!r}", line, column) from None
-    if token[0] in "sS" and value <= 0:
-        raise WordSyntaxError(f"bad generator index in {token!r}", line, column)
+    match = _TOKEN.fullmatch(token)
+    if match is None:
+        raise WordSyntaxError(f"bad braid letter {token!r}", line, column)
+    prefix, digits = match.groups()
+    value = int(digits)
     if value == 0:
-        raise WordSyntaxError("generator index 0 is not allowed", line, column)
-    return sign * value
+        raise WordSyntaxError(f"generator index 0 in {token!r} is not allowed", line, column)
+    return -value if prefix in ("S", "-") else value
 
 
 @dataclasses.dataclass(frozen=True)

@@ -70,6 +70,31 @@ class TestMixedCommands:
         names = [r["name"] for r in doc["invariants"]]
         assert names == ["exponent_sum", "cycle_type", "linking_matrix", "burau_charpoly"]
 
+    def test_invariants_json_values(self, capsys):
+        """Invariant values are JSON numbers and arrays, not Python reprs."""
+        doc = run_json(capsys, ["invariants", "-n", "2", "-m", "1", "s1 s2 s2 s1"])
+        assert doc == {
+            "invariants": [
+                {"name": "exponent_sum", "value": 4},
+                {"name": "cycle_type", "value": [[1, 1], [1]]},
+                {
+                    "name": "linking_matrix",
+                    "value": [
+                        [["A", 1], ["A", 2], 1],
+                        [["A", 1], ["o", 1], 1],
+                        [["A", 2], ["o", 1], 0],
+                    ],
+                },
+                {
+                    "name": "burau_charpoly",
+                    "value": [
+                        [0, 4, -1], [1, 1, 1], [1, 3, 1], [1, 4, 1],
+                        [2, 0, -1], [2, 1, -1], [2, 3, -1], [3, 0, 1],
+                    ],
+                },
+            ]
+        }
+
 
 class TestDecisionCommands:
     def test_sn_not_equivalent_exit_zero(self, capsys):
@@ -238,6 +263,16 @@ class TestErrors:
         assert run_json(capsys, ["conj", "-n", "10", "s1", "S2"]) == {"conjugate": False}
         doc = run_json(capsys, ["conj", "-n", "10", "s1 s9", "s1 s9"])
         assert doc == {"conjugate": True, "witness": ""}
+
+    def test_circuit_meet_beyond_closure_limit(self, capsys):
+        # The two Coxeter elements of B_9 meet on a cycling circuit, so the
+        # closure search and its strand limit are never reached.
+        a, b = "s1 s2 s3 s4 s5 s6 s7 s8", "s8 s7 s6 s5 s4 s3 s2 s1"
+        doc = run_json(capsys, ["conj", "-n", "9", a, b])
+        assert doc["conjugate"] is True
+        c = sb.BraidWord.parse(9, doc["witness"])
+        lhs = sb.compose(sb.compose(c, sb.BraidWord.parse(9, b)), sb.invert(c))
+        assert sb.equal(sb.BraidWord.parse(9, a), lhs)
 
 
 def test_cli_start_imports_only_standard_library():

@@ -560,6 +560,135 @@ class TestLongCyclingOrbits:
             assert (garside._cycling_orbit(x)[2] == 0) == (i >= start)
 
 
+def closure_only_is_conjugate(a, b):
+    """is_conjugate as it was before the circuit meet: every pair whose
+    summits agree in infimum and supremum runs the ultra summit closure."""
+    n = a.strands
+    if sb.exponent_sum(a) != sb.exponent_sum(b):
+        return sb.ConjugacyResult(False)
+    if sb.permutation(a).cycle_type() != sb.permutation(b).cycle_type():
+        return sb.ConjugacyResult(False)
+    ca, cb = canonical_form(a), canonical_form(b)
+    if ca == cb:
+        return sb.ConjugacyResult(True, sb.BraidWord.identity(n))
+    va, ga = garside._summit(ca)
+    vb, gb = garside._summit(cb)
+    if (va.inf, va.sup) != (vb.inf, vb.sup):
+        return sb.ConjugacyResult(False)
+    va, ga = garside._to_circuit(va, ga)
+    vb, gb = garside._to_circuit(vb, gb)
+    found = garside._closure_search(va, ga, vb)
+    if found is None:
+        return sb.ConjugacyResult(False)
+    return sb.ConjugacyResult(True, sb.free_reduce(found.mul(gb.inv()).to_word()))
+
+
+def near_miss(rng, w):
+    """w with one letter moved to a neighbouring generator of the same
+    sign: same exponent sum, usually not conjugate to w."""
+    n = w.strands
+    if n < 3 or not w.letters:
+        return w
+    letters = list(w.letters)
+    i = rng.randrange(len(letters))
+    k = abs(letters[i])
+    k = k + 1 if k < n - 1 else k - 1
+    letters[i] = k if letters[i] > 0 else -k
+    return sb.BraidWord(n, tuple(letters))
+
+
+def reference_pairs():
+    """Seeded pairs: for n = 3..5 conjugates c b c^-1 of b and near misses
+    of them; for n = 6 conjugates only, as non-conjugate 6-strand pairs
+    that reach the closure can take seconds."""
+    rng = random.Random(21)
+    pairs = []
+    for n in (3, 4, 5, 6):
+        for _ in range(40 if n < 6 else 8):
+            b = seeded_word(n, rng.randrange(10**6), 16 if n < 6 else 10)
+            c = random_word(rng, n, 8)
+            a = sb.free_reduce(sb.compose(sb.compose(c, b), sb.invert(c)))
+            pairs.append((a, b))
+            if n < 6:
+                pairs.append((near_miss(rng, a), b))
+    return pairs
+
+
+class TestCircuitMeet:
+    """The meet on a's cycling circuit answers most conjugate pairs before
+    the ultra summit closure; the rest fall through to it."""
+
+    def test_matches_closure_only_reference(self, monkeypatch):
+        closure = garside._closure_search
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return closure(*args)
+
+        monkeypatch.setattr(garside, "_closure_search", counted)
+        pairs = reference_pairs()
+        answers = {True: 0, False: 0}
+        for a, b in pairs:
+            calls.clear()
+            ref = closure_only_is_conjugate(a, b)
+            reached = bool(calls)
+            calls.clear()
+            got = sb.is_conjugate(a, b)
+            assert got.conjugate == ref.conjugate, (a, b)
+            if got.conjugate:
+                check_witness(a, b, got)
+                check_witness(a, b, ref)
+            if reached:
+                answers[got.conjugate] += 1
+        # Both answers occur among the pairs that reach the closure in the
+        # reference, so the fall-through is exercised on both sides.
+        assert answers[True] > 0 and answers[False] > 0
+
+    @pytest.fixture
+    def no_closure(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the closure search ran")
+
+        monkeypatch.setattr(garside, "_closure_search", refuse)
+
+    def seeded_forms(self):
+        rng = random.Random(22)
+        for _ in range(60):
+            n = rng.randint(3, 6)
+            cf = canonical_form(random_word(rng, n, 30))
+            if cf.factors:
+                yield cf
+
+    def test_cycled_conjugate_meets(self, no_closure):
+        for cf in self.seeded_forms():
+            a, b = cf.to_word(), garside._cycle(cf)[0].to_word()
+            check_witness(a, b, sb.is_conjugate(a, b))
+            check_witness(b, a, sb.is_conjugate(b, a))
+
+    def test_delta_conjugate_meets(self, no_closure):
+        for cf in self.seeded_forms():
+            a = cf.to_word()
+            d = sb.delta(a.strands)
+            b = sb.compose(sb.compose(sb.invert(d), a), d)
+            check_witness(a, b, sb.is_conjugate(a, b))
+            check_witness(b, a, sb.is_conjugate(b, a))
+
+    def test_adjacent_generators_meet(self, no_closure):
+        a, b = sb.BraidWord(3, (1,)), sb.BraidWord(3, (2,))
+        res = sb.is_conjugate(a, b)
+        check_witness(a, b, res)
+        assert res.witness.letters == (1, 2, 1)
+
+    def test_coxeter_elements_beyond_closure_limit(self, no_closure):
+        """The pair meets on the circuit, so the closure's strand limit
+        does not refuse it."""
+        n = garside.MAX_CLOSURE_STRANDS + 1
+        a = sb.BraidWord(n, tuple(range(1, n)))
+        b = sb.BraidWord(n, tuple(range(n - 1, 0, -1)))
+        check_witness(a, b, sb.is_conjugate(a, b))
+
+
 class TestConjugateModFullTwist:
     def test_constructed_power(self):
         a = sb.compose(sb.BraidWord(3, (1,)), sb.full_twist(3))

@@ -49,6 +49,37 @@ class TestParsing:
         with pytest.raises(sb.WordSyntaxError):
             sb.BraidWord.parse(3, "s0")
 
+    @pytest.mark.parametrize(
+        "text,line,column",
+        [
+            ("s1_0", 1, 1),
+            ("s1 1_0", 1, 4),
+            ("s+1", 1, 1),
+            ("s2\n  +1", 2, 3),
+            ("S-1", 1, 1),
+            ("s-1", 1, 1),
+            ("--1", 1, 1),
+            ("s1 ٣", 1, 4),
+            ("s１", 1, 1),
+            ("s", 1, 1),
+            ("-", 1, 1),
+            ("s 1", 1, 1),
+            ("1s", 1, 1),
+            ("s1.0", 1, 1),
+        ],
+    )
+    def test_only_ascii_digit_letters(self, text, line, column):
+        """Only s<digits>, S<digits>, <digits> and -<digits> are letters:
+        no underscores, explicit plus signs, signed s/S bodies or non-ASCII
+        digits, which int() would otherwise accept."""
+        with pytest.raises(sb.WordSyntaxError) as exc:
+            sb.BraidWord.parse(20, text)
+        assert exc.value.message.startswith("bad braid letter")
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+    def test_leading_zeros_are_digits(self):
+        assert sb.BraidWord.parse(12, "s01 S010 011 -02").letters == (1, -10, 11, -2)
+
     def test_letter_out_of_range(self):
         with pytest.raises(ValueError):
             sb.BraidWord(3, (3,))
