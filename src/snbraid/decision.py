@@ -23,6 +23,7 @@ standard kernel generators, grown from both beta_y and beta_x.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -62,6 +63,8 @@ class Budget:
     def __post_init__(self):
         for name in ("max_length", "max_states"):
             value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
@@ -116,9 +119,12 @@ class SNInstance:
     beta_A: BraidWord
     beta_ox: BraidWord
     beta_oy: BraidWord
-    # The two assembled mixed braids, built once by __post_init__.
+    # The two assembled mixed braids and their canonical forms, built once
+    # by __post_init__.
     _mixed_x: MixedBraid = dataclasses.field(init=False, repr=False, compare=False)
     _mixed_y: MixedBraid = dataclasses.field(init=False, repr=False, compare=False)
+    _cf_x: CanonicalForm = dataclasses.field(init=False, repr=False, compare=False)
+    _cf_y: CanonicalForm = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.beta_A.strands != self.n:
@@ -128,8 +134,10 @@ class SNInstance:
         for name, w in (("beta_ox", self.beta_ox), ("beta_oy", self.beta_oy)):
             _check_orbit(self.n, self.m, name, w)
         lift = section(self.n, self.m, self.beta_A).word
-        for name, w in (("_mixed_x", self.beta_ox), ("_mixed_y", self.beta_oy)):
-            object.__setattr__(self, name, MixedBraid(self.n, self.m, compose(lift, w)))
+        for side, w in (("x", self.beta_ox), ("y", self.beta_oy)):
+            braid = MixedBraid(self.n, self.m, compose(lift, w))
+            object.__setattr__(self, f"_mixed_{side}", braid)
+            object.__setattr__(self, f"_cf_{side}", canonical_form(braid.word))
 
     def mixed_x(self) -> MixedBraid:
         """section(beta_A) * beta_ox."""
@@ -158,17 +166,19 @@ def _assembled_instance(
     n: int,
     m: int,
     beta_A: BraidWord,
-    x: tuple[BraidWord, MixedBraid],
-    y: tuple[BraidWord, MixedBraid],
+    x: tuple[BraidWord, MixedBraid, CanonicalForm],
+    y: tuple[BraidWord, MixedBraid, CanonicalForm],
 ) -> SNInstance:
-    """The SNInstance of two (orbit word, mixed braid) pairs that were
-    checked and assembled already: __post_init__ is skipped, so neither
-    orbit is validated again and the mixed braids are reused."""
+    """The SNInstance of two (orbit word, mixed braid, its canonical form)
+    triples that were checked and assembled already: __post_init__ is
+    skipped, so neither orbit is validated again and the mixed braids and
+    their forms are reused."""
     inst = object.__new__(SNInstance)
     for name, value in (
         ("n", n), ("m", m), ("beta_A", beta_A),
         ("beta_ox", x[0]), ("beta_oy", y[0]),
         ("_mixed_x", x[1]), ("_mixed_y", y[1]),
+        ("_cf_x", x[2]), ("_cf_y", y[2]),
     ):
         object.__setattr__(inst, name, value)
     return inst
@@ -218,6 +228,24 @@ def _screen_invariants(inst: SNInstance) -> Certificate | None:
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel_alphabet(
+    n: int, m: int
+) -> tuple[dict[int, BraidWord], tuple[tuple[int, CanonicalForm, CanonicalForm], ...]]:
+    """The letters of the kernel search for (n, m): each standard kernel
+    generator i and its inverse are letters i + 1 and -(i + 1). Returns the
+    word of each letter and, per letter, (letter, form, inverse form)."""
+    spelling: dict[int, BraidWord] = {}
+    alphabet = []
+    for sign in (1, -1):
+        for i, g in enumerate(kernel_generators(n, m)):
+            word = g if sign == 1 else invert(g)
+            cf = canonical_form(word)
+            spelling[sign * (i + 1)] = word
+            alphabet.append((sign * (i + 1), cf, cf.inv()))
+    return spelling, tuple(alphabet)
+
+
 def _search_kernel_conjugator(
     inst: SNInstance,
     budget: Budget,
@@ -253,21 +281,12 @@ def _search_kernel_conjugator(
     if accept(identity, canonical_form(identity)):
         return identity, BudgetReport(0, states)
 
-    gens = kernel_generators(inst.n, inst.m)
-    spelling: dict[int, BraidWord] = {}
-    forward: list[tuple[int, CanonicalForm, CanonicalForm]] = []
-    for sign in (1, -1):
-        for i, g in enumerate(gens):
-            word = g if sign == 1 else invert(g)
-            cf = canonical_form(word)
-            spelling[sign * (i + 1)] = word
-            forward.append((sign * (i + 1), cf, cf.inv()))
+    spelling, forward = _kernel_alphabet(inst.n, inst.m)
     # Each side conjugates by (left, right): g * . * g^-1 forward,
     # g^-1 * . * g backward.
     backward = [(letter, g_inv_cf, g_cf) for letter, g_cf, g_inv_cf in forward]
 
-    start = canonical_form(inst.mixed_y().word)
-    target = canonical_form(inst.mixed_x().word)
+    start, target = inst._cf_y, inst._cf_x
     # visited[side] maps a conjugate to the tag of its word; side 0 is
     # forward (tag of u, first letter first), side 1 backward (tag of v,
     # last letter first).
@@ -339,8 +358,7 @@ def _decide(
 def sn_equivalent_rel_A(inst: SNInstance, budget: Budget = Budget()) -> SNVerdict:
     """Strong Nielsen equivalence relative to the invariant set: search for a
     kernel element c with beta_x = c * beta_y * c^-1."""
-    bx_cf = canonical_form(inst.mixed_x().word)
-    by_cf = canonical_form(inst.mixed_y().word)
+    bx_cf, by_cf = inst._cf_x, inst._cf_y
 
     def accept(c: BraidWord, c_cf: CanonicalForm) -> bool:
         return c_cf.mul(by_cf).mul(c_cf.inv()) == bx_cf
@@ -419,11 +437,12 @@ def partition_sn_classes(
 
     The base braid and every orbit are validated first, once, even when
     there are fewer than two orbits and no pair to decide. Each orbit's
-    mixed braid section(beta_A) * w and its screen key (exponent sum of w,
-    cycle type and linking matrix of the mixed braid) are computed once,
-    and the orbits are grouped into buckets of equal key. The key holds
-    exactly the values `_screen_invariants` compares, so a pair across two
-    buckets is NotEquivalent by certificate and is never decided.
+    mixed braid section(beta_A) * w, its canonical form and its screen key
+    (exponent sum of w, cycle type and linking matrix of the mixed braid)
+    are computed once, and the orbits are grouped into buckets of equal
+    key. The key holds exactly the values `_screen_invariants` compares, so
+    a pair across two buckets is NotEquivalent by certificate and is never
+    decided.
 
     Within a bucket the pairs are decided in (i, j) order with
     `sn_equivalent_rel_A`, skipping a pair that Equivalent verdicts have
@@ -444,7 +463,7 @@ def partition_sn_classes(
     for i, w in enumerate(orbits):
         _check_orbit(n, m, f"orbit {i}", w)
         braid = MixedBraid(n, m, compose(lift, w))
-        assembled.append((w, braid))
+        assembled.append((w, braid, canonical_form(braid.word)))
         key = (exponent_sum(w), cycle_type(braid), linking_matrix(braid))
         buckets.setdefault(key, []).append(i)
 

@@ -36,8 +36,8 @@ walk ends without a step bound: cycling never lowers the infimum nor
 raises the supremum, and a conjugacy class has finitely many elements
 between given bounds (from a super summit element, at most the size of the
 super summit set). Two braids are conjugate iff their ultra summit sets
-intersect; the recorded parent chain yields an explicit conjugating
-witness.
+intersect. Every walk records its conjugator as a list of simple factors,
+normalized once, and only when it becomes the witness.
 
 Internally permutations are 0-based tuples mapping start position to end
 position, composed left-to-right: `_pmul(p, q)` is "p then q".
@@ -375,32 +375,34 @@ MAX_CLOSURE_STRANDS = 8
 
 
 @functools.lru_cache(maxsize=None)
-def _simple_conjugators(n: int) -> tuple[tuple[CanonicalForm, CanonicalForm], ...]:
-    """All nontrivial simple elements of B_n with their inverses, in
-    lexicographic order of the underlying permutation."""
+def _simple_conjugators(
+    n: int,
+) -> tuple[tuple[Perm, CanonicalForm, CanonicalForm], ...]:
+    """All nontrivial simple elements of B_n as (permutation, form, inverse
+    form), in lexicographic order of the permutation."""
     out = []
     for p in itertools.permutations(range(n)):
         if p == _pid(n):
             continue
         s = CanonicalForm.simple(n, p)
-        out.append((s, s.inv()))
+        out.append((p, s, s.inv()))
     return tuple(out)
 
 
-def _cycle(v: CanonicalForm) -> tuple[CanonicalForm, CanonicalForm]:
-    """One cycling step; returns (new element, conjugator used)."""
+def _cycle(v: CanonicalForm) -> tuple[CanonicalForm, Perm]:
+    """One cycling step; returns (new element, simple conjugator used)."""
     if not v.factors:
-        return v, CanonicalForm.identity(v.strands)
+        return v, _pid(v.strands)
     a1 = v.factors[0]
     iota = _tau(a1) if v.delta_power % 2 == 1 else a1
     shift, fs = _normalize(v.strands, (iota,), weighted=v.factors[1:])
-    nxt = CanonicalForm(v.strands, v.delta_power + shift, fs)
-    return nxt, CanonicalForm.simple(v.strands, iota)
+    return CanonicalForm(v.strands, v.delta_power + shift, fs), iota
 
 
-def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, CanonicalForm]:
+def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, list[Perm]]:
     """Bring cf into its super summit set by cycling alone; returns the
-    summit element v and a conjugator g with v = g^-1 * cf * g.
+    summit element v and the simple factors s_1, ..., s_k of a conjugator
+    g = s_1 ... s_k with v = g^-1 * cf * g.
 
     Each side takes one pass. Cycling never lowers the infimum, and if the
     infimum is not maximal in the conjugacy class, some n(n-1)/2 cycling
@@ -414,26 +416,27 @@ def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, CanonicalForm]:
     of s^-1 v s."""
     n = cf.strands
     bound = max(1, n * (n - 1) // 2)
-    v, g = cf, CanonicalForm.identity(n)
+    v, g = cf, []
     for _ in range(2):
         stale = 0
         while stale < bound and v.factors:
             w, s = _cycle(v)
             stale = 0 if w.inf > v.inf else stale + 1
-            v, g = w, g.mul(s)
+            v = w
+            g.append(s)
         v = v.inv()
     return v, g
 
 
 def _cycling_orbit(
     v: CanonicalForm,
-) -> tuple[list[CanonicalForm], list[CanonicalForm], int]:
+) -> tuple[list[CanonicalForm], list[Perm], int]:
     """Cycle v until an element repeats. Returns the elements visited, the
-    simple conjugator s_i of each step (orbit[i + 1] = s_i^-1 orbit[i] s_i)
-    and the index where the circuit starts; v lies on its own circuit, that
-    is in its ultra summit set, iff that index is 0."""
+    simple conjugator s_i of each step as a permutation (orbit[i + 1] =
+    s_i^-1 orbit[i] s_i) and the index where the circuit starts; v lies on
+    its own circuit, that is in its ultra summit set, iff that index is 0."""
     orbit = [v]
-    steps: list[CanonicalForm] = []
+    steps: list[Perm] = []
     seen = {v: 0}
     while True:
         w, s = _cycle(orbit[-1])
@@ -445,14 +448,12 @@ def _cycling_orbit(
 
 
 def _to_circuit(
-    v: CanonicalForm, g: CanonicalForm
-) -> tuple[CanonicalForm, CanonicalForm]:
-    """The first element of v's cycling circuit, with g extended by the
-    conjugators that lead there."""
+    v: CanonicalForm, g: list[Perm]
+) -> tuple[CanonicalForm, list[Perm]]:
+    """The first element of v's cycling circuit, with the simple factors g
+    extended by the conjugators that lead there."""
     orbit, steps, start = _cycling_orbit(v)
-    for s in steps[:start]:
-        g = g.mul(s)
-    return orbit[start], g
+    return orbit[start], g + steps[:start]
 
 
 def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
@@ -464,9 +465,11 @@ def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     super summit set. If b's circuit element or its tau-image lies on a's
     circuit, the walk of a already holds the conjugator (`_circuit_meet`).
     Otherwise the set of a is closed under simple-element conjugation until
-    it reaches b's element. Raises ValueError when a pair that does not
-    meet on the circuit needs the closure search on more than
-    MAX_CLOSURE_STRANDS strands.
+    it reaches b's element. The walks record each conjugator as a list of
+    simple factors, and only a witness is multiplied out: each side is
+    normalized once. Raises ValueError when a pair that does not meet on
+    the circuit needs the closure search on more than MAX_CLOSURE_STRANDS
+    strands.
     """
     if a.strands != b.strands:
         raise StrandMismatchError("cannot compare words on different strand counts")
@@ -485,30 +488,31 @@ def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
         return ConjugacyResult(False)
 
     orbit, steps, start = _cycling_orbit(va)
-    for s in steps[:start]:
-        ga = ga.mul(s)
+    ga += steps[:start]
     vb, gb = _to_circuit(vb, gb)
     found = _circuit_meet(orbit[start:], steps[start:], ga, vb)
     if found is None:
         found = _closure_search(orbit[start], ga, vb)
     if found is None:
         return ConjugacyResult(False)
-    witness_cf = found.mul(gb.inv())
-    witness = free_reduce(witness_cf.to_word())
+    h = CanonicalForm(n, *_normalize(n, found))
+    g = CanonicalForm(n, *_normalize(n, gb))
+    witness = free_reduce(h.mul(g.inv()).to_word())
     return ConjugacyResult(True, witness)
 
 
 def _circuit_meet(
     circuit: list[CanonicalForm],
-    steps: list[CanonicalForm],
-    g: CanonicalForm,
+    steps: list[Perm],
+    g: list[Perm],
     target: CanonicalForm,
-) -> CanonicalForm | None:
+) -> list[Perm] | None:
     """Look for target, or its tau-image Delta^-1 target Delta, on a cycling
     circuit whose first element is g^-1 * (original a) * g, with the simple
     conjugator of each cycling step (circuit[j + 1] = s_j^-1 circuit[j] s_j).
-    Returns h with target = h^-1 * (original a) * h, or None when neither
-    lies on the circuit.
+    Conjugators are lists of simple factors. Returns the factors of h with
+    target = h^-1 * (original a) * h, or None when neither lies on the
+    circuit.
 
     circuit[j] is conjugated from a by g * s_0 * ... * s_(j-1), and a
     tau-match circuit[j] = Delta^-1 target Delta needs one more Delta, as
@@ -517,21 +521,24 @@ def _circuit_meet(
     n = target.strands
     target_tau = CanonicalForm(n, target.delta_power, tuple(map(_tau, target.factors)))
     for j, v in enumerate(circuit):
-        if v == target or v == target_tau:
-            for s in steps[:j]:
-                g = g.mul(s)
-            return g if v == target else g.mul(CanonicalForm(n, 1, ()))
+        if v == target:
+            return g + steps[:j]
+        if v == target_tau:
+            return g + steps[:j] + [_pw0(n)]
     return None
 
 
 def _closure_search(
-    va: CanonicalForm, ga: CanonicalForm, target: CanonicalForm
-) -> CanonicalForm | None:
+    va: CanonicalForm, ga: list[Perm], target: CanonicalForm
+) -> list[Perm] | None:
     """Close the ultra summit set of va under simple-element conjugation,
     breadth first in lexicographic order of the canonical-form encoding.
-    Returns the accumulated conjugator h with target = h^-1 * (original a) * h
+    Conjugators are lists of simple factors, ga leading from the original
+    a to va. Returns the factors of h with target = h^-1 * (original a) * h
     when the target is reached, else None once the set is exhausted.
 
+    Each visited element records only its parent and the simple element
+    that conjugates the parent to it; the path is read back once, on a hit.
     Each cycling walk classifies every element it visits: those before the
     circuit never return to themselves and are not in the ultra summit set,
     and those on it are. A candidate met on an earlier walk is therefore not
@@ -547,7 +554,7 @@ def _closure_search(
         )
     inf_sup = (va.inf, va.sup)
     simples = _simple_conjugators(n)
-    visited: dict[CanonicalForm, CanonicalForm] = {va: ga}
+    parent: dict[CanonicalForm, tuple[CanonicalForm, Perm] | None] = {va: None}
     rejected: set[CanonicalForm] = set()
     members: set[CanonicalForm] = set()
     frontier = [va]
@@ -555,12 +562,11 @@ def _closure_search(
         frontier.sort(key=CanonicalForm.sort_key)
         nxt: list[CanonicalForm] = []
         for v in frontier:
-            h = visited[v]
-            for s, s_inv in simples:
+            for p, s, s_inv in simples:
                 w = s_inv.mul(v).mul(s)
                 if (w.inf, w.sup) != inf_sup:
                     continue
-                if w in visited or w in rejected:
+                if w in parent or w in rejected:
                     continue
                 if w not in members:
                     orbit, _, start = _cycling_orbit(w)
@@ -568,9 +574,13 @@ def _closure_search(
                     members.update(orbit[start:])
                     if start != 0:
                         continue
-                visited[w] = h.mul(s)
+                parent[w] = (v, p)
                 if w == target:
-                    return visited[w]
+                    path = []
+                    while (link := parent[w]) is not None:
+                        w, step = link
+                        path.append(step)
+                    return ga + path[::-1]
                 nxt.append(w)
         frontier = nxt
     return None

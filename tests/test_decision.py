@@ -392,6 +392,27 @@ class TestInstanceValidation:
         assert inst.mixed_y().word == sb.compose(lift, A2)
         assert inst == sb.SNInstance(2, 1, beta_A, A1, A2)
 
+    def test_canonical_forms_built_once(self, monkeypatch):
+        """The decision reads the forms of the two mixed braids that the
+        instance holds instead of computing them again."""
+        from snbraid import decision
+
+        inst = TestKernelSearchPinned().instance(
+            "S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1"
+        )
+        mixed = {inst.mixed_x().word, inst.mixed_y().word}
+        assert inst._cf_x == sb.canonical_form(inst.mixed_x().word)
+        assert inst._cf_y == sb.canonical_form(inst.mixed_y().word)
+        computed = []
+
+        def recorded(word):
+            computed.append(word)
+            return sb.canonical_form(word)
+
+        monkeypatch.setattr(decision, "canonical_form", recorded)
+        assert sb.sn_equivalent_rel_A(inst, TestKernelSearchPinned.BUDGET).status == sb.EQUIVALENT
+        assert computed and not mixed.intersection(computed)
+
     def test_non_primitive_orbit_warns(self):
         with pytest.warns(UserWarning):
             sb.SNInstance(
@@ -554,6 +575,47 @@ class TestPartitionAgainstReference:
         assert len(res.classes) == 5 and res.unresolved == ()
         assert counts["ensure_kernel"] == 30
         assert counts["sn_equivalent_rel_A"] <= 25
+
+    def test_each_orbit_normalized_once(self, monkeypatch):
+        """Each orbit's mixed braid gets its canonical form once, however
+        many pairs it meets."""
+        from snbraid import decision
+
+        computed = []
+
+        def recorded(word):
+            computed.append(word)
+            return sb.canonical_form(word)
+
+        monkeypatch.setattr(decision, "canonical_form", recorded)
+        beta_A = sb.BraidWord(2, (1,))
+        rng = random.Random(7)
+        orbits = []
+        for text in ("s2 s2", "s2 s1 s1 S2 s2 s1 s1 S2"):
+            core = sb.BraidWord.parse(3, text)
+            orbits.append(core)
+            for _ in range(3):
+                c = random_kernel_word(rng, 2, 1, 1)
+                orbits.append(conjugated_kernel_part(2, 1, beta_A, core, c))
+        orbits = list(dict.fromkeys(orbits))
+        res = sb.partition_sn_classes(2, 1, beta_A, orbits, sb.Budget(3, 2000))
+        assert len(res.classes) == 2
+        lift = sb.section(2, 1, beta_A).word
+        assert [computed.count(sb.compose(lift, w)) for w in orbits] == [1] * len(orbits)
+
+
+class TestBudget:
+    @pytest.mark.parametrize(
+        "args,field",
+        [((2.5, 10), "max_length"), ((3, 10.5), "max_states"), ((True, 5), "max_length"),
+         ((3, False), "max_states"), (("3", 10), "max_length")],
+    )
+    def test_rejects_non_integers(self, args, field):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            sb.Budget(*args)
+
+    def test_accepts_integers(self):
+        assert sb.Budget(0, 0) == sb.Budget(max_length=0, max_states=0)
 
 
 def test_verdict_json_shapes():

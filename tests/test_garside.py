@@ -402,6 +402,18 @@ def tau_form(x):
     return CanonicalForm(x.strands, x.delta_power, tuple(map(garside._tau, x.factors)))
 
 
+def cycle_form(v):
+    """garside._cycle with its simple conjugator as a canonical form."""
+    w, s = garside._cycle(v)
+    return w, CanonicalForm.simple(v.strands, s)
+
+
+def product(n, factors):
+    """The canonical form of a list of simple factors, as a walk records a
+    conjugator."""
+    return CanonicalForm(n, *garside._normalize(n, factors))
+
+
 def reference_decycle(v):
     """One decycling step, A_k v A_k^-1, with the fixpoint sweep; returns
     (new element, conjugator used)."""
@@ -422,7 +434,7 @@ def two_round_summit(cf):
     while improved:
         improved = False
         for step, better in (
-            (garside._cycle, lambda w, v: w.inf > v.inf),
+            (cycle_form, lambda w, v: w.inf > v.inf),
             (reference_decycle, lambda w, v: w.sup < v.sup),
         ):
             stale = 0
@@ -447,7 +459,7 @@ class TestSummit:
             x = canonical_form(random_word(rng, n, 40))
             if not x.factors:
                 continue
-            cycled, s = garside._cycle(x.inv())
+            cycled, s = cycle_form(x.inv())
             decycled, _ = reference_decycle(x)
             assert tau_form(cycled.inv()) == decycled
             assert s.inv().mul(x).mul(s) == cycled.inv()
@@ -463,7 +475,8 @@ class TestSummit:
             for _ in range(40):
                 forms.append(canonical_form(random_word(rng, n, 48)))
         for cf in forms:
-            v, g = garside._summit(cf)
+            v, factors = garside._summit(cf)
+            g = product(cf.strands, factors)
             ref, _ = two_round_summit(cf)
             assert (v.inf, v.sup) == (ref.inf, ref.sup)
             assert g.inv().mul(cf).mul(g) == v
@@ -580,7 +593,8 @@ def closure_only_is_conjugate(a, b):
     found = garside._closure_search(va, ga, vb)
     if found is None:
         return sb.ConjugacyResult(False)
-    return sb.ConjugacyResult(True, sb.free_reduce(found.mul(gb.inv()).to_word()))
+    witness = product(n, found).mul(product(n, gb).inv())
+    return sb.ConjugacyResult(True, sb.free_reduce(witness.to_word()))
 
 
 def near_miss(rng, w):
@@ -612,6 +626,15 @@ def reference_pairs():
             if n < 6:
                 pairs.append((near_miss(rng, a), b))
     return pairs
+
+
+def seeded_forms():
+    rng = random.Random(22)
+    for _ in range(60):
+        n = rng.randint(3, 6)
+        cf = canonical_form(random_word(rng, n, 30))
+        if cf.factors:
+            yield cf
 
 
 class TestCircuitMeet:
@@ -652,22 +675,14 @@ class TestCircuitMeet:
 
         monkeypatch.setattr(garside, "_closure_search", refuse)
 
-    def seeded_forms(self):
-        rng = random.Random(22)
-        for _ in range(60):
-            n = rng.randint(3, 6)
-            cf = canonical_form(random_word(rng, n, 30))
-            if cf.factors:
-                yield cf
-
     def test_cycled_conjugate_meets(self, no_closure):
-        for cf in self.seeded_forms():
+        for cf in seeded_forms():
             a, b = cf.to_word(), garside._cycle(cf)[0].to_word()
             check_witness(a, b, sb.is_conjugate(a, b))
             check_witness(b, a, sb.is_conjugate(b, a))
 
     def test_delta_conjugate_meets(self, no_closure):
-        for cf in self.seeded_forms():
+        for cf in seeded_forms():
             a = cf.to_word()
             d = sb.delta(a.strands)
             b = sb.compose(sb.compose(sb.invert(d), a), d)
@@ -687,6 +702,192 @@ class TestCircuitMeet:
         a = sb.BraidWord(n, tuple(range(1, n)))
         b = sb.BraidWord(n, tuple(range(n - 1, 0, -1)))
         check_witness(a, b, sb.is_conjugate(a, b))
+
+
+def stepwise_summit(cf):
+    """garside._summit as it was when the conjugator was multiplied out at
+    every cycling step."""
+    n = cf.strands
+    bound = max(1, n * (n - 1) // 2)
+    v, g = cf, CanonicalForm.identity(n)
+    for _ in range(2):
+        stale = 0
+        while stale < bound and v.factors:
+            w, s = cycle_form(v)
+            stale = 0 if w.inf > v.inf else stale + 1
+            v, g = w, g.mul(s)
+        v = v.inv()
+    return v, g
+
+
+def stepwise_orbit(v):
+    """garside._cycling_orbit with each simple conjugator as a canonical form."""
+    orbit, steps, start = garside._cycling_orbit(v)
+    return orbit, [CanonicalForm.simple(v.strands, s) for s in steps], start
+
+
+def stepwise_closure(va, ga, target):
+    """garside._closure_search as it was when every visited element kept
+    the product of its conjugator."""
+    n = va.strands
+    if va == target:
+        return ga
+    inf_sup = (va.inf, va.sup)
+    visited = {va: ga}
+    rejected, members = set(), set()
+    frontier = [va]
+    while frontier:
+        frontier.sort(key=CanonicalForm.sort_key)
+        nxt = []
+        for v in frontier:
+            h = visited[v]
+            for _, s, s_inv in garside._simple_conjugators(n):
+                w = s_inv.mul(v).mul(s)
+                if (w.inf, w.sup) != inf_sup or w in visited or w in rejected:
+                    continue
+                if w not in members:
+                    orbit, _, start = garside._cycling_orbit(w)
+                    rejected.update(orbit[:start])
+                    members.update(orbit[start:])
+                    if start != 0:
+                        continue
+                visited[w] = h.mul(s)
+                if w == target:
+                    return visited[w]
+                nxt.append(w)
+        frontier = nxt
+    return None
+
+
+def stepwise_is_conjugate(a, b):
+    """is_conjugate as it was when the summit, circuit and closure walks
+    multiplied their conjugators out step by step."""
+    n = a.strands
+    if sb.exponent_sum(a) != sb.exponent_sum(b):
+        return sb.ConjugacyResult(False)
+    if sb.permutation(a).cycle_type() != sb.permutation(b).cycle_type():
+        return sb.ConjugacyResult(False)
+    ca, cb = canonical_form(a), canonical_form(b)
+    if ca == cb:
+        return sb.ConjugacyResult(True, sb.BraidWord.identity(n))
+    va, ga = stepwise_summit(ca)
+    vb, gb = stepwise_summit(cb)
+    if (va.inf, va.sup) != (vb.inf, vb.sup):
+        return sb.ConjugacyResult(False)
+    orbit, steps, start = stepwise_orbit(va)
+    for s in steps[:start]:
+        ga = ga.mul(s)
+    orbit_b, steps_b, start_b = stepwise_orbit(vb)
+    for s in steps_b[:start_b]:
+        gb = gb.mul(s)
+    vb = orbit_b[start_b]
+    found = None
+    for j, v in enumerate(orbit[start:]):
+        if v == vb or v == tau_form(vb):
+            found = ga
+            for s in steps[start : start + j]:
+                found = found.mul(s)
+            if v != vb:
+                found = found.mul(CanonicalForm(n, 1, ()))
+            break
+    if found is None:
+        found = stepwise_closure(orbit[start], ga, vb)
+    if found is None:
+        return sb.ConjugacyResult(False)
+    return sb.ConjugacyResult(True, sb.free_reduce(found.mul(gb.inv()).to_word()))
+
+
+# (strands, seed) of conjugate pairs c b c^-1, b that miss each other's
+# cycling circuits and reach the closure in a few milliseconds each.
+CLOSURE_PAIRS = [(6, 0), (6, 2), (7, 5), (7, 14), (8, 15), (8, 17)]
+
+
+class TestFactorListConjugators:
+    """The walks record conjugators as lists of simple factors and
+    normalize them once per witness; the left normal form is unique, so
+    every answer is byte-identical to multiplying out step by step."""
+
+    def assert_same(self, a, b):
+        got, ref = sb.is_conjugate(a, b), stepwise_is_conjugate(a, b)
+        assert got.to_json() == ref.to_json(), (a, b)
+        return got
+
+    def test_reference_pairs(self):
+        for a, b in reference_pairs():
+            self.assert_same(a, b)
+
+    def test_coxeter_pair(self):
+        n = garside.MAX_CLOSURE_STRANDS + 1
+        a = sb.BraidWord(n, tuple(range(1, n)))
+        b = sb.BraidWord(n, tuple(range(n - 1, 0, -1)))
+        check_witness(a, b, self.assert_same(a, b))
+
+    def test_delta_conjugate_pairs(self, monkeypatch):
+        """Delta^-1 a Delta meets a on its circuit by the tau-image."""
+        meet = garside._circuit_meet
+        tau_matches = []
+
+        def recorded(circuit, steps, g, target):
+            found = meet(circuit, steps, g, target)
+            tau_matches.append(found is not None and target not in circuit)
+            return found
+
+        monkeypatch.setattr(garside, "_circuit_meet", recorded)
+        for cf in seeded_forms():
+            a = cf.to_word()
+            d = sb.delta(a.strands)
+            b = sb.compose(sb.compose(sb.invert(d), a), d)
+            check_witness(a, b, self.assert_same(a, b))
+            check_witness(b, a, self.assert_same(b, a))
+        assert any(tau_matches)
+
+    def test_closure_pairs(self, monkeypatch):
+        closure = garside._closure_search
+        reached = []
+
+        def counted(*args):
+            reached.append(args)
+            return closure(*args)
+
+        monkeypatch.setattr(garside, "_closure_search", counted)
+        for n, seed in CLOSURE_PAIRS:
+            b = seeded_word(n, seed, 8)
+            c = seeded_word(n, 1000 + seed, 6)
+            a = sb.free_reduce(sb.compose(sb.compose(c, b), sb.invert(c)))
+            reached.clear()
+            check_witness(a, b, self.assert_same(a, b))
+            assert reached, (n, seed)
+
+    @pytest.fixture
+    def mul_calls(self, monkeypatch):
+        calls = []
+        mul = CanonicalForm.mul
+
+        def counted(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(CanonicalForm, "mul", counted)
+        return calls
+
+    def test_summit_rejection_multiplies_nothing(self, mul_calls, monkeypatch):
+        """Same exponent sum and cycle type, summits [0, 1] and [-1, 3]."""
+        def refuse(v):
+            raise AssertionError("a cycling orbit was walked")
+
+        monkeypatch.setattr(garside, "_cycling_orbit", refuse)
+        a, b = sb.BraidWord.parse(3, "s1 s2"), sb.BraidWord.parse(3, "s1 s1 s1 S2")
+        assert not sb.is_conjugate(a, b).conjugate
+        assert mul_calls == []
+
+    def test_circuit_meet_multiplies_once(self, mul_calls, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the closure search ran")
+
+        monkeypatch.setattr(garside, "_closure_search", refuse)
+        a, b = sb.BraidWord(3, (1,)), sb.BraidWord(3, (2,))
+        assert sb.is_conjugate(a, b).witness.letters == (1, 2, 1)
+        assert len(mul_calls) == 1
 
 
 class TestConjugateModFullTwist:
