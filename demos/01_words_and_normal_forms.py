@@ -14,7 +14,7 @@ print(f"permutation:     {sb.permutation(w).images}")
 print(f"exponent sum:    {sb.exponent_sum(w)}")
 
 cf = sb.canonical_form(w)
-print(f"canonical form:  Delta^{cf.delta_power} with factors {list(cf.factors)}")
+print(f"canonical form:  Delta^{cf.delta_power} with factors {cf.to_json()['factors']}")
 print("(sigma1 sigma2 sigma1 is exactly the half twist of B_3)")
 print()
 

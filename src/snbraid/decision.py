@@ -369,13 +369,17 @@ def sn_equivalent_rel_A(inst: SNInstance, budget: Budget = Budget()) -> SNVerdic
 def sn_equivalent_twisted(inst: SNInstance, budget: Budget = Budget()) -> SNVerdict:
     """Twisted-conjugacy formulation: search for a kernel element c with
     beta_ox = phi_{beta_A}(c) * beta_oy * c^-1. Agrees with
-    sn_equivalent_rel_A on every instance."""
-    lift_cf = canonical_form(section(inst.n, inst.m, inst.beta_A).word)
-    lift_inv_cf = lift_cf.inv()
-    ox_cf = canonical_form(inst.beta_ox)
-    oy_cf = canonical_form(inst.beta_oy)
+    sn_equivalent_rel_A on every instance. The forms `accept` needs are
+    built on its first call, so an instance the screens or the ambient
+    test settle builds none."""
+
+    @functools.cache
+    def forms() -> tuple[CanonicalForm, ...]:
+        lift_cf = canonical_form(section(inst.n, inst.m, inst.beta_A).word)
+        return lift_cf, lift_cf.inv(), canonical_form(inst.beta_ox), canonical_form(inst.beta_oy)
 
     def accept(c: BraidWord, c_cf: CanonicalForm) -> bool:
+        lift_cf, lift_inv_cf, ox_cf, oy_cf = forms()
         twisted = lift_inv_cf.mul(c_cf).mul(lift_cf)
         return twisted.mul(oy_cf).mul(c_cf.inv()) == ox_cf
 

@@ -3,8 +3,8 @@ Garside left canonical form and the conjugacy decision for Artin braid groups.
 
 A braid is stored as Delta^p A_1 ... A_k where Delta is the positive half
 twist and each factor A_i is a permutation braid (a positive braid in which
-any two strands cross at most once), identified with its permutation.
-Adjacent factors satisfy the left-weighted condition: the starting set of
+any two strands cross at most once), identified with its permutation and
+stored as that permutation's rank (see below). Adjacent factors satisfy the left-weighted condition: the starting set of
 A_{i+1} is contained in the finishing set of A_i. Two words are equal in B_n
 iff their canonical forms are identical, which solves the word problem.
 
@@ -39,15 +39,22 @@ super summit set). Two braids are conjugate iff their ultra summit sets
 intersect. Every walk records its conjugator as a list of simple factors,
 normalized once, and only when it becomes the witness.
 
-Internally permutations are 0-based tuples mapping start position to end
-position, composed left-to-right: `_pmul(p, q)` is "p then q".
+A simple element is stored as the lexicographic rank of its permutation,
+an int (see `_Simples`): factor lists, conjugator lists and canonical forms
+hold ranks, and left-weighting, tau and the Delta-complement are read from
+int-keyed tables, so the hot loops hash and compare ints only. Rank order
+is the order of the permutation tuples, so every sort and search order is
+that of the permutations. `CanonicalForm.to_json` and `to_word` are where
+a rank is read back as a permutation. The permutations themselves are
+0-based tuples mapping start position to end position, composed
+left-to-right: `_pmul(p, q)` is "p then q".
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
+import math
 from typing import Iterable
 
 from .words import (
@@ -62,11 +69,6 @@ Perm = tuple[int, ...]
 
 # ---------------------------------------------------------------------------
 # permutation-braid primitives
-
-
-@functools.lru_cache(maxsize=None)
-def _pid(n: int) -> Perm:
-    return tuple(range(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,20 +88,17 @@ def _pinv(p: Perm) -> Perm:
     return tuple(inv)
 
 
-@functools.lru_cache(maxsize=1 << 18)
 def _tau(p: Perm) -> Perm:
     """Conjugation by Delta: tau(x) = Delta^-1 x Delta. An involution."""
     w0 = _pw0(len(p))
     return _pmul(_pmul(w0, p), w0)
 
 
-@functools.lru_cache(maxsize=1 << 18)
 def _delta_complement(p: Perm) -> Perm:
     """The simple element Delta * p^-1, so that p^-1 = Delta^-1 * complement."""
     return _pmul(_pw0(len(p)), _pinv(p))
 
 
-@functools.lru_cache(maxsize=1 << 20)
 def _leftweight(x: Perm, y: Perm) -> tuple[Perm, Perm]:
     """Rebalance the pair so that (x', y') is left-weighted and x'y' = xy.
 
@@ -109,7 +108,7 @@ def _leftweight(x: Perm, y: Perm) -> tuple[Perm, Perm]:
     """
     n = len(x)
     lx, ly = list(x), list(y)
-    ix, iy = list(_pinv(x)), list(_pinv(y))
+    ix = list(_pinv(x))
     moved = True
     while moved:
         moved = False
@@ -120,16 +119,107 @@ def _leftweight(x: Perm, y: Perm) -> tuple[Perm, Perm]:
                 a, b = ix[i], ix[i + 1]
                 lx[a], lx[b] = i + 1, i
                 ix[i], ix[i + 1] = b, a
-                v, w = ly[i], ly[i + 1]
-                ly[i], ly[i + 1] = w, v
-                iy[w], iy[v] = i, i + 1
+                ly[i], ly[i + 1] = ly[i + 1], ly[i]
                 moved = True
     return tuple(lx), tuple(ly)
 
 
+# ---------------------------------------------------------------------------
+# simple elements as ranks
+
+
+def _rank(p: Perm) -> int:
+    """The lexicographic rank of p among the permutations of its length:
+    the identity is 0 and the reversal, Delta, is n! - 1."""
+    n = len(p)
+    r = seen = 0
+    for i, v in enumerate(p):
+        # v less the number of smaller values before it
+        r = r * (n - i) + v - (seen & ((1 << v) - 1)).bit_count()
+        seen |= 1 << v
+    return r
+
+
+def _unrank(n: int, r: int) -> Perm:
+    """The permutation of range(n) whose lexicographic rank is r."""
+    digits = []
+    for k in range(1, n + 1):
+        r, d = divmod(r, k)
+        digits.append(d)
+    free = list(range(n))
+    return tuple([free.pop(d) for d in reversed(digits)])
+
+
+class _Memo(dict):
+    """A memo table: a hit is a plain dict lookup, done in C, and a miss
+    computes the entry with `fill`. The tables of one kind, one per strand
+    count, share `family` and a bound on their entries together: a miss
+    that finds the bound reached empties them all first, so no input makes
+    them grow without bound."""
+
+    __slots__ = ("fill", "family", "bound")
+
+    def __init__(self, fill, family: list, bound: int):
+        super().__init__()
+        self.fill, self.family, self.bound = fill, family, bound
+        family.append(self)
+
+    def __missing__(self, key: int):
+        if sum(map(len, self.family)) >= self.bound:
+            for table in self.family:
+                table.clear()
+        value = self[key] = self.fill(key)
+        return value
+
+
+_PERMS: list[_Memo] = []
+_RANKS: list[_Memo] = []
+_TAUS: list[_Memo] = []
+_COMPLEMENTS: list[_Memo] = []
+_LEFTWEIGHTS: list[_Memo] = []
+
+
+class _Simples:
+    """The simple elements of B_n, each identified by the lexicographic
+    rank of its permutation: 0 is the identity, n! - 1 is Delta, and rank
+    order is the order of the permutation tuples. Tables keyed by rank give
+    tau, the Delta-complement and the permutation; the left-weighting of a
+    pair (x, y) is keyed by x * n! + y and gives a pair of ranks. The
+    tables fill as they are read, each miss computed once on permutations
+    (`_tau`, `_delta_complement`, `_leftweight`) and ranked back through the
+    `rank` table, keyed by permutation."""
+
+    __slots__ = ("count", "delta", "perm", "rank", "tau", "complement", "leftweight")
+
+    def __init__(self, n: int):
+        count = math.factorial(n)
+        self.count = count
+        self.delta = count - 1
+        perm = self.perm = _Memo(functools.partial(_unrank, n), _PERMS, 1 << 18)
+        rank = self.rank = _Memo(_rank, _RANKS, 1 << 18)
+
+        def on_perm(f):
+            return lambda r: rank[f(perm[r])]
+
+        def leftweight(key: int) -> tuple[int, int]:
+            x, y = divmod(key, count)
+            lx, ly = _leftweight(perm[x], perm[y])
+            return rank[lx], rank[ly]
+
+        self.tau = _Memo(on_perm(_tau), _TAUS, 1 << 18)
+        self.complement = _Memo(on_perm(_delta_complement), _COMPLEMENTS, 1 << 18)
+        self.leftweight = _Memo(leftweight, _LEFTWEIGHTS, 1 << 20)
+
+
+@functools.lru_cache(maxsize=None)
+def _simples(n: int) -> _Simples:
+    """The rank tables of B_n, made on first use."""
+    return _Simples(n)
+
+
 def _normalize(
-    n: int, factors: Iterable[Perm], weighted: Iterable[Perm] = ()
-) -> tuple[int, tuple[Perm, ...]]:
+    n: int, factors: Iterable[int], weighted: Iterable[int] = ()
+) -> tuple[int, tuple[int, ...]]:
     """Left-weight `weighted + factors`; return the power of Delta in the
     product and the remaining factors (no Delta, no id).
 
@@ -137,7 +227,7 @@ def _normalize(
     factors of a canonical form, or their tau-images, since tau keeps pairs
     left-weighted. The other factors are pushed onto it one at a time. A
     push appends the factor and left-weights pairs from the right end
-    leftward, stopping at the first pair `_leftweight` leaves unchanged
+    leftward, stopping at the first pair left-weighting leaves unchanged
     (El-Rifai and Morton 1994). Left-weighting every pair from right to
     left yields a left-weighted list, and stopping early gives the same
     list: once a pair is unchanged, each pair further left still holds its
@@ -145,47 +235,49 @@ def _normalize(
     Only the pushed factor can be absorbed whole, so an identity factor
     can only appear at the end, where it is dropped. The left normal form
     is unique, so this equals what sweeping all pairs to a fixpoint gives,
-    at a fraction of the `_leftweight` calls.
+    at a fraction of the left-weighting lookups.
 
     A push that turns a factor into Delta ends there: a Delta = Delta tau(a)
     (Epstein et al., Word Processing in Groups, ch. 9), so the Delta is
     dropped and counted in `flips`, and only the factors before it change,
     by tau. Each stored factor is tau^flips of its true value: tau is an
-    automorphism of the simple elements, so `_leftweight` commutes with it
+    automorphism of the simple elements, so left-weighting commutes with it
     and runs on the stored values as they are. An absorption thus leaves
     the factors before the Delta as stored and re-twists only those after
     it, all written by this push, so a push costs only the distance it
     travels; one tau pass at the end undoes an odd `flips`. Delta factors
-    at the front, which `_leftweight` never changes, stay there and are
-    counted with the rest."""
-    w0 = _pw0(n)
-    idp = _pid(n)
+    at the front, which left-weighting never changes, stay there and are
+    counted with the rest. Factors are ranks (see `_Simples`), so the
+    identity is 0."""
+    simples = _simples(n)
+    count, delta, leftweight = simples.count, simples.delta, simples.leftweight
+    tau = simples.tau.__getitem__
     out = list(weighted)
     flips = 0
     for f in factors:
-        if f == idp:
+        if not f:
             continue
         i = len(out)
-        out.append(_tau(f) if flips & 1 else f)
+        out.append(tau(f) if flips & 1 else f)
         while i > 0:
             a = out[i - 1]
-            x, y = _leftweight(a, out[i])
+            x, y = leftweight[a * count + out[i]]
             if x == a:
                 break
             out[i] = y
-            if x == w0:
+            if x == delta:
                 del out[i - 1]
                 flips += 1
-                out[i - 1 :] = map(_tau, out[i - 1 :])
+                out[i - 1 :] = map(tau, out[i - 1 :])
                 break
             out[i - 1] = x
             i -= 1
-        if out[-1] == idp:
+        if not out[-1]:
             out.pop()
     if flips & 1:
-        out = list(map(_tau, out))
+        out = list(map(tau, out))
     lo = 0
-    while lo < len(out) and out[lo] == w0:
+    while lo < len(out) and out[lo] == delta:
         lo += 1
     return flips + lo, tuple(out[lo:])
 
@@ -212,21 +304,26 @@ def _perm_word(p: Perm) -> list[int]:
 
 @dataclasses.dataclass(frozen=True)
 class CanonicalForm:
-    """Left canonical form Delta^p A_1 ... A_k; the group-element identity."""
+    """Left canonical form Delta^p A_1 ... A_k; the group-element identity.
+
+    Each factor A_i is the lexicographic rank of its permutation (see
+    `_Simples`), an int from 1 to n! - 2; `to_json` and `to_word` are the
+    ways to read it as a permutation."""
 
     strands: int
     delta_power: int
-    factors: tuple[Perm, ...]
+    factors: tuple[int, ...]
 
     @staticmethod
     def identity(n: int) -> "CanonicalForm":
         return CanonicalForm(n, 0, ())
 
     @staticmethod
-    def simple(n: int, p: Perm) -> "CanonicalForm":
-        if p == _pid(n):
+    def simple(n: int, p: int) -> "CanonicalForm":
+        """The simple element of rank p."""
+        if p == 0:
             return CanonicalForm(n, 0, ())
-        if p == _pw0(n):
+        if p == _simples(n).delta:
             return CanonicalForm(n, 1, ())
         return CanonicalForm(n, 0, (p,))
 
@@ -242,18 +339,22 @@ class CanonicalForm:
         if self.strands != other.strands:
             raise StrandMismatchError("strand counts differ")
         q = other.delta_power
-        left = self.factors if q % 2 == 0 else map(_tau, self.factors)
+        left = self.factors
+        if q % 2:
+            left = map(_simples(self.strands).tau.__getitem__, left)
         shift, fs = _normalize(self.strands, other.factors, weighted=left)
         return CanonicalForm(self.strands, self.delta_power + q + shift, fs)
 
     def inv(self) -> "CanonicalForm":
         k = len(self.factors)
         p = self.delta_power
+        simples = _simples(self.strands)
+        complement, tau = simples.complement, simples.tau
         factors = []
         for j, a in enumerate(reversed(self.factors)):  # a = A_k, A_{k-1}, ...
-            y = _delta_complement(a)
+            y = complement[a]
             if (k - 1 - j + p) % 2 == 1:
-                y = _tau(y)
+                y = tau[y]
             factors.append(y)
         # The complements of a left-weighted list, reversed and twisted by
         # tau as above, are again left-weighted (El-Rifai and Morton 1994),
@@ -270,18 +371,20 @@ class CanonicalForm:
             else:
                 inv = [-k for k in reversed(dw)]
                 letters.extend(inv * (-self.delta_power))
+        perm = _simples(n).perm
         for f in self.factors:
-            letters.extend(_perm_word(f))
+            letters.extend(_perm_word(perm[f]))
         return BraidWord(n, tuple(letters))
 
     def sort_key(self):
         return (self.delta_power, len(self.factors), self.factors)
 
     def to_json(self) -> dict:
+        perm = _simples(self.strands).perm
         return {
             "n": self.strands,
             "delta_power": self.delta_power,
-            "factors": [[v + 1 for v in f] for f in self.factors],
+            "factors": [[v + 1 for v in perm[f]] for f in self.factors],
         }
 
 
@@ -294,11 +397,11 @@ def _delta_letters(n: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _letter_factors(n: int) -> dict[int, tuple[Perm, Perm]]:
-    """For each letter k of B_n, the simple factor that stands for it in a
-    canonical form and that factor's tau-image: sigma_i itself for k = i,
-    and Delta sigma_i^-1 for k = -i, since sigma_i^-1 = Delta^-1 (Delta
-    sigma_i^-1)."""
+def _letter_factors(n: int) -> dict[int, tuple[int, int]]:
+    """For each letter k of B_n, the rank of the simple factor that stands
+    for it in a canonical form and that of the factor's tau-image: sigma_i
+    itself for k = i, and Delta sigma_i^-1 for k = -i, since sigma_i^-1 =
+    Delta^-1 (Delta sigma_i^-1)."""
     w0 = _pw0(n)
     table = {}
     for i in range(1, n):
@@ -306,7 +409,7 @@ def _letter_factors(n: int) -> dict[int, tuple[Perm, Perm]]:
         swap[i - 1], swap[i] = i, i - 1
         s = tuple(swap)
         for k, f in ((i, s), (-i, _pmul(w0, s))):
-            table[k] = (f, _tau(f))
+            table[k] = (_rank(f), _rank(_tau(f)))
     return table
 
 
@@ -318,7 +421,7 @@ def canonical_form(a: BraidWord) -> CanonicalForm:
     # Collect the Delta^-1 powers at the front; each factor gets conjugated
     # by the Delta power accumulated to its right.
     table = _letter_factors(n)
-    factors: list[Perm] = []
+    factors: list[int] = []
     delta_pow = 0
     for k in reversed(a.letters):
         factors.append(table[k][delta_pow % 2])
@@ -366,8 +469,9 @@ class ConjugacyResult:
         return out
 
 
-# The closure search conjugates by all n! - 1 simple elements, a table that
-# takes about half a second and 30 MB at n = 8 and grows about ninefold per
+# The closure search conjugates by all n! - 1 simple elements, a table of
+# their forms and inverse forms that takes about half a second and 31 MB to
+# build at n = 8 (2-vCPU guest, Python 3.11) and grows about ninefold per
 # strand; 8 is the largest strand count the tests and benchmark exercise.
 # Pairs that meet on a cycling circuit never reach the closure, so the limit
 # refuses only the pairs that do not.
@@ -375,31 +479,27 @@ MAX_CLOSURE_STRANDS = 8
 
 
 @functools.lru_cache(maxsize=None)
-def _simple_conjugators(
-    n: int,
-) -> tuple[tuple[Perm, CanonicalForm, CanonicalForm], ...]:
-    """All nontrivial simple elements of B_n as (permutation, form, inverse
-    form), in lexicographic order of the permutation."""
+def _simple_conjugators(n: int) -> tuple[tuple[int, CanonicalForm, CanonicalForm], ...]:
+    """All nontrivial simple elements of B_n as (rank, form, inverse form),
+    the ranks running over range(1, n!)."""
     out = []
-    for p in itertools.permutations(range(n)):
-        if p == _pid(n):
-            continue
+    for p in range(1, _simples(n).count):
         s = CanonicalForm.simple(n, p)
         out.append((p, s, s.inv()))
     return tuple(out)
 
 
-def _cycle(v: CanonicalForm) -> tuple[CanonicalForm, Perm]:
+def _cycle(v: CanonicalForm) -> tuple[CanonicalForm, int]:
     """One cycling step; returns (new element, simple conjugator used)."""
     if not v.factors:
-        return v, _pid(v.strands)
+        return v, 0
     a1 = v.factors[0]
-    iota = _tau(a1) if v.delta_power % 2 == 1 else a1
+    iota = _simples(v.strands).tau[a1] if v.delta_power % 2 == 1 else a1
     shift, fs = _normalize(v.strands, (iota,), weighted=v.factors[1:])
     return CanonicalForm(v.strands, v.delta_power + shift, fs), iota
 
 
-def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, list[Perm]]:
+def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, list[int]]:
     """Bring cf into its super summit set by cycling alone; returns the
     summit element v and the simple factors s_1, ..., s_k of a conjugator
     g = s_1 ... s_k with v = g^-1 * cf * g.
@@ -430,13 +530,13 @@ def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, list[Perm]]:
 
 def _cycling_orbit(
     v: CanonicalForm,
-) -> tuple[list[CanonicalForm], list[Perm], int]:
+) -> tuple[list[CanonicalForm], list[int], int]:
     """Cycle v until an element repeats. Returns the elements visited, the
-    simple conjugator s_i of each step as a permutation (orbit[i + 1] =
+    simple conjugator s_i of each step (orbit[i + 1] =
     s_i^-1 orbit[i] s_i) and the index where the circuit starts; v lies on
     its own circuit, that is in its ultra summit set, iff that index is 0."""
     orbit = [v]
-    steps: list[Perm] = []
+    steps: list[int] = []
     seen = {v: 0}
     while True:
         w, s = _cycle(orbit[-1])
@@ -448,8 +548,8 @@ def _cycling_orbit(
 
 
 def _to_circuit(
-    v: CanonicalForm, g: list[Perm]
-) -> tuple[CanonicalForm, list[Perm]]:
+    v: CanonicalForm, g: list[int]
+) -> tuple[CanonicalForm, list[int]]:
     """The first element of v's cycling circuit, with the simple factors g
     extended by the conjugators that lead there."""
     orbit, steps, start = _cycling_orbit(v)
@@ -503,10 +603,10 @@ def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
 
 def _circuit_meet(
     circuit: list[CanonicalForm],
-    steps: list[Perm],
-    g: list[Perm],
+    steps: list[int],
+    g: list[int],
     target: CanonicalForm,
-) -> list[Perm] | None:
+) -> list[int] | None:
     """Look for target, or its tau-image Delta^-1 target Delta, on a cycling
     circuit whose first element is g^-1 * (original a) * g, with the simple
     conjugator of each cycling step (circuit[j + 1] = s_j^-1 circuit[j] s_j).
@@ -518,19 +618,21 @@ def _circuit_meet(
     tau-match circuit[j] = Delta^-1 target Delta needs one more Delta, as
     Delta^2 is central. Every element found is an explicit conjugate of a,
     so a match is sound; a miss decides nothing."""
-    n = target.strands
-    target_tau = CanonicalForm(n, target.delta_power, tuple(map(_tau, target.factors)))
+    simples = _simples(target.strands)
+    target_tau = CanonicalForm(
+        target.strands, target.delta_power, tuple(map(simples.tau.__getitem__, target.factors))
+    )
     for j, v in enumerate(circuit):
         if v == target:
             return g + steps[:j]
         if v == target_tau:
-            return g + steps[:j] + [_pw0(n)]
+            return g + steps[:j] + [simples.delta]
     return None
 
 
 def _closure_search(
-    va: CanonicalForm, ga: list[Perm], target: CanonicalForm
-) -> list[Perm] | None:
+    va: CanonicalForm, ga: list[int], target: CanonicalForm
+) -> list[int] | None:
     """Close the ultra summit set of va under simple-element conjugation,
     breadth first in lexicographic order of the canonical-form encoding.
     Conjugators are lists of simple factors, ga leading from the original
@@ -554,7 +656,7 @@ def _closure_search(
         )
     inf_sup = (va.inf, va.sup)
     simples = _simple_conjugators(n)
-    parent: dict[CanonicalForm, tuple[CanonicalForm, Perm] | None] = {va: None}
+    parent: dict[CanonicalForm, tuple[CanonicalForm, int] | None] = {va: None}
     rejected: set[CanonicalForm] = set()
     members: set[CanonicalForm] = set()
     frontier = [va]

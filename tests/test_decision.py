@@ -329,6 +329,35 @@ class TestTwisted:
         assert v.status == sb.EQUIVALENT
         verify(inst, v)
 
+    def test_forms_built_only_for_the_search(self, monkeypatch):
+        """An instance the screens or the ambient test settle computes no
+        canonical form; one that reaches the kernel search normalizes the
+        lift and the two orbits once each, however often it accepts."""
+        from snbraid import decision
+
+        computed = []
+
+        def recorded(word):
+            computed.append(word)
+            return sb.canonical_form(word)
+
+        screened = sb.SNInstance(2, 1, sb.BraidWord(2, ()), A2, sb.free_reduce(A2 * A2))
+        ambient = sb.SNInstance(
+            2, 1, sb.BraidWord(2, (-1,)), sb.BraidWord(3, (2, -1, -1, 2)), sb.BraidWord(3, ())
+        )
+        searched = TestKernelSearchPinned().instance(
+            "S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1"
+        )
+        monkeypatch.setattr(decision, "canonical_form", recorded)
+        assert sb.sn_equivalent_twisted(screened).certificate.invariant == "exponent_sum"
+        assert sb.sn_equivalent_twisted(ambient).certificate.invariant == "not conjugate in B_3"
+        assert computed == []
+        v = sb.sn_equivalent_twisted(searched, TestKernelSearchPinned.BUDGET)
+        assert v.status == sb.EQUIVALENT
+        lift = sb.section(searched.n, searched.m, searched.beta_A).word
+        for word in (lift, searched.beta_ox, searched.beta_oy):
+            assert computed.count(word) == 1
+
 
 class TestFixedPointCase:
     def test_equal_words(self):

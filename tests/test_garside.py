@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -18,6 +20,47 @@ def finishing_set(images):
     for i, v in enumerate(images):
         inv[v] = i
     return {i for i in range(len(inv) - 1) if inv[i] > inv[i + 1]}
+
+
+# The Garside core stores each simple factor as the lexicographic rank of
+# its permutation; the reference code below works on permutations, and
+# these convert at the boundary.
+
+
+def ranks(factors):
+    """Permutations as the ranks the Garside core stores."""
+    return tuple(garside._rank(f) for f in factors)
+
+
+def perms(n, factors):
+    """Ranks of simple elements of B_n as permutations."""
+    return tuple(garside._unrank(n, r) for r in factors)
+
+
+def normalize_perms(n, factors, weighted=()):
+    """garside._normalize on factors given and returned as permutations."""
+    shift, fs = garside._normalize(n, ranks(factors), weighted=ranks(weighted))
+    return shift, perms(n, fs)
+
+
+class CountedLookups(dict):
+    """Stands in for a memo table and counts the lookups made through it."""
+
+    def __init__(self, table):
+        super().__init__()
+        self.table, self.count = table, 0
+
+    def __getitem__(self, key):
+        self.count += 1
+        return self.table[key]
+
+
+def count_leftweight(monkeypatch, n):
+    """Route every left-weighting lookup on n strands through a counter."""
+    simples = garside._simples(n)
+    counted = CountedLookups(simples.leftweight)
+    monkeypatch.setattr(simples, "leftweight", counted)
+    return counted
 
 
 class TestCanonicalForm:
@@ -46,9 +89,10 @@ class TestCanonicalForm:
             cf = canonical_form(random_word(rng, n, 25))
             idp = tuple(range(n))
             w0 = tuple(range(n - 1, -1, -1))
-            for f in cf.factors:
+            factors = perms(n, cf.factors)
+            for f in factors:
                 assert f != idp and f != w0
-            for a, b in zip(cf.factors, cf.factors[1:]):
+            for a, b in zip(factors, factors[1:]):
                 assert starting_set(b) <= finishing_set(a)
 
     def test_inverse_cancels(self):
@@ -62,6 +106,10 @@ class TestCanonicalForm:
         assert doc == {"n": 3, "delta_power": 0, "factors": [[2, 1, 3]]}
 
 
+# The reference sweeps left-weight the same pairs of permutations many times.
+leftweight = functools.lru_cache(maxsize=1 << 16)(garside._leftweight)
+
+
 def fixpoint_normalize(n, factors):
     """Reference normaliser: sweep all adjacent pairs until none changes,
     then count the leading Delta factors and drop trailing identities."""
@@ -73,7 +121,7 @@ def fixpoint_normalize(n, factors):
         changed = False
         for i in range(len(factors) - 1):
             a, b = factors[i], factors[i + 1]
-            x, y = garside._leftweight(a, b)
+            x, y = leftweight(a, b)
             if (x, y) != (a, b):
                 factors[i], factors[i + 1] = x, y
                 changed = True
@@ -86,8 +134,10 @@ def fixpoint_normalize(n, factors):
 
 
 def reference_make(n, delta_power, factors):
+    """The canonical form of Delta^delta_power times factors, given as
+    permutations, by the fixpoint sweep."""
     shift, fs = fixpoint_normalize(n, list(factors))
-    return CanonicalForm(n, delta_power + shift, fs)
+    return CanonicalForm(n, delta_power + shift, ranks(fs))
 
 
 def random_factors(rng, n, count):
@@ -122,7 +172,9 @@ def reference_word_form(w):
         s = tuple(s)
         # sigma_i^-1 = Delta^-1 (Delta sigma_i^-1), and Delta sigma_i^-1 is simple
         q, f = (0, s) if k > 0 else (-1, tuple(s[v] for v in w0))
-        left = out.factors if q % 2 == 0 else [garside._tau(a) for a in out.factors]
+        left = perms(n, out.factors)
+        if q % 2:
+            left = [garside._tau(a) for a in left]
         out = reference_make(n, out.delta_power + q, list(left) + [f])
     return out
 
@@ -169,7 +221,7 @@ def delta_sites(n, factors, weighted=()):
         made = False
         while i > 0:
             a = out[i - 1]
-            x, y = garside._leftweight(a, out[i])
+            x, y = leftweight(a, out[i])
             if x == a:
                 break
             if x == w0 and not made:
@@ -190,7 +242,7 @@ class TestIncrementalNormalForm:
         for n in range(2, 8):
             for _ in range(12):
                 factors = random_factors(rng, n, rng.randint(0, 200))
-                assert garside._normalize(n, factors) == fixpoint_normalize(n, factors)
+                assert normalize_perms(n, factors) == fixpoint_normalize(n, factors)
 
     def test_weighted_prefix(self):
         rng = random.Random(13)
@@ -198,10 +250,10 @@ class TestIncrementalNormalForm:
             for _ in range(12):
                 _, head = fixpoint_normalize(n, random_factors(rng, n, rng.randint(0, 100)))
                 tail = random_factors(rng, n, rng.randint(0, 100))
-                got = garside._normalize(n, tail, weighted=head)
+                got = normalize_perms(n, tail, weighted=head)
                 assert got == fixpoint_normalize(n, list(head) + tail)
                 flipped = [garside._tau(f) for f in head]
-                got = garside._normalize(n, tail, weighted=map(garside._tau, head))
+                got = normalize_perms(n, tail, weighted=map(garside._tau, head))
                 assert got == fixpoint_normalize(n, flipped + tail)
 
     def test_operations_match_reference(self):
@@ -210,16 +262,17 @@ class TestIncrementalNormalForm:
             n = rng.randint(2, 7)
             x = canonical_form(random_word(rng, n, 40))
             y = canonical_form(random_word(rng, n, 40))
-            left = x.factors if y.delta_power % 2 == 0 else [garside._tau(f) for f in x.factors]
+            xf, yf = perms(n, x.factors), perms(n, y.factors)
+            left = xf if y.delta_power % 2 == 0 else [garside._tau(f) for f in xf]
             assert x.mul(y) == reference_make(
-                n, x.delta_power + y.delta_power, list(left) + list(y.factors)
+                n, x.delta_power + y.delta_power, list(left) + list(yf)
             )
             assert x.inv() == reference_word_form(sb.invert(x.to_word()))
             if x.factors:
                 p = x.delta_power
-                first = garside._tau(x.factors[0]) if p % 2 else x.factors[0]
+                first = garside._tau(xf[0]) if p % 2 else xf[0]
                 cycled, _ = garside._cycle(x)
-                assert cycled == reference_make(n, p, list(x.factors[1:]) + [first])
+                assert cycled == reference_make(n, p, list(xf[1:]) + [first])
 
     def test_leftweight_commutes_with_tau(self):
         """The single push loop left-weights factors stored as tau-images,
@@ -265,13 +318,14 @@ class TestIncrementalNormalForm:
                         seen.add("front" if j == 0 else "end" if j == last - 1 else "middle")
                     if len(sites) >= 3:
                         seen.add("repeated")
-                    got = garside._normalize(n, tail, weighted=prefix)
+                    got = normalize_perms(n, tail, weighted=prefix)
                     assert got == fixpoint_normalize(n, prefix + tail)
         assert seen == {"front", "middle", "end", "repeated"}
 
-    def test_calls_per_letter_flat(self):
+    def test_calls_per_letter_flat(self, monkeypatch):
         """A push costs only the distance it travels, so left-weighting
-        calls per letter do not grow with the word length."""
+        lookups per letter do not grow with the word length."""
+        counted = count_leftweight(monkeypatch, 5)
 
         def calls_per_letter(length, seeds):
             calls = 0
@@ -280,23 +334,119 @@ class TestIncrementalNormalForm:
                 w = sb.BraidWord(
                     5, tuple(rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(length))
                 )
-                garside._leftweight.cache_clear()
+                before = counted.count
                 canonical_form(w)
-                info = garside._leftweight.cache_info()
-                calls += info.hits + info.misses
+                calls += counted.count - before
             return calls / (length * len(seeds))
 
         assert calls_per_letter(3200, [20]) <= 1.5 * calls_per_letter(200, range(20, 36))
 
-    def test_no_quadratic_blow_up(self):
+    def test_no_quadratic_blow_up(self, monkeypatch):
         # A 1600-letter word on 5 strands: the fixpoint sweep makes about
-        # 1.6M _leftweight calls, the incremental normaliser about 5.1k.
+        # 1.6M left-weighting calls, the incremental normaliser about 5.1k.
         rng = random.Random(16)
         w = sb.BraidWord(5, tuple(rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(1600)))
-        garside._leftweight.cache_clear()
+        counted = count_leftweight(monkeypatch, 5)
         canonical_form(w)
-        info = garside._leftweight.cache_info()
-        assert info.hits + info.misses < 300_000
+        assert counted.count < 300_000
+
+
+class TestRankEncoding:
+    """Simple elements are stored as the lexicographic ranks of their
+    permutations."""
+
+    def test_round_trip(self):
+        for n in range(7):
+            for r, p in enumerate(itertools.permutations(range(n))):
+                assert garside._rank(p) == r
+                assert garside._unrank(n, r) == p
+
+    def test_rank_order_is_tuple_order(self):
+        for n in range(1, 7):
+            ordered = [garside._unrank(n, r) for r in range(math.factorial(n))]
+            assert ordered == sorted(ordered) == sorted(itertools.permutations(range(n)))
+            assert ordered[0] == tuple(range(n))
+            assert ordered[-1] == tuple(range(n - 1, -1, -1))
+            assert garside._simples(n).delta == len(ordered) - 1
+
+    def test_tables_match_permutation_functions(self):
+        rng = random.Random(23)
+        for n in range(1, 9):
+            simples = garside._simples(n)
+            for _ in range(300):
+                x, y = (tuple(rng.sample(range(n), n)) for _ in range(2))
+                rx, ry = garside._rank(x), garside._rank(y)
+                assert simples.perm[rx] == x
+                assert simples.rank[x] == rx
+                assert garside._unrank(n, simples.tau[rx]) == garside._tau(x)
+                assert garside._unrank(n, simples.complement[rx]) == garside._delta_complement(x)
+                got = simples.leftweight[rx * simples.count + ry]
+                assert perms(n, got) == garside._leftweight(x, y)
+
+    def test_one_strand(self):
+        """On one strand the identity and Delta are both rank 0."""
+        e = CanonicalForm.identity(1)
+        assert garside._simples(1).delta == 0
+        assert CanonicalForm.simple(1, 0) == e
+        assert garside._normalize(1, [0, 0], weighted=[]) == (0, ())
+        assert e.mul(e) == e and e.inv() == e
+        assert canonical_form(sb.BraidWord(1, ())) == e
+        assert e.to_json() == {"n": 1, "delta_power": 0, "factors": []}
+        res = sb.is_conjugate(sb.BraidWord(1, ()), sb.BraidWord(1, ()))
+        assert res.conjugate and res.witness.letters == ()
+
+    def test_ranks_beyond_64_bits(self):
+        """On 21 strands ranks pass 2^63; the form read back as
+        permutations is the fixpoint sweep's on the letters' permutations."""
+        n = 21
+        w = seeded_word(n, 25, 40)
+        cf = canonical_form(w)
+        assert max(cf.factors) >= 1 << 63
+        # Delta^-1 powers collected at the front, as canonical_form does.
+        w0 = tuple(range(n - 1, -1, -1))
+        factors, delta_power = [], 0
+        for k in reversed(w.letters):
+            s = list(range(n))
+            i = abs(k) - 1
+            s[i], s[i + 1] = s[i + 1], s[i]
+            f = tuple(s) if k > 0 else tuple(s[v] for v in w0)
+            factors.append(garside._tau(f) if delta_power % 2 else f)
+            if k < 0:
+                delta_power -= 1
+        shift, fs = fixpoint_normalize(n, factors[::-1])
+        assert cf.to_json() == {
+            "n": n,
+            "delta_power": delta_power + shift,
+            "factors": [[v + 1 for v in f] for f in fs],
+        }
+        assert canonical_form(cf.to_word()) == cf
+
+    def test_tables_stay_bounded(self, monkeypatch):
+        """A long word on 12 strands misses the tables on nearly every
+        lookup; with the bounds cut to 100 entries per kind, each kind of
+        table stays within it, and the form and its inverse are the same as
+        with the full bounds."""
+        n = 12
+        w = seeded_word(n, 26, 1500)
+
+        def forms():
+            cf = canonical_form(w)
+            return cf.to_json(), cf.inv().to_json()
+
+        expected = forms()
+        simples = garside._simples(n)
+        tables = (simples.perm, simples.rank, simples.tau, simples.complement, simples.leftweight)
+        assert [t.bound for t in tables] == [1 << 18] * 4 + [1 << 20]
+        # Every kind fills past 100 entries, so the bounded run empties each.
+        assert min(map(len, tables)) > 100
+        for table in tables:
+            for member in table.family:
+                member.clear()
+            monkeypatch.setattr(table, "bound", 100)
+        assert forms() == expected
+        for table in tables:
+            assert sum(map(len, table.family)) <= 100
+        assert sum(map(len, simples.leftweight.family)) > 0
 
 
 class TestWordProblem:
@@ -399,7 +549,8 @@ class TestConjugacy:
 
 def tau_form(x):
     """Delta^-1 x Delta: tau applied to every factor."""
-    return CanonicalForm(x.strands, x.delta_power, tuple(map(garside._tau, x.factors)))
+    factors = map(garside._tau, perms(x.strands, x.factors))
+    return CanonicalForm(x.strands, x.delta_power, ranks(factors))
 
 
 def cycle_form(v):
@@ -418,8 +569,9 @@ def reference_decycle(v):
     """One decycling step, A_k v A_k^-1, with the fixpoint sweep; returns
     (new element, conjugator used)."""
     n, p = v.strands, v.delta_power
-    last = garside._tau(v.factors[-1]) if p % 2 else v.factors[-1]
-    new = reference_make(n, p, [last] + list(v.factors[:-1]))
+    factors = perms(n, v.factors)
+    last = garside._tau(factors[-1]) if p % 2 else factors[-1]
+    new = reference_make(n, p, [last] + list(factors[:-1]))
     return new, CanonicalForm.simple(n, v.factors[-1]).inv()
 
 
