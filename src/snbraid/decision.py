@@ -27,7 +27,7 @@ import functools
 import itertools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, Iterator
 
 from .garside import CanonicalForm, ConjugacyResult, canonical_form, is_conjugate
 from .invariants import cycle_type, linking_matrix
@@ -152,9 +152,9 @@ def _check_orbit(n: int, m: int, name: str, w: BraidWord) -> None:
     """Require w in the kernel; warn when it does not permute the orbit
     block as a single m-cycle."""
     ensure_kernel(n, m, w)
-    perm = permutation(w)
-    orbit = [perm(i) for i in range(n + 1, n + m + 1)]
-    if m >= 1 and _orbit_cycle_count(orbit, n) != 1:
+    # A kernel element keeps the orbit block, so its cycles there are the
+    # cycles that start, at their smallest element, beyond the punctures.
+    if m >= 1 and sum(c[0] > n for c in permutation(w).cycles()) != 1:
         warnings.warn(
             f"{name} does not induce a single {m}-cycle on the "
             "orbit block; treating it as a formal instance",
@@ -184,47 +184,36 @@ def _assembled_instance(
     return inst
 
 
-def _orbit_cycle_count(orbit_images: list[int], n: int) -> int:
-    m = len(orbit_images)
-    seen = set()
-    count = 0
-    for s in range(m):
-        if s in seen:
-            continue
-        count += 1
-        j = s
-        while j not in seen:
-            seen.add(j)
-            j = orbit_images[j] - n - 1
-    return count
-
-
 def braid_type_equal(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     """Braid-type equality: plain conjugacy in B_m. A positive answer means
     the two orbits are strong Nielsen equivalent with empty invariant set."""
     return is_conjugate(a, b)
 
 
-def _screen_invariants(inst: SNInstance) -> Certificate | None:
-    """Run the cheap conjugacy invariants; any mismatch is a certificate.
+def _screen_values(w: BraidWord, braid: MixedBraid) -> Iterator[tuple[str, object]]:
+    """The screened invariants of one orbit w with mixed braid
+    section(beta_A) * w, as (name, value) pairs, each computed only when
+    asked for: the exponent sum of w, then the cycle type and the linking
+    matrix of the mixed braid.
 
     The Burau characteristic polynomial of the whole mixed braid is not
     screened: it is an invariant of conjugacy in the ambient B_{n+m}, so
     every pair it separates is also rejected by the ambient `is_conjugate`
-    test that follows, and screening it cannot change a verdict.
+    test that follows, and screening it cannot change a verdict."""
+    yield "exponent_sum", exponent_sum(w)
+    yield "cycle_type", cycle_type(braid)
+    yield "linking_matrix", linking_matrix(braid)
 
-    `partition_sn_classes` buckets orbits by these same values, so the two
-    must screen the same invariants."""
-    ex, ey = exponent_sum(inst.beta_ox), exponent_sum(inst.beta_oy)
-    if ex != ey:
-        return Certificate("exponent_sum", ex, ey)
-    bx, by = inst.mixed_x(), inst.mixed_y()
-    cx, cy = cycle_type(bx), cycle_type(by)
-    if cx != cy:
-        return Certificate("cycle_type", cx, cy)
-    lx, ly = linking_matrix(bx), linking_matrix(by)
-    if lx != ly:
-        return Certificate("linking_matrix", lx, ly)
+
+def _screen_invariants(inst: SNInstance) -> Certificate | None:
+    """Compare the screened invariants of the two orbits in turn; the first
+    mismatch is a certificate, and no later invariant is computed."""
+    for (name, x), (_, y) in zip(
+        _screen_values(inst.beta_ox, inst.mixed_x()),
+        _screen_values(inst.beta_oy, inst.mixed_y()),
+    ):
+        if x != y:
+            return Certificate(name, x, y)
     return None
 
 
@@ -442,11 +431,10 @@ def partition_sn_classes(
     The base braid and every orbit are validated first, once, even when
     there are fewer than two orbits and no pair to decide. Each orbit's
     mixed braid section(beta_A) * w, its canonical form and its screen key
-    (exponent sum of w, cycle type and linking matrix of the mixed braid)
-    are computed once, and the orbits are grouped into buckets of equal
-    key. The key holds exactly the values `_screen_invariants` compares, so
-    a pair across two buckets is NotEquivalent by certificate and is never
-    decided.
+    (the values of `_screen_values`) are computed once, and the orbits are
+    grouped into buckets of equal key. The key holds exactly the values
+    `_screen_invariants` compares, so a pair across two buckets is
+    NotEquivalent by certificate and is never decided.
 
     Within a bucket the pairs are decided in (i, j) order with
     `sn_equivalent_rel_A`, skipping a pair that Equivalent verdicts have
@@ -468,7 +456,7 @@ def partition_sn_classes(
         _check_orbit(n, m, f"orbit {i}", w)
         braid = MixedBraid(n, m, compose(lift, w))
         assembled.append((w, braid, canonical_form(braid.word)))
-        key = (exponent_sum(w), cycle_type(braid), linking_matrix(braid))
+        key = tuple(value for _, value in _screen_values(w, braid))
         buckets.setdefault(key, []).append(i)
 
     def decide(bucket: list[int]) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:

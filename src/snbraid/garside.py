@@ -30,8 +30,10 @@ circuit. Most conjugate pairs meet there: b's circuit element, or its
 tau-image, lies on a's circuit, and the walk gives the conjugator. Only
 pairs that do not meet go on to the closure, where a's ultra summit set is
 closed under conjugation by simple elements, keeping only elements with the
-summit infimum/supremum that lie on their own cycling circuit; its strand
-limit, MAX_CLOSURE_STRANDS, applies to those pairs alone. Every cycling
+summit infimum/supremum that lie on their own cycling circuit. It
+conjugates by rank, each s^-1 v s in one normalization (see `_conjugate`),
+and its strand limit, MAX_CLOSURE_STRANDS, bounds the time of the n! - 1
+conjugations per element and applies to those pairs alone. Every cycling
 walk ends without a step bound: cycling never lowers the infimum nor
 raises the supremum, and a conjugacy class has finitely many elements
 between given bounds (from a super summit element, at most the size of the
@@ -41,8 +43,10 @@ normalized once, and only when it becomes the witness.
 
 A simple element is stored as the lexicographic rank of its permutation,
 an int (see `_Simples`): factor lists, conjugator lists and canonical forms
-hold ranks, and left-weighting, tau and the Delta-complement are read from
-int-keyed tables, so the hot loops hash and compare ints only. Rank order
+hold ranks, and left-weighting, tau, the Delta-complement and the factor
+of each letter are read from int-keyed tables that fill as they are read,
+so the hot loops hash and compare ints only, and a word on many strands
+ranks only the letters it uses. Rank order
 is the order of the permutation tuples, so every sort and search order is
 that of the permutations. `CanonicalForm.to_json` and `to_word` are where
 a rank is read back as a permutation. The permutations themselves are
@@ -177,6 +181,7 @@ _RANKS: list[_Memo] = []
 _TAUS: list[_Memo] = []
 _COMPLEMENTS: list[_Memo] = []
 _LEFTWEIGHTS: list[_Memo] = []
+_LETTERS: list[_Memo] = []
 
 
 class _Simples:
@@ -187,9 +192,15 @@ class _Simples:
     pair (x, y) is keyed by x * n! + y and gives a pair of ranks. The
     tables fill as they are read, each miss computed once on permutations
     (`_tau`, `_delta_complement`, `_leftweight`) and ranked back through the
-    `rank` table, keyed by permutation."""
+    `rank` table, keyed by permutation.
 
-    __slots__ = ("count", "delta", "perm", "rank", "tau", "complement", "leftweight")
+    The `letter` table, keyed by a letter k of B_n, gives the rank of the
+    simple factor that stands for k in a canonical form and that of its
+    tau-image: sigma_i itself for k = i, and Delta sigma_i^-1 for k = -i,
+    since sigma_i^-1 = Delta^-1 (Delta sigma_i^-1). It fills one letter at
+    a time, so a word on many strands ranks only the letters it uses."""
+
+    __slots__ = ("count", "delta", "perm", "rank", "tau", "complement", "leftweight", "letter")
 
     def __init__(self, n: int):
         count = math.factorial(n)
@@ -209,6 +220,15 @@ class _Simples:
         self.tau = _Memo(on_perm(_tau), _TAUS, 1 << 18)
         self.complement = _Memo(on_perm(_delta_complement), _COMPLEMENTS, 1 << 18)
         self.leftweight = _Memo(leftweight, _LEFTWEIGHTS, 1 << 20)
+
+        def letter(k: int) -> tuple[int, int]:
+            swap = list(range(n))
+            i = abs(k)
+            swap[i - 1], swap[i] = i, i - 1
+            f = tuple(swap) if k > 0 else _pmul(_pw0(n), tuple(swap))
+            return _rank(f), _rank(_tau(f))
+
+        self.letter = _Memo(letter, _LETTERS, 1 << 18)
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,15 +338,6 @@ class CanonicalForm:
     def identity(n: int) -> "CanonicalForm":
         return CanonicalForm(n, 0, ())
 
-    @staticmethod
-    def simple(n: int, p: int) -> "CanonicalForm":
-        """The simple element of rank p."""
-        if p == 0:
-            return CanonicalForm(n, 0, ())
-        if p == _simples(n).delta:
-            return CanonicalForm(n, 1, ())
-        return CanonicalForm(n, 0, (p,))
-
     @property
     def inf(self) -> int:
         return self.delta_power
@@ -396,23 +407,6 @@ def _delta_letters(n: int) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _letter_factors(n: int) -> dict[int, tuple[int, int]]:
-    """For each letter k of B_n, the rank of the simple factor that stands
-    for it in a canonical form and that of the factor's tau-image: sigma_i
-    itself for k = i, and Delta sigma_i^-1 for k = -i, since sigma_i^-1 =
-    Delta^-1 (Delta sigma_i^-1)."""
-    w0 = _pw0(n)
-    table = {}
-    for i in range(1, n):
-        swap = list(range(n))
-        swap[i - 1], swap[i] = i, i - 1
-        s = tuple(swap)
-        for k, f in ((i, s), (-i, _pmul(w0, s))):
-            table[k] = (_rank(f), _rank(_tau(f)))
-    return table
-
-
 def canonical_form(a: BraidWord) -> CanonicalForm:
     """Left canonical form of a word; idempotent on its own spellings."""
     n = a.strands
@@ -420,11 +414,11 @@ def canonical_form(a: BraidWord) -> CanonicalForm:
         return CanonicalForm(n, 0, ())
     # Collect the Delta^-1 powers at the front; each factor gets conjugated
     # by the Delta power accumulated to its right.
-    table = _letter_factors(n)
+    letter = _simples(n).letter
     factors: list[int] = []
     delta_pow = 0
     for k in reversed(a.letters):
-        factors.append(table[k][delta_pow % 2])
+        factors.append(letter[k][delta_pow % 2])
         if k < 0:
             delta_pow -= 1
     factors.reverse()
@@ -469,24 +463,14 @@ class ConjugacyResult:
         return out
 
 
-# The closure search conjugates by all n! - 1 simple elements, a table of
-# their forms and inverse forms that takes about half a second and 31 MB to
-# build at n = 8 (2-vCPU guest, Python 3.11) and grows about ninefold per
-# strand; 8 is the largest strand count the tests and benchmark exercise.
-# Pairs that meet on a cycling circuit never reach the closure, so the limit
-# refuses only the pairs that do not.
+# The closure search conjugates each element it visits by all n! - 1 simple
+# elements, one normalization each: at n = 8 about 0.35 s per element once
+# the rank tables are filled, and 1.9 s for the first element, which fills
+# them (2-vCPU guest, Python 3.11). The count grows n-fold per strand, so
+# the limit bounds time; 8 is the largest strand count the tests and
+# benchmark exercise. Pairs that meet on a cycling circuit never reach the
+# closure, so the limit refuses only the pairs that do not.
 MAX_CLOSURE_STRANDS = 8
-
-
-@functools.lru_cache(maxsize=None)
-def _simple_conjugators(n: int) -> tuple[tuple[int, CanonicalForm, CanonicalForm], ...]:
-    """All nontrivial simple elements of B_n as (rank, form, inverse form),
-    the ranks running over range(1, n!)."""
-    out = []
-    for p in range(1, _simples(n).count):
-        s = CanonicalForm.simple(n, p)
-        out.append((p, s, s.inv()))
-    return tuple(out)
 
 
 def _cycle(v: CanonicalForm) -> tuple[CanonicalForm, int]:
@@ -630,14 +614,32 @@ def _circuit_meet(
     return None
 
 
+def _conjugate(v: CanonicalForm, p: int) -> CanonicalForm:
+    """s^-1 v s for the simple element s of rank p, in one normalization.
+
+    With v = Delta^d A_1 ... A_k and s^-1 = Delta^-1 c, c the
+    Delta-complement of s, moving Delta^d past c gives s^-1 v s =
+    Delta^(d-1) tau^d(c) A_1 ... A_k s. For s = Delta, c is the identity,
+    which `_normalize` skips, and the Delta pushed last is absorbed."""
+    n, d = v.strands, v.delta_power
+    simples = _simples(n)
+    head = simples.complement[p]
+    if d % 2:
+        head = simples.tau[head]
+    shift, fs = _normalize(n, (head, *v.factors, p))
+    return CanonicalForm(n, d - 1 + shift, fs)
+
+
 def _closure_search(
     va: CanonicalForm, ga: list[int], target: CanonicalForm
 ) -> list[int] | None:
     """Close the ultra summit set of va under simple-element conjugation,
     breadth first in lexicographic order of the canonical-form encoding.
-    Conjugators are lists of simple factors, ga leading from the original
-    a to va. Returns the factors of h with target = h^-1 * (original a) * h
-    when the target is reached, else None once the set is exhausted.
+    Each element is conjugated by every simple element in rank order
+    (`_conjugate`). Conjugators are lists of simple factors, ga leading
+    from the original a to va. Returns the factors of h with target =
+    h^-1 * (original a) * h when the target is reached, else None once the
+    set is exhausted.
 
     Each visited element records only its parent and the simple element
     that conjugates the parent to it; the path is read back once, on a hit.
@@ -655,7 +657,6 @@ def _closure_search(
             f"{MAX_CLOSURE_STRANDS} strands"
         )
     inf_sup = (va.inf, va.sup)
-    simples = _simple_conjugators(n)
     parent: dict[CanonicalForm, tuple[CanonicalForm, int] | None] = {va: None}
     rejected: set[CanonicalForm] = set()
     members: set[CanonicalForm] = set()
@@ -664,8 +665,8 @@ def _closure_search(
         frontier.sort(key=CanonicalForm.sort_key)
         nxt: list[CanonicalForm] = []
         for v in frontier:
-            for p, s, s_inv in simples:
-                w = s_inv.mul(v).mul(s)
+            for p in range(1, _simples(n).count):
+                w = _conjugate(v, p)
                 if (w.inf, w.sup) != inf_sup:
                     continue
                 if w in parent or w in rejected:

@@ -61,6 +61,19 @@ class TestRelA:
             '{"invariant": "exponent_sum", "lhs": 2, "rhs": 4}}'
         )
 
+    def test_screen_stops_at_first_mismatch(self, monkeypatch):
+        """The screen computes no invariant after the first that differs.
+        It reads them as module globals, so a replacement is seen."""
+        def refuse(braid):
+            raise AssertionError("screened past the first mismatch")
+
+        monkeypatch.setattr(sb.decision, "cycle_type", refuse)
+        monkeypatch.setattr(sb.decision, "linking_matrix", refuse)
+        inst = sb.SNInstance(
+            1, 1, sb.BraidWord(1, ()), sb.BraidWord(2, (1, 1)), sb.BraidWord(2, (1,) * 4)
+        )
+        assert sb.sn_equivalent_rel_A(inst).certificate.invariant == "exponent_sum"
+
     def test_constructed_equivalence(self):
         beta_A = sb.BraidWord(2, (1,))
         ox = conjugated_kernel_part(2, 1, beta_A, A2, A1)
@@ -447,6 +460,20 @@ class TestInstanceValidation:
             sb.SNInstance(
                 1, 2, sb.BraidWord(1, ()), sb.BraidWord(3, ()), sb.BraidWord(3, ())
             )
+
+    @pytest.mark.parametrize(
+        "n,m,orbit,warns",
+        [(1, 3, "s2", True), (1, 3, "s2 s3", False), (1, 2, "s2", False)],
+    )
+    def test_orbit_block_cycles(self, n, m, orbit, warns):
+        """The warning fires exactly when the orbit block splits into more
+        than one cycle."""
+        w = sb.BraidWord.parse(n + m, orbit)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sb.SNInstance(n, m, sb.BraidWord(n, ()), w, w)
+        # Both orbits are w, so a warning fires once for each.
+        assert [c.category for c in caught] == [UserWarning] * (2 if warns else 0)
 
 
 class TestPartition:

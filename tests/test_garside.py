@@ -387,7 +387,6 @@ class TestRankEncoding:
         """On one strand the identity and Delta are both rank 0."""
         e = CanonicalForm.identity(1)
         assert garside._simples(1).delta == 0
-        assert CanonicalForm.simple(1, 0) == e
         assert garside._normalize(1, [0, 0], weighted=[]) == (0, ())
         assert e.mul(e) == e and e.inv() == e
         assert canonical_form(sb.BraidWord(1, ())) == e
@@ -447,6 +446,26 @@ class TestRankEncoding:
         for table in tables:
             assert sum(map(len, table.family)) <= 100
         assert sum(map(len, simples.leftweight.family)) > 0
+
+    def test_letter_table_fills_per_letter(self, monkeypatch):
+        """A one-letter word on 300 strands ranks that letter alone, not all
+        598; with the family's bound cut to 3 entries, a word of six letters
+        keeps the table within it and gets the same form."""
+        n = 300
+        letters = garside._simples(n).letter
+        assert letters.bound == 1 << 18
+        for member in letters.family:
+            member.clear()
+        cf = canonical_form(sb.BraidWord(n, (150,)))
+        assert list(letters) == [150]
+        assert cf.to_json()["factors"] == [[*range(1, 150), 151, 150, *range(152, n + 1)]]
+        w = sb.BraidWord(n, (1, -2, 299, -299, 150, 3))
+        expected = canonical_form(w)
+        for member in letters.family:
+            member.clear()
+        monkeypatch.setattr(letters, "bound", 3)
+        assert canonical_form(w) == expected
+        assert 0 < sum(map(len, letters.family)) <= 3
 
 
 class TestWordProblem:
@@ -556,7 +575,7 @@ def tau_form(x):
 def cycle_form(v):
     """garside._cycle with its simple conjugator as a canonical form."""
     w, s = garside._cycle(v)
-    return w, CanonicalForm.simple(v.strands, s)
+    return w, product(v.strands, [s])
 
 
 def product(n, factors):
@@ -572,7 +591,7 @@ def reference_decycle(v):
     factors = perms(n, v.factors)
     last = garside._tau(factors[-1]) if p % 2 else factors[-1]
     new = reference_make(n, p, [last] + list(factors[:-1]))
-    return new, CanonicalForm.simple(n, v.factors[-1]).inv()
+    return new, product(n, [v.factors[-1]]).inv()
 
 
 def two_round_summit(cf):
@@ -875,7 +894,7 @@ def stepwise_summit(cf):
 def stepwise_orbit(v):
     """garside._cycling_orbit with each simple conjugator as a canonical form."""
     orbit, steps, start = garside._cycling_orbit(v)
-    return orbit, [CanonicalForm.simple(v.strands, s) for s in steps], start
+    return orbit, [product(v.strands, [s]) for s in steps], start
 
 
 def stepwise_closure(va, ga, target):
@@ -885,6 +904,8 @@ def stepwise_closure(va, ga, target):
     if va == target:
         return ga
     inf_sup = (va.inf, va.sup)
+    simples = [product(n, [p]) for p in range(1, garside._simples(n).count)]
+    conjugators = [(s, s.inv()) for s in simples]
     visited = {va: ga}
     rejected, members = set(), set()
     frontier = [va]
@@ -893,7 +914,7 @@ def stepwise_closure(va, ga, target):
         nxt = []
         for v in frontier:
             h = visited[v]
-            for _, s, s_inv in garside._simple_conjugators(n):
+            for s, s_inv in conjugators:
                 w = s_inv.mul(v).mul(s)
                 if (w.inf, w.sup) != inf_sup or w in visited or w in rejected:
                     continue
@@ -1040,6 +1061,59 @@ class TestFactorListConjugators:
         a, b = sb.BraidWord(3, (1,)), sb.BraidWord(3, (2,))
         assert sb.is_conjugate(a, b).witness.letters == (1, 2, 1)
         assert len(mul_calls) == 1
+
+
+class TestConjugateByRank:
+    """The closure conjugates by the rank of each simple element, in one
+    normalization, and builds no simple element as a form."""
+
+    def test_matches_form_products(self):
+        """For every rank, Delta included, on ultra summit elements with
+        even and odd Delta powers."""
+        for n in range(2, 6):
+            forms = [CanonicalForm(n, k, ()) for k in (-1, 2)]
+            for seed in range(6):
+                orbit, _, start = summit_orbit(seeded_word(n, 100 + seed, 12))
+                forms += orbit[start:]
+            if n > 2:
+                assert {v.delta_power % 2 for v in forms if v.factors} == {0, 1}
+            for v in forms:
+                for p in range(1, garside._simples(n).count):
+                    s = product(n, [p])
+                    assert garside._conjugate(v, p) == s.inv().mul(v).mul(s), (v, p)
+
+    def test_closure_multiplies_no_forms(self, monkeypatch):
+        """No `CanonicalForm.mul` or `inv` call runs inside the closure on
+        pairs that reach it."""
+        calls, reached, inside = [], [], []
+        for name in ("mul", "inv"):
+            method = getattr(CanonicalForm, name)
+
+            def counted(*args, name=name, method=method):
+                if inside:
+                    calls.append(name)
+                return method(*args)
+
+            monkeypatch.setattr(CanonicalForm, name, counted)
+        closure = garside._closure_search
+
+        def watched(*args):
+            reached.append(args)
+            inside.append(args)
+            try:
+                return closure(*args)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(garside, "_closure_search", watched)
+        for n, seed in CLOSURE_PAIRS:
+            b = seeded_word(n, seed, 8)
+            c = seeded_word(n, 1000 + seed, 6)
+            a = sb.free_reduce(sb.compose(sb.compose(c, b), sb.invert(c)))
+            reached.clear()
+            check_witness(a, b, sb.is_conjugate(a, b))
+            assert reached, (n, seed)
+        assert calls == []
 
 
 class TestConjugateModFullTwist:
