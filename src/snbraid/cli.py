@@ -2,9 +2,9 @@
 Command-line surface: one JSON document per invocation on standard output.
 
 Exit codes: 0 for any computed verdict (including NotEquivalent), 2 for an
-Inconclusive verdict, 1 for input errors. Braid words use the text grammar
-of `snbraid.words` and are echoed back in the canonical `s<k>`/`S<k>`
-spelling.
+Inconclusive verdict, 1 for input errors, usage errors included. Braid
+words use the text grammar of `snbraid.words` and are echoed back in the
+canonical `s<k>`/`S<k>` spelling.
 """
 
 from __future__ import annotations
@@ -28,8 +28,17 @@ def _budget(args) -> decision.Budget:
     return decision.Budget(args.max_len, args.max_states)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means Inconclusive, so a
+    usage error exits 1 like every other input error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="snbraid",
         description="Exact braid-group computations for strong Nielsen "
         "equivalence of periodic orbits on the punctured disc.",
@@ -113,7 +122,7 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (WordSyntaxError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,12 @@ the exhausted search budget. The pipeline is staged so cheap certificates
 short-circuit the bounded search: invariants, then full-group conjugacy,
 then a meet-in-the-middle search for a shortest kernel conjugator over the
 standard kernel generators, grown from both beta_y and beta_x.
+
+All a decision reads of one orbit w is its record `_Orbit`: w, the mixed
+braid section(beta_A) * w and that braid's canonical form, built once by
+`_orbit`, which also checks w. An `SNInstance` holds two records, and
+`partition_sn_classes` builds one per orbit and merges classes in a single
+union-find on the orbit indices.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator
@@ -111,6 +118,39 @@ class SNVerdict:
 
 
 @dataclasses.dataclass(frozen=True)
+class _Orbit:
+    """One orbit word w, its mixed braid section(beta_A) * w and that
+    braid's canonical form."""
+
+    word: BraidWord
+    braid: MixedBraid
+    cf: CanonicalForm
+
+
+def _orbit(n: int, m: int, lift: BraidWord, name: str, w: BraidWord) -> _Orbit:
+    """The record of orbit w over the base lift section(beta_A). Requires w
+    in the kernel, and warns, at the line that made the instance or called
+    the partition, when w does not permute the orbit block as a single
+    m-cycle."""
+    ensure_kernel(n, m, w)
+    # A kernel element keeps the orbit block, so its cycles there are the
+    # cycles that start, at their smallest element, beyond the punctures.
+    if m >= 1 and sum(c[0] > n for c in permutation(w).cycles()) != 1:
+        # Skip the frames of this module; the dataclass-generated __init__
+        # runs in its globals too.
+        level, frame = 2, sys._getframe(1)
+        while frame.f_globals is globals():
+            level, frame = level + 1, frame.f_back
+        warnings.warn(
+            f"{name} does not induce a single {m}-cycle on the "
+            "orbit block; treating it as a formal instance",
+            stacklevel=level,
+        )
+    braid = MixedBraid(n, m, compose(lift, w))
+    return _Orbit(w, braid, canonical_form(braid.word))
+
+
+@dataclasses.dataclass(frozen=True)
 class SNInstance:
     """One equivalence question: base braid plus two kernel orbit braids."""
 
@@ -119,69 +159,36 @@ class SNInstance:
     beta_A: BraidWord
     beta_ox: BraidWord
     beta_oy: BraidWord
-    # The two assembled mixed braids and their canonical forms, built once
-    # by __post_init__.
-    _mixed_x: MixedBraid = dataclasses.field(init=False, repr=False, compare=False)
-    _mixed_y: MixedBraid = dataclasses.field(init=False, repr=False, compare=False)
-    _cf_x: CanonicalForm = dataclasses.field(init=False, repr=False, compare=False)
-    _cf_y: CanonicalForm = dataclasses.field(init=False, repr=False, compare=False)
+    # The records of the two orbits, built once by __post_init__.
+    _x: _Orbit = dataclasses.field(init=False, repr=False, compare=False)
+    _y: _Orbit = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.beta_A.strands != self.n:
             raise ValueError(
                 f"base braid has {self.beta_A.strands} strands, expected {self.n}"
             )
-        for name, w in (("beta_ox", self.beta_ox), ("beta_oy", self.beta_oy)):
-            _check_orbit(self.n, self.m, name, w)
         lift = section(self.n, self.m, self.beta_A).word
-        for side, w in (("x", self.beta_ox), ("y", self.beta_oy)):
-            braid = MixedBraid(self.n, self.m, compose(lift, w))
-            object.__setattr__(self, f"_mixed_{side}", braid)
-            object.__setattr__(self, f"_cf_{side}", canonical_form(braid.word))
+        object.__setattr__(self, "_x", _orbit(self.n, self.m, lift, "beta_ox", self.beta_ox))
+        object.__setattr__(self, "_y", _orbit(self.n, self.m, lift, "beta_oy", self.beta_oy))
+
+    @classmethod
+    def _of(cls, n: int, m: int, beta_A: BraidWord, x: _Orbit, y: _Orbit) -> SNInstance:
+        """The instance of two orbit records built already: __post_init__ is
+        skipped, so neither orbit is validated or assembled again."""
+        inst = object.__new__(cls)
+        inst.__dict__.update(
+            n=n, m=m, beta_A=beta_A, beta_ox=x.word, beta_oy=y.word, _x=x, _y=y
+        )
+        return inst
 
     def mixed_x(self) -> MixedBraid:
         """section(beta_A) * beta_ox."""
-        return self._mixed_x
+        return self._x.braid
 
     def mixed_y(self) -> MixedBraid:
         """section(beta_A) * beta_oy."""
-        return self._mixed_y
-
-
-def _check_orbit(n: int, m: int, name: str, w: BraidWord) -> None:
-    """Require w in the kernel; warn when it does not permute the orbit
-    block as a single m-cycle."""
-    ensure_kernel(n, m, w)
-    # A kernel element keeps the orbit block, so its cycles there are the
-    # cycles that start, at their smallest element, beyond the punctures.
-    if m >= 1 and sum(c[0] > n for c in permutation(w).cycles()) != 1:
-        warnings.warn(
-            f"{name} does not induce a single {m}-cycle on the "
-            "orbit block; treating it as a formal instance",
-            stacklevel=3,
-        )
-
-
-def _assembled_instance(
-    n: int,
-    m: int,
-    beta_A: BraidWord,
-    x: tuple[BraidWord, MixedBraid, CanonicalForm],
-    y: tuple[BraidWord, MixedBraid, CanonicalForm],
-) -> SNInstance:
-    """The SNInstance of two (orbit word, mixed braid, its canonical form)
-    triples that were checked and assembled already: __post_init__ is
-    skipped, so neither orbit is validated again and the mixed braids and
-    their forms are reused."""
-    inst = object.__new__(SNInstance)
-    for name, value in (
-        ("n", n), ("m", m), ("beta_A", beta_A),
-        ("beta_ox", x[0]), ("beta_oy", y[0]),
-        ("_mixed_x", x[1]), ("_mixed_y", y[1]),
-        ("_cf_x", x[2]), ("_cf_y", y[2]),
-    ):
-        object.__setattr__(inst, name, value)
-    return inst
+        return self._y.braid
 
 
 def braid_type_equal(a: BraidWord, b: BraidWord) -> ConjugacyResult:
@@ -190,7 +197,7 @@ def braid_type_equal(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     return is_conjugate(a, b)
 
 
-def _screen_values(w: BraidWord, braid: MixedBraid) -> Iterator[tuple[str, object]]:
+def _screen_values(orbit: _Orbit) -> Iterator[tuple[str, object]]:
     """The screened invariants of one orbit w with mixed braid
     section(beta_A) * w, as (name, value) pairs, each computed only when
     asked for: the exponent sum of w, then the cycle type and the linking
@@ -200,18 +207,15 @@ def _screen_values(w: BraidWord, braid: MixedBraid) -> Iterator[tuple[str, objec
     screened: it is an invariant of conjugacy in the ambient B_{n+m}, so
     every pair it separates is also rejected by the ambient `is_conjugate`
     test that follows, and screening it cannot change a verdict."""
-    yield "exponent_sum", exponent_sum(w)
-    yield "cycle_type", cycle_type(braid)
-    yield "linking_matrix", linking_matrix(braid)
+    yield "exponent_sum", exponent_sum(orbit.word)
+    yield "cycle_type", cycle_type(orbit.braid)
+    yield "linking_matrix", linking_matrix(orbit.braid)
 
 
 def _screen_invariants(inst: SNInstance) -> Certificate | None:
     """Compare the screened invariants of the two orbits in turn; the first
     mismatch is a certificate, and no later invariant is computed."""
-    for (name, x), (_, y) in zip(
-        _screen_values(inst.beta_ox, inst.mixed_x()),
-        _screen_values(inst.beta_oy, inst.mixed_y()),
-    ):
+    for (name, x), (_, y) in zip(_screen_values(inst._x), _screen_values(inst._y)):
         if x != y:
             return Certificate(name, x, y)
     return None
@@ -275,7 +279,7 @@ def _search_kernel_conjugator(
     # g^-1 * . * g backward.
     backward = [(letter, g_inv_cf, g_cf) for letter, g_cf, g_inv_cf in forward]
 
-    start, target = inst._cf_y, inst._cf_x
+    start, target = inst._y.cf, inst._x.cf
     # visited[side] maps a conjugate to the tag of its word; side 0 is
     # forward (tag of u, first letter first), side 1 backward (tag of v,
     # last letter first).
@@ -340,14 +344,14 @@ def _decide(
 
     witness, report = _search_kernel_conjugator(inst, budget, accept)
     if witness is not None:
-        return SNVerdict(EQUIVALENT, witness=free_reduce(witness))
+        return SNVerdict(EQUIVALENT, witness=witness)
     return SNVerdict(INCONCLUSIVE, budget_report=report)
 
 
 def sn_equivalent_rel_A(inst: SNInstance, budget: Budget = Budget()) -> SNVerdict:
     """Strong Nielsen equivalence relative to the invariant set: search for a
     kernel element c with beta_x = c * beta_y * c^-1."""
-    bx_cf, by_cf = inst._cf_x, inst._cf_y
+    bx_cf, by_cf = inst._x.cf, inst._y.cf
 
     def accept(c: BraidWord, c_cf: CanonicalForm) -> bool:
         return c_cf.mul(by_cf).mul(c_cf.inv()) == bx_cf
@@ -402,22 +406,6 @@ class PartitionResult:
         }
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def partition_sn_classes(
     n: int,
     m: int,
@@ -429,65 +417,70 @@ def partition_sn_classes(
     """Partition a list of kernel orbit braids into strong Nielsen classes.
 
     The base braid and every orbit are validated first, once, even when
-    there are fewer than two orbits and no pair to decide. Each orbit's
-    mixed braid section(beta_A) * w, its canonical form and its screen key
-    (the values of `_screen_values`) are computed once, and the orbits are
-    grouped into buckets of equal key. The key holds exactly the values
-    `_screen_invariants` compares, so a pair across two buckets is
-    NotEquivalent by certificate and is never decided.
+    there are fewer than two orbits and no pair to decide: each orbit gets
+    one record (`_orbit`) and one screen key (the values of
+    `_screen_values`), and the orbits are grouped into buckets of equal
+    key. The key holds exactly the values `_screen_invariants` compares, so
+    a pair across two buckets is NotEquivalent by certificate and is never
+    decided.
 
     Within a bucket the pairs are decided in (i, j) order with
-    `sn_equivalent_rel_A`, skipping a pair that Equivalent verdicts have
-    already put in one class; Inconclusive pairs are never merged. A class
-    is named by its smallest index, so the classes are those of deciding
-    every pair. `unresolved` lists, sorted, the Inconclusive pairs whose
-    final classes differ: an Inconclusive pair that ends inside one class
-    is equivalent by transitivity through pairs with witnesses, and is
-    dropped.
+    `sn_equivalent_rel_A` on the instance of their two records. One
+    union-find on the orbit indices holds the classes of all buckets; a
+    pair that Equivalent verdicts have already put in one class is
+    skipped, and Inconclusive pairs are never merged. A class is named by
+    its smallest index, so the classes are those of deciding every pair.
+    `unresolved` lists, sorted, the Inconclusive pairs whose final classes
+    differ: an Inconclusive pair that ends inside one class is equivalent
+    by transitivity through pairs with witnesses, and is dropped.
 
     With `workers > 1` the buckets, each decided in order, are spread over
     a thread pool; the result does not depend on the worker count."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     lift = section(n, m, beta_A).word
-    assembled = []
+    records = [_orbit(n, m, lift, f"orbit {i}", w) for i, w in enumerate(orbits)]
     buckets: dict[tuple, list[int]] = {}
-    for i, w in enumerate(orbits):
-        _check_orbit(n, m, f"orbit {i}", w)
-        braid = MixedBraid(n, m, compose(lift, w))
-        assembled.append((w, braid, canonical_form(braid.word)))
-        key = tuple(value for _, value in _screen_values(w, braid))
+    for i, record in enumerate(records):
+        key = tuple(value for _, value in _screen_values(record))
         buckets.setdefault(key, []).append(i)
 
-    def decide(bucket: list[int]) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
-        uf = _UnionFind(len(bucket))
+    # The union-find: each index points towards the smallest index of its
+    # class. Buckets are disjoint and a union joins two indices of one
+    # bucket, so deciding a bucket reads and writes only its own entries,
+    # and buckets may be decided on separate threads.
+    parent = list(range(len(orbits)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def decide(bucket: list[int]) -> list[tuple[int, int]]:
         inconclusive = []
-        for a, b in itertools.combinations(range(len(bucket)), 2):
-            if uf.find(a) == uf.find(b):
+        for i, j in itertools.combinations(bucket, 2):
+            ri, rj = find(i), find(j)
+            if ri == rj:
                 continue
-            inst = _assembled_instance(
-                n, m, beta_A, assembled[bucket[a]], assembled[bucket[b]]
-            )
+            inst = SNInstance._of(n, m, beta_A, records[i], records[j])
             status = sn_equivalent_rel_A(inst, budget).status
             if status == EQUIVALENT:
-                uf.union(a, b)
+                parent[max(ri, rj)] = min(ri, rj)
             elif status == INCONCLUSIVE:
-                inconclusive.append((a, b))
-        groups: dict[int, list[int]] = {}
-        for a, i in enumerate(bucket):
-            groups.setdefault(uf.find(a), []).append(i)
-        unresolved = [
-            (bucket[a], bucket[b]) for a, b in inconclusive if uf.find(a) != uf.find(b)
-        ]
-        return [tuple(g) for g in groups.values()], unresolved
+                inconclusive.append((i, j))
+        return inconclusive
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            decided = list(pool.map(decide, buckets.values()))
+            per_bucket = list(pool.map(decide, buckets.values()))
     else:
-        decided = [decide(bucket) for bucket in buckets.values()]
-    # Classes are disjoint and ascending, so sorting orders them by their
-    # smallest index.
-    classes = sorted(c for groups, _ in decided for c in groups)
-    unresolved = sorted(p for _, pairs in decided for p in pairs)
-    return PartitionResult(tuple(classes), tuple(unresolved))
+        per_bucket = [decide(bucket) for bucket in buckets.values()]
+    # Roots are smallest indices, so classes come out ordered by them.
+    classes: dict[int, list[int]] = {}
+    for i in range(len(orbits)):
+        classes.setdefault(find(i), []).append(i)
+    unresolved = sorted(
+        (i, j) for pairs in per_bucket for i, j in pairs if find(i) != find(j)
+    )
+    return PartitionResult(tuple(tuple(c) for c in classes.values()), tuple(unresolved))

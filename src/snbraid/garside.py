@@ -695,9 +695,9 @@ def conjugate_mod_full_twist(
     """Decide whether a is conjugate to b * Delta^{2k} for some integer k.
 
     The twist power is forced by exponent sums; the answer is no whenever the
-    exponent gap is not divisible by n(n-1). For n = 2 conjugacy degenerates
-    to exponent-sum equality (B_2 is infinite cyclic); B_0 and B_1 are
-    trivial.
+    exponent gap is not divisible by n(n-1). For n = 2 (B_2 is infinite
+    cyclic) the gap alone decides, and `is_conjugate` of the shifted word
+    answers yes with the identity; B_0 and B_1 are trivial.
     """
     if a.strands != b.strands:
         raise StrandMismatchError("cannot compare words on different strand counts")
@@ -709,8 +709,6 @@ def conjugate_mod_full_twist(
     if gap % span != 0:
         return ConjugacyResult(False), None
     k = gap // span
-    if n == 2:
-        return ConjugacyResult(True, BraidWord.identity(2)), k
     shifted = b
     if k != 0:
         tw = full_twist(n)

@@ -167,6 +167,25 @@ class TestErrors:
         assert code == 1
         assert "line 1" in err and "column 4" in err
 
+    @pytest.mark.parametrize(
+        "tail,message",
+        [(["--oy", A2, "--max-len", "x"], "argument --max-len: invalid int value: 'x'"),
+         ([], "the following arguments are required: --oy")],
+    )
+    def test_usage_error_exit_one(self, capsys, tail, message):
+        # A usage error is an input error; exit 2 is kept for Inconclusive.
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["sn", "-n", "2", "-m", "1", "--betaA", "", "--ox", A2] + tail)
+        out = capsys.readouterr()
+        assert exc.value.code == 1 and out.out == ""
+        assert f"snbraid sn: error: {message}" in out.err
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["sn", "--help"])
+        assert exc.value.code == 0
+        assert "--max-len" in capsys.readouterr().out
+
     def test_partition_missing_file(self, capsys, tmp_path):
         missing = tmp_path / "absent" / "orbits.txt"
         code, out, err = run(

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 import warnings
 
 import pytest
@@ -443,8 +444,8 @@ class TestInstanceValidation:
             "S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1"
         )
         mixed = {inst.mixed_x().word, inst.mixed_y().word}
-        assert inst._cf_x == sb.canonical_form(inst.mixed_x().word)
-        assert inst._cf_y == sb.canonical_form(inst.mixed_y().word)
+        assert inst._x.cf == sb.canonical_form(inst.mixed_x().word)
+        assert inst._y.cf == sb.canonical_form(inst.mixed_y().word)
         computed = []
 
         def recorded(word):
@@ -474,6 +475,20 @@ class TestInstanceValidation:
             sb.SNInstance(n, m, sb.BraidWord(n, ()), w, w)
         # Both orbits are w, so a warning fires once for each.
         assert [c.category for c in caught] == [UserWarning] * (2 if warns else 0)
+
+    def test_orbit_block_warning_names_caller(self):
+        """On both paths the warning points at the caller's line, not into
+        snbraid or the dataclass-generated __init__."""
+        w, base = sb.BraidWord(3, ()), sb.BraidWord(1, ())
+        for call, count in (
+            (lambda: sb.SNInstance(1, 2, base, w, w), 2),
+            (lambda: sb.partition_sn_classes(1, 2, base, [w]), 1),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            where = (__file__, call.__code__.co_firstlineno)
+            assert [(c.filename, c.lineno) for c in caught] == [where] * count
 
 
 class TestPartition:
@@ -530,6 +545,23 @@ class TestPartition:
         seq = sb.partition_sn_classes(2, 1, sb.BraidWord(2, ()), orbits, workers=1)
         par = sb.partition_sn_classes(2, 1, sb.BraidWord(2, ()), orbits, workers=4)
         assert json.dumps(seq.to_json()) == json.dumps(par.to_json())
+
+    def test_buckets_share_one_union_find_across_threads(self):
+        """Six buckets on eight threads, switching threads every
+        microsecond: each bucket writes only its own union-find entries, so
+        no merge is lost and the output is that of one worker."""
+        beta_A = sb.BraidWord(2, (1,))
+        cores = [sb.BraidWord(3, (2, 2) * k) for k in range(1, 7)]
+        orbits = conjugate_classes(random.Random(77), 2, 1, beta_A, cores, 3)
+        seq = sb.partition_sn_classes(2, 1, beta_A, orbits, sb.Budget(4, 4000))
+        assert len(seq.classes) == 6 and seq.unresolved == ()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            par = sb.partition_sn_classes(2, 1, beta_A, orbits, sb.Budget(4, 4000), workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert par == seq
 
 
 def reference_partition(n, m, beta_A, orbits, budget):

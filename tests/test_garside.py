@@ -1130,3 +1130,17 @@ class TestConjugateModFullTwist:
         w = sb.BraidWord(4, (1, 3, -2))
         res, k = sb.conjugate_mod_full_twist(w, w)
         assert res.conjugate and k == 0
+
+    @pytest.mark.parametrize("k", range(-2, 3))
+    def test_two_strands(self, k):
+        # B_2 is infinite cyclic and Delta^2 = s1^2, so the exponent gap
+        # alone decides.
+        b = sb.BraidWord(2, (1, -1, -1))
+        a = sb.BraidWord(2, (-1,) + (1 if k > 0 else -1,) * (2 * abs(k)))
+        res, got = sb.conjugate_mod_full_twist(a, b)
+        assert res.conjugate and got == k
+        assert res.witness == sb.BraidWord.identity(2)
+
+    def test_two_strands_odd_gap(self):
+        res, k = sb.conjugate_mod_full_twist(sb.BraidWord(2, (1, 1)), sb.BraidWord(2, (-1,)))
+        assert not res.conjugate and k is None
