@@ -2,9 +2,10 @@
 Command-line surface: one JSON document per invocation on standard output.
 
 Exit codes: 0 for any computed verdict (including NotEquivalent), 2 for an
-Inconclusive verdict, 1 for input errors, usage errors included. Braid
-words use the text grammar of `snbraid.words` and are echoed back in the
-canonical `s<k>`/`S<k>` spelling.
+Inconclusive verdict, 1 for input errors, usage errors included. `run`
+returns the code, after a usage error or `--help` too, and `main` exits
+with it. Braid words use the text grammar of `snbraid.words` and are
+echoed back in the canonical `s<k>`/`S<k>` spelling.
 """
 
 from __future__ import annotations
@@ -28,17 +29,8 @@ def _budget(args) -> decision.Budget:
     return decision.Budget(args.max_len, args.max_states)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on a usage error; here 2 means Inconclusive, so a
-    usage error exits 1 like every other input error."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="snbraid",
         description="Exact braid-group computations for strong Nielsen "
         "equivalence of periodic orbits on the punctured disc.",
@@ -119,7 +111,13 @@ def _verdict_exit(verdict: decision.SNVerdict) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error or the help. It exits 2 on a
+        # usage error, but 2 means Inconclusive here, so return 1 like
+        # every other input error, and 0 after --help.
+        return 1 if exc.code else 0
     try:
         return _dispatch(args)
     except (ValueError, OSError) as exc:

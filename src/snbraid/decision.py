@@ -386,10 +386,12 @@ def fixed_point_case(
     v: BraidWord,
     budget: Budget = Budget(),
 ) -> SNVerdict:
-    """The m = 1 specialization: the kernel is free of rank n, generated by
-    the loops of the single extra strand around the punctures, and the
-    decision is Reidemeister (twisted-conjugacy) equivalence of u and v in
-    that free group."""
+    """The m = 1 specialization, for orbits u and v on n + 1 strands. The
+    kernel is then free of rank n, generated by the loops of the single
+    extra strand around the punctures, but nothing here uses that: the
+    decision is `sn_equivalent_rel_A` on SNInstance(n, 1, beta_A, u, v),
+    the same screens, ambient test and bounded kernel search, so it can
+    end Inconclusive like any other instance."""
     inst = SNInstance(n, 1, beta_A, u, v)
     return sn_equivalent_rel_A(inst, budget)
 

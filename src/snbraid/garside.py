@@ -38,8 +38,10 @@ walk ends without a step bound: cycling never lowers the infimum nor
 raises the supremum, and a conjugacy class has finitely many elements
 between given bounds (from a super summit element, at most the size of the
 super summit set). Two braids are conjugate iff their ultra summit sets
-intersect. Every walk records its conjugator as a list of simple factors,
-normalized once, and only when it becomes the witness.
+intersect. Every walk records its conjugator as a list of simple factors:
+the meet and the closure return only the path from the start of a's
+circuit, and `is_conjugate` alone joins each side's lists and normalizes
+them once, only when they become the witness.
 
 A simple element is stored as the lexicographic rank of its permutation,
 an int (see `_Simples`): factor lists, conjugator lists and canonical forms
@@ -531,15 +533,6 @@ def _cycling_orbit(
         orbit.append(w)
 
 
-def _to_circuit(
-    v: CanonicalForm, g: list[int]
-) -> tuple[CanonicalForm, list[int]]:
-    """The first element of v's cycling circuit, with the simple factors g
-    extended by the conjugators that lead there."""
-    orbit, steps, start = _cycling_orbit(v)
-    return orbit[start], g + steps[:start]
-
-
 def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     """Complete conjugacy decision in B_n with witness extraction.
 
@@ -547,13 +540,14 @@ def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     Both braids are brought onto a cycling circuit of their ultra summit
     sets; each cycling walk ends because cycling stays inside the finite
     super summit set. If b's circuit element or its tau-image lies on a's
-    circuit, the walk of a already holds the conjugator (`_circuit_meet`).
+    circuit, the walk of a already holds the path (`_circuit_meet`).
     Otherwise the set of a is closed under simple-element conjugation until
-    it reaches b's element. The walks record each conjugator as a list of
-    simple factors, and only a witness is multiplied out: each side is
-    normalized once. Raises ValueError when a pair that does not meet on
-    the circuit needs the closure search on more than MAX_CLOSURE_STRANDS
-    strands.
+    it reaches b's element (`_closure_search`). Every walk records its
+    conjugator as a list of simple factors, and only a witness is
+    multiplied out: a's summit and circuit walks joined with the path, and
+    b's summit and circuit walks, each list normalized once, here. Raises
+    ValueError when a pair that does not meet on the circuit needs the
+    closure search on more than MAX_CLOSURE_STRANDS strands.
     """
     if a.strands != b.strands:
         raise StrandMismatchError("cannot compare words on different strand counts")
@@ -572,45 +566,41 @@ def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
         return ConjugacyResult(False)
 
     orbit, steps, start = _cycling_orbit(va)
-    ga += steps[:start]
-    vb, gb = _to_circuit(vb, gb)
-    found = _circuit_meet(orbit[start:], steps[start:], ga, vb)
-    if found is None:
-        found = _closure_search(orbit[start], ga, vb)
-    if found is None:
+    orbit_b, steps_b, start_b = _cycling_orbit(vb)
+    vb = orbit_b[start_b]
+    path = _circuit_meet(orbit[start:], steps[start:], vb)
+    if path is None:
+        path = _closure_search(orbit[start], vb)
+    if path is None:
         return ConjugacyResult(False)
-    h = CanonicalForm(n, *_normalize(n, found))
-    g = CanonicalForm(n, *_normalize(n, gb))
+    h = CanonicalForm(n, *_normalize(n, ga + steps[:start] + path))
+    g = CanonicalForm(n, *_normalize(n, gb + steps_b[:start_b]))
     witness = free_reduce(h.mul(g.inv()).to_word())
     return ConjugacyResult(True, witness)
 
 
 def _circuit_meet(
-    circuit: list[CanonicalForm],
-    steps: list[int],
-    g: list[int],
-    target: CanonicalForm,
+    circuit: list[CanonicalForm], steps: list[int], target: CanonicalForm
 ) -> list[int] | None:
     """Look for target, or its tau-image Delta^-1 target Delta, on a cycling
-    circuit whose first element is g^-1 * (original a) * g, with the simple
-    conjugator of each cycling step (circuit[j + 1] = s_j^-1 circuit[j] s_j).
-    Conjugators are lists of simple factors. Returns the factors of h with
-    target = h^-1 * (original a) * h, or None when neither lies on the
+    circuit, with the simple conjugator of each cycling step
+    (circuit[j + 1] = s_j^-1 circuit[j] s_j). Returns the simple factors of
+    h with target = h^-1 circuit[0] h, or None when neither lies on the
     circuit.
 
-    circuit[j] is conjugated from a by g * s_0 * ... * s_(j-1), and a
+    circuit[j] is conjugated from circuit[0] by s_0 ... s_(j-1), and a
     tau-match circuit[j] = Delta^-1 target Delta needs one more Delta, as
-    Delta^2 is central. Every element found is an explicit conjugate of a,
-    so a match is sound; a miss decides nothing."""
+    Delta^2 is central. Every element found is an explicit conjugate of
+    circuit[0], so a match is sound; a miss decides nothing."""
     simples = _simples(target.strands)
     target_tau = CanonicalForm(
         target.strands, target.delta_power, tuple(map(simples.tau.__getitem__, target.factors))
     )
     for j, v in enumerate(circuit):
         if v == target:
-            return g + steps[:j]
+            return steps[:j]
         if v == target_tau:
-            return g + steps[:j] + [simples.delta]
+            return steps[:j] + [simples.delta]
     return None
 
 
@@ -630,16 +620,14 @@ def _conjugate(v: CanonicalForm, p: int) -> CanonicalForm:
     return CanonicalForm(n, d - 1 + shift, fs)
 
 
-def _closure_search(
-    va: CanonicalForm, ga: list[int], target: CanonicalForm
-) -> list[int] | None:
+def _closure_search(va: CanonicalForm, target: CanonicalForm) -> list[int] | None:
     """Close the ultra summit set of va under simple-element conjugation,
-    breadth first in lexicographic order of the canonical-form encoding.
-    Each element is conjugated by every simple element in rank order
-    (`_conjugate`). Conjugators are lists of simple factors, ga leading
-    from the original a to va. Returns the factors of h with target =
-    h^-1 * (original a) * h when the target is reached, else None once the
-    set is exhausted.
+    breadth first in lexicographic order of the canonical-form encoding,
+    until it reaches target, which must differ from va (`_circuit_meet`
+    has compared them). Each element is conjugated by every simple element
+    in rank order (`_conjugate`). Returns the simple factors of h with
+    target = h^-1 va h, read back along the breadth-first tree, or None
+    once the set is exhausted.
 
     Each visited element records only its parent and the simple element
     that conjugates the parent to it; the path is read back once, on a hit.
@@ -648,8 +636,6 @@ def _closure_search(
     and those on it are. A candidate met on an earlier walk is therefore not
     walked again."""
     n = va.strands
-    if va == target:
-        return ga
     if n > MAX_CLOSURE_STRANDS:
         raise ValueError(
             f"conjugacy search on {n} strands is not supported: it tries all "
@@ -683,7 +669,7 @@ def _closure_search(
                     while (link := parent[w]) is not None:
                         w, step = link
                         path.append(step)
-                    return ga + path[::-1]
+                    return path[::-1]
                 nxt.append(w)
         frontier = nxt
     return None

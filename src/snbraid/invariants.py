@@ -170,7 +170,10 @@ def burau_charpoly(a: BraidWord) -> tuple[tuple[int, int, int], ...]:
 
 
 def standard_reports(b: MixedBraid) -> list[InvariantReport]:
-    """The invariant battery for one mixed braid, in screening order."""
+    """The invariant battery for one mixed braid, in report order. The
+    decision layer screens a different set (`decision._screen_values`):
+    the orbit word's exponent sum, the cycle type and the linking matrix,
+    and never the Burau polynomial."""
     return [
         InvariantReport("exponent_sum", exponent_sum(b.word)),
         InvariantReport("cycle_type", cycle_type(b)),

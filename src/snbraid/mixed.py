@@ -131,8 +131,9 @@ def decompose(b: MixedBraid) -> Decomposition:
 
 def is_kernel(n: int, m: int, w: BraidWord) -> bool:
     """Membership in the kernel of the projection: the permutation fixes the
-    first block pointwise and the projected word is trivial in B_n."""
-    if w.strands != n + m:
+    first block pointwise and the projected word is trivial in B_n. A
+    negative block size has no kernel."""
+    if n < 0 or m < 0 or w.strands != n + m:
         return False
     perm = permutation(w)
     if any(perm(i) != i for i in range(1, n + 1)):

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import snbraid as sb
 from snbraid import cli
@@ -174,17 +178,19 @@ class TestErrors:
     )
     def test_usage_error_exit_one(self, capsys, tail, message):
         # A usage error is an input error; exit 2 is kept for Inconclusive.
-        with pytest.raises(SystemExit) as exc:
-            cli.run(["sn", "-n", "2", "-m", "1", "--betaA", "", "--ox", A2] + tail)
-        out = capsys.readouterr()
-        assert exc.value.code == 1 and out.out == ""
-        assert f"snbraid sn: error: {message}" in out.err
+        code, out, err = run(capsys, ["sn", "-n", "2", "-m", "1", "--betaA", "", "--ox", A2] + tail)
+        assert code == 1 and out == ""
+        assert f"snbraid sn: error: {message}" in err
 
     def test_help_exit_zero(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.run(["sn", "--help"])
-        assert exc.value.code == 0
-        assert "--max-len" in capsys.readouterr().out
+        code, out, _ = run(capsys, ["sn", "--help"])
+        assert code == 0
+        assert "--max-len" in out
+
+    def test_negative_block_size(self, capsys):
+        code, out, err = run(capsys, ["act", "-n", "2", "-m", "-1", "--beta", "", "--gamma", ""])
+        assert code == 1 and out == ""
+        assert err == "error: word <empty> is not in the kernel for blocks (2, -1)\n"
 
     def test_partition_missing_file(self, capsys, tmp_path):
         missing = tmp_path / "absent" / "orbits.txt"
@@ -275,6 +281,17 @@ class TestErrors:
         assert err.startswith("error:") and "10 strands" in err
         assert f"{sb.garside.MAX_CLOSURE_STRANDS} strands" in err
 
+    def test_decision_strand_limit(self, capsys):
+        # The decision runs the conjugacy test on the two mixed braids, here
+        # on 9 strands; they pass the summit checks and miss on the circuit.
+        code, out, err = run(
+            capsys,
+            ["sn", "-n", "8", "-m", "1", "--betaA", "S3 S4 S2 S4 s1 S1",
+             "--ox", "s8 s7 s6 s6 S7 S8", "--oy", "S1 s8 S7 s6 s6 s7 S8 s1"],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: conjugacy search on 9 strands is not supported")
+
     def test_pairs_settled_before_closure_beyond_limit(self, capsys):
         assert run_json(capsys, ["conj", "-n", "10", "s1", "S2"]) == {"conjugate": False}
         doc = run_json(capsys, ["conj", "-n", "10", "s1 s9", "s1 s9"])
@@ -289,6 +306,68 @@ class TestErrors:
         c = sb.BraidWord.parse(9, doc["witness"])
         lhs = sb.compose(sb.compose(c, sb.BraidWord.parse(9, b)), sb.invert(c))
         assert sb.equal(sb.BraidWord.parse(9, a), lhs)
+
+
+# Every command but partition (which reads a file): whether it takes -m, its
+# positional words, its word options, and whether it takes budget flags.
+FUZZ_COMMANDS = {
+    "nf": (False, 1, (), False),
+    "eq": (False, 2, (), False),
+    "conj": (False, 2, (), False),
+    "conj-mod-twist": (False, 2, (), False),
+    "decompose": (True, 1, (), False),
+    "act": (True, 0, ("--beta", "--gamma"), False),
+    "sn": (True, 0, ("--betaA", "--ox", "--oy"), True),
+    "sn-twisted": (True, 0, ("--betaA", "--ox", "--oy"), True),
+    "fixed": (False, 0, ("--betaA", "--u", "--v"), True),
+    "invariants": (True, 1, (), False),
+}
+# Valid letters mixed with junk: index 0, a bad token, a signed index, a
+# non-ASCII digit, a comment mark and a line break.
+FUZZ_TOKENS = ["s1", "S1", "s2", "S2", "s3", "S4", "2", "-1",
+               "s0", "x", "s+1", "s\u0661", "#", "\n"]
+POSITIONED = re.compile(r"bad braid letter|generator index 0|out of range for")
+
+
+@st.composite
+def cli_argv(draw):
+    cmd = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    takes_m, positional, options, budget = FUZZ_COMMANDS[cmd]
+    word = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=5).map(" ".join)
+    flags = [("-n", draw(st.sampled_from([str(k) for k in range(-3, 6)] + ["x", ""])))]
+    if takes_m:
+        flags.append(("-m", draw(st.sampled_from([str(k) for k in range(-2, 4)] + ["y"]))))
+    flags += [(opt, draw(word)) for opt in options]
+    argv = [cmd]
+    for flag, value in flags:
+        if draw(st.integers(0, 7)):  # a required option is sometimes left out
+            argv += [flag, value]
+    argv += [draw(word) for _ in range(positional)]
+    if budget:
+        argv += ["--max-len", "2", "--max-states", "300"]
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore:.*treating it as a formal instance")
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cli_argv())
+def test_fuzz_error_paths(argv):
+    """Any argv returns an exit code and raises nothing. A verdict prints
+    one JSON document; an input error prints nothing on stdout and an
+    `error:` line on stderr, which gives the line and column of a bad
+    letter."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert out == "", argv
+        assert any("error:" in line for line in err.splitlines()), argv
+        if POSITIONED.search(err):
+            assert re.search(r"\(line \d+, column \d+\)", err), (argv, err)
+    else:
+        json.loads(out)
 
 
 def test_cli_start_imports_only_standard_library():

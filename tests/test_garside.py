@@ -715,8 +715,8 @@ class TestLongCyclingOrbits:
         earlier walk visited: pre-circuit elements are known non-members
         and circuit elements known members of the ultra summit set."""
         a, d = separated
-        va, ga = garside._to_circuit(*garside._summit(canonical_form(a)))
-        vd, _ = garside._to_circuit(*garside._summit(canonical_form(d)))
+        orbit, _, start = summit_orbit(a)
+        orbit_d, _, start_d = summit_orbit(d)
         walk = garside._cycling_orbit
         walked: set = set()
         starts = []
@@ -728,7 +728,7 @@ class TestLongCyclingOrbits:
             return orbit, steps, start
 
         monkeypatch.setattr(garside, "_cycling_orbit", recorded)
-        assert garside._closure_search(va, ga, vd) is None
+        assert garside._closure_search(orbit[start], orbit_d[start_d]) is None
         assert starts and not any(starts)
 
     def test_orbit_circuit(self, pair):
@@ -759,12 +759,14 @@ def closure_only_is_conjugate(a, b):
     vb, gb = garside._summit(cb)
     if (va.inf, va.sup) != (vb.inf, vb.sup):
         return sb.ConjugacyResult(False)
-    va, ga = garside._to_circuit(va, ga)
-    vb, gb = garside._to_circuit(vb, gb)
-    found = garside._closure_search(va, ga, vb)
-    if found is None:
+    orbit, steps, start = garside._cycling_orbit(va)
+    orbit_b, steps_b, start_b = garside._cycling_orbit(vb)
+    va, vb = orbit[start], orbit_b[start_b]
+    path = [] if va == vb else garside._closure_search(va, vb)
+    if path is None:
         return sb.ConjugacyResult(False)
-    witness = product(n, found).mul(product(n, gb).inv())
+    h = product(n, ga + steps[:start] + path)
+    witness = h.mul(product(n, gb + steps_b[:start_b]).inv())
     return sb.ConjugacyResult(True, sb.free_reduce(witness.to_word()))
 
 
@@ -1000,8 +1002,8 @@ class TestFactorListConjugators:
         meet = garside._circuit_meet
         tau_matches = []
 
-        def recorded(circuit, steps, g, target):
-            found = meet(circuit, steps, g, target)
+        def recorded(circuit, steps, target):
+            found = meet(circuit, steps, target)
             tau_matches.append(found is not None and target not in circuit)
             return found
 

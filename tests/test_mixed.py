@@ -112,6 +112,13 @@ class TestKernel:
         # fixes the base block pointwise, but projects to sigma_1^2
         assert not sb.is_kernel(2, 1, sb.BraidWord(3, (1, 1)))
 
+    @pytest.mark.parametrize("n,m", [(2, -1), (-1, 2)])
+    def test_negative_block_size(self, n, m):
+        # n + m strands exist, but a negative block has no kernel.
+        assert not sb.is_kernel(n, m, sb.BraidWord(1, ()))
+        with pytest.raises(sb.KernelMembershipError):
+            sb.mixed.ensure_kernel(n, m, sb.BraidWord(1, ()))
+
     def test_generators_2_1(self):
         gens = sb.kernel_generators(2, 1)
         assert [g.letters for g in gens] == [(2, 1, 1, -2), (2, 2)]
