@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--oy", required=True)
         _add_budget_flags(p)
 
-    p = sub.add_parser("fixed", help="fixed-point case (m = 1, free-group kernel)")
+    p = sub.add_parser("fixed", help="fixed-point case: the sn decision with m = 1")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--betaA", required=True)
     p.add_argument("--u", required=True)

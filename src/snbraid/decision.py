@@ -24,6 +24,16 @@ braid section(beta_A) * w and that braid's canonical form, built once by
 `_orbit`, which also checks w. An `SNInstance` holds two records, and
 `partition_sn_classes` builds one per orbit and merges classes in a single
 union-find on the orbit indices.
+
+What a decision learns of one orbit alone is kept on its record, filled on
+first use inside a decision and never when the record is built: the
+screened invariants, one at a time, and the per-braid stage of the ambient
+conjugacy test, the summit and cycling circuit of the mixed braid
+(`garside._ConjugacyRecord`). Only the comparisons are per pair: the
+screens compare the kept values, and the ambient test meets the two
+records (`garside._conjugacy`), multiplying out a witness only for an
+empty invariant set. A partition thus walks each orbit's summit and circuit at
+most once, and the two formulations decided on one instance share them.
 """
 
 from __future__ import annotations
@@ -36,7 +46,14 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator
 
-from .garside import CanonicalForm, ConjugacyResult, canonical_form, is_conjugate
+from .garside import (
+    CanonicalForm,
+    ConjugacyResult,
+    _ConjugacyRecord,
+    _conjugacy,
+    canonical_form,
+    is_conjugate,
+)
 from .invariants import cycle_type, linking_matrix
 from .mixed import (
     MixedBraid,
@@ -120,11 +137,19 @@ class SNVerdict:
 @dataclasses.dataclass(frozen=True)
 class _Orbit:
     """One orbit word w, its mixed braid section(beta_A) * w and that
-    braid's canonical form."""
+    braid's canonical form, built with the record, and what decisions learn
+    of w alone, filled on first use and kept for every later pair:
+    `screens`, the screened invariants by name (`_screen_values`), and
+    `ambient`, the summit and cycling circuit of the canonical form
+    (`garside._ConjugacyRecord`)."""
 
     word: BraidWord
     braid: MixedBraid
     cf: CanonicalForm
+    ambient: _ConjugacyRecord = dataclasses.field(repr=False, compare=False)
+    screens: dict[str, object] = dataclasses.field(
+        default_factory=dict, repr=False, compare=False
+    )
 
 
 def _orbit(n: int, m: int, lift: BraidWord, name: str, w: BraidWord) -> _Orbit:
@@ -147,7 +172,8 @@ def _orbit(n: int, m: int, lift: BraidWord, name: str, w: BraidWord) -> _Orbit:
             stacklevel=level,
         )
     braid = MixedBraid(n, m, compose(lift, w))
-    return _Orbit(w, braid, canonical_form(braid.word))
+    cf = canonical_form(braid.word)
+    return _Orbit(w, braid, cf, _ConjugacyRecord(cf))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -197,19 +223,27 @@ def braid_type_equal(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     return is_conjugate(a, b)
 
 
+_SCREENS: tuple[tuple[str, Callable[[_Orbit], object]], ...] = (
+    ("exponent_sum", lambda orbit: exponent_sum(orbit.word)),
+    ("cycle_type", lambda orbit: cycle_type(orbit.braid)),
+    ("linking_matrix", lambda orbit: linking_matrix(orbit.braid)),
+)
+
+
 def _screen_values(orbit: _Orbit) -> Iterator[tuple[str, object]]:
     """The screened invariants of one orbit w with mixed braid
     section(beta_A) * w, as (name, value) pairs, each computed only when
-    asked for: the exponent sum of w, then the cycle type and the linking
-    matrix of the mixed braid.
+    asked for, once per record (`orbit.screens`): the exponent sum of w,
+    then the cycle type and the linking matrix of the mixed braid.
 
     The Burau characteristic polynomial of the whole mixed braid is not
     screened: it is an invariant of conjugacy in the ambient B_{n+m}, so
-    every pair it separates is also rejected by the ambient `is_conjugate`
+    every pair it separates is also rejected by the ambient conjugacy
     test that follows, and screening it cannot change a verdict."""
-    yield "exponent_sum", exponent_sum(orbit.word)
-    yield "cycle_type", cycle_type(orbit.braid)
-    yield "linking_matrix", linking_matrix(orbit.braid)
+    for name, compute in _SCREENS:
+        if name not in orbit.screens:
+            orbit.screens[name] = compute(orbit)
+        yield name, orbit.screens[name]
 
 
 def _screen_invariants(inst: SNInstance) -> Certificate | None:
@@ -325,12 +359,18 @@ def _decide(
     budget: Budget,
     accept: Callable[[BraidWord, CanonicalForm], bool],
 ) -> SNVerdict:
+    """The staged decision of one instance: the screens, then ambient
+    conjugacy in B_{n+m}, then the bounded kernel search with `accept`.
+    The first two compare what the two orbit records hold, filling it on
+    first use; only the kernel search is wholly per pair."""
     cert = _screen_invariants(inst)
     if cert is not None:
         return SNVerdict(NOT_EQUIVALENT, certificate=cert)
 
-    bx, by = inst.mixed_x().word, inst.mixed_y().word
-    full = is_conjugate(bx, by)
+    # Equal screens give the two mixed braids equal exponent sums and cycle
+    # types, the checks `is_conjugate` makes on words, so the records meet
+    # directly; only the empty invariant set needs the witness.
+    full = _conjugacy(inst._x.ambient, inst._y.ambient, witness=inst.n == 0)
     if not full.conjugate:
         return SNVerdict(
             NOT_EQUIVALENT,
@@ -427,7 +467,10 @@ def partition_sn_classes(
     decided.
 
     Within a bucket the pairs are decided in (i, j) order with
-    `sn_equivalent_rel_A` on the instance of their two records. One
+    `sn_equivalent_rel_A` on the instance of their two records. Every pair
+    an orbit takes part in shares its record, so no screen is computed
+    again, and its summit and circuit are walked once, by the first of its
+    pairs to reach the ambient test. One
     union-find on the orbit indices holds the classes of all buckets; a
     pair that Equivalent verdicts have already put in one class is
     skipped, and Inconclusive pairs are never merged. A class is named by
@@ -437,7 +480,8 @@ def partition_sn_classes(
     by transitivity through pairs with witnesses, and is dropped.
 
     With `workers > 1` the buckets, each decided in order, are spread over
-    a thread pool; the result does not depend on the worker count."""
+    a thread pool; the result does not depend on the worker count, and a
+    record, which lies in one bucket, is filled on one thread only."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     lift = section(n, m, beta_A).word

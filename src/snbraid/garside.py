@@ -40,8 +40,17 @@ between given bounds (from a super summit element, at most the size of the
 super summit set). Two braids are conjugate iff their ultra summit sets
 intersect. Every walk records its conjugator as a list of simple factors:
 the meet and the closure return only the path from the start of a's
-circuit, and `is_conjugate` alone joins each side's lists and normalizes
+circuit, and the pair stage alone joins each side's lists and normalizes
 them once, only when they become the witness.
+
+The decision has two stages. The summit and circuit walks depend on one
+braid only, and a per-braid record (`_ConjugacyRecord`) runs each on its
+first use and keeps it. The pair stage (`_conjugacy`) meets two records: the
+infimum/supremum comparison, the circuit meet, the closure on a miss, and
+the witness only when it is asked for. `is_conjugate` is two word checks
+and the pair stage over two fresh records; a caller that decides many
+pairs of the same braids, as the strong Nielsen decision does per orbit,
+keeps one record per braid and walks each braid once.
 
 A simple element is stored as the lexicographic rank of its permutation,
 an int (see `_Simples`): factor lists, conjugator lists and canonical forms
@@ -533,50 +542,97 @@ def _cycling_orbit(
         orbit.append(w)
 
 
+class _ConjugacyRecord:
+    """The per-braid stage of the conjugacy decision, for one canonical
+    form `cf`. Both walks depend on this braid alone, so each runs once,
+    on first use, and is kept: `summit()` is the summit element v and the
+    simple factors of g with v = g^-1 * cf * g (`_summit`), and `circuit()`
+    is v's cycling circuit, the simple conjugator of each of its steps and
+    the factors of the steps from v to the circuit's start
+    (`_cycling_orbit`). A record whose pairs are all settled before a walk
+    never runs it. `_conjugacy` meets two records. Filling is idempotent:
+    two threads that share a record at worst walk it twice."""
+
+    __slots__ = ("cf", "_at_summit", "_on_circuit")
+
+    def __init__(self, cf: CanonicalForm):
+        self.cf = cf
+        self._at_summit: tuple[CanonicalForm, list[int]] | None = None
+        self._on_circuit: tuple[list[CanonicalForm], list[int], list[int]] | None = None
+
+    def summit(self) -> tuple[CanonicalForm, list[int]]:
+        if self._at_summit is None:
+            self._at_summit = _summit(self.cf)
+        return self._at_summit
+
+    def circuit(self) -> tuple[list[CanonicalForm], list[int], list[int]]:
+        if self._on_circuit is None:
+            orbit, steps, start = _cycling_orbit(self.summit()[0])
+            self._on_circuit = orbit[start:], steps[start:], steps[:start]
+        return self._on_circuit
+
+
+def _conjugacy(
+    a: _ConjugacyRecord, b: _ConjugacyRecord, witness: bool = True
+) -> ConjugacyResult:
+    """The pair stage of the conjugacy decision, over two per-braid records
+    on the same strand count; a complete decision of whether a.cf and b.cf
+    are conjugate, with a witness c, c * b * c^-1 = a, only when `witness`
+    is set.
+
+    Equal forms are conjugate by the identity, and no walk runs. Otherwise
+    the summits must share infimum and supremum, and only then are the
+    circuits walked: if b's circuit element or its tau-image lies on a's
+    circuit, a's walk already holds the path (`_circuit_meet`); if not, the
+    ultra summit set of a is closed under simple-element conjugation until
+    it reaches b's element (`_closure_search`). A witness is multiplied out
+    from the factor lists: a's summit and circuit walks joined with the
+    path, and b's summit and circuit walks, each list normalized once.
+    Raises ValueError when the closure search is needed on more than
+    MAX_CLOSURE_STRANDS strands."""
+    n = a.cf.strands
+    if a.cf == b.cf:
+        return ConjugacyResult(True, BraidWord.identity(n) if witness else None)
+    va, ga = a.summit()
+    vb, gb = b.summit()
+    if (va.inf, va.sup) != (vb.inf, vb.sup):
+        return ConjugacyResult(False)
+
+    circuit, steps, lead = a.circuit()
+    circuit_b, _, lead_b = b.circuit()
+    path = _circuit_meet(circuit, steps, circuit_b[0])
+    if path is None:
+        path = _closure_search(circuit[0], circuit_b[0])
+    if path is None:
+        return ConjugacyResult(False)
+    if not witness:
+        return ConjugacyResult(True)
+    h = CanonicalForm(n, *_normalize(n, ga + lead + path))
+    g = CanonicalForm(n, *_normalize(n, gb + lead_b))
+    return ConjugacyResult(True, free_reduce(h.mul(g.inv()).to_word()))
+
+
 def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     """Complete conjugacy decision in B_n with witness extraction.
 
     Returns a witness c with c * b * c^-1 = a whenever the answer is yes.
-    Both braids are brought onto a cycling circuit of their ultra summit
-    sets; each cycling walk ends because cycling stays inside the finite
-    super summit set. If b's circuit element or its tau-image lies on a's
-    circuit, the walk of a already holds the path (`_circuit_meet`).
-    Otherwise the set of a is closed under simple-element conjugation until
-    it reaches b's element (`_closure_search`). Every walk records its
-    conjugator as a list of simple factors, and only a witness is
-    multiplied out: a's summit and circuit walks joined with the path, and
-    b's summit and circuit walks, each list normalized once, here. Raises
-    ValueError when a pair that does not meet on the circuit needs the
-    closure search on more than MAX_CLOSURE_STRANDS strands.
+    Pairs that differ in exponent sum or cycle type are refused from the
+    words; the rest is the pair stage `_conjugacy` over two fresh
+    per-braid records (`_ConjugacyRecord`) of the canonical forms. Each
+    cycling walk ends because cycling stays inside the finite super summit
+    set.
+    Raises ValueError when a pair that does not meet on the circuit needs
+    the closure search on more than MAX_CLOSURE_STRANDS strands.
     """
     if a.strands != b.strands:
         raise StrandMismatchError("cannot compare words on different strand counts")
-    n = a.strands
     if exponent_sum(a) != exponent_sum(b):
         return ConjugacyResult(False)
     if permutation(a).cycle_type() != permutation(b).cycle_type():
         return ConjugacyResult(False)
-    ca, cb = canonical_form(a), canonical_form(b)
-    if ca == cb:
-        return ConjugacyResult(True, BraidWord.identity(n))
-
-    va, ga = _summit(ca)
-    vb, gb = _summit(cb)
-    if (va.inf, va.sup) != (vb.inf, vb.sup):
-        return ConjugacyResult(False)
-
-    orbit, steps, start = _cycling_orbit(va)
-    orbit_b, steps_b, start_b = _cycling_orbit(vb)
-    vb = orbit_b[start_b]
-    path = _circuit_meet(orbit[start:], steps[start:], vb)
-    if path is None:
-        path = _closure_search(orbit[start], vb)
-    if path is None:
-        return ConjugacyResult(False)
-    h = CanonicalForm(n, *_normalize(n, ga + steps[:start] + path))
-    g = CanonicalForm(n, *_normalize(n, gb + steps_b[:start_b]))
-    witness = free_reduce(h.mul(g.inv()).to_word())
-    return ConjugacyResult(True, witness)
+    return _conjugacy(
+        _ConjugacyRecord(canonical_form(a)), _ConjugacyRecord(canonical_form(b))
+    )
 
 
 def _circuit_meet(

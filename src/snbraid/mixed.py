@@ -34,6 +34,11 @@ class KernelMembershipError(ValueError):
     """A word that must lie in the kernel of the projection does not."""
 
 
+def _check_blocks(n: int, m: int) -> None:
+    if n < 0 or m < 0 or n + m < 1:
+        raise ValueError(f"bad block sizes ({n}, {m})")
+
+
 @dataclasses.dataclass(frozen=True)
 class MixedBraid:
     """A validated element of B_{n,m}; block preservation is membership."""
@@ -43,8 +48,7 @@ class MixedBraid:
     word: BraidWord
 
     def __post_init__(self):
-        if self.n < 0 or self.m < 0 or self.n + self.m < 1:
-            raise ValueError(f"bad block sizes ({self.n}, {self.m})")
+        _check_blocks(self.n, self.m)
         if self.word.strands != self.n + self.m:
             raise ValueError(
                 f"word has {self.word.strands} strands, expected {self.n + self.m}"
@@ -107,7 +111,9 @@ def delete_strand(w: BraidWord, start: int) -> BraidWord:
 
 
 def section(n: int, m: int, beta: BraidWord) -> MixedBraid:
-    """Add m vertical strands after an n-strand braid (letters unchanged)."""
+    """Add m vertical strands after an n-strand braid (letters unchanged).
+    The block sizes are checked before the word on n + m strands is made."""
+    _check_blocks(n, m)
     if beta.strands != n:
         raise ValueError(f"base word has {beta.strands} strands, expected {n}")
     return MixedBraid(n, m, BraidWord(n + m, beta.letters))

@@ -187,10 +187,28 @@ class TestErrors:
         assert code == 0
         assert "--max-len" in out
 
+    def test_fixed_help_names_the_sn_decision(self, capsys):
+        # `fixed` runs the sn decision with m = 1; no free-group kernel.
+        code, out, _ = run(capsys, ["--help"])
+        assert code == 0
+        assert "fixed-point case: the sn decision with m = 1" in out
+        assert "free-group" not in out
+
     def test_negative_block_size(self, capsys):
         code, out, err = run(capsys, ["act", "-n", "2", "-m", "-1", "--beta", "", "--gamma", ""])
         assert code == 1 and out == ""
         assert err == "error: word <empty> is not in the kernel for blocks (2, -1)\n"
+
+    def test_partition_bad_block_sizes(self, capsys, tmp_path):
+        # The sizes are refused before a word on n + m = 0 strands is made.
+        f = tmp_path / "orbits.txt"
+        f.write_text("")
+        code, out, err = run(
+            capsys,
+            ["partition", "-n", "2", "-m", "-2", "--betaA", "s1 s1", "--file", str(f)],
+        )
+        assert code == 1 and out == ""
+        assert err == "error: bad block sizes (2, -2)\n"
 
     def test_partition_missing_file(self, capsys, tmp_path):
         missing = tmp_path / "absent" / "orbits.txt"
@@ -348,10 +366,7 @@ def cli_argv(draw):
     return argv
 
 
-@pytest.mark.filterwarnings("ignore:.*treating it as a formal instance")
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(cli_argv())
-def test_fuzz_error_paths(argv):
+def check_outcome(argv):
     """Any argv returns an exit code and raises nothing. A verdict prints
     one JSON document; an input error prints nothing on stdout and an
     `error:` line on stderr, which gives the line and column of a bad
@@ -368,6 +383,70 @@ def test_fuzz_error_paths(argv):
             assert re.search(r"\(line \d+, column \d+\)", err), (argv, err)
     else:
         json.loads(out)
+
+
+@pytest.mark.filterwarnings("ignore:.*treating it as a formal instance")
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cli_argv())
+def test_fuzz_error_paths(argv):
+    check_outcome(argv)
+
+
+# Lines of a partition file: blank, comment, junk letters, and words that
+# lie in the kernel for some block sizes and not for others.
+FUZZ_LINES = ["", "   ", "# a comment", "s2 s2 # loop", "s1 s1", "s1", "s1 s2",
+              "S2 S2", "s3 s3", "s2 x3", "s0", "s2 s1 s1 S2"]
+
+
+def kernel_lines(n, m):
+    """Kernel words for blocks (n, m): loops of strand n + 1 around the
+    punctures n and n - 1, and a crossing inside the orbit block."""
+    lines = []
+    if n >= 1 and m >= 1:
+        lines += [f"s{n} s{n}", f"S{n} S{n}", f"s{n} s{n} s{n} s{n}"]
+    if n >= 2 and m >= 1:
+        lines.append(f"s{n} s{n - 1} s{n - 1} S{n}")
+    if m >= 2:
+        lines += [f"s{n + 1}", f"s{n + 1} s{n + 1}"]
+    return lines or [""]
+
+
+@st.composite
+def partition_argv(draw, path):
+    """argv for `partition` on a file at `path`, written here unless the
+    file is to be missing. Half the examples are well-formed, with block
+    sizes of at least 1, a base word in B_n, one or two workers and a file
+    of kernel words, so that whole partitions run as well as every error
+    path."""
+    if draw(st.booleans()):
+        n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        base = [f"s{i}" for i in range(1, n)] + [f"S{i}" for i in range(1, n)]
+        word = st.lists(st.sampled_from(base or [""]), max_size=3).map(" ".join)
+        kind, line, workers = "lines", st.sampled_from(kernel_lines(n, m)), [1, 2]
+    else:
+        n, m = draw(st.integers(-2, 3)), draw(st.integers(-2, 2))
+        word = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=4).map(" ".join)
+        kind = draw(st.sampled_from(["lines", "empty", "comment", "missing"]))
+        line = st.one_of(st.sampled_from(kernel_lines(n, m)), st.sampled_from(FUZZ_LINES))
+        workers = [-1, 0, 1, 2]
+    if kind == "missing":
+        path.unlink(missing_ok=True)
+    else:
+        lines = {"empty": [], "comment": ["# nothing but comments", "#"]}.get(kind)
+        if lines is None:
+            lines = draw(st.lists(line, max_size=5))
+        path.write_text("".join(line + "\n" for line in lines))
+    return ["partition", "-n", str(n), "-m", str(m), "--betaA", draw(word),
+            "--file", str(path), "--workers", str(draw(st.sampled_from(workers))),
+            "--max-len", "2", "--max-states", "300"]
+
+
+@pytest.mark.filterwarnings("ignore:.*treating it as a formal instance")
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fuzz_partition(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_partition_orbits.txt"
+    check_outcome(data.draw(partition_argv(path)))
 
 
 def test_cli_start_imports_only_standard_library():

@@ -601,6 +601,24 @@ def conjugate_classes(rng, n, m, beta_A, cores, copies):
     return orbits
 
 
+def thirty_orbits(seed):
+    """Five cores with distinct exponent sums, each with five conjugates by
+    one kernel generator: 30 orbits, 435 pairs, over the base sigma_1."""
+    texts = ["s2 s2", "S2 S2", "s2 s1 s1 S2 s2 s1 s1 S2", "s2 s2 s2 s2 s2 s2",
+             "s2 S1 S1 S2 s2 S1 S1 S2"]
+    beta_A = sb.BraidWord(2, (1,))
+    rng = random.Random(seed)
+    orbits = []
+    for text in texts:
+        core = sb.BraidWord.parse(3, text)
+        orbits.append(core)
+        for _ in range(5):
+            c = random_kernel_word(rng, 2, 1, 1)
+            orbits.append(conjugated_kernel_part(2, 1, beta_A, core, c))
+    rng.shuffle(orbits)
+    return beta_A, orbits
+
+
 class TestPartitionAgainstReference:
     SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
     BUDGETS = [sb.Budget(1, 200), sb.Budget(3, 2000)]
@@ -645,20 +663,7 @@ class TestPartitionAgainstReference:
 
         for name in counts:
             counted(name)
-        # Five cores with distinct exponent sums, each with five conjugates
-        # by one kernel generator: 30 orbits, 435 pairs.
-        texts = ["s2 s2", "S2 S2", "s2 s1 s1 S2 s2 s1 s1 S2", "s2 s2 s2 s2 s2 s2",
-                 "s2 S1 S1 S2 s2 S1 S1 S2"]
-        beta_A = sb.BraidWord(2, (1,))
-        rng = random.Random(6)
-        orbits = []
-        for text in texts:
-            core = sb.BraidWord.parse(3, text)
-            orbits.append(core)
-            for _ in range(5):
-                c = random_kernel_word(rng, 2, 1, 1)
-                orbits.append(conjugated_kernel_part(2, 1, beta_A, core, c))
-        rng.shuffle(orbits)
+        beta_A, orbits = thirty_orbits(6)
         res = sb.partition_sn_classes(2, 1, beta_A, orbits)
         assert len(res.classes) == 5 and res.unresolved == ()
         assert counts["ensure_kernel"] == 30
@@ -690,6 +695,53 @@ class TestPartitionAgainstReference:
         assert len(res.classes) == 2
         lift = sb.section(2, 1, beta_A).word
         assert [computed.count(sb.compose(lift, w)) for w in orbits] == [1] * len(orbits)
+
+
+class TestOrbitRecordsReused:
+    """What a decision learns of one orbit alone, its screens and the
+    summit and circuit of its mixed braid, is kept on the orbit's record
+    and computed once, on first use inside a decision."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from snbraid import decision, garside
+
+        calls = {}
+        for module, name in ((garside, "_summit"), (garside, "_cycling_orbit"),
+                             (decision, "linking_matrix")):
+            def counted(*args, fn=getattr(module, name), name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_partition_walks_each_orbit_once(self, calls, seed):
+        beta_A, orbits = thirty_orbits(seed)
+        res = sb.partition_sn_classes(2, 1, beta_A, orbits)
+        assert len(res.classes) == 5 and res.unresolved == ()
+        assert 0 < calls["_summit"] <= len(orbits)
+        assert 0 < calls["_cycling_orbit"] <= len(orbits)
+        assert calls["linking_matrix"] == len(orbits)
+
+    def test_formulations_share_one_instance(self, calls):
+        inst = TestKernelSearchPinned().instance(
+            "S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1"
+        )
+        assert calls == {}
+        budget = TestKernelSearchPinned.BUDGET
+        rel_A = sb.sn_equivalent_rel_A(inst, budget)
+        assert calls == {"_summit": 2, "_cycling_orbit": 2, "linking_matrix": 2}
+        twisted = sb.sn_equivalent_twisted(inst, budget)
+        assert calls == {"_summit": 2, "_cycling_orbit": 2, "linking_matrix": 2}
+        assert rel_A.to_json() == twisted.to_json()
+        verify(inst, rel_A)
+
+    def test_building_computes_nothing_for_a_decision(self, calls):
+        beta_A, orbits = thirty_orbits(6)
+        sb.SNInstance(2, 1, beta_A, orbits[0], orbits[1])
+        assert calls == {}
 
 
 class TestBudget:

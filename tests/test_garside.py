@@ -1033,6 +1033,39 @@ class TestFactorListConjugators:
             check_witness(a, b, self.assert_same(a, b))
             assert reached, (n, seed)
 
+    def test_records_shared_across_pairs(self, monkeypatch):
+        """The pair stage over per-braid records kept across pairs answers
+        as `is_conjugate` does, byte for byte, walks each braid to its
+        summit at most once, and without a witness gives the same
+        verdict."""
+        rng = random.Random(23)
+        words = []
+        for _ in range(6):
+            b = seeded_word(4, rng.randrange(10**6), 12)
+            words.append(b)
+            for _ in range(2):
+                c = random_word(rng, 4, 6)
+                words.append(sb.free_reduce(sb.compose(sb.compose(c, b), sb.invert(c))))
+            words.append(near_miss(rng, b))
+        expected = {(i, j): sb.is_conjugate(a, b).to_json()
+                    for i, a in enumerate(words) for j, b in enumerate(words)}
+        walked = []
+        summit = garside._summit
+
+        def recorded(cf):
+            walked.append(cf)
+            return summit(cf)
+
+        monkeypatch.setattr(garside, "_summit", recorded)
+        records = [garside._ConjugacyRecord(canonical_form(w)) for w in words]
+        for (i, j), doc in expected.items():
+            assert garside._conjugacy(records[i], records[j]).to_json() == doc
+            bare = garside._conjugacy(records[i], records[j], witness=False)
+            assert bare.to_json() == {"conjugate": doc["conjugate"]}
+        assert len(walked) <= len(words)
+        assert any(doc["conjugate"] for doc in expected.values())
+        assert not all(doc["conjugate"] for doc in expected.values())
+
     @pytest.fixture
     def mul_calls(self, monkeypatch):
         calls = []

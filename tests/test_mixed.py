@@ -77,6 +77,14 @@ class TestSection:
         with pytest.raises(ValueError):
             sb.section(2, 1, sb.BraidWord(3, (1,)))
 
+    @pytest.mark.parametrize("n,m", [(2, -2), (2, -1), (-1, 2), (0, 0)])
+    def test_block_sizes_checked_before_the_word(self, n, m):
+        """The sizes are refused as such, not through the word on n + m
+        strands that they would make."""
+        beta = sb.BraidWord(max(n, 0), (1, 1) if n >= 2 else ())
+        with pytest.raises(ValueError, match=rf"^bad block sizes \({n}, {m}\)$"):
+            sb.section(n, m, beta)
+
 
 class TestDecomposition:
     def test_mixed_example(self):
