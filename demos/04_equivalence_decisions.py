@@ -30,7 +30,7 @@ print(f"twisted formulation agrees: {v2.status}")
 print()
 
 # loops around different punctures are genuinely different orbits
-v3 = sb.fixed_point_case(2, sb.BraidWord.identity(2), A1, A2)
+v3 = sb.sn_equivalent_rel_A(sb.SNInstance(2, 1, sb.BraidWord.identity(2), A1, A2))
 print(f"A_1 vs A_2 rel two fixed points: {v3.status}")
 print(f"certificate: {v3.certificate.invariant}")
 print()

@@ -65,7 +65,6 @@ from .decision import (
     SNInstance,
     SNVerdict,
     braid_type_equal,
-    fixed_point_case,
     partition_sn_classes,
     sn_equivalent_rel_A,
     sn_equivalent_twisted,

@@ -76,13 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--oy", required=True)
         _add_budget_flags(p)
 
-    p = sub.add_parser("fixed", help="fixed-point case: the sn decision with m = 1")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--betaA", required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    _add_budget_flags(p)
-
     p = sub.add_parser("partition", help="partition orbits into SN classes")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
@@ -127,6 +120,9 @@ def run(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
+    if "m" in args:
+        # Refuse bad block sizes before any word is parsed on n + m strands.
+        mixed._check_blocks(args.n, args.m)
     if cmd == "nf":
         cf = garside.canonical_form(BraidWord.parse(args.n, args.word))
         _emit(cf.to_json())
@@ -169,15 +165,6 @@ def _dispatch(args) -> int:
         )
         fn = decision.sn_equivalent_rel_A if cmd == "sn" else decision.sn_equivalent_twisted
         return _verdict_exit(fn(inst, _budget(args)))
-    if cmd == "fixed":
-        verdict = decision.fixed_point_case(
-            args.n,
-            BraidWord.parse(args.n, args.betaA),
-            BraidWord.parse(args.n + 1, args.u),
-            BraidWord.parse(args.n + 1, args.v),
-            _budget(args),
-        )
-        return _verdict_exit(verdict)
     if cmd == "partition":
         orbits = []
         with open(args.file) as fh:

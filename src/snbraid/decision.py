@@ -190,10 +190,7 @@ class SNInstance:
     _y: _Orbit = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.beta_A.strands != self.n:
-            raise ValueError(
-                f"base braid has {self.beta_A.strands} strands, expected {self.n}"
-            )
+        # section checks the block sizes and the strand count of beta_A.
         lift = section(self.n, self.m, self.beta_A).word
         object.__setattr__(self, "_x", _orbit(self.n, self.m, lift, "beta_ox", self.beta_ox))
         object.__setattr__(self, "_y", _orbit(self.n, self.m, lift, "beta_oy", self.beta_oy))
@@ -417,23 +414,6 @@ def sn_equivalent_twisted(inst: SNInstance, budget: Budget = Budget()) -> SNVerd
         return twisted.mul(oy_cf).mul(c_cf.inv()) == ox_cf
 
     return _decide(inst, budget, accept)
-
-
-def fixed_point_case(
-    n: int,
-    beta_A: BraidWord,
-    u: BraidWord,
-    v: BraidWord,
-    budget: Budget = Budget(),
-) -> SNVerdict:
-    """The m = 1 specialization, for orbits u and v on n + 1 strands. The
-    kernel is then free of rank n, generated by the loops of the single
-    extra strand around the punctures, but nothing here uses that: the
-    decision is `sn_equivalent_rel_A` on SNInstance(n, 1, beta_A, u, v),
-    the same screens, ambient test and bounded kernel search, so it can
-    end Inconclusive like any other instance."""
-    inst = SNInstance(n, 1, beta_A, u, v)
-    return sn_equivalent_rel_A(inst, budget)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -44,13 +44,14 @@ circuit, and the pair stage alone joins each side's lists and normalizes
 them once, only when they become the witness.
 
 The decision has two stages. The summit and circuit walks depend on one
-braid only, and a per-braid record (`_ConjugacyRecord`) runs each on its
-first use and keeps it. The pair stage (`_conjugacy`) meets two records: the
-infimum/supremum comparison, the circuit meet, the closure on a miss, and
-the witness only when it is asked for. `is_conjugate` is two word checks
-and the pair stage over two fresh records; a caller that decides many
-pairs of the same braids, as the strong Nielsen decision does per orbit,
-keeps one record per braid and walks each braid once.
+braid only, and a per-braid record (`_ConjugacyRecord`) holds each as a
+cached property, walked on first use. The pair stage (`_conjugacy`) meets
+two records: the infimum/supremum comparison, the circuit meet, the
+closure on a miss, and the witness only when it is asked for.
+`is_conjugate` is two word checks and the pair stage over two fresh
+records; a caller that decides many pairs of the same braids, as the
+strong Nielsen decision does per orbit, keeps one record per braid and
+walks each braid once.
 
 A simple element is stored as the lexicographic rank of its permutation,
 an int (see `_Simples`): factor lists, conjugator lists and canonical forms
@@ -545,31 +546,29 @@ def _cycling_orbit(
 class _ConjugacyRecord:
     """The per-braid stage of the conjugacy decision, for one canonical
     form `cf`. Both walks depend on this braid alone, so each runs once,
-    on first use, and is kept: `summit()` is the summit element v and the
-    simple factors of g with v = g^-1 * cf * g (`_summit`), and `circuit()`
-    is v's cycling circuit, the simple conjugator of each of its steps and
-    the factors of the steps from v to the circuit's start
-    (`_cycling_orbit`). A record whose pairs are all settled before a walk
-    never runs it. `_conjugacy` meets two records. Filling is idempotent:
-    two threads that share a record at worst walk it twice."""
-
-    __slots__ = ("cf", "_at_summit", "_on_circuit")
+    on first use, and is kept as a cached property: `summit` is the summit
+    element v and the simple factors of g with v = g^-1 * cf * g
+    (`_summit`), and `circuit` is v's cycling circuit, the simple conjugator
+    of each of its steps and the factors of the steps from v to the
+    circuit's start (`_cycling_orbit`). A record whose pairs are all
+    settled before a walk never runs it. `_conjugacy` meets two records.
+    On Python < 3.12 the first fill of a property holds that property's
+    lock, one lock shared by all records: filling `circuit` takes
+    `summit`'s lock, and never the other way round, so threads that share
+    records cannot deadlock. From 3.12 on there is no lock, and two threads
+    at worst walk a record twice, to the same result."""
 
     def __init__(self, cf: CanonicalForm):
         self.cf = cf
-        self._at_summit: tuple[CanonicalForm, list[int]] | None = None
-        self._on_circuit: tuple[list[CanonicalForm], list[int], list[int]] | None = None
 
+    @functools.cached_property
     def summit(self) -> tuple[CanonicalForm, list[int]]:
-        if self._at_summit is None:
-            self._at_summit = _summit(self.cf)
-        return self._at_summit
+        return _summit(self.cf)
 
+    @functools.cached_property
     def circuit(self) -> tuple[list[CanonicalForm], list[int], list[int]]:
-        if self._on_circuit is None:
-            orbit, steps, start = _cycling_orbit(self.summit()[0])
-            self._on_circuit = orbit[start:], steps[start:], steps[:start]
-        return self._on_circuit
+        orbit, steps, start = _cycling_orbit(self.summit[0])
+        return orbit[start:], steps[start:], steps[:start]
 
 
 def _conjugacy(
@@ -593,13 +592,13 @@ def _conjugacy(
     n = a.cf.strands
     if a.cf == b.cf:
         return ConjugacyResult(True, BraidWord.identity(n) if witness else None)
-    va, ga = a.summit()
-    vb, gb = b.summit()
+    va, ga = a.summit
+    vb, gb = b.summit
     if (va.inf, va.sup) != (vb.inf, vb.sup):
         return ConjugacyResult(False)
 
-    circuit, steps, lead = a.circuit()
-    circuit_b, _, lead_b = b.circuit()
+    circuit, steps, lead = a.circuit
+    circuit_b, _, lead_b = b.circuit
     path = _circuit_meet(circuit, steps, circuit_b[0])
     if path is None:
         path = _closure_search(circuit[0], circuit_b[0])

@@ -144,7 +144,7 @@ class TestDecisionCommands:
     def test_fixed(self, capsys):
         doc = run_json(
             capsys,
-            ["fixed", "-n", "2", "--betaA", "", "--u", A1, "--v", A2],
+            ["sn", "-n", "2", "-m", "1", "--betaA", "", "--ox", A1, "--oy", A2],
         )
         assert doc["status"] == "NotEquivalent"
 
@@ -187,17 +187,35 @@ class TestErrors:
         assert code == 0
         assert "--max-len" in out
 
-    def test_fixed_help_names_the_sn_decision(self, capsys):
-        # `fixed` runs the sn decision with m = 1; no free-group kernel.
-        code, out, _ = run(capsys, ["--help"])
-        assert code == 0
-        assert "fixed-point case: the sn decision with m = 1" in out
-        assert "free-group" not in out
+    def test_fixed_command_is_gone(self, capsys):
+        # The m = 1 case is `sn -m 1`; there is no second spelling of it.
+        code, out, err = run(capsys, ["fixed", "-n", "2", "--betaA", "", "--u", A2, "--v", A2])
+        assert code == 1 and out == ""
+        assert "invalid choice: 'fixed'" in err
 
     def test_negative_block_size(self, capsys):
         code, out, err = run(capsys, ["act", "-n", "2", "-m", "-1", "--beta", "", "--gamma", ""])
         assert code == 1 and out == ""
-        assert err == "error: word <empty> is not in the kernel for blocks (2, -1)\n"
+        assert err == "error: bad block sizes (2, -1)\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sn", "--betaA", "s1", "--ox", "s2", "--oy", ""],
+         ["sn-twisted", "--betaA", "s1", "--ox", "s2", "--oy", ""],
+         ["decompose", "s2"],
+         ["act", "--beta", "s1", "--gamma", "s2"],
+         ["invariants", "s2"],
+         ["partition", "--betaA", "s1", "--file", None]],
+        ids=lambda argv: argv[0],
+    )
+    def test_block_sizes_checked_before_words(self, capsys, tmp_path, argv):
+        # Words on n + m = 0 strands would report a letter out of range.
+        f = tmp_path / "orbits.txt"
+        f.write_text("s2 s2\n")
+        argv = [str(f) if a is None else a for a in argv]
+        code, out, err = run(capsys, argv[:1] + ["-n", "2", "-m", "-2"] + argv[1:])
+        assert code == 1 and out == ""
+        assert err == "error: bad block sizes (2, -2)\n"
 
     def test_partition_bad_block_sizes(self, capsys, tmp_path):
         # The sizes are refused before a word on n + m = 0 strands is made.
@@ -337,7 +355,6 @@ FUZZ_COMMANDS = {
     "act": (True, 0, ("--beta", "--gamma"), False),
     "sn": (True, 0, ("--betaA", "--ox", "--oy"), True),
     "sn-twisted": (True, 0, ("--betaA", "--ox", "--oy"), True),
-    "fixed": (False, 0, ("--betaA", "--u", "--v"), True),
     "invariants": (True, 1, (), False),
 }
 # Valid letters mixed with junk: index 0, a bad token, a signed index, a

@@ -374,12 +374,19 @@ class TestTwisted:
 
 
 class TestFixedPointCase:
+    """m = 1: one orbit point, so the kernel is free of rank n. The
+    decision is the same as for every other period."""
+
+    @staticmethod
+    def decide(beta_A, u, v):
+        return sb.sn_equivalent_rel_A(sb.SNInstance(2, 1, beta_A, u, v))
+
     def test_equal_words(self):
-        v = sb.fixed_point_case(2, sb.BraidWord(2, (1,)), A1, A1)
+        v = self.decide(sb.BraidWord(2, (1,)), A1, A1)
         assert v.status == sb.EQUIVALENT
 
     def test_loops_around_distinct_punctures(self):
-        v = sb.fixed_point_case(2, sb.BraidWord(2, ()), A1, A2)
+        v = self.decide(sb.BraidWord(2, ()), A1, A2)
         assert v.status == sb.NOT_EQUIVALENT
         assert json.loads(json.dumps(v.certificate.to_json())) == {
             "invariant": "linking_matrix",
@@ -393,7 +400,7 @@ class TestFixedPointCase:
             gamma = random_kernel_word(rng, 2, 1, 3)
             c = random_kernel_word(rng, 2, 1, 2)
             u = sb.free_reduce(sb.compose(sb.compose(c, gamma), sb.invert(c)))
-            v = sb.fixed_point_case(2, sb.BraidWord(2, ()), u, gamma)
+            v = self.decide(sb.BraidWord(2, ()), u, gamma)
             assert v.status == sb.EQUIVALENT
 
 
@@ -419,7 +426,7 @@ class TestEmptyInvariantSet:
 
 class TestInstanceValidation:
     def test_base_strand_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="base word has 3 strands, expected 2"):
             sb.SNInstance(2, 1, sb.BraidWord(3, (1,)), A1, A1)
 
     def test_kernel_membership_enforced(self):
