@@ -67,8 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True, help="base braid in B_n")
     p.add_argument("--gamma", required=True, help="kernel braid on n+m strands")
 
-    for name in ("sn", "sn-twisted"):
-        p = sub.add_parser(name, help="strong Nielsen equivalence rel the invariant set")
+    for name, summary in (
+        ("sn", "kernel conjugator c with beta_x = c beta_y c^-1"),
+        ("sn-twisted", "twisted-conjugacy formulation: beta_ox = phi_betaA(c) beta_oy c^-1"),
+    ):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("-n", type=int, required=True)
         p.add_argument("-m", type=int, required=True)
         p.add_argument("--betaA", required=True)
@@ -82,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--betaA", required=True)
     p.add_argument("--file", required=True,
                    help="file with one kernel word per line, # comments")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="ignored; pairs are decided on one thread")
     _add_budget_flags(p)
 
     p = sub.add_parser("invariants", help="invariant battery of a mixed braid")
@@ -175,15 +179,11 @@ def _dispatch(args) -> int:
                     raise WordSyntaxError(exc.message, lineno, exc.column) from None
                 if word.letters:  # blank and comment-only lines
                     orbits.append(word)
-        result = decision.partition_sn_classes(
-            args.n,
-            args.m,
-            BraidWord.parse(args.n, args.betaA),
-            orbits,
-            _budget(args),
-            workers=args.workers,
-        )
-        _emit(result.to_json())
+        beta_A = BraidWord.parse(args.n, args.betaA)
+        budget = _budget(args)
+        if args.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {args.workers}")
+        _emit(decision.partition_sn_classes(args.n, args.m, beta_A, orbits, budget).to_json())
         return 0
     if cmd == "invariants":
         b = mixed.validate(args.n, args.m, BraidWord.parse(args.n + args.m, args.word))

@@ -43,7 +43,6 @@ import functools
 import itertools
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator
 
 from .garside import (
@@ -434,7 +433,6 @@ def partition_sn_classes(
     beta_A: BraidWord,
     orbits: list[BraidWord],
     budget: Budget = Budget(),
-    workers: int = 1,
 ) -> PartitionResult:
     """Partition a list of kernel orbit braids into strong Nielsen classes.
 
@@ -457,13 +455,7 @@ def partition_sn_classes(
     its smallest index, so the classes are those of deciding every pair.
     `unresolved` lists, sorted, the Inconclusive pairs whose final classes
     differ: an Inconclusive pair that ends inside one class is equivalent
-    by transitivity through pairs with witnesses, and is dropped.
-
-    With `workers > 1` the buckets, each decided in order, are spread over
-    a thread pool; the result does not depend on the worker count, and a
-    record, which lies in one bucket, is filled on one thread only."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    by transitivity through pairs with witnesses, and is dropped."""
     lift = section(n, m, beta_A).word
     records = [_orbit(n, m, lift, f"orbit {i}", w) for i, w in enumerate(orbits)]
     buckets: dict[tuple, list[int]] = {}
@@ -472,9 +464,7 @@ def partition_sn_classes(
         buckets.setdefault(key, []).append(i)
 
     # The union-find: each index points towards the smallest index of its
-    # class. Buckets are disjoint and a union joins two indices of one
-    # bucket, so deciding a bucket reads and writes only its own entries,
-    # and buckets may be decided on separate threads.
+    # class.
     parent = list(range(len(orbits)))
 
     def find(i: int) -> int:
@@ -483,8 +473,8 @@ def partition_sn_classes(
             i = parent[i]
         return i
 
-    def decide(bucket: list[int]) -> list[tuple[int, int]]:
-        inconclusive = []
+    inconclusive = []
+    for bucket in buckets.values():
         for i, j in itertools.combinations(bucket, 2):
             ri, rj = find(i), find(j)
             if ri == rj:
@@ -495,18 +485,9 @@ def partition_sn_classes(
                 parent[max(ri, rj)] = min(ri, rj)
             elif status == INCONCLUSIVE:
                 inconclusive.append((i, j))
-        return inconclusive
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_bucket = list(pool.map(decide, buckets.values()))
-    else:
-        per_bucket = [decide(bucket) for bucket in buckets.values()]
     # Roots are smallest indices, so classes come out ordered by them.
     classes: dict[int, list[int]] = {}
     for i in range(len(orbits)):
         classes.setdefault(find(i), []).append(i)
-    unresolved = sorted(
-        (i, j) for pairs in per_bucket for i, j in pairs if find(i) != find(j)
-    )
+    unresolved = sorted((i, j) for i, j in inconclusive if find(i) != find(j))
     return PartitionResult(tuple(tuple(c) for c in classes.values()), tuple(unresolved))

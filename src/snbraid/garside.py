@@ -551,12 +551,7 @@ class _ConjugacyRecord:
     (`_summit`), and `circuit` is v's cycling circuit, the simple conjugator
     of each of its steps and the factors of the steps from v to the
     circuit's start (`_cycling_orbit`). A record whose pairs are all
-    settled before a walk never runs it. `_conjugacy` meets two records.
-    On Python < 3.12 the first fill of a property holds that property's
-    lock, one lock shared by all records: filling `circuit` takes
-    `summit`'s lock, and never the other way round, so threads that share
-    records cannot deadlock. From 3.12 on there is no lock, and two threads
-    at worst walk a record twice, to the same result."""
+    settled before a walk never runs it. `_conjugacy` meets two records."""
 
     def __init__(self, cf: CanonicalForm):
         self.cf = cf

@@ -62,9 +62,6 @@ class MixedBraid:
                     f"block boundary after position {self.n}"
                 )
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "m": self.m, "word": self.word.format()}
-
 
 def validate(n: int, m: int, w: BraidWord) -> MixedBraid:
     """Check block preservation; raises BlockViolationError when violated."""

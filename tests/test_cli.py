@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +165,23 @@ class TestDecisionCommands:
         doc = json.loads(outs[0])
         assert doc["classes"] == [[0], [1], [2]]
 
+    def test_partition_workers_start_no_thread(self, capsys, tmp_path, monkeypatch):
+        # --workers is accepted and ignored: no thread is started, and the
+        # output is that of the same command without the flag.
+        f = tmp_path / "orbits.txt"
+        f.write_text("s2 s2\ns2 s1 s1 S2 s2 s2 s2 S1 S1 S2\ns2 s2 s2 s2\n")
+        argv = ["partition", "-n", "2", "-m", "1", "--betaA", "", "--file", str(f)]
+        _, plain, _ = run(capsys, argv)
+
+        def refuse(self):
+            raise RuntimeError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        code, out, err = run(capsys, argv + ["--workers", "4"])
+        assert (code, err) == (0, "")
+        assert out == plain
+        assert json.loads(out) == {"classes": [[0, 1], [2]], "unresolved": []}
+
 
 class TestErrors:
     def test_bad_word_exit_one(self, capsys):
@@ -186,6 +204,18 @@ class TestErrors:
         code, out, _ = run(capsys, ["sn", "--help"])
         assert code == 0
         assert "--max-len" in out
+
+    def test_sn_commands_have_own_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        code, out, _ = run(capsys, ["--help"])
+        assert code == 0
+        summary = {}
+        for line in out.splitlines():
+            name, _, text = line.strip().partition(" ")
+            if name in ("sn", "sn-twisted"):
+                summary[name] = text.strip()
+        assert summary["sn"] != summary["sn-twisted"]
+        assert "twisted" in summary["sn-twisted"] and "twisted" not in summary["sn"]
 
     def test_fixed_command_is_gone(self, capsys):
         # The m = 1 case is `sn -m 1`; there is no second spelling of it.

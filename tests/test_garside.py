@@ -72,6 +72,11 @@ class TestCanonicalForm:
         cf = canonical_form(sb.BraidWord(3, (1, -1)))
         assert (cf.delta_power, cf.factors) == (0, ())
 
+    def test_mul_strand_mismatch(self):
+        a = canonical_form(sb.BraidWord(3, (1,)))
+        with pytest.raises(sb.StrandMismatchError):
+            a.mul(canonical_form(sb.BraidWord(4, (1,))))
+
     def test_full_twist_b2(self):
         cf = canonical_form(sb.BraidWord(2, (1, 1)))
         assert (cf.delta_power, cf.factors) == (2, ())
@@ -547,6 +552,10 @@ class TestConjugacy:
         w = sb.BraidWord(4, (1, -3, 2))
         res = sb.is_conjugate(w, w)
         assert res.conjugate and res.witness.letters == ()
+
+    def test_strand_mismatch(self):
+        with pytest.raises(sb.StrandMismatchError):
+            sb.is_conjugate(sb.BraidWord(3, (1,)), sb.BraidWord(4, (1,)))
 
     def test_constructed_roundtrip(self):
         rng = random.Random(10)
@@ -1165,6 +1174,10 @@ class TestConjugateModFullTwist:
         w = sb.BraidWord(4, (1, 3, -2))
         res, k = sb.conjugate_mod_full_twist(w, w)
         assert res.conjugate and k == 0
+
+    def test_strand_mismatch(self):
+        with pytest.raises(sb.StrandMismatchError):
+            sb.conjugate_mod_full_twist(sb.BraidWord(3, (1,)), sb.BraidWord(4, (1,)))
 
     @pytest.mark.parametrize("k", range(-2, 3))
     def test_two_strands(self, k):

@@ -147,6 +147,14 @@ class TestPermutations:
         q = sb.permutation(sb.BraidWord(3, (1,)))
         assert q.cycle_type() == (1, 2)
 
+    def test_images_not_a_bijection(self):
+        with pytest.raises(ValueError, match="not a bijection"):
+            sb.PermutationTable(3, (1, 1, 2))
+
+    def test_then_size_mismatch(self):
+        with pytest.raises(sb.StrandMismatchError):
+            sb.permutation(sb.BraidWord(3, (1,))).then(sb.permutation(sb.BraidWord(4, (1,))))
+
     @given(words(), words())
     def test_homomorphism(self, a, b):
         if a.strands != b.strands:
