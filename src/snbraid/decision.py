@@ -32,8 +32,9 @@ conjugacy test, the summit and cycling circuit of the mixed braid
 (`garside._ConjugacyRecord`). Only the comparisons are per pair: the
 screens compare the kept values, and the ambient test meets the two
 records (`garside._conjugacy`), multiplying out a witness only for an
-empty invariant set. A partition thus walks each orbit's summit and circuit at
-most once, and the two formulations decided on one instance share them.
+empty invariant set. A partition's orbits of one form share one ambient
+record, so it walks each distinct mixed braid's summit and circuit at most
+once, and the two formulations decided on one instance share them.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .garside import (
     ConjugacyResult,
     _ConjugacyRecord,
     _conjugacy,
+    _product,
     canonical_form,
     is_conjugate,
 )
@@ -151,11 +153,13 @@ class _Orbit:
     )
 
 
-def _orbit(n: int, m: int, lift: BraidWord, name: str, w: BraidWord) -> _Orbit:
-    """The record of orbit w over the base lift section(beta_A). Requires w
-    in the kernel, and warns, at the line that made the instance or called
-    the partition, when w does not permute the orbit block as a single
-    m-cycle."""
+def _orbit(
+    n: int, m: int, lift: BraidWord, name: str, w: BraidWord, ambients: dict
+) -> _Orbit:
+    """The record of orbit w over the base lift section(beta_A), sharing the
+    ambient record `ambients` holds for its form. Requires w in the kernel,
+    and warns, at the line that made the instance or called the partition,
+    when w does not permute the orbit block as a single m-cycle."""
     ensure_kernel(n, m, w)
     # A kernel element keeps the orbit block, so its cycles there are the
     # cycles that start, at their smallest element, beyond the punctures.
@@ -172,7 +176,7 @@ def _orbit(n: int, m: int, lift: BraidWord, name: str, w: BraidWord) -> _Orbit:
         )
     braid = MixedBraid(n, m, compose(lift, w))
     cf = canonical_form(braid.word)
-    return _Orbit(w, braid, cf, _ConjugacyRecord(cf))
+    return _Orbit(w, braid, cf, ambients.setdefault(cf, _ConjugacyRecord(cf)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,8 +195,8 @@ class SNInstance:
     def __post_init__(self):
         # section checks the block sizes and the strand count of beta_A.
         lift = section(self.n, self.m, self.beta_A).word
-        object.__setattr__(self, "_x", _orbit(self.n, self.m, lift, "beta_ox", self.beta_ox))
-        object.__setattr__(self, "_y", _orbit(self.n, self.m, lift, "beta_oy", self.beta_oy))
+        object.__setattr__(self, "_x", _orbit(self.n, self.m, lift, "beta_ox", self.beta_ox, {}))
+        object.__setattr__(self, "_y", _orbit(self.n, self.m, lift, "beta_oy", self.beta_oy, {}))
 
     @classmethod
     def _of(cls, n: int, m: int, beta_A: BraidWord, x: _Orbit, y: _Orbit) -> SNInstance:
@@ -293,7 +297,8 @@ def _search_kernel_conjugator(
     other side's visited map, all of its depths, so every length below l
     is checked before level l and the first match is a shortest c. A state
     holds only the letter tags of its word, the letter next to the growing
-    end first, and its conjugate, so it costs two products. On a match c
+    end first, and its conjugate, so it costs one normalization, a product
+    of three forms (`garside._product`). On a match c
     is spelled from the two tags and passed to `accept`, which re-verifies
     it; both formulations accept exactly the c with c * beta_y * c^-1 =
     beta_x, and should `accept` refuse, the search goes on. `states`
@@ -331,7 +336,7 @@ def _search_kernel_conjugator(
                 states += 1
                 if states > budget.max_states:
                     return None, BudgetReport(max_len_tried, states)
-                new_conj = left.mul(conj_cf).mul(right)
+                new_conj = _product(left, conj_cf, right)
                 if new_conj in seen:
                     continue
                 new_tag = (letter,) + tag
@@ -390,7 +395,7 @@ def sn_equivalent_rel_A(inst: SNInstance, budget: Budget = Budget()) -> SNVerdic
     bx_cf, by_cf = inst._x.cf, inst._y.cf
 
     def accept(c: BraidWord, c_cf: CanonicalForm) -> bool:
-        return c_cf.mul(by_cf).mul(c_cf.inv()) == bx_cf
+        return _product(c_cf, by_cf, c_cf.inv()) == bx_cf
 
     return _decide(inst, budget, accept)
 
@@ -409,8 +414,7 @@ def sn_equivalent_twisted(inst: SNInstance, budget: Budget = Budget()) -> SNVerd
 
     def accept(c: BraidWord, c_cf: CanonicalForm) -> bool:
         lift_cf, lift_inv_cf, ox_cf, oy_cf = forms()
-        twisted = lift_inv_cf.mul(c_cf).mul(lift_cf)
-        return twisted.mul(oy_cf).mul(c_cf.inv()) == ox_cf
+        return _product(lift_inv_cf, c_cf, lift_cf, oy_cf, c_cf.inv()) == ox_cf
 
     return _decide(inst, budget, accept)
 
@@ -447,17 +451,19 @@ def partition_sn_classes(
     Within a bucket the pairs are decided in (i, j) order with
     `sn_equivalent_rel_A` on the instance of their two records. Every pair
     an orbit takes part in shares its record, so no screen is computed
-    again, and its summit and circuit are walked once, by the first of its
-    pairs to reach the ambient test. One
-    union-find on the orbit indices holds the classes of all buckets; a
-    pair that Equivalent verdicts have already put in one class is
-    skipped, and Inconclusive pairs are never merged. A class is named by
-    its smallest index, so the classes are those of deciding every pair.
-    `unresolved` lists, sorted, the Inconclusive pairs whose final classes
-    differ: an Inconclusive pair that ends inside one class is equivalent
-    by transitivity through pairs with witnesses, and is dropped."""
+    again, and orbits whose mixed braids have one form share one ambient
+    record, so its summit and circuit are walked once, by the first of their
+    pairs to reach the ambient test. One union-find on the orbit indices
+    holds the classes of all buckets; a pair that Equivalent verdicts have
+    already put in one class is skipped, and Inconclusive pairs are never
+    merged. A class is named by its smallest index, so the classes are those
+    of deciding every pair. `unresolved` lists, sorted, the Inconclusive
+    pairs whose final classes differ: an Inconclusive pair that ends inside
+    one class is equivalent by transitivity through pairs with witnesses,
+    and is dropped."""
     lift = section(n, m, beta_A).word
-    records = [_orbit(n, m, lift, f"orbit {i}", w) for i, w in enumerate(orbits)]
+    ambients: dict[CanonicalForm, _ConjugacyRecord] = {}
+    records = [_orbit(n, m, lift, f"orbit {i}", w, ambients) for i, w in enumerate(orbits)]
     buckets: dict[tuple, list[int]] = {}
     for i, record in enumerate(records):
         key = tuple(value for _, value in _screen_values(record))

@@ -17,9 +17,10 @@ tau(x), so the factors before it only change by tau (El-Rifai and Morton
 in tau^flips coordinates, flips counting the Deltas dropped: left-weighting
 commutes with tau, so an absorption re-twists only the factors its push
 wrote. A push thus costs only the distance it travels, and in practice the
-normal form of a word takes time linear in its length. A product keeps the
-left-weighted factors of its left operand and pushes only those of its
-right operand; a cycling step pushes one factor.
+normal form of a word takes time linear in its length. A product of any
+number of forms is one push pass (`_product`): it keeps the left-weighted
+factors of the first operand and pushes only those of the others; a cycling
+step pushes one factor.
 
 Conjugacy is decided through the ultra summit set (Gebhardt 2005). A
 representative reaches the super summit set in one cycling pass per side:
@@ -53,17 +54,18 @@ records; a caller that decides many pairs of the same braids, as the
 strong Nielsen decision does per orbit, keeps one record per braid and
 walks each braid once.
 
-A simple element is stored as the lexicographic rank of its permutation,
-an int (see `_Simples`): factor lists, conjugator lists and canonical forms
-hold ranks, and left-weighting, tau, the Delta-complement and the factor
-of each letter are read from int-keyed tables that fill as they are read,
-so the hot loops hash and compare ints only, and a word on many strands
-ranks only the letters it uses. Rank order
-is the order of the permutation tuples, so every sort and search order is
-that of the permutations. `CanonicalForm.to_json` and `to_word` are where
-a rank is read back as a permutation. The permutations themselves are
-0-based tuples mapping start position to end position, composed
-left-to-right: `_pmul(p, q)` is "p then q".
+A simple element is stored as the lexicographic rank of its permutation, an
+int (see `_Simples`): factor lists, conjugator lists and canonical forms
+hold ranks, and left-weighting, tau, the Delta-complement and the factor of
+each letter are read from int-keyed tables that fill as they are read, so
+the hot loops hash and compare ints only, and a word on many strands ranks
+only the letters it uses. `CanonicalForm` is a NamedTuple, made, hashed and
+compared in C; as it equals the plain tuple of its fields, no map mixes the
+two as keys. Rank order is the order of the permutation tuples, so every
+sort and search order is that of the permutations. `CanonicalForm.to_json`
+and `to_word` are where a rank is read back as a permutation. The
+permutations themselves are 0-based tuples mapping start position to end
+position, composed left-to-right: `_pmul(p, q)` is "p then q".
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .words import (
     BraidWord,
@@ -334,13 +336,13 @@ def _perm_word(p: Perm) -> list[int]:
 # canonical forms
 
 
-@dataclasses.dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Left canonical form Delta^p A_1 ... A_k; the group-element identity.
 
     Each factor A_i is the lexicographic rank of its permutation (see
     `_Simples`), an int from 1 to n! - 2; `to_json` and `to_word` are the
-    ways to read it as a permutation."""
+    ways to read it as a permutation. A NamedTuple: immutable, and equal to
+    and hashed as the tuple of its fields."""
 
     strands: int
     delta_power: int
@@ -359,14 +361,7 @@ class CanonicalForm:
         return self.delta_power + len(self.factors)
 
     def mul(self, other: "CanonicalForm") -> "CanonicalForm":
-        if self.strands != other.strands:
-            raise StrandMismatchError("strand counts differ")
-        q = other.delta_power
-        left = self.factors
-        if q % 2:
-            left = map(_simples(self.strands).tau.__getitem__, left)
-        shift, fs = _normalize(self.strands, other.factors, weighted=left)
-        return CanonicalForm(self.strands, self.delta_power + q + shift, fs)
+        return _product(self, other)
 
     def inv(self) -> "CanonicalForm":
         k = len(self.factors)
@@ -409,6 +404,24 @@ class CanonicalForm:
             "delta_power": self.delta_power,
             "factors": [[v + 1 for v in perm[f]] for f in self.factors],
         }
+
+
+def _product(*forms: CanonicalForm) -> CanonicalForm:
+    """The canonical form of a product of forms, in one normalization: the
+    Deltas move to the front, twisting each form's factors by tau^q, q the
+    Delta powers to its right; the first form's twisted factors are the
+    left-weighted prefix and the others' are pushed."""
+    n = forms[0].strands
+    tau = _simples(n).tau.__getitem__
+    power, parts = 0, []
+    for form in reversed(forms):
+        if form.strands != n:
+            raise StrandMismatchError("strand counts differ")
+        parts.append(map(tau, form.factors) if power % 2 else form.factors)
+        power += form.delta_power
+    left = parts.pop()
+    shift, fs = _normalize(n, [f for part in reversed(parts) for f in part], left)
+    return CanonicalForm(n, power + shift, fs)
 
 
 def _delta_letters(n: int) -> list[int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 
 from .mixed import MixedBraid
-from .words import BraidWord, exponent_sum, permutation
+from .words import BraidWord, exponent_sum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,9 +35,8 @@ class InvariantReport:
 def cycle_type(b: MixedBraid) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Multisets of cycle lengths of the permutation restricted to the
     invariant block and to the orbit block."""
-    perm = permutation(b.word)
     first, second = [], []
-    for cycle in perm.cycles():
+    for cycle in b.perm.cycles():
         (first if cycle[0] <= b.n else second).append(len(cycle))
     return tuple(sorted(first)), tuple(sorted(second))
 
@@ -55,8 +54,7 @@ def linking_matrix(b: MixedBraid) -> tuple[tuple, ...]:
     entries are kept so the component count is part of the value."""
     word = b.word
     total = word.strands
-    perm = permutation(word)
-    cycles = perm.cycles()
+    cycles = b.perm.cycles()
     cycle_of = {}
     for ci, cyc in enumerate(cycles):
         for s in cyc:

@@ -19,6 +19,7 @@ import dataclasses
 from .garside import equal
 from .words import (
     BraidWord,
+    PermutationTable,
     compose,
     free_reduce,
     invert,
@@ -41,11 +42,13 @@ def _check_blocks(n: int, m: int) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class MixedBraid:
-    """A validated element of B_{n,m}; block preservation is membership."""
+    """A validated element of B_{n,m}; block preservation is membership.
+    `perm`, the permutation of the word, is computed once, by the check."""
 
     n: int
     m: int
     word: BraidWord
+    perm: PermutationTable = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_blocks(self.n, self.m)
@@ -53,9 +56,9 @@ class MixedBraid:
             raise ValueError(
                 f"word has {self.word.strands} strands, expected {self.n + self.m}"
             )
-        perm = permutation(self.word)
+        object.__setattr__(self, "perm", permutation(self.word))
         for start in range(1, self.n + self.m + 1):
-            end = perm(start)
+            end = self.perm(start)
             if (start <= self.n) != (end <= self.n):
                 raise BlockViolationError(
                     f"strand {start} ends at position {end}, crossing the "

@@ -159,6 +159,35 @@ class TestKernelSearchPinned:
         assert accept_calls == [2]
 
     @pytest.mark.parametrize("decide", [sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted])
+    def test_search_multiplies_no_forms(self, decide, monkeypatch):
+        """Each search state, and each `accept`, is one n-ary product: no
+        `CanonicalForm.mul` call runs inside the kernel search."""
+        calls, searches, inside = [], [], []
+        mul = sb.CanonicalForm.mul
+
+        def counted(*args):
+            if inside:
+                calls.append(args)
+            return mul(*args)
+
+        monkeypatch.setattr(sb.CanonicalForm, "mul", counted)
+        search = sb.decision._search_kernel_conjugator
+
+        def watched(*args):
+            searches.append(args)
+            inside.append(args)
+            try:
+                return search(*args)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(sb.decision, "_search_kernel_conjugator", watched)
+        for ox in ("S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1",
+                   "S1 S1 S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1 s1 s1"):
+            decide(self.instance(ox), self.BUDGET)
+        assert len(searches) == 2 and calls == []
+
+    @pytest.mark.parametrize("decide", [sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted])
     def test_inconclusive_budget(self, decide, accept_calls):
         inst = self.instance("S1 S1 S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1 s1 s1")
         v = decide(inst, self.BUDGET)
@@ -708,12 +737,38 @@ class TestOrbitRecordsReused:
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_partition_walks_each_orbit_once(self, calls, seed):
+        """Orbits whose mixed braids have one canonical form share one
+        summit and circuit walk."""
         beta_A, orbits = thirty_orbits(seed)
+        lift = sb.section(2, 1, beta_A).word
+        forms = {sb.canonical_form(sb.compose(lift, w)) for w in orbits}
+        assert len(forms) < len(orbits)
         res = sb.partition_sn_classes(2, 1, beta_A, orbits)
         assert len(res.classes) == 5 and res.unresolved == ()
-        assert 0 < calls["_summit"] <= len(orbits)
-        assert 0 < calls["_cycling_orbit"] <= len(orbits)
+        assert 0 < calls["_summit"] <= len(forms)
+        assert 0 < calls["_cycling_orbit"] <= len(forms)
         assert calls["linking_matrix"] == len(orbits)
+
+    def test_screens_compute_no_permutation(self, monkeypatch):
+        """A mixed braid keeps the permutation its block check computed, and
+        the cycle-type and linking-matrix screens read it."""
+        from snbraid import decision, garside, invariants, mixed, words
+
+        inst = TestKernelSearchPinned().instance(
+            "S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1"
+        )
+        calls = []
+        for module in (words, garside, mixed, invariants, decision):
+            if hasattr(module, "permutation"):
+                def counted(w, fn=module.permutation):
+                    calls.append(w)
+                    return fn(w)
+
+                monkeypatch.setattr(module, "permutation", counted)
+        assert decision._screen_invariants(inst) is None
+        assert inst._x.screens.keys() == {"exponent_sum", "cycle_type", "linking_matrix"}
+        assert calls == []
+        assert inst.mixed_x().perm == sb.permutation(inst.mixed_x().word)
 
     def test_formulations_share_one_instance(self, calls):
         inst = TestKernelSearchPinned().instance(

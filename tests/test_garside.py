@@ -74,8 +74,22 @@ class TestCanonicalForm:
 
     def test_mul_strand_mismatch(self):
         a = canonical_form(sb.BraidWord(3, (1,)))
+        b = canonical_form(sb.BraidWord(4, (1,)))
         with pytest.raises(sb.StrandMismatchError):
-            a.mul(canonical_form(sb.BraidWord(4, (1,))))
+            a.mul(b)
+        with pytest.raises(sb.StrandMismatchError):
+            garside._product(a, a, b)
+
+    def test_named_tuple_semantics(self):
+        """Immutable fields, and equality and hashing by value."""
+        cf = canonical_form(sb.BraidWord(4, (1, -2, 3)))
+        with pytest.raises(AttributeError):
+            cf.delta_power = 0
+        twin = canonical_form(sb.BraidWord(4, (1, -2, 3, 2, -2)))
+        assert twin == cf and twin is not cf and hash(twin) == hash(cf)
+        assert len({cf: 0, twin: 1, CanonicalForm.identity(4): 2}) == 2
+        assert CanonicalForm.identity(5) == CanonicalForm(5, 0, ())
+        assert (CanonicalForm.identity(5).inf, CanonicalForm.identity(5).sup) == (0, 0)
 
     def test_full_twist_b2(self):
         cf = canonical_form(sb.BraidWord(2, (1, 1)))
@@ -109,6 +123,56 @@ class TestCanonicalForm:
     def test_json_shape(self):
         doc = canonical_form(sb.BraidWord(3, (1,))).to_json()
         assert doc == {"n": 3, "delta_power": 0, "factors": [[2, 1, 3]]}
+
+
+def random_form(rng, n):
+    """A canonical form on n strands with a random Delta power of either
+    parity (none below 2 strands, where Delta is trivial) and, one time in
+    four, no factors."""
+    cf = canonical_form(random_word(rng, n, 12))
+    factors = cf.factors if rng.random() < 0.75 else ()
+    return CanonicalForm(n, rng.randint(-3, 3) if n >= 2 else 0, factors)
+
+
+def junction_form(rng, prev):
+    """A form whose first factor makes Delta with the last factor of prev
+    in their product: with q its Delta power, tau^q(A) B = Delta for the
+    last factor A of prev, so B is the complement of tau^(q+1)(A)."""
+    n, q = prev.strands, rng.randint(-2, 2)
+    simples = garside._simples(n)
+    a = prev.factors[-1]
+    if q % 2 == 0:
+        a = simples.tau[a]
+    return CanonicalForm(n, q, (simples.complement[a],))
+
+
+class TestProduct:
+    """`garside._product` against the canonical form of the concatenated
+    words of its operands, which no product computes."""
+
+    def test_matches_word_of_concatenation(self):
+        rng = random.Random(19)
+        junctions, kinds = 0, set()
+        for n in range(1, 9):
+            for _ in range(60):
+                forms = []
+                for _ in range(rng.randint(1, 5)):
+                    if forms and forms[-1].factors and rng.random() < 0.3:
+                        forms.append(junction_form(rng, forms[-1]))
+                        prev, g = forms[-2], forms[-1]
+                        pair = garside._product(prev, g)
+                        assert pair.delta_power == prev.delta_power + g.delta_power + 1
+                        junctions += 1
+                    else:
+                        forms.append(random_form(rng, n))
+                kinds.update((f.delta_power % 2, bool(f.factors)) for f in forms if n >= 2)
+                letters = tuple(k for f in forms for k in f.to_word().letters)
+                got = garside._product(*forms)
+                assert got == canonical_form(sb.BraidWord(n, letters)), forms
+                if len(forms) == 2:
+                    assert forms[0].mul(forms[1]) == got
+        assert junctions > 100
+        assert kinds == {(0, False), (0, True), (1, False), (1, True)}
 
 
 # The reference sweeps left-weight the same pairs of permutations many times.
