@@ -25,16 +25,16 @@ braid section(beta_A) * w and that braid's canonical form, built once by
 `partition_sn_classes` builds one per orbit and merges classes in a single
 union-find on the orbit indices.
 
-What a decision learns of one orbit alone is kept on its record, filled on
-first use inside a decision and never when the record is built: the
-screened invariants, one at a time, and the per-braid stage of the ambient
+What a decision learns of one orbit alone is a cached property of its
+record, computed on first use inside a decision and never when the record
+is built: each screened invariant, and the per-braid stage of the ambient
 conjugacy test, the summit and cycling circuit of the mixed braid
 (`garside._ConjugacyRecord`). Only the comparisons are per pair: the
 screens compare the kept values, and the ambient test meets the two
 records (`garside._conjugacy`), multiplying out a witness only for an
-empty invariant set. A partition's orbits of one form share one ambient
-record, so it walks each distinct mixed braid's summit and circuit at most
-once, and the two formulations decided on one instance share them.
+empty invariant set. A partition's orbits of one form share one record,
+so each distinct mixed braid is screened and walked at most once, and the
+two formulations decided on one instance share its two records.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import functools
 import itertools
 import sys
 import warnings
-from typing import Callable, Iterator
+from typing import Callable
 
 from .garside import (
     CanonicalForm,
@@ -68,7 +68,6 @@ from .words import (
     exponent_sum,
     free_reduce,
     invert,
-    permutation,
 )
 
 EQUIVALENT = "Equivalent"
@@ -138,32 +137,44 @@ class SNVerdict:
 @dataclasses.dataclass(frozen=True)
 class _Orbit:
     """One orbit word w, its mixed braid section(beta_A) * w and that
-    braid's canonical form, built with the record, and what decisions learn
-    of w alone, filled on first use and kept for every later pair:
-    `screens`, the screened invariants by name (`_screen_values`), and
-    `ambient`, the summit and cycling circuit of the canonical form
+    braid's canonical form, built with the record, and, as cached properties
+    computed on first use and kept for every later pair, what decisions
+    learn of w alone: the screened invariants (`_SCREENS`) and `ambient`,
+    the summit and cycling circuit of the canonical form
     (`garside._ConjugacyRecord`)."""
 
     word: BraidWord
     braid: MixedBraid
     cf: CanonicalForm
-    ambient: _ConjugacyRecord = dataclasses.field(repr=False, compare=False)
-    screens: dict[str, object] = dataclasses.field(
-        default_factory=dict, repr=False, compare=False
-    )
+
+    @functools.cached_property
+    def exponent_sum(self) -> int:
+        return exponent_sum(self.word)
+
+    @functools.cached_property
+    def cycle_type(self) -> tuple:
+        return cycle_type(self.braid)
+
+    @functools.cached_property
+    def linking_matrix(self) -> tuple:
+        return linking_matrix(self.braid)
+
+    @functools.cached_property
+    def ambient(self) -> _ConjugacyRecord:
+        return _ConjugacyRecord(self.cf)
 
 
-def _orbit(
-    n: int, m: int, lift: BraidWord, name: str, w: BraidWord, ambients: dict
-) -> _Orbit:
-    """The record of orbit w over the base lift section(beta_A), sharing the
-    ambient record `ambients` holds for its form. Requires w in the kernel,
-    and warns, at the line that made the instance or called the partition,
-    when w does not permute the orbit block as a single m-cycle."""
+def _orbit(n: int, m: int, lift: BraidWord, name: str, w: BraidWord) -> _Orbit:
+    """The record of orbit w over the base lift section(beta_A). Requires w
+    in the kernel, and warns, at the line that made the instance or called
+    the partition, when w does not permute the orbit block as a single
+    m-cycle."""
     ensure_kernel(n, m, w)
-    # A kernel element keeps the orbit block, so its cycles there are the
+    braid = MixedBraid(n, m, compose(lift, w))
+    # The lift fixes every orbit strand and w, a kernel element, every
+    # puncture, so the braid's cycles on the orbit block are those of w: the
     # cycles that start, at their smallest element, beyond the punctures.
-    if m >= 1 and sum(c[0] > n for c in permutation(w).cycles()) != 1:
+    if m >= 1 and sum(c[0] > n for c in braid.perm.cycles()) != 1:
         # Skip the frames of this module; the dataclass-generated __init__
         # runs in its globals too.
         level, frame = 2, sys._getframe(1)
@@ -174,9 +185,7 @@ def _orbit(
             "orbit block; treating it as a formal instance",
             stacklevel=level,
         )
-    braid = MixedBraid(n, m, compose(lift, w))
-    cf = canonical_form(braid.word)
-    return _Orbit(w, braid, cf, ambients.setdefault(cf, _ConjugacyRecord(cf)))
+    return _Orbit(w, braid, canonical_form(braid.word))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -195,8 +204,8 @@ class SNInstance:
     def __post_init__(self):
         # section checks the block sizes and the strand count of beta_A.
         lift = section(self.n, self.m, self.beta_A).word
-        object.__setattr__(self, "_x", _orbit(self.n, self.m, lift, "beta_ox", self.beta_ox, {}))
-        object.__setattr__(self, "_y", _orbit(self.n, self.m, lift, "beta_oy", self.beta_oy, {}))
+        object.__setattr__(self, "_x", _orbit(self.n, self.m, lift, "beta_ox", self.beta_ox))
+        object.__setattr__(self, "_y", _orbit(self.n, self.m, lift, "beta_oy", self.beta_oy))
 
     @classmethod
     def _of(cls, n: int, m: int, beta_A: BraidWord, x: _Orbit, y: _Orbit) -> SNInstance:
@@ -223,33 +232,21 @@ def braid_type_equal(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     return is_conjugate(a, b)
 
 
-_SCREENS: tuple[tuple[str, Callable[[_Orbit], object]], ...] = (
-    ("exponent_sum", lambda orbit: exponent_sum(orbit.word)),
-    ("cycle_type", lambda orbit: cycle_type(orbit.braid)),
-    ("linking_matrix", lambda orbit: linking_matrix(orbit.braid)),
-)
+_SCREENS = ("exponent_sum", "cycle_type", "linking_matrix")
 
 
-def _screen_values(orbit: _Orbit) -> Iterator[tuple[str, object]]:
-    """The screened invariants of one orbit w with mixed braid
-    section(beta_A) * w, as (name, value) pairs, each computed only when
-    asked for, once per record (`orbit.screens`): the exponent sum of w,
-    then the cycle type and the linking matrix of the mixed braid.
+def _screen_invariants(inst: SNInstance) -> Certificate | None:
+    """Compare the screened invariants of the two orbits (`_SCREENS`) in
+    turn: the exponent sum of w, then the cycle type and the linking matrix
+    of the mixed braid section(beta_A) * w. The first mismatch is a
+    certificate, and no later invariant is computed.
 
     The Burau characteristic polynomial of the whole mixed braid is not
     screened: it is an invariant of conjugacy in the ambient B_{n+m}, so
     every pair it separates is also rejected by the ambient conjugacy
     test that follows, and screening it cannot change a verdict."""
-    for name, compute in _SCREENS:
-        if name not in orbit.screens:
-            orbit.screens[name] = compute(orbit)
-        yield name, orbit.screens[name]
-
-
-def _screen_invariants(inst: SNInstance) -> Certificate | None:
-    """Compare the screened invariants of the two orbits in turn; the first
-    mismatch is a certificate, and no later invariant is computed."""
-    for (name, x), (_, y) in zip(_screen_values(inst._x), _screen_values(inst._y)):
+    for name in _SCREENS:
+        x, y = getattr(inst._x, name), getattr(inst._y, name)
         if x != y:
             return Certificate(name, x, y)
     return None
@@ -442,31 +439,32 @@ def partition_sn_classes(
 
     The base braid and every orbit are validated first, once, even when
     there are fewer than two orbits and no pair to decide: each orbit gets
-    one record (`_orbit`) and one screen key (the values of
-    `_screen_values`), and the orbits are grouped into buckets of equal
-    key. The key holds exactly the values `_screen_invariants` compares, so
-    a pair across two buckets is NotEquivalent by certificate and is never
-    decided.
+    a record (`_orbit`), then stands for the first record of its mixed
+    braid's canonical form, so each distinct mixed braid is screened and
+    walked at most once. The orbits are grouped into buckets of equal key,
+    the `_SCREENS` values of their records: exactly what
+    `_screen_invariants` compares, so a pair across two buckets is
+    NotEquivalent by certificate and is never decided.
 
-    Within a bucket the pairs are decided in (i, j) order with
-    `sn_equivalent_rel_A` on the instance of their two records. Every pair
-    an orbit takes part in shares its record, so no screen is computed
-    again, and orbits whose mixed braids have one form share one ambient
-    record, so its summit and circuit are walked once, by the first of their
-    pairs to reach the ambient test. One union-find on the orbit indices
-    holds the classes of all buckets; a pair that Equivalent verdicts have
-    already put in one class is skipped, and Inconclusive pairs are never
-    merged. A class is named by its smallest index, so the classes are those
-    of deciding every pair. `unresolved` lists, sorted, the Inconclusive
-    pairs whose final classes differ: an Inconclusive pair that ends inside
-    one class is equivalent by transitivity through pairs with witnesses,
-    and is dropped."""
+    Within a bucket the pairs (i, j) are decided in order with
+    `sn_equivalent_rel_A` on the instance of their two records, i's as
+    beta_x. Pairs of indices are decided, not pairs of forms: once the
+    state budget runs out, the verdict of the bounded search can depend on
+    which orbit is beta_x. One union-find on the orbit indices holds the
+    classes of all buckets; a pair that Equivalent verdicts have already
+    put in one class is skipped, and Inconclusive pairs are never merged. A
+    class is named by its smallest index, so the classes are those of
+    deciding every pair. `unresolved` lists, sorted, the Inconclusive pairs
+    whose final classes differ: an Inconclusive pair that ends inside one
+    class is equivalent by transitivity through pairs with witnesses, and
+    is dropped."""
     lift = section(n, m, beta_A).word
-    ambients: dict[CanonicalForm, _ConjugacyRecord] = {}
-    records = [_orbit(n, m, lift, f"orbit {i}", w, ambients) for i, w in enumerate(orbits)]
+    records = [_orbit(n, m, lift, f"orbit {i}", w) for i, w in enumerate(orbits)]
+    first: dict[CanonicalForm, _Orbit] = {}
+    records = [first.setdefault(record.cf, record) for record in records]
     buckets: dict[tuple, list[int]] = {}
     for i, record in enumerate(records):
-        key = tuple(value for _, value in _screen_values(record))
+        key = tuple(getattr(record, name) for name in _SCREENS)
         buckets.setdefault(key, []).append(i)
 
     # The union-find: each index points towards the smallest index of its

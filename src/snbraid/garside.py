@@ -317,18 +317,19 @@ def _normalize(
 
 
 def _perm_word(p: Perm) -> list[int]:
-    """A positive word (1-based letters) whose permutation braid is p."""
+    """A positive word (1-based letters) whose permutation braid is p: the
+    swaps that sort p, each at the leftmost descent. A swap at i leaves no
+    descent left of i - 1, so the scan for the next one resumes there."""
     q = list(p)
     out = []
-    again = True
-    while again:
-        again = False
-        for i in range(len(q) - 1):
-            if q[i] > q[i + 1]:
-                out.append(i + 1)
-                q[i], q[i + 1] = q[i + 1], q[i]
-                again = True
-                break
+    i = 0
+    while i < len(q) - 1:
+        if q[i] > q[i + 1]:
+            out.append(i + 1)
+            q[i], q[i + 1] = q[i + 1], q[i]
+            i = max(i - 1, 0)
+        else:
+            i += 1
     return out
 
 

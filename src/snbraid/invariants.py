@@ -169,7 +169,7 @@ def burau_charpoly(a: BraidWord) -> tuple[tuple[int, int, int], ...]:
 
 def standard_reports(b: MixedBraid) -> list[InvariantReport]:
     """The invariant battery for one mixed braid, in report order. The
-    decision layer screens a different set (`decision._screen_values`):
+    decision layer screens a different set (`decision._SCREENS`):
     the orbit word's exponent sum, the cycle type and the linking matrix,
     and never the Burau polynomial."""
     return [

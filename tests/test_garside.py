@@ -536,6 +536,35 @@ class TestRankEncoding:
         assert canonical_form(w) == expected
         assert 0 < sum(map(len, letters.family)) <= 3
 
+    def test_perm_word_sorts_by_the_leftmost_descent(self):
+        """`_perm_word` spells the same word as swapping the leftmost
+        descent and scanning again from the first position, on every
+        permutation of up to 6 strands and on seeded random ones of up to
+        300."""
+
+        def rescanning(p):
+            q = list(p)
+            out = []
+            again = True
+            while again:
+                again = False
+                for i in range(len(q) - 1):
+                    if q[i] > q[i + 1]:
+                        out.append(i + 1)
+                        q[i], q[i + 1] = q[i + 1], q[i]
+                        again = True
+                        break
+            return out
+
+        cases = [p for n in range(7) for p in itertools.permutations(range(n))]
+        rng = random.Random(31)
+        for _ in range(10):
+            p = list(range(rng.randint(7, 300)))
+            rng.shuffle(p)
+            cases.append(tuple(p))
+        for p in cases:
+            assert garside._perm_word(p) == rescanning(p)
+
 
 class TestWordProblem:
     def test_braid_relation(self):
