@@ -36,34 +36,29 @@ def build_parser() -> argparse.ArgumentParser:
         "equivalence of periodic orbits on the punctured disc.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # -n and -m as parent parsers: a subcommand adds them right after its
+    # own -h, ahead of its other arguments, as when each declared them.
+    n_flag = argparse.ArgumentParser(add_help=False)
+    n_flag.add_argument("-n", type=int, required=True)
+    nm_flags = argparse.ArgumentParser(add_help=False, parents=[n_flag])
+    nm_flags.add_argument("-m", type=int, required=True)
 
-    p = sub.add_parser("nf", help="Garside left canonical form")
-    p.add_argument("-n", type=int, required=True)
+    p = sub.add_parser("nf", parents=[n_flag], help="Garside left canonical form")
     p.add_argument("word")
 
-    p = sub.add_parser("eq", help="word problem")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("word_a")
-    p.add_argument("word_b")
+    for name, summary in (
+        ("eq", "word problem"),
+        ("conj", "conjugacy with witness"),
+        ("conj-mod-twist", "conjugacy up to full-twist powers"),
+    ):
+        p = sub.add_parser(name, parents=[n_flag], help=summary)
+        p.add_argument("word_a")
+        p.add_argument("word_b")
 
-    p = sub.add_parser("conj", help="conjugacy with witness")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("word_a")
-    p.add_argument("word_b")
-
-    p = sub.add_parser("conj-mod-twist", help="conjugacy up to full-twist powers")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("word_a")
-    p.add_argument("word_b")
-
-    p = sub.add_parser("decompose", help="split a mixed braid over its base")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
+    p = sub.add_parser("decompose", parents=[nm_flags], help="split a mixed braid over its base")
     p.add_argument("word")
 
-    p = sub.add_parser("act", help="action of the base group on the kernel")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
+    p = sub.add_parser("act", parents=[nm_flags], help="action of the base group on the kernel")
     p.add_argument("--beta", required=True, help="base braid in B_n")
     p.add_argument("--gamma", required=True, help="kernel braid on n+m strands")
 
@@ -71,17 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("sn", "kernel conjugator c with beta_x = c beta_y c^-1"),
         ("sn-twisted", "twisted-conjugacy formulation: beta_ox = phi_betaA(c) beta_oy c^-1"),
     ):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("-n", type=int, required=True)
-        p.add_argument("-m", type=int, required=True)
+        p = sub.add_parser(name, parents=[nm_flags], help=summary)
         p.add_argument("--betaA", required=True)
         p.add_argument("--ox", required=True)
         p.add_argument("--oy", required=True)
         _add_budget_flags(p)
 
-    p = sub.add_parser("partition", help="partition orbits into SN classes")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
+    p = sub.add_parser("partition", parents=[nm_flags], help="partition orbits into SN classes")
     p.add_argument("--betaA", required=True)
     p.add_argument("--file", required=True,
                    help="file with one kernel word per line, # comments")
@@ -89,9 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ignored; pairs are decided on one thread")
     _add_budget_flags(p)
 
-    p = sub.add_parser("invariants", help="invariant battery of a mixed braid")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
+    p = sub.add_parser("invariants", parents=[nm_flags], help="invariant battery of a mixed braid")
     p.add_argument("word")
 
     return parser
@@ -123,73 +112,60 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    cmd = args.command
+    cmd, n = args.command, args.n
     if "m" in args:
         # Refuse bad block sizes before any word is parsed on n + m strands.
-        mixed._check_blocks(args.n, args.m)
+        mixed._check_blocks(n, args.m)
+    if "word_a" in args:  # eq, conj, conj-mod-twist: two words on n strands
+        a, b = BraidWord.parse(n, args.word_a), BraidWord.parse(n, args.word_b)
+    elif cmd in ("decompose", "invariants"):  # one mixed braid on n + m strands
+        mb = mixed.validate(n, args.m, BraidWord.parse(n + args.m, args.word))
     if cmd == "nf":
-        cf = garside.canonical_form(BraidWord.parse(args.n, args.word))
-        _emit(cf.to_json())
-        return 0
-    if cmd == "eq":
-        a = BraidWord.parse(args.n, args.word_a)
-        b = BraidWord.parse(args.n, args.word_b)
+        _emit(garside.canonical_form(BraidWord.parse(n, args.word)).to_json())
+    elif cmd == "eq":
         _emit({"equal": garside.equal(a, b)})
-        return 0
-    if cmd == "conj":
-        a = BraidWord.parse(args.n, args.word_a)
-        b = BraidWord.parse(args.n, args.word_b)
+    elif cmd == "conj":
         _emit(garside.is_conjugate(a, b).to_json())
-        return 0
-    if cmd == "conj-mod-twist":
-        a = BraidWord.parse(args.n, args.word_a)
-        b = BraidWord.parse(args.n, args.word_b)
+    elif cmd == "conj-mod-twist":
         res, k = garside.conjugate_mod_full_twist(a, b)
-        doc = res.to_json()
-        doc["k"] = k
-        _emit(doc)
-        return 0
-    if cmd == "decompose":
-        b = mixed.validate(args.n, args.m, BraidWord.parse(args.n + args.m, args.word))
-        dec = mixed.decompose(b)
+        _emit({**res.to_json(), "k": k})
+    elif cmd == "decompose":
+        dec = mixed.decompose(mb)
         _emit({"base": dec.base.format(), "kernel_part": dec.kernel_part.format()})
-        return 0
-    if cmd == "act":
-        beta = BraidWord.parse(args.n, args.beta)
-        gamma = BraidWord.parse(args.n + args.m, args.gamma)
+    elif cmd == "act":
+        beta = BraidWord.parse(n, args.beta)
+        gamma = BraidWord.parse(n + args.m, args.gamma)
         _emit({"result": mixed.act(beta, gamma, args.m).format()})
-        return 0
-    if cmd in ("sn", "sn-twisted"):
+    elif cmd in ("sn", "sn-twisted"):
         inst = decision.SNInstance(
-            args.n,
+            n,
             args.m,
-            BraidWord.parse(args.n, args.betaA),
-            BraidWord.parse(args.n + args.m, args.ox),
-            BraidWord.parse(args.n + args.m, args.oy),
+            BraidWord.parse(n, args.betaA),
+            BraidWord.parse(n + args.m, args.ox),
+            BraidWord.parse(n + args.m, args.oy),
         )
         fn = decision.sn_equivalent_rel_A if cmd == "sn" else decision.sn_equivalent_twisted
         return _verdict_exit(fn(inst, _budget(args)))
-    if cmd == "partition":
+    elif cmd == "partition":
         orbits = []
         with open(args.file) as fh:
             for lineno, line in enumerate(fh, start=1):
                 try:
-                    word = BraidWord.parse(args.n + args.m, line)
+                    word = BraidWord.parse(n + args.m, line)
                 except WordSyntaxError as exc:
                     raise WordSyntaxError(exc.message, lineno, exc.column) from None
                 if word.letters:  # blank and comment-only lines
                     orbits.append(word)
-        beta_A = BraidWord.parse(args.n, args.betaA)
+        beta_A = BraidWord.parse(n, args.betaA)
         budget = _budget(args)
         if args.workers < 1:
             raise ValueError(f"workers must be >= 1, got {args.workers}")
-        _emit(decision.partition_sn_classes(args.n, args.m, beta_A, orbits, budget).to_json())
-        return 0
-    if cmd == "invariants":
-        b = mixed.validate(args.n, args.m, BraidWord.parse(args.n + args.m, args.word))
-        _emit({"invariants": [r.to_json() for r in invariants.standard_reports(b)]})
-        return 0
-    raise AssertionError(f"unhandled command {cmd}")
+        _emit(decision.partition_sn_classes(n, args.m, beta_A, orbits, budget).to_json())
+    elif cmd == "invariants":
+        _emit({"invariants": [r.to_json() for r in invariants.standard_reports(mb)]})
+    else:
+        raise AssertionError(f"unhandled command {cmd}")
+    return 0
 
 
 def main() -> None:

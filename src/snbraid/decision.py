@@ -302,7 +302,6 @@ def _search_kernel_conjugator(
     counts the identity and every state generated on either side."""
     identity = BraidWord.identity(inst.n + inst.m)
     states = 1
-    max_len_tried = 0
     if accept(identity, canonical_form(identity)):
         return identity, BudgetReport(0, states)
 
@@ -321,7 +320,6 @@ def _search_kernel_conjugator(
     )
     frontiers = [[((), start)], [((), target)]]
     for length in range(1, budget.max_length + 1):
-        max_len_tried = length
         side = 1 - length % 2
         seen, other = visited[side], visited[1 - side]
         alphabet = backward if side else forward
@@ -332,7 +330,7 @@ def _search_kernel_conjugator(
                     continue
                 states += 1
                 if states > budget.max_states:
-                    return None, BudgetReport(max_len_tried, states)
+                    return None, BudgetReport(length, states)
                 new_conj = _product(left, conj_cf, right)
                 if new_conj in seen:
                     continue
@@ -349,7 +347,7 @@ def _search_kernel_conjugator(
                         return c, BudgetReport(length, states)
                 nxt.append((new_tag, new_conj))
         frontiers[side] = nxt
-    return None, BudgetReport(max_len_tried, states)
+    return None, BudgetReport(budget.max_length, states)
 
 
 def _decide(

@@ -58,14 +58,16 @@ A simple element is stored as the lexicographic rank of its permutation, an
 int (see `_Simples`): factor lists, conjugator lists and canonical forms
 hold ranks, and left-weighting, tau, the Delta-complement and the factor of
 each letter are read from int-keyed tables that fill as they are read, so
-the hot loops hash and compare ints only, and a word on many strands ranks
+the hot loops hash and compare ints only, and a word on many strands fills
 only the letters it uses. `CanonicalForm` is a NamedTuple, made, hashed and
 compared in C; as it equals the plain tuple of its fields, no map mixes the
 two as keys. Rank order is the order of the permutation tuples, so every
 sort and search order is that of the permutations. `CanonicalForm.to_json`
 and `to_word` are where a rank is read back as a permutation. The
 permutations themselves are 0-based tuples mapping start position to end
-position, composed left-to-right: `_pmul(p, q)` is "p then q".
+position. Delta is the reversal, so tau(p) = Delta^-1 p Delta is p reversed
+with each value v replaced by n - 1 - v, and the Delta-complement
+Delta p^-1 is the inverse of p reversed.
 """
 
 from __future__ import annotations
@@ -89,16 +91,6 @@ Perm = tuple[int, ...]
 # permutation-braid primitives
 
 
-@functools.lru_cache(maxsize=None)
-def _pw0(n: int) -> Perm:
-    return tuple(range(n - 1, -1, -1))
-
-
-def _pmul(p: Perm, q: Perm) -> Perm:
-    """p then q (as braid stacking; q o p as functions)."""
-    return tuple(q[v] for v in p)
-
-
 def _pinv(p: Perm) -> Perm:
     inv = [0] * len(p)
     for i, v in enumerate(p):
@@ -108,13 +100,13 @@ def _pinv(p: Perm) -> Perm:
 
 def _tau(p: Perm) -> Perm:
     """Conjugation by Delta: tau(x) = Delta^-1 x Delta. An involution."""
-    w0 = _pw0(len(p))
-    return _pmul(_pmul(w0, p), w0)
+    n = len(p)
+    return tuple(n - 1 - v for v in reversed(p))
 
 
 def _delta_complement(p: Perm) -> Perm:
     """The simple element Delta * p^-1, so that p^-1 = Delta^-1 * complement."""
-    return _pmul(_pw0(len(p)), _pinv(p))
+    return _pinv(p)[::-1]
 
 
 def _leftweight(x: Perm, y: Perm) -> tuple[Perm, Perm]:
@@ -212,7 +204,7 @@ class _Simples:
     simple factor that stands for k in a canonical form and that of its
     tau-image: sigma_i itself for k = i, and Delta sigma_i^-1 for k = -i,
     since sigma_i^-1 = Delta^-1 (Delta sigma_i^-1). It fills one letter at
-    a time, so a word on many strands ranks only the letters it uses."""
+    a time from two factorials, with no permutation built or ranked."""
 
     __slots__ = ("count", "delta", "perm", "rank", "tau", "complement", "leftweight", "letter")
 
@@ -236,11 +228,13 @@ class _Simples:
         self.leftweight = _Memo(leftweight, _LEFTWEIGHTS, 1 << 20)
 
         def letter(k: int) -> tuple[int, int]:
-            swap = list(range(n))
+            # sigma_i swaps positions i - 1 and i, so its rank is (n - i)!,
+            # and tau(sigma_i) = sigma_(n-i). Delta sigma_i^-1 is sigma_i
+            # reversed: tau(sigma_i) with each value v replaced by n - 1 - v,
+            # which turns a rank r into n! - 1 - r.
             i = abs(k)
-            swap[i - 1], swap[i] = i, i - 1
-            f = tuple(swap) if k > 0 else _pmul(_pw0(n), tuple(swap))
-            return _rank(f), _rank(_tau(f))
+            head, tail = math.factorial(n - i), math.factorial(i)
+            return (head, tail) if k > 0 else (self.delta - tail, self.delta - head)
 
         self.letter = _Memo(letter, _LETTERS, 1 << 18)
 
@@ -349,10 +343,6 @@ class CanonicalForm(NamedTuple):
     delta_power: int
     factors: tuple[int, ...]
 
-    @staticmethod
-    def identity(n: int) -> "CanonicalForm":
-        return CanonicalForm(n, 0, ())
-
     @property
     def inf(self) -> int:
         return self.delta_power
@@ -394,9 +384,6 @@ class CanonicalForm(NamedTuple):
         for f in self.factors:
             letters.extend(_perm_word(perm[f]))
         return BraidWord(n, tuple(letters))
-
-    def sort_key(self):
-        return (self.delta_power, len(self.factors), self.factors)
 
     def to_json(self) -> dict:
         perm = _simples(self.strands).perm
@@ -686,7 +673,8 @@ def _conjugate(v: CanonicalForm, p: int) -> CanonicalForm:
 
 def _closure_search(va: CanonicalForm, target: CanonicalForm) -> list[int] | None:
     """Close the ultra summit set of va under simple-element conjugation,
-    breadth first in lexicographic order of the canonical-form encoding,
+    breadth first, each level in tuple order (its elements share strands,
+    infimum and supremum, so that is the order of their factor ranks),
     until it reaches target, which must differ from va (`_circuit_meet`
     has compared them). Each element is conjugated by every simple element
     in rank order (`_conjugate`). Returns the simple factors of h with
@@ -712,7 +700,7 @@ def _closure_search(va: CanonicalForm, target: CanonicalForm) -> list[int] | Non
     members: set[CanonicalForm] = set()
     frontier = [va]
     while frontier:
-        frontier.sort(key=CanonicalForm.sort_key)
+        frontier.sort()
         nxt: list[CanonicalForm] = []
         for v in frontier:
             for p in range(1, _simples(n).count):

@@ -153,14 +153,10 @@ def is_kernel(n: int, m: int, w: BraidWord) -> bool:
 def ensure_kernel(n: int, m: int, w: BraidWord) -> BraidWord:
     if w.strands != n + m:
         raise KernelMembershipError(
-            f"word {w.format() or '<empty>'} has {w.strands} strands, expected "
-            f"{n + m} for blocks ({n}, {m})"
+            f"word {w} has {w.strands} strands, expected {n + m} for blocks ({n}, {m})"
         )
     if not is_kernel(n, m, w):
-        raise KernelMembershipError(
-            f"word {w.format() or '<empty>'} is not in the kernel for "
-            f"blocks ({n}, {m})"
-        )
+        raise KernelMembershipError(f"word {w} is not in the kernel for blocks ({n}, {m})")
     return w
 
 

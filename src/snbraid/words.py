@@ -121,17 +121,6 @@ class PermutationTable:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def is_identity(self) -> bool:
-        return all(self.images[i] == i + 1 for i in range(self.size))
-
-    def then(self, other: "PermutationTable") -> "PermutationTable":
-        """Composite `self` then `other`."""
-        if self.size != other.size:
-            raise StrandMismatchError("permutation sizes differ")
-        return PermutationTable(
-            self.size, tuple(other.images[self.images[i] - 1] for i in range(self.size))
-        )
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition, each cycle starting at its smallest element,
         cycles sorted by that element. Includes fixed points."""

@@ -217,6 +217,31 @@ class TestErrors:
         assert summary["sn"] != summary["sn-twisted"]
         assert "twisted" in summary["sn-twisted"] and "twisted" not in summary["sn"]
 
+    @pytest.mark.parametrize("command,usage", [
+        ("", "[-h] {nf,eq,conj,conj-mod-twist,decompose,act,sn,sn-twisted,partition,invariants} ..."),
+        ("nf", "[-h] -n N word"),
+        ("eq", "[-h] -n N word_a word_b"),
+        ("conj", "[-h] -n N word_a word_b"),
+        ("conj-mod-twist", "[-h] -n N word_a word_b"),
+        ("decompose", "[-h] -n N -m M word"),
+        ("act", "[-h] -n N -m M --beta BETA --gamma GAMMA"),
+        ("sn", "[-h] -n N -m M --betaA BETAA --ox OX --oy OY [--max-len MAX_LEN] "
+               "[--max-states MAX_STATES]"),
+        ("sn-twisted", "[-h] -n N -m M --betaA BETAA --ox OX --oy OY [--max-len MAX_LEN] "
+                       "[--max-states MAX_STATES]"),
+        ("partition", "[-h] -n N -m M --betaA BETAA --file FILE [--workers WORKERS] "
+                      "[--max-len MAX_LEN] [--max-states MAX_STATES]"),
+        ("invariants", "[-h] -n N -m M word"),
+    ])
+    def test_usage_line(self, capsys, monkeypatch, command, usage):
+        """Each usage line, on one line at 200 columns: the options keep
+        their order however the parser declares them."""
+        monkeypatch.setenv("COLUMNS", "200")
+        argv = [command, "--help"] if command else ["--help"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[0] == " ".join(["usage: snbraid", *argv[:-1], usage])
+
     def test_fixed_command_is_gone(self, capsys):
         # The m = 1 case is `sn -m 1`; there is no second spelling of it.
         code, out, err = run(capsys, ["fixed", "-n", "2", "--betaA", "", "--u", A2, "--v", A2])
