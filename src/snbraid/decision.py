@@ -15,9 +15,12 @@ algorithm, so verdicts are three-valued: certified Equivalent (with a
 verifying witness), certified NotEquivalent (an invariant mismatch or a
 failed conjugacy test in the ambient group), or an honest Inconclusive with
 the exhausted search budget. The pipeline is staged so cheap certificates
-short-circuit the bounded search: invariants, then full-group conjugacy,
-then a meet-in-the-middle search for a shortest kernel conjugator over the
-standard kernel generators, grown from both beta_y and beta_x.
+short-circuit the bounded search: two invariant screens, the exponent sum
+of the orbit word and the linking matrix of its mixed braid (which implies
+the per-block cycle type, see `_screen_invariants`), then full-group
+conjugacy, then a meet-in-the-middle search for a shortest kernel
+conjugator over the standard kernel generators, grown from both beta_y and
+beta_x.
 
 All a decision reads of one orbit w is its record `_Orbit`: w, the mixed
 braid section(beta_A) * w and that braid's canonical form, built once by
@@ -55,7 +58,7 @@ from .garside import (
     canonical_form,
     is_conjugate,
 )
-from .invariants import cycle_type, linking_matrix
+from .invariants import linking_matrix
 from .mixed import (
     MixedBraid,
     ensure_kernel,
@@ -139,8 +142,9 @@ class _Orbit:
     """One orbit word w, its mixed braid section(beta_A) * w and that
     braid's canonical form, built with the record, and, as cached properties
     computed on first use and kept for every later pair, what decisions
-    learn of w alone: the screened invariants (`_SCREENS`) and `ambient`,
-    the summit and cycling circuit of the canonical form
+    learn of w alone: the two screened invariants (`_SCREENS`), the
+    exponent sum of w and the linking matrix of the mixed braid, and
+    `ambient`, the summit and cycling circuit of the canonical form
     (`garside._ConjugacyRecord`)."""
 
     word: BraidWord
@@ -150,10 +154,6 @@ class _Orbit:
     @functools.cached_property
     def exponent_sum(self) -> int:
         return exponent_sum(self.word)
-
-    @functools.cached_property
-    def cycle_type(self) -> tuple:
-        return cycle_type(self.braid)
 
     @functools.cached_property
     def linking_matrix(self) -> tuple:
@@ -232,19 +232,32 @@ def braid_type_equal(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     return is_conjugate(a, b)
 
 
-_SCREENS = ("exponent_sum", "cycle_type", "linking_matrix")
+_SCREENS = ("exponent_sum", "linking_matrix")
 
 
 def _screen_invariants(inst: SNInstance) -> Certificate | None:
     """Compare the screened invariants of the two orbits (`_SCREENS`) in
-    turn: the exponent sum of w, then the cycle type and the linking matrix
-    of the mixed braid section(beta_A) * w. The first mismatch is a
-    certificate, and no later invariant is computed.
+    turn: the exponent sum of w, then the linking matrix of the mixed braid
+    section(beta_A) * w. The first mismatch is a certificate, and no later
+    invariant is computed.
 
     The Burau characteristic polynomial of the whole mixed braid is not
     screened: it is an invariant of conjugacy in the ambient B_{n+m}, so
     every pair it separates is also rejected by the ambient conjugacy
-    test that follows, and screening it cannot change a verdict."""
+    test that follows, and screening it cannot change a verdict.
+
+    Nor is the per-block cycle type (`invariants.cycle_type`): equal
+    linking matrices imply equal cycle types. The lift section(beta_A)
+    fixes every orbit strand and w, a kernel element, every puncture, so
+    the puncture-block cycles of both braids are those of beta_A, with the
+    same tags ("A", strands...); say c_A of them. The matrix has one entry
+    per unordered pair of the c cycles of the braid, so its length
+    c(c - 1)/2 gives c, or that c <= 1. The orbit block has the other
+    c - c_A cycles. When c <= 1 that is 0 or 1 cycle, so the orbit block's
+    cycle type is () or (m,). When c >= 2, each orbit cycle of length L
+    meets each of the c - 1 other cycles in one entry, so across the
+    entries the tag ("o", L) occurs c - 1 times per orbit cycle of length
+    L, and the matrix gives the multiset of orbit cycle lengths."""
     for name in _SCREENS:
         x, y = getattr(inst._x, name), getattr(inst._y, name)
         if x != y:
@@ -363,9 +376,11 @@ def _decide(
     if cert is not None:
         return SNVerdict(NOT_EQUIVALENT, certificate=cert)
 
-    # Equal screens give the two mixed braids equal exponent sums and cycle
-    # types, the checks `is_conjugate` makes on words, so the records meet
-    # directly; only the empty invariant set needs the witness.
+    # Equal screens give the two mixed braids equal exponent sums, and
+    # equal linking matrices give them equal cycle types
+    # (`_screen_invariants`): the checks `is_conjugate` makes on words, so
+    # the records meet directly; only the empty invariant set needs the
+    # witness.
     full = _conjugacy(inst._x.ambient, inst._y.ambient, witness=inst.n == 0)
     if not full.conjugate:
         return SNVerdict(
@@ -440,9 +455,10 @@ def partition_sn_classes(
     a record (`_orbit`), then stands for the first record of its mixed
     braid's canonical form, so each distinct mixed braid is screened and
     walked at most once. The orbits are grouped into buckets of equal key,
-    the `_SCREENS` values of their records: exactly what
-    `_screen_invariants` compares, so a pair across two buckets is
-    NotEquivalent by certificate and is never decided.
+    the `_SCREENS` values of their records, the exponent sum of w and the
+    linking matrix of its mixed braid: exactly what `_screen_invariants`
+    compares, so a pair across two buckets is NotEquivalent by certificate
+    and is never decided.
 
     Within a bucket the pairs (i, j) are decided in order with
     `sn_equivalent_rel_A` on the instance of their two records, i's as

@@ -5,10 +5,13 @@ cross-checks of the heavy conjugacy machinery.
 Every value is returned in a canonical encoding (sorted tuples, normalized
 polynomial shift) so that equality is literal comparison. Each function is
 constant on conjugacy classes of the relevant group; the decision layer
-relies on that to turn a mismatch into a certificate. The Burau
-characteristic polynomial is reported by `standard_reports` but not screened
-by the decision layer: it is an ambient B_{n+m} invariant, and the ambient
-conjugacy test there already separates every pair it could. It is computed
+relies on that to turn a mismatch into a certificate. It screens only the
+linking matrix and the orbit word's exponent sum. The per-block cycle type
+and the Burau characteristic polynomial are reported by `standard_reports`
+but not screened: for two mixed braids over one base braid, equal linking
+matrices imply equal cycle types, and the Burau polynomial is an ambient
+B_{n+m} invariant, so the ambient conjugacy test the decision layer runs
+next already separates every pair it could. The polynomial is computed
 exactly over integer Laurent polynomials in t.
 """
 
@@ -169,9 +172,9 @@ def burau_charpoly(a: BraidWord) -> tuple[tuple[int, int, int], ...]:
 
 def standard_reports(b: MixedBraid) -> list[InvariantReport]:
     """The invariant battery for one mixed braid, in report order. The
-    decision layer screens a different set (`decision._SCREENS`):
-    the orbit word's exponent sum, the cycle type and the linking matrix,
-    and never the Burau polynomial."""
+    decision layer screens a different set (`decision._SCREENS`): the
+    orbit word's exponent sum and the linking matrix, never the cycle type,
+    which the linking matrix implies, nor the Burau polynomial."""
     return [
         InvariantReport("exponent_sum", exponent_sum(b.word)),
         InvariantReport("cycle_type", cycle_type(b)),

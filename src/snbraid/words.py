@@ -56,9 +56,6 @@ class BraidWord:
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         return compose(self, other)
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     @staticmethod
     def identity(n: int) -> "BraidWord":
         return BraidWord(n, ())

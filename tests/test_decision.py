@@ -67,7 +67,6 @@ class TestRelA:
         def refuse(braid):
             raise AssertionError("screened past the first mismatch")
 
-        monkeypatch.setattr(sb.decision, "cycle_type", refuse)
         monkeypatch.setattr(sb.decision, "linking_matrix", refuse)
         inst = sb.SNInstance(
             1, 1, sb.BraidWord(1, ()), sb.BraidWord(2, (1, 1)), sb.BraidWord(2, (1,) * 4)
@@ -345,6 +344,56 @@ class TestBurauSubsumedByAmbientConjugacy:
         v = sb.sn_equivalent_rel_A(inst)
         assert v.status == sb.NOT_EQUIVALENT
         assert v.certificate.invariant == "not conjugate in B_3"
+
+
+class TestCycleTypeImpliedByLinkingMatrix:
+    """Over one base braid, equal linking matrices imply equal per-block
+    cycle types (the proof is in `decision._screen_invariants`); that is
+    why the decision pipeline does not screen the cycle type."""
+
+    def test_differing_cycle_type_differs_in_linking_matrix(self):
+        # Formal orbits: kernel words with the orbit-block crossings, so the
+        # orbit block may split into any cycles. n = 0 has c <= 1 cycles
+        # exactly when the orbit block is one m-cycle.
+        rng = random.Random(22)
+        separated = 0
+        for _ in range(2000):
+            n = rng.randint(0, 3)
+            m = rng.randint(1 if n else 2, 4)
+            lift = sb.section(n, m, random_word(rng, n, 6)).word
+            bx, by = (
+                sb.MixedBraid(n, m, sb.compose(lift, random_kernel_word(rng, n, m, rng.randint(0, 6))))
+                for _ in range(2)
+            )
+            if sb.cycle_type(bx) != sb.cycle_type(by):
+                separated += 1
+                assert sb.linking_matrix(bx) != sb.linking_matrix(by)
+        assert separated > 500
+
+    def test_formal_instance_certified_by_linking_matrix(self):
+        """The orbit block is one 3-cycle in beta_ox and three fixed strands
+        in beta_oy: the exponent sums agree and the linking matrix, whose
+        lengths give 2 and 4 cycles, is the certificate."""
+        parse = sb.BraidWord.parse
+        with pytest.warns(UserWarning, match="beta_oy does not induce a single 3-cycle"):
+            inst = sb.SNInstance(1, 3, parse(1, ""), parse(4, "s2 s3"), parse(4, "s1 s1"))
+        assert sb.cycle_type(inst.mixed_x()) != sb.cycle_type(inst.mixed_y())
+        for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
+            assert decide(inst).to_json() == {
+                "status": "NotEquivalent",
+                "certificate": {
+                    "invariant": "linking_matrix",
+                    "lhs": ((("A", 1), ("o", 3), 0),),
+                    "rhs": (
+                        (("A", 1), ("o", 1), 0),
+                        (("A", 1), ("o", 1), 0),
+                        (("A", 1), ("o", 1), 1),
+                        (("o", 1), ("o", 1), 0),
+                        (("o", 1), ("o", 1), 0),
+                        (("o", 1), ("o", 1), 0),
+                    ),
+                },
+            }
 
 
 class TestTwisted:
@@ -751,7 +800,8 @@ class TestOrbitRecordsReused:
 
     def test_screens_compute_no_permutation(self, monkeypatch):
         """A mixed braid keeps the permutation its block check computed, and
-        the cycle-type and linking-matrix screens read it."""
+        the linking-matrix screen reads it; the cycle type, which the
+        linking matrix implies, is not screened."""
         from snbraid import decision, garside, invariants, mixed, words
 
         inst = TestKernelSearchPinned().instance(
@@ -766,7 +816,8 @@ class TestOrbitRecordsReused:
 
                 monkeypatch.setattr(module, "permutation", counted)
         assert decision._screen_invariants(inst) is None
-        assert {"exponent_sum", "cycle_type", "linking_matrix"} <= vars(inst._x).keys()
+        assert {"exponent_sum", "linking_matrix"} <= vars(inst._x).keys()
+        assert "cycle_type" not in vars(inst._x)
         assert calls == []
         assert inst.mixed_x().perm == sb.permutation(inst.mixed_x().word)
 
