@@ -31,11 +31,12 @@ union-find on the orbit indices.
 What a decision learns of one orbit alone is a cached property of its
 record, computed on first use inside a decision and never when the record
 is built: each screened invariant, and the per-braid stage of the ambient
-conjugacy test, the summit and cycling circuit of the mixed braid
-(`garside._ConjugacyRecord`). Only the comparisons are per pair: the
-screens compare the kept values, and the ambient test meets the two
-records (`garside._conjugacy`), multiplying out a witness only for an
-empty invariant set. A partition's orbits of one form share one record,
+conjugacy test, the summit and cycling circuit of the mixed braid (the
+record is a `garside._ConjugacyRecord`). Only the comparisons are per
+pair: the screens compare the kept values, and the ambient test meets the
+two records (`garside._conjugacy`), which returns the path it found;
+`garside._witness` multiplies a conjugator out of it only for an empty
+invariant set. A partition's orbits of one form share one record,
 so each distinct mixed braid is screened and walked at most once, and the
 two formulations decided on one instance share its two records.
 """
@@ -55,6 +56,7 @@ from .garside import (
     _ConjugacyRecord,
     _conjugacy,
     _product,
+    _witness,
     canonical_form,
     is_conjugate,
 )
@@ -138,14 +140,15 @@ class SNVerdict:
 
 
 @dataclasses.dataclass(frozen=True)
-class _Orbit:
+class _Orbit(_ConjugacyRecord):
     """One orbit word w, its mixed braid section(beta_A) * w and that
     braid's canonical form, built with the record, and, as cached properties
     computed on first use and kept for every later pair, what decisions
     learn of w alone: the two screened invariants (`_SCREENS`), the
-    exponent sum of w and the linking matrix of the mixed braid, and
-    `ambient`, the summit and cycling circuit of the canonical form
-    (`garside._ConjugacyRecord`)."""
+    exponent sum of w and the linking matrix of the mixed braid. The
+    record is the conjugacy record of its canonical form
+    (`garside._ConjugacyRecord`), so the summit and cycling circuit that
+    the ambient test walks are cached properties of it too."""
 
     word: BraidWord
     braid: MixedBraid
@@ -158,10 +161,6 @@ class _Orbit:
     @functools.cached_property
     def linking_matrix(self) -> tuple:
         return linking_matrix(self.braid)
-
-    @functools.cached_property
-    def ambient(self) -> _ConjugacyRecord:
-        return _ConjugacyRecord(self.cf)
 
 
 def _orbit(n: int, m: int, lift: BraidWord, name: str, w: BraidWord) -> _Orbit:
@@ -379,10 +378,9 @@ def _decide(
     # Equal screens give the two mixed braids equal exponent sums, and
     # equal linking matrices give them equal cycle types
     # (`_screen_invariants`): the checks `is_conjugate` makes on words, so
-    # the records meet directly; only the empty invariant set needs the
-    # witness.
-    full = _conjugacy(inst._x.ambient, inst._y.ambient, witness=inst.n == 0)
-    if not full.conjugate:
+    # the records meet directly. Only the empty invariant set multiplies a
+    # witness out of the path.
+    if (path := _conjugacy(inst._x, inst._y)) is None:
         return SNVerdict(
             NOT_EQUIVALENT,
             certificate=Certificate(f"not conjugate in B_{inst.n + inst.m}"),
@@ -391,7 +389,7 @@ def _decide(
         # Empty invariant set: the kernel is the whole group, so the ambient
         # conjugacy witness already certifies equivalence (Corollary-level
         # degeneration to braid-type equality).
-        return SNVerdict(EQUIVALENT, witness=full.witness)
+        return SNVerdict(EQUIVALENT, witness=_witness(inst._x, inst._y, path))
 
     witness, report = _search_kernel_conjugator(inst, budget, accept)
     if witness is not None:

@@ -41,18 +41,19 @@ between given bounds (from a super summit element, at most the size of the
 super summit set). Two braids are conjugate iff their ultra summit sets
 intersect. Every walk records its conjugator as a list of simple factors:
 the meet and the closure return only the path from the start of a's
-circuit, and the pair stage alone joins each side's lists and normalizes
-them once, only when they become the witness.
+circuit, and only `_witness` joins each side's lists and normalizes them
+once, when they become the witness.
 
 The decision has two stages. The summit and circuit walks depend on one
 braid only, and a per-braid record (`_ConjugacyRecord`) holds each as a
 cached property, walked on first use. The pair stage (`_conjugacy`) meets
-two records: the infimum/supremum comparison, the circuit meet, the
-closure on a miss, and the witness only when it is asked for.
-`is_conjugate` is two word checks and the pair stage over two fresh
-records; a caller that decides many pairs of the same braids, as the
-strong Nielsen decision does per orbit, keeps one record per braid and
-walks each braid once.
+two records: the infimum/supremum comparison, the circuit meet and the
+closure on a miss; it returns the path it found, from which `_witness`
+multiplies out a conjugator. `is_conjugate` is two word checks, the pair
+stage over two fresh records and the witness on a hit; a caller that
+decides many pairs of the same braids, as the strong Nielsen decision does
+per orbit, keeps one record per braid, walks each braid once and
+multiplies out a witness only when it needs one.
 
 A simple element is stored as the lexicographic rank of its permutation, an
 int (see `_Simples`): factor lists, conjugator lists and canonical forms
@@ -552,7 +553,8 @@ class _ConjugacyRecord:
     (`_summit`), and `circuit` is v's cycling circuit, the simple conjugator
     of each of its steps and the factors of the steps from v to the
     circuit's start (`_cycling_orbit`). A record whose pairs are all
-    settled before a walk never runs it. `_conjugacy` meets two records."""
+    settled before a walk never runs it. `_conjugacy` meets two records,
+    and `_witness` multiplies out the conjugator of a pair they meet on."""
 
     def __init__(self, cf: CanonicalForm):
         self.cf = cf
@@ -567,44 +569,45 @@ class _ConjugacyRecord:
         return orbit[start:], steps[start:], steps[:start]
 
 
-def _conjugacy(
-    a: _ConjugacyRecord, b: _ConjugacyRecord, witness: bool = True
-) -> ConjugacyResult:
+def _conjugacy(a: _ConjugacyRecord, b: _ConjugacyRecord) -> list[int] | None:
     """The pair stage of the conjugacy decision, over two per-braid records
     on the same strand count; a complete decision of whether a.cf and b.cf
-    are conjugate, with a witness c, c * b * c^-1 = a, only when `witness`
-    is set.
+    are conjugate. Returns None when they are not, and otherwise the simple
+    factors of the path from the start of a's cycling circuit to b's
+    circuit element, from which `_witness` multiplies out a conjugator.
 
-    Equal forms are conjugate by the identity, and no walk runs. Otherwise
-    the summits must share infimum and supremum, and only then are the
-    circuits walked: if b's circuit element or its tau-image lies on a's
-    circuit, a's walk already holds the path (`_circuit_meet`); if not, the
-    ultra summit set of a is closed under simple-element conjugation until
-    it reaches b's element (`_closure_search`). A witness is multiplied out
-    from the factor lists: a's summit and circuit walks joined with the
-    path, and b's summit and circuit walks, each list normalized once.
+    Equal forms are conjugate, with the empty path, and no walk runs.
+    Otherwise the summits must share infimum and supremum, and only then
+    are the circuits walked: if b's circuit element or its tau-image lies
+    on a's circuit, a's walk already holds the path (`_circuit_meet`); if
+    not, the ultra summit set of a is closed under simple-element
+    conjugation until it reaches b's element (`_closure_search`).
     Raises ValueError when the closure search is needed on more than
     MAX_CLOSURE_STRANDS strands."""
+    if a.cf == b.cf:
+        return []
+    va, vb = a.summit[0], b.summit[0]
+    if (va.inf, va.sup) != (vb.inf, vb.sup):
+        return None
+    circuit, steps, _ = a.circuit
+    target = b.circuit[0][0]
+    path = _circuit_meet(circuit, steps, target)
+    if path is None:
+        path = _closure_search(circuit[0], target)
+    return path
+
+
+def _witness(a: _ConjugacyRecord, b: _ConjugacyRecord, path: list[int]) -> BraidWord:
+    """A conjugator c with c * b.cf * c^-1 = a.cf, from the path
+    `_conjugacy(a, b)` returned: the identity for equal forms, and
+    otherwise h * g^-1, free-reduced, where h joins a's summit and circuit
+    walks with the path and g joins b's, each list normalized once."""
     n = a.cf.strands
     if a.cf == b.cf:
-        return ConjugacyResult(True, BraidWord.identity(n) if witness else None)
-    va, ga = a.summit
-    vb, gb = b.summit
-    if (va.inf, va.sup) != (vb.inf, vb.sup):
-        return ConjugacyResult(False)
-
-    circuit, steps, lead = a.circuit
-    circuit_b, _, lead_b = b.circuit
-    path = _circuit_meet(circuit, steps, circuit_b[0])
-    if path is None:
-        path = _closure_search(circuit[0], circuit_b[0])
-    if path is None:
-        return ConjugacyResult(False)
-    if not witness:
-        return ConjugacyResult(True)
-    h = CanonicalForm(n, *_normalize(n, ga + lead + path))
-    g = CanonicalForm(n, *_normalize(n, gb + lead_b))
-    return ConjugacyResult(True, free_reduce(h.mul(g.inv()).to_word()))
+        return BraidWord.identity(n)
+    h = CanonicalForm(n, *_normalize(n, a.summit[1] + a.circuit[2] + path))
+    g = CanonicalForm(n, *_normalize(n, b.summit[1] + b.circuit[2]))
+    return free_reduce(h.mul(g.inv()).to_word())
 
 
 def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
@@ -613,9 +616,9 @@ def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     Returns a witness c with c * b * c^-1 = a whenever the answer is yes.
     Pairs that differ in exponent sum or cycle type are refused from the
     words; the rest is the pair stage `_conjugacy` over two fresh
-    per-braid records (`_ConjugacyRecord`) of the canonical forms. Each
-    cycling walk ends because cycling stays inside the finite super summit
-    set.
+    per-braid records (`_ConjugacyRecord`) of the canonical forms, and a
+    hit's path is multiplied out by `_witness`. Each cycling walk ends
+    because cycling stays inside the finite super summit set.
     Raises ValueError when a pair that does not meet on the circuit needs
     the closure search on more than MAX_CLOSURE_STRANDS strands.
     """
@@ -625,9 +628,10 @@ def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
         return ConjugacyResult(False)
     if permutation(a).cycle_type() != permutation(b).cycle_type():
         return ConjugacyResult(False)
-    return _conjugacy(
-        _ConjugacyRecord(canonical_form(a)), _ConjugacyRecord(canonical_form(b))
-    )
+    ra, rb = _ConjugacyRecord(canonical_form(a)), _ConjugacyRecord(canonical_form(b))
+    if (path := _conjugacy(ra, rb)) is None:
+        return ConjugacyResult(False)
+    return ConjugacyResult(True, _witness(ra, rb, path))
 
 
 def _circuit_meet(

@@ -500,6 +500,94 @@ class TestEmptyInvariantSet:
             assert (v.status == sb.EQUIVALENT) == expect
             assert v.status != sb.INCONCLUSIVE
 
+    @staticmethod
+    def pairs():
+        """The seeded pairs of `test_degenerates_to_braid_type`."""
+        rng = random.Random(44)
+        for _ in range(40):
+            m = rng.randint(2, 4)
+            a = random_word(rng, m, 8)
+            if rng.random() < 0.5:
+                c = random_word(rng, m, 5)
+                b = sb.free_reduce(sb.compose(sb.compose(c, a), sb.invert(c)))
+            else:
+                b = random_word(rng, m, 8)
+            yield a, b
+
+    def test_witness_is_braid_type_witness(self):
+        """With no kernel strands the witness `_decide` multiplies out of
+        the ambient path is the one `is_conjugate` gives, in both
+        formulations."""
+        equivalent = 0
+        for a, b in self.pairs():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                inst = sb.SNInstance(0, a.strands, sb.BraidWord(0, ()), a, b)
+            for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
+                v = decide(inst)
+                if v.status == sb.EQUIVALENT:
+                    equivalent += 1
+                    assert v.witness == sb.braid_type_equal(a, b).witness
+        assert equivalent > 0
+
+
+def seeded_instances(seed, count):
+    """Instances with n in {1, 2, 3} and m in {1, 2}; every other one is
+    equivalent by construction."""
+    rng = random.Random(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for trial in range(count):
+            n, m = rng.randint(1, 3), rng.randint(1, 2)
+            beta_A = random_word(rng, n, 8)
+            oy = random_kernel_word(rng, n, m, rng.randint(0, 3))
+            if trial % 2 == 0:
+                c = random_kernel_word(rng, n, m, rng.randint(1, 4))
+                ox = conjugated_kernel_part(n, m, beta_A, oy, c)
+            else:
+                ox = random_kernel_word(rng, n, m, rng.randint(0, 3))
+            yield sb.SNInstance(n, m, beta_A, ox, oy)
+
+
+class TestAmbientPath:
+    """The ambient test of a decision keeps the path `garside._conjugacy`
+    found, and multiplies a witness out of it only for an empty invariant
+    set."""
+
+    def test_kernel_strands_multiply_out_no_witness(self, monkeypatch):
+        from snbraid import decision
+
+        def refused(*args):
+            raise AssertionError("_witness called with kernel strands")
+
+        monkeypatch.setattr(decision, "_witness", refused)
+        pinned = TestKernelSearchPinned()
+        instances = [pinned.instance(ox) for ox in (
+            "S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1",
+            "S1 S1 S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1 s1 s1",
+        )]
+        statuses = set()
+        for inst in instances + list(seeded_instances(2323, 60)):
+            for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
+                statuses.add(decide(inst, pinned.BUDGET).status)
+        assert statuses == {sb.EQUIVALENT, sb.NOT_EQUIVALENT, sb.INCONCLUSIVE}
+
+    def test_path_gives_ambient_conjugator(self):
+        """On instances whose mixed braids are conjugate in B_{n+m}, the
+        path gives an h with h * beta_y * h^-1 = beta_x."""
+        from snbraid.garside import _conjugacy, _witness
+
+        conjugate = 0
+        for inst in seeded_instances(2324, 60):
+            path = _conjugacy(inst._x, inst._y)
+            if path is None:
+                continue
+            conjugate += 1
+            h = _witness(inst._x, inst._y, path)
+            bx, by = inst.mixed_x().word, inst.mixed_y().word
+            assert sb.equal(bx, sb.compose(sb.compose(h, by), sb.invert(h)))
+        assert conjugate >= 30
+
 
 class TestInstanceValidation:
     def test_base_strand_count(self):

@@ -1173,10 +1173,10 @@ class TestFactorListConjugators:
             assert reached, (n, seed)
 
     def test_records_shared_across_pairs(self, monkeypatch):
-        """The pair stage over per-braid records kept across pairs answers
-        as `is_conjugate` does, byte for byte, walks each braid to its
-        summit at most once, and without a witness gives the same
-        verdict."""
+        """The pair stage over per-braid records kept across pairs returns
+        a path exactly when `is_conjugate` answers yes, `_witness` makes
+        of that path the witness `is_conjugate` gives, byte for byte, and
+        each braid is walked to its summit at most once."""
         rng = random.Random(23)
         words = []
         for _ in range(6):
@@ -1198,9 +1198,11 @@ class TestFactorListConjugators:
         monkeypatch.setattr(garside, "_summit", recorded)
         records = [garside._ConjugacyRecord(canonical_form(w)) for w in words]
         for (i, j), doc in expected.items():
-            assert garside._conjugacy(records[i], records[j]).to_json() == doc
-            bare = garside._conjugacy(records[i], records[j], witness=False)
-            assert bare.to_json() == {"conjugate": doc["conjugate"]}
+            path = garside._conjugacy(records[i], records[j])
+            assert (path is not None) == doc["conjugate"]
+            if path is not None:
+                witness = garside._witness(records[i], records[j], path)
+                assert witness.format() == doc["witness"]
         assert len(walked) <= len(words)
         assert any(doc["conjugate"] for doc in expected.values())
         assert not all(doc["conjugate"] for doc in expected.values())
