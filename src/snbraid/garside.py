@@ -64,11 +64,18 @@ only the letters it uses. `CanonicalForm` is a NamedTuple, made, hashed and
 compared in C; as it equals the plain tuple of its fields, no map mixes the
 two as keys. Rank order is the order of the permutation tuples, so every
 sort and search order is that of the permutations. `CanonicalForm.to_json`
-and `to_word` are where a rank is read back as a permutation. The
-permutations themselves are 0-based tuples mapping start position to end
-position. Delta is the reversal, so tau(p) = Delta^-1 p Delta is p reversed
-with each value v replaced by n - 1 - v, and the Delta-complement
-Delta p^-1 is the inverse of p reversed.
+and `to_word` are where a rank is read back as a permutation; a rank made
+from a letter, or by ranking a permutation, keeps that permutation, so on
+many strands the form of a word is read back without unranking (which is
+quadratic in n). A left-weighting miss on up to _ATOM_STRANDS (6) strands
+builds no permutation: it walks a per-rank table of atoms, the starting
+and finishing sets of each simple element and the ranks one crossing
+away, moving one crossing per step as `_leftweight` does on permutations,
+which fills the misses on more strands. The permutations themselves are
+0-based tuples mapping start position to end position. Delta is the
+reversal, so tau(p) = Delta^-1 p Delta is p reversed with each value v
+replaced by n - 1 - v, and the Delta-complement Delta p^-1 is the inverse
+of p reversed.
 """
 
 from __future__ import annotations
@@ -115,7 +122,11 @@ def _leftweight(x: Perm, y: Perm) -> tuple[Perm, Perm]:
 
     Moves crossings sigma_i with i in S(y) \\ F(x) from the head of y to the
     tail of x until the starting set of y is contained in the finishing set
-    of x. Each move is O(1) via simultaneous image/position bookkeeping.
+    of x. A move updates the images and positions in O(1), but each pass
+    rescans all n - 1 positions, so a pass costs O(n) and a call is
+    quadratic in n when many passes move. It fills the left-weighting
+    table on more than _ATOM_STRANDS strands; below that, the atom walk of
+    `_Simples` makes the same moves on ranks.
     """
     n = len(x)
     lx, ly = list(x), list(y)
@@ -164,9 +175,9 @@ def _unrank(n: int, r: int) -> Perm:
 class _Memo(dict):
     """A memo table: a hit is a plain dict lookup, done in C, and a miss
     computes the entry with `fill`. The tables of one kind, one per strand
-    count, share `family` and a bound on their entries together: a miss
-    that finds the bound reached empties them all first, so no input makes
-    them grow without bound."""
+    count, share `family` and a bound on their entries together: a miss, or
+    a `store` from another table's fill, that finds the bound reached
+    empties them all first, so no input makes them grow without bound."""
 
     __slots__ = ("fill", "family", "bound")
 
@@ -175,13 +186,26 @@ class _Memo(dict):
         self.fill, self.family, self.bound = fill, family, bound
         family.append(self)
 
-    def __missing__(self, key: int):
+    def __missing__(self, key):
+        return self.store(key, self.fill(key))
+
+    def store(self, key, value):
         if sum(map(len, self.family)) >= self.bound:
             for table in self.family:
                 table.clear()
-        value = self[key] = self.fill(key)
+        self[key] = value
         return value
 
+
+# Left-weighting misses walk the atom table (`_atom`) on up to this many
+# strands and run `_leftweight` on permutations above it. Measured as cold
+# `_conjugate` of one summit element by all n! - 1 simple elements, three
+# fresh processes each (2-vCPU guest, Python 3.11), permutations against
+# the walk: n = 6 31-35 ms against 22-31 ms, n = 7 0.20-0.22 s against
+# 0.21-0.24 s, n = 8 1.8-2.0 s against 2.2-2.5 s. The atom table has n!
+# entries, each filled in O(n^2), and a fill walks one step per crossing it
+# moves, so from 7 strands on the walk no longer pays.
+_ATOM_STRANDS = 6
 
 _PERMS: list[_Memo] = []
 _RANKS: list[_Memo] = []
@@ -189,6 +213,47 @@ _TAUS: list[_Memo] = []
 _COMPLEMENTS: list[_Memo] = []
 _LEFTWEIGHTS: list[_Memo] = []
 _LETTERS: list[_Memo] = []
+_ATOMS: list[_Memo] = []
+
+
+def _atom(factorials: list[int], r: int) -> tuple[int, int, list[int], list[int]]:
+    """The atoms at either end of the simple element of rank r on n strands,
+    factorials[k] = k! for k < n: its starting set S and finishing set F as
+    bitmasks (bit i for sigma_(i+1)), and per i the rank of r sigma_(i+1)
+    for i not in F and that of sigma_(i+1)^-1 r for i in S (0 elsewhere).
+
+    All come from the Lehmer digits d of r, r = sum d_i (n-1-i)!, d_i
+    counting the smaller values after position i. r has a descent at i,
+    i in S, exactly when d_i > d_(i+1). r sigma_(i+1) swaps the values i and
+    i + 1, which raises the digit at a, the position of i, by one: it adds
+    (n-1-a)!. sigma_(i+1)^-1 r swaps positions i and i + 1, and their digits
+    become d_(i+1) and d_i - 1."""
+    n = len(factorials)
+    digits = []
+    rest = r
+    for k in range(1, n + 1):
+        rest, d = divmod(rest, k)
+        digits.append(d)
+    digits.reverse()
+    free = list(range(n))
+    position = [0] * n
+    for i, d in enumerate(digits):
+        position[free.pop(d)] = i
+    starts = finishes = 0
+    up, down = [0] * (n - 1), [0] * (n - 1)
+    for i in range(n - 1):
+        if digits[i] > digits[i + 1]:
+            starts |= 1 << i
+            down[i] = (
+                r
+                + (digits[i + 1] - digits[i]) * factorials[n - 1 - i]
+                + (digits[i] - 1 - digits[i + 1]) * factorials[n - 2 - i]
+            )
+        if position[i] > position[i + 1]:
+            finishes |= 1 << i
+        else:
+            up[i] = r + factorials[n - 1 - position[i]]
+    return starts, finishes, up, down
 
 
 class _Simples:
@@ -197,36 +262,83 @@ class _Simples:
     order is the order of the permutation tuples. Tables keyed by rank give
     tau, the Delta-complement and the permutation; the left-weighting of a
     pair (x, y) is keyed by x * n! + y and gives a pair of ranks. The
-    tables fill as they are read, each miss computed once on permutations
-    (`_tau`, `_delta_complement`, `_leftweight`) and ranked back through the
-    `rank` table, keyed by permutation.
+    tables fill as they are read. A tau or complement miss is computed on
+    permutations (`_tau`, `_delta_complement`) and ranked back through the
+    `rank` table, keyed by permutation, whose fill also stores the
+    permutation it ranks in `perm`, so a rank made there is read back
+    without unranking.
+
+    A left-weighting miss on up to _ATOM_STRANDS strands walks ranks: the
+    `atom` table, keyed by rank, holds each simple element's starting and
+    finishing sets and the ranks one crossing away (`_atom`), and the fill
+    moves the lowest crossing of S(y) \\ F(x) from y to x, x <- x sigma and
+    y <- sigma^-1 y, until S(y) lies in F(x). These are the moves of
+    `_leftweight`, and a left-weighted pair of simple elements is fixed by
+    its product, its first factor being xy meet Delta (El-Rifai and Morton
+    1994), so the order of the moves does not change the result. On more
+    strands the atom table would cost more to fill than it saves; there is
+    no atom table, and a miss runs `_leftweight` on permutations.
 
     The `letter` table, keyed by a letter k of B_n, gives the rank of the
     simple factor that stands for k in a canonical form and that of its
     tau-image: sigma_i itself for k = i, and Delta sigma_i^-1 for k = -i,
     since sigma_i^-1 = Delta^-1 (Delta sigma_i^-1). It fills one letter at
-    a time from two factorials, with no permutation built or ranked."""
+    a time from two factorials, with no permutation ranked, and stores the
+    two permutations, built in O(n), in `perm`."""
 
-    __slots__ = ("count", "delta", "perm", "rank", "tau", "complement", "leftweight", "letter")
+    __slots__ = (
+        "count", "delta", "perm", "rank", "tau", "complement", "leftweight", "letter", "atom"
+    )
 
     def __init__(self, n: int):
         count = math.factorial(n)
         self.count = count
         self.delta = count - 1
-        perm = self.perm = _Memo(functools.partial(_unrank, n), _PERMS, 1 << 18)
-        rank = self.rank = _Memo(_rank, _RANKS, 1 << 18)
+        perm = self.perm = _Memo(lambda r: _unrank(n, r), _PERMS, 1 << 18)
+
+        def ranked(p: Perm) -> int:
+            r = _rank(p)
+            perm.store(r, p)
+            return r
+
+        rank = self.rank = _Memo(ranked, _RANKS, 1 << 18)
 
         def on_perm(f):
             return lambda r: rank[f(perm[r])]
 
-        def leftweight(key: int) -> tuple[int, int]:
-            x, y = divmod(key, count)
-            lx, ly = _leftweight(perm[x], perm[y])
-            return rank[lx], rank[ly]
-
         self.tau = _Memo(on_perm(_tau), _TAUS, 1 << 18)
         self.complement = _Memo(on_perm(_delta_complement), _COMPLEMENTS, 1 << 18)
+
+        if n <= _ATOM_STRANDS:
+            # 1! + ... + 6! = 873 atoms in all, so the bound is never
+            # reached; a higher cut needs a higher bound, or misses thrash.
+            atom = self.atom = _Memo(
+                functools.partial(_atom, [math.factorial(k) for k in range(n)]), _ATOMS, 1 << 10
+            )
+
+            def leftweight(key: int) -> tuple[int, int]:
+                x, y = divmod(key, count)
+                _, finishes, up, _ = atom[x]
+                starts, _, _, down = atom[y]
+                while move := starts & ~finishes:
+                    i = (move & -move).bit_length() - 1
+                    x, y = up[i], down[i]
+                    _, finishes, up, _ = atom[x]
+                    starts, _, _, down = atom[y]
+                return x, y
+
+        else:
+            self.atom = None
+
+            def leftweight(key: int) -> tuple[int, int]:
+                x, y = divmod(key, count)
+                lx, ly = _leftweight(perm[x], perm[y])
+                return rank[lx], rank[ly]
+
         self.leftweight = _Memo(leftweight, _LEFTWEIGHTS, 1 << 20)
+
+        def sigma(i: int) -> Perm:
+            return (*range(i - 1), i, i - 1, *range(i + 1, n))
 
         def letter(k: int) -> tuple[int, int]:
             # sigma_i swaps positions i - 1 and i, so its rank is (n - i)!,
@@ -235,7 +347,10 @@ class _Simples:
             # which turns a rank r into n! - 1 - r.
             i = abs(k)
             head, tail = math.factorial(n - i), math.factorial(i)
-            return (head, tail) if k > 0 else (self.delta - tail, self.delta - head)
+            ranks = (head, tail) if k > 0 else (self.delta - tail, self.delta - head)
+            for r, p in zip(ranks, (sigma(i), sigma(n - i))):
+                perm.store(r, p if k > 0 else p[::-1])
+            return ranks
 
         self.letter = _Memo(letter, _LETTERS, 1 << 18)
 
@@ -478,12 +593,13 @@ class ConjugacyResult:
 
 
 # The closure search conjugates each element it visits by all n! - 1 simple
-# elements, one normalization each: at n = 8 about 0.35 s per element once
-# the rank tables are filled, and 1.9 s for the first element, which fills
-# them (2-vCPU guest, Python 3.11). The count grows n-fold per strand, so
-# the limit bounds time; 8 is the largest strand count the tests and
-# benchmark exercise. Pairs that meet on a cycling circuit never reach the
-# closure, so the limit refuses only the pairs that do not.
+# elements, one normalization each: at n = 8 about 0.3 s per element once
+# the rank tables are filled, and 1.8-2.0 s for the first element, which
+# fills them, left-weighting on permutations (`_ATOM_STRANDS`); at n = 6
+# 5 ms and 22-31 ms (2-vCPU guest, Python 3.11). The count grows n-fold
+# per strand, so the limit bounds time; 8 is the largest strand count the
+# tests and benchmark exercise. Pairs that meet on a cycling circuit never
+# reach the closure, so the limit refuses only the pairs that do not.
 MAX_CLOSURE_STRANDS = 8
 
 

@@ -110,9 +110,34 @@ def stable_under_kernel_conjugation(inst: sb.SNInstance, name: str, rng, rounds=
         assert got == value, f"{name} moved under kernel conjugation"
 
 
+def formulations_agree(inst: sb.SNInstance, rng, trial: int) -> tuple[sb.SNVerdict, sb.SNVerdict]:
+    """Decide inst both ways; the statuses agree, every witness is a kernel
+    conjugator and every certificate is stable under kernel conjugation."""
+    n, m = inst.n, inst.m
+    v1 = sb.sn_equivalent_rel_A(inst)
+    v2 = sb.sn_equivalent_twisted(inst)
+    assert v1.status == v2.status, f"formulations disagree on trial {trial}"
+    for v in (v1, v2):
+        if v.status == sb.EQUIVALENT:
+            w = v.witness
+            assert sb.is_kernel(n, m, w)
+            bx, by = inst.mixed_x().word, inst.mixed_y().word
+            assert sb.equal(bx, sb.compose(sb.compose(w, by), sb.invert(w)))
+    if v1.status == sb.NOT_EQUIVALENT:
+        # Every certificate kind is named here, so a new one cannot
+        # skip the stability check.
+        name = v1.certificate.invariant
+        if name in ("exponent_sum", "linking_matrix"):
+            stable_under_kernel_conjugation(inst, name, rng)
+        else:
+            assert name == f"not conjugate in B_{n + m}", name
+    return v1, v2
+
+
 def test_criterion_4_formulations_agree():
     rng = random.Random(1004)
     statuses = {"Equivalent": 0, "NotEquivalent": 0, "Inconclusive": 0}
+    ambient = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for trial in range(200):
@@ -125,26 +150,31 @@ def test_criterion_4_formulations_agree():
                 ox = conjugated_kernel_part(n, m, beta_A, oy, c)
             else:
                 ox = random_kernel_word(rng, n, m, rng.randint(0, 3))
-            inst = sb.SNInstance(n, m, beta_A, ox, oy)
-            v1 = sb.sn_equivalent_rel_A(inst)
-            v2 = sb.sn_equivalent_twisted(inst)
-            assert v1.status == v2.status, f"formulations disagree on trial {trial}"
+            v1, _ = formulations_agree(sb.SNInstance(n, m, beta_A, ox, oy), rng, trial)
             statuses[v1.status] += 1
-            for v in (v1, v2):
-                if v.status == sb.EQUIVALENT:
-                    w = v.witness
-                    assert sb.is_kernel(n, m, w)
-                    bx, by = inst.mixed_x().word, inst.mixed_y().word
-                    assert sb.equal(bx, sb.compose(sb.compose(w, by), sb.invert(w)))
-            if v1.status == sb.NOT_EQUIVALENT:
-                # Every certificate kind is named here, so a new one cannot
-                # skip the stability check.
-                name = v1.certificate.invariant
-                if name in ("exponent_sum", "linking_matrix"):
-                    stable_under_kernel_conjugation(inst, name, rng)
-                else:
-                    assert name == f"not conjugate in B_{n + m}", name
-    report(4, f"200 instances, statuses agree across both formulations: {statuses}")
+        # beta_oy = beta_ox [g, h] for two kernel generators g, h (n >= 2
+        # gives at least two). The commutator keeps the exponent sum, and
+        # the linking matrix too unless g or h crosses two orbit strands,
+        # so most of these pass both screens; many are not conjugate even in
+        # the ambient group, which only the ambient test certifies.
+        for trial in range(200, 220):
+            n = rng.randint(2, 3)
+            m = rng.randint(1, 2)
+            beta_A = random_word(rng, n, 8)
+            ox = random_kernel_word(rng, n, m, rng.randint(0, 3))
+            g, h = rng.sample(sb.kernel_generators(n, m), 2)
+            commutator = sb.compose(sb.compose(g, h), sb.compose(sb.invert(g), sb.invert(h)))
+            oy = sb.free_reduce(sb.compose(ox, commutator))
+            v1, v2 = formulations_agree(sb.SNInstance(n, m, beta_A, ox, oy), rng, trial)
+            statuses[v1.status] += 1
+            certified = {v.certificate.invariant for v in (v1, v2) if v.certificate}
+            ambient += certified == {f"not conjugate in B_{n + m}"}
+    assert ambient >= 1
+    report(
+        4,
+        f"220 instances, statuses agree across both formulations: {statuses}; "
+        f"{ambient} certified by the ambient test alone",
+    )
 
 
 def test_criterion_5_empty_invariant_set_degenerates():

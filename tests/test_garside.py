@@ -457,6 +457,82 @@ class TestRankEncoding:
                 got = simples.leftweight[rx * simples.count + ry]
                 assert perms(n, got) == garside._leftweight(x, y)
 
+    def test_atoms_match_permutations(self):
+        """Each atom read from the Lehmer digits of a rank gives the
+        starting and finishing sets of its permutation and the ranks of
+        the permutations one crossing away, on every rank of up to 6
+        strands."""
+        for n in range(1, garside._ATOM_STRANDS + 1):
+            atom = garside._simples(n).atom
+            for r, p in enumerate(itertools.permutations(range(n))):
+                starts, finishes, up, down = atom[r]
+                assert {i for i in range(n - 1) if starts >> i & 1} == starting_set(p)
+                assert {i for i in range(n - 1) if finishes >> i & 1} == finishing_set(p)
+                for i in range(n - 1):
+                    if i not in finishing_set(p):
+                        # p sigma_(i+1) swaps the values i and i + 1
+                        q = tuple(i + 1 if v == i else i if v == i + 1 else v for v in p)
+                        assert up[i] == garside._rank(q)
+                    if i in starting_set(p):
+                        # sigma_(i+1)^-1 p swaps the positions i and i + 1
+                        q = list(p)
+                        q[i], q[i + 1] = q[i + 1], q[i]
+                        assert down[i] == garside._rank(tuple(q))
+
+    def test_atom_walk_matches_leftweight(self):
+        """The atom walk fills the left-weighting table as `_leftweight`
+        does on permutations: every pair of up to 5 strands, and seeded
+        pairs of 6."""
+        rng = random.Random(24)
+        for n in range(1, garside._ATOM_STRANDS + 1):
+            simples = garside._simples(n)
+            fill, count = simples.leftweight.fill, simples.count
+            if n < garside._ATOM_STRANDS:
+                pairs = itertools.product(range(count), repeat=2)
+            else:
+                pairs = [(rng.randrange(count), rng.randrange(count)) for _ in range(3000)]
+            for rx, ry in pairs:
+                x, y = simples.perm[rx], simples.perm[ry]
+                assert perms(n, fill(rx * count + ry)) == garside._leftweight(x, y)
+
+    def test_no_atoms_above_the_cut(self, monkeypatch):
+        """Above _ATOM_STRANDS strands there is no atom table: a miss runs
+        `_leftweight` on permutations and fills no atom."""
+        for name in ("_PERMS", "_RANKS", "_TAUS", "_COMPLEMENTS", "_LEFTWEIGHTS", "_LETTERS", "_ATOMS"):
+            monkeypatch.setattr(garside, name, [])
+
+        def no_atom(*args):
+            raise AssertionError("an atom was filled")
+
+        monkeypatch.setattr(garside, "_atom", no_atom)
+        n = garside._ATOM_STRANDS + 1
+        simples = garside._Simples(n)
+        assert simples.atom is None and garside._ATOMS == []
+        rng = random.Random(25)
+        for _ in range(50):
+            x, y = (tuple(rng.sample(range(n), n)) for _ in range(2))
+            got = simples.leftweight[garside._rank(x) * simples.count + garside._rank(y)]
+            assert perms(n, got) == garside._leftweight(x, y)
+        assert garside._Simples(n - 1).atom is not None and len(garside._ATOMS) == 1
+
+    def test_forms_read_back_without_unranking(self, monkeypatch):
+        """A rank made by the letter table or by ranking a permutation
+        keeps its permutation, so `to_json` on 5000 strands unranks
+        nothing."""
+        calls = []
+        unrank = garside._unrank
+        monkeypatch.setattr(garside, "_unrank", lambda n, r: calls.append(n) or unrank(n, r))
+        n = 5000
+        sigma = [*range(1, n + 1)]
+        sigma[0], sigma[1] = 2, 1
+        assert canonical_form(sb.BraidWord(n, (1,))).to_json() == {
+            "n": n, "delta_power": 0, "factors": [sigma]
+        }
+        forms = [canonical_form(sb.BraidWord(n, letters)) for letters in [(1, 3), (-2,), (-3, -3)]]
+        read = [cf.to_json()["factors"] for cf in forms]
+        assert calls == []
+        assert read == [[[v + 1 for v in unrank(n, f)] for f in cf.factors] for cf in forms]
+
     def test_reversal_identities(self):
         """tau and the Delta-complement equal their definitions by
         composition, Delta^-1 p Delta and Delta p^-1 with Delta the
