@@ -175,7 +175,10 @@ def _orbit(n: int, m: int, lift: BraidWord, name: str, w: BraidWord) -> _Orbit:
     # cycles that start, at their smallest element, beyond the punctures.
     if m >= 1 and sum(c[0] > n for c in braid.perm.cycles()) != 1:
         # Skip the frames of this module; the dataclass-generated __init__
-        # runs in its globals too.
+        # runs in its globals too. A fixed stacklevel per caller cannot do
+        # this: before Python 3.12 (PEP 709) the partition's list
+        # comprehension is a frame of its own, so the caller's depth
+        # differs between versions.
         level, frame = 2, sys._getframe(1)
         while frame.f_globals is globals():
             level, frame = level + 1, frame.f_back

@@ -68,10 +68,10 @@ and `to_word` are where a rank is read back as a permutation; a rank made
 from a letter, or by ranking a permutation, keeps that permutation, so on
 many strands the form of a word is read back without unranking (which is
 quadratic in n). A left-weighting miss on up to _ATOM_STRANDS (6) strands
-builds no permutation: it walks a per-rank table of atoms, the starting
-and finishing sets of each simple element and the ranks one crossing
-away, moving one crossing per step as `_leftweight` does on permutations,
-which fills the misses on more strands. The permutations themselves are
+walks a per-rank table of atoms, the starting and finishing sets of each
+simple element and the ranks one crossing away, read once per rank off its
+permutation; it moves one crossing per step as `_leftweight` does on
+permutations, which fills the misses on more strands. The permutations are
 0-based tuples mapping start position to end position. Delta is the
 reversal, so tau(p) = Delta^-1 p Delta is p reversed with each value v
 replaced by n - 1 - v, and the Delta-complement Delta p^-1 is the inverse
@@ -115,6 +115,13 @@ def _tau(p: Perm) -> Perm:
 def _delta_complement(p: Perm) -> Perm:
     """The simple element Delta * p^-1, so that p^-1 = Delta^-1 * complement."""
     return _pinv(p)[::-1]
+
+
+def _swap(p: Perm, a: int, b: int) -> Perm:
+    """p with its entries at positions a and b exchanged."""
+    s = list(p)
+    s[a], s[b] = s[b], s[a]
+    return tuple(s)
 
 
 def _leftweight(x: Perm, y: Perm) -> tuple[Perm, Perm]:
@@ -197,14 +204,16 @@ class _Memo(dict):
         return value
 
 
-# Left-weighting misses walk the atom table (`_atom`) on up to this many
-# strands and run `_leftweight` on permutations above it. Measured as cold
-# `_conjugate` of one summit element by all n! - 1 simple elements, three
-# fresh processes each (2-vCPU guest, Python 3.11), permutations against
-# the walk: n = 6 31-35 ms against 22-31 ms, n = 7 0.20-0.22 s against
-# 0.21-0.24 s, n = 8 1.8-2.0 s against 2.2-2.5 s. The atom table has n!
-# entries, each filled in O(n^2), and a fill walks one step per crossing it
-# moves, so from 7 strands on the walk no longer pays.
+# Left-weighting misses walk the atom table on up to this many strands and
+# run `_leftweight` on permutations above it. Measured as cold `_conjugate`
+# of one summit element by all n! - 1 simple elements, every table emptied
+# first, the two fills alternated in one process (2-vCPU guest, Python
+# 3.11), medians of the walk against permutations: n = 5 3.7 against
+# 3.9 ms and n = 6 26 against 28 ms (the walk faster in 18 and 16 of 20
+# runs), n = 7 211 against 177 ms and n = 8 2.7 against 2.5 s (faster in 1
+# of 6). The atom table has n! entries, each filled by ranking up to n - 1
+# permutations back, and a fill walks one step per crossing it moves, so
+# from 7 strands on the walk no longer pays.
 _ATOM_STRANDS = 6
 
 _PERMS: list[_Memo] = []
@@ -214,46 +223,6 @@ _COMPLEMENTS: list[_Memo] = []
 _LEFTWEIGHTS: list[_Memo] = []
 _LETTERS: list[_Memo] = []
 _ATOMS: list[_Memo] = []
-
-
-def _atom(factorials: list[int], r: int) -> tuple[int, int, list[int], list[int]]:
-    """The atoms at either end of the simple element of rank r on n strands,
-    factorials[k] = k! for k < n: its starting set S and finishing set F as
-    bitmasks (bit i for sigma_(i+1)), and per i the rank of r sigma_(i+1)
-    for i not in F and that of sigma_(i+1)^-1 r for i in S (0 elsewhere).
-
-    All come from the Lehmer digits d of r, r = sum d_i (n-1-i)!, d_i
-    counting the smaller values after position i. r has a descent at i,
-    i in S, exactly when d_i > d_(i+1). r sigma_(i+1) swaps the values i and
-    i + 1, which raises the digit at a, the position of i, by one: it adds
-    (n-1-a)!. sigma_(i+1)^-1 r swaps positions i and i + 1, and their digits
-    become d_(i+1) and d_i - 1."""
-    n = len(factorials)
-    digits = []
-    rest = r
-    for k in range(1, n + 1):
-        rest, d = divmod(rest, k)
-        digits.append(d)
-    digits.reverse()
-    free = list(range(n))
-    position = [0] * n
-    for i, d in enumerate(digits):
-        position[free.pop(d)] = i
-    starts = finishes = 0
-    up, down = [0] * (n - 1), [0] * (n - 1)
-    for i in range(n - 1):
-        if digits[i] > digits[i + 1]:
-            starts |= 1 << i
-            down[i] = (
-                r
-                + (digits[i + 1] - digits[i]) * factorials[n - 1 - i]
-                + (digits[i] - 1 - digits[i + 1]) * factorials[n - 2 - i]
-            )
-        if position[i] > position[i + 1]:
-            finishes |= 1 << i
-        else:
-            up[i] = r + factorials[n - 1 - position[i]]
-    return starts, finishes, up, down
 
 
 class _Simples:
@@ -270,12 +239,14 @@ class _Simples:
 
     A left-weighting miss on up to _ATOM_STRANDS strands walks ranks: the
     `atom` table, keyed by rank, holds each simple element's starting and
-    finishing sets and the ranks one crossing away (`_atom`), and the fill
-    moves the lowest crossing of S(y) \\ F(x) from y to x, x <- x sigma and
-    y <- sigma^-1 y, until S(y) lies in F(x). These are the moves of
-    `_leftweight`, and a left-weighted pair of simple elements is fixed by
-    its product, its first factor being xy meet Delta (El-Rifai and Morton
-    1994), so the order of the moves does not change the result. On more
+    finishing sets and the ranks one crossing away, read off its
+    permutation and ranked back through `rank` as tau and the complement
+    are. The fill moves the lowest crossing of S(y) \\ F(x) from y to x,
+    x <- x sigma and y <- sigma^-1 y, until S(y) lies in F(x). These are
+    the moves of `_leftweight`, and a left-weighted pair of simple elements
+    is fixed by its product, its first factor being xy meet Delta
+    (El-Rifai and Morton 1994), so the order of the moves does not change
+    the result. On more
     strands the atom table would cost more to fill than it saves; there is
     no atom table, and a miss runs `_leftweight` on permutations.
 
@@ -310,11 +281,31 @@ class _Simples:
         self.complement = _Memo(on_perm(_delta_complement), _COMPLEMENTS, 1 << 18)
 
         if n <= _ATOM_STRANDS:
+
+            def atoms(r: int) -> tuple[int, int, list[int], list[int]]:
+                # The starting and finishing sets S and F of p = perm[r] as
+                # bitmasks, bit i for sigma_(i+1): the descents of p and of
+                # its inverse q. Per i, the rank of sigma_(i+1)^-1 r for i in
+                # S, which is p with the positions i and i + 1 swapped, and
+                # that of r sigma_(i+1) for i not in F, which is p with the
+                # values i and i + 1 swapped, at q[i] and q[i + 1]; 0 elsewhere.
+                p = perm[r]
+                q = _pinv(p)
+                starts = finishes = 0
+                up, down = [0] * (n - 1), [0] * (n - 1)
+                for i in range(n - 1):
+                    if p[i] > p[i + 1]:
+                        starts |= 1 << i
+                        down[i] = rank[_swap(p, i, i + 1)]
+                    if q[i] > q[i + 1]:
+                        finishes |= 1 << i
+                    else:
+                        up[i] = rank[_swap(p, q[i], q[i + 1])]
+                return starts, finishes, up, down
+
             # 1! + ... + 6! = 873 atoms in all, so the bound is never
             # reached; a higher cut needs a higher bound, or misses thrash.
-            atom = self.atom = _Memo(
-                functools.partial(_atom, [math.factorial(k) for k in range(n)]), _ATOMS, 1 << 10
-            )
+            atom = self.atom = _Memo(atoms, _ATOMS, 1 << 10)
 
             def leftweight(key: int) -> tuple[int, int]:
                 x, y = divmod(key, count)

@@ -549,3 +549,109 @@ def test_cli_start_imports_only_standard_library():
     out = proc.stdout.splitlines()
     assert json.loads("\n".join(out[:-1])) == {"n": 3, "delta_power": 1, "factors": []}
     assert out[-1] == "[]"
+
+
+# The 200-letter word of CI's cold atom-walk pin on 5 strands.
+NF5_WORD = (
+    "s2 s2 S1 S2 s4 S4 S2 s1 S4 S1 S4 s4 S1 s2 S4 s2 S4 s2 S1 s2 s3 s4 S3 S2 s2 "
+    "S3 S1 S3 s2 s3 s1 S3 s3 S1 S3 S1 s1 S2 S4 s1 s4 s3 S1 s1 S1 S2 s4 s4 s1 S3 "
+    "s4 s2 s1 S4 s1 s1 s1 S4 s1 s2 s4 s4 s3 S2 S1 s1 S1 s2 S2 S1 s2 S4 s2 S3 S1 "
+    "s4 s4 s1 S2 S2 s4 S2 S3 S4 s4 S4 S2 S4 S2 s4 S2 s1 s1 S3 S1 S2 S4 S4 s3 s2 "
+    "S3 s2 S3 S1 s3 S3 S4 S2 S2 S1 s1 S2 s2 s2 S1 S1 S2 s1 s2 S2 S2 S1 s3 S2 s4 "
+    "S1 s1 s2 S2 S3 S2 S2 s2 S2 s4 S3 S2 s3 s3 s2 S2 S2 s3 s4 s1 S2 s2 s2 s4 s1 "
+    "S4 s1 S1 S1 S2 S3 s2 s1 s4 s1 s1 S1 S1 s2 S4 S4 S4 S2 S3 S1 S4 S4 s2 S3 S3 "
+    "s4 s3 S1 s1 S4 s2 s4 s1 S4 s1 S2 S3 s1 s1 s1 S3 s3 s4 s4 S2 S1 S2 S4 s4 s4"
+)
+NO_KERNEL = ["-n", "0", "-m", "4", "--betaA", "", "--ox", "s1 s2 s3", "--oy", "s3 s2 s1"]
+
+
+class TestConsolePins:
+    """The console-script pins of CI, each run as `python -m snbraid.cli` in
+    a fresh process, so that every rank table starts cold: the exit code and
+    the whole JSON. `nf -n 5` and `conj -n 6` fill the atom tables."""
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            pytest.param(
+                ["nf", "-n", "21", "S9 S7 s3 S18 S9 S13 s8 s16 s19 s20 S14 s15 S1 S9 s20 S20"],
+                {
+                    "n": 21,
+                    "delta_power": -3,
+                    "factors": [
+                        [21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 9, 10, 8, 7, 6, 5, 4, 3, 2, 1],
+                        [21, 20, 19, 18, 17, 16, 15, 14, 12, 13, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1],
+                        [21, 20, 18, 19, 17, 16, 14, 13, 15, 12, 11, 8, 10, 7, 9, 6, 5, 4, 3, 1, 2],
+                        [1, 2, 4, 3, 5, 6, 7, 9, 10, 8, 11, 12, 13, 14, 16, 17, 15, 18, 21, 19, 20],
+                    ],
+                },
+                id="nf-21-strands",
+            ),
+            pytest.param(
+                ["nf", "-n", "5", NF5_WORD],
+                {
+                    "n": 5,
+                    "delta_power": -18,
+                    "factors": [
+                        [5, 4, 3, 1, 2], [4, 5, 2, 1, 3], [4, 3, 5, 1, 2], [4, 5, 2, 1, 3],
+                        [2, 1, 5, 3, 4], [2, 1, 3, 5, 4], [2, 1, 3, 4, 5], [2, 1, 3, 4, 5],
+                        [5, 1, 2, 3, 4], [1, 2, 4, 5, 3], [1, 3, 5, 2, 4], [1, 3, 2, 5, 4],
+                        [2, 5, 1, 3, 4], [2, 1, 4, 5, 3], [5, 2, 4, 1, 3], [1, 2, 4, 3, 5],
+                        [1, 3, 4, 2, 5], [2, 4, 1, 3, 5], [5, 2, 4, 1, 3], [2, 1, 4, 3, 5],
+                        [4, 3, 5, 1, 2], [1, 5, 4, 2, 3], [2, 4, 5, 3, 1], [1, 4, 5, 2, 3],
+                        [1, 3, 5, 2, 4], [3, 5, 2, 4, 1], [5, 3, 1, 2, 4], [1, 2, 3, 5, 4],
+                        [1, 2, 4, 5, 3], [2, 4, 5, 1, 3], [1, 3, 4, 2, 5], [2, 4, 1, 3, 5],
+                        [5, 2, 4, 1, 3], [5, 2, 4, 3, 1], [5, 1, 4, 3, 2], [3, 4, 1, 2, 5],
+                        [3, 5, 1, 2, 4], [1, 5, 2, 4, 3], [1, 3, 5, 2, 4], [1, 3, 2, 5, 4],
+                        [1, 3, 2, 5, 4],
+                    ],
+                },
+                id="nf-5-strands-200-letters",
+            ),
+            pytest.param(
+                [
+                    "conj", "-n", "6",
+                    "S1 S3 s4 s5 S4 s3 S4 S4 s3 s1 S5 S4 s3 s1",
+                    "S4 s3 S4 S4 S5 s5 s3 s1",
+                ],
+                {
+                    "conjugate": True,
+                    "witness": "S1 S2 S3 S4 S5 S1 S2 S3 S4 S1 s4 s3 s2 s1 s5 s4 s3 s2 s1 s4 s5",
+                },
+                id="conj-6-strands-closure",
+            ),
+            pytest.param(
+                [
+                    "conj", "-n", "8",
+                    "S6 S2 s3 S1 S3 s6 S7 S3 S2 S1 s2 S7 S3 S6 S6 s3 s1 S3 s2 s6",
+                    "S7 S3 S2 S1 s2 S7 S3 S6",
+                ],
+                {
+                    "conjugate": True,
+                    "witness": "S1 S2 S3 S4 S5 S6 S7 S1 s7 s6 s5 s4 s3 s2 s1 s1 s2 s3 s3 s2",
+                },
+                id="conj-8-strands-closure",
+            ),
+            pytest.param(
+                ["sn", *NO_KERNEL],
+                {"status": "Equivalent", "witness": "s1 s2 s1 s3 s2 s1"},
+                id="sn-no-kernel-strands",
+            ),
+            pytest.param(
+                ["sn-twisted", *NO_KERNEL],
+                {"status": "Equivalent", "witness": "s1 s2 s1 s3 s2 s1"},
+                id="sn-twisted-no-kernel-strands",
+            ),
+        ],
+    )
+    def test_pin(self, argv, doc):
+        src = os.path.dirname(os.path.dirname(sb.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "snbraid.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == doc
