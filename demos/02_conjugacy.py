@@ -29,9 +29,3 @@ print()
 
 # opposite signs can never be conjugate: exponent sum is invariant
 print(f"s1 ~ S1 ?  {sb.is_conjugate(a, sb.BraidWord.parse(3, 'S1')).conjugate}")
-print()
-
-# conjugacy up to powers of the central full twist
-shifted = base * sb.full_twist(4) * sb.full_twist(4)
-res, k = sb.conjugate_mod_full_twist(shifted, base)
-print(f"braid * Delta^4 matches base up to twist power k = {k}")

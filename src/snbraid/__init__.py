@@ -29,7 +29,6 @@ from .garside import (
     CanonicalForm,
     ConjugacyResult,
     canonical_form,
-    conjugate_mod_full_twist,
     delta,
     equal,
     full_twist,

@@ -49,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, summary in (
         ("eq", "word problem"),
         ("conj", "conjugacy with witness"),
-        ("conj-mod-twist", "conjugacy up to full-twist powers"),
     ):
         p = sub.add_parser(name, parents=[n_flag], help=summary)
         p.add_argument("word_a")
@@ -116,7 +115,7 @@ def _dispatch(args) -> int:
     if "m" in args:
         # Refuse bad block sizes before any word is parsed on n + m strands.
         mixed._check_blocks(n, args.m)
-    if "word_a" in args:  # eq, conj, conj-mod-twist: two words on n strands
+    if "word_a" in args:  # eq, conj: two words on n strands
         a, b = BraidWord.parse(n, args.word_a), BraidWord.parse(n, args.word_b)
     elif cmd in ("decompose", "invariants"):  # one mixed braid on n + m strands
         mb = mixed.validate(n, args.m, BraidWord.parse(n + args.m, args.word))
@@ -126,9 +125,6 @@ def _dispatch(args) -> int:
         _emit({"equal": garside.equal(a, b)})
     elif cmd == "conj":
         _emit(garside.is_conjugate(a, b).to_json())
-    elif cmd == "conj-mod-twist":
-        res, k = garside.conjugate_mod_full_twist(a, b)
-        _emit({**res.to_json(), "k": k})
     elif cmd == "decompose":
         dec = mixed.decompose(mb)
         _emit({"base": dec.base.format(), "kernel_part": dec.kernel_part.format()})

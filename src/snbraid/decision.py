@@ -7,8 +7,11 @@ Two orbits with kernel parts beta_ox, beta_oy over the same base braid
 beta_A are equivalent iff the assembled mixed braids beta_x = section(beta_A)
 * beta_ox and beta_y = section(beta_A) * beta_oy are conjugate by a KERNEL
 element; equivalently iff beta_ox = phi_{beta_A}(c) * beta_oy * c^-1 for some
-kernel c (the twisted-conjugacy form). Both formulations are implemented and
-must agree.
+kernel c (the twisted-conjugacy form). Both formulations are implemented.
+They run the same screens, the same ambient test and the same kernel search,
+and differ only in the equation that `accept` re-checks at a match. So they
+agree by construction: the twisted form re-verifies each witness against its
+own equation and is not a second, independent decision.
 
 The kernel-restricted conjugacy problem has no known complete desk-scale
 algorithm, so verdicts are three-valued: certified Equivalent (with a
@@ -413,10 +416,12 @@ def sn_equivalent_rel_A(inst: SNInstance, budget: Budget = Budget()) -> SNVerdic
 
 def sn_equivalent_twisted(inst: SNInstance, budget: Budget = Budget()) -> SNVerdict:
     """Twisted-conjugacy formulation: search for a kernel element c with
-    beta_ox = phi_{beta_A}(c) * beta_oy * c^-1. Agrees with
-    sn_equivalent_rel_A on every instance. The forms `accept` needs are
-    built on its first call, so an instance the screens or the ambient
-    test settle builds none."""
+    beta_ox = phi_{beta_A}(c) * beta_oy * c^-1. It runs the screens, the
+    ambient test and the kernel search of sn_equivalent_rel_A, and only
+    re-checks a match against the twisted equation, which holds exactly
+    when c * beta_y * c^-1 = beta_x. So the two agree on every instance by
+    construction. The forms `accept` needs are built on its first call, so
+    an instance the screens or the ambient test settle builds none."""
 
     @functools.cache
     def forms() -> tuple[CanonicalForm, ...]:

@@ -836,32 +836,3 @@ def _closure_search(va: CanonicalForm, target: CanonicalForm) -> list[int] | Non
                 nxt.append(w)
         frontier = nxt
     return None
-
-
-def conjugate_mod_full_twist(
-    a: BraidWord, b: BraidWord
-) -> tuple[ConjugacyResult, int | None]:
-    """Decide whether a is conjugate to b * Delta^{2k} for some integer k.
-
-    The twist power is forced by exponent sums; the answer is no whenever the
-    exponent gap is not divisible by n(n-1). For n = 2 (B_2 is infinite
-    cyclic) the gap alone decides, and `is_conjugate` of the shifted word
-    answers yes with the identity; B_0 and B_1 are trivial.
-    """
-    if a.strands != b.strands:
-        raise StrandMismatchError("cannot compare words on different strand counts")
-    n = a.strands
-    if n <= 1:
-        return ConjugacyResult(True, BraidWord.identity(n)), 0
-    gap = exponent_sum(a) - exponent_sum(b)
-    span = n * (n - 1)
-    if gap % span != 0:
-        return ConjugacyResult(False), None
-    k = gap // span
-    shifted = b
-    if k != 0:
-        tw = full_twist(n)
-        block = tw.letters if k > 0 else tuple(-x for x in reversed(tw.letters))
-        shifted = BraidWord(n, b.letters + block * abs(k))
-    res = is_conjugate(a, shifted)
-    return res, (k if res.conjugate else None)

@@ -1,18 +1,21 @@
 """
-Cheap conjugacy invariants, used as non-equivalence certificates and as
+Conjugacy invariants, used as non-equivalence certificates and as
 cross-checks of the heavy conjugacy machinery.
 
 Every value is returned in a canonical encoding (sorted tuples, normalized
 polynomial shift) so that equality is literal comparison. Each function is
 constant on conjugacy classes of the relevant group; the decision layer
 relies on that to turn a mismatch into a certificate. It screens only the
-linking matrix and the orbit word's exponent sum. The per-block cycle type
-and the Burau characteristic polynomial are reported by `standard_reports`
-but not screened: for two mixed braids over one base braid, equal linking
-matrices imply equal cycle types, and the Burau polynomial is an ambient
-B_{n+m} invariant, so the ambient conjugacy test the decision layer runs
-next already separates every pair it could. The polynomial is computed
-exactly over integer Laurent polynomials in t.
+linking matrix and the orbit word's exponent sum. `standard_reports` also
+reports the per-block cycle type, which is not screened: for two mixed
+braids over one base braid, equal linking matrices imply equal cycle types.
+
+The Burau characteristic polynomial, computed exactly over integer Laurent
+polynomials in t, is a library function that no command reports and no
+decision reads. It is an ambient B_{n+m} invariant, so the ambient
+conjugacy test the decision layer runs next already separates every pair
+it could, and its cost grows with the strand count and the word length
+without a bound.
 """
 
 from __future__ import annotations
@@ -171,13 +174,13 @@ def burau_charpoly(a: BraidWord) -> tuple[tuple[int, int, int], ...]:
 
 
 def standard_reports(b: MixedBraid) -> list[InvariantReport]:
-    """The invariant battery for one mixed braid, in report order. The
-    decision layer screens a different set (`decision._SCREENS`): the
-    orbit word's exponent sum and the linking matrix, never the cycle type,
-    which the linking matrix implies, nor the Burau polynomial."""
+    """The invariant battery for one mixed braid, in report order, each
+    value one pass over the word. The decision layer screens the orbit
+    word's exponent sum and the linking matrix (`decision._SCREENS`), not
+    the cycle type, which the linking matrix implies. The Burau polynomial
+    is not reported: no verdict reads it, and its cost has no bound."""
     return [
         InvariantReport("exponent_sum", exponent_sum(b.word)),
         InvariantReport("cycle_type", cycle_type(b)),
         InvariantReport("linking_matrix", linking_matrix(b)),
-        InvariantReport("burau_charpoly", burau_charpoly(b.word)),
     ]

@@ -46,14 +46,6 @@ class TestWordCommands:
         lhs = sb.compose(sb.compose(c, sb.BraidWord(3, (2,))), sb.invert(c))
         assert sb.equal(sb.BraidWord(3, (1,)), lhs)
 
-    def test_conj_mod_twist(self, capsys):
-        doc = run_json(capsys, ["conj-mod-twist", "-n", "3", "s1 s1 s2 s1 s2 s1 s2", "s1"])
-        assert doc["conjugate"] is True and doc["k"] == 1
-
-    def test_conj_mod_twist_no_strands(self, capsys):
-        doc = run_json(capsys, ["conj-mod-twist", "-n", "0", "", ""])
-        assert doc == {"conjugate": True, "witness": "", "k": 0}
-
 
 class TestMixedCommands:
     def test_decompose(self, capsys):
@@ -73,7 +65,7 @@ class TestMixedCommands:
     def test_invariants(self, capsys):
         doc = run_json(capsys, ["invariants", "-n", "2", "-m", "1", A2])
         names = [r["name"] for r in doc["invariants"]]
-        assert names == ["exponent_sum", "cycle_type", "linking_matrix", "burau_charpoly"]
+        assert names == ["exponent_sum", "cycle_type", "linking_matrix"]
 
     def test_invariants_json_values(self, capsys):
         """Invariant values are JSON numbers and arrays, not Python reprs."""
@@ -88,13 +80,6 @@ class TestMixedCommands:
                         [["A", 1], ["A", 2], 1],
                         [["A", 1], ["o", 1], 1],
                         [["A", 2], ["o", 1], 0],
-                    ],
-                },
-                {
-                    "name": "burau_charpoly",
-                    "value": [
-                        [0, 4, -1], [1, 1, 1], [1, 3, 1], [1, 4, 1],
-                        [2, 0, -1], [2, 1, -1], [2, 3, -1], [3, 0, 1],
                     ],
                 },
             ]
@@ -218,11 +203,10 @@ class TestErrors:
         assert "twisted" in summary["sn-twisted"] and "twisted" not in summary["sn"]
 
     @pytest.mark.parametrize("command,usage", [
-        ("", "[-h] {nf,eq,conj,conj-mod-twist,decompose,act,sn,sn-twisted,partition,invariants} ..."),
+        ("", "[-h] {nf,eq,conj,decompose,act,sn,sn-twisted,partition,invariants} ..."),
         ("nf", "[-h] -n N word"),
         ("eq", "[-h] -n N word_a word_b"),
         ("conj", "[-h] -n N word_a word_b"),
-        ("conj-mod-twist", "[-h] -n N word_a word_b"),
         ("decompose", "[-h] -n N -m M word"),
         ("act", "[-h] -n N -m M --beta BETA --gamma GAMMA"),
         ("sn", "[-h] -n N -m M --betaA BETAA --ox OX --oy OY [--max-len MAX_LEN] "
@@ -405,7 +389,6 @@ FUZZ_COMMANDS = {
     "nf": (False, 1, (), False),
     "eq": (False, 2, (), False),
     "conj": (False, 2, (), False),
-    "conj-mod-twist": (False, 2, (), False),
     "decompose": (True, 1, (), False),
     "act": (True, 0, ("--beta", "--gamma"), False),
     "sn": (True, 0, ("--betaA", "--ox", "--oy"), True),

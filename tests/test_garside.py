@@ -1361,37 +1361,3 @@ class TestConjugateByRank:
             check_witness(a, b, sb.is_conjugate(a, b))
             assert reached, (n, seed)
         assert calls == []
-
-
-class TestConjugateModFullTwist:
-    def test_constructed_power(self):
-        a = sb.compose(sb.BraidWord(3, (1,)), sb.full_twist(3))
-        res, k = sb.conjugate_mod_full_twist(a, sb.BraidWord(3, (1,)))
-        assert res.conjugate and k == 1
-
-    def test_divisibility_obstruction(self):
-        res, k = sb.conjugate_mod_full_twist(sb.BraidWord(3, (1,)), sb.BraidWord(3, (-2,)))
-        assert not res.conjugate and k is None
-
-    def test_equal_words(self):
-        w = sb.BraidWord(4, (1, 3, -2))
-        res, k = sb.conjugate_mod_full_twist(w, w)
-        assert res.conjugate and k == 0
-
-    def test_strand_mismatch(self):
-        with pytest.raises(sb.StrandMismatchError):
-            sb.conjugate_mod_full_twist(sb.BraidWord(3, (1,)), sb.BraidWord(4, (1,)))
-
-    @pytest.mark.parametrize("k", range(-2, 3))
-    def test_two_strands(self, k):
-        # B_2 is infinite cyclic and Delta^2 = s1^2, so the exponent gap
-        # alone decides.
-        b = sb.BraidWord(2, (1, -1, -1))
-        a = sb.BraidWord(2, (-1,) + (1 if k > 0 else -1,) * (2 * abs(k)))
-        res, got = sb.conjugate_mod_full_twist(a, b)
-        assert res.conjugate and got == k
-        assert res.witness == sb.BraidWord.identity(2)
-
-    def test_two_strands_odd_gap(self):
-        res, k = sb.conjugate_mod_full_twist(sb.BraidWord(2, (1, 1)), sb.BraidWord(2, (-1,)))
-        assert not res.conjugate and k is None

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import snbraid as sb
+from snbraid import invariants
 from snbraid.invariants import (
     _burau_matrix,
     burau_charpoly,
@@ -173,15 +174,44 @@ class TestBurau:
 def test_standard_reports_battery():
     b = sb.validate(2, 1, sb.BraidWord(3, (2, 2)))
     reports = standard_reports(b)
-    assert [r.name for r in reports] == [
-        "exponent_sum",
-        "cycle_type",
-        "linking_matrix",
-        "burau_charpoly",
-    ]
+    assert [r.name for r in reports] == ["exponent_sum", "cycle_type", "linking_matrix"]
     for r in reports:
         doc = r.to_json()
         assert set(doc) == {"name", "value"}
+
+
+@pytest.mark.parametrize("n,m,word,expected", [
+    (2, 1, "s2 s2", [
+        ("exponent_sum", 2),
+        ("cycle_type", ((1, 1), (1,))),
+        ("linking_matrix", (
+            (("A", 1), ("A", 2), 0), (("A", 1), ("o", 1), 0), (("A", 2), ("o", 1), 1),
+        )),
+    ]),
+    (3, 2, "s1 s3 s3 S4 s2 S1 s4 s4 S3 S3 s2 s1 s2 S4", [
+        ("exponent_sum", 4),
+        ("cycle_type", ((1, 1, 1), (1, 1))),
+        ("linking_matrix", (
+            (("A", 1), ("A", 2), 1), (("A", 1), ("A", 3), 1),
+            (("A", 1), ("o", 1), -1), (("A", 1), ("o", 1), 0),
+            (("A", 2), ("A", 3), 0), (("A", 2), ("o", 1), 0),
+            (("A", 2), ("o", 1), 0), (("A", 3), ("o", 1), 0),
+            (("A", 3), ("o", 1), 1), (("o", 1), ("o", 1), 0),
+        )),
+    ]),
+])
+def test_standard_reports_skip_burau(monkeypatch, n, m, word, expected):
+    """The battery costs one pass over the word per report: it never calls
+    the Burau polynomial, whose cost has no bound in the word length and
+    strand count, and the reports it keeps hold the values they held when
+    it still reported that polynomial."""
+
+    def unbounded(_word):
+        raise AssertionError("standard_reports called burau_charpoly")
+
+    monkeypatch.setattr(invariants, "burau_charpoly", unbounded)
+    b = sb.validate(n, m, sb.BraidWord.parse(n + m, word))
+    assert [(r.name, r.value) for r in standard_reports(b)] == expected
 
 
 def test_invariants_constant_on_sn_equivalent_instances():
