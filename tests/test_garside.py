@@ -345,7 +345,7 @@ class TestIncrementalNormalForm:
             if x.factors:
                 p = x.delta_power
                 first = garside._tau(xf[0]) if p % 2 else xf[0]
-                cycled, _ = garside._cycle(x)
+                cycled, _ = reference_cycle(x)
                 assert cycled == reference_make(n, p, list(xf[1:]) + [first])
 
     def test_leftweight_commutes_with_tau(self):
@@ -782,9 +782,22 @@ def tau_form(x):
     return CanonicalForm(x.strands, x.delta_power, ranks(factors))
 
 
+def reference_cycle(v):
+    """One cycling step, Delta^p A_1 ... A_k to Delta^p A_2 ... A_k tau^p(A_1),
+    with `_normalize` pushing tau^p(A_1) onto the rest as one factor; returns
+    (new element, simple conjugator used), the identity for a bare Delta
+    power."""
+    if not v.factors:
+        return v, 0
+    a1 = v.factors[0]
+    iota = garside._simples(v.strands).tau[a1] if v.delta_power % 2 else a1
+    shift, fs = garside._normalize(v.strands, (iota,), weighted=v.factors[1:])
+    return CanonicalForm(v.strands, v.delta_power + shift, fs), iota
+
+
 def cycle_form(v):
-    """garside._cycle with its simple conjugator as a canonical form."""
-    w, s = garside._cycle(v)
+    """reference_cycle with its simple conjugator as a canonical form."""
+    w, s = reference_cycle(v)
     return w, product(v.strands, [s])
 
 
@@ -861,6 +874,85 @@ class TestSummit:
             ref, _ = two_round_summit(cf)
             assert (v.inf, v.sup) == (ref.inf, ref.sup)
             assert g.inv().mul(cf).mul(g) == v
+
+
+def reference_summit(cf):
+    """garside._summit with each step taken by reference_cycle."""
+    n = cf.strands
+    bound = max(1, n * (n - 1) // 2)
+    v, g = cf, []
+    for _ in range(2):
+        stale = 0
+        while stale < bound and v.factors:
+            w, s = reference_cycle(v)
+            stale = 0 if w.inf > v.inf else stale + 1
+            v = w
+            g.append(s)
+        v = v.inv()
+    return v, g
+
+
+def reference_orbit(v):
+    """garside._cycling_orbit with each step taken by reference_cycle."""
+    orbit, steps, seen = [v], [], {v: 0}
+    while True:
+        w, s = reference_cycle(orbit[-1])
+        steps.append(s)
+        if w in seen:
+            return orbit, steps, seen[w]
+        seen[w] = len(orbit)
+        orbit.append(w)
+
+
+class TestRunningCycling:
+    """`_summit` and `_cycling_orbit` walk one running factor list; they
+    equal the walks that build a form and push with `_normalize` per step."""
+
+    def check(self, cf):
+        assert garside._summit(cf) == reference_summit(cf)
+        assert garside._cycling_orbit(cf) == reference_orbit(cf)
+        v, _ = reference_summit(cf)
+        assert garside._cycling_orbit(v) == reference_orbit(v)
+
+    def test_seeded_forms(self):
+        rng = random.Random(27)
+        inner_absorptions = 0
+        for n in range(2, 9):
+            for _ in range(40 if n < 7 else 12):
+                cf = canonical_form(random_word(rng, n, 6 * n))
+                self.check(cf)
+                orbit, _, _ = reference_orbit(cf)
+                inner_absorptions += sum(
+                    w.inf > v.inf and len(w.factors) > 1 for v, w in zip(orbit, orbit[1:])
+                )
+        # Some step absorbs a Delta with factors in front of it, so the
+        # tau-twist of the front is exercised.
+        assert inner_absorptions > 0
+
+    @pytest.mark.parametrize("power", [-3, 1, 2])
+    def test_delta_powers(self, power):
+        for n in range(2, 9):
+            cf = CanonicalForm(n, power, ())
+            self.check(cf)
+            assert garside._cycling_orbit(cf) == ([cf], [0], 0)
+
+    def test_odd_delta_power_with_factors(self):
+        rng = random.Random(28)
+        for n in range(3, 7):
+            for _ in range(10):
+                cf = canonical_form(random_word(rng, n, 20))
+                if cf.factors:
+                    self.check(CanonicalForm(n, 2 * rng.randint(-2, 2) + 1, cf.factors))
+
+    def test_absorption_empties_the_list(self):
+        """s1 s1 s2 on 3 strands is s1 (s1 s2): the first step pushes s1
+        behind s1 s2, making Delta, and leaves no factor."""
+        cf = canonical_form(sb.BraidWord(3, (1, 1, 2)))
+        assert len(cf.factors) == 2
+        self.check(cf)
+        orbit, steps, start = garside._cycling_orbit(cf)
+        assert orbit == [cf, CanonicalForm(3, 1, ())]
+        assert steps == [cf.factors[0], 0] and start == 1
 
 
 def seeded_word(n, seed, length):
@@ -1060,7 +1152,7 @@ class TestCircuitMeet:
 
     def test_cycled_conjugate_meets(self, no_closure):
         for cf in seeded_forms():
-            a, b = cf.to_word(), garside._cycle(cf)[0].to_word()
+            a, b = cf.to_word(), reference_cycle(cf)[0].to_word()
             check_witness(a, b, sb.is_conjugate(a, b))
             check_witness(b, a, sb.is_conjugate(b, a))
 
