@@ -312,12 +312,14 @@ def _search_kernel_conjugator(
     other side's visited map, all of its depths, so every length below l
     is checked before level l and the first match is a shortest c. A state
     holds only the letter tags of its word, the letter next to the growing
-    end first, and its conjugate, so it costs one normalization, a product
-    of three forms (`garside._product`). On a match c
-    is spelled from the two tags and passed to `accept`, which re-verifies
-    it; both formulations accept exactly the c with c * beta_y * c^-1 =
-    beta_x, and should `accept` refuse, the search goes on. `states`
-    counts the identity and every state generated on either side."""
+    end first, and its conjugate, so it costs one product of three forms,
+    g * conjugate * g^-1 (`garside._product`), which leaves the conjugate's
+    factors in place and pushes only g's onto its front and g^-1's onto its
+    end. On a match c is spelled from the two tags and passed to `accept`,
+    which re-verifies it; both formulations accept exactly the c with
+    c * beta_y * c^-1 = beta_x, and should `accept` refuse, the search goes
+    on. `states` counts the identity and every state generated on either
+    side."""
     identity = BraidWord.identity(inst.n + inst.m)
     states = 1
     if accept(identity, canonical_form(identity)):

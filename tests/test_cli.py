@@ -546,12 +546,21 @@ NF5_WORD = (
     "s4 s3 S1 s1 S4 s2 s4 s1 S4 s1 S2 S3 s1 s1 s1 S3 s3 s4 s4 S2 S1 S2 S4 s4 s4"
 )
 NO_KERNEL = ["-n", "0", "-m", "4", "--betaA", "", "--ox", "s1 s2 s3", "--oy", "s3 s2 s1"]
+# The `deep` instance of CI's exit-code step: its two pins fix the kernel
+# search's order and its state count at a small budget, and its witness.
+DEEP = [
+    "-n", "2", "-m", "1", "--betaA", "",
+    "--ox", "s2 s1 s1 s2 s2 s1 s1 s2 s2 S1 S1 S2 S2 S1 S1 S2", "--oy", "s2 s2",
+]
+DEEP_INCONCLUSIVE = {"status": "Inconclusive", "budget": {"max_len": 3, "states": 11}}
+DEEP_EQUIVALENT = {"status": "Equivalent", "witness": "s2 s1 s1 s2 s2 s1 s1 S2"}
 
 
 class TestConsolePins:
     """The console-script pins of CI, each run as `python -m snbraid.cli` in
-    a fresh process, so that every rank table starts cold: the exit code and
-    the whole JSON. `nf -n 5` and `conj -n 6` fill the atom tables."""
+    a fresh process, so that every rank table starts cold: the exit code (2
+    for Inconclusive, 0 for a verdict) and the whole JSON. `nf -n 5` and
+    `conj -n 6` fill the atom tables."""
 
     @pytest.mark.parametrize(
         "argv, doc",
@@ -625,6 +634,20 @@ class TestConsolePins:
                 {"status": "Equivalent", "witness": "s1 s2 s1 s3 s2 s1"},
                 id="sn-twisted-no-kernel-strands",
             ),
+            pytest.param(
+                ["sn", *DEEP, "--max-len", "8", "--max-states", "10"],
+                DEEP_INCONCLUSIVE,
+                id="sn-deep-state-budget",
+            ),
+            pytest.param(
+                ["sn-twisted", *DEEP, "--max-len", "8", "--max-states", "10"],
+                DEEP_INCONCLUSIVE,
+                id="sn-twisted-deep-state-budget",
+            ),
+            pytest.param(["sn", *DEEP], DEEP_EQUIVALENT, id="sn-deep-default-budget"),
+            pytest.param(
+                ["sn-twisted", *DEEP], DEEP_EQUIVALENT, id="sn-twisted-deep-default-budget"
+            ),
         ],
     )
     def test_pin(self, argv, doc):
@@ -636,5 +659,5 @@ class TestConsolePins:
             text=True,
             timeout=60,
         )
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == (2 if doc.get("status") == "Inconclusive" else 0), proc.stderr
         assert json.loads(proc.stdout) == doc

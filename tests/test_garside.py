@@ -6,7 +6,7 @@ import random
 import pytest
 
 import snbraid as sb
-from snbraid import garside
+from snbraid import decision, garside
 from snbraid.garside import CanonicalForm, canonical_form
 from conftest import random_rewrite, random_word
 
@@ -151,13 +151,56 @@ def junction_form(rng, prev):
     return CanonicalForm(n, q, (simples.complement[a],))
 
 
+def left_junction_form(rng, nxt):
+    """A form whose last factor makes Delta with the first factor of nxt
+    in their product: with p the Delta power of nxt, B Delta^p A =
+    Delta^p tau^p(B) A for its first factor A, so B is tau^p of the
+    complement of A."""
+    n = nxt.strands
+    simples = garside._simples(n)
+    b = simples.complement[nxt.factors[0]]
+    if nxt.delta_power % 2:
+        b = simples.tau[b]
+    return CanonicalForm(n, rng.randint(-2, 2), (b,))
+
+
+def long_form(rng, n, k):
+    """A canonical form on n strands, n >= 3, with exactly k factors: the
+    first k of the normal form of random simple elements, drawn until it
+    has k, a prefix of a left-weighted list being left-weighted."""
+    count = math.factorial(n)
+    drawn: list[int] = []
+    while True:
+        p, fs = garside._normalize(n, drawn)
+        if len(fs) >= k:
+            return CanonicalForm(n, p, fs[:k])
+        drawn += [rng.randrange(1, count - 1) for _ in range(4 * k)]
+
+
+def word_product(forms):
+    """The canonical form of the concatenated words of forms."""
+    letters = tuple(k for f in forms for k in f.to_word().letters)
+    return canonical_form(sb.BraidWord(forms[0].strands, letters))
+
+
+def pivot_place(forms):
+    """Where the longest of forms stands: first, middle or last, or tied
+    when another is as long."""
+    lengths = [len(f.factors) for f in forms]
+    longest = max(lengths)
+    if lengths.count(longest) > 1:
+        return "tied"
+    i = lengths.index(longest)
+    return "first" if i == 0 else "last" if i == len(forms) - 1 else "middle"
+
+
 class TestProduct:
     """`garside._product` against the canonical form of the concatenated
     words of its operands, which no product computes."""
 
     def test_matches_word_of_concatenation(self):
         rng = random.Random(19)
-        junctions, kinds = 0, set()
+        junctions, left_junctions, kinds, places = 0, 0, set(), set()
         for n in range(1, 9):
             for _ in range(60):
                 forms = []
@@ -170,14 +213,58 @@ class TestProduct:
                         junctions += 1
                     else:
                         forms.append(random_form(rng, n))
+                x = max(forms, key=lambda f: len(f.factors))
+                if x.factors and rng.random() < 0.4:
+                    # the longest form's left push starts with a Delta
+                    g = left_junction_form(rng, x)
+                    forms.insert(forms.index(x), g)
+                    assert garside._product(g, x).delta_power == g.delta_power + x.delta_power + 1
+                    left_junctions += 1
                 kinds.update((f.delta_power % 2, bool(f.factors)) for f in forms if n >= 2)
-                letters = tuple(k for f in forms for k in f.to_word().letters)
+                if len(forms) >= 3:
+                    places.add(pivot_place(forms))
                 got = garside._product(*forms)
-                assert got == canonical_form(sb.BraidWord(n, letters)), forms
+                assert got == word_product(forms), forms
                 if len(forms) == 2:
                     assert forms[0].mul(forms[1]) == got
-        assert junctions > 100
+        assert junctions > 100 and left_junctions > 50
         assert kinds == {(0, False), (0, True), (1, False), (1, True)}
+        assert places == {"first", "middle", "last", "tied"}
+
+    def test_delta_powers_and_empty_forms(self):
+        """Pure Delta powers and empty forms on either side of a form, no
+        factors at all, and strand counts below 2, where every form is
+        empty."""
+        rng = random.Random(29)
+        for n in range(3, 7):
+            x = long_form(rng, n, 5)
+            for q, r in itertools.product(range(-3, 4), repeat=2):
+                left, right = CanonicalForm(n, q, ()), CanonicalForm(n, r, ())
+                for forms in ([left, x], [x, right], [left, x, right], [left, right]):
+                    assert garside._product(*forms) == word_product(forms), forms
+        for n in (0, 1):
+            e = CanonicalForm(n, 0, ())
+            assert garside._product(e) == garside._product(e, e, e) == e
+
+    def test_conjugation_lookups_flat(self, monkeypatch):
+        """g X g^-1 for a kernel generator g pushes only g's factors onto
+        the front of X and g^-1's onto its end, so it makes about as many
+        left-weighting lookups for an 80-factor X as for a 10-factor one."""
+        _, alphabet = decision._kernel_alphabet(2, 1)
+        counted = count_leftweight(monkeypatch, 3)
+
+        def lookups(k):
+            calls = 0
+            for seed in range(8):
+                x = long_form(random.Random(seed), 3, k)
+                for _, g, g_inv in alphabet:
+                    before = counted.count
+                    got = garside._product(g, x, g_inv)
+                    calls += counted.count - before
+                    assert got == word_product([g, x, g_inv])
+            return calls
+
+        assert lookups(80) <= 1.25 * lookups(10)
 
 
 # The reference sweeps left-weight the same pairs of permutations many times.
