@@ -65,20 +65,25 @@ multiplies out a witness only when it needs one.
 A simple element is stored as the lexicographic rank of its permutation, an
 int (see `_Simples`): factor lists, conjugator lists and canonical forms
 hold ranks, and left-weighting, tau, the Delta-complement and the factor of
-each letter are read from int-keyed tables that fill as they are read, so
-the hot loops hash and compare ints only, and a word on many strands fills
-only the letters it uses. `CanonicalForm` is a NamedTuple, made, hashed and
+each letter are read from int-keyed tables, so the hot loops hash and
+compare ints only. On up to _FULL_TABLE_STRANDS (5) strands, tau, the
+complement and left-weighting are complete lists, built when the tables of
+B_n are first used, the left-weighting of all n!^2 pairs in one pass over
+ranks; on more strands they fill as they are read. The letter table fills
+as it is read on any strand count, so a word on many strands fills only the
+letters it uses. `CanonicalForm` is a NamedTuple, made, hashed and
 compared in C; as it equals the plain tuple of its fields, no map mixes the
 two as keys. Rank order is the order of the permutation tuples, so every
 sort and search order is that of the permutations. `CanonicalForm.to_json`
 and `to_word` are where a rank is read back as a permutation; a rank made
 from a letter, or by ranking a permutation, keeps that permutation, so on
 many strands the form of a word is read back without unranking (which is
-quadratic in n). A left-weighting miss on up to _ATOM_STRANDS (6) strands
-walks a per-rank table of atoms, the starting and finishing sets of each
-simple element and the ranks one crossing away, read once per rank off its
-permutation; it moves one crossing per step as `_leftweight` does on
-permutations, which fills the misses on more strands. The permutations are
+quadratic in n). The full tables, and the left-weighting misses on
+_ATOM_STRANDS (6) strands, rest on a per-rank table of atoms, the starting
+and finishing sets of each simple element and the ranks one crossing away,
+read once per rank off its permutation: left-weighting moves one crossing
+per step along them, as `_leftweight` does on permutations, which fills
+the misses on more strands. The permutations are
 0-based tuples mapping start position to end position. Delta is the
 reversal, so tau(p) = Delta^-1 p Delta is p reversed with each value v
 replaced by n - 1 - v, and the Delta-complement Delta p^-1 is the inverse
@@ -139,8 +144,9 @@ def _leftweight(x: Perm, y: Perm) -> tuple[Perm, Perm]:
     of x. A move updates the images and positions in O(1), but each pass
     rescans all n - 1 positions, so a pass costs O(n) and a call is
     quadratic in n when many passes move. It fills the left-weighting
-    table on more than _ATOM_STRANDS strands; below that, the atom walk of
-    `_Simples` makes the same moves on ranks.
+    table on more than _ATOM_STRANDS strands; up to that, `_Simples` makes
+    the same moves on ranks, in the atom walk or in the one pass of
+    `_leftweight_table`.
     """
     n = len(x)
     lx, ly = list(x), list(y)
@@ -211,17 +217,32 @@ class _Memo(dict):
         return value
 
 
-# Left-weighting misses walk the atom table on up to this many strands and
-# run `_leftweight` on permutations above it. Measured as cold `_conjugate`
-# of one summit element by all n! - 1 simple elements, every table emptied
-# first, the two fills alternated in one process (2-vCPU guest, Python
-# 3.11), medians of the walk against permutations: n = 5 3.7 against
-# 3.9 ms and n = 6 26 against 28 ms (the walk faster in 18 and 16 of 20
-# runs), n = 7 211 against 177 ms and n = 8 2.7 against 2.5 s (faster in 1
-# of 6). The atom table has n! entries, each filled by ranking up to n - 1
+# Left-weighting misses walk the atom table on more than _FULL_TABLE_STRANDS
+# and up to this many strands, that is on 6 alone, and run `_leftweight` on
+# permutations above it; the complete tables below are built from the
+# atoms. Measured as cold `_conjugate` of one summit element by all n! - 1
+# simple elements, every table emptied first, the two fills alternated in
+# one process (2-vCPU guest, Python 3.11), medians of the walk against
+# permutations: n = 6 26 against 28 ms (the walk faster in 16 of 20 runs),
+# n = 7 211 against 177 ms and n = 8 2.7 against 2.5 s (faster in 1 of 6).
+# The atom table has n! entries, each filled by ranking up to n - 1
 # permutations back, and a fill walks one step per crossing it moves, so
 # from 7 strands on the walk no longer pays.
 _ATOM_STRANDS = 6
+
+# On up to this many strands, `_Simples` builds complete tau, complement and
+# left-weighting tables when it is made, as flat lists, the left-weighting
+# of all n!^2 pairs in one pass over ranks (`_leftweight_table`). At n = 5
+# the pass builds 14,400 pairs in about 4-5 ms, and `_Simples(5)` takes
+# about 5-7 ms with the atoms; filled lazily instead, one atom walk per
+# miss, the table took 13,193 misses at about 3.4 us each, 45 ms in all, in
+# one garside-scaling benchmark run. A list index is also cheaper than a
+# memo hit: warm 5-strand normal forms went from about 470k to 630k letters
+# per second (medians of 8 processes, 2-vCPU guest, Python 3.11). At n = 6
+# the table would hold 518,400 pairs and take about 250 ms, more than most
+# processes spend on lazy fills, so from 6 strands on the tables fill as
+# they are read.
+_FULL_TABLE_STRANDS = 5
 
 _PERMS: list[_Memo] = []
 _RANKS: list[_Memo] = []
@@ -232,30 +253,64 @@ _LETTERS: list[_Memo] = []
 _ATOMS: list[_Memo] = []
 
 
+def _leftweight_table(atoms: list) -> list[tuple[int, int]]:
+    """The left-weighting of every pair of simple elements, indexed
+    x * n! + y, from the atoms of every rank (see `_Simples`), in one pass.
+
+    A pair with S(y) in F(x) is left-weighted and is its own entry.
+    Otherwise the atom walk's first move, of the lowest crossing i of
+    S(y) \\ F(x), leads to the pair (x sigma, sigma^-1 y), sigma =
+    sigma_(i+1), whose walk ends where this one does, so the entry is that
+    pair's. Taking the crossing off the head of y swaps a descent of its
+    permutation, which lowers the rank, so going through y in rank order
+    finds that entry already built."""
+    count = len(atoms)
+    table: list = [None] * (count * count)
+    for y, (starts, _, _, down) in enumerate(atoms):
+        key = y
+        for x, (_, finishes, up, _) in enumerate(atoms):
+            if move := starts & ~finishes:
+                i = (move & -move).bit_length() - 1
+                table[key] = table[up[i] * count + down[i]]
+            else:
+                table[key] = (x, y)
+            key += count
+    return table
+
+
 class _Simples:
     """The simple elements of B_n, each identified by the lexicographic
     rank of its permutation: 0 is the identity, n! - 1 is Delta, and rank
     order is the order of the permutation tuples. Tables keyed by rank give
     tau, the Delta-complement and the permutation; the left-weighting of a
-    pair (x, y) is keyed by x * n! + y and gives a pair of ranks. The
-    tables fill as they are read. A tau or complement miss is computed on
-    permutations (`_tau`, `_delta_complement`) and ranked back through the
-    `rank` table, keyed by permutation, whose fill also stores the
-    permutation it ranks in `perm`, so a rank made there is read back
-    without unranking.
+    pair (x, y) is keyed by x * n! + y and gives a pair of ranks. tau and
+    the complement are computed on permutations (`_tau`,
+    `_delta_complement`) and ranked back through the `rank` table, keyed by
+    permutation, which fills as it is read and also stores the permutation
+    it ranks in `perm`, so a rank made there is read back without
+    unranking.
 
-    A left-weighting miss on up to _ATOM_STRANDS strands walks ranks: the
-    `atom` table, keyed by rank, holds each simple element's starting and
-    finishing sets and the ranks one crossing away, read off its
-    permutation and ranked back through `rank` as tau and the complement
-    are. The fill moves the lowest crossing of S(y) \\ F(x) from y to x,
+    On up to _ATOM_STRANDS strands the `atom` table, keyed by rank, holds
+    each simple element's starting and finishing sets and the ranks one
+    crossing away, read off its permutation and ranked back through `rank`
+    as tau and the complement are. The atom walk left-weights a pair of
+    ranks: it moves the lowest crossing of S(y) \\ F(x) from y to x,
     x <- x sigma and y <- sigma^-1 y, until S(y) lies in F(x). These are
     the moves of `_leftweight`, and a left-weighted pair of simple elements
     is fixed by its product, its first factor being xy meet Delta
     (El-Rifai and Morton 1994), so the order of the moves does not change
-    the result. On more
-    strands the atom table would cost more to fill than it saves; there is
-    no atom table, and a miss runs `_leftweight` on permutations.
+    the result.
+
+    On up to _FULL_TABLE_STRANDS strands, tau, the complement and the
+    left-weighting are complete lists, built here: the left-weighting of
+    every pair in one pass over ranks that ends each atom walk at a pair
+    already built (`_leftweight_table`). On more strands they are memo
+    tables that fill as they are read: a left-weighting miss runs the atom
+    walk on _ATOM_STRANDS = 6 strands, the one count between the two cuts,
+    and `_leftweight` on permutations above it, where the atom table would
+    cost more to fill than it saves and there is none. Lists and memo
+    tables are both read with `[]`, so the loops that read them do not tell
+    them apart.
 
     The `letter` table, keyed by a letter k of B_n, gives the rank of the
     simple factor that stands for k in a canonical form and that of its
@@ -284,9 +339,7 @@ class _Simples:
         def on_perm(f):
             return lambda r: rank[f(perm[r])]
 
-        self.tau = _Memo(on_perm(_tau), _TAUS, 1 << 18)
-        self.complement = _Memo(on_perm(_delta_complement), _COMPLEMENTS, 1 << 18)
-
+        atom = self.atom = None
         if n <= _ATOM_STRANDS:
 
             def atoms(r: int) -> tuple[int, int, list[int], list[int]]:
@@ -314,26 +367,36 @@ class _Simples:
             # reached; a higher cut needs a higher bound, or misses thrash.
             atom = self.atom = _Memo(atoms, _ATOMS, 1 << 10)
 
-            def leftweight(key: int) -> tuple[int, int]:
-                x, y = divmod(key, count)
-                _, finishes, up, _ = atom[x]
-                starts, _, _, down = atom[y]
-                while move := starts & ~finishes:
-                    i = (move & -move).bit_length() - 1
-                    x, y = up[i], down[i]
+        if n <= _FULL_TABLE_STRANDS:
+            ranks = range(count)
+            self.tau = list(map(on_perm(_tau), ranks))
+            self.complement = list(map(on_perm(_delta_complement), ranks))
+            self.leftweight = _leftweight_table([atom[r] for r in ranks])
+        else:
+            self.tau = _Memo(on_perm(_tau), _TAUS, 1 << 18)
+            self.complement = _Memo(on_perm(_delta_complement), _COMPLEMENTS, 1 << 18)
+
+            if atom is not None:
+
+                def leftweight(key: int) -> tuple[int, int]:
+                    x, y = divmod(key, count)
                     _, finishes, up, _ = atom[x]
                     starts, _, _, down = atom[y]
-                return x, y
+                    while move := starts & ~finishes:
+                        i = (move & -move).bit_length() - 1
+                        x, y = up[i], down[i]
+                        _, finishes, up, _ = atom[x]
+                        starts, _, _, down = atom[y]
+                    return x, y
 
-        else:
-            self.atom = None
+            else:
 
-            def leftweight(key: int) -> tuple[int, int]:
-                x, y = divmod(key, count)
-                lx, ly = _leftweight(perm[x], perm[y])
-                return rank[lx], rank[ly]
+                def leftweight(key: int) -> tuple[int, int]:
+                    x, y = divmod(key, count)
+                    lx, ly = _leftweight(perm[x], perm[y])
+                    return rank[lx], rank[ly]
 
-        self.leftweight = _Memo(leftweight, _LEFTWEIGHTS, 1 << 20)
+            self.leftweight = _Memo(leftweight, _LEFTWEIGHTS, 1 << 20)
 
         def sigma(i: int) -> Perm:
             return (*range(i - 1), i, i - 1, *range(i + 1, n))
@@ -359,15 +422,11 @@ def _simples(n: int) -> _Simples:
     return _Simples(n)
 
 
-def _normalize(
-    n: int, factors: Iterable[int], weighted: Iterable[int] = ()
-) -> tuple[int, tuple[int, ...]]:
-    """Left-weight `weighted + factors`; return the power of Delta in the
-    product and the remaining factors (no Delta, no id).
+def _normalize(n: int, factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    """Left-weight `factors`; return the power of Delta in the product and
+    the remaining factors (no Delta, no id).
 
-    `weighted` must already be left-weighted with no identity factor: the
-    factors of a canonical form, or their tau-images, since tau keeps pairs
-    left-weighted. The other factors are pushed onto it one at a time. A
+    The factors are pushed one at a time onto a left-weighted list. A
     push appends the factor and left-weights pairs from the right end
     leftward, stopping at the first pair left-weighting leaves unchanged
     (El-Rifai and Morton 1994). Left-weighting every pair from right to
@@ -394,7 +453,7 @@ def _normalize(
     simples = _simples(n)
     count, delta, leftweight = simples.count, simples.delta, simples.leftweight
     tau = simples.tau.__getitem__
-    out = list(weighted)
+    out: list[int] = []
     flips = 0
     for f in factors:
         if not f:

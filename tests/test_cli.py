@@ -534,7 +534,8 @@ def test_cli_start_imports_only_standard_library():
     assert out[-1] == "[]"
 
 
-# The 200-letter word of CI's cold atom-walk pin on 5 strands.
+# The 200-letter word of CI's pin on 5 strands, where the tables are built
+# whole in a fresh process.
 NF5_WORD = (
     "s2 s2 S1 S2 s4 S4 S2 s1 S4 S1 S4 s4 S1 s2 S4 s2 S4 s2 S1 s2 s3 s4 S3 S2 s2 "
     "S3 S1 S3 s2 s3 s1 S3 s3 S1 S3 S1 s1 S2 S4 s1 s4 s3 S1 s1 S1 S2 s4 s4 s1 S3 "
@@ -544,6 +545,18 @@ NF5_WORD = (
     "S1 s1 s2 S2 S3 S2 S2 s2 S2 s4 S3 S2 s3 s3 s2 S2 S2 s3 s4 s1 S2 s2 s2 s4 s1 "
     "S4 s1 S1 S1 S2 S3 s2 s1 s4 s1 s1 S1 S1 s2 S4 S4 S4 S2 S3 S1 S4 S4 s2 S3 S3 "
     "s4 s3 S1 s1 S4 s2 s4 s1 S4 s1 S2 S3 s1 s1 s1 S3 s3 s4 s4 S2 S1 S2 S4 s4 s4"
+)
+# The 200-letter word of CI's pin on 6 strands, where the left-weighting
+# table fills by the atom walk in a fresh process.
+NF6_WORD = (
+    "S3 S5 s5 S4 s1 s4 S3 s4 s5 S2 s2 s4 S5 S5 S3 s2 S4 S3 S5 S4 s5 S1 S3 S3 s3 "
+    "S5 s4 S4 s5 S3 S2 S1 S1 s4 S2 s3 S1 S3 s5 S1 S1 s4 s1 s2 s1 s1 S1 S4 S2 s5 "
+    "s3 s1 S5 s2 S1 S4 s2 s1 s4 s1 S4 s2 s4 s5 S3 s4 S4 S5 s4 s5 S2 s4 s5 S4 S1 "
+    "s3 s2 s5 s2 s3 s3 s3 s2 s3 s3 s4 s1 S5 S1 S1 S1 S2 s1 s3 S3 S3 S3 S4 s3 s1 "
+    "S5 s5 S2 S4 s2 S2 S4 s5 S1 s2 s3 s3 S5 s5 S2 S2 s2 s3 S1 S4 S1 s5 S3 s5 s2 "
+    "s1 s5 S2 s3 S5 s1 s2 s5 s4 s5 S4 S5 S3 s3 S1 S1 s3 s1 S5 S2 s2 S3 S2 s3 s5 "
+    "s2 s2 s5 s5 S1 s4 s5 S1 S3 S2 s5 S3 s4 S5 S4 s3 s2 s4 s1 s5 s5 s5 s1 S5 s3 "
+    "s1 s3 S3 s2 S4 S2 s4 s1 s3 s4 S5 S3 s3 S1 s5 s2 S4 S1 s3 S1 s3 s2 S5 s2 s3"
 )
 NO_KERNEL = ["-n", "0", "-m", "4", "--betaA", "", "--ox", "s1 s2 s3", "--oy", "s3 s2 s1"]
 # The `deep` instance of CI's exit-code step: its two pins fix the kernel
@@ -559,8 +572,9 @@ DEEP_EQUIVALENT = {"status": "Equivalent", "witness": "s2 s1 s1 s2 s2 s1 s1 S2"}
 class TestConsolePins:
     """The console-script pins of CI, each run as `python -m snbraid.cli` in
     a fresh process, so that every rank table starts cold: the exit code (2
-    for Inconclusive, 0 for a verdict) and the whole JSON. `nf -n 5` and
-    `conj -n 6` fill the atom tables."""
+    for Inconclusive, 0 for a verdict) and the whole JSON. `nf -n 5`
+    builds the complete tables of 5 strands, and `nf -n 6` and `conj -n 6`
+    fill the atom tables."""
 
     @pytest.mark.parametrize(
         "argv, doc",
@@ -599,6 +613,25 @@ class TestConsolePins:
                     ],
                 },
                 id="nf-5-strands-200-letters",
+            ),
+            pytest.param(
+                ["nf", "-n", "6", NF6_WORD],
+                {
+                    "n": 6,
+                    "delta_power": -19,
+                    "factors": [
+                        [6, 5, 3, 4, 2, 1], [6, 5, 3, 4, 2, 1], [4, 3, 2, 6, 5, 1], [6, 4, 5, 2, 3, 1],
+                        [6, 4, 5, 2, 3, 1], [5, 4, 6, 2, 3, 1], [6, 3, 5, 2, 1, 4], [6, 5, 1, 4, 3, 2],
+                        [2, 5, 6, 4, 1, 3], [2, 1, 3, 6, 4, 5], [1, 2, 4, 5, 6, 3], [2, 3, 6, 1, 4, 5],
+                        [3, 1, 2, 5, 6, 4], [5, 6, 2, 4, 1, 3], [5, 2, 3, 1, 4, 6], [5, 1, 2, 4, 3, 6],
+                        [2, 4, 6, 5, 1, 3], [6, 1, 3, 2, 5, 4], [5, 6, 2, 4, 3, 1], [6, 3, 5, 2, 1, 4],
+                        [6, 4, 1, 3, 2, 5], [4, 5, 3, 2, 6, 1], [6, 1, 4, 2, 3, 5], [2, 4, 5, 1, 3, 6],
+                        [3, 2, 5, 1, 4, 6], [6, 5, 2, 4, 1, 3], [6, 2, 5, 4, 3, 1], [4, 3, 6, 2, 1, 5],
+                        [4, 6, 2, 3, 5, 1], [5, 2, 6, 1, 4, 3], [4, 3, 6, 2, 1, 5], [6, 5, 4, 2, 3, 1],
+                        [4, 2, 3, 1, 5, 6], [4, 1, 2, 3, 5, 6], [1, 3, 4, 2, 5, 6], [1, 4, 2, 3, 5, 6],
+                    ],
+                },
+                id="nf-6-strands-200-letters",
             ),
             pytest.param(
                 [

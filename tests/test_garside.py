@@ -43,9 +43,9 @@ def then(p, q):
     return tuple(q[v] for v in p)
 
 
-def normalize_perms(n, factors, weighted=()):
+def normalize_perms(n, factors):
     """garside._normalize on factors given and returned as permutations."""
-    shift, fs = garside._normalize(n, ranks(factors), weighted=ranks(weighted))
+    shift, fs = garside._normalize(n, ranks(factors))
     return shift, perms(n, fs)
 
 
@@ -411,10 +411,10 @@ class TestIncrementalNormalForm:
             for _ in range(12):
                 _, head = fixpoint_normalize(n, random_factors(rng, n, rng.randint(0, 100)))
                 tail = random_factors(rng, n, rng.randint(0, 100))
-                got = normalize_perms(n, tail, weighted=head)
+                got = normalize_perms(n, list(head) + tail)
                 assert got == fixpoint_normalize(n, list(head) + tail)
                 flipped = [garside._tau(f) for f in head]
-                got = normalize_perms(n, tail, weighted=map(garside._tau, head))
+                got = normalize_perms(n, flipped + tail)
                 assert got == fixpoint_normalize(n, flipped + tail)
 
     def test_operations_match_reference(self):
@@ -479,7 +479,7 @@ class TestIncrementalNormalForm:
                         seen.add("front" if j == 0 else "end" if j == last - 1 else "middle")
                     if len(sites) >= 3:
                         seen.add("repeated")
-                    got = normalize_perms(n, tail, weighted=prefix)
+                    got = normalize_perms(n, prefix + tail)
                     assert got == fixpoint_normalize(n, prefix + tail)
         assert seen == {"front", "middle", "end", "repeated"}
 
@@ -566,20 +566,48 @@ class TestRankEncoding:
                         assert down[i] == garside._rank(tuple(q))
 
     def test_atom_walk_matches_leftweight(self):
-        """The atom walk fills the left-weighting table as `_leftweight`
-        does on permutations: every pair of up to 5 strands, and seeded
-        pairs of 6."""
+        """On 6 strands the atom walk fills the left-weighting table as
+        `_leftweight` does on permutations, on seeded pairs; every entry of
+        the complete tables of up to 5 strands equals the permutation
+        functions, `_leftweight` on each pair and `_tau` and
+        `_delta_complement` on each rank."""
         rng = random.Random(24)
-        for n in range(1, garside._ATOM_STRANDS + 1):
+        n = garside._ATOM_STRANDS
+        simples = garside._simples(n)
+        fill, count = simples.leftweight.fill, simples.count
+        for _ in range(3000):
+            rx, ry = rng.randrange(count), rng.randrange(count)
+            x, y = simples.perm[rx], simples.perm[ry]
+            assert perms(n, fill(rx * count + ry)) == garside._leftweight(x, y)
+        for n in range(1, garside._FULL_TABLE_STRANDS + 1):
             simples = garside._simples(n)
-            fill, count = simples.leftweight.fill, simples.count
-            if n < garside._ATOM_STRANDS:
-                pairs = itertools.product(range(count), repeat=2)
-            else:
-                pairs = [(rng.randrange(count), rng.randrange(count)) for _ in range(3000)]
-            for rx, ry in pairs:
-                x, y = simples.perm[rx], simples.perm[ry]
-                assert perms(n, fill(rx * count + ry)) == garside._leftweight(x, y)
+            count = simples.count
+            every = list(itertools.permutations(range(n)))
+            assert len(simples.leftweight) == count * count
+            assert [perms(n, lw) for lw in simples.leftweight] == [
+                garside._leftweight(x, y) for x, y in itertools.product(every, repeat=2)
+            ]
+            assert perms(n, simples.tau) == tuple(map(garside._tau, every))
+            assert perms(n, simples.complement) == tuple(map(garside._delta_complement, every))
+
+    def test_full_tables_run_no_fill(self, monkeypatch):
+        """Once the tables of 5 strands are made, the normal form of a
+        1600-letter word only reads them: no memo table misses and no pair
+        is left-weighted on permutations. The form equals the product of the
+        forms of the word's two halves, made first, which fill the letter
+        table."""
+        simples = garside._simples(5)
+        w = seeded_word(5, 27, 1600)
+        halves = [sb.BraidWord(5, half) for half in (w.letters[:800], w.letters[800:])]
+        expected = canonical_form(halves[0]).mul(canonical_form(halves[1]))
+        assert set(simples.letter) == {*range(-4, 0), *range(1, 5)}
+
+        def boom(*args):
+            raise AssertionError("a table of 5 strands filled")
+
+        monkeypatch.setattr(garside._Memo, "__missing__", boom)
+        monkeypatch.setattr(garside, "_leftweight", boom)
+        assert canonical_form(w) == expected
 
     def test_no_atoms_above_the_cut(self, monkeypatch):
         """Above _ATOM_STRANDS strands there is no atom table: a miss runs
@@ -651,7 +679,7 @@ class TestRankEncoding:
         """On one strand the identity and Delta are both rank 0."""
         e = CanonicalForm(1, 0, ())
         assert garside._simples(1).delta == 0
-        assert garside._normalize(1, [0, 0], weighted=[]) == (0, ())
+        assert garside._normalize(1, [0, 0]) == (0, ())
         assert e.mul(e) == e and e.inv() == e
         assert canonical_form(sb.BraidWord(1, ())) == e
         assert e.to_json() == {"n": 1, "delta_power": 0, "factors": []}
@@ -871,14 +899,13 @@ def tau_form(x):
 
 def reference_cycle(v):
     """One cycling step, Delta^p A_1 ... A_k to Delta^p A_2 ... A_k tau^p(A_1),
-    with `_normalize` pushing tau^p(A_1) onto the rest as one factor; returns
-    (new element, simple conjugator used), the identity for a bare Delta
-    power."""
+    with `_normalize` on A_2 ... A_k tau^p(A_1); returns (new element,
+    simple conjugator used), the identity for a bare Delta power."""
     if not v.factors:
         return v, 0
     a1 = v.factors[0]
     iota = garside._simples(v.strands).tau[a1] if v.delta_power % 2 else a1
-    shift, fs = garside._normalize(v.strands, (iota,), weighted=v.factors[1:])
+    shift, fs = garside._normalize(v.strands, (*v.factors[1:], iota))
     return CanonicalForm(v.strands, v.delta_power + shift, fs), iota
 
 
