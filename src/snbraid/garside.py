@@ -78,12 +78,11 @@ sort and search order is that of the permutations. `CanonicalForm.to_json`
 and `to_word` are where a rank is read back as a permutation; a rank made
 from a letter, or by ranking a permutation, keeps that permutation, so on
 many strands the form of a word is read back without unranking (which is
-quadratic in n). The full tables, and the left-weighting misses on
-_ATOM_STRANDS (6) strands, rest on a per-rank table of atoms, the starting
-and finishing sets of each simple element and the ranks one crossing away,
-read once per rank off its permutation: left-weighting moves one crossing
-per step along them, as `_leftweight` does on permutations, which fills
-the misses on more strands. The permutations are
+quadratic in n). The complete left-weighting table is built from the
+starting and finishing sets of each simple element and the ranks one
+crossing away, read once per rank off its permutation and dropped after
+the pass (`_leftweight_table`); on more strands, `_leftweight` fills each
+miss on the pair's permutations. The permutations are
 0-based tuples mapping start position to end position. Delta is the
 reversal, so tau(p) = Delta^-1 p Delta is p reversed with each value v
 replaced by n - 1 - v, and the Delta-complement Delta p^-1 is the inverse
@@ -144,9 +143,8 @@ def _leftweight(x: Perm, y: Perm) -> tuple[Perm, Perm]:
     of x. A move updates the images and positions in O(1), but each pass
     rescans all n - 1 positions, so a pass costs O(n) and a call is
     quadratic in n when many passes move. It fills the left-weighting
-    table on more than _ATOM_STRANDS strands; up to that, `_Simples` makes
-    the same moves on ranks, in the atom walk or in the one pass of
-    `_leftweight_table`.
+    table on more than _FULL_TABLE_STRANDS strands; up to that,
+    `_leftweight_table` makes the same moves on ranks, in one pass.
     """
     n = len(x)
     lx, ly = list(x), list(y)
@@ -217,29 +215,16 @@ class _Memo(dict):
         return value
 
 
-# Left-weighting misses walk the atom table on more than _FULL_TABLE_STRANDS
-# and up to this many strands, that is on 6 alone, and run `_leftweight` on
-# permutations above it; the complete tables below are built from the
-# atoms. Measured as cold `_conjugate` of one summit element by all n! - 1
-# simple elements, every table emptied first, the two fills alternated in
-# one process (2-vCPU guest, Python 3.11), medians of the walk against
-# permutations: n = 6 26 against 28 ms (the walk faster in 16 of 20 runs),
-# n = 7 211 against 177 ms and n = 8 2.7 against 2.5 s (faster in 1 of 6).
-# The atom table has n! entries, each filled by ranking up to n - 1
-# permutations back, and a fill walks one step per crossing it moves, so
-# from 7 strands on the walk no longer pays.
-_ATOM_STRANDS = 6
-
 # On up to this many strands, `_Simples` builds complete tau, complement and
 # left-weighting tables when it is made, as flat lists, the left-weighting
 # of all n!^2 pairs in one pass over ranks (`_leftweight_table`). At n = 5
 # the pass builds 14,400 pairs in about 4-5 ms, and `_Simples(5)` takes
-# about 5-7 ms with the atoms; filled lazily instead, one atom walk per
-# miss, the table took 13,193 misses at about 3.4 us each, 45 ms in all, in
-# one garside-scaling benchmark run. A list index is also cheaper than a
-# memo hit: warm 5-strand normal forms went from about 470k to 630k letters
-# per second (medians of 8 processes, 2-vCPU guest, Python 3.11). At n = 6
-# the table would hold 518,400 pairs and take about 250 ms, more than most
+# about 5-7 ms in all; filled lazily instead, one miss at a time, the table
+# took 13,193 misses at about 3.4 us each, 45 ms in all, in one
+# garside-scaling benchmark run. A list index is also cheaper than a memo
+# hit: warm 5-strand normal forms went from about 470k to 630k letters per
+# second (medians of 8 processes, 2-vCPU guest, Python 3.11). At n = 6 the
+# table would hold 518,400 pairs and take about 250 ms, more than most
 # processes spend on lazy fills, so from 6 strands on the tables fill as
 # they are read.
 _FULL_TABLE_STRANDS = 5
@@ -250,21 +235,44 @@ _TAUS: list[_Memo] = []
 _COMPLEMENTS: list[_Memo] = []
 _LEFTWEIGHTS: list[_Memo] = []
 _LETTERS: list[_Memo] = []
-_ATOMS: list[_Memo] = []
 
 
-def _leftweight_table(atoms: list) -> list[tuple[int, int]]:
-    """The left-weighting of every pair of simple elements, indexed
-    x * n! + y, from the atoms of every rank (see `_Simples`), in one pass.
+def _leftweight_table(n: int, perm: _Memo, rank: _Memo) -> list[tuple[int, int]]:
+    """The left-weighting of every pair of simple elements of B_n, indexed
+    x * n! + y, in one pass over ranks; `perm` and `rank` are the rank
+    tables of `_Simples`.
 
-    A pair with S(y) in F(x) is left-weighted and is its own entry.
-    Otherwise the atom walk's first move, of the lowest crossing i of
-    S(y) \\ F(x), leads to the pair (x sigma, sigma^-1 y), sigma =
-    sigma_(i+1), whose walk ends where this one does, so the entry is that
-    pair's. Taking the crossing off the head of y swaps a descent of its
-    permutation, which lowers the rank, so going through y in rank order
-    finds that entry already built."""
-    count = len(atoms)
+    It first reads the atoms of each rank r off its permutation p: the
+    starting and finishing sets S and F as bitmasks, bit i for
+    sigma_(i+1), which are the descents of p and of its inverse q, and per
+    i the rank of sigma_(i+1)^-1 r for i in S, which is p with the
+    positions i and i + 1 swapped, and that of r sigma_(i+1) for i not in
+    F, which is p with the values i and i + 1 swapped, at q[i] and
+    q[i + 1]. A pair with S(y) in F(x) is left-weighted and is its own
+    entry. Otherwise moving the lowest crossing i of S(y) \\ F(x) from y to
+    x, as `_leftweight` does on permutations, leads to the pair
+    (x sigma, sigma^-1 y), sigma = sigma_(i+1), with the same product. A
+    left-weighted pair of simple elements is fixed by its product, its
+    first factor being xy meet Delta (El-Rifai and Morton 1994), so the
+    entry is that pair's. Taking the crossing off the head of y swaps a
+    descent of its permutation, which lowers the rank, so going through y
+    in rank order finds that entry already built."""
+    count = math.factorial(n)
+    atoms = []
+    for r in range(count):
+        p = perm[r]
+        q = _pinv(p)
+        starts = finishes = 0
+        up, down = [0] * (n - 1), [0] * (n - 1)
+        for i in range(n - 1):
+            if p[i] > p[i + 1]:
+                starts |= 1 << i
+                down[i] = rank[_swap(p, i, i + 1)]
+            if q[i] > q[i + 1]:
+                finishes |= 1 << i
+            else:
+                up[i] = rank[_swap(p, q[i], q[i + 1])]
+        atoms.append((starts, finishes, up, down))
     table: list = [None] * (count * count)
     for y, (starts, _, _, down) in enumerate(atoms):
         key = y
@@ -290,27 +298,13 @@ class _Simples:
     it ranks in `perm`, so a rank made there is read back without
     unranking.
 
-    On up to _ATOM_STRANDS strands the `atom` table, keyed by rank, holds
-    each simple element's starting and finishing sets and the ranks one
-    crossing away, read off its permutation and ranked back through `rank`
-    as tau and the complement are. The atom walk left-weights a pair of
-    ranks: it moves the lowest crossing of S(y) \\ F(x) from y to x,
-    x <- x sigma and y <- sigma^-1 y, until S(y) lies in F(x). These are
-    the moves of `_leftweight`, and a left-weighted pair of simple elements
-    is fixed by its product, its first factor being xy meet Delta
-    (El-Rifai and Morton 1994), so the order of the moves does not change
-    the result.
-
     On up to _FULL_TABLE_STRANDS strands, tau, the complement and the
-    left-weighting are complete lists, built here: the left-weighting of
-    every pair in one pass over ranks that ends each atom walk at a pair
-    already built (`_leftweight_table`). On more strands they are memo
-    tables that fill as they are read: a left-weighting miss runs the atom
-    walk on _ATOM_STRANDS = 6 strands, the one count between the two cuts,
-    and `_leftweight` on permutations above it, where the atom table would
-    cost more to fill than it saves and there is none. Lists and memo
-    tables are both read with `[]`, so the loops that read them do not tell
-    them apart.
+    left-weighting are complete lists, built here, the left-weighting of
+    every pair in one pass over ranks (`_leftweight_table`). On more
+    strands they are memo tables that fill as they are read, a
+    left-weighting miss by `_leftweight` on the pair's permutations. Lists
+    and memo tables are both read with `[]`, so the loops that read them do
+    not tell them apart.
 
     The `letter` table, keyed by a letter k of B_n, gives the rank of the
     simple factor that stands for k in a canonical form and that of its
@@ -319,9 +313,7 @@ class _Simples:
     a time from two factorials, with no permutation ranked, and stores the
     two permutations, built in O(n), in `perm`."""
 
-    __slots__ = (
-        "count", "delta", "perm", "rank", "tau", "complement", "leftweight", "letter", "atom"
-    )
+    __slots__ = ("count", "delta", "perm", "rank", "tau", "complement", "leftweight", "letter")
 
     def __init__(self, n: int):
         count = math.factorial(n)
@@ -339,62 +331,19 @@ class _Simples:
         def on_perm(f):
             return lambda r: rank[f(perm[r])]
 
-        atom = self.atom = None
-        if n <= _ATOM_STRANDS:
-
-            def atoms(r: int) -> tuple[int, int, list[int], list[int]]:
-                # The starting and finishing sets S and F of p = perm[r] as
-                # bitmasks, bit i for sigma_(i+1): the descents of p and of
-                # its inverse q. Per i, the rank of sigma_(i+1)^-1 r for i in
-                # S, which is p with the positions i and i + 1 swapped, and
-                # that of r sigma_(i+1) for i not in F, which is p with the
-                # values i and i + 1 swapped, at q[i] and q[i + 1]; 0 elsewhere.
-                p = perm[r]
-                q = _pinv(p)
-                starts = finishes = 0
-                up, down = [0] * (n - 1), [0] * (n - 1)
-                for i in range(n - 1):
-                    if p[i] > p[i + 1]:
-                        starts |= 1 << i
-                        down[i] = rank[_swap(p, i, i + 1)]
-                    if q[i] > q[i + 1]:
-                        finishes |= 1 << i
-                    else:
-                        up[i] = rank[_swap(p, q[i], q[i + 1])]
-                return starts, finishes, up, down
-
-            # 1! + ... + 6! = 873 atoms in all, so the bound is never
-            # reached; a higher cut needs a higher bound, or misses thrash.
-            atom = self.atom = _Memo(atoms, _ATOMS, 1 << 10)
-
         if n <= _FULL_TABLE_STRANDS:
             ranks = range(count)
             self.tau = list(map(on_perm(_tau), ranks))
             self.complement = list(map(on_perm(_delta_complement), ranks))
-            self.leftweight = _leftweight_table([atom[r] for r in ranks])
+            self.leftweight = _leftweight_table(n, perm, rank)
         else:
             self.tau = _Memo(on_perm(_tau), _TAUS, 1 << 18)
             self.complement = _Memo(on_perm(_delta_complement), _COMPLEMENTS, 1 << 18)
 
-            if atom is not None:
-
-                def leftweight(key: int) -> tuple[int, int]:
-                    x, y = divmod(key, count)
-                    _, finishes, up, _ = atom[x]
-                    starts, _, _, down = atom[y]
-                    while move := starts & ~finishes:
-                        i = (move & -move).bit_length() - 1
-                        x, y = up[i], down[i]
-                        _, finishes, up, _ = atom[x]
-                        starts, _, _, down = atom[y]
-                    return x, y
-
-            else:
-
-                def leftweight(key: int) -> tuple[int, int]:
-                    x, y = divmod(key, count)
-                    lx, ly = _leftweight(perm[x], perm[y])
-                    return rank[lx], rank[ly]
+            def leftweight(key: int) -> tuple[int, int]:
+                x, y = divmod(key, count)
+                lx, ly = _leftweight(perm[x], perm[y])
+                return rank[lx], rank[ly]
 
             self.leftweight = _Memo(leftweight, _LEFTWEIGHTS, 1 << 20)
 
@@ -730,11 +679,13 @@ class ConjugacyResult:
 # The closure search conjugates each element it visits by all n! - 1 simple
 # elements, one normalization each: at n = 8 about 0.3 s per element once
 # the rank tables are filled, and 1.8-2.0 s for the first element, which
-# fills them, left-weighting on permutations (`_ATOM_STRANDS`); at n = 6
-# 5 ms and 22-31 ms (2-vCPU guest, Python 3.11). The count grows n-fold
-# per strand, so the limit bounds time; 8 is the largest strand count the
-# tests and benchmark exercise. Pairs that meet on a cycling circuit never
-# reach the closure, so the limit refuses only the pairs that do not.
+# fills them; at n = 6 about 6 ms once filled, 33-38 ms for the first
+# element, and 21-29 ms for a later element's first pass, which fills what
+# the first left (quartiles over 22 processes, 2-vCPU guest, Python 3.11).
+# The count grows n-fold per strand, so the limit bounds time; 8 is the
+# largest strand count the tests and benchmark exercise. Pairs that meet on
+# a cycling circuit never reach the closure, so the limit refuses only the
+# pairs that do not.
 MAX_CLOSURE_STRANDS = 8
 
 

@@ -547,7 +547,7 @@ NF5_WORD = (
     "s4 s3 S1 s1 S4 s2 s4 s1 S4 s1 S2 S3 s1 s1 s1 S3 s3 s4 s4 S2 S1 S2 S4 s4 s4"
 )
 # The 200-letter word of CI's pin on 6 strands, where the left-weighting
-# table fills by the atom walk in a fresh process.
+# table fills from permutations as it is read in a fresh process.
 NF6_WORD = (
     "S3 S5 s5 S4 s1 s4 S3 s4 s5 S2 s2 s4 S5 S5 S3 s2 S4 S3 S5 S4 s5 S1 S3 S3 s3 "
     "S5 s4 S4 s5 S3 S2 S1 S1 s4 S2 s3 S1 S3 s5 S1 S1 s4 s1 s2 s1 s1 S1 S4 S2 s5 "
@@ -574,7 +574,7 @@ class TestConsolePins:
     a fresh process, so that every rank table starts cold: the exit code (2
     for Inconclusive, 0 for a verdict) and the whole JSON. `nf -n 5`
     builds the complete tables of 5 strands, and `nf -n 6` and `conj -n 6`
-    fill the atom tables."""
+    fill the memo tables of 6 strands as they read them."""
 
     @pytest.mark.parametrize(
         "argv, doc",

@@ -544,41 +544,10 @@ class TestRankEncoding:
                 got = simples.leftweight[rx * simples.count + ry]
                 assert perms(n, got) == garside._leftweight(x, y)
 
-    def test_atoms_match_permutations(self):
-        """Each atom read off the permutation of a rank gives the starting
-        and finishing sets of that permutation and the ranks of the
-        permutations one crossing away, on every rank of up to 6 strands."""
-        for n in range(1, garside._ATOM_STRANDS + 1):
-            atom = garside._simples(n).atom
-            for r, p in enumerate(itertools.permutations(range(n))):
-                starts, finishes, up, down = atom[r]
-                assert {i for i in range(n - 1) if starts >> i & 1} == starting_set(p)
-                assert {i for i in range(n - 1) if finishes >> i & 1} == finishing_set(p)
-                for i in range(n - 1):
-                    if i not in finishing_set(p):
-                        # p sigma_(i+1) swaps the values i and i + 1
-                        q = tuple(i + 1 if v == i else i if v == i + 1 else v for v in p)
-                        assert up[i] == garside._rank(q)
-                    if i in starting_set(p):
-                        # sigma_(i+1)^-1 p swaps the positions i and i + 1
-                        q = list(p)
-                        q[i], q[i + 1] = q[i + 1], q[i]
-                        assert down[i] == garside._rank(tuple(q))
-
-    def test_atom_walk_matches_leftweight(self):
-        """On 6 strands the atom walk fills the left-weighting table as
-        `_leftweight` does on permutations, on seeded pairs; every entry of
-        the complete tables of up to 5 strands equals the permutation
-        functions, `_leftweight` on each pair and `_tau` and
+    def test_full_tables_match_permutation_functions(self):
+        """Every entry of the complete tables of up to 5 strands equals the
+        permutation functions: `_leftweight` on each pair, and `_tau` and
         `_delta_complement` on each rank."""
-        rng = random.Random(24)
-        n = garside._ATOM_STRANDS
-        simples = garside._simples(n)
-        fill, count = simples.leftweight.fill, simples.count
-        for _ in range(3000):
-            rx, ry = rng.randrange(count), rng.randrange(count)
-            x, y = simples.perm[rx], simples.perm[ry]
-            assert perms(n, fill(rx * count + ry)) == garside._leftweight(x, y)
         for n in range(1, garside._FULL_TABLE_STRANDS + 1):
             simples = garside._simples(n)
             count = simples.count
@@ -609,21 +578,25 @@ class TestRankEncoding:
         monkeypatch.setattr(garside, "_leftweight", boom)
         assert canonical_form(w) == expected
 
-    def test_no_atoms_above_the_cut(self, monkeypatch):
-        """Above _ATOM_STRANDS strands there is no atom table: a miss runs
-        `_leftweight` on permutations and fills no atom."""
-        for name in ("_PERMS", "_RANKS", "_TAUS", "_COMPLEMENTS", "_LEFTWEIGHTS", "_LETTERS", "_ATOMS"):
+    def test_leftweight_misses_above_the_cut(self, monkeypatch):
+        """Above _FULL_TABLE_STRANDS strands the left-weighting table is a
+        memo table: each new pair runs `_leftweight` on its permutations
+        once, and a key already read runs nothing."""
+        for name in ("_PERMS", "_RANKS", "_TAUS", "_COMPLEMENTS", "_LEFTWEIGHTS", "_LETTERS"):
             monkeypatch.setattr(garside, name, [])
-        n = garside._ATOM_STRANDS + 1
+        calls = []
+        leftweight = garside._leftweight
+        monkeypatch.setattr(
+            garside, "_leftweight", lambda x, y: calls.append((x, y)) or leftweight(x, y)
+        )
+        n = garside._FULL_TABLE_STRANDS + 1
         simples = garside._Simples(n)
-        assert simples.atom is None and garside._ATOMS == []
         rng = random.Random(25)
-        for _ in range(50):
-            x, y = (tuple(rng.sample(range(n), n)) for _ in range(2))
+        pairs = [tuple(tuple(rng.sample(range(n), n)) for _ in range(2)) for _ in range(50)]
+        for x, y in pairs + pairs:
             got = simples.leftweight[garside._rank(x) * simples.count + garside._rank(y)]
-            assert perms(n, got) == garside._leftweight(x, y)
-        assert garside._ATOMS == []
-        assert garside._Simples(n - 1).atom is not None and len(garside._ATOMS) == 1
+            assert perms(n, got) == leftweight(x, y)
+        assert calls == list(dict.fromkeys(pairs))
 
     def test_forms_read_back_without_unranking(self, monkeypatch):
         """A rank made by the letter table or by ranking a permutation
