@@ -25,6 +25,14 @@ conjugacy, then a meet-in-the-middle search for a shortest kernel
 conjugator over the standard kernel generators, grown from both beta_y and
 beta_x.
 
+The search's states are kernel elements. For m = 1 the kernel is the free
+group F_n on the loops A_i (`_free`), and a state is a reduced word of
+F_n: the orbits are rewritten into F_n once, and beta_A acts by the Artin
+action. For m >= 2, or when a free word grows past its bound
+(`_free_bound`), a state is a Garside normal form in B_{n+m}. Either way
+the search visits the same states in the same order, so its witnesses and
+state counts do not depend on which it uses.
+
 All a decision reads of one orbit w is its record `_Orbit`: w, the mixed
 braid section(beta_A) * w and that braid's canonical form, built once by
 `_orbit`, which also checks w. An `SNInstance` holds two records, and
@@ -35,7 +43,8 @@ What a decision learns of one orbit alone is a cached property of its
 record, computed on first use inside a decision and never when the record
 is built: each screened invariant, and the per-braid stage of the ambient
 conjugacy test, the summit and cycling circuit of the mixed braid (the
-record is a `garside._ConjugacyRecord`). Only the comparisons are per
+record is a `garside._ConjugacyRecord`), and for m = 1 the orbit's word
+in F_n. Only the comparisons are per
 pair: the screens compare the kept values, and the ambient test meets the
 two records (`garside._conjugacy`), which returns the path it found;
 `garside._witness` multiplies a conjugator out of it only for an empty
@@ -53,6 +62,7 @@ import sys
 import warnings
 from typing import Callable
 
+from . import _free
 from .garside import (
     CanonicalForm,
     ConjugacyResult,
@@ -148,8 +158,9 @@ class _Orbit(_ConjugacyRecord):
     braid's canonical form, built with the record, and, as cached properties
     computed on first use and kept for every later pair, what decisions
     learn of w alone: the two screened invariants (`_SCREENS`), the
-    exponent sum of w and the linking matrix of the mixed braid. The
-    record is the conjugacy record of its canonical form
+    exponent sum of w and the linking matrix of the mixed braid, and, for
+    m = 1, w as a word of the free kernel F_n, the kernel search's state
+    on that side. The record is the conjugacy record of its canonical form
     (`garside._ConjugacyRecord`), so the summit and cycling circuit that
     the ambient test walks are cached properties of it too."""
 
@@ -164,6 +175,30 @@ class _Orbit(_ConjugacyRecord):
     @functools.cached_property
     def linking_matrix(self) -> tuple:
         return linking_matrix(self.braid)
+
+    @functools.cached_property
+    def free(self) -> _free.Word | None:
+        """w as a reduced word of the free kernel F_n when m = 1, or None
+        when m >= 2 or the word grows past its bound (`_free_bound`)."""
+        if self.braid.m != 1:
+            return None
+        letters = self.word.letters
+        return _free.kernel_to_free(self.braid.n, letters, _free_bound(letters))
+
+
+# A free word read from braid letters, an orbit's image in F_n or an image
+# phi_{beta_A}(x_i), is given up on once it is longer than this many times
+# the letters it is read from, plus one. Free words can be exponentially
+# longer than canonical forms: the orbit beta^k A_1 beta^-k, with
+# beta = s1 S2 on 3 punctures, has about 2.6^k letters in F_3. On the
+# m = 1 instances of the decide-mix and sn-ambient corpora of seeds 1-5
+# the longest word on the way is 1.1 times an orbit's letters plus one, and
+# 5.6 times beta_A's for an image, so none of those trips.
+_FREE_GROWTH = 8
+
+
+def _free_bound(letters: tuple[int, ...]) -> int:
+    return _FREE_GROWTH * (len(letters) + 1)
 
 
 def _orbit(n: int, m: int, lift: BraidWord, name: str, w: BraidWord) -> _Orbit:
@@ -230,6 +265,28 @@ class SNInstance:
         """section(beta_A) * beta_oy."""
         return self._y.braid
 
+    @functools.cached_property
+    def _free_search(self) -> tuple | None:
+        """For m = 1, the start, the target and the forward and backward
+        letters of the kernel search on the free kernel F_n, built once for
+        both formulations: the images of beta_oy and beta_ox, and per letter
+        g = x_i^{+-1}, in `_kernel_alphabet`'s order, (letter, phi(g), g^-1)
+        forward and (letter, phi(g)^-1, g) backward, with
+        phi = phi_{beta_A}. None when m >= 2 or a word grows past its bound
+        (`_free_bound`)."""
+        start, target = self._y.free, self._x.free
+        if start is None or target is None:
+            return None
+        images = _free.artin(self.n, self.beta_A.letters, _free_bound(self.beta_A.letters))
+        if images is None:
+            return None
+        n = self.n
+        letters = [*range(1, n + 1), *range(-1, -n - 1, -1)]
+        twists = images + [_free.inverse(image) for image in images]
+        forward = [(g, phi, (-g,)) for g, phi in zip(letters, twists)]
+        backward = [(g, phi, (g,)) for g, phi in zip(letters, twists[n:] + twists[:n])]
+        return start, target, forward, backward
+
 
 def braid_type_equal(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     """Braid-type equality: plain conjugacy in B_m. A positive answer means
@@ -273,17 +330,18 @@ def _screen_invariants(inst: SNInstance) -> Certificate | None:
 @functools.lru_cache(maxsize=None)
 def _kernel_alphabet(
     n: int, m: int
-) -> tuple[dict[int, BraidWord], tuple[tuple[int, CanonicalForm, CanonicalForm], ...]]:
+) -> tuple[dict[int, tuple[int, ...]], tuple[tuple[int, CanonicalForm, CanonicalForm], ...]]:
     """The letters of the kernel search for (n, m): each standard kernel
     generator i and its inverse are letters i + 1 and -(i + 1). Returns the
-    word of each letter and, per letter, (letter, form, inverse form)."""
-    spelling: dict[int, BraidWord] = {}
+    braid letters of each letter and, per letter, (letter, form, inverse
+    form)."""
+    spelling: dict[int, tuple[int, ...]] = {}
     alphabet = []
     for sign in (1, -1):
         for i, g in enumerate(kernel_generators(n, m)):
             word = g if sign == 1 else invert(g)
             cf = canonical_form(word)
-            spelling[sign * (i + 1)] = word
+            spelling[sign * (i + 1)] = word.letters
             alphabet.append((sign * (i + 1), cf, cf.inv()))
     return spelling, tuple(alphabet)
 
@@ -300,10 +358,10 @@ def _search_kernel_conjugator(
     The forward side holds conjugates u * beta_y * u^-1 and grows u by
     PREPENDING a generator g, one simple conjugation g * . * g^-1 per state;
     the backward side holds v^-1 * beta_x * v and grows v by APPENDING g,
-    g^-1 * . * g. Each side keeps a visited map keyed by the canonical form
-    of its conjugate, and that dedup is sound: two words with the same
-    conjugate have identical futures on their side. Growing the other end
-    instead would not be: the next conjugate would depend on the word.
+    g^-1 * . * g. Each side keeps a visited map keyed by its states, and
+    that dedup is sound: two words with the same conjugate have identical
+    futures on their side. Growing the other end instead would not be: the
+    next conjugate would depend on the word.
 
     For total length l = 1 .. max_length one side grows one level, forward
     on odd l and backward on even l, so after level l the sides reach
@@ -312,46 +370,60 @@ def _search_kernel_conjugator(
     other side's visited map, all of its depths, so every length below l
     is checked before level l and the first match is a shortest c. A state
     holds only the letter tags of its word, the letter next to the growing
-    end first, and its conjugate, so it costs one product of three forms,
-    g * conjugate * g^-1 (`garside._product`), which leaves the conjugate's
-    factors in place and pushes only g's onto its front and g^-1's onto its
-    end. On a match c is spelled from the two tags and passed to `accept`,
-    which re-verifies it; both formulations accept exactly the c with
-    c * beta_y * c^-1 = beta_x, and should `accept` refuse, the search goes
-    on. `states` counts the identity and every state generated on either
-    side."""
+    end first, and its conjugate, so it costs one product of three
+    operands, left * state * right. On a match c is spelled from the two
+    tags and passed to `accept`, which re-verifies it on Garside forms;
+    both formulations accept exactly the c with c * beta_y * c^-1 = beta_x,
+    and should `accept` refuse, the search goes on. `states` counts the
+    identity and every state generated on either side.
+
+    A state is one of two kinds, with the same letters, order, dedup and
+    matches:
+    - m = 1 (`SNInstance._free_search`): the kernel part x of the
+      conjugate section(beta_A) * x, a reduced word of the free kernel F_n.
+      With phi = phi_{beta_A}, a forward step is x -> phi(g) * x * g^-1
+      and a backward step x -> phi(g)^-1 * x * g, each one
+      `_free.product`. x determines the conjugate, and the kernel is free
+      on the A_i, so two states are equal exactly when their reduced words
+      are: the visited maps see what the canonical forms would.
+    - m >= 2, or a free word past its bound: the canonical form of the
+      conjugate in B_{n+m}, a step one `garside._product` of g, it and
+      g^-1 (backward g^-1, it and g), which leaves the conjugate's factors
+      in place and pushes only the outer forms onto its ends."""
     identity = BraidWord.identity(inst.n + inst.m)
     states = 1
     if accept(identity, canonical_form(identity)):
         return identity, BudgetReport(0, states)
 
-    spelling, forward = _kernel_alphabet(inst.n, inst.m)
-    # Each side conjugates by (left, right): g * . * g^-1 forward,
-    # g^-1 * . * g backward.
-    backward = [(letter, g_inv_cf, g_cf) for letter, g_cf, g_inv_cf in forward]
+    spelling, alphabet = _kernel_alphabet(inst.n, inst.m)
+    if (free := inst._free_search) is not None:
+        step = _free.product
+        start, target, forward, backward = free
+    else:
+        # Each side conjugates by (left, right): g * . * g^-1 forward,
+        # g^-1 * . * g backward.
+        step = _product
+        start, target, forward = inst._y.cf, inst._x.cf, alphabet
+        backward = [(letter, g_inv_cf, g_cf) for letter, g_cf, g_inv_cf in alphabet]
 
-    start, target = inst._y.cf, inst._x.cf
-    # visited[side] maps a conjugate to the tag of its word; side 0 is
-    # forward (tag of u, first letter first), side 1 backward (tag of v,
-    # last letter first).
-    visited: tuple[dict[CanonicalForm, tuple[int, ...]], ...] = (
-        {start: ()},
-        {target: ()},
-    )
+    # visited[side] maps a state to the tag of its word; side 0 is forward
+    # (tag of u, first letter first), side 1 backward (tag of v, last
+    # letter first).
+    visited: tuple[dict, ...] = ({start: ()}, {target: ()})
     frontiers = [[((), start)], [((), target)]]
     for length in range(1, budget.max_length + 1):
         side = 1 - length % 2
         seen, other = visited[side], visited[1 - side]
-        alphabet = backward if side else forward
+        letters = backward if side else forward
         nxt = []
-        for tag, conj_cf in frontiers[side]:
-            for letter, left, right in alphabet:
+        for tag, conj in frontiers[side]:
+            for letter, left, right in letters:
                 if tag and tag[0] == -letter:
                     continue
                 states += 1
                 if states > budget.max_states:
                     return None, BudgetReport(length, states)
-                new_conj = _product(left, conj_cf, right)
+                new_conj = step(left, conj, right)
                 if new_conj in seen:
                     continue
                 new_tag = (letter,) + tag
@@ -359,10 +431,8 @@ def _search_kernel_conjugator(
                 if new_conj in other:
                     tags = (new_tag, other[new_conj])
                     u_tag, v_tag = tags if side == 0 else tags[::-1]
-                    c = identity
-                    for t in v_tag[::-1] + u_tag:
-                        c = compose(c, spelling[t])
-                    c = free_reduce(c)
+                    letters_of_c = [k for t in v_tag[::-1] + u_tag for k in spelling[t]]
+                    c = free_reduce(BraidWord(identity.strands, tuple(letters_of_c)))
                     if accept(c, canonical_form(c)):
                         return c, BudgetReport(length, states)
                 nxt.append((new_tag, new_conj))

@@ -567,6 +567,26 @@ DEEP = [
 ]
 DEEP_INCONCLUSIVE = {"status": "Inconclusive", "budget": {"max_len": 3, "states": 11}}
 DEEP_EQUIVALENT = {"status": "Equivalent", "witness": "s2 s1 s1 s2 s2 s1 s1 S2"}
+# An n = 3 instance whose base s1 S2 s1 acts on the free kernel F_3: CI's
+# pins of its kernel search on free words, at a state budget that cuts
+# level 3 and at the default budget.
+FREE_N3 = [
+    "-n", "3", "-m", "1", "--betaA", "s1 S2 s1",
+    "--ox", "S1 s2 S1 s3 s2 S1 S1 S2 S2 S2 s3 s3 s2 S1 S1 S2 S3 s1 S2 s1 s3 S2 S2 S2 s1 s1 S2 "
+    "S3 S3 s2 s2 s2 s1 s1 S2 S3",
+    "--oy", "s3 S2 S2 S2 S2 S3",
+]
+FREE_N3_INCONCLUSIVE = {"status": "Inconclusive", "budget": {"max_len": 3, "states": 31}}
+FREE_N3_EQUIVALENT = {"status": "Equivalent", "witness": "s3 s2 S1 S1 S2 S2 S2 s3 s3 s2 S1 S1 S2 S3"}
+# CI's guard instance: the orbit beta^24 A_1 beta^-24, beta = s1 S2, has
+# about 2.6^24 letters in F_3, so its conversion stops at the bound and the
+# search runs on Garside states, in bounded time and memory.
+FREE_GUARD = [
+    "-n", "3", "-m", "1", "--betaA", "",
+    "--ox", " ".join(["s1 S2"] * 24 + ["s3 s2 s1 s1 S2 S3"] + ["s2 S1"] * 24),
+    "--oy", "s3 s2 s1 s1 S2 S3",
+]
+FREE_GUARD_INCONCLUSIVE = {"status": "Inconclusive", "budget": {"max_len": 8, "states": 1563}}
 
 
 class TestConsolePins:
@@ -680,6 +700,22 @@ class TestConsolePins:
             pytest.param(["sn", *DEEP], DEEP_EQUIVALENT, id="sn-deep-default-budget"),
             pytest.param(
                 ["sn-twisted", *DEEP], DEEP_EQUIVALENT, id="sn-twisted-deep-default-budget"
+            ),
+            pytest.param(
+                ["sn", *FREE_N3, "--max-states", "30"], FREE_N3_INCONCLUSIVE,
+                id="sn-free-n3-state-budget",
+            ),
+            pytest.param(
+                ["sn-twisted", *FREE_N3, "--max-states", "30"], FREE_N3_INCONCLUSIVE,
+                id="sn-twisted-free-n3-state-budget",
+            ),
+            pytest.param(["sn", *FREE_N3], FREE_N3_EQUIVALENT, id="sn-free-n3-default-budget"),
+            pytest.param(
+                ["sn-twisted", *FREE_N3], FREE_N3_EQUIVALENT, id="sn-twisted-free-n3-default-budget"
+            ),
+            pytest.param(["sn", *FREE_GUARD], FREE_GUARD_INCONCLUSIVE, id="sn-free-guard"),
+            pytest.param(
+                ["sn-twisted", *FREE_GUARD], FREE_GUARD_INCONCLUSIVE, id="sn-twisted-free-guard"
             ),
         ],
     )

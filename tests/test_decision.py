@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -311,6 +312,74 @@ class TestMeetInTheMiddle:
                     assert v.status == sb.INCONCLUSIVE
                     assert reports[0].max_length_tried == budget.max_length
         assert searched >= 120
+
+
+class TestFreeKernelStates:
+    """For m = 1 the kernel search's states are reduced words of the free
+    kernel F_n (`decision.SNInstance._free_search`). Every verdict, and every
+    state count, is the one the same search gives on Garside states."""
+
+    BUDGETS = [sb.Budget(), sb.Budget(8, 7), sb.Budget(8, 40), sb.Budget(8, 300)]
+
+    def instances(self, seed, count):
+        """m = 1, n in 1..4, a non-trivial base beta_A once n >= 2; beta_x
+        is conjugated by a kernel word, or by the lift of beta_A times one,
+        so some pairs are kernel-conjugate and some perhaps not."""
+        rng = random.Random(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for _ in range(count):
+                n = rng.randint(1, 4)
+                beta_A = sb.BraidWord(n, ())
+                while n >= 2 and not beta_A.letters:
+                    beta_A = sb.free_reduce(random_word(rng, n, 4))
+                gamma = random_kernel_word(rng, n, 1, rng.randint(0, 3))
+                c = random_kernel_word(rng, n, 1, rng.randint(1, 4))
+                if rng.random() < 0.3:
+                    c = sb.compose(sb.section(n, 1, beta_A).word, c)
+                ox = conjugated_kernel_part(n, 1, beta_A, gamma, c)
+                yield functools.partial(sb.SNInstance, n, 1, beta_A, ox, gamma)
+
+    def test_same_outputs_as_garside_states(self, monkeypatch):
+        free, garside = [], []
+        searched = set()
+        for i, make in enumerate(self.instances(31, 48)):
+            for budget in self.BUDGETS:
+                for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
+                    inst = make()
+                    free.append(decide(inst, budget).to_json())
+                    if "_free_search" in vars(inst):
+                        assert inst._free_search is not None
+                        searched.add(i)
+        monkeypatch.setattr(sb.SNInstance, "_free_search", None)
+        for make in self.instances(31, 48):
+            for budget in self.BUDGETS:
+                for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
+                    garside.append(decide(make(), budget).to_json())
+        assert free == garside
+        assert len(searched) >= 25
+        statuses = [doc["status"] for doc in free]
+        assert statuses.count(sb.EQUIVALENT) >= 100 and statuses.count(sb.INCONCLUSIVE) >= 50
+
+    def test_guard_falls_back_to_garside_states(self, monkeypatch):
+        """The orbit beta^24 A_1 beta^-24, beta = s1 S2 on 3 punctures, has
+        about 2.6^24 letters in F_3: its conversion stops at the bound, and
+        the search runs on Garside states, with the output they give."""
+        ox = sb.BraidWord(4, (1, -2) * 24 + (3, 2, 1, 1, -2, -3) + (2, -1) * 24)
+        oy = sb.BraidWord(4, (3, 2, 1, 1, -2, -3))
+
+        def make():
+            return sb.SNInstance(3, 1, sb.BraidWord(3, ()), ox, oy)
+
+        pinned = {"status": "Inconclusive", "budget": {"max_len": 8, "states": 1563}}
+        for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
+            inst = make()
+            assert decide(inst).to_json() == pinned
+            assert inst._x.free is None and inst._y.free == (1,)
+            assert inst._free_search is None
+        monkeypatch.setattr(sb.SNInstance, "_free_search", None)
+        for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
+            assert decide(make()).to_json() == pinned
 
 
 class TestBurauSubsumedByAmbientConjugacy:
