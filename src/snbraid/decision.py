@@ -8,22 +8,26 @@ beta_A are equivalent iff the assembled mixed braids beta_x = section(beta_A)
 * beta_ox and beta_y = section(beta_A) * beta_oy are conjugate by a KERNEL
 element; equivalently iff beta_ox = phi_{beta_A}(c) * beta_oy * c^-1 for some
 kernel c (the twisted-conjugacy form). Both formulations are implemented.
-They run the same screens, the same ambient test and the same kernel search,
-and differ only in the equation that `accept` re-checks at a match. So they
-agree by construction: the twisted form re-verifies each witness against its
-own equation and is not a second, independent decision.
+They share one decision, `_decide`, and one `accept`, which re-verifies a
+witness c as c * beta_y * c^-1 = beta_x on the orbit records' canonical
+forms: the twisted equation is that one multiplied on the left by
+section(beta_A)^-1 (see `sn_equivalent_twisted`), so the two agree by
+construction, and the twisted form is not a second, independent decision.
 
 The kernel-restricted conjugacy problem has no known complete desk-scale
 algorithm, so verdicts are three-valued: certified Equivalent (with a
 verifying witness), certified NotEquivalent (an invariant mismatch or a
 failed conjugacy test in the ambient group), or an honest Inconclusive with
-the exhausted search budget. The pipeline is staged so cheap certificates
-short-circuit the bounded search: two invariant screens, the exponent sum
-of the orbit word and the linking matrix of its mixed braid (which implies
-the per-block cycle type, see `_screen_invariants`), then full-group
-conjugacy, then a meet-in-the-middle search for a shortest kernel
-conjugator over the standard kernel generators, grown from both beta_y and
-beta_x.
+the exhausted search budget. The stages run cheapest first, and each
+settles what it can before the next begins:
+- equal canonical forms of the two mixed braids: Equivalent, with the
+  identity as witness;
+- two invariant screens, the exponent sum of the orbit word and the
+  linking matrix of its mixed braid (which implies the per-block cycle
+  type, see `_screen_invariants`);
+- conjugacy in the full group B_{n+m};
+- a meet-in-the-middle search for a shortest kernel conjugator over the
+  standard kernel generators, grown from both beta_y and beta_x.
 
 The search's states are kernel elements. For m = 1 the kernel is the free
 group F_n on the loops A_i (`_free`), and a state is a reduced word of
@@ -44,13 +48,15 @@ record, computed on first use inside a decision and never when the record
 is built: each screened invariant, and the per-braid stage of the ambient
 conjugacy test, the summit and cycling circuit of the mixed braid (the
 record is a `garside._ConjugacyRecord`), and for m = 1 the orbit's word
-in F_n. Only the comparisons are per
-pair: the screens compare the kept values, and the ambient test meets the
-two records (`garside._conjugacy`), which returns the path it found;
-`garside._witness` multiplies a conjugator out of it only for an empty
-invariant set. A partition's orbits of one form share one record,
-so each distinct mixed braid is screened and walked at most once, and the
-two formulations decided on one instance share its two records.
+in F_n. The Artin images of beta_A that the m = 1 search acts by are kept
+per base braid (`_free_letters`), so a partition builds them once. Only
+the comparisons are per pair: the screens compare the kept values, and
+the ambient test meets the two records (`garside._conjugacy`), which
+returns the path it found; `garside._witness` multiplies a conjugator out
+of it only for an empty invariant set. A partition's orbits of one form
+share one record, so each distinct mixed braid is screened and walked at
+most once, and the two formulations decided on one instance share its
+two records.
 """
 
 from __future__ import annotations
@@ -267,25 +273,42 @@ class SNInstance:
 
     @functools.cached_property
     def _free_search(self) -> tuple | None:
-        """For m = 1, the start, the target and the forward and backward
-        letters of the kernel search on the free kernel F_n, built once for
-        both formulations: the images of beta_oy and beta_ox, and per letter
-        g = x_i^{+-1}, in `_kernel_alphabet`'s order, (letter, phi(g), g^-1)
-        forward and (letter, phi(g)^-1, g) backward, with
-        phi = phi_{beta_A}. None when m >= 2 or a word grows past its bound
+        """For m = 1, the start and the target of the kernel search on the
+        free kernel F_n, the images of beta_oy and beta_ox, and the forward
+        and backward letters of beta_A (`_free_letters`), built once for
+        both formulations. None when m >= 2 or a word grows past its bound
         (`_free_bound`)."""
         start, target = self._y.free, self._x.free
         if start is None or target is None:
             return None
-        images = _free.artin(self.n, self.beta_A.letters, _free_bound(self.beta_A.letters))
-        if images is None:
+        letters = _free_letters(self.n, self.beta_A.letters)
+        if letters is None:
             return None
-        n = self.n
-        letters = [*range(1, n + 1), *range(-1, -n - 1, -1)]
-        twists = images + [_free.inverse(image) for image in images]
-        forward = [(g, phi, (-g,)) for g, phi in zip(letters, twists)]
-        backward = [(g, phi, (g,)) for g, phi in zip(letters, twists[n:] + twists[:n])]
-        return start, target, forward, backward
+        return start, target, *letters
+
+
+# How many base braids `_free_letters` keeps. A partition shares one base
+# across all its pairs, so one entry serves it; the bound only keeps a
+# process that decides instances over many bases from holding the images
+# of every base it has met.
+_FREE_BASES_KEPT = 64
+
+
+@functools.lru_cache(maxsize=_FREE_BASES_KEPT)
+def _free_letters(n: int, base: tuple[int, ...]) -> tuple[tuple, tuple] | None:
+    """The forward and backward letters of the m = 1 kernel search over the
+    base braid with these letters on n strands: per letter g = x_i^{+-1},
+    in `_kernel_alphabet`'s order, (letter, phi(g), g^-1) forward and
+    (letter, phi(g)^-1, g) backward, with phi = phi_{beta_A}. None when an
+    image phi(x_i) grows past its bound (`_free_bound`)."""
+    images = _free.artin(n, base, _free_bound(base))
+    if images is None:
+        return None
+    letters = [*range(1, n + 1), *range(-1, -n - 1, -1)]
+    twists = images + [_free.inverse(image) for image in images]
+    forward = tuple((g, phi, (-g,)) for g, phi in zip(letters, twists))
+    backward = tuple((g, phi, (g,)) for g, phi in zip(letters, twists[n:] + twists[:n]))
+    return forward, backward
 
 
 def braid_type_equal(a: BraidWord, b: BraidWord) -> ConjugacyResult:
@@ -372,10 +395,11 @@ def _search_kernel_conjugator(
     holds only the letter tags of its word, the letter next to the growing
     end first, and its conjugate, so it costs one product of three
     operands, left * state * right. On a match c is spelled from the two
-    tags and passed to `accept`, which re-verifies it on Garside forms;
-    both formulations accept exactly the c with c * beta_y * c^-1 = beta_x,
-    and should `accept` refuse, the search goes on. `states` counts the
-    identity and every state generated on either side.
+    tags and passed to `accept`, which re-verifies it on Garside forms,
+    and should `accept` refuse, the search goes on. The identity is not
+    tried: `_decide` settles equal forms before any screen, so it cannot
+    match here. `states` still counts it as the first state, then every
+    state generated on either side.
 
     A state is one of two kinds, with the same letters, order, dedup and
     matches:
@@ -390,11 +414,7 @@ def _search_kernel_conjugator(
       conjugate in B_{n+m}, a step one `garside._product` of g, it and
       g^-1 (backward g^-1, it and g), which leaves the conjugate's factors
       in place and pushes only the outer forms onto its ends."""
-    identity = BraidWord.identity(inst.n + inst.m)
     states = 1
-    if accept(identity, canonical_form(identity)):
-        return identity, BudgetReport(0, states)
-
     spelling, alphabet = _kernel_alphabet(inst.n, inst.m)
     if (free := inst._free_search) is not None:
         step = _free.product
@@ -432,7 +452,7 @@ def _search_kernel_conjugator(
                     tags = (new_tag, other[new_conj])
                     u_tag, v_tag = tags if side == 0 else tags[::-1]
                     letters_of_c = [k for t in v_tag[::-1] + u_tag for k in spelling[t]]
-                    c = free_reduce(BraidWord(identity.strands, tuple(letters_of_c)))
+                    c = free_reduce(BraidWord(inst.n + inst.m, tuple(letters_of_c)))
                     if accept(c, canonical_form(c)):
                         return c, BudgetReport(length, states)
                 nxt.append((new_tag, new_conj))
@@ -440,15 +460,26 @@ def _search_kernel_conjugator(
     return None, BudgetReport(budget.max_length, states)
 
 
-def _decide(
-    inst: SNInstance,
-    budget: Budget,
-    accept: Callable[[BraidWord, CanonicalForm], bool],
-) -> SNVerdict:
-    """The staged decision of one instance: the screens, then ambient
-    conjugacy in B_{n+m}, then the bounded kernel search with `accept`.
-    The first two compare what the two orbit records hold, filling it on
-    first use; only the kernel search is wholly per pair."""
+def _decide(inst: SNInstance, budget: Budget) -> SNVerdict:
+    """The staged decision of one instance, read from its two orbit
+    records: equal canonical forms first, then the screens, then ambient
+    conjugacy in B_{n+m}, then the bounded kernel search. Every stage but
+    the search compares what the records hold, filling it on first use.
+
+    Equal forms are equivalent with the identity as witness, and settle
+    before any invariant or summit is computed. Every witness, the
+    identity too, is re-verified by one `accept` on the records' forms,
+    c * beta_y * c^-1 = beta_x, which both formulations share."""
+    bx_cf, by_cf = inst._x.cf, inst._y.cf
+
+    def accept(c: BraidWord, c_cf: CanonicalForm) -> bool:
+        return _product(c_cf, by_cf, c_cf.inv()) == bx_cf
+
+    if bx_cf == by_cf:
+        identity = BraidWord.identity(inst.n + inst.m)
+        if accept(identity, canonical_form(identity)):
+            return SNVerdict(EQUIVALENT, witness=identity)
+
     cert = _screen_invariants(inst)
     if cert is not None:
         return SNVerdict(NOT_EQUIVALENT, certificate=cert)
@@ -478,33 +509,20 @@ def _decide(
 def sn_equivalent_rel_A(inst: SNInstance, budget: Budget = Budget()) -> SNVerdict:
     """Strong Nielsen equivalence relative to the invariant set: search for a
     kernel element c with beta_x = c * beta_y * c^-1."""
-    bx_cf, by_cf = inst._x.cf, inst._y.cf
-
-    def accept(c: BraidWord, c_cf: CanonicalForm) -> bool:
-        return _product(c_cf, by_cf, c_cf.inv()) == bx_cf
-
-    return _decide(inst, budget, accept)
+    return _decide(inst, budget)
 
 
 def sn_equivalent_twisted(inst: SNInstance, budget: Budget = Budget()) -> SNVerdict:
     """Twisted-conjugacy formulation: search for a kernel element c with
-    beta_ox = phi_{beta_A}(c) * beta_oy * c^-1. It runs the screens, the
-    ambient test and the kernel search of sn_equivalent_rel_A, and only
-    re-checks a match against the twisted equation, which holds exactly
-    when c * beta_y * c^-1 = beta_x. So the two agree on every instance by
-    construction. The forms `accept` needs are built on its first call, so
-    an instance the screens or the ambient test settle builds none."""
-
-    @functools.cache
-    def forms() -> tuple[CanonicalForm, ...]:
-        lift_cf = canonical_form(section(inst.n, inst.m, inst.beta_A).word)
-        return lift_cf, lift_cf.inv(), canonical_form(inst.beta_ox), canonical_form(inst.beta_oy)
-
-    def accept(c: BraidWord, c_cf: CanonicalForm) -> bool:
-        lift_cf, lift_inv_cf, ox_cf, oy_cf = forms()
-        return _product(lift_inv_cf, c_cf, lift_cf, oy_cf, c_cf.inv()) == ox_cf
-
-    return _decide(inst, budget, accept)
+    beta_ox = phi_{beta_A}(c) * beta_oy * c^-1. With L = section(beta_A)
+    and phi(c) = L^-1 * c * L, the twisted equation reads
+    L^-1 * (c * beta_y * c^-1) = L^-1 * beta_x, since beta_y = L * beta_oy
+    and beta_x = L * beta_ox. That is c * beta_y * c^-1 = beta_x
+    multiplied on the left by L^-1, so the two equations hold for exactly
+    the same c, and this formulation runs the decision of
+    sn_equivalent_rel_A, with its `accept` on the records' forms: the two
+    agree on every instance by construction."""
+    return _decide(inst, budget)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -58,38 +58,29 @@ def linking_matrix(b: MixedBraid) -> tuple[tuple, ...]:
     different punctures. Orbit cycles may be permuted by kernel conjugation,
     so they carry only ("o", length). Returned as a sorted tuple; zero
     entries are kept so the component count is part of the value."""
-    word = b.word
-    total = word.strands
     cycles = b.perm.cycles()
-    cycle_of = {}
+    c = len(cycles)
+    # at[p] is the cycle of the strand at position p + 1; a crossing of
+    # cycles ci and cj adds its sign to counts[ci * c + cj].
+    at = [0] * b.word.strands
     for ci, cyc in enumerate(cycles):
         for s in cyc:
-            cycle_of[s] = ci
+            at[s - 1] = ci
+    counts = [0] * (c * c)
+    for k in b.word.letters:
+        i = k if k > 0 else -k
+        left, right = at[i - 1], at[i]
+        counts[left * c + right] += 1 if k > 0 else -1
+        at[i - 1], at[i] = right, left
 
-    counts: dict[tuple[int, int], int] = {}
-    occupant = list(range(1, total + 1))
-    for k in word.letters:
-        i = abs(k)
-        a, c = occupant[i - 1], occupant[i]
-        ca, cc = cycle_of[a], cycle_of[c]
-        if ca != cc:
-            key = (min(ca, cc), max(ca, cc))
-            counts[key] = counts.get(key, 0) + (1 if k > 0 else -1)
-        occupant[i - 1], occupant[i] = c, a
-
-    def tag(ci: int) -> tuple:
-        cyc = cycles[ci]
-        if cyc[0] <= b.n:
-            return ("A",) + tuple(sorted(cyc))
-        return ("o", len(cyc))
-
+    tags = [("A",) + tuple(sorted(cyc)) if cyc[0] <= b.n else ("o", len(cyc)) for cyc in cycles]
     entries = []
-    for ci in range(len(cycles)):
-        for cj in range(ci + 1, len(cycles)):
-            signed = counts.get((ci, cj), 0)
+    for ci in range(c):
+        for cj in range(ci + 1, c):
+            signed = counts[ci * c + cj] + counts[cj * c + ci]
             assert signed % 2 == 0, "signed crossing count between closed components must be even"
-            t1, t2 = sorted([tag(ci), tag(cj)])
-            entries.append((t1, t2, signed // 2))
+            t1, t2 = tags[ci], tags[cj]
+            entries.append((t1, t2, signed // 2) if t1 <= t2 else (t2, t1, signed // 2))
     return tuple(sorted(entries))
 
 

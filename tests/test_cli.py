@@ -559,6 +559,9 @@ NF6_WORD = (
     "s1 s3 S3 s2 S4 S2 s4 s1 s3 s4 S5 S3 s3 S1 s5 s2 S4 S1 s3 S1 s3 s2 S5 s2 s3"
 )
 NO_KERNEL = ["-n", "0", "-m", "4", "--betaA", "", "--ox", "s1 s2 s3", "--oy", "s3 s2 s1"]
+# Two orbit words of one braid: the mixed braids have equal canonical
+# forms, which settle the decision before any screen.
+EQUAL_FORMS = ["-n", "2", "-m", "1", "--betaA", "s1", "--ox", "s2 s2 s1 S1", "--oy", "s2 s2"]
 # The `deep` instance of CI's exit-code step: its two pins fix the kernel
 # search's order and its state count at a small budget, and its witness.
 DEEP = [
@@ -686,6 +689,13 @@ class TestConsolePins:
                 ["sn-twisted", *NO_KERNEL],
                 {"status": "Equivalent", "witness": "s1 s2 s1 s3 s2 s1"},
                 id="sn-twisted-no-kernel-strands",
+            ),
+            pytest.param(
+                ["sn", *EQUAL_FORMS], {"status": "Equivalent", "witness": ""}, id="sn-equal-forms"
+            ),
+            pytest.param(
+                ["sn-twisted", *EQUAL_FORMS], {"status": "Equivalent", "witness": ""},
+                id="sn-twisted-equal-forms",
             ),
             pytest.param(
                 ["sn", *DEEP, "--max-len", "8", "--max-states", "10"],

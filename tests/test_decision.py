@@ -121,10 +121,41 @@ class TestRelA:
                 assert vxy.status == vyx.status
 
 
+class TestEqualForms:
+    """Equal mixed braids are settled first, from the canonical forms the
+    orbit records hold: Equivalent with the identity, re-verified by one
+    `accept`, before any invariant, summit or search."""
+
+    @pytest.mark.parametrize("decide", [sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted])
+    def test_settled_before_any_screen(self, decide, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("computed past equal forms")
+
+        products = []
+        product = sb.decision._product
+
+        def counted(*forms):
+            products.append(forms)
+            return product(*forms)
+
+        parse = sb.BraidWord.parse
+        inst = sb.SNInstance(2, 1, parse(2, "s1"), parse(3, "s2 s2 s1 S1"), parse(3, "s2 s2"))
+        monkeypatch.setattr(sb.decision, "linking_matrix", refuse)
+        monkeypatch.setattr(sb.garside, "_summit", refuse)
+        monkeypatch.setattr(sb.decision, "_search_kernel_conjugator", refuse)
+        # `accept` is one product of the witness, beta_y and the inverse.
+        monkeypatch.setattr(sb.decision, "_product", counted)
+        assert decide(inst).to_json() == {"status": "Equivalent", "witness": ""}
+        assert len(products) == 1
+
+
 class TestKernelSearchPinned:
     """Verdicts of the bounded kernel search on two ambient-conjugate
-    instances, and how often it calls `accept`: once for the identity and
-    once for the state whose conjugate matches beta_x."""
+    instances, and how often it calls `accept`: once for the state whose
+    conjugate matches beta_x, and never for the identity. `_decide`
+    settles equal forms before the screens, so the search cannot match
+    with the identity and does not try it; it still counts it as a
+    state."""
 
     BUDGET = sb.Budget(5, 20000)
     OY = "s2 s2 s2 s2"
@@ -156,7 +187,7 @@ class TestKernelSearchPinned:
         v = decide(inst, self.BUDGET)
         assert v.to_json() == {"status": "Equivalent", "witness": "s2 s1 s1 s2 s2 S1 S1 s2 s2 s2"}
         verify(inst, v)
-        assert accept_calls == [2]
+        assert accept_calls == [1]
 
     @pytest.mark.parametrize("decide", [sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted])
     def test_search_multiplies_no_forms(self, decide, monkeypatch):
@@ -192,7 +223,7 @@ class TestKernelSearchPinned:
         inst = self.instance("S1 S1 S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1 s1 s1")
         v = decide(inst, self.BUDGET)
         assert v.to_json() == {"status": "Inconclusive", "budget": {"max_len": 5, "states": 66}}
-        assert accept_calls == [1]
+        assert accept_calls == [0]
 
     @pytest.mark.parametrize("decide", [sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted])
     def test_state_cap_counts_both_frontiers(self, decide, accept_calls):
@@ -202,7 +233,7 @@ class TestKernelSearchPinned:
         inst = self.instance("S1 S1 S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1 s1 s1")
         v = decide(inst, sb.Budget(5, 25))
         assert v.to_json() == {"status": "Inconclusive", "budget": {"max_len": 4, "states": 26}}
-        assert accept_calls == [1]
+        assert accept_calls == [0]
 
 
 def one_sided_search(inst, budget, accept):
@@ -490,9 +521,11 @@ class TestTwisted:
         verify(inst, v)
 
     def test_forms_built_only_for_the_search(self, monkeypatch):
-        """An instance the screens or the ambient test settle computes no
-        canonical form; one that reaches the kernel search normalizes the
-        lift and the two orbits once each, however often it accepts."""
+        """A twisted decision builds no canonical form of the lift
+        section(beta_A) or of the orbit words: it re-checks a witness on the
+        forms the orbit records hold. An instance the screens or the ambient
+        test settle computes no canonical form at all, and one that reaches
+        the kernel search normalizes only the witness it accepts."""
         from snbraid import decision
 
         computed = []
@@ -514,9 +547,25 @@ class TestTwisted:
         assert computed == []
         v = sb.sn_equivalent_twisted(searched, TestKernelSearchPinned.BUDGET)
         assert v.status == sb.EQUIVALENT
-        lift = sb.section(searched.n, searched.m, searched.beta_A).word
-        for word in (lift, searched.beta_ox, searched.beta_oy):
-            assert computed.count(word) == 1
+        assert computed == [v.witness]
+
+    def test_witnesses_solve_the_twisted_equation(self):
+        """Every Equivalent witness c of the twisted formulation, checked on
+        words without the orbit records: beta_ox = phi(c) * beta_oy * c^-1
+        with phi = phi_{beta_A} from `mixed.act`."""
+        rng = random.Random(46)
+        checked = twisted = 0
+        for inst in TestMeetInTheMiddle().instances(rng, 150):
+            v = sb.sn_equivalent_twisted(inst, sb.Budget(5, 20000))
+            if v.status != sb.EQUIVALENT:
+                continue
+            c = v.witness
+            assert sb.is_kernel(inst.n, inst.m, c)
+            rhs = sb.compose(sb.compose(sb.act(inst.beta_A, c, inst.m), inst.beta_oy), sb.invert(c))
+            assert sb.equal(inst.beta_ox, rhs)
+            checked += 1
+            twisted += bool(c.letters and inst.beta_A.letters)
+        assert checked >= 100 and twisted >= 40
 
 
 class TestFixedPointCase:
@@ -954,6 +1003,27 @@ class TestOrbitRecordsReused:
         assert 0 < calls["_summit"] <= len(forms)
         assert 0 < calls["_cycling_orbit"] <= len(forms)
         assert calls["linking_matrix"] == len(forms)
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_partition_acts_by_its_base_once(self, monkeypatch, seed):
+        """Every pair of a partition shares beta_A, so the Artin images
+        phi_{beta_A}(x_i) of the m = 1 kernel search are built once for all
+        of them."""
+        from snbraid import _free, decision
+
+        calls = []
+        artin = _free.artin
+
+        def counted(*args):
+            calls.append(args)
+            return artin(*args)
+
+        monkeypatch.setattr(_free, "artin", counted)
+        decision._free_letters.cache_clear()
+        beta_A, orbits = thirty_orbits(seed)
+        res = sb.partition_sn_classes(2, 1, beta_A, orbits)
+        assert len(res.classes) == 5 and res.unresolved == ()
+        assert len(calls) == 1
 
     def test_screens_compute_no_permutation(self, monkeypatch):
         """A mixed braid keeps the permutation its block check computed, and

@@ -64,6 +64,63 @@ class TestLinking:
             assert cycle_type(conj) == cycle_type(b)
 
 
+    def test_agrees_with_reference(self):
+        """The one-pass linking matrix against the reference below, on
+        seeded products of random mixed braids of up to 60 letters."""
+        rng = random.Random(48)
+        lengths = []
+        for _ in range(400):
+            n = rng.randint(0, 4)
+            m = rng.randint(1 if n else 2, 3)
+            limit = rng.randint(0, 60)
+            w = sb.BraidWord.identity(n + m)
+            while len((piece := random_mixed(rng, n, m).word).letters) + len(w.letters) <= limit:
+                w = sb.compose(w, piece)
+            b = sb.MixedBraid(n, m, w)
+            assert linking_matrix(b) == linking_matrix_reference(b)
+            lengths.append(len(w.letters))
+        assert max(lengths) > 45 and sum(length > 0 for length in lengths) > 300
+
+
+def linking_matrix_reference(b):
+    """The linking matrix as first written: a strand-to-cycle dict, a dict
+    of crossing counts keyed by the sorted cycle pair, and both tags of an
+    entry built and sorted per pair."""
+    word = b.word
+    total = word.strands
+    cycles = b.perm.cycles()
+    cycle_of = {}
+    for ci, cyc in enumerate(cycles):
+        for s in cyc:
+            cycle_of[s] = ci
+
+    counts = {}
+    occupant = list(range(1, total + 1))
+    for k in word.letters:
+        i = abs(k)
+        a, c = occupant[i - 1], occupant[i]
+        ca, cc = cycle_of[a], cycle_of[c]
+        if ca != cc:
+            key = (min(ca, cc), max(ca, cc))
+            counts[key] = counts.get(key, 0) + (1 if k > 0 else -1)
+        occupant[i - 1], occupant[i] = c, a
+
+    def tag(ci):
+        cyc = cycles[ci]
+        if cyc[0] <= b.n:
+            return ("A",) + tuple(sorted(cyc))
+        return ("o", len(cyc))
+
+    entries = []
+    for ci in range(len(cycles)):
+        for cj in range(ci + 1, len(cycles)):
+            signed = counts.get((ci, cj), 0)
+            assert signed % 2 == 0
+            t1, t2 = sorted([tag(ci), tag(cj)])
+            entries.append((t1, t2, signed // 2))
+    return tuple(sorted(entries))
+
+
 def laurent_identity(n):
     return [[{0: 1} if i == j else {} for j in range(n)] for i in range(n)]
 
