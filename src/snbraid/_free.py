@@ -54,16 +54,21 @@ def _images(letter: int) -> dict[int, Word]:
 
 
 def _act(letter: int, w: list[int]) -> list[int]:
-    """The reduced image of the reduced word w under one braid letter."""
+    """The reduced image of the reduced word w under one braid letter.
+
+    A letter the braid letter does not move is appended as it is, since it
+    cannot cancel: w is reduced, so it is not the inverse of the input
+    letter before it, and a run of moved letters, a nonempty reduced word
+    of the free factor on x_i and x_(i+1), has a nonempty reduced image
+    there, sigma_i being an automorphism of that factor. So `out` ends
+    with the previous input letter or with a moved generator, and only the
+    letters of an image cancel, within their run's image."""
     images = _images(letter)
     out: list[int] = []
     for k in w:
         image = images.get(k)
         if image is None:
-            if out and out[-1] == -k:
-                out.pop()
-            else:
-                out.append(k)
+            out.append(k)
             continue
         for y in image:
             if out and out[-1] == -y:

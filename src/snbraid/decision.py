@@ -469,7 +469,11 @@ def _decide(inst: SNInstance, budget: Budget) -> SNVerdict:
     Equal forms are equivalent with the identity as witness, and settle
     before any invariant or summit is computed. Every witness, the
     identity too, is re-verified by one `accept` on the records' forms,
-    c * beta_y * c^-1 = beta_x, which both formulations share."""
+    c * beta_y * c^-1 = beta_x, which both formulations share. For an
+    empty invariant set (n = 0) the kernel is the whole group, and the
+    ambient conjugator `garside._witness` multiplies out of the path is
+    the witness, through the same `accept`; should it refuse, the
+    decision goes on to the kernel search."""
     bx_cf, by_cf = inst._x.cf, inst._y.cf
 
     def accept(c: BraidWord, c_cf: CanonicalForm) -> bool:
@@ -497,8 +501,10 @@ def _decide(inst: SNInstance, budget: Budget) -> SNVerdict:
     if inst.n == 0:
         # Empty invariant set: the kernel is the whole group, so the ambient
         # conjugacy witness already certifies equivalence (Corollary-level
-        # degeneration to braid-type equality).
-        return SNVerdict(EQUIVALENT, witness=_witness(inst._x, inst._y, path))
+        # degeneration to braid-type equality), once `accept` re-verifies it.
+        witness = _witness(inst._x, inst._y, path)
+        if accept(witness, canonical_form(witness)):
+            return SNVerdict(EQUIVALENT, witness=witness)
 
     witness, report = _search_kernel_conjugator(inst, budget, accept)
     if witness is not None:

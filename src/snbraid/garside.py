@@ -25,9 +25,15 @@ those before it, so conjugating a long form by a short one costs about
 what the short one's factors travel. A cycling walk (`_cycling`) keeps one
 running factor list and makes one push per step, and builds a form only
 where it keeps one: `_summit` at the end of each pass, and
-`_cycling_orbit` for each element it records. The walk and `_product`
-have their own copies of the push loop: routing `_normalize` through a
-push helper shared with the walk made normal forms about 5 % slower.
+`_cycling_orbit` for each element it records. The right push is written
+once, `_push`, which `_normalize` calls once per normalization and
+`_product` once per operand right of its pivot, each passing in its rank
+tables. Two other push loops stay inline. The walk keeps a one-factor
+copy: its list holds true values, not tau^flips coordinates, and a
+one-factor helper shared with it, called once per factor and per
+cycling step, made normal forms about 5 % slower. The left push of
+`_product` is a different loop, which carries a factor rightward by the
+first domino rule.
 
 Conjugacy is decided through the ultra summit set (Gebhardt 2005). A
 representative reaches the super summit set in one cycling pass per side:
@@ -371,21 +377,59 @@ def _simples(n: int) -> _Simples:
     return _Simples(n)
 
 
+def _push(
+    out: list[int], factors: Iterable[int], t: int, count: int, delta: int, leftweight, tau
+) -> int:
+    """Push `factors` one at a time onto the right end of the left-weighted
+    list `out`, in place, and return t plus the Deltas the pushes made.
+
+    `out` holds tau^t of its factors' true values, and each factor is
+    written there in those coordinates, tau^t(f); a Delta a push makes is
+    deleted and counted in t, and the part of the list that push wrote is
+    re-twisted (see `_normalize`). Identity factors are skipped. `count`,
+    `delta`, `leftweight` and `tau` (a `__getitem__`) are the caller's
+    tables of `_Simples`, taken as arguments so that `_push` reads no
+    attribute; it is called once per normalization and once per right
+    operand of `_product`, not once per factor."""
+    for f in factors:
+        if not f:
+            continue
+        i = len(out)
+        out.append(tau(f) if t & 1 else f)
+        while i > 0:
+            a = out[i - 1]
+            x, y = leftweight[a * count + out[i]]
+            if x == a:
+                break
+            out[i] = y
+            if x == delta:
+                del out[i - 1]
+                t += 1
+                out[i - 1 :] = map(tau, out[i - 1 :])
+                break
+            out[i - 1] = x
+            i -= 1
+        if not out[-1]:
+            out.pop()
+    return t
+
+
 def _normalize(n: int, factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """Left-weight `factors`; return the power of Delta in the product and
     the remaining factors (no Delta, no id).
 
-    The factors are pushed one at a time onto a left-weighted list. A
-    push appends the factor and left-weights pairs from the right end
-    leftward, stopping at the first pair left-weighting leaves unchanged
-    (El-Rifai and Morton 1994). Left-weighting every pair from right to
-    left yields a left-weighted list, and stopping early gives the same
-    list: once a pair is unchanged, each pair further left still holds its
-    original, already left-weighted factors and would be unchanged too.
-    Only the pushed factor can be absorbed whole, so an identity factor
-    can only appear at the end, where it is dropped. The left normal form
-    is unique, so this equals what sweeping all pairs to a fixpoint gives,
-    at a fraction of the left-weighting lookups.
+    The factors are pushed one at a time onto a left-weighted list, by one
+    `_push` onto an empty list. A push appends the factor and left-weights
+    pairs from the right end leftward, stopping at the first pair
+    left-weighting leaves unchanged (El-Rifai and Morton 1994).
+    Left-weighting every pair from right to left yields a left-weighted
+    list, and stopping early gives the same list: once a pair is
+    unchanged, each pair further left still holds its original, already
+    left-weighted factors and would be unchanged too. Only the pushed
+    factor can be absorbed whole, so an identity factor can only appear at
+    the end, where it is dropped. The left normal form is unique, so this
+    equals what sweeping all pairs to a fixpoint gives, at a fraction of
+    the left-weighting lookups.
 
     A push that turns a factor into Delta ends there: a Delta = Delta tau(a)
     (Epstein et al., Word Processing in Groups, ch. 9), so the Delta is
@@ -400,30 +444,9 @@ def _normalize(n: int, factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     counted with the rest. Factors are ranks (see `_Simples`), so the
     identity is 0."""
     simples = _simples(n)
-    count, delta, leftweight = simples.count, simples.delta, simples.leftweight
-    tau = simples.tau.__getitem__
+    delta, tau = simples.delta, simples.tau.__getitem__
     out: list[int] = []
-    flips = 0
-    for f in factors:
-        if not f:
-            continue
-        i = len(out)
-        out.append(tau(f) if flips & 1 else f)
-        while i > 0:
-            a = out[i - 1]
-            x, y = leftweight[a * count + out[i]]
-            if x == a:
-                break
-            out[i] = y
-            if x == delta:
-                del out[i - 1]
-                flips += 1
-                out[i - 1 :] = map(tau, out[i - 1 :])
-                break
-            out[i - 1] = x
-            i -= 1
-        if not out[-1]:
-            out.pop()
+    flips = _push(out, factors, 0, simples.count, delta, simples.leftweight, tau)
     if flips & 1:
         out = list(map(tau, out))
     lo = 0
@@ -530,11 +553,12 @@ def _product(*forms: CanonicalForm) -> CanonicalForm:
     factor by tau^u, u those of the forms after it up to the pivot. The
     Delta^t left at the right end moves to the front too, so the list holds
     tau^t of the product's factors, and one tau pass at the end undoes an
-    odd t. A right push is the push of `_normalize`, a Delta it makes
-    counted in t. A left push of c onto A_1 ... A_k left-weights (c, A_1)
-    into (x_1, y_1), then (y_1, A_2) into (x_2, y_2), and so on, writing
-    each x_i over A_i, until a pair is left unchanged, where the carry is
-    inserted, or the carry becomes the identity. This is the first domino
+    odd t. The right pushes are `_push`, one call per operand with t
+    passed in, a Delta they make counted in t. A left push of c onto
+    A_1 ... A_k left-weights (c, A_1) into (x_1, y_1), then (y_1, A_2)
+    into (x_2, y_2), and so on, writing each x_i over A_i, until a pair is
+    left unchanged, where the carry is inserted, or the carry becomes the
+    identity. This is the first domino
     rule (Dehornoy et al., Foundations of Garside Theory, 2015): if
     (A_1, A_2) is left-weighted and so are c A_1 = x_1 y_1 and
     y_1 A_2 = x_2 y_2, then so is (x_1, x_2); so the x_i are left-weighted
@@ -544,11 +568,16 @@ def _product(*forms: CanonicalForm) -> CanonicalForm:
     only x_1 can be Delta: it is dropped and counted in u, and the left
     factors still to come pass it, a tau more.
 
-    Both push loops are inlined. On the 9265 kernel-search products of the
-    seed-5 sn-ambient benchmark corpus, `_normalize` for the right pushes
-    plus a one-factor left-push helper took 1.38 times as long as this, and
-    one `_normalize` pushing every factor but the first operand's 1.77
-    times (medians of 31 interleaved passes, 2-vCPU guest, Python 3.11)."""
+    The right push goes through `_push` once per operand, with the tables
+    read here passed in, and the left push is inlined. On the 9265
+    kernel-search products of the seed-5 sn-ambient benchmark corpus,
+    `_normalize` for the right pushes plus a one-factor left-push helper
+    took 1.38 times as long as both loops inlined, and one `_normalize`
+    pushing every factor but the first operand's 1.77 times (medians of 31
+    interleaved passes, 2-vCPU guest, Python 3.11). Calling `_push` once
+    per operand instead of inlining it took 0.998-1.015 times as long on
+    normal forms, conjugacy tests and decisions (medians of 100
+    interleaved passes, same guest)."""
     pivot, longest = 0, -1
     for i, form in enumerate(forms):
         if len(form.factors) > longest:
@@ -564,25 +593,7 @@ def _product(*forms: CanonicalForm) -> CanonicalForm:
     for form in forms[pivot + 1 :]:
         if form.strands != n:
             raise StrandMismatchError("strand counts differ")
-        t += form.delta_power
-        for f in form.factors:
-            i = len(out)
-            out.append(tau(f) if t & 1 else f)
-            while i > 0:
-                a = out[i - 1]
-                x, y = leftweight[a * count + out[i]]
-                if x == a:
-                    break
-                out[i] = y
-                if x == delta:
-                    del out[i - 1]
-                    t += 1
-                    out[i - 1 :] = map(tau, out[i - 1 :])
-                    break
-                out[i - 1] = x
-                i -= 1
-            if not out[-1]:
-                out.pop()
+        t = _push(out, form.factors, t + form.delta_power, count, delta, leftweight, tau)
     u = forms[pivot].delta_power
     for form in reversed(forms[:pivot]):
         if form.strands != n:
@@ -699,11 +710,14 @@ def _cycling(v: CanonicalForm) -> Iterator[tuple[int, list[int], int]]:
 
     A step takes the first factor off, twisted by tau when the Delta power
     is odd (Delta^p A_1 = tau^p(A_1) Delta^p), and pushes it onto the end:
-    the left-weighted push of `_normalize`, for one factor. If the push
-    makes a Delta, the Delta is dropped and counted, and only the factors in
-    front of it change, by tau; the ones behind it were just written in
-    true values and stay, since `_normalize`'s re-twist of them and its
-    final tau pass would cancel."""
+    the left-weighted push of `_push`, for one factor, in a copy of its
+    own. If the push makes a Delta, the Delta is dropped and counted, and
+    only the factors in front of it change, by tau; the ones behind it
+    were just written in true values and stay, since `_push`'s re-twist of
+    them and `_normalize`'s final tau pass would cancel. The list is kept
+    in true values, not in `_push`'s tau^t coordinates, so that each
+    step yields the element itself; and a call per step is what made a
+    shared one-factor push about 5 % slower."""
     simples = _simples(v.strands)
     count, delta, leftweight = simples.count, simples.delta, simples.leftweight
     tau = simples.tau.__getitem__

@@ -657,6 +657,13 @@ class TestConsolePins:
                 id="nf-6-strands-200-letters",
             ),
             pytest.param(
+                # On 2 strands every letter's factor is Delta or the
+                # identity, inputs that only `_normalize` pushes.
+                ["nf", "-n", "2", "s1 S1 S1 s1 s1 s1"],
+                {"n": 2, "delta_power": 2, "factors": []},
+                id="nf-2-strands",
+            ),
+            pytest.param(
                 [
                     "conj", "-n", "6",
                     "S1 S3 s4 s5 S4 s3 S4 S4 s3 s1 S5 S4 s3 s1",

@@ -412,6 +412,40 @@ class TestFreeKernelStates:
         for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
             assert decide(make()).to_json() == pinned
 
+    def test_base_past_the_bound_falls_back_to_garside_states(self, monkeypatch):
+        """Under beta_A = (s1 S2)^5 on 3 strands the images phi(x_i) have
+        177, 67 and 111 letters against a bound of 88, so `_free_letters`
+        gives None although both orbits have short free words, and the
+        search runs on Garside states, with the output they give."""
+        from snbraid import decision
+
+        beta_A = sb.BraidWord(3, (1, -2) * 5)
+        a1, a2, a3 = sb.kernel_generators(3, 1)
+        c = sb.compose(sb.compose(a1, sb.invert(a2)), a3)
+        ox = conjugated_kernel_part(3, 1, beta_A, a1, c)
+
+        def make():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return sb.SNInstance(3, 1, beta_A, ox, a1)
+
+        assert decision._free_letters(3, beta_A.letters) is None
+        pinned = [
+            (sb.Budget(2, 100),
+             {"status": "Inconclusive", "budget": {"max_len": 2, "states": 13}}),
+            (sb.Budget(3, 30), {"status": "Equivalent", "witness": "s3 s2 s1 s1 S2 S2 S2 s3"}),
+        ]
+        for budget, doc in pinned:
+            for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
+                inst = make()
+                assert decide(inst, budget).to_json() == doc
+                assert inst._x.free is not None and inst._y.free == (1,)
+                assert inst._free_search is None
+        monkeypatch.setattr(sb.SNInstance, "_free_search", None)
+        for budget, doc in pinned:
+            for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
+                assert decide(make(), budget).to_json() == doc
+
 
 class TestBurauSubsumedByAmbientConjugacy:
     """The Burau characteristic polynomial is a conjugacy invariant of the
@@ -647,6 +681,22 @@ class TestEmptyInvariantSet:
                     equivalent += 1
                     assert v.witness == sb.braid_type_equal(a, b).witness
         assert equivalent > 0
+
+    def test_ambient_witness_passes_through_accept(self, monkeypatch):
+        """The ambient witness is re-verified like every other: one that
+        does not conjugate beta_y to beta_x is refused, and the kernel
+        search, over the whole group here, finds one that does."""
+        from snbraid import decision
+
+        monkeypatch.setattr(decision, "_witness", lambda a, b, path: sb.BraidWord.identity(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            s1, s2 = sb.BraidWord(3, (1,)), sb.BraidWord(3, (2,))
+            inst = sb.SNInstance(0, 3, sb.BraidWord(0, ()), s1, s2)
+        for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
+            v = decide(inst)
+            verify(inst, v)
+            assert v.witness.letters
 
 
 def seeded_instances(seed, count):

@@ -70,12 +70,22 @@ class TestKernelToFree:
         """phi_beta(gamma) = beta^-1 gamma beta, read in F_n, is the Artin
         action of beta on gamma's free word."""
         rng = random.Random(5)
+        words = random.Random(15)
         for _ in range(60):
             n = rng.randint(1, 4)
             beta = random_word(rng, n, 6)
             gamma = random_kernel_word(rng, n, 1, rng.randint(0, 4))
             images = _free.artin(n, beta.letters, UNBOUNDED)
             assert to_free(n, sb.act(beta, gamma, 1)) == substitute(images, to_free(n, gamma))
+            # One braid letter acts as the reduction of its letterwise
+            # images, on gamma's word and on a seeded reduced word, whose
+            # unmoved letters `_act` appends without a cancellation check.
+            w = reduce(words.choice((1, -1)) * words.randint(1, n)
+                       for _ in range(words.randint(0, 12)))
+            for v in (to_free(n, gamma), w):
+                for letter in beta.letters:
+                    image = substitute(_free.artin(n, (letter,), UNBOUNDED), v)
+                    assert tuple(_free._act(letter, list(v))) == image
 
     def test_agrees_with_the_action_on_the_orbit_loop(self):
         """An independent reading of a kernel element k of B_{n,1}: under

@@ -85,6 +85,11 @@ class TestCanonicalForm:
             a.mul(b)
         with pytest.raises(sb.StrandMismatchError):
             garside._product(a, a, b)
+        # A shorter left operand on other strands than the pivot.
+        long = canonical_form(sb.BraidWord(3, (1, -2, 1, -2)))
+        assert len(long.factors) > len(b.factors)
+        with pytest.raises(sb.StrandMismatchError):
+            garside._product(b, long)
 
     def test_named_tuple_semantics(self):
         """Immutable fields, and equality and hashing by value."""
@@ -265,6 +270,59 @@ class TestProduct:
             return calls
 
         assert lookups(80) <= 1.25 * lookups(10)
+
+
+class TestOneRightPush:
+    """The right push is written once, `garside._push`: a normalization
+    calls it once, `_product` once per operand right of its pivot, and a
+    cycling walk, which keeps its own one-factor copy, never."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        push = garside._push
+
+        def counted(*args):
+            calls.append(args[1])
+            return push(*args)
+
+        monkeypatch.setattr(garside, "_push", counted)
+        return calls
+
+    def test_once_per_canonical_form(self, calls):
+        rng = random.Random(41)
+        for i in range(1, 41):
+            canonical_form(random_word(rng, rng.randint(2, 6), 20))
+            assert len(calls) == i
+
+    def test_once_per_right_operand(self, calls):
+        _, alphabet = decision._kernel_alphabet(2, 1)
+        for seed in range(4):
+            x = long_form(random.Random(seed), 3, 8)
+            for _, g, g_inv in alphabet:
+                calls.clear()
+                middle = garside._product(g, x, g_inv)
+                assert calls == [g_inv.factors]
+                calls.clear()
+                first = garside._product(x, g, g_inv)
+                assert calls == [g.factors, g_inv.factors]
+                assert middle == word_product([g, x, g_inv])
+                assert first == word_product([x, g, g_inv])
+
+    def test_none_from_a_cycling_walk(self, calls):
+        rng = random.Random(43)
+        walked = 0
+        for _ in range(20):
+            cf = canonical_form(random_word(rng, rng.randint(3, 5), 16))
+            calls.clear()
+            v, _ = garside._summit(cf)
+            orbit, _, _ = garside._cycling_orbit(v)
+            walk = garside._cycling(cf)
+            for _ in range(10):
+                next(walk)
+            assert calls == []
+            walked += len(orbit) > 1
+        assert walked > 0
 
 
 # The reference sweeps left-weight the same pairs of permutations many times.
