@@ -22,18 +22,16 @@ number of forms is one pass (`_product`): it keeps the left-weighted
 factors of its longest operand in place and pushes those of the others
 onto them, from the right for the operands after it and from the left for
 those before it, so conjugating a long form by a short one costs about
-what the short one's factors travel. A cycling walk (`_cycling`) keeps one
-running factor list and makes one push per step, and builds a form only
-where it keeps one: `_summit` at the end of each pass, and
-`_cycling_orbit` for each element it records. The right push is written
-once, `_push`, which `_normalize` calls once per normalization and
-`_product` once per operand right of its pivot, each passing in its rank
-tables. Two other push loops stay inline. The walk keeps a one-factor
-copy: its list holds true values, not tau^flips coordinates, and a
-one-factor helper shared with it, called once per factor and per
-cycling step, made normal forms about 5 % slower. The left push of
-`_product` is a different loop, which carries a factor rightward by the
-first domino rule.
+what the short one's factors travel. A cycling walk keeps one running
+factor list and makes one push per step, and builds a form only where it
+keeps one: `_summit` at the end of each pass, and `_cycling_orbit` for
+each element it records. The right push is written once, `_push`:
+`_normalize` calls it once per normalization, `_product` once per
+operand right of its pivot, and a walk once per step, with the step's one
+factor, each passing in its rank tables. A walk's list holds true values,
+so a push that makes a Delta is followed by one tau pass over the list.
+The left push of `_product` is a different loop, inline, which carries a
+factor rightward by the first domino rule.
 
 Conjugacy is decided through the ultra summit set (Gebhardt 2005). A
 representative reaches the super summit set in one cycling pass per side:
@@ -100,7 +98,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .words import (
     BraidWord,
@@ -389,8 +387,11 @@ def _push(
     re-twisted (see `_normalize`). Identity factors are skipped. `count`,
     `delta`, `leftweight` and `tau` (a `__getitem__`) are the caller's
     tables of `_Simples`, taken as arguments so that `_push` reads no
-    attribute; it is called once per normalization and once per right
-    operand of `_product`, not once per factor."""
+    attribute. It is called once per normalization, once per right
+    operand of `_product` and once per cycling step that has factors, not
+    once per factor of a normalization. A cycling step, which pushes one
+    factor and starts at t = 0, returns 1 exactly when its push made a
+    Delta."""
     for f in factors:
         if not f:
             continue
@@ -700,55 +701,6 @@ class ConjugacyResult:
 MAX_CLOSURE_STRANDS = 8
 
 
-def _cycling(v: CanonicalForm) -> Iterator[tuple[int, list[int], int]]:
-    """Cycle v without end, on one running factor list. After each step,
-    yield the Delta power, the factor list and the simple conjugator s of
-    the step, so that the element is s^-1 v s for v the one before it; the
-    list is the running one, which the next step changes in place, so a
-    caller that keeps an element copies it. A Delta power with no factors
-    is its own cycle, by the identity.
-
-    A step takes the first factor off, twisted by tau when the Delta power
-    is odd (Delta^p A_1 = tau^p(A_1) Delta^p), and pushes it onto the end:
-    the left-weighted push of `_push`, for one factor, in a copy of its
-    own. If the push makes a Delta, the Delta is dropped and counted, and
-    only the factors in front of it change, by tau; the ones behind it
-    were just written in true values and stay, since `_push`'s re-twist of
-    them and `_normalize`'s final tau pass would cancel. The list is kept
-    in true values, not in `_push`'s tau^t coordinates, so that each
-    step yields the element itself; and a call per step is what made a
-    shared one-factor push about 5 % slower."""
-    simples = _simples(v.strands)
-    count, delta, leftweight = simples.count, simples.delta, simples.leftweight
-    tau = simples.tau.__getitem__
-    p, out = v.delta_power, list(v.factors)
-    while True:
-        if not out:
-            yield p, out, 0
-            continue
-        s = out.pop(0)
-        if p & 1:
-            s = tau(s)
-        i = len(out)
-        out.append(s)
-        while i > 0:
-            a = out[i - 1]
-            x, y = leftweight[a * count + out[i]]
-            if x == a:
-                break
-            out[i] = y
-            if x == delta:
-                del out[i - 1]
-                p += 1
-                out[: i - 1] = map(tau, out[: i - 1])
-                break
-            out[i - 1] = x
-            i -= 1
-        if not out[-1]:
-            out.pop()
-        yield p, out, s
-
-
 def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, list[int]]:
     """Bring cf into its super summit set by cycling alone; returns the
     summit element v and the simple factors s_1, ..., s_k of a conjugator
@@ -763,20 +715,32 @@ def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, list[int]]:
     minimal, and as cycling never raises sup(v^-1) = -inf(v), the infimum
     stays maximal. A second round could therefore improve nothing. The
     conjugators accumulate alike on both sides: s^-1 v^-1 s is the inverse
-    of s^-1 v s. A pass walks one running factor list (`_cycling`), one
-    push per step, and builds a canonical form only at its end."""
+    of s^-1 v s.
+
+    A pass walks one running factor list in true values. A step takes the
+    first factor off, twisted by tau when the Delta power is odd
+    (Delta^p A_1 = tau^p(A_1) Delta^p), and pushes it onto the end with one
+    `_push` call. A push that makes a Delta raises the infimum; `_push`
+    then returns 1 and leaves its list in tau coordinates, so one tau pass
+    brings it back to true values. A canonical form is built only at the
+    end of the pass."""
     n = cf.strands
     bound = max(1, n * (n - 1) // 2)
+    simples = _simples(n)
+    count, delta, leftweight = simples.count, simples.delta, simples.leftweight
+    tau = simples.tau.__getitem__
     v, g = cf, []
     for _ in range(2):
         if v.factors:
-            stale, inf = 0, v.inf
-            for p, out, s in _cycling(v):
+            p, out, stale = v.delta_power, list(v.factors), 0
+            while out and stale < bound:
+                s = out.pop(0)
+                if p & 1:
+                    s = tau(s)
                 g.append(s)
-                stale = 0 if p > inf else stale + 1
-                inf = p
-                if stale >= bound or not out:
-                    break
+                stale += 1
+                if _push(out, (s,), 0, count, delta, leftweight, tau):
+                    p, out, stale = p + 1, list(map(tau, out)), 0
             v = CanonicalForm(n, p, tuple(out))
         v = v.inv()
     return v, g
@@ -789,16 +753,26 @@ def _cycling_orbit(
     simple conjugator s_i of each step (orbit[i + 1] =
     s_i^-1 orbit[i] s_i) and the index where the circuit starts; v lies on
     its own circuit, that is in its ultra summit set, iff that index is 0.
-    The walk runs on one running factor list (`_cycling`), one push per
-    step, and builds the canonical form of each element only to record it,
-    or to find the repeat among those recorded."""
+    The walk steps one running factor list as `_summit` does, one `_push`
+    call per step, and builds the canonical form of each element only to
+    record it, or to find the repeat among those recorded. A Delta power
+    with no factors is its own cycle, by the identity."""
     n = v.strands
+    simples = _simples(n)
+    count, delta, leftweight = simples.count, simples.delta, simples.leftweight
+    tau = simples.tau.__getitem__
+    p, out = v.delta_power, list(v.factors)
     orbit = [v]
     steps: list[int] = []
     seen = {v: 0}
-    walk = _cycling(v)
     while True:
-        p, out, s = next(walk)
+        s = 0
+        if out:
+            s = out.pop(0)
+            if p & 1:
+                s = tau(s)
+            if _push(out, (s,), 0, count, delta, leftweight, tau):
+                p, out = p + 1, list(map(tau, out))
         steps.append(s)
         w = CanonicalForm(n, p, tuple(out))
         if w in seen:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .garside import equal
+from .garside import CanonicalForm, canonical_form
 from .words import (
     BraidWord,
     PermutationTable,
@@ -144,10 +144,7 @@ def is_kernel(n: int, m: int, w: BraidWord) -> bool:
     perm = permutation(w)
     if any(perm(i) != i for i in range(1, n + 1)):
         return False
-    if n == 0:
-        return True
-    projected = _delete_started_after(w, n)
-    return equal(projected, BraidWord.identity(n))
+    return canonical_form(_delete_started_after(w, n)) == CanonicalForm(n, 0, ())
 
 
 def ensure_kernel(n: int, m: int, w: BraidWord) -> BraidWord:

@@ -664,6 +664,20 @@ class TestConsolePins:
                 id="nf-2-strands",
             ),
             pytest.param(
+                # The second form's Delta power is odd: its summit walk
+                # twists the factors it moves and absorbs a Delta.
+                [
+                    "conj", "-n", "5",
+                    "S4 S4 S2 s3 s1 s1",
+                    "s2 S4 s1 s2 S4 S4 S2 s3 s1 s1 S2 S1 s4 S2",
+                ],
+                {
+                    "conjugate": True,
+                    "witness": "s1 s2 s3 s2 s1 s4 s3 s2 s2 s1 s3 s4 s3 s1 s2 s3 s2 s4",
+                },
+                id="conj-5-strands",
+            ),
+            pytest.param(
                 [
                     "conj", "-n", "6",
                     "S1 S3 s4 s5 S4 s3 S4 S4 s3 s1 S5 S4 s3 s1",

@@ -275,7 +275,7 @@ class TestProduct:
 class TestOneRightPush:
     """The right push is written once, `garside._push`: a normalization
     calls it once, `_product` once per operand right of its pivot, and a
-    cycling walk, which keeps its own one-factor copy, never."""
+    cycling walk once per step that has factors, with that step's factor."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -309,18 +309,18 @@ class TestOneRightPush:
                 assert middle == word_product([g, x, g_inv])
                 assert first == word_product([x, g, g_inv])
 
-    def test_none_from_a_cycling_walk(self, calls):
+    def test_once_per_cycling_step(self, calls):
         rng = random.Random(43)
         walked = 0
         for _ in range(20):
             cf = canonical_form(random_word(rng, rng.randint(3, 5), 16))
             calls.clear()
-            v, _ = garside._summit(cf)
-            orbit, _, _ = garside._cycling_orbit(v)
-            walk = garside._cycling(cf)
-            for _ in range(10):
-                next(walk)
-            assert calls == []
+            v, g = garside._summit(cf)
+            assert calls == [(s,) for s in g]
+            calls.clear()
+            orbit, steps, _ = garside._cycling_orbit(v)
+            # A step with no factors has the identity conjugator, 0.
+            assert calls == [(s,) for s in steps if s]
             walked += len(orbit) > 1
         assert walked > 0
 
@@ -1073,6 +1073,33 @@ class TestRunningCycling:
         # Some step absorbs a Delta with factors in front of it, so the
         # tau-twist of the front is exercised.
         assert inner_absorptions > 0
+
+    def test_push_that_travels_before_a_delta(self, monkeypatch):
+        """A step whose push moves a pair left and then makes a Delta
+        further left leaves factors on both sides of the Delta: those the
+        push wrote behind it, which `_push` re-twists, and those in front,
+        which it does not. The walk then twists its whole list back to true
+        values."""
+        push = garside._push
+        travelled = 0
+
+        def counted(out, factors, t, count, delta, leftweight, tau):
+            nonlocal travelled
+            k, table = len(out), CountedLookups(leftweight)
+            made = push(out, factors, t, count, delta, table, tau)
+            # The last lookup made the Delta and each before it moved a
+            # pair left; fewer than k lookups leave a factor in front. A
+            # normalization pushes onto an empty list, so only a walk's
+            # steps count here.
+            travelled += made == 1 and 2 <= table.count < k
+            return made
+
+        monkeypatch.setattr(garside, "_push", counted)
+        rng = random.Random(29)
+        for n in range(3, 8):
+            for _ in range(20):
+                self.check(canonical_form(random_word(rng, n, 6 * n)))
+        assert travelled > 0
 
     @pytest.mark.parametrize("power", [-3, 1, 2])
     def test_delta_powers(self, power):

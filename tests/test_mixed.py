@@ -120,6 +120,28 @@ class TestKernel:
         # fixes the base block pointwise, but projects to sigma_1^2
         assert not sb.is_kernel(2, 1, sb.BraidWord(3, (1, 1)))
 
+    def test_one_normalization(self, monkeypatch):
+        """The projected word is normalized once and compared with the
+        identity's form, which needs no normalization of its own."""
+        calls = []
+        normalize = sb.garside._normalize
+
+        def counted(n, factors):
+            calls.append(n)
+            return normalize(n, factors)
+
+        monkeypatch.setattr(sb.garside, "_normalize", counted)
+        rng = random.Random(25)
+        for n in range(2, 5):
+            for m in range(1, 3):
+                w = random_kernel_word(rng, n, m, 6)
+                calls.clear()
+                assert sb.is_kernel(n, m, w)
+                assert calls == [n]
+        calls.clear()
+        assert not sb.is_kernel(2, 1, sb.BraidWord(3, (1, 1)))
+        assert calls == [2]
+
     @pytest.mark.parametrize("n,m", [(2, -1), (-1, 2)])
     def test_negative_block_size(self, n, m):
         # n + m strands exist, but a negative block has no kernel.
