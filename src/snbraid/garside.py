@@ -24,7 +24,7 @@ onto them, from the right for the operands after it and from the left for
 those before it, so conjugating a long form by a short one costs about
 what the short one's factors travel. A cycling walk keeps one running
 factor list and makes one push per step, and builds a form only where it
-keeps one: `_summit` at the end of each pass, and `_cycling_orbit` for
+keeps one: `_summit` where each pass ends, and `_cycling_orbit` for
 each element it records. The right push is written once, `_push`:
 `_normalize` calls it once per normalization, `_product` once per
 operand right of its pivot, and a walk once per step, with the step's one
@@ -34,26 +34,33 @@ The left push of `_product` is a different loop, inline, which carries a
 factor rightward by the first domino rule.
 
 Conjugacy is decided through the ultra summit set (Gebhardt 2005). A
-representative reaches the super summit set in one cycling pass per side:
-cycling it makes its infimum maximal, and cycling its inverse decycles it,
-making its supremum minimal without lowering the infimum, so no second
-round is needed (see `_summit`). Both cycling orbits are then walked onto a
-circuit. Most conjugate pairs meet there: b's circuit element, or its
-tau-image, lies on a's circuit, and the walk gives the conjugator. Only
-pairs that do not meet go on to the closure, where a's ultra summit set is
-closed under conjugation by simple elements, keeping only elements with the
-summit infimum/supremum that lie on their own cycling circuit. It
-conjugates by rank, each s^-1 v s in one normalization (see `_conjugate`),
-and its strand limit, MAX_CLOSURE_STRANDS, bounds the time of the n! - 1
-conjugations per element and applies to those pairs alone. Every cycling
-walk ends without a step bound: cycling never lowers the infimum nor
-raises the supremum, and a conjugacy class has finitely many elements
-between given bounds (from a super summit element, at most the size of the
-super summit set). Two braids are conjugate iff their ultra summit sets
-intersect. Every walk records its conjugator as a list of simple factors:
-the meet and the closure return only the path from the start of a's
-circuit, and only `_witness` joins each side's lists and normalizes them
-once, when they become the witness.
+representative reaches the super summit set in at most one cycling pass
+per side: cycling it makes its infimum maximal, and cycling its inverse
+decycles it, making its supremum minimal without lowering the infimum, so
+no second round is needed. A pass ends after n(n-1)/2 steps in a row that
+leave the infimum unchanged, or at the first rigid element, which is
+already in the ultra summit set: cycling a rigid element only rotates its
+factors, and its inverse is rigid too (Birman, Gebhardt and
+Gonzalez-Meneses, Conjugacy in Garside groups I: cyclings, powers and
+rigidity, Groups Geom. Dyn. 1 (2007); see `_summit`). a's summit element
+is then walked onto its circuit. Most conjugate pairs meet there: b's
+summit element, or its tau-image, lies on a's circuit, the walk gives the
+conjugator and b's circuit is never walked. Otherwise b's summit element
+is walked onto its circuit, and the circuit's start is looked for on a's
+circuit too. Only pairs that do not meet go on to the closure, where a's
+ultra summit set is closed under conjugation by simple elements, keeping
+only elements with the summit infimum/supremum that lie on their own
+cycling circuit. It conjugates by rank, each s^-1 v s in one normalization
+(see `_conjugate`), and its strand limit, MAX_CLOSURE_STRANDS, bounds the
+time of the n! - 1 conjugations per element and applies to those pairs
+alone. Every cycling walk ends without a step bound: cycling never
+lowers the infimum nor raises the supremum, and a conjugacy class has
+finitely many elements between given bounds (from a super summit element,
+at most the size of the super summit set). Two braids are conjugate iff
+their ultra summit sets intersect. Every walk records its conjugator as a
+list of simple factors: the meet and the closure return only the path from
+the start of a's circuit, and only `_witness` joins each side's lists and
+normalizes them once, when they become the witness.
 
 The decision has two stages. The summit and circuit walks depend on one
 braid only, and a per-braid record (`_ConjugacyRecord`) holds each as a
@@ -717,26 +724,43 @@ def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, list[int]]:
     conjugators accumulate alike on both sides: s^-1 v^-1 s is the inverse
     of s^-1 v s.
 
+    Both passes stop at the first rigid element, one whose pair
+    (A_k, tau^p(A_1)) is left-weighted, and return it with the conjugator
+    so far, inverted back when it is met on the inverse side. Cycling a
+    rigid element only rotates its factors, to Delta^p A_2 ... A_k
+    tau^p(A_1), which is rigid again, so its infimum never rises and is
+    maximal; its inverse is rigid too, so its supremum is minimal; and it
+    lies on its own circuit, so it is in the ultra summit set (Birman,
+    Gebhardt and Gonzalez-Meneses, Conjugacy in Garside groups I:
+    cyclings, powers and rigidity, Groups Geom. Dyn. 1 (2007)). A rigid
+    element thus needs none of the n(n-1)/2 confirmation steps nor the
+    decycling pass. The test is one left-weighting lookup, the one the
+    step's push makes first when there are two factors or more.
+
     A pass walks one running factor list in true values. A step takes the
     first factor off, twisted by tau when the Delta power is odd
     (Delta^p A_1 = tau^p(A_1) Delta^p), and pushes it onto the end with one
     `_push` call. A push that makes a Delta raises the infimum; `_push`
     then returns 1 and leaves its list in tau coordinates, so one tau pass
-    brings it back to true values. A canonical form is built only at the
-    end of the pass."""
+    brings it back to true values. A canonical form is built only where
+    the pass ends."""
     n = cf.strands
     bound = max(1, n * (n - 1) // 2)
     simples = _simples(n)
     count, delta, leftweight = simples.count, simples.delta, simples.leftweight
     tau = simples.tau.__getitem__
     v, g = cf, []
-    for _ in range(2):
+    for side in range(2):
         if v.factors:
             p, out, stale = v.delta_power, list(v.factors), 0
             while out and stale < bound:
-                s = out.pop(0)
+                s = out[0]
                 if p & 1:
                     s = tau(s)
+                if leftweight[out[-1] * count + s][0] == out[-1]:
+                    v = CanonicalForm(n, p, tuple(out))
+                    return (v.inv() if side else v), g
+                del out[0]
                 g.append(s)
                 stale += 1
                 if _push(out, (s,), 0, count, delta, leftweight, tau):
@@ -790,7 +814,10 @@ class _ConjugacyRecord:
     of each of its steps and the factors of the steps from v to the
     circuit's start (`_cycling_orbit`). A record whose pairs are all
     settled before a walk never runs it. `_conjugacy` meets two records,
-    and `_witness` multiplies out the conjugator of a pair they meet on."""
+    and `_witness` multiplies out the conjugator of a pair they meet on.
+    The second record's circuit may never be walked: when its summit
+    element, or that element's tau-image, lies on the first record's
+    circuit, the pair meets there without it."""
 
     def __init__(self, cf: CanonicalForm):
         self.cf = cf
@@ -810,26 +837,31 @@ def _conjugacy(a: _ConjugacyRecord, b: _ConjugacyRecord) -> list[int] | None:
     on the same strand count; a complete decision of whether a.cf and b.cf
     are conjugate. Returns None when they are not, and otherwise the simple
     factors of the path from the start of a's cycling circuit to b's
-    circuit element, from which `_witness` multiplies out a conjugator.
+    element: b's summit element v_b when the pair meets on it, else the
+    start of b's circuit. `_witness` multiplies a conjugator out of it.
 
     Equal forms are conjugate, with the empty path, and no walk runs.
     Otherwise the summits must share infimum and supremum, and only then
-    are the circuits walked: if b's circuit element or its tau-image lies
-    on a's circuit, a's walk already holds the path (`_circuit_meet`); if
-    not, the ultra summit set of a is closed under simple-element
-    conjugation until it reaches b's element (`_closure_search`).
-    Raises ValueError when the closure search is needed on more than
-    MAX_CLOSURE_STRANDS strands."""
+    is a's circuit walked. If v_b or its tau-image lies on a's circuit,
+    a's walk already holds the path (`_circuit_meet`), and b's circuit is
+    not walked: v_b is then on a circuit, its own, which starts at v_b, so
+    the path is the one b's circuit start would give. On a miss b's
+    circuit is walked, and its start, when it is not v_b, is looked for
+    on a's circuit too; if neither meets, the ultra summit set of a is
+    closed under simple-element conjugation until it reaches b's circuit
+    start (`_closure_search`). Raises ValueError when the closure search
+    is needed on more than MAX_CLOSURE_STRANDS strands."""
     if a.cf == b.cf:
         return []
     va, vb = a.summit[0], b.summit[0]
     if (va.inf, va.sup) != (vb.inf, vb.sup):
         return None
     circuit, steps, _ = a.circuit
-    target = b.circuit[0][0]
-    path = _circuit_meet(circuit, steps, target)
+    path = _circuit_meet(circuit, steps, vb)
+    if path is None and b.circuit[2]:
+        path = _circuit_meet(circuit, steps, b.circuit[0][0])
     if path is None:
-        path = _closure_search(circuit[0], target)
+        path = _closure_search(circuit[0], b.circuit[0][0])
     return path
 
 
@@ -837,12 +869,17 @@ def _witness(a: _ConjugacyRecord, b: _ConjugacyRecord, path: list[int]) -> Braid
     """A conjugator c with c * b.cf * c^-1 = a.cf, from the path
     `_conjugacy(a, b)` returned: the identity for equal forms, and
     otherwise h * g^-1, free-reduced, where h joins a's summit and circuit
-    walks with the path and g joins b's, each list normalized once."""
+    walks with the path and g joins b's, each list normalized once. When
+    b's circuit was never walked, the pair met on b's summit element, so
+    g is b's summit walk alone; when it was, its steps to the circuit's
+    start are joined, and they are none if the pair met on v_b, which then
+    starts its own circuit."""
     n = a.cf.strands
     if a.cf == b.cf:
         return BraidWord.identity(n)
     h = CanonicalForm(n, *_normalize(n, a.summit[1] + a.circuit[2] + path))
-    g = CanonicalForm(n, *_normalize(n, b.summit[1] + b.circuit[2]))
+    prefix = b.circuit[2] if "circuit" in vars(b) else []
+    g = CanonicalForm(n, *_normalize(n, b.summit[1] + prefix))
     return free_reduce(h.mul(g.inv()).to_word())
 
 

@@ -138,13 +138,16 @@ def decompose(b: MixedBraid) -> Decomposition:
 def is_kernel(n: int, m: int, w: BraidWord) -> bool:
     """Membership in the kernel of the projection: the permutation fixes the
     first block pointwise and the projected word is trivial in B_n. A
-    negative block size has no kernel."""
+    projected word with no letters is the identity and is not normalized;
+    one with letters is normalized once. A negative block size has no
+    kernel."""
     if n < 0 or m < 0 or w.strands != n + m:
         return False
     perm = permutation(w)
     if any(perm(i) != i for i in range(1, n + 1)):
         return False
-    return canonical_form(_delete_started_after(w, n)) == CanonicalForm(n, 0, ())
+    projected = _delete_started_after(w, n)
+    return not projected.letters or canonical_form(projected) == CanonicalForm(n, 0, ())
 
 
 def ensure_kernel(n: int, m: int, w: BraidWord) -> BraidWord:

@@ -678,6 +678,19 @@ class TestConsolePins:
                 id="conj-5-strands",
             ),
             pytest.param(
+                # The second form's summit walk stops at a rigid element on
+                # the inverse side, and returns that element's inverse.
+                ["conj", "-n", "4", "S3 s1 S3 s2 s1", "s1 S3 s1 S3 s2"],
+                {
+                    "conjugate": True,
+                    "witness": (
+                        "S1 S2 S3 S1 S2 S1 S1 S2 S3 S1 S2 S1 S1 S2 S3 S1 S2 S1 S1 S2 S3 S1"
+                        " s3 s2 s1 s1 s2 s3 s3 s3"
+                    ),
+                },
+                id="conj-4-strands-rigid-inverse",
+            ),
+            pytest.param(
                 [
                     "conj", "-n", "6",
                     "S1 S3 s4 s5 S4 s3 S4 S4 s3 s1 S5 S4 s3 s1",
@@ -697,7 +710,10 @@ class TestConsolePins:
                 ],
                 {
                     "conjugate": True,
-                    "witness": "S1 S2 S3 S4 S5 S6 S7 S1 s7 s6 s5 s4 s3 s2 s1 s1 s2 s3 s3 s2",
+                    "witness": (
+                        "S1 S2 S3 S4 S5 S6 S7 S1 S2 S3 S4 S5 S6 S1 S2 S3 S4 S5 S1 S2 S3 S4"
+                        " S1 S2 S3 S1 S2 S1 s2 s1 s3 s2 s5 s6 s7 s6 s5 s7"
+                    ),
                 },
                 id="conj-8-strands-closure",
             ),

@@ -1021,14 +1021,31 @@ class TestSummit:
             assert g.inv().mul(cf).mul(g) == v
 
 
+def rigid(v):
+    """Delta^p A_1 ... A_k, k >= 1, is rigid when (A_k, tau^p(A_1)) is
+    left-weighted (Birman, Gebhardt and Gonzalez-Meneses 2007), read here
+    off the permutations: the starting set of tau^p(A_1) lies in the
+    finishing set of A_k."""
+    if not v.factors:
+        return False
+    first, last = perms(v.strands, (v.factors[0], v.factors[-1]))
+    if v.delta_power % 2:
+        first = garside._tau(first)
+    return starting_set(first) <= finishing_set(last)
+
+
 def reference_summit(cf):
-    """garside._summit with each step taken by reference_cycle."""
+    """garside._summit with each step taken by reference_cycle: it stops
+    at the first rigid element, returned as met on the first side and
+    inverted back on the second."""
     n = cf.strands
     bound = max(1, n * (n - 1) // 2)
     v, g = cf, []
-    for _ in range(2):
+    for side in range(2):
         stale = 0
         while stale < bound and v.factors:
+            if rigid(v):
+                return (v.inv() if side else v), g
             w, s = reference_cycle(v)
             stale = 0 if w.inf > v.inf else stale + 1
             v = w
@@ -1353,13 +1370,15 @@ class TestCircuitMeet:
 
 def stepwise_summit(cf):
     """garside._summit as it was when the conjugator was multiplied out at
-    every cycling step."""
+    every cycling step, with its stop at the first rigid element."""
     n = cf.strands
     bound = max(1, n * (n - 1) // 2)
     v, g = cf, CanonicalForm(n, 0, ())
-    for _ in range(2):
+    for side in range(2):
         stale = 0
         while stale < bound and v.factors:
+            if rigid(v):
+                return (v.inv() if side else v), g
             w, s = cycle_form(v)
             stale = 0 if w.inf > v.inf else stale + 1
             v, g = w, g.mul(s)
@@ -1572,6 +1591,107 @@ class TestFactorListConjugators:
         a, b = sb.BraidWord(3, (1,)), sb.BraidWord(3, (2,))
         assert sb.is_conjugate(a, b).witness.letters == (1, 2, 1)
         assert len(mul_calls) == 1
+
+
+def rigid_test_forms():
+    """Seeded canonical forms on 3 to 8 strands and every element of their
+    cycling orbits; each strand count has rigid and non-rigid ones."""
+    rng = random.Random(30)
+    forms = []
+    for n in range(3, 9):
+        for _ in range(12):
+            forms += reference_orbit(canonical_form(random_word(rng, n, 4 * n)))[0]
+    return forms
+
+
+class TestRigidStop:
+    """The summit walk stops at the first rigid element, and a pair that
+    meets on a's circuit never walks b's circuit. These pin the facts the
+    stop rests on (Birman, Gebhardt and Gonzalez-Meneses 2007)."""
+
+    @pytest.fixture(scope="class")
+    def forms(self):
+        forms = rigid_test_forms()
+        for n in range(3, 9):
+            assert {rigid(x) for x in forms if x.strands == n} == {True, False}
+        return forms
+
+    def test_inverse_of_rigid_is_rigid(self, forms):
+        """So a rigid element's supremum is minimal as well as its infimum
+        maximal, and a stop on the inverse side may invert back."""
+        for x in forms:
+            assert rigid(x) == rigid(x.inv()), x
+
+    def test_cycling_a_rigid_form_rotates(self, forms):
+        """Cycling Delta^p A_1 ... A_k gives Delta^p A_2 ... A_k tau^p(A_1),
+        again rigid: the infimum never rises, so it is maximal, and the
+        element lies on its own circuit."""
+        for x in filter(rigid, forms):
+            moved = x.factors[0]
+            if x.delta_power % 2:
+                moved = garside._simples(x.strands).tau[moved]
+            w, s = reference_cycle(x)
+            assert w == CanonicalForm(x.strands, x.delta_power, (*x.factors[1:], moved))
+            assert s == moved and rigid(w)
+
+    def test_summit_returns_rigid_form(self, forms):
+        for x in filter(rigid, forms):
+            assert garside._summit(x) == (x, [])
+
+    def test_meet_on_a_circuit_walks_one_circuit(self, monkeypatch):
+        """A pair whose b-summit, or its tau-image, lies on a's circuit walks
+        only a's circuit, and its witness is the one that walking both
+        circuits makes; a pair that misses walks b's circuit too."""
+        walk = garside._cycling_orbit
+        walks = []
+
+        def counted(v):
+            walks.append(v)
+            return walk(v)
+
+        met = missed = 0
+        for a, b in reference_pairs():
+            ca, cb = canonical_form(a), canonical_form(b)
+            va, vb = garside._summit(ca)[0], garside._summit(cb)[0]
+            if ca == cb or (va.inf, va.sup) != (vb.inf, vb.sup):
+                continue
+            if sb.permutation(a).cycle_type() != sb.permutation(b).cycle_type():
+                continue
+            orbit, _, start = walk(va)
+            meets = vb in orbit[start:] or tau_form(vb) in orbit[start:]
+            monkeypatch.setattr(garside, "_cycling_orbit", counted)
+            walks.clear()
+            got = sb.is_conjugate(a, b)
+            monkeypatch.setattr(garside, "_cycling_orbit", walk)
+            if meets:
+                met += 1
+                assert len(walks) == 1
+                assert got.to_json() == stepwise_is_conjugate(a, b).to_json()
+            else:
+                missed += 1
+                assert len(walks) >= 2
+        assert met > 0 and missed > 0
+
+    def test_summit_before_its_circuit_meets_by_circuit_start(self, monkeypatch):
+        """A summit element in the super summit set but before its own
+        circuit misses a's circuit, and so does its tau-image; the pair
+        then meets by the start of b's circuit, with no closure, and the
+        witness joins b's steps to that start. The summit walk rarely
+        stops before a circuit, so b's record is given such an element,
+        with the identity conjugator."""
+        def refuse(*args):
+            raise AssertionError("the closure search ran")
+
+        monkeypatch.setattr(garside, "_closure_search", refuse)
+        cf = canonical_form(sb.BraidWord.parse(4, "S1 S2 s3 s1"))
+        orbit, _, start = garside._cycling_orbit(cf)
+        assert start > 0 and {(x.inf, x.sup) for x in orbit} == {(cf.inf, cf.sup)}
+        ra, rb = garside._ConjugacyRecord(orbit[start]), garside._ConjugacyRecord(cf)
+        rb.summit = (cf, [])
+        path = garside._conjugacy(ra, rb)
+        assert rb.circuit[2]
+        c = garside._witness(ra, rb, path)
+        assert sb.equal(ra.cf.to_word(), sb.compose(sb.compose(c, cf.to_word()), sb.invert(c)))
 
 
 class TestConjugateByRank:

@@ -121,7 +121,9 @@ class TestKernel:
         assert not sb.is_kernel(2, 1, sb.BraidWord(3, (1, 1)))
 
     def test_one_normalization(self, monkeypatch):
-        """The projected word is normalized once and compared with the
+        """A projected word with no letters is the identity and is not
+        normalized. One with letters, such as that of a kernel word whose
+        puncture letters cancel, is normalized once and compared with the
         identity's form, which needs no normalization of its own."""
         calls = []
         normalize = sb.garside._normalize
@@ -134,10 +136,23 @@ class TestKernel:
         rng = random.Random(25)
         for n in range(2, 5):
             for m in range(1, 3):
+                # Products of the kernel generators project to no letters.
                 w = random_kernel_word(rng, n, m, 6)
                 calls.clear()
                 assert sb.is_kernel(n, m, w)
+                assert calls == []
+                # Conjugating by a base braid adds puncture letters that
+                # cancel in B_n.
+                c = random_word(rng, n, 3)
+                while not c.letters:
+                    c = random_word(rng, n, 3)
+                u = sb.BraidWord(n + m, c.letters + w.letters + sb.invert(c).letters)
+                calls.clear()
+                assert sb.is_kernel(n, m, u)
                 assert calls == [n]
+        calls.clear()
+        assert sb.is_kernel(2, 1, sb.BraidWord.parse(3, "s1 S1"))
+        assert calls == [2]
         calls.clear()
         assert not sb.is_kernel(2, 1, sb.BraidWord(3, (1, 1)))
         assert calls == [2]
