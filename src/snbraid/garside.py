@@ -59,16 +59,22 @@ finitely many elements between given bounds (from a super summit element,
 at most the size of the super summit set). Two braids are conjugate iff
 their ultra summit sets intersect. Every walk records its conjugator as a
 list of simple factors: the meet and the closure return only the path from
-the start of a's circuit, and only `_witness` joins each side's lists and
-normalizes them once, when they become the witness.
+the start of a's circuit, and only `_witness` joins each side's lists,
+when they become the witness h * g^-1. It normalizes them once, together:
+the inverse of a simple element t is Delta^-1 times its Delta-complement
+(El-Rifai and Morton 1994; Epstein et al., Word Processing in Groups,
+ch. 9), so g^-1 is a list of complements whose Deltas^-1 move to the front
+by tau, and no form of h or g is made, inverted or multiplied.
 
 The decision has two stages. The summit and circuit walks depend on one
 braid only, and a per-braid record (`_ConjugacyRecord`) holds each as a
 cached property, walked on first use. The pair stage (`_conjugacy`) meets
 two records: the infimum/supremum comparison, the circuit meet and the
 closure on a miss; it returns the path it found, from which `_witness`
-multiplies out a conjugator. `is_conjugate` is two word checks, the pair
-stage over two fresh records and the witness on a hit; a caller that
+multiplies out a conjugator. `is_conjugate` is one word check, the
+exponent sum and the cycle type read in one pass over each word
+(`_word_invariants`), then the pair stage over two fresh records and the
+witness on a hit; a caller that
 decides many pairs of the same braids, as the strong Nielsen decision does
 per orbit, keeps one record per braid, walks each braid once and
 multiplies out a witness only when it needs one.
@@ -86,7 +92,9 @@ letters it uses. `CanonicalForm` is a NamedTuple, made, hashed and
 compared in C; as it equals the plain tuple of its fields, no map mixes the
 two as keys. Rank order is the order of the permutation tuples, so every
 sort and search order is that of the permutations. `CanonicalForm.to_json`
-and `to_word` are where a rank is read back as a permutation; a rank made
+and `to_word` are where a rank is read back as a permutation, `to_word`
+through the spelling table, which spells each rank once, on first use,
+and is bounded like the letter table; a rank made
 from a letter, or by ranking a permutation, keeps that permutation, so on
 many strands the form of a word is read back without unranking (which is
 quadratic in n). The complete left-weighting table is built from the
@@ -107,13 +115,7 @@ import functools
 import math
 from typing import Iterable, NamedTuple
 
-from .words import (
-    BraidWord,
-    StrandMismatchError,
-    exponent_sum,
-    free_reduce,
-    permutation,
-)
+from .words import BraidWord, StrandMismatchError, free_reduce
 
 Perm = tuple[int, ...]
 
@@ -246,6 +248,7 @@ _TAUS: list[_Memo] = []
 _COMPLEMENTS: list[_Memo] = []
 _LEFTWEIGHTS: list[_Memo] = []
 _LETTERS: list[_Memo] = []
+_SPELLINGS: list[_Memo] = []
 
 
 def _leftweight_table(n: int, perm: _Memo, rank: _Memo) -> list[tuple[int, int]]:
@@ -322,9 +325,17 @@ class _Simples:
     tau-image: sigma_i itself for k = i, and Delta sigma_i^-1 for k = -i,
     since sigma_i^-1 = Delta^-1 (Delta sigma_i^-1). It fills one letter at
     a time from two factorials, with no permutation ranked, and stores the
-    two permutations, built in O(n), in `perm`."""
+    two permutations, built in O(n), in `perm`.
 
-    __slots__ = ("count", "delta", "perm", "rank", "tau", "complement", "leftweight", "letter")
+    The `spelling` table, keyed by rank, gives the positive word of the
+    simple element, `_perm_word` of its permutation, as a tuple of
+    letters. It fills as it is read, so `CanonicalForm.to_word` sorts each
+    permutation into letters once per rank, not once per factor it
+    meets."""
+
+    __slots__ = (
+        "count", "delta", "perm", "rank", "tau", "complement", "leftweight", "letter", "spelling"
+    )
 
     def __init__(self, n: int):
         count = math.factorial(n)
@@ -374,6 +385,9 @@ class _Simples:
             return ranks
 
         self.letter = _Memo(letter, _LETTERS, 1 << 18)
+        # A spelling has up to n(n-1)/2 letters, so this family holds fewer
+        # entries than the others: all 40,320 ranks of 8 strands fit.
+        self.spelling = _Memo(lambda r: tuple(_perm_word(perm[r])), _SPELLINGS, 1 << 16)
 
 
 @functools.lru_cache(maxsize=None)
@@ -524,6 +538,9 @@ class CanonicalForm(NamedTuple):
         return CanonicalForm(self.strands, -k - p, tuple(factors))
 
     def to_word(self) -> BraidWord:
+        """The form spelled out: Delta^p as the letters of Delta or of its
+        inverse, then each factor's letters from the spelling table of
+        `_Simples`."""
         letters: list[int] = []
         n = self.strands
         if self.delta_power != 0:
@@ -533,9 +550,9 @@ class CanonicalForm(NamedTuple):
             else:
                 inv = [-k for k in reversed(dw)]
                 letters.extend(inv * (-self.delta_power))
-        perm = _simples(n).perm
+        spelling = _simples(n).spelling
         for f in self.factors:
-            letters.extend(_perm_word(perm[f]))
+            letters.extend(spelling[f])
         return BraidWord(n, tuple(letters))
 
     def to_json(self) -> dict:
@@ -642,7 +659,7 @@ def _delta_letters(n: int) -> list[int]:
 def canonical_form(a: BraidWord) -> CanonicalForm:
     """Left canonical form of a word; idempotent on its own spellings."""
     n = a.strands
-    if n <= 1:
+    if n <= 1 or not a.letters:
         return CanonicalForm(n, 0, ())
     # Collect the Delta^-1 powers at the front; each factor gets conjugated
     # by the Delta power accumulated to its right.
@@ -868,19 +885,70 @@ def _conjugacy(a: _ConjugacyRecord, b: _ConjugacyRecord) -> list[int] | None:
 def _witness(a: _ConjugacyRecord, b: _ConjugacyRecord, path: list[int]) -> BraidWord:
     """A conjugator c with c * b.cf * c^-1 = a.cf, from the path
     `_conjugacy(a, b)` returned: the identity for equal forms, and
-    otherwise h * g^-1, free-reduced, where h joins a's summit and circuit
-    walks with the path and g joins b's, each list normalized once. When
-    b's circuit was never walked, the pair met on b's summit element, so
-    g is b's summit walk alone; when it was, its steps to the circuit's
-    start are joined, and they are none if the pair met on v_b, which then
-    starts its own circuit."""
+    otherwise h * g^-1, free-reduced, in one normalization. h = s_1 ... s_j
+    joins a's summit and circuit walks with the path, and g = t_1 ... t_k is
+    b's summit walk, joined with its steps to its circuit's start when that
+    circuit was walked. When it was not, the pair met on b's summit
+    element; when it was, those steps are none if the pair met on v_b,
+    which then starts its own circuit.
+
+    The inverse of a simple element t is Delta^-1 times its complement,
+    t^-1 = Delta^-1 dt with dt = Delta t^-1 (El-Rifai and Morton 1994;
+    Epstein et al., Word Processing in Groups, ch. 9), and moving a
+    Delta^-1 left past a factor x turns x into tau(x). So
+    h * g^-1 = Delta^-k tau^k(s_1) ... tau^k(s_j) tau^(k-1)(dt_k) ... dt_1,
+    one `_normalize` over j + k ranks, with no form of h or g, no inverse
+    and no product. The left normal form is unique, so this is the form
+    that multiplying out h and g^-1 gives."""
     n = a.cf.strands
     if a.cf == b.cf:
         return BraidWord.identity(n)
-    h = CanonicalForm(n, *_normalize(n, a.summit[1] + a.circuit[2] + path))
-    prefix = b.circuit[2] if "circuit" in vars(b) else []
-    g = CanonicalForm(n, *_normalize(n, b.summit[1] + prefix))
-    return free_reduce(h.mul(g.inv()).to_word())
+    simples = _simples(n)
+    tau, complement = simples.tau, simples.complement
+    g = b.summit[1] + (b.circuit[2] if "circuit" in vars(b) else [])
+    k = len(g)
+    factors = a.summit[1] + a.circuit[2] + path
+    if k & 1:
+        factors = [tau[s] for s in factors]
+    for i, t in enumerate(reversed(g), 1):
+        # dt_(k+1-i), twisted by the k - i Deltas^-1 to its right
+        factors.append(tau[complement[t]] if (k - i) & 1 else complement[t])
+    shift, fs = _normalize(n, factors)
+    return free_reduce(CanonicalForm(n, shift - k, fs).to_word())
+
+
+def _word_invariants(a: BraidWord) -> tuple[int, tuple[int, ...]]:
+    """The exponent sum of a and the cycle type of its permutation, sorted
+    cycle lengths, in one pass over its letters: conjugate braids agree on
+    both. The pass sums the letter signs while it swaps an occupant list
+    (occupant[pos] is the start of the strand at pos), which ends as the
+    inverse of the permutation and so has its cycle type; the cycles are
+    then read off that list with a `seen` list. It equals
+    `exponent_sum(a)` and `permutation(a).cycle_type()` without building
+    the permutation or its cycles."""
+    occupant = list(range(a.strands))
+    total = 0
+    for k in a.letters:
+        if k > 0:
+            total += 1
+            i = k - 1
+        else:
+            total -= 1
+            i = -k - 1
+        occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
+    seen = [False] * a.strands
+    lengths = []
+    for start in range(a.strands):
+        if seen[start]:
+            continue
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = occupant[j]
+            length += 1
+        lengths.append(length)
+    lengths.sort()
+    return total, tuple(lengths)
 
 
 def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
@@ -888,18 +956,17 @@ def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
 
     Returns a witness c with c * b * c^-1 = a whenever the answer is yes.
     Pairs that differ in exponent sum or cycle type are refused from the
-    words; the rest is the pair stage `_conjugacy` over two fresh
-    per-braid records (`_ConjugacyRecord`) of the canonical forms, and a
-    hit's path is multiplied out by `_witness`. Each cycling walk ends
+    words, both read in one pass over each (`_word_invariants`); the rest
+    is the pair stage `_conjugacy` over two fresh per-braid records
+    (`_ConjugacyRecord`) of the canonical forms, and a hit's path is
+    multiplied out by `_witness` in one normalization. Each cycling walk ends
     because cycling stays inside the finite super summit set.
     Raises ValueError when a pair that does not meet on the circuit needs
     the closure search on more than MAX_CLOSURE_STRANDS strands.
     """
     if a.strands != b.strands:
         raise StrandMismatchError("cannot compare words on different strand counts")
-    if exponent_sum(a) != exponent_sum(b):
-        return ConjugacyResult(False)
-    if permutation(a).cycle_type() != permutation(b).cycle_type():
+    if _word_invariants(a) != _word_invariants(b):
         return ConjugacyResult(False)
     ra, rb = _ConjugacyRecord(canonical_form(a)), _ConjugacyRecord(canonical_form(b))
     if (path := _conjugacy(ra, rb)) is None:

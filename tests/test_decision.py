@@ -148,6 +148,20 @@ class TestEqualForms:
         assert decide(inst).to_json() == {"status": "Equivalent", "witness": ""}
         assert len(products) == 1
 
+    @pytest.mark.parametrize("decide", [sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted])
+    def test_identity_witness_normalizes_nothing(self, decide, monkeypatch):
+        """The identity witness is the empty word, whose canonical form is
+        made with no normalization."""
+        calls = []
+        normalize = sb.garside._normalize
+        parse = sb.BraidWord.parse
+        inst = sb.SNInstance(2, 1, parse(2, "s1"), parse(3, "s2 s2 s1 S1"), parse(3, "s2 s2"))
+        monkeypatch.setattr(
+            sb.garside, "_normalize", lambda *args: calls.append(args) or normalize(*args)
+        )
+        assert decide(inst).witness.letters == ()
+        assert calls == []
+
 
 class TestKernelSearchPinned:
     """Verdicts of the bounded kernel search on two ambient-conjugate

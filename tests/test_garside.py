@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import snbraid as sb
 from snbraid import decision, garside
@@ -77,6 +78,16 @@ class TestCanonicalForm:
     def test_trivial_word(self):
         cf = canonical_form(sb.BraidWord(3, (1, -1)))
         assert (cf.delta_power, cf.factors) == (0, ())
+
+    def test_empty_word_normalizes_nothing(self, monkeypatch):
+        """A word with no letters is the identity: its form is made with no
+        normalization."""
+        def refuse(*args):
+            raise AssertionError("an empty word was normalized")
+
+        monkeypatch.setattr(garside, "_normalize", refuse)
+        for n in range(9):
+            assert canonical_form(sb.BraidWord(n, ())) == CanonicalForm(n, 0, ())
 
     def test_mul_strand_mismatch(self):
         a = canonical_form(sb.BraidWord(3, (1,)))
@@ -290,10 +301,17 @@ class TestOneRightPush:
         return calls
 
     def test_once_per_canonical_form(self, calls):
+        """Once per word with letters; a word with none is the identity
+        and pushes nothing."""
         rng = random.Random(41)
-        for i in range(1, 41):
-            canonical_form(random_word(rng, rng.randint(2, 6), 20))
-            assert len(calls) == i
+        pushed = empty = 0
+        for _ in range(40):
+            w = random_word(rng, rng.randint(2, 6), 20)
+            canonical_form(w)
+            pushed += bool(w.letters)
+            empty += not w.letters
+            assert len(calls) == pushed
+        assert empty > 0
 
     def test_once_per_right_operand(self, calls):
         _, alphabet = decision._kernel_alphabet(2, 1)
@@ -790,6 +808,39 @@ class TestRankEncoding:
         assert canonical_form(w) == expected
         assert 0 < sum(map(len, letters.family)) <= 3
 
+    def test_spelling_table_matches_perm_word(self):
+        """`to_word` reads each factor's letters from the spelling table,
+        which holds `_perm_word` of the rank's permutation: every rank up to
+        5 strands, sampled ranks on 6 to 8."""
+        rng = random.Random(33)
+        for n in range(1, 9):
+            count = math.factorial(n)
+            sample = range(count) if n <= 5 else rng.sample(range(count), 200)
+            spelling = garside._simples(n).spelling
+            for r in sample:
+                expected = tuple(garside._perm_word(garside._unrank(n, r)))
+                assert spelling[r] == expected, (n, r)
+                if 0 < r < count - 1:
+                    assert CanonicalForm(n, 0, (r,)).to_word().letters == expected
+
+    def test_spelling_table_stays_bounded(self, monkeypatch):
+        """A store that finds the family's bound reached empties the family
+        first, and the words read back are the same."""
+        n = 5
+        spelling = garside._simples(n).spelling
+        assert spelling.bound == 1 << 16
+        forms = [canonical_form(seeded_word(n, 40 + i, 30)) for i in range(6)]
+        expected = [cf.to_word() for cf in forms]
+        for member in spelling.family:
+            member.clear()
+        monkeypatch.setattr(spelling, "bound", 4)
+        for r in range(1, 5):
+            spelling[r]
+        spelling[5]
+        assert list(spelling) == [5] and sum(map(len, spelling.family)) == 1
+        assert [cf.to_word() for cf in forms] == expected
+        assert sum(map(len, spelling.family)) <= 4
+
     def test_perm_word_sorts_by_the_leftmost_descent(self):
         """`_perm_word` spells the same word as swapping the leftmost
         descent and scanning again from the first position, on every
@@ -922,6 +973,25 @@ class TestConjugacy:
             assert sb.is_conjugate(a, b).conjugate == sb.is_conjugate(b, a).conjugate
 
 
+@st.composite
+def words_up_to_8_strands(draw):
+    """Words on 0 to 8 strands, the empty word included."""
+    n = draw(st.integers(0, 8))
+    letters = [k for i in range(1, n) for k in (i, -i)]
+    drawn = draw(st.lists(st.sampled_from(letters), max_size=30)) if letters else []
+    return sb.BraidWord(n, tuple(drawn))
+
+
+class TestWordInvariants:
+    @given(words_up_to_8_strands())
+    def test_matches_exponent_sum_and_cycle_type(self, w):
+        """The one-pass gate of `is_conjugate` reads the exponent sum and
+        the cycle type that `exponent_sum` and `permutation` give."""
+        assert garside._word_invariants(w) == (
+            sb.exponent_sum(w), sb.permutation(w).cycle_type()
+        )
+
+
 def tau_form(x):
     """Delta^-1 x Delta: tau applied to every factor."""
     factors = map(garside._tau, perms(x.strands, x.factors))
@@ -1037,7 +1107,8 @@ def rigid(v):
 def reference_summit(cf):
     """garside._summit with each step taken by reference_cycle: it stops
     at the first rigid element, returned as met on the first side and
-    inverted back on the second."""
+    inverted back on the second. Returns the summit element, its conjugator
+    factors and the side of the stop, 0 or 1, or None with no stop."""
     n = cf.strands
     bound = max(1, n * (n - 1) // 2)
     v, g = cf, []
@@ -1045,13 +1116,13 @@ def reference_summit(cf):
         stale = 0
         while stale < bound and v.factors:
             if rigid(v):
-                return (v.inv() if side else v), g
+                return (v.inv() if side else v), g, side
             w, s = reference_cycle(v)
             stale = 0 if w.inf > v.inf else stale + 1
             v = w
             g.append(s)
         v = v.inv()
-    return v, g
+    return v, g, None
 
 
 def reference_orbit(v):
@@ -1071,9 +1142,9 @@ class TestRunningCycling:
     equal the walks that build a form and push with `_normalize` per step."""
 
     def check(self, cf):
-        assert garside._summit(cf) == reference_summit(cf)
+        v, g, _ = reference_summit(cf)
+        assert garside._summit(cf) == (v, g)
         assert garside._cycling_orbit(cf) == reference_orbit(cf)
-        v, _ = reference_summit(cf)
         assert garside._cycling_orbit(v) == reference_orbit(v)
 
     def test_seeded_forms(self):
@@ -1584,13 +1655,132 @@ class TestFactorListConjugators:
         assert mul_calls == []
 
     def test_circuit_meet_multiplies_once(self, mul_calls, monkeypatch):
+        """The witness of a pair that meets on a's circuit is one
+        `_normalize` call, with no form multiplied or inverted."""
         def refuse(*args):
             raise AssertionError("the closure search ran")
 
         monkeypatch.setattr(garside, "_closure_search", refuse)
+        normalized, inverted, inside = [], [], []
+        normalize, inv, witness = garside._normalize, CanonicalForm.inv, garside._witness
+
+        def counted_normalize(n, factors):
+            if inside:
+                normalized.append(factors)
+            return normalize(n, factors)
+
+        def counted_inv(self):
+            inverted.append(self)
+            return inv(self)
+
+        def watched(*args):
+            inside.append(args)
+            try:
+                return witness(*args)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(garside, "_normalize", counted_normalize)
+        monkeypatch.setattr(CanonicalForm, "inv", counted_inv)
+        monkeypatch.setattr(garside, "_witness", watched)
         a, b = sb.BraidWord(3, (1,)), sb.BraidWord(3, (2,))
         assert sb.is_conjugate(a, b).witness.letters == (1, 2, 1)
-        assert len(mul_calls) == 1
+        assert len(normalized) == 1
+        assert mul_calls == [] and inverted == []
+
+
+def reference_witness(a, b, path):
+    """garside._witness as it was before the complement identity: h and g
+    each normalized once, then h * g^-1 multiplied out."""
+    n = a.cf.strands
+    if a.cf == b.cf:
+        return sb.BraidWord.identity(n)
+    h = product(n, a.summit[1] + a.circuit[2] + path)
+    prefix = b.circuit[2] if "circuit" in vars(b) else []
+    g = product(n, b.summit[1] + prefix)
+    return sb.free_reduce(h.mul(g.inv()).to_word())
+
+
+# The conjugate pairs that tier1.yml pins by their `snbraid conj` witness,
+# and the words of its n = 0 `sn` pin, which decides braid-type conjugacy.
+CONSOLE_CONJ_PINS = [
+    (3, "s1", "s2"),
+    (5, "S4 S4 S2 s3 s1 s1", "s2 S4 s1 s2 S4 S4 S2 s3 s1 s1 S2 S1 s4 S2"),
+    (4, "S3 s1 S3 s2 s1", "s1 S3 s1 S3 s2"),
+    (6, "S1 S3 s4 s5 S4 s3 S4 S4 s3 s1 S5 S4 s3 s1", "S4 s3 S4 S4 S5 s5 s3 s1"),
+    (8, "S6 S2 s3 S1 S3 s6 S7 S3 S2 S1 s2 S7 S3 S6 S6 s3 s1 S3 s2 s6",
+     "S7 S3 S2 S1 s2 S7 S3 S6"),
+    (4, "s1 s2 s3", "s3 s2 s1"),
+]
+
+
+class TestOneNormalizationWitness:
+    """`_witness` multiplies h * g^-1 out in one normalization, each
+    t^-1 written Delta^-1 times its complement; the left normal form is
+    unique, so the witness is byte-identical to normalizing h and g apart
+    and multiplying h by the inverse of g."""
+
+    def compare_witnesses(self, pairs):
+        """Compare the two witnesses on every conjugate pair with unequal
+        forms; per pair compared, return the length k of g, whether the
+        path ends in a tau-match's Delta, and whether a summit walk stopped
+        rigid on its inverse side."""
+        seen = []
+        for a, b in pairs:
+            if garside._word_invariants(a) != garside._word_invariants(b):
+                continue
+            ra, rb = (garside._ConjugacyRecord(canonical_form(w)) for w in (a, b))
+            path = garside._conjugacy(ra, rb)
+            if path is None or ra.cf == rb.cf:
+                continue
+            got = garside._witness(ra, rb, path)
+            assert got.letters == reference_witness(ra, rb, path).letters, (a, b)
+            check_witness(a, b, sb.ConjugacyResult(True, got))
+            prefix = rb.circuit[2] if "circuit" in vars(rb) else []
+            seen.append((
+                len(rb.summit[1]) + len(prefix),
+                path[-1:] == [garside._simples(a.strands).delta],
+                1 in (reference_summit(ra.cf)[2], reference_summit(rb.cf)[2]),
+            ))
+        return seen
+
+    def test_reference_pairs(self):
+        seen = self.compare_witnesses(reference_pairs())
+        lengths = [k for k, _, _ in seen]
+        # g of odd and of even length, and empty: Delta^-k with k odd
+        # twists h's factors, and k = 0 leaves them alone.
+        assert 0 in lengths
+        assert any(k % 2 for k in lengths) and any(k and not k % 2 for k in lengths)
+        assert any(inverse_stop for _, _, inverse_stop in seen)
+
+    def test_delta_conjugate_pairs(self):
+        """Delta^-1 a Delta meets a by the tau-image, a path ending in Delta."""
+        pairs = []
+        for cf in seeded_forms():
+            a = cf.to_word()
+            d = sb.delta(a.strands)
+            b = sb.compose(sb.compose(sb.invert(d), a), d)
+            pairs += [(a, b), (b, a)]
+        assert any(tau_match for _, tau_match, _ in self.compare_witnesses(pairs))
+
+    def test_closure_pairs(self):
+        pairs = []
+        for n, seed in CLOSURE_PAIRS:
+            b = seeded_word(n, seed, 8)
+            c = seeded_word(n, 1000 + seed, 6)
+            pairs.append((sb.free_reduce(sb.compose(sb.compose(c, b), sb.invert(c))), b))
+        assert len(self.compare_witnesses(pairs)) == len(CLOSURE_PAIRS)
+
+    def test_console_pins(self):
+        """Every pinned pair, and both ways round; the n = 4 pin stops its
+        summit walk rigid on the inverse side."""
+        pairs = []
+        for n, a, b in CONSOLE_CONJ_PINS:
+            a, b = sb.BraidWord.parse(n, a), sb.BraidWord.parse(n, b)
+            pairs += [(a, b), (b, a)]
+        seen = self.compare_witnesses(pairs)
+        assert len(seen) == len(pairs)
+        assert any(inverse_stop for _, _, inverse_stop in seen)
 
 
 def rigid_test_forms():
