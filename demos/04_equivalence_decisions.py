@@ -3,8 +3,10 @@
 Two period-m orbits of a disc homeomorphism fixing a set A of n points are
 strong Nielsen equivalent relative to A exactly when their mixed braids are
 conjugate by an element of the kernel subgroup. The decision runs in stages:
-cheap invariants, full-group conjugacy, then a bounded search for a kernel
-conjugator. Verdicts are three valued and always carry evidence.
+cheap invariants, full-group conjugacy, then, with at most two points in A,
+a shift of the full-group conjugator into the kernel by powers of the full
+twist and of the orbit braid, and a bounded search for a kernel conjugator
+where that finds none. Verdicts are three valued and always carry evidence.
 """
 
 import snbraid as sb

@@ -26,8 +26,15 @@ settles what it can before the next begins:
   linking matrix of its mixed braid (which implies the per-block cycle
   type, see `_screen_invariants`);
 - conjugacy in the full group B_{n+m};
-- a meet-in-the-middle search for a shortest kernel conjugator over the
-  standard kernel generators, grown from both beta_y and beta_x.
+- for n <= 2, the centralizer shift: the ambient conjugator h is moved
+  into the kernel by powers of Delta^2 and beta_y, which commute with
+  beta_y, solved for in closed form (`_centralizer_shift`);
+- where the shift finds nothing, and always for n >= 3, a
+  meet-in-the-middle search for a kernel conjugator over the standard
+  kernel generators, grown from both beta_y and beta_x, shortest first.
+
+`Budget` bounds only that search. The shift's witnesses are not
+shortest: they are h, Delta^2 and beta_y spelled out and free-reduced.
 
 The search's states are kernel elements. For m = 1 the kernel is the free
 group F_n on the loops A_i (`_free`), and a state is a reduced word of
@@ -53,7 +60,7 @@ per base braid (`_free_letters`), so a partition builds them once. Only
 the comparisons are per pair: the screens compare the kept values, and
 the ambient test meets the two records (`garside._conjugacy`), which
 returns the path it found; `garside._witness` multiplies a conjugator out
-of it only for an empty invariant set. A partition's orbits of one form
+of it only for the shift, for n <= 2. A partition's orbits of one form
 share one record, so each distinct mixed braid is screened and walked at
 most once, and the two formulations decided on one instance share its
 two records.
@@ -77,6 +84,7 @@ from .garside import (
     _product,
     _witness,
     canonical_form,
+    full_twist,
     is_conjugate,
 )
 from .invariants import linking_matrix
@@ -101,9 +109,10 @@ INCONCLUSIVE = "Inconclusive"
 
 @dataclasses.dataclass(frozen=True)
 class Budget:
-    """Bounds on the kernel-conjugator search: `max_length` is the total
-    length of the conjugator c in generators, and `max_states` bounds the
-    states generated on both sides of the search together."""
+    """Bounds on the kernel-conjugator search, the one stage they bound:
+    `max_length` is the total length of the conjugator c in generators,
+    and `max_states` bounds the states generated on both sides of the
+    search together."""
 
     max_length: int = 8
     max_states: int = 200000
@@ -460,20 +469,131 @@ def _search_kernel_conjugator(
     return None, BudgetReport(budget.max_length, states)
 
 
+def _punctures(n: int, m: int, letters: tuple[int, ...]) -> tuple[list[int], int]:
+    """One pass over the letters of a braid on n + m strands: which
+    puncture strand, numbered 1 to n by where it starts, ends at each
+    position, 0 for an orbit strand, and the signed crossings between
+    two puncture strands. For n = 2 that sum is the exponent sum of the
+    projection to B_2, which keeps exactly those crossings."""
+    occupant = [*range(1, n + 1), *[0] * m]
+    crossings = 0
+    for k in letters:
+        i = k - 1 if k > 0 else -k - 1
+        a, b = occupant[i], occupant[i + 1]
+        if a and b:
+            crossings += 1 if k > 0 else -1
+        occupant[i], occupant[i + 1] = b, a
+    return occupant, crossings
+
+
+def _in_kernel(n: int, m: int, letters: tuple[int, ...]) -> bool:
+    """`mixed.is_kernel` for n <= 2 in one pass: each puncture strand ends
+    where it starts, and for n = 2 their signed crossings sum to 0, which
+    makes the projection trivial, as B_1 is trivial and B_2 is free
+    abelian on sigma_1."""
+    occupant, crossings = _punctures(n, m, letters)
+    return crossings == 0 and occupant[:n] == list(range(1, n + 1))
+
+
+def _shift_powers(e: int, ends: list[int], crossings: int) -> tuple[int, int] | None:
+    """The powers (a, b) that put h * Delta^2a * beta_y^b in the kernel
+    for n <= 2, from where h takes the puncture strands (`ends`, as
+    `_punctures` gives them) and h's signed crossings between them; e is
+    the exponent sum of beta_A. None when no power does.
+
+    beta_y preserves the puncture block and permutes it as beta_A does:
+    a swap, of order o = 2, when e is odd, and otherwise the identity,
+    o = 1. So h must preserve the block too, and b = r mod o, with r = 1
+    when h swaps the two punctures. Delta^2 adds two crossings between
+    them and each beta_y^+-1 adds +-e, its kernel part none, so
+    2a + e*b = -crossings. That is solvable for every such b: two strands
+    change order at each crossing between them, so crossings has the
+    parity of r, and e is odd when r = 1. Of the solutions the one with
+    least |a| + |b|, then least |b|, then least b is taken: along
+    b = r + o*t the cost |b| + |crossings + e*b| / 2 is convex with its
+    corners at b = 0 and b = -crossings / e, so it is least at a
+    neighbour of one of them, and where it is flat, 0 ends the flat
+    piece."""
+    if 0 in ends:
+        return None
+    order = 2 if e % 2 else 1
+    r = 1 if ends[0] == 2 else 0
+    if r >= order:
+        return None
+    # b = r + order * t, and the floor of t at each corner, exactly.
+    floors = [-r // order]
+    if e:
+        floors.append((-crossings - e * r) // (e * order))
+    best = None
+    for t in floors:
+        for b in (r + order * t, r + order * (t + 1)):
+            a = -(crossings + e * b) // 2
+            key = (abs(a) + abs(b), abs(b), b)
+            if best is None or key < best[0]:
+                best = key, (a, b)
+    return best[1]
+
+
+def _centralizer_shift(
+    inst: SNInstance, path: list[int], accept: Callable[[BraidWord, CanonicalForm], bool]
+) -> BraidWord | None:
+    """For n <= 2, a kernel conjugator from the ambient one, with no
+    search, or None when this shift finds none.
+
+    Every conjugator from beta_y to beta_x is h * z with h the ambient
+    conjugator `garside._witness` multiplies out of the path and z in
+    the centralizer of beta_y. Two elements of it are free: Delta^2,
+    which is central, and beta_y itself. For n <= 2 whether
+    h * Delta^2a * beta_y^b lies in the kernel is arithmetic on h's
+    puncture strands and crossings (`_shift_powers`), read in one pass
+    over h's letters; for n = 0 the kernel is the whole group and the
+    candidate is h. The candidate is spelled as h's letters, Delta^2's
+    and beta_y's, free-reduced, and its form is one `_product`; it must
+    pass the one-pass kernel test (`_in_kernel`) and `accept`."""
+    n, m = inst.n, inst.m
+    total = n + m
+    h_cf = _witness(inst._x, inst._y, path)
+    h = h_cf.to_word()
+    a = b = 0
+    if n:
+        ends, crossings = _punctures(n, m, h.letters)
+        powers = _shift_powers(exponent_sum(inst.beta_A), ends[:n], crossings)
+        if powers is None:
+            return None
+        a, b = powers
+    if a == b == 0:
+        c, c_cf = h, h_cf
+    else:
+        twist, beta_y, by_cf = full_twist(total), inst._y.braid.word, inst._y.cf
+        if a < 0:
+            twist = invert(twist)
+        if b < 0:
+            beta_y, by_cf = invert(beta_y), by_cf.inv()
+        letters = h.letters + twist.letters * abs(a) + beta_y.letters * abs(b)
+        c = free_reduce(BraidWord(total, letters))
+        c_cf = _product(h_cf, CanonicalForm(total, 2 * a, ()), *[by_cf] * abs(b))
+    if _in_kernel(n, m, c.letters) and accept(c, c_cf):
+        return c
+    return None
+
+
 def _decide(inst: SNInstance, budget: Budget) -> SNVerdict:
     """The staged decision of one instance, read from its two orbit
     records: equal canonical forms first, then the screens, then ambient
-    conjugacy in B_{n+m}, then the bounded kernel search. Every stage but
-    the search compares what the records hold, filling it on first use.
+    conjugacy in B_{n+m}, then, for n <= 2, the centralizer shift, and
+    last the bounded kernel search. Every stage but the shift and the
+    search compares what the records hold, filling it on first use.
 
     Equal forms are equivalent with the identity as witness, and settle
     before any invariant or summit is computed. Every witness, the
     identity too, is re-verified by one `accept` on the records' forms,
-    c * beta_y * c^-1 = beta_x, which both formulations share. For an
-    empty invariant set (n = 0) the kernel is the whole group, and the
-    ambient conjugator `garside._witness` multiplies out of the path is
-    the witness, through the same `accept`; should it refuse, the
-    decision goes on to the kernel search."""
+    c * beta_y * c^-1 = beta_x, which both formulations share. For
+    n <= 2 the ambient conjugator `garside._witness` multiplies out of
+    the path is shifted into the kernel by powers of Delta^2 and beta_y
+    (`_centralizer_shift`), which for n = 0, where the kernel is the
+    whole group, is the ambient conjugator itself; should the shift find
+    no power or its witness be refused, the decision goes on to the
+    kernel search, which alone runs for n >= 3."""
     bx_cf, by_cf = inst._x.cf, inst._y.cf
 
     def accept(c: BraidWord, c_cf: CanonicalForm) -> bool:
@@ -491,20 +611,15 @@ def _decide(inst: SNInstance, budget: Budget) -> SNVerdict:
     # Equal screens give the two mixed braids equal exponent sums, and
     # equal linking matrices give them equal cycle types
     # (`_screen_invariants`): the checks `is_conjugate` makes on words, so
-    # the records meet directly. Only the empty invariant set multiplies a
-    # witness out of the path.
+    # the records meet directly. Only n <= 2 multiplies a witness out of
+    # the path.
     if (path := _conjugacy(inst._x, inst._y)) is None:
         return SNVerdict(
             NOT_EQUIVALENT,
             certificate=Certificate(f"not conjugate in B_{inst.n + inst.m}"),
         )
-    if inst.n == 0:
-        # Empty invariant set: the kernel is the whole group, so the ambient
-        # conjugacy witness already certifies equivalence (Corollary-level
-        # degeneration to braid-type equality), once `accept` re-verifies it.
-        witness = _witness(inst._x, inst._y, path)
-        if accept(witness, canonical_form(witness)):
-            return SNVerdict(EQUIVALENT, witness=witness)
+    if inst.n <= 2 and (witness := _centralizer_shift(inst, path, accept)) is not None:
+        return SNVerdict(EQUIVALENT, witness=witness)
 
     witness, report = _search_kernel_conjugator(inst, budget, accept)
     if witness is not None:

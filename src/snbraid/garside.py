@@ -65,6 +65,9 @@ the inverse of a simple element t is Delta^-1 times its Delta-complement
 (El-Rifai and Morton 1994; Epstein et al., Word Processing in Groups,
 ch. 9), so g^-1 is a list of complements whose Deltas^-1 move to the front
 by tau, and no form of h or g is made, inverted or multiplied.
+`_witness` returns that form, and `CanonicalForm.to_word` spells it: a
+negative Delta power as a fraction, Delta^(p+j) P^-1 A_(j+1) ... A_r
+with P positive, so that few letters of Delta^-1 pad the witness.
 
 The decision has two stages. The summit and circuit walks depend on one
 braid only, and a per-braid record (`_ConjugacyRecord`) holds each as a
@@ -115,7 +118,7 @@ import functools
 import math
 from typing import Iterable, NamedTuple
 
-from .words import BraidWord, StrandMismatchError, free_reduce
+from .words import BraidWord, StrandMismatchError, _valid
 
 Perm = tuple[int, ...]
 
@@ -538,22 +541,30 @@ class CanonicalForm(NamedTuple):
         return CanonicalForm(self.strands, -k - p, tuple(factors))
 
     def to_word(self) -> BraidWord:
-        """The form spelled out: Delta^p as the letters of Delta or of its
-        inverse, then each factor's letters from the spelling table of
-        `_Simples`."""
-        letters: list[int] = []
-        n = self.strands
-        if self.delta_power != 0:
-            dw = _delta_letters(n)
-            if self.delta_power > 0:
-                letters.extend(dw * self.delta_power)
-            else:
-                inv = [-k for k in reversed(dw)]
-                letters.extend(inv * (-self.delta_power))
+        """The form spelled out, each factor's letters read from the
+        spelling table of `_Simples`, free-reduced. With p >= 0 it is the
+        letters of Delta, p times, then the factors'. With p < 0 it is a
+        fraction, so that few letters of Delta^-1 are spelled: with r
+        factors and j = min(-p, r),
+        Delta^p A_1 ... A_r = Delta^(p+j) P^-1 A_(j+1) ... A_r,
+        where P = (Delta^-j A_1 ... A_j)^-1 is positive, the factors of one
+        `inv`. Only inverse letters come before A_(j+1), and none of them
+        cancels against it: P's first factor is A_j's right complement,
+        which starts with no letter A_(j+1) starts with, as (A_j, A_(j+1))
+        is left-weighted."""
+        n, p, factors = self
         spelling = _simples(n).spelling
-        for f in self.factors:
+        if p >= 0:
+            letters = _delta_letters(n) * p
+            j = 0
+        else:
+            j = min(-p, len(factors))
+            letters = [-k for k in reversed(_delta_letters(n))] * (-p - j)
+            for f in reversed(CanonicalForm(n, -j, factors[:j]).inv().factors):
+                letters.extend(-k for k in reversed(spelling[f]))
+        for f in factors[j:]:
             letters.extend(spelling[f])
-        return BraidWord(n, tuple(letters))
+        return _valid(n, tuple(letters))
 
     def to_json(self) -> dict:
         perm = _simples(self.strands).perm
@@ -882,15 +893,16 @@ def _conjugacy(a: _ConjugacyRecord, b: _ConjugacyRecord) -> list[int] | None:
     return path
 
 
-def _witness(a: _ConjugacyRecord, b: _ConjugacyRecord, path: list[int]) -> BraidWord:
-    """A conjugator c with c * b.cf * c^-1 = a.cf, from the path
-    `_conjugacy(a, b)` returned: the identity for equal forms, and
-    otherwise h * g^-1, free-reduced, in one normalization. h = s_1 ... s_j
-    joins a's summit and circuit walks with the path, and g = t_1 ... t_k is
-    b's summit walk, joined with its steps to its circuit's start when that
-    circuit was walked. When it was not, the pair met on b's summit
-    element; when it was, those steps are none if the pair met on v_b,
-    which then starts its own circuit.
+def _witness(a: _ConjugacyRecord, b: _ConjugacyRecord, path: list[int]) -> CanonicalForm:
+    """The canonical form of a conjugator c with c * b.cf * c^-1 = a.cf,
+    from the path `_conjugacy(a, b)` returned, for `to_word` to spell: the
+    identity for equal forms, and otherwise h * g^-1, in one
+    normalization. h = s_1 ... s_j joins a's summit and circuit walks with
+    the path, and g = t_1 ... t_k is b's summit walk, joined with its
+    steps to its circuit's start when that circuit was walked. When it
+    was not, the pair met on b's summit element; when it was, those
+    steps are none if the pair met on v_b, which then starts its own
+    circuit.
 
     The inverse of a simple element t is Delta^-1 times its complement,
     t^-1 = Delta^-1 dt with dt = Delta t^-1 (El-Rifai and Morton 1994;
@@ -902,7 +914,7 @@ def _witness(a: _ConjugacyRecord, b: _ConjugacyRecord, path: list[int]) -> Braid
     that multiplying out h and g^-1 gives."""
     n = a.cf.strands
     if a.cf == b.cf:
-        return BraidWord.identity(n)
+        return CanonicalForm(n, 0, ())
     simples = _simples(n)
     tau, complement = simples.tau, simples.complement
     g = b.summit[1] + (b.circuit[2] if "circuit" in vars(b) else [])
@@ -914,7 +926,7 @@ def _witness(a: _ConjugacyRecord, b: _ConjugacyRecord, path: list[int]) -> Braid
         # dt_(k+1-i), twisted by the k - i Deltas^-1 to its right
         factors.append(tau[complement[t]] if (k - i) & 1 else complement[t])
     shift, fs = _normalize(n, factors)
-    return free_reduce(CanonicalForm(n, shift - k, fs).to_word())
+    return CanonicalForm(n, shift - k, fs)
 
 
 def _word_invariants(a: BraidWord) -> tuple[int, tuple[int, ...]]:
@@ -971,7 +983,7 @@ def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     ra, rb = _ConjugacyRecord(canonical_form(a)), _ConjugacyRecord(canonical_form(b))
     if (path := _conjugacy(ra, rb)) is None:
         return ConjugacyResult(False)
-    return ConjugacyResult(True, _witness(ra, rb, path))
+    return ConjugacyResult(True, _witness(ra, rb, path).to_word())
 
 
 def _circuit_meet(

@@ -153,6 +153,15 @@ def invert(a: BraidWord) -> BraidWord:
     return BraidWord(a.strands, tuple(-k for k in reversed(a.letters)))
 
 
+def _valid(strands: int, letters: tuple[int, ...]) -> BraidWord:
+    """The word of letters that are already valid on this strand count,
+    made without `BraidWord`'s per-letter check: for the library's own
+    words, such as a free reduction or a spelled canonical form."""
+    word = object.__new__(BraidWord)
+    word.__dict__.update(strands=strands, letters=letters)
+    return word
+
+
 def free_reduce(a: BraidWord) -> BraidWord:
     """Cancel adjacent sigma_k sigma_k^-1 pairs until none remain."""
     stack: list[int] = []
@@ -161,7 +170,7 @@ def free_reduce(a: BraidWord) -> BraidWord:
             stack.pop()
         else:
             stack.append(k)
-    return BraidWord(a.strands, tuple(stack))
+    return _valid(a.strands, tuple(stack))
 
 
 def permutation(a: BraidWord) -> PermutationTable:

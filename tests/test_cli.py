@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import snbraid as sb
 from snbraid import cli
-from conftest import conjugated_kernel_part
 
 A1 = "s2 s1 s1 S2"
 A2 = "s2 s2"
@@ -105,17 +104,7 @@ class TestDecisionCommands:
         assert doc1["status"] == doc2["status"] == "Equivalent"
 
     def test_inconclusive_exit_two(self, capsys):
-        c = sb.free_reduce(
-            sb.BraidWord(3, (2, 1, 1, -2)) * sb.BraidWord(3, (2, 2)) * sb.BraidWord(3, (2, 1, 1, -2))
-        )
-        deep = conjugated_kernel_part(
-            2, 1, sb.BraidWord(2, ()), sb.BraidWord(3, (2, 2)), c
-        )
-        code, out, _ = run(
-            capsys,
-            ["sn", "-n", "2", "-m", "1", "--betaA", "", "--ox", deep.format(),
-             "--oy", A2, "--max-len", "1", "--max-states", "100"],
-        )
+        code, out, _ = run(capsys, ["sn", *DEEP, "--max-len", "1", "--max-states", "100"])
         assert code == 2
         assert json.loads(out)["status"] == "Inconclusive"
 
@@ -564,12 +553,25 @@ NO_KERNEL = ["-n", "0", "-m", "4", "--betaA", "", "--ox", "s1 s2 s3", "--oy", "s
 EQUAL_FORMS = ["-n", "2", "-m", "1", "--betaA", "s1", "--ox", "s2 s2 s1 S1", "--oy", "s2 s2"]
 # The `deep` instance of CI's exit-code step: its two pins fix the kernel
 # search's order and its state count at a small budget, and its witness.
+# Its ambient conjugator moves a puncture strand to the orbit strand's
+# position, which no power of Delta^2 or beta_y moves back, so the
+# centralizer shift misses and the search runs.
 DEEP = [
     "-n", "2", "-m", "1", "--betaA", "",
-    "--ox", "s2 s1 s1 s2 s2 s1 s1 s2 s2 S1 S1 S2 S2 S1 S1 S2", "--oy", "s2 s2",
+    "--ox", "s1 s1 S2 S2 S2 S1 S1 s2 s2 s1 s1 s2 s2 s2 S1 S1", "--oy", "s2 s2",
 ]
 DEEP_INCONCLUSIVE = {"status": "Inconclusive", "budget": {"max_len": 3, "states": 11}}
-DEEP_EQUIVALENT = {"status": "Equivalent", "witness": "s2 s1 s1 s2 s2 s1 s1 S2"}
+DEEP_EQUIVALENT = {"status": "Equivalent", "witness": "S2 S1 S1 S2 S2 S2 S2 S1 S1 S2"}
+# Instance 304 of the seed-1 sn-ambient benchmark corpus, at its budget:
+# the kernel search ran it out, and the centralizer shift decides it.
+SHIFTED = [
+    "-n", "2", "-m", "1", "--betaA", "s1 s1 s1",
+    "--ox", "s2 s1 s1 S2 s1 s1 s1 s2 s2 S1 S1 S1", "--oy", "s2 s2 s2 s1 s1 S2",
+    "--max-len", "5", "--max-states", "20000",
+]
+SHIFTED_EQUIVALENT = {
+    "status": "Equivalent", "witness": "s1 s1 s2 s2 s1 s2 S1 S1 S2 S2 S2 S1 S1 S1"
+}
 # An n = 3 instance whose base s1 S2 s1 acts on the free kernel F_3: CI's
 # pins of its kernel search on free words, at a state budget that cuts
 # level 3 and at the default budget.
@@ -681,13 +683,7 @@ class TestConsolePins:
                 # The second form's summit walk stops at a rigid element on
                 # the inverse side, and returns that element's inverse.
                 ["conj", "-n", "4", "S3 s1 S3 s2 s1", "s1 S3 s1 S3 s2"],
-                {
-                    "conjugate": True,
-                    "witness": (
-                        "S1 S2 S3 S1 S2 S1 S1 S2 S3 S1 S2 S1 S1 S2 S3 S1 S2 S1 S1 S2 S3 S1"
-                        " s3 s2 s1 s1 s2 s3 s3 s3"
-                    ),
-                },
+                {"conjugate": True, "witness": "S2 S1 S2 S1 S1 S2 S3 S1 S2 S2 S3 S1 S2 S1"},
                 id="conj-4-strands-rigid-inverse",
             ),
             pytest.param(
@@ -698,7 +694,7 @@ class TestConsolePins:
                 ],
                 {
                     "conjugate": True,
-                    "witness": "S1 S2 S3 S4 S5 S1 S2 S3 S4 S1 s4 s3 s2 s1 s5 s4 s3 s2 s1 s4 s5",
+                    "witness": "S3 s4 s5",
                 },
                 id="conj-6-strands-closure",
             ),
@@ -710,10 +706,7 @@ class TestConsolePins:
                 ],
                 {
                     "conjugate": True,
-                    "witness": (
-                        "S1 S2 S3 S4 S5 S6 S7 S1 S2 S3 S4 S5 S6 S1 S2 S3 S4 S5 S1 S2 S3 S4"
-                        " S1 S2 S3 S1 S2 S1 s2 s1 s3 s2 s5 s6 s7 s6 s5 s7"
-                    ),
+                    "witness": "S4 S5 S6 S7 S2 S3 S4 S5 S6 S2 S3 S4 S5 S1 S2 S3 S4 S3 S1 s7",
                 },
                 id="conj-8-strands-closure",
             ),
@@ -748,6 +741,8 @@ class TestConsolePins:
             pytest.param(
                 ["sn-twisted", *DEEP], DEEP_EQUIVALENT, id="sn-twisted-deep-default-budget"
             ),
+            pytest.param(["sn", *SHIFTED], SHIFTED_EQUIVALENT, id="sn-shifted"),
+            pytest.param(["sn-twisted", *SHIFTED], SHIFTED_EQUIVALENT, id="sn-twisted-shifted"),
             pytest.param(
                 ["sn", *FREE_N3, "--max-states", "30"], FREE_N3_INCONCLUSIVE,
                 id="sn-free-n3-state-budget",

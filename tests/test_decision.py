@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -11,6 +12,21 @@ from conftest import conjugated_kernel_part, random_kernel_word, random_word
 
 A1 = sb.BraidWord(3, (2, 1, 1, -2))
 A2 = sb.BraidWord(3, (2, 2))
+# A kernel conjugate of A2 over the trivial base whose decision needs the
+# kernel search: the ambient conjugator moves a puncture strand to the
+# orbit strand's position, which no power of Delta^2 or beta_y moves back,
+# so the centralizer shift misses. The search finds a witness at length 5.
+DEEP = sb.BraidWord.parse(3, "s1 s1 S2 S2 S2 S1 S1 s2 s2 s1 s1 s2 s2 s2 S1 S1")
+
+
+def ambient_s1():
+    """An instance over the base s1 whose mixed braids are conjugate in B_3
+    and pass every screen; the centralizer shift decides it."""
+    return sb.SNInstance(
+        2, 1, sb.BraidWord.parse(2, "s1"),
+        sb.BraidWord.parse(3, "S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1"),
+        sb.BraidWord.parse(3, "s2 s2 s2 s2"),
+    )
 
 
 def verify(inst: sb.SNInstance, verdict: sb.SNVerdict):
@@ -90,9 +106,7 @@ class TestRelA:
         assert v.certificate.invariant == "linking_matrix"
 
     def test_honest_inconclusive_under_tight_budget(self):
-        c = sb.free_reduce(A1 * A2 * A1)
-        ox = conjugated_kernel_part(2, 1, sb.BraidWord(2, ()), A2, c)
-        inst = sb.SNInstance(2, 1, sb.BraidWord(2, ()), ox, A2)
+        inst = sb.SNInstance(2, 1, sb.BraidWord(2, ()), DEEP, A2)
         v = sb.sn_equivalent_rel_A(inst, sb.Budget(max_length=1, max_states=500))
         assert v.status == sb.INCONCLUSIVE
         assert v.budget_report is not None
@@ -100,10 +114,7 @@ class TestRelA:
         assert set(doc["budget"]) == {"max_len", "states"}
 
     def test_budget_monotone(self):
-        beta_A = sb.BraidWord(2, (1,))
-        c = sb.free_reduce(A1 * A2 * A1)
-        ox = conjugated_kernel_part(2, 1, beta_A, A2, c)
-        inst = sb.SNInstance(2, 1, beta_A, ox, A2)
+        inst = TestKernelSearchPinned().instance(TestKernelSearchPinned.EQUIVALENT_OX)
         small = sb.sn_equivalent_rel_A(inst, sb.Budget(max_length=1, max_states=50))
         big = sb.sn_equivalent_rel_A(inst, sb.Budget(max_length=6, max_states=50000))
         assert small.status == sb.INCONCLUSIVE
@@ -169,14 +180,21 @@ class TestKernelSearchPinned:
     conjugate matches beta_x, and never for the identity. `_decide`
     settles equal forms before the screens, so the search cannot match
     with the identity and does not try it; it still counts it as a
-    state."""
+    state. On both instances the ambient conjugator moves a puncture
+    strand to the orbit strand's position, which no power of Delta^2 or
+    beta_y moves back, so the centralizer shift misses and the search
+    runs."""
 
     BUDGET = sb.Budget(5, 20000)
-    OY = "s2 s2 s2 s2"
+    BASE = "s1 s1"
+    OY = "s2 s2 s2 s1 s1 S2"
+    EQUIVALENT_OX = "S2 s1 s1 S2 s1 s1 s2 s2 s2 s2 S1 S1"
+    INCONCLUSIVE_OX = "S1 S1 S2 s1 s1 s2 s2 s2 s1 s1"
 
     def instance(self, ox):
         return sb.SNInstance(
-            2, 1, sb.BraidWord.parse(2, "s1"), sb.BraidWord.parse(3, ox), sb.BraidWord.parse(3, self.OY)
+            2, 1, sb.BraidWord.parse(2, self.BASE), sb.BraidWord.parse(3, ox),
+            sb.BraidWord.parse(3, self.OY),
         )
 
     @pytest.fixture
@@ -197,9 +215,9 @@ class TestKernelSearchPinned:
 
     @pytest.mark.parametrize("decide", [sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted])
     def test_equivalent_witness(self, decide, accept_calls):
-        inst = self.instance("S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1")
+        inst = self.instance(self.EQUIVALENT_OX)
         v = decide(inst, self.BUDGET)
-        assert v.to_json() == {"status": "Equivalent", "witness": "s2 s1 s1 s2 s2 S1 S1 s2 s2 s2"}
+        assert v.to_json() == {"status": "Equivalent", "witness": "S2 S1 S1 S2 S2 s1 s1 S2"}
         verify(inst, v)
         assert accept_calls == [1]
 
@@ -227,14 +245,13 @@ class TestKernelSearchPinned:
                 inside.clear()
 
         monkeypatch.setattr(sb.decision, "_search_kernel_conjugator", watched)
-        for ox in ("S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1",
-                   "S1 S1 S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1 s1 s1"):
+        for ox in (self.EQUIVALENT_OX, self.INCONCLUSIVE_OX):
             decide(self.instance(ox), self.BUDGET)
         assert len(searches) == 2 and calls == []
 
     @pytest.mark.parametrize("decide", [sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted])
     def test_inconclusive_budget(self, decide, accept_calls):
-        inst = self.instance("S1 S1 S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1 s1 s1")
+        inst = self.instance(self.INCONCLUSIVE_OX)
         v = decide(inst, self.BUDGET)
         assert v.to_json() == {"status": "Inconclusive", "budget": {"max_len": 5, "states": 66}}
         assert accept_calls == [0]
@@ -244,7 +261,7 @@ class TestKernelSearchPinned:
         # The identity, four states of length 1 on each side and twelve
         # forward states of length 2 make 21 by total length 3, so a cap of
         # 25 is passed while the backward side grows to length 2.
-        inst = self.instance("S1 S1 S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1 s1 s1")
+        inst = self.instance(self.INCONCLUSIVE_OX)
         v = decide(inst, sb.Budget(5, 25))
         assert v.to_json() == {"status": "Inconclusive", "budget": {"max_len": 4, "states": 26}}
         assert accept_calls == [0]
@@ -307,6 +324,9 @@ class TestMeetInTheMiddle:
     the same generator length, and every witness re-verifies."""
 
     def decide_with(self, monkeypatch, search, decide, inst, budget):
+        """Decide with `search` as the kernel search. The centralizer shift
+        is switched off, so every instance that passes the ambient test
+        reaches the search, n <= 2 too."""
         reports = []
 
         def recorded(inst, budget, accept):
@@ -315,6 +335,7 @@ class TestMeetInTheMiddle:
             return found, report
 
         monkeypatch.setattr(sb.decision, "_search_kernel_conjugator", recorded)
+        monkeypatch.setattr(sb.decision, "_centralizer_shift", lambda *args: None)
         return decide(inst, budget), reports
 
     def instances(self, rng, count):
@@ -586,9 +607,7 @@ class TestTwisted:
         ambient = sb.SNInstance(
             2, 1, sb.BraidWord(2, (-1,)), sb.BraidWord(3, (2, -1, -1, 2)), sb.BraidWord(3, ())
         )
-        searched = TestKernelSearchPinned().instance(
-            "S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1"
-        )
+        searched = TestKernelSearchPinned().instance(TestKernelSearchPinned.EQUIVALENT_OX)
         monkeypatch.setattr(decision, "canonical_form", recorded)
         assert sb.sn_equivalent_twisted(screened).certificate.invariant == "exponent_sum"
         assert sb.sn_equivalent_twisted(ambient).certificate.invariant == "not conjugate in B_3"
@@ -702,7 +721,9 @@ class TestEmptyInvariantSet:
         search, over the whole group here, finds one that does."""
         from snbraid import decision
 
-        monkeypatch.setattr(decision, "_witness", lambda a, b, path: sb.BraidWord.identity(3))
+        monkeypatch.setattr(
+            decision, "_witness", lambda a, b, path: sb.canonical_form(sb.BraidWord.identity(3))
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             s1, s2 = sb.BraidWord(3, (1,)), sb.BraidWord(3, (2,))
@@ -733,23 +754,35 @@ def seeded_instances(seed, count):
 
 class TestAmbientPath:
     """The ambient test of a decision keeps the path `garside._conjugacy`
-    found, and multiplies a witness out of it only for an empty invariant
-    set."""
+    found, and multiplies a witness out of it only for n <= 2, where the
+    centralizer shift reads it."""
 
     def test_kernel_strands_multiply_out_no_witness(self, monkeypatch):
+        """On n >= 3 the decision goes from the ambient test straight to
+        the search: the FREE_N3 instance of the console pins (Equivalent
+        at this budget), CI's guard instance (Inconclusive) and the n = 3
+        seeded instances."""
         from snbraid import decision
 
         def refused(*args):
-            raise AssertionError("_witness called with kernel strands")
+            raise AssertionError("_witness called with n >= 3 punctures")
 
         monkeypatch.setattr(decision, "_witness", refused)
         pinned = TestKernelSearchPinned()
-        instances = [pinned.instance(ox) for ox in (
-            "S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1",
-            "S1 S1 S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1 s1 s1",
-        )]
+        words = [
+            ("s1 S2 s1", "S1 s2 S1 s3 s2 S1 S1 S2 S2 S2 s3 s3 s2 S1 S1 S2 S3 s1 S2 s1 s3 S2 S2 "
+             "S2 s1 s1 S2 S3 S3 s2 s2 s2 s1 s1 S2 S3", "s3 S2 S2 S2 S2 S3"),
+            ("", " ".join(["s1 S2"] * 24 + ["s3 s2 s1 s1 S2 S3"] + ["s2 S1"] * 24),
+             "s3 s2 s1 s1 S2 S3"),
+        ]
+        instances = [
+            sb.SNInstance(3, 1, sb.BraidWord.parse(3, b), sb.BraidWord.parse(4, x),
+                          sb.BraidWord.parse(4, y))
+            for b, x, y in words
+        ]
+        instances += [inst for inst in seeded_instances(2323, 60) if inst.n >= 3]
         statuses = set()
-        for inst in instances + list(seeded_instances(2323, 60)):
+        for inst in instances:
             for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
                 statuses.add(decide(inst, pinned.BUDGET).status)
         assert statuses == {sb.EQUIVALENT, sb.NOT_EQUIVALENT, sb.INCONCLUSIVE}
@@ -765,7 +798,7 @@ class TestAmbientPath:
             if path is None:
                 continue
             conjugate += 1
-            h = _witness(inst._x, inst._y, path)
+            h = _witness(inst._x, inst._y, path).to_word()
             bx, by = inst.mixed_x().word, inst.mixed_y().word
             assert sb.equal(bx, sb.compose(sb.compose(h, by), sb.invert(h)))
         assert conjugate >= 30
@@ -794,9 +827,7 @@ class TestInstanceValidation:
         instance holds instead of computing them again."""
         from snbraid import decision
 
-        inst = TestKernelSearchPinned().instance(
-            "S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1"
-        )
+        inst = TestKernelSearchPinned().instance(TestKernelSearchPinned.EQUIVALENT_OX)
         mixed = {inst.mixed_x().word, inst.mixed_y().word}
         assert inst._x.cf == sb.canonical_form(inst.mixed_x().word)
         assert inst._y.cf == sb.canonical_form(inst.mixed_y().word)
@@ -869,10 +900,8 @@ class TestPartition:
         assert res.classes == ((0, 1),)
 
     def test_unresolved_pairs_not_merged(self):
-        c = sb.free_reduce(A1 * A2 * A1)
-        deep = conjugated_kernel_part(2, 1, sb.BraidWord(2, ()), A2, c)
         res = sb.partition_sn_classes(
-            2, 1, sb.BraidWord(2, ()), [A2, deep], sb.Budget(max_length=1, max_states=500)
+            2, 1, sb.BraidWord(2, ()), [A2, DEEP], sb.Budget(max_length=1, max_states=500)
         )
         assert res.classes == ((0,), (1,))
         assert res.unresolved == ((0, 1),)
@@ -941,12 +970,13 @@ def conjugate_classes(rng, n, m, beta_A, cores, copies):
     return orbits
 
 
-def thirty_orbits(seed):
+def thirty_orbits(seed, base=(1,)):
     """Five cores with distinct exponent sums, each with five conjugates by
-    one kernel generator: 30 orbits, 435 pairs, over the base sigma_1."""
+    one kernel generator: 30 orbits, 435 pairs, over the base sigma_1
+    unless another is given."""
     texts = ["s2 s2", "S2 S2", "s2 s1 s1 S2 s2 s1 s1 S2", "s2 s2 s2 s2 s2 s2",
              "s2 S1 S1 S2 s2 S1 S1 S2"]
-    beta_A = sb.BraidWord(2, (1,))
+    beta_A = sb.BraidWord(2, base)
     rng = random.Random(seed)
     orbits = []
     for text in texts:
@@ -1072,7 +1102,8 @@ class TestOrbitRecordsReused:
     def test_partition_acts_by_its_base_once(self, monkeypatch, seed):
         """Every pair of a partition shares beta_A, so the Artin images
         phi_{beta_A}(x_i) of the m = 1 kernel search are built once for all
-        of them."""
+        of them. Over sigma_1^2 some pairs miss the centralizer shift and
+        reach the search."""
         from snbraid import _free, decision
 
         calls = []
@@ -1084,7 +1115,7 @@ class TestOrbitRecordsReused:
 
         monkeypatch.setattr(_free, "artin", counted)
         decision._free_letters.cache_clear()
-        beta_A, orbits = thirty_orbits(seed)
+        beta_A, orbits = thirty_orbits(seed, (1, 1))
         res = sb.partition_sn_classes(2, 1, beta_A, orbits)
         assert len(res.classes) == 5 and res.unresolved == ()
         assert len(calls) == 1
@@ -1095,9 +1126,7 @@ class TestOrbitRecordsReused:
         linking matrix implies, is not screened."""
         from snbraid import decision, garside, invariants, mixed, words
 
-        inst = TestKernelSearchPinned().instance(
-            "S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1"
-        )
+        inst = ambient_s1()
         calls = []
         for module in (words, garside, mixed, invariants, decision):
             if hasattr(module, "permutation"):
@@ -1113,9 +1142,7 @@ class TestOrbitRecordsReused:
         assert inst.mixed_x().perm == sb.permutation(inst.mixed_x().word)
 
     def test_formulations_share_one_instance(self, calls):
-        inst = TestKernelSearchPinned().instance(
-            "S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1"
-        )
+        inst = ambient_s1()
         assert calls == {}
         budget = TestKernelSearchPinned.BUDGET
         rel_A = sb.sn_equivalent_rel_A(inst, budget)
@@ -1154,3 +1181,183 @@ def test_verdict_json_shapes():
     )
     doc2 = sb.sn_equivalent_rel_A(inst2).to_json()
     assert set(doc2["certificate"]) == {"invariant", "lhs", "rhs"}
+
+
+@pytest.fixture
+def corpus(monkeypatch):
+    """The seeded generators of the benchmark, perfbench/corpus.py."""
+    import pathlib
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import corpus
+
+    return corpus
+
+
+def corpus_instance(inst):
+    n, m = inst["n"], inst["m"]
+    return sb.SNInstance(
+        n, m, sb.BraidWord.parse(n, inst["beta_A"]),
+        sb.BraidWord.parse(n + m, inst["ox"]), sb.BraidWord.parse(n + m, inst["oy"]),
+    )
+
+
+def shift_off(monkeypatch):
+    """Decide as before the centralizer shift: the search follows the
+    ambient test directly."""
+    monkeypatch.setattr(sb.decision, "_centralizer_shift", lambda *args: None)
+
+
+class TestCentralizerShift:
+    """For n <= 2 the decision shifts the ambient conjugator h into the
+    kernel by Delta^2a * beta_y^b before any search
+    (`decision._centralizer_shift`); a miss goes on to the search."""
+
+    @pytest.fixture
+    def shifted(self, monkeypatch):
+        """The (instance, witness or None) of every shift."""
+        found = []
+        shift = sb.decision._centralizer_shift
+
+        def recorded(inst, path, accept):
+            c = shift(inst, path, accept)
+            found.append((inst, c))
+            return c
+
+        monkeypatch.setattr(sb.decision, "_centralizer_shift", recorded)
+        return found
+
+    def test_gate_agrees_with_is_kernel(self):
+        """The one-pass test `_in_kernel` is `mixed.is_kernel` for n <= 2,
+        on kernel words, on random words and, for n = 2, on kernel words
+        times sigma_1^+-2, which fix every strand but project to a
+        nontrivial braid."""
+        rng = random.Random(72)
+        seen = set()
+        for n, m in ((0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)):
+            for _ in range(150):
+                w = random_kernel_word(rng, n, m, rng.randint(0, 4))
+                draw = rng.random()
+                if draw < 0.3:
+                    w = random_word(rng, n + m, 10)
+                elif draw < 0.6 and n == 2:
+                    w = sb.compose(w, sb.BraidWord(n + m, (rng.choice((1, -1)),) * 2))
+                got = sb.decision._in_kernel(n, m, w.letters)
+                assert got == sb.is_kernel(n, m, w), (n, m, w)
+                seen.add((n, got))
+        assert seen == {(0, True), (1, True), (1, False), (2, True), (2, False)}
+
+    def test_powers_are_the_least_solution(self):
+        """`_shift_powers` against a box search over |a|, |b| <= 40: the
+        least solution by |a| + |b|, then |b|, then b, of
+        2a + e*b = -crossings with the punctures back in place, or None
+        when there is none. h's crossings have the parity of its swap."""
+        shift_powers = sb.decision._shift_powers
+        for e in range(-5, 6):
+            for r, ends in ((0, [1, 2]), (1, [2, 1])):
+                for crossings in range(r - 12, 13, 2):
+                    box = [
+                        (abs(a) + abs(b), abs(b), b, a)
+                        for a in range(-40, 41) for b in range(-40, 41)
+                        if 2 * a + e * b == -crossings and (r + b * e) % 2 == 0
+                    ]
+                    least = min(box, default=None)
+                    expected = None if least is None else (least[3], least[2])
+                    assert shift_powers(e, ends, crossings) == expected, (e, ends, crossings)
+        assert shift_powers(0, [1], 0) == (0, 0)
+        assert shift_powers(0, [0], 0) is None
+        assert shift_powers(1, [1, 0], 0) is None and shift_powers(2, [0, 2], 1) is None
+
+    def test_seeded_witnesses_are_kernel_conjugators(self, shifted):
+        """On seeded instances with n in {0, 1, 2}, kernel conjugates and
+        conjugates by the lift of beta_A times a kernel word, every witness
+        the shift returns is a kernel element that conjugates beta_y to
+        beta_x; some shifts miss, and their decisions go on to the search."""
+        rng = random.Random(73)
+        shapes = ((0, 2), (0, 3), (1, 1), (1, 2), (2, 1), (2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for trial in range(240):
+                n, m = shapes[trial % len(shapes)]
+                beta_A = random_word(rng, n, 4)
+                oy = random_kernel_word(rng, n, m, rng.randint(1, 3))
+                c = random_kernel_word(rng, n, m, rng.randint(1, 3))
+                if trial % 2:
+                    c = sb.compose(sb.section(n, m, beta_A).word, c)
+                ox = conjugated_kernel_part(n, m, beta_A, oy, c)
+                sb.sn_equivalent_rel_A(sb.SNInstance(n, m, beta_A, ox, oy), sb.Budget(3, 2000))
+        hits = {0: 0, 1: 0, 2: 0}
+        for inst, c in shifted:
+            if c is None:
+                continue
+            hits[inst.n] += 1
+            assert sb.is_kernel(inst.n, inst.m, c)
+            bx, by = inst.mixed_x().word, inst.mixed_y().word
+            assert sb.equal(bx, sb.compose(sb.compose(c, by), sb.invert(c)))
+        assert min(hits.values()) >= 15
+        assert any(c is None for _, c in shifted)
+
+    def test_formerly_inconclusive_sn_ambient(self, corpus, monkeypatch, shifted):
+        """The 51 instances of the seed-1 sn-ambient benchmark corpus that the
+        search alone leaves Inconclusive at the benchmark's budget are all
+        Equivalent now, each by a shift witness that re-verifies; the other
+        333 keep their status."""
+        budget = sb.Budget(5, 20000)
+        instances = [corpus_instance(inst) for inst in corpus.sn_ambient(1, 384)]
+        with monkeypatch.context() as m:
+            shift_off(m)
+            before = [sb.sn_equivalent_rel_A(inst, budget).status for inst in instances]
+        assert before.count(sb.INCONCLUSIVE) == 51
+        assert set(before) == {sb.EQUIVALENT, sb.INCONCLUSIVE}
+        shifted.clear()
+        for inst in instances:
+            v = sb.sn_equivalent_rel_A(inst, budget)
+            assert v.status == sb.EQUIVALENT
+            verify(inst, v)
+        assert all(c is not None for _, c in shifted) and len(shifted) == 384
+
+    def test_n3_decide_mix_verdicts_unchanged(self, corpus, monkeypatch):
+        """On n = 3 the decision never shifts. Its verdicts on the seed-1
+        decide-mix corpus, both formulations at the benchmark's budget, are
+        byte for byte those made before the shift existed: the digest was
+        taken then."""
+        def refused(*args):
+            raise AssertionError("shift on n = 3")
+
+        monkeypatch.setattr(sb.decision, "_centralizer_shift", refused)
+        lines = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for inst in corpus.decide_mix(1, 576):
+                if inst["n"] < 3:
+                    continue
+                sn = corpus_instance(inst)
+                for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
+                    lines.append(json.dumps(decide(sn, sb.Budget(4, 4000)).to_json(), sort_keys=True))
+        assert len(lines) == 384
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "2dba63767a85dd8bb385cbb018593b019cf4fcdaef7e80b42c5cd58f68bf6e9f"
+
+    def test_partition_unresolved_only_shrinks(self, monkeypatch):
+        """With the shift, a partition's classes only merge and its
+        unresolved pairs only go: seeded lists with n <= 2 at tight
+        budgets, against the same lists decided without the shift."""
+        shrunk = 0
+        for seed in range(8):
+            rng = random.Random(9100 + seed)
+            n, m = ((1, 2), (2, 1), (2, 2), (2, 1))[seed % 4]
+            beta_A = random_word(rng, n, 3)
+            cores = [random_kernel_word(rng, n, m, rng.randint(1, 3)) for _ in range(3)]
+            orbits = conjugate_classes(rng, n, m, beta_A, cores, 2)
+            budget = sb.Budget(1 + seed % 2, 200)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                new = sb.partition_sn_classes(n, m, beta_A, orbits, budget)
+                with monkeypatch.context() as patch:
+                    shift_off(patch)
+                    old = sb.partition_sn_classes(n, m, beta_A, orbits, budget)
+            assert set(new.unresolved) <= set(old.unresolved)
+            merged = {i: cls for cls in new.classes for i in cls}
+            assert all(set(cls) <= set(merged[cls[0]]) for cls in old.classes)
+            shrunk += len(old.unresolved) - len(new.unresolved)
+        assert shrunk > 0

@@ -1626,7 +1626,7 @@ class TestFactorListConjugators:
             path = garside._conjugacy(records[i], records[j])
             assert (path is not None) == doc["conjugate"]
             if path is not None:
-                witness = garside._witness(records[i], records[j], path)
+                witness = garside._witness(records[i], records[j], path).to_word()
                 assert witness.format() == doc["witness"]
         assert len(walked) <= len(words)
         assert any(doc["conjugate"] for doc in expected.values())
@@ -1733,7 +1733,7 @@ class TestOneNormalizationWitness:
             path = garside._conjugacy(ra, rb)
             if path is None or ra.cf == rb.cf:
                 continue
-            got = garside._witness(ra, rb, path)
+            got = garside._witness(ra, rb, path).to_word()
             assert got.letters == reference_witness(ra, rb, path).letters, (a, b)
             check_witness(a, b, sb.ConjugacyResult(True, got))
             prefix = rb.circuit[2] if "circuit" in vars(rb) else []
@@ -1880,7 +1880,7 @@ class TestRigidStop:
         rb.summit = (cf, [])
         path = garside._conjugacy(ra, rb)
         assert rb.circuit[2]
-        c = garside._witness(ra, rb, path)
+        c = garside._witness(ra, rb, path).to_word()
         assert sb.equal(ra.cf.to_word(), sb.compose(sb.compose(c, cf.to_word()), sb.invert(c)))
 
 
@@ -1935,3 +1935,52 @@ class TestConjugateByRank:
             check_witness(a, b, sb.is_conjugate(a, b))
             assert reached, (n, seed)
         assert calls == []
+
+
+class TestFractionSpelling:
+    """`to_word` spells a form Delta^p A_1 ... A_r with p < 0 as the
+    fraction Delta^(p+j) P^-1 A_(j+1) ... A_r, j = min(-p, r), free-reduced.
+    It is the braid of the Delta spelling, -p copies of Delta^-1's letters
+    followed by the factors', and no longer than that once free-reduced."""
+
+    @staticmethod
+    def delta_spelling(cf):
+        n, p, factors = cf
+        delta = garside._delta_letters(n)
+        letters = delta * p if p >= 0 else [-k for k in reversed(delta)] * -p
+        for f in factors:
+            letters += garside._perm_word(garside._unrank(n, f))
+        return sb.BraidWord(n, tuple(letters))
+
+    def test_same_braid_as_the_delta_spelling(self):
+        rng = random.Random(34)
+        forms = [CanonicalForm(n, p, ()) for n in (2, 3, 5) for p in (-3, -1, 0, 2)]
+        for n in range(2, 8):
+            forms += [canonical_form(random_word(rng, n, 5 * n)) for _ in range(60)]
+        kinds = set()
+        for cf in forms:
+            word = cf.to_word()
+            old = self.delta_spelling(cf)
+            assert sb.equal(word, old)
+            assert canonical_form(word) == cf
+            assert sb.free_reduce(word) == word
+            assert len(word.letters) <= len(sb.free_reduce(old).letters)
+            if cf.delta_power < 0:
+                kinds.add((-cf.delta_power > len(cf.factors), -cf.delta_power < len(cf.factors)))
+        # -p above, below and equal to the number of factors
+        assert kinds == {(True, False), (False, True), (False, False)}
+
+    def test_witnesses_shrink(self):
+        """The console-pinned conjugacy witnesses are the Delta spellings'
+        braids, in fewer letters where the witness's Delta power is
+        negative."""
+        shorter = 0
+        for n, a, b in CONSOLE_CONJ_PINS:
+            a, b = sb.BraidWord.parse(n, a), sb.BraidWord.parse(n, b)
+            ra, rb = (garside._ConjugacyRecord(canonical_form(w)) for w in (a, b))
+            cf = garside._witness(ra, rb, garside._conjugacy(ra, rb))
+            witness = sb.is_conjugate(a, b).witness
+            old = sb.free_reduce(self.delta_spelling(cf))
+            assert witness == cf.to_word() and sb.equal(witness, old)
+            shorter += len(witness.letters) < len(old.letters)
+        assert shorter == 3

@@ -123,6 +123,18 @@ class TestGroupPlumbing:
         assert sb.free_reduce(sb.BraidWord(3, (1, 2, -2, 1))).letters == (1, 1)
         assert sb.free_reduce(sb.BraidWord(3, (1, 2))).letters == (1, 2)
 
+    def test_free_reduce_makes_plain_words(self):
+        """free_reduce skips the per-letter check, but its result is a word
+        like any other: equal, hashed and printed the same as the checked
+        word of its letters. The public constructor still checks."""
+        w = sb.free_reduce(sb.BraidWord(4, (3, 1, -1, -2, 2)))
+        checked = sb.BraidWord(4, (3,))
+        assert w == checked and hash(w) == hash(checked) and repr(w) == repr(checked)
+        assert type(w.letters) is tuple
+        for strands, letters in ((3, (3,)), (3, (-3,)), (3, (0,)), (1, (1,)), (4, (1, 5))):
+            with pytest.raises(ValueError, match="out of range"):
+                sb.BraidWord(strands, letters)
+
     def test_exponent_sum(self):
         assert sb.exponent_sum(sb.BraidWord(3, (1, -2, 1))) == 1
         assert sb.exponent_sum(sb.BraidWord(3, ())) == 0
