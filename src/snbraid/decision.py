@@ -34,7 +34,8 @@ settles what it can before the next begins:
   kernel generators, grown from both beta_y and beta_x, shortest first.
 
 `Budget` bounds only that search. The shift's witnesses are not
-shortest: they are h, Delta^2 and beta_y spelled out and free-reduced.
+shortest: each is the canonical form of h * Delta^2a * beta_y^b spelled
+out.
 
 The search's states are kernel elements. For m = 1 the kernel is the free
 group F_n on the loops A_i (`_free`), and a state is a reduced word of
@@ -84,7 +85,6 @@ from .garside import (
     _product,
     _witness,
     canonical_form,
-    full_twist,
     is_conjugate,
 )
 from .invariants import linking_matrix
@@ -547,31 +547,24 @@ def _centralizer_shift(
     h * Delta^2a * beta_y^b lies in the kernel is arithmetic on h's
     puncture strands and crossings (`_shift_powers`), read in one pass
     over h's letters; for n = 0 the kernel is the whole group and the
-    candidate is h. The candidate is spelled as h's letters, Delta^2's
-    and beta_y's, free-reduced, and its form is one `_product`; it must
-    pass the one-pass kernel test (`_in_kernel`) and `accept`."""
+    candidate is h. The candidate's form is one `_product` of h's form,
+    Delta^2a and beta_y's form, and its witness is that form spelled
+    out; it must pass the one-pass kernel test (`_in_kernel`) and
+    `accept`."""
     n, m = inst.n, inst.m
-    total = n + m
-    h_cf = _witness(inst._x, inst._y, path)
-    h = h_cf.to_word()
+    c_cf = _witness(inst._x, inst._y, path)
+    c = c_cf.to_word()
     a = b = 0
     if n:
-        ends, crossings = _punctures(n, m, h.letters)
+        ends, crossings = _punctures(n, m, c.letters)
         powers = _shift_powers(exponent_sum(inst.beta_A), ends[:n], crossings)
         if powers is None:
             return None
         a, b = powers
-    if a == b == 0:
-        c, c_cf = h, h_cf
-    else:
-        twist, beta_y, by_cf = full_twist(total), inst._y.braid.word, inst._y.cf
-        if a < 0:
-            twist = invert(twist)
-        if b < 0:
-            beta_y, by_cf = invert(beta_y), by_cf.inv()
-        letters = h.letters + twist.letters * abs(a) + beta_y.letters * abs(b)
-        c = free_reduce(BraidWord(total, letters))
-        c_cf = _product(h_cf, CanonicalForm(total, 2 * a, ()), *[by_cf] * abs(b))
+    if a or b:
+        by_cf = inst._y.cf if b > 0 else inst._y.cf.inv()
+        c_cf = _product(c_cf, CanonicalForm(n + m, 2 * a, ()), *[by_cf] * abs(b))
+        c = c_cf.to_word()
     if _in_kernel(n, m, c.letters) and accept(c, c_cf):
         return c
     return None

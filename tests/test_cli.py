@@ -523,8 +523,8 @@ def test_cli_start_imports_only_standard_library():
     assert out[-1] == "[]"
 
 
-# The 200-letter word of CI's pin on 5 strands, where the tables are built
-# whole in a fresh process.
+# The 200-letter word of the `nf -n 5` console pin, where the tables are
+# built whole in a fresh process.
 NF5_WORD = (
     "s2 s2 S1 S2 s4 S4 S2 s1 S4 S1 S4 s4 S1 s2 S4 s2 S4 s2 S1 s2 s3 s4 S3 S2 s2 "
     "S3 S1 S3 s2 s3 s1 S3 s3 S1 S3 S1 s1 S2 S4 s1 s4 s3 S1 s1 S1 S2 s4 s4 s1 S3 "
@@ -535,8 +535,9 @@ NF5_WORD = (
     "S4 s1 S1 S1 S2 S3 s2 s1 s4 s1 s1 S1 S1 s2 S4 S4 S4 S2 S3 S1 S4 S4 s2 S3 S3 "
     "s4 s3 S1 s1 S4 s2 s4 s1 S4 s1 S2 S3 s1 s1 s1 S3 s3 s4 s4 S2 S1 S2 S4 s4 s4"
 )
-# The 200-letter word of CI's pin on 6 strands, where the left-weighting
-# table fills from permutations as it is read in a fresh process.
+# The 200-letter word of the `nf -n 6` console pin, where the
+# left-weighting table fills from permutations as it is read in a fresh
+# process.
 NF6_WORD = (
     "S3 S5 s5 S4 s1 s4 S3 s4 s5 S2 s2 s4 S5 S5 S3 s2 S4 S3 S5 S4 s5 S1 S3 S3 s3 "
     "S5 s4 S4 s5 S3 S2 S1 S1 s4 S2 s3 S1 S3 s5 S1 S1 s4 s1 s2 s1 s1 S1 S4 S2 s5 "
@@ -547,221 +548,265 @@ NF6_WORD = (
     "s2 s2 s5 s5 S1 s4 s5 S1 S3 S2 s5 S3 s4 S5 S4 s3 s2 s4 s1 s5 s5 s5 s1 S5 s3 "
     "s1 s3 S3 s2 S4 S2 s4 s1 s3 s4 S5 S3 s3 S1 s5 s2 S4 S1 s3 S1 s3 s2 S5 s2 s3"
 )
-NO_KERNEL = ["-n", "0", "-m", "4", "--betaA", "", "--ox", "s1 s2 s3", "--oy", "s3 s2 s1"]
-# Two orbit words of one braid: the mixed braids have equal canonical
-# forms, which settle the decision before any screen.
-EQUAL_FORMS = ["-n", "2", "-m", "1", "--betaA", "s1", "--ox", "s2 s2 s1 S1", "--oy", "s2 s2"]
-# The `deep` instance of CI's exit-code step: its two pins fix the kernel
-# search's order and its state count at a small budget, and its witness.
-# Its ambient conjugator moves a puncture strand to the orbit strand's
-# position, which no power of Delta^2 or beta_y moves back, so the
-# centralizer shift misses and the search runs.
+# The `deep` instance, also read by `test_inconclusive_exit_two`: its
+# console pins fix the kernel search's order and its state count at a
+# small budget, and its witness. Its ambient conjugator moves a puncture
+# strand to the orbit strand's position, which no power of Delta^2 or
+# beta_y moves back, so the centralizer shift misses and the search runs.
 DEEP = [
     "-n", "2", "-m", "1", "--betaA", "",
     "--ox", "s1 s1 S2 S2 S2 S1 S1 s2 s2 s1 s1 s2 s2 s2 S1 S1", "--oy", "s2 s2",
 ]
-DEEP_INCONCLUSIVE = {"status": "Inconclusive", "budget": {"max_len": 3, "states": 11}}
-DEEP_EQUIVALENT = {"status": "Equivalent", "witness": "S2 S1 S1 S2 S2 S2 S2 S1 S1 S2"}
-# Instance 304 of the seed-1 sn-ambient benchmark corpus, at its budget:
-# the kernel search ran it out, and the centralizer shift decides it.
-SHIFTED = [
-    "-n", "2", "-m", "1", "--betaA", "s1 s1 s1",
-    "--ox", "s2 s1 s1 S2 s1 s1 s1 s2 s2 S1 S1 S1", "--oy", "s2 s2 s2 s1 s1 S2",
-    "--max-len", "5", "--max-states", "20000",
-]
-SHIFTED_EQUIVALENT = {
-    "status": "Equivalent", "witness": "s1 s1 s2 s2 s1 s2 S1 S1 S2 S2 S2 S1 S1 S1"
-}
-# An n = 3 instance whose base s1 S2 s1 acts on the free kernel F_3: CI's
-# pins of its kernel search on free words, at a state budget that cuts
-# level 3 and at the default budget.
+# An n = 3 instance whose base s1 S2 s1 acts on the free kernel F_3: its
+# console pins fix the kernel search on free words, at a state budget that
+# cuts level 3 and at the default budget.
 FREE_N3 = [
     "-n", "3", "-m", "1", "--betaA", "s1 S2 s1",
     "--ox", "S1 s2 S1 s3 s2 S1 S1 S2 S2 S2 s3 s3 s2 S1 S1 S2 S3 s1 S2 s1 s3 S2 S2 S2 s1 s1 S2 "
     "S3 S3 s2 s2 s2 s1 s1 S2 S3",
     "--oy", "s3 S2 S2 S2 S2 S3",
 ]
-FREE_N3_INCONCLUSIVE = {"status": "Inconclusive", "budget": {"max_len": 3, "states": 31}}
-FREE_N3_EQUIVALENT = {"status": "Equivalent", "witness": "s3 s2 S1 S1 S2 S2 S2 s3 s3 s2 S1 S1 S2 S3"}
-# CI's guard instance: the orbit beta^24 A_1 beta^-24, beta = s1 S2, has
-# about 2.6^24 letters in F_3, so its conversion stops at the bound and the
-# search runs on Garside states, in bounded time and memory.
-FREE_GUARD = [
-    "-n", "3", "-m", "1", "--betaA", "",
-    "--ox", " ".join(["s1 S2"] * 24 + ["s3 s2 s1 s1 S2 S3"] + ["s2 S1"] * 24),
-    "--oy", "s3 s2 s1 s1 S2 S3",
+
+
+def sn_both(name, argv, code, doc):
+    """One console pin under `sn` and under `sn-twisted`, which run one
+    decision and so print one output."""
+    return [(f"{cmd}-{name}", [cmd, *argv], code, doc) for cmd in ("sn", "sn-twisted")]
+
+
+# The console pins: each entry is (id, argv, exit code, whole JSON output)
+# of one `snbraid` command, the exit code 0 for a verdict and 2 for
+# Inconclusive. `TestConsolePins` runs them as `python -m snbraid.cli`, and
+# CI's console step runs them through the installed `snbraid` script.
+CONSOLE_PINS = [
+    ("nf-3-strands", ["nf", "-n", "3", "s1 s2 s1"], 0, {"n": 3, "delta_power": 1, "factors": []}),
+    # The README example.
+    ("conj-3-strands", ["conj", "-n", "3", "s1", "s2"], 0,
+     {"conjugate": True, "witness": "s1 s2 s1"}),
+    # The second form's Delta power is odd: its summit walk twists the
+    # factors it moves and absorbs a Delta.
+    (
+        "conj-5-strands",
+        ["conj", "-n", "5", "S4 S4 S2 s3 s1 s1", "s2 S4 s1 s2 S4 S4 S2 s3 s1 s1 S2 S1 s4 S2"],
+        0,
+        {"conjugate": True, "witness": "s1 s2 s3 s2 s1 s4 s3 s2 s2 s1 s3 s4 s3 s1 s2 s3 s2 s4"},
+    ),
+    # The second form's summit walk stops at a rigid element on the inverse
+    # side, and returns that element's inverse.
+    (
+        "conj-4-strands-rigid-inverse",
+        ["conj", "-n", "4", "S3 s1 S3 s2 s1", "s1 S3 s1 S3 s2"],
+        0,
+        {"conjugate": True, "witness": "S2 S1 S2 S1 S1 S2 S3 S1 S2 S2 S3 S1 S2 S1"},
+    ),
+    # Factor ranks above 2^63.
+    (
+        "nf-21-strands",
+        ["nf", "-n", "21", "S9 S7 s3 S18 S9 S13 s8 s16 s19 s20 S14 s15 S1 S9 s20 S20"],
+        0,
+        {
+            "n": 21,
+            "delta_power": -3,
+            "factors": [
+                [21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 9, 10, 8, 7, 6, 5, 4, 3, 2, 1],
+                [21, 20, 19, 18, 17, 16, 15, 14, 12, 13, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1],
+                [21, 20, 18, 19, 17, 16, 14, 13, 15, 12, 11, 8, 10, 7, 9, 6, 5, 4, 3, 1, 2],
+                [1, 2, 4, 3, 5, 6, 7, 9, 10, 8, 11, 12, 13, 14, 16, 17, 15, 18, 21, 19, 20],
+            ],
+        },
+    ),
+    # Through the ultra summit closure, in its breadth-first order; the memo
+    # tables of 6 strands fill as they are read.
+    (
+        "conj-6-strands-closure",
+        ["conj", "-n", "6", "S1 S3 s4 s5 S4 s3 S4 S4 s3 s1 S5 S4 s3 s1", "S4 s3 S4 S4 S5 s5 s3 s1"],
+        0,
+        {"conjugate": True, "witness": "S3 s4 s5"},
+    ),
+    # Through the closure on 8 strands, which conjugates by rank.
+    (
+        "conj-8-strands-closure",
+        [
+            "conj", "-n", "8",
+            "S6 S2 s3 S1 S3 s6 S7 S3 S2 S1 s2 S7 S3 S6 S6 s3 s1 S3 s2 s6",
+            "S7 S3 S2 S1 s2 S7 S3 S6",
+        ],
+        0,
+        {
+            "conjugate": True,
+            "witness": "S4 S5 S6 S7 S2 S3 S4 S5 S6 S2 S3 S4 S5 S1 S2 S3 S4 S3 S1 s7",
+        },
+    ),
+    # Through the kernel search: the ambient conjugator moves a puncture
+    # strand onto the orbit strand, so the centralizer shift misses.
+    *sn_both(
+        "kernel-search",
+        [
+            "-n", "2", "-m", "1", "--betaA", "s1 s1",
+            "--ox", "S2 s1 s1 S2 s1 s1 s2 s2 s2 s2 S1 S1", "--oy", "s2 s2 s2 s1 s1 S2",
+            "--max-len", "5", "--max-states", "20000",
+        ],
+        0,
+        {"status": "Equivalent", "witness": "S2 S1 S1 S2 S2 s1 s1 S2"},
+    ),
+    # Instance 304 of the seed-1 sn-ambient benchmark corpus at its budget,
+    # also the README's `sn` example: the kernel search ran it out, and the
+    # centralizer shift decides it.
+    *sn_both(
+        "shifted",
+        [
+            "-n", "2", "-m", "1", "--betaA", "s1 s1 s1",
+            "--ox", "s2 s1 s1 S2 s1 s1 s1 s2 s2 S1 S1 S1", "--oy", "s2 s2 s2 s1 s1 S2",
+            "--max-len", "5", "--max-states", "20000",
+        ],
+        0,
+        {"status": "Equivalent", "witness": "S2 S1 S1 S2 S2 S1 S1 s2 s2 s1 s1 s2"},
+    ),
+    # Two orbit words of one braid: the mixed braids have equal canonical
+    # forms, which settle the decision before any screen, with the identity.
+    *sn_both(
+        "equal-forms",
+        ["-n", "2", "-m", "1", "--betaA", "s1", "--ox", "s2 s2 s1 S1", "--oy", "s2 s2"],
+        0,
+        {"status": "Equivalent", "witness": ""},
+    ),
+    # No kernel strands: the witness is multiplied out of the ambient path.
+    *sn_both(
+        "no-kernel-strands",
+        ["-n", "0", "-m", "4", "--betaA", "", "--ox", "s1 s2 s3", "--oy", "s3 s2 s1"],
+        0,
+        {"status": "Equivalent", "witness": "s1 s2 s1 s3 s2 s1"},
+    ),
+    *sn_both(
+        "deep-state-budget",
+        [*DEEP, "--max-len", "8", "--max-states", "10"],
+        2,
+        {"status": "Inconclusive", "budget": {"max_len": 3, "states": 11}},
+    ),
+    *sn_both(
+        "deep-default-budget",
+        DEEP,
+        0,
+        {"status": "Equivalent", "witness": "S2 S1 S1 S2 S2 S2 S2 S1 S1 S2"},
+    ),
+    *sn_both(
+        "free-n3-state-budget",
+        [*FREE_N3, "--max-states", "30"],
+        2,
+        {"status": "Inconclusive", "budget": {"max_len": 3, "states": 31}},
+    ),
+    *sn_both(
+        "free-n3-default-budget",
+        FREE_N3,
+        0,
+        {"status": "Equivalent", "witness": "s3 s2 S1 S1 S2 S2 S2 s3 s3 s2 S1 S1 S2 S3"},
+    ),
+    # The guard instance: the orbit beta^24 A_1 beta^-24, beta = s1 S2, has
+    # about 2.6^24 letters in F_3, so its conversion stops at the bound and
+    # the search runs on Garside states, in bounded time and memory; pins
+    # the state count.
+    *sn_both(
+        "free-guard",
+        [
+            "-n", "3", "-m", "1", "--betaA", "",
+            "--ox", " ".join(["s1 S2"] * 24 + ["s3 s2 s1 s1 S2 S3"] + ["s2 S1"] * 24),
+            "--oy", "s3 s2 s1 s1 S2 S3",
+        ],
+        2,
+        {"status": "Inconclusive", "budget": {"max_len": 8, "states": 1563}},
+    ),
+    # A formal instance: the linking matrix certifies what the cycle type did.
+    (
+        "sn-formal-linking-matrix",
+        ["sn", "-n", "1", "-m", "3", "--betaA", "", "--ox", "s2 s3", "--oy", "s1 s1"],
+        0,
+        {
+            "status": "NotEquivalent",
+            "certificate": {
+                "invariant": "linking_matrix",
+                "lhs": [[["A", 1], ["o", 3], 0]],
+                "rhs": [
+                    [["A", 1], ["o", 1], 0], [["A", 1], ["o", 1], 0], [["A", 1], ["o", 1], 1],
+                    [["o", 1], ["o", 1], 0], [["o", 1], ["o", 1], 0], [["o", 1], ["o", 1], 0],
+                ],
+            },
+        },
+    ),
+    # Ranks only the letters the word uses.
+    (
+        "nf-2000-strands",
+        ["nf", "-n", "2000", "s1"],
+        0,
+        {"n": 2000, "delta_power": 0, "factors": [[2, 1, *range(3, 2001)]]},
+    ),
+    # Builds the complete rank tables of 5 strands.
+    (
+        "nf-5-strands-200-letters",
+        ["nf", "-n", "5", NF5_WORD],
+        0,
+        {
+            "n": 5,
+            "delta_power": -18,
+            "factors": [
+                [5, 4, 3, 1, 2], [4, 5, 2, 1, 3], [4, 3, 5, 1, 2], [4, 5, 2, 1, 3],
+                [2, 1, 5, 3, 4], [2, 1, 3, 5, 4], [2, 1, 3, 4, 5], [2, 1, 3, 4, 5],
+                [5, 1, 2, 3, 4], [1, 2, 4, 5, 3], [1, 3, 5, 2, 4], [1, 3, 2, 5, 4],
+                [2, 5, 1, 3, 4], [2, 1, 4, 5, 3], [5, 2, 4, 1, 3], [1, 2, 4, 3, 5],
+                [1, 3, 4, 2, 5], [2, 4, 1, 3, 5], [5, 2, 4, 1, 3], [2, 1, 4, 3, 5],
+                [4, 3, 5, 1, 2], [1, 5, 4, 2, 3], [2, 4, 5, 3, 1], [1, 4, 5, 2, 3],
+                [1, 3, 5, 2, 4], [3, 5, 2, 4, 1], [5, 3, 1, 2, 4], [1, 2, 3, 5, 4],
+                [1, 2, 4, 5, 3], [2, 4, 5, 1, 3], [1, 3, 4, 2, 5], [2, 4, 1, 3, 5],
+                [5, 2, 4, 1, 3], [5, 2, 4, 3, 1], [5, 1, 4, 3, 2], [3, 4, 1, 2, 5],
+                [3, 5, 1, 2, 4], [1, 5, 2, 4, 3], [1, 3, 5, 2, 4], [1, 3, 2, 5, 4],
+                [1, 3, 2, 5, 4],
+            ],
+        },
+    ),
+    # Fills the left-weighting memo of 6 strands from permutations.
+    (
+        "nf-6-strands-200-letters",
+        ["nf", "-n", "6", NF6_WORD],
+        0,
+        {
+            "n": 6,
+            "delta_power": -19,
+            "factors": [
+                [6, 5, 3, 4, 2, 1], [6, 5, 3, 4, 2, 1], [4, 3, 2, 6, 5, 1], [6, 4, 5, 2, 3, 1],
+                [6, 4, 5, 2, 3, 1], [5, 4, 6, 2, 3, 1], [6, 3, 5, 2, 1, 4], [6, 5, 1, 4, 3, 2],
+                [2, 5, 6, 4, 1, 3], [2, 1, 3, 6, 4, 5], [1, 2, 4, 5, 6, 3], [2, 3, 6, 1, 4, 5],
+                [3, 1, 2, 5, 6, 4], [5, 6, 2, 4, 1, 3], [5, 2, 3, 1, 4, 6], [5, 1, 2, 4, 3, 6],
+                [2, 4, 6, 5, 1, 3], [6, 1, 3, 2, 5, 4], [5, 6, 2, 4, 3, 1], [6, 3, 5, 2, 1, 4],
+                [6, 4, 1, 3, 2, 5], [4, 5, 3, 2, 6, 1], [6, 1, 4, 2, 3, 5], [2, 4, 5, 1, 3, 6],
+                [3, 2, 5, 1, 4, 6], [6, 5, 2, 4, 1, 3], [6, 2, 5, 4, 3, 1], [4, 3, 6, 2, 1, 5],
+                [4, 6, 2, 3, 5, 1], [5, 2, 6, 1, 4, 3], [4, 3, 6, 2, 1, 5], [6, 5, 4, 2, 3, 1],
+                [4, 2, 3, 1, 5, 6], [4, 1, 2, 3, 5, 6], [1, 3, 4, 2, 5, 6], [1, 4, 2, 3, 5, 6],
+            ],
+        },
+    ),
+    # On 2 strands every letter's factor is Delta or the identity, inputs
+    # that only `_normalize` pushes.
+    ("nf-2-strands", ["nf", "-n", "2", "s1 S1 S1 s1 s1 s1"], 0,
+     {"n": 2, "delta_power": 2, "factors": []}),
+    # Reads the letter's permutation back without unranking.
+    (
+        "nf-100000-strands",
+        ["nf", "-n", "100000", "s1"],
+        0,
+        {"n": 100000, "delta_power": 0, "factors": [[2, 1, *range(3, 100001)]]},
+    ),
 ]
-FREE_GUARD_INCONCLUSIVE = {"status": "Inconclusive", "budget": {"max_len": 8, "states": 1563}}
 
 
 class TestConsolePins:
-    """The console-script pins of CI, each run as `python -m snbraid.cli` in
-    a fresh process, so that every rank table starts cold: the exit code (2
-    for Inconclusive, 0 for a verdict) and the whole JSON. `nf -n 5`
-    builds the complete tables of 5 strands, and `nf -n 6` and `conj -n 6`
-    fill the memo tables of 6 strands as they read them."""
+    """Every entry of `CONSOLE_PINS`, run as `python -m snbraid.cli` in a
+    fresh process, so that every rank table starts cold: the exit code and
+    the whole JSON."""
 
     @pytest.mark.parametrize(
-        "argv, doc",
-        [
-            pytest.param(
-                ["nf", "-n", "21", "S9 S7 s3 S18 S9 S13 s8 s16 s19 s20 S14 s15 S1 S9 s20 S20"],
-                {
-                    "n": 21,
-                    "delta_power": -3,
-                    "factors": [
-                        [21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 9, 10, 8, 7, 6, 5, 4, 3, 2, 1],
-                        [21, 20, 19, 18, 17, 16, 15, 14, 12, 13, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1],
-                        [21, 20, 18, 19, 17, 16, 14, 13, 15, 12, 11, 8, 10, 7, 9, 6, 5, 4, 3, 1, 2],
-                        [1, 2, 4, 3, 5, 6, 7, 9, 10, 8, 11, 12, 13, 14, 16, 17, 15, 18, 21, 19, 20],
-                    ],
-                },
-                id="nf-21-strands",
-            ),
-            pytest.param(
-                ["nf", "-n", "5", NF5_WORD],
-                {
-                    "n": 5,
-                    "delta_power": -18,
-                    "factors": [
-                        [5, 4, 3, 1, 2], [4, 5, 2, 1, 3], [4, 3, 5, 1, 2], [4, 5, 2, 1, 3],
-                        [2, 1, 5, 3, 4], [2, 1, 3, 5, 4], [2, 1, 3, 4, 5], [2, 1, 3, 4, 5],
-                        [5, 1, 2, 3, 4], [1, 2, 4, 5, 3], [1, 3, 5, 2, 4], [1, 3, 2, 5, 4],
-                        [2, 5, 1, 3, 4], [2, 1, 4, 5, 3], [5, 2, 4, 1, 3], [1, 2, 4, 3, 5],
-                        [1, 3, 4, 2, 5], [2, 4, 1, 3, 5], [5, 2, 4, 1, 3], [2, 1, 4, 3, 5],
-                        [4, 3, 5, 1, 2], [1, 5, 4, 2, 3], [2, 4, 5, 3, 1], [1, 4, 5, 2, 3],
-                        [1, 3, 5, 2, 4], [3, 5, 2, 4, 1], [5, 3, 1, 2, 4], [1, 2, 3, 5, 4],
-                        [1, 2, 4, 5, 3], [2, 4, 5, 1, 3], [1, 3, 4, 2, 5], [2, 4, 1, 3, 5],
-                        [5, 2, 4, 1, 3], [5, 2, 4, 3, 1], [5, 1, 4, 3, 2], [3, 4, 1, 2, 5],
-                        [3, 5, 1, 2, 4], [1, 5, 2, 4, 3], [1, 3, 5, 2, 4], [1, 3, 2, 5, 4],
-                        [1, 3, 2, 5, 4],
-                    ],
-                },
-                id="nf-5-strands-200-letters",
-            ),
-            pytest.param(
-                ["nf", "-n", "6", NF6_WORD],
-                {
-                    "n": 6,
-                    "delta_power": -19,
-                    "factors": [
-                        [6, 5, 3, 4, 2, 1], [6, 5, 3, 4, 2, 1], [4, 3, 2, 6, 5, 1], [6, 4, 5, 2, 3, 1],
-                        [6, 4, 5, 2, 3, 1], [5, 4, 6, 2, 3, 1], [6, 3, 5, 2, 1, 4], [6, 5, 1, 4, 3, 2],
-                        [2, 5, 6, 4, 1, 3], [2, 1, 3, 6, 4, 5], [1, 2, 4, 5, 6, 3], [2, 3, 6, 1, 4, 5],
-                        [3, 1, 2, 5, 6, 4], [5, 6, 2, 4, 1, 3], [5, 2, 3, 1, 4, 6], [5, 1, 2, 4, 3, 6],
-                        [2, 4, 6, 5, 1, 3], [6, 1, 3, 2, 5, 4], [5, 6, 2, 4, 3, 1], [6, 3, 5, 2, 1, 4],
-                        [6, 4, 1, 3, 2, 5], [4, 5, 3, 2, 6, 1], [6, 1, 4, 2, 3, 5], [2, 4, 5, 1, 3, 6],
-                        [3, 2, 5, 1, 4, 6], [6, 5, 2, 4, 1, 3], [6, 2, 5, 4, 3, 1], [4, 3, 6, 2, 1, 5],
-                        [4, 6, 2, 3, 5, 1], [5, 2, 6, 1, 4, 3], [4, 3, 6, 2, 1, 5], [6, 5, 4, 2, 3, 1],
-                        [4, 2, 3, 1, 5, 6], [4, 1, 2, 3, 5, 6], [1, 3, 4, 2, 5, 6], [1, 4, 2, 3, 5, 6],
-                    ],
-                },
-                id="nf-6-strands-200-letters",
-            ),
-            pytest.param(
-                # On 2 strands every letter's factor is Delta or the
-                # identity, inputs that only `_normalize` pushes.
-                ["nf", "-n", "2", "s1 S1 S1 s1 s1 s1"],
-                {"n": 2, "delta_power": 2, "factors": []},
-                id="nf-2-strands",
-            ),
-            pytest.param(
-                # The second form's Delta power is odd: its summit walk
-                # twists the factors it moves and absorbs a Delta.
-                [
-                    "conj", "-n", "5",
-                    "S4 S4 S2 s3 s1 s1",
-                    "s2 S4 s1 s2 S4 S4 S2 s3 s1 s1 S2 S1 s4 S2",
-                ],
-                {
-                    "conjugate": True,
-                    "witness": "s1 s2 s3 s2 s1 s4 s3 s2 s2 s1 s3 s4 s3 s1 s2 s3 s2 s4",
-                },
-                id="conj-5-strands",
-            ),
-            pytest.param(
-                # The second form's summit walk stops at a rigid element on
-                # the inverse side, and returns that element's inverse.
-                ["conj", "-n", "4", "S3 s1 S3 s2 s1", "s1 S3 s1 S3 s2"],
-                {"conjugate": True, "witness": "S2 S1 S2 S1 S1 S2 S3 S1 S2 S2 S3 S1 S2 S1"},
-                id="conj-4-strands-rigid-inverse",
-            ),
-            pytest.param(
-                [
-                    "conj", "-n", "6",
-                    "S1 S3 s4 s5 S4 s3 S4 S4 s3 s1 S5 S4 s3 s1",
-                    "S4 s3 S4 S4 S5 s5 s3 s1",
-                ],
-                {
-                    "conjugate": True,
-                    "witness": "S3 s4 s5",
-                },
-                id="conj-6-strands-closure",
-            ),
-            pytest.param(
-                [
-                    "conj", "-n", "8",
-                    "S6 S2 s3 S1 S3 s6 S7 S3 S2 S1 s2 S7 S3 S6 S6 s3 s1 S3 s2 s6",
-                    "S7 S3 S2 S1 s2 S7 S3 S6",
-                ],
-                {
-                    "conjugate": True,
-                    "witness": "S4 S5 S6 S7 S2 S3 S4 S5 S6 S2 S3 S4 S5 S1 S2 S3 S4 S3 S1 s7",
-                },
-                id="conj-8-strands-closure",
-            ),
-            pytest.param(
-                ["sn", *NO_KERNEL],
-                {"status": "Equivalent", "witness": "s1 s2 s1 s3 s2 s1"},
-                id="sn-no-kernel-strands",
-            ),
-            pytest.param(
-                ["sn-twisted", *NO_KERNEL],
-                {"status": "Equivalent", "witness": "s1 s2 s1 s3 s2 s1"},
-                id="sn-twisted-no-kernel-strands",
-            ),
-            pytest.param(
-                ["sn", *EQUAL_FORMS], {"status": "Equivalent", "witness": ""}, id="sn-equal-forms"
-            ),
-            pytest.param(
-                ["sn-twisted", *EQUAL_FORMS], {"status": "Equivalent", "witness": ""},
-                id="sn-twisted-equal-forms",
-            ),
-            pytest.param(
-                ["sn", *DEEP, "--max-len", "8", "--max-states", "10"],
-                DEEP_INCONCLUSIVE,
-                id="sn-deep-state-budget",
-            ),
-            pytest.param(
-                ["sn-twisted", *DEEP, "--max-len", "8", "--max-states", "10"],
-                DEEP_INCONCLUSIVE,
-                id="sn-twisted-deep-state-budget",
-            ),
-            pytest.param(["sn", *DEEP], DEEP_EQUIVALENT, id="sn-deep-default-budget"),
-            pytest.param(
-                ["sn-twisted", *DEEP], DEEP_EQUIVALENT, id="sn-twisted-deep-default-budget"
-            ),
-            pytest.param(["sn", *SHIFTED], SHIFTED_EQUIVALENT, id="sn-shifted"),
-            pytest.param(["sn-twisted", *SHIFTED], SHIFTED_EQUIVALENT, id="sn-twisted-shifted"),
-            pytest.param(
-                ["sn", *FREE_N3, "--max-states", "30"], FREE_N3_INCONCLUSIVE,
-                id="sn-free-n3-state-budget",
-            ),
-            pytest.param(
-                ["sn-twisted", *FREE_N3, "--max-states", "30"], FREE_N3_INCONCLUSIVE,
-                id="sn-twisted-free-n3-state-budget",
-            ),
-            pytest.param(["sn", *FREE_N3], FREE_N3_EQUIVALENT, id="sn-free-n3-default-budget"),
-            pytest.param(
-                ["sn-twisted", *FREE_N3], FREE_N3_EQUIVALENT, id="sn-twisted-free-n3-default-budget"
-            ),
-            pytest.param(["sn", *FREE_GUARD], FREE_GUARD_INCONCLUSIVE, id="sn-free-guard"),
-            pytest.param(
-                ["sn-twisted", *FREE_GUARD], FREE_GUARD_INCONCLUSIVE, id="sn-twisted-free-guard"
-            ),
-        ],
+        "argv, code, doc",
+        [pytest.param(argv, code, doc, id=pin_id) for pin_id, argv, code, doc in CONSOLE_PINS],
     )
-    def test_pin(self, argv, doc):
+    def test_pin(self, argv, code, doc):
         src = os.path.dirname(os.path.dirname(sb.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "snbraid.cli", *argv],
@@ -770,5 +815,5 @@ class TestConsolePins:
             text=True,
             timeout=60,
         )
-        assert proc.returncode == (2 if doc.get("status") == "Inconclusive" else 0), proc.stderr
+        assert proc.returncode == code, proc.stderr
         assert json.loads(proc.stdout) == doc

@@ -760,7 +760,7 @@ class TestAmbientPath:
     def test_kernel_strands_multiply_out_no_witness(self, monkeypatch):
         """On n >= 3 the decision goes from the ambient test straight to
         the search: the FREE_N3 instance of the console pins (Equivalent
-        at this budget), CI's guard instance (Inconclusive) and the n = 3
+        at this budget), their guard instance (Inconclusive) and the n = 3
         seeded instances."""
         from snbraid import decision
 
@@ -1272,7 +1272,8 @@ class TestCentralizerShift:
         """On seeded instances with n in {0, 1, 2}, kernel conjugates and
         conjugates by the lift of beta_A times a kernel word, every witness
         the shift returns is a kernel element that conjugates beta_y to
-        beta_x; some shifts miss, and their decisions go on to the search."""
+        beta_x, spelled as its own canonical form; some shifts miss, and
+        their decisions go on to the search."""
         rng = random.Random(73)
         shapes = ((0, 2), (0, 3), (1, 1), (1, 2), (2, 1), (2, 2))
         with warnings.catch_warnings():
@@ -1291,6 +1292,7 @@ class TestCentralizerShift:
             if c is None:
                 continue
             hits[inst.n] += 1
+            assert c == sb.canonical_form(c).to_word()
             assert sb.is_kernel(inst.n, inst.m, c)
             bx, by = inst.mixed_x().word, inst.mixed_y().word
             assert sb.equal(bx, sb.compose(sb.compose(c, by), sb.invert(c)))
