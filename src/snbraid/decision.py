@@ -51,13 +51,15 @@ braid section(beta_A) * w and that braid's canonical form, built once by
 `partition_sn_classes` builds one per orbit and merges classes in a single
 union-find on the orbit indices.
 
-What a decision learns of one orbit alone is a cached property of its
-record, computed on first use inside a decision and never when the record
-is built: each screened invariant, and the per-braid stage of the ambient
-conjugacy test, the summit and cycling circuit of the mixed braid (the
-record is a `garside._ConjugacyRecord`), and for m = 1 the orbit's word
-in F_n. The Artin images of beta_A that the m = 1 search acts by are kept
-per base braid (`_free_letters`), so a partition builds them once. Only
+What a decision learns of one orbit alone is a lazy attribute of its
+record (`garside._lazy`, which takes no lock where functools' cached
+property does before Python 3.12), computed on first use inside a
+decision and never when the record is built: each screened invariant,
+and the per-braid stage of the ambient conjugacy test, the summit and
+cycling circuit of the mixed braid (the record is a
+`garside._ConjugacyRecord`), and for m = 1 the orbit's word in F_n. The
+Artin images of beta_A that the m = 1 search acts by are kept per base
+braid (`_free_letters`), so a partition builds them once. Only
 the comparisons are per pair: the screens compare the kept values, and
 the ambient test meets the two records (`garside._conjugacy`), which
 returns the path it found; `garside._witness` multiplies a conjugator out
@@ -82,7 +84,9 @@ from .garside import (
     ConjugacyResult,
     _ConjugacyRecord,
     _conjugacy,
+    _lazy,
     _product,
+    _simples,
     _witness,
     canonical_form,
     is_conjugate,
@@ -170,28 +174,30 @@ class SNVerdict:
 @dataclasses.dataclass(frozen=True)
 class _Orbit(_ConjugacyRecord):
     """One orbit word w, its mixed braid section(beta_A) * w and that
-    braid's canonical form, built with the record, and, as cached properties
+    braid's canonical form, built with the record, and, as lazy attributes
     computed on first use and kept for every later pair, what decisions
     learn of w alone: the two screened invariants (`_SCREENS`), the
     exponent sum of w and the linking matrix of the mixed braid, and, for
     m = 1, w as a word of the free kernel F_n, the kernel search's state
-    on that side. The record is the conjugacy record of its canonical form
+    on that side. A lazy attribute (`garside._lazy`) is stored without the
+    lock functools' cached property takes on first access before
+    Python 3.12. The record is the conjugacy record of its canonical form
     (`garside._ConjugacyRecord`), so the summit and cycling circuit that
-    the ambient test walks are cached properties of it too."""
+    the ambient test walks are lazy attributes of it too."""
 
     word: BraidWord
     braid: MixedBraid
     cf: CanonicalForm
 
-    @functools.cached_property
+    @_lazy
     def exponent_sum(self) -> int:
         return exponent_sum(self.word)
 
-    @functools.cached_property
+    @_lazy
     def linking_matrix(self) -> tuple:
         return linking_matrix(self.braid)
 
-    @functools.cached_property
+    @_lazy
     def free(self) -> _free.Word | None:
         """w as a reduced word of the free kernel F_n when m = 1, or None
         when m >= 2 or the word grows past its bound (`_free_bound`)."""
@@ -280,7 +286,7 @@ class SNInstance:
         """section(beta_A) * beta_oy."""
         return self._y.braid
 
-    @functools.cached_property
+    @_lazy
     def _free_search(self) -> tuple | None:
         """For m = 1, the start and the target of the kernel search on the
         free kernel F_n, the images of beta_oy and beta_ox, and the forward
@@ -495,6 +501,32 @@ def _in_kernel(n: int, m: int, letters: tuple[int, ...]) -> bool:
     return crossings == 0 and occupant[:n] == list(range(1, n + 1))
 
 
+def _form_punctures(n: int, cf: CanonicalForm) -> tuple[list[int], int]:
+    """`_punctures` for n <= 2 of the braid whose canonical form is cf,
+    read off its Delta power and factors instead of its letters: Delta^p
+    reverses the strands p times and crosses each pair p times, and a
+    factor, a permutation braid, crosses two strands once, positively,
+    exactly when its permutation swaps their order. Both counts are
+    invariants of the braid, so any word of it gives the same."""
+    strands, p, factors = cf
+    perm = _simples(strands).perm
+    # at[s] is the position, from 0, of puncture strand s + 1.
+    at = list(range(n))
+    if p & 1:
+        at = [strands - 1 - x for x in at]
+    crossings = p if n == 2 else 0
+    for f in factors:
+        image = perm[f]
+        moved = [image[x] for x in at]
+        if n == 2 and (moved[0] < moved[1]) != (at[0] < at[1]):
+            crossings += 1
+        at = moved
+    occupant = [0] * strands
+    for s, x in enumerate(at, 1):
+        occupant[x] = s
+    return occupant, crossings
+
+
 def _shift_powers(e: int, ends: list[int], crossings: int) -> tuple[int, int] | None:
     """The powers (a, b) that put h * Delta^2a * beta_y^b in the kernel
     for n <= 2, from where h takes the puncture strands (`ends`, as
@@ -545,26 +577,25 @@ def _centralizer_shift(
     the centralizer of beta_y. Two elements of it are free: Delta^2,
     which is central, and beta_y itself. For n <= 2 whether
     h * Delta^2a * beta_y^b lies in the kernel is arithmetic on h's
-    puncture strands and crossings (`_shift_powers`), read in one pass
-    over h's letters; for n = 0 the kernel is the whole group and the
-    candidate is h. The candidate's form is one `_product` of h's form,
-    Delta^2a and beta_y's form, and its witness is that form spelled
-    out; it must pass the one-pass kernel test (`_in_kernel`) and
-    `accept`."""
+    puncture strands and crossings (`_shift_powers`), read off h's
+    canonical form (`_form_punctures`); for n = 0 the kernel is the whole
+    group and the candidate is h. Delta^2a joins h's Delta power, and for
+    b != 0 one `_product` multiplies in beta_y's form. Only the
+    candidate's form is spelled out, as its witness, which must pass the
+    one-pass kernel test (`_in_kernel`) and `accept`."""
     n, m = inst.n, inst.m
     c_cf = _witness(inst._x, inst._y, path)
-    c = c_cf.to_word()
-    a = b = 0
     if n:
-        ends, crossings = _punctures(n, m, c.letters)
+        ends, crossings = _form_punctures(n, c_cf)
         powers = _shift_powers(exponent_sum(inst.beta_A), ends[:n], crossings)
         if powers is None:
             return None
         a, b = powers
-    if a or b:
-        by_cf = inst._y.cf if b > 0 else inst._y.cf.inv()
-        c_cf = _product(c_cf, CanonicalForm(n + m, 2 * a, ()), *[by_cf] * abs(b))
-        c = c_cf.to_word()
+        c_cf = CanonicalForm(n + m, c_cf.delta_power + 2 * a, c_cf.factors)
+        if b:
+            by_cf = inst._y.cf if b > 0 else inst._y.cf.inv()
+            c_cf = _product(c_cf, *[by_cf] * abs(b))
+    c = c_cf.to_word()
     if _in_kernel(n, m, c.letters) and accept(c, c_cf):
         return c
     return None

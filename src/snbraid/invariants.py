@@ -57,15 +57,26 @@ def linking_matrix(b: MixedBraid) -> tuple[tuple, ...]:
     so the full strand content is invariant and distinguishes loops around
     different punctures. Orbit cycles may be permuted by kernel conjugation,
     so they carry only ("o", length). Returned as a sorted tuple; zero
-    entries are kept so the component count is part of the value."""
-    cycles = b.perm.cycles()
-    c = len(cycles)
+    entries are kept so the component count is part of the value.
+
+    The cycles are labelled in one sweep over the permutation's images,
+    without building `PermutationTable.cycles`."""
+    images = b.perm.images
     # at[p] is the cycle of the strand at position p + 1; a crossing of
     # cycles ci and cj adds its sign to counts[ci * c + cj].
-    at = [0] * b.word.strands
-    for ci, cyc in enumerate(cycles):
-        for s in cyc:
-            at[s - 1] = ci
+    at = [-1] * len(images)
+    tags = []
+    for start in range(len(images)):
+        if at[start] < 0:
+            strands = []
+            j = start
+            while at[j] < 0:
+                at[j] = len(tags)
+                strands.append(j + 1)
+                j = images[j] - 1
+            strands.sort()
+            tags.append(("A", *strands) if start < b.n else ("o", len(strands)))
+    c = len(tags)
     counts = [0] * (c * c)
     for k in b.word.letters:
         i = k if k > 0 else -k
@@ -73,7 +84,6 @@ def linking_matrix(b: MixedBraid) -> tuple[tuple, ...]:
         counts[left * c + right] += 1 if k > 0 else -1
         at[i - 1], at[i] = right, left
 
-    tags = [("A",) + tuple(sorted(cyc)) if cyc[0] <= b.n else ("o", len(cyc)) for cyc in cycles]
     entries = []
     for ci in range(c):
         for cj in range(ci + 1, c):
@@ -81,7 +91,8 @@ def linking_matrix(b: MixedBraid) -> tuple[tuple, ...]:
             assert signed % 2 == 0, "signed crossing count between closed components must be even"
             t1, t2 = tags[ci], tags[cj]
             entries.append((t1, t2, signed // 2) if t1 <= t2 else (t2, t1, signed // 2))
-    return tuple(sorted(entries))
+    entries.sort()
+    return tuple(entries)
 
 
 # Integer Laurent polynomials in t: {exponent: nonzero coefficient}.

@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -9,6 +10,7 @@ import pytest
 
 import snbraid as sb
 from conftest import conjugated_kernel_part, random_kernel_word, random_word
+from test_cli import CONSOLE_PINS
 
 A1 = sb.BraidWord(3, (2, 1, 1, -2))
 A2 = sb.BraidWord(3, (2, 2))
@@ -26,6 +28,18 @@ def ambient_s1():
         2, 1, sb.BraidWord.parse(2, "s1"),
         sb.BraidWord.parse(3, "S1 S1 s2 s1 s1 S2 s1 s2 s2 s2 s2 s2 S1 S1 S2 s1"),
         sb.BraidWord.parse(3, "s2 s2 s2 s2"),
+    )
+
+
+def pinned_instance(pin_id: str) -> sb.SNInstance:
+    """The instance of the `sn` console pin `pin_id` of
+    `test_cli.CONSOLE_PINS`, read from its argv."""
+    argv = next(argv for i, argv, _, _ in CONSOLE_PINS if i == pin_id)
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    n, m = int(opts["-n"]), int(opts["-m"])
+    return sb.SNInstance(
+        n, m, sb.BraidWord.parse(n, opts["--betaA"]),
+        sb.BraidWord.parse(n + m, opts["--ox"]), sb.BraidWord.parse(n + m, opts["--oy"]),
     )
 
 
@@ -769,17 +783,7 @@ class TestAmbientPath:
 
         monkeypatch.setattr(decision, "_witness", refused)
         pinned = TestKernelSearchPinned()
-        words = [
-            ("s1 S2 s1", "S1 s2 S1 s3 s2 S1 S1 S2 S2 S2 s3 s3 s2 S1 S1 S2 S3 s1 S2 s1 s3 S2 S2 "
-             "S2 s1 s1 S2 S3 S3 s2 s2 s2 s1 s1 S2 S3", "s3 S2 S2 S2 S2 S3"),
-            ("", " ".join(["s1 S2"] * 24 + ["s3 s2 s1 s1 S2 S3"] + ["s2 S1"] * 24),
-             "s3 s2 s1 s1 S2 S3"),
-        ]
-        instances = [
-            sb.SNInstance(3, 1, sb.BraidWord.parse(3, b), sb.BraidWord.parse(4, x),
-                          sb.BraidWord.parse(4, y))
-            for b, x, y in words
-        ]
+        instances = [pinned_instance(pin) for pin in ("sn-free-n3-default-budget", "sn-free-guard")]
         instances += [inst for inst in seeded_instances(2323, 60) if inst.n >= 3]
         statuses = set()
         for inst in instances:
@@ -1066,37 +1070,96 @@ class TestPartitionAgainstReference:
 
 
 class TestOrbitRecordsReused:
-    """What a decision learns of one orbit alone, its screens and the
-    summit and circuit of its mixed braid, is kept on the orbit's record
-    and computed once, on first use inside a decision."""
+    """What a decision learns of one orbit alone, its screens, the summit
+    and circuit of its mixed braid and its word in F_n, is kept on the
+    orbit's record, and the kernel search's start on the instance. Each is
+    computed once, on first use inside a decision, and kept in the
+    record's or the instance's `vars` under its name."""
+
+    # Per lazy fact: the module and the function that compute it, the
+    # attribute that keeps it, and the arguments of the one call, read off
+    # the record or instance that keeps it.
+    FACTS = (
+        ("garside", "_summit", "summit", lambda r: (r.cf,)),
+        ("garside", "_cycling_orbit", "circuit", lambda r: (r.summit[0],)),
+        ("decision", "exponent_sum", "exponent_sum", lambda r: (r.word,)),
+        ("decision", "linking_matrix", "linking_matrix", lambda r: (r.braid,)),
+        ("_free", "kernel_to_free", "free",
+         lambda r: (r.braid.n, r.word.letters, sb.decision._free_bound(r.word.letters))),
+        ("decision", "_free_letters", "_free_search", lambda i: (i.n, i.beta_A.letters)),
+    )
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        from snbraid import decision, garside
+        """The arguments of every call of each function of `FACTS`, by
+        function name."""
+        import snbraid
 
         calls = {}
-        for module, name in ((garside, "_summit"), (garside, "_cycling_orbit"),
-                             (decision, "linking_matrix")):
+        for module, name, _, _ in self.FACTS:
+            module = getattr(snbraid, module)
+
             def counted(*args, fn=getattr(module, name), name=name):
-                calls[name] = calls.get(name, 0) + 1
+                calls.setdefault(name, []).append(args)
                 return fn(*args)
 
             monkeypatch.setattr(module, name, counted)
         return calls
 
-    @pytest.mark.parametrize("seed", [6, 7])
-    def test_partition_walks_each_orbit_once(self, calls, seed):
+    def computed_once(self, calls, owners) -> dict[str, int]:
+        """Assert that the calls of each function of `FACTS` are one per
+        owner, a record or an instance, that keeps its fact in `vars`, and
+        return how many owners keep each fact. m >= 2, or a word past its
+        bound, keeps None as its free word or search start without the
+        call, and the shift's exponent sum of beta_A is no record's fact."""
+        words = {vars(o).get("word") for o in owners}
+        kept_counts = {}
+        for _, name, attr, arguments in self.FACTS:
+            kept = [o for o in owners if attr in vars(o)]
+            kept_counts[attr] = len(kept)
+            if attr == "free":
+                kept = [o for o in kept if o.braid.m == 1]
+            elif attr == "_free_search":
+                kept = [o for o in kept if None not in (o._x.free, o._y.free)]
+            made = calls.get(name, [])
+            if attr == "exponent_sum":
+                made = [args for args in made if args[0] in words]
+            assert collections.Counter(made) == collections.Counter(map(arguments, kept)), name
+        return kept_counts
+
+    @pytest.mark.parametrize(
+        "seed, base",
+        [pytest.param(6, (1,), id="6"), pytest.param(7, (1,), id="7"),
+         pytest.param(6, (1, 1), id="6-s1s1")],
+    )
+    def test_partition_walks_each_orbit_once(self, monkeypatch, calls, seed, base):
         """Orbits whose mixed braids have one canonical form share one
-        record: one summit and circuit walk, and one set of screens."""
-        beta_A, orbits = thirty_orbits(seed)
+        record: one summit and circuit walk, one set of screens and one
+        word in F_n. Over sigma_1^2 some pairs reach the search."""
+        from snbraid import decision
+
+        owners = []
+
+        def kept_record(*args, fn=decision._orbit):
+            owners.append(fn(*args))
+            return owners[-1]
+
+        def kept_instance(inst, budget, fn=decision.sn_equivalent_rel_A):
+            owners.append(inst)
+            return fn(inst, budget)
+
+        monkeypatch.setattr(decision, "_orbit", kept_record)
+        monkeypatch.setattr(decision, "sn_equivalent_rel_A", kept_instance)
+        beta_A, orbits = thirty_orbits(seed, base)
         lift = sb.section(2, 1, beta_A).word
         forms = {sb.canonical_form(sb.compose(lift, w)) for w in orbits}
         assert len(forms) < len(orbits)
         res = sb.partition_sn_classes(2, 1, beta_A, orbits)
         assert len(res.classes) == 5 and res.unresolved == ()
-        assert 0 < calls["_summit"] <= len(forms)
-        assert 0 < calls["_cycling_orbit"] <= len(forms)
-        assert calls["linking_matrix"] == len(forms)
+        kept = self.computed_once(calls, owners)
+        assert 0 < kept["summit"] <= len(forms) and 0 < kept["circuit"] <= len(forms)
+        assert kept["linking_matrix"] == kept["exponent_sum"] == len(forms)
+        assert (kept["_free_search"] > 0) == (base == (1, 1))
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_partition_acts_by_its_base_once(self, monkeypatch, seed):
@@ -1142,15 +1205,53 @@ class TestOrbitRecordsReused:
         assert inst.mixed_x().perm == sb.permutation(inst.mixed_x().word)
 
     def test_formulations_share_one_instance(self, calls):
-        inst = ambient_s1()
-        assert calls == {}
-        budget = TestKernelSearchPinned.BUDGET
-        rel_A = sb.sn_equivalent_rel_A(inst, budget)
-        assert calls == {"_summit": 2, "_cycling_orbit": 1, "linking_matrix": 2}
-        twisted = sb.sn_equivalent_twisted(inst, budget)
-        assert calls == {"_summit": 2, "_cycling_orbit": 1, "linking_matrix": 2}
-        assert rel_A.to_json() == twisted.to_json()
-        verify(inst, rel_A)
+        """Both formulations decide one instance on its two records: the
+        shift decides ambient_s1, and two console pins reach the search on
+        free words, for n = 3 and after the shift misses."""
+        for pin in (None, "sn-free-n3-default-budget", "sn-deep-default-budget"):
+            calls.clear()
+            inst = ambient_s1() if pin is None else pinned_instance(pin)
+            rel_A = sb.sn_equivalent_rel_A(inst)
+            owners = [inst, inst._x, inst._y]
+            kept = self.computed_once(calls, owners)
+            twisted = sb.sn_equivalent_twisted(inst)
+            assert self.computed_once(calls, owners) == kept
+            assert kept["summit"] == 2 and kept["circuit"] == 1
+            assert kept["exponent_sum"] == kept["linking_matrix"] == 2
+            assert kept["free"] == 2 * kept["_free_search"] == (0 if pin is None else 2)
+            assert rel_A.to_json() == twisted.to_json()
+            verify(inst, rel_A)
+
+    def test_is_conjugate_walks_each_record_once(self, monkeypatch, calls):
+        """`is_conjugate` walks each of its two fresh records at most once,
+        on seeded conjugate pairs. The cycling walks of the closure search,
+        which some pairs reach, are of its candidates, no record's."""
+        from snbraid import garside
+
+        owners, closures = [], []
+
+        def kept(a, b, fn=garside._conjugacy):
+            owners.extend((a, b))
+            return fn(a, b)
+
+        def closure(*args, fn=garside._closure_search):
+            walks = calls.setdefault("_cycling_orbit", [])
+            before = len(walks)
+            closures.append(args)
+            try:
+                return fn(*args)
+            finally:
+                del walks[before:]
+
+        monkeypatch.setattr(garside, "_conjugacy", kept)
+        monkeypatch.setattr(garside, "_closure_search", closure)
+        rng = random.Random(82)
+        for _ in range(40):
+            n = rng.choice((3, 4))
+            a, c = random_word(rng, n, 10), random_word(rng, n, 6)
+            assert sb.is_conjugate(a, sb.compose(sb.compose(c, a), sb.invert(c))).conjugate
+        kept = self.computed_once(calls, owners)
+        assert kept["summit"] > 0 and kept["circuit"] > 0 and closures
 
     def test_building_computes_nothing_for_a_decision(self, calls):
         beta_A, orbits = thirty_orbits(6)
@@ -1206,6 +1307,24 @@ def shift_off(monkeypatch):
     """Decide as before the centralizer shift: the search follows the
     ambient test directly."""
     monkeypatch.setattr(sb.decision, "_centralizer_shift", lambda *args: None)
+
+
+def shift_instances(seed, count, shapes):
+    """Seeded instances over random bases, their (n, m) cycling through
+    `shapes`: beta_x is a kernel conjugate of beta_y, every other one by
+    the lift of beta_A times a kernel word."""
+    rng = random.Random(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for trial in range(count):
+            n, m = shapes[trial % len(shapes)]
+            beta_A = random_word(rng, n, 4)
+            oy = random_kernel_word(rng, n, m, rng.randint(1, 3))
+            c = random_kernel_word(rng, n, m, rng.randint(1, 3))
+            if trial % 2:
+                c = sb.compose(sb.section(n, m, beta_A).word, c)
+            ox = conjugated_kernel_part(n, m, beta_A, oy, c)
+            yield sb.SNInstance(n, m, beta_A, ox, oy)
 
 
 class TestCentralizerShift:
@@ -1274,19 +1393,9 @@ class TestCentralizerShift:
         the shift returns is a kernel element that conjugates beta_y to
         beta_x, spelled as its own canonical form; some shifts miss, and
         their decisions go on to the search."""
-        rng = random.Random(73)
         shapes = ((0, 2), (0, 3), (1, 1), (1, 2), (2, 1), (2, 2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for trial in range(240):
-                n, m = shapes[trial % len(shapes)]
-                beta_A = random_word(rng, n, 4)
-                oy = random_kernel_word(rng, n, m, rng.randint(1, 3))
-                c = random_kernel_word(rng, n, m, rng.randint(1, 3))
-                if trial % 2:
-                    c = sb.compose(sb.section(n, m, beta_A).word, c)
-                ox = conjugated_kernel_part(n, m, beta_A, oy, c)
-                sb.sn_equivalent_rel_A(sb.SNInstance(n, m, beta_A, ox, oy), sb.Budget(3, 2000))
+        for inst in shift_instances(73, 240, shapes):
+            sb.sn_equivalent_rel_A(inst, sb.Budget(3, 2000))
         hits = {0: 0, 1: 0, 2: 0}
         for inst, c in shifted:
             if c is None:
@@ -1298,6 +1407,37 @@ class TestCentralizerShift:
             assert sb.equal(bx, sb.compose(sb.compose(c, by), sb.invert(c)))
         assert min(hits.values()) >= 15
         assert any(c is None for _, c in shifted)
+
+    def test_form_reading_matches_letters(self, monkeypatch, shifted):
+        """The shift reads where h's puncture strands end, and their signed
+        crossings, off h's canonical form (`_form_punctures`); `_punctures`
+        on the letters of its spelling is the reference, for h and for
+        every witness. The seeded n = 1 and n = 2 instances give h Delta
+        powers of both signs, and shifts with b = 0 and with b != 0."""
+        decision = sb.decision
+        read, powers = [], []
+        form_punctures, shift_powers = decision._form_punctures, decision._shift_powers
+
+        def recorded_read(n, cf):
+            read.append((n, cf))
+            return form_punctures(n, cf)
+
+        def recorded_powers(*args):
+            powers.append(shift_powers(*args))
+            return powers[-1]
+
+        monkeypatch.setattr(decision, "_form_punctures", recorded_read)
+        monkeypatch.setattr(decision, "_shift_powers", recorded_powers)
+        shapes = ((1, 1), (1, 2), (2, 1), (2, 2))
+        for inst in shift_instances(74, 160, shapes):
+            sb.sn_equivalent_rel_A(inst, sb.Budget(3, 2000))
+        witnesses = [(inst.n, sb.canonical_form(c)) for inst, c in shifted if c is not None]
+        for n, cf in read + witnesses:
+            m = cf.strands - n
+            assert form_punctures(n, cf) == decision._punctures(n, m, cf.to_word().letters), cf
+        assert {n for n, _ in read} == {1, 2}
+        assert {(cf.delta_power > 0) - (cf.delta_power < 0) for _, cf in read} == {-1, 0, 1}
+        assert {b != 0 for _, b in filter(None, powers)} == {False, True}
 
     def test_formerly_inconclusive_sn_ambient(self, corpus, monkeypatch, shifted):
         """The 51 instances of the seed-1 sn-ambient benchmark corpus that the
