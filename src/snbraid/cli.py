@@ -6,11 +6,17 @@ Inconclusive verdict, 1 for input errors, usage errors included. `run`
 returns the code, after a usage error or `--help` too, and `main` exits
 with it. Braid words use the text grammar of `snbraid.words` and are
 echoed back in the canonical `s<k>`/`S<k>` spelling.
+
+The argument parser is built once per process, on the first `run`, and
+every later `run` reuses it: parsing keeps no state on the parser, and
+help and usage text are formatted at the width of the call that prints
+them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -85,6 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on first use and reused by every `run`."""
+    return build_parser()
+
+
 def _emit(doc: dict) -> None:
     json.dump(doc, sys.stdout, indent=2, sort_keys=False)
     sys.stdout.write("\n")
@@ -97,7 +109,7 @@ def _verdict_exit(verdict: decision.SNVerdict) -> int:
 
 def run(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed the usage error or the help. It exits 2 on a
         # usage error, but 2 means Inconclusive here, so return 1 like

@@ -47,9 +47,12 @@ state counts do not depend on which it uses.
 
 All a decision reads of one orbit w is its record `_Orbit`: w, the mixed
 braid section(beta_A) * w and that braid's canonical form, built once by
-`_orbit`, which also checks w. An `SNInstance` holds two records, and
-`partition_sn_classes` builds one per orbit and merges classes in a single
-union-find on the orbit indices.
+`_orbit` in one pass over w's letters, which also checks w. It starts
+from the record of beta_A, `_Base`, read once per instance or partition,
+which also keeps beta_A's exponent sum for the centralizer shift. An
+`SNInstance` holds the base record and two orbit records, and
+`partition_sn_classes` builds one base record, one orbit record per orbit
+and merges classes in a single union-find on the orbit indices.
 
 What a decision learns of one orbit alone is a lazy attribute of its
 record (`garside._lazy`, which takes no lock where functools' cached
@@ -94,13 +97,15 @@ from .garside import (
 from .invariants import linking_matrix
 from .mixed import (
     MixedBraid,
-    ensure_kernel,
+    _assembled,
+    _lift,
+    _not_kernel,
     kernel_generators,
-    section,
 )
 from .words import (
     BraidWord,
-    compose,
+    PermutationTable,
+    _valid,
     exponent_sum,
     free_reduce,
     invert,
@@ -222,30 +227,97 @@ def _free_bound(letters: tuple[int, ...]) -> int:
     return _FREE_GROWTH * (len(letters) + 1)
 
 
-def _orbit(n: int, m: int, lift: BraidWord, name: str, w: BraidWord) -> _Orbit:
-    """The record of orbit w over the base lift section(beta_A). Requires w
-    in the kernel, and warns, at the line that made the instance or called
-    the partition, when w does not permute the orbit block as a single
-    m-cycle."""
-    ensure_kernel(n, m, w)
-    braid = MixedBraid(n, m, compose(lift, w))
+@dataclasses.dataclass(frozen=True)
+class _Base:
+    """The base braid beta_A of an instance, or of every pair of a
+    partition, read in one pass over its letters: the word of its lift
+    section(beta_A) on n + m strands, the strand, numbered from 0 by where
+    it starts, at each position after the lift, and the exponent sum of
+    beta_A, which the centralizer shift reads."""
+
+    lift: BraidWord
+    occupant: tuple[int, ...]
+    exponent_sum: int
+
+
+def _base(n: int, m: int, beta_A: BraidWord) -> _Base:
+    """The base record of beta_A, after the checks `section` makes: the
+    block sizes and the strand count of beta_A."""
+    lift = _lift(n, m, beta_A)
+    occupant = list(range(n + m))
+    e = 0
+    for k in beta_A.letters:
+        i = k - 1 if k > 0 else -k - 1
+        occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
+        e += 1 if k > 0 else -1
+    return _Base(lift, tuple(occupant), e)
+
+
+def _trivial(n: int, letters: list[int]) -> bool:
+    """Whether the word of these letters is the identity of B_n: for
+    n <= 2, where every letter is +-1, its exponent sum is 0, as B_1 is
+    trivial and B_2 is free abelian on sigma_1, and beyond that its
+    canonical form is the identity's."""
+    if n <= 2:
+        return sum(letters) == 0
+    return not letters or canonical_form(_valid(n, tuple(letters))) == CanonicalForm(n, 0, ())
+
+
+def _orbit(n: int, m: int, base: _Base, name: str, w: BraidWord) -> _Orbit:
+    """The record of orbit w over the base (`_base`). Requires w in the
+    kernel, and warns, at the line that made the instance or called the
+    partition, when w does not permute the orbit block as a single m-cycle.
+
+    One pass over w's letters, from where the lift leaves the strands,
+    gives where each strand of section(beta_A) * w ends, and, on the way,
+    w's projection to B_n: the lift keeps the punctures on the first n
+    positions, so a crossing of two punctures under w is one of w's
+    projected letters, re-indexed past the orbit strands on its left, as
+    `mixed.is_kernel` deletes them. The checks are `mixed.ensure_kernel`'s,
+    with its errors: the strand count, then the punctures, which w must
+    leave where the lift put them, then the projection, which must be
+    trivial in B_n (`_trivial`). The braid is made on the permutation of
+    the pass (`mixed._assembled`, which checks the blocks), so
+    `permutation` does not run again."""
+    strands = n + m
+    if w.strands != strands:
+        raise _not_kernel(n, m, w)
+    occupant = list(base.occupant)
+    projected = []
+    for k in w.letters:
+        i = k - 1 if k > 0 else -k - 1
+        a, b = occupant[i], occupant[i + 1]
+        if a < n and b < n:
+            j = i + 1 - sum(s >= n for s in occupant[:i])
+            projected.append(j if k > 0 else -j)
+        occupant[i], occupant[i + 1] = b, a
+    if tuple(occupant[:n]) != base.occupant[:n] or not _trivial(n, projected):
+        raise _not_kernel(n, m, w)
+    images = [0] * strands
+    for pos, start in enumerate(occupant, 1):
+        images[start] = pos
+    perm = PermutationTable(strands, tuple(images))
+    braid = _assembled(n, m, _valid(strands, base.lift.letters + w.letters), perm)
     # The lift fixes every orbit strand and w, a kernel element, every
-    # puncture, so the braid's cycles on the orbit block are those of w: the
-    # cycles that start, at their smallest element, beyond the punctures.
-    if m >= 1 and sum(c[0] > n for c in braid.perm.cycles()) != 1:
-        # Skip the frames of this module; the dataclass-generated __init__
-        # runs in its globals too. A fixed stacklevel per caller cannot do
-        # this: before Python 3.12 (PEP 709) the partition's list
-        # comprehension is a frame of its own, so the caller's depth
-        # differs between versions.
-        level, frame = 2, sys._getframe(1)
-        while frame.f_globals is globals():
-            level, frame = level + 1, frame.f_back
-        warnings.warn(
-            f"{name} does not induce a single {m}-cycle on the "
-            "orbit block; treating it as a formal instance",
-            stacklevel=level,
-        )
+    # puncture, so the braid's cycles on the orbit block are those of w.
+    if m >= 1:
+        length, end = 1, images[n]
+        while end != n + 1:
+            length, end = length + 1, images[end - 1]
+        if length != m:
+            # Skip the frames of this module; the dataclass-generated
+            # __init__ runs in its globals too. A fixed stacklevel per
+            # caller cannot do this: before Python 3.12 (PEP 709) the
+            # partition's list comprehension is a frame of its own, so the
+            # caller's depth differs between versions.
+            level, frame = 2, sys._getframe(1)
+            while frame.f_globals is globals():
+                level, frame = level + 1, frame.f_back
+            warnings.warn(
+                f"{name} does not induce a single {m}-cycle on the "
+                "orbit block; treating it as a formal instance",
+                stacklevel=level,
+            )
     return _Orbit(w, braid, canonical_form(braid.word))
 
 
@@ -258,23 +330,28 @@ class SNInstance:
     beta_A: BraidWord
     beta_ox: BraidWord
     beta_oy: BraidWord
-    # The records of the two orbits, built once by __post_init__.
+    # The records of the base and of the two orbits, built once by
+    # __post_init__.
+    _A: _Base = dataclasses.field(init=False, repr=False, compare=False)
     _x: _Orbit = dataclasses.field(init=False, repr=False, compare=False)
     _y: _Orbit = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # section checks the block sizes and the strand count of beta_A.
-        lift = section(self.n, self.m, self.beta_A).word
-        object.__setattr__(self, "_x", _orbit(self.n, self.m, lift, "beta_ox", self.beta_ox))
-        object.__setattr__(self, "_y", _orbit(self.n, self.m, lift, "beta_oy", self.beta_oy))
+        base = _base(self.n, self.m, self.beta_A)
+        object.__setattr__(self, "_A", base)
+        object.__setattr__(self, "_x", _orbit(self.n, self.m, base, "beta_ox", self.beta_ox))
+        object.__setattr__(self, "_y", _orbit(self.n, self.m, base, "beta_oy", self.beta_oy))
 
     @classmethod
-    def _of(cls, n: int, m: int, beta_A: BraidWord, x: _Orbit, y: _Orbit) -> SNInstance:
-        """The instance of two orbit records built already: __post_init__ is
-        skipped, so neither orbit is validated or assembled again."""
+    def _of(
+        cls, n: int, m: int, beta_A: BraidWord, base: _Base, x: _Orbit, y: _Orbit
+    ) -> SNInstance:
+        """The instance of base and orbit records built already:
+        __post_init__ is skipped, so neither beta_A nor an orbit is
+        validated or read again."""
         inst = object.__new__(cls)
         inst.__dict__.update(
-            n=n, m=m, beta_A=beta_A, beta_ox=x.word, beta_oy=y.word, _x=x, _y=y
+            n=n, m=m, beta_A=beta_A, beta_ox=x.word, beta_oy=y.word, _A=base, _x=x, _y=y
         )
         return inst
 
@@ -587,7 +664,7 @@ def _centralizer_shift(
     c_cf = _witness(inst._x, inst._y, path)
     if n:
         ends, crossings = _form_punctures(n, c_cf)
-        powers = _shift_powers(exponent_sum(inst.beta_A), ends[:n], crossings)
+        powers = _shift_powers(inst._A.exponent_sum, ends[:n], crossings)
         if powers is None:
             return None
         a, b = powers
@@ -713,8 +790,8 @@ def partition_sn_classes(
     whose final classes differ: an Inconclusive pair that ends inside one
     class is equivalent by transitivity through pairs with witnesses, and
     is dropped."""
-    lift = section(n, m, beta_A).word
-    records = [_orbit(n, m, lift, f"orbit {i}", w) for i, w in enumerate(orbits)]
+    base = _base(n, m, beta_A)
+    records = [_orbit(n, m, base, f"orbit {i}", w) for i, w in enumerate(orbits)]
     first: dict[CanonicalForm, _Orbit] = {}
     records = [first.setdefault(record.cf, record) for record in records]
     buckets: dict[tuple, list[int]] = {}
@@ -738,7 +815,7 @@ def partition_sn_classes(
             ri, rj = find(i), find(j)
             if ri == rj:
                 continue
-            inst = SNInstance._of(n, m, beta_A, records[i], records[j])
+            inst = SNInstance._of(n, m, beta_A, base, records[i], records[j])
             status = sn_equivalent_rel_A(inst, budget).status
             if status == EQUIVALENT:
                 parent[max(ri, rj)] = min(ri, rj)

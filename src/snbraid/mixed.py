@@ -20,6 +20,7 @@ from .garside import CanonicalForm, canonical_form
 from .words import (
     BraidWord,
     PermutationTable,
+    _valid,
     compose,
     free_reduce,
     invert,
@@ -43,7 +44,8 @@ def _check_blocks(n: int, m: int) -> None:
 @dataclasses.dataclass(frozen=True)
 class MixedBraid:
     """A validated element of B_{n,m}; block preservation is membership.
-    `perm`, the permutation of the word, is computed once, by the check."""
+    `perm`, the permutation of the word, is computed once, by the check,
+    or handed in already computed (`_assembled`)."""
 
     n: int
     m: int
@@ -57,13 +59,27 @@ class MixedBraid:
                 f"word has {self.word.strands} strands, expected {self.n + self.m}"
             )
         object.__setattr__(self, "perm", permutation(self.word))
-        for start in range(1, self.n + self.m + 1):
-            end = self.perm(start)
-            if (start <= self.n) != (end <= self.n):
-                raise BlockViolationError(
-                    f"strand {start} ends at position {end}, crossing the "
-                    f"block boundary after position {self.n}"
-                )
+        _check_block_ends(self.n, self.perm)
+
+
+def _check_block_ends(n: int, perm: PermutationTable) -> None:
+    for start, end in enumerate(perm.images, 1):
+        if (start <= n) != (end <= n):
+            raise BlockViolationError(
+                f"strand {start} ends at position {end}, crossing the "
+                f"block boundary after position {n}"
+            )
+
+
+def _assembled(n: int, m: int, word: BraidWord, perm: PermutationTable) -> MixedBraid:
+    """`MixedBraid(n, m, word)` for a caller that has checked the block
+    sizes and the strand count and already holds perm, the permutation of
+    word: the block check runs on perm, and `permutation` does not run
+    again."""
+    _check_block_ends(n, perm)
+    braid = object.__new__(MixedBraid)
+    braid.__dict__.update(n=n, m=m, word=word, perm=perm)
+    return braid
 
 
 def validate(n: int, m: int, w: BraidWord) -> MixedBraid:
@@ -113,10 +129,16 @@ def delete_strand(w: BraidWord, start: int) -> BraidWord:
 def section(n: int, m: int, beta: BraidWord) -> MixedBraid:
     """Add m vertical strands after an n-strand braid (letters unchanged).
     The block sizes are checked before the word on n + m strands is made."""
+    return MixedBraid(n, m, _lift(n, m, beta))
+
+
+def _lift(n: int, m: int, beta: BraidWord) -> BraidWord:
+    """The word of section(n, m, beta): beta's letters on n + m strands,
+    made after the checks `section` makes."""
     _check_blocks(n, m)
     if beta.strands != n:
         raise ValueError(f"base word has {beta.strands} strands, expected {n}")
-    return MixedBraid(n, m, BraidWord(n + m, beta.letters))
+    return _valid(n + m, beta.letters)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,13 +173,19 @@ def is_kernel(n: int, m: int, w: BraidWord) -> bool:
 
 
 def ensure_kernel(n: int, m: int, w: BraidWord) -> BraidWord:
+    if w.strands != n + m or not is_kernel(n, m, w):
+        raise _not_kernel(n, m, w)
+    return w
+
+
+def _not_kernel(n: int, m: int, w: BraidWord) -> KernelMembershipError:
+    """The error for a word w outside the kernel for blocks (n, m): on the
+    wrong strand count, or on n + m strands but not in the kernel."""
     if w.strands != n + m:
-        raise KernelMembershipError(
+        return KernelMembershipError(
             f"word {w} has {w.strands} strands, expected {n + m} for blocks ({n}, {m})"
         )
-    if not is_kernel(n, m, w):
-        raise KernelMembershipError(f"word {w} is not in the kernel for blocks ({n}, {m})")
-    return w
+    return KernelMembershipError(f"word {w} is not in the kernel for blocks ({n}, {m})")
 
 
 def kernel_generators(n: int, m: int) -> list[BraidWord]:

@@ -42,10 +42,7 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        # Strand count 0 is tolerated as the degenerate base of a mixed braid
-        # with an empty invariant set; it carries no letters.
-        if self.strands < 0:
-            raise ValueError(f"strand count must be >= 0, got {self.strands}")
+        _check_strands(self.strands)
         object.__setattr__(self, "letters", tuple(self.letters))
         for k in self.letters:
             if k == 0 or not (1 <= abs(k) <= self.strands - 1):
@@ -63,7 +60,9 @@ class BraidWord:
     @staticmethod
     def parse(n: int, text: str) -> "BraidWord":
         """Parse a word in the text grammar (see module docstring) on n
-        strands; a letter out of range for n names its position."""
+        strands; a letter out of range for n names its position. Each
+        letter is range-checked here, once, so the word is built without
+        `BraidWord`'s second check of every letter."""
         letters = []
         for lineno, line in enumerate(text.splitlines() or [""], start=1):
             body = line.split("#", 1)[0]
@@ -77,7 +76,8 @@ class BraidWord:
                     )
                 letters.append(k)
                 col += len(token)
-        return BraidWord(n, tuple(letters))
+        _check_strands(n)  # reached with no letters: each is out of range
+        return _valid(n, tuple(letters))
 
     def format(self) -> str:
         """Render in the canonical `s<k>` / `S<k>` spelling."""
@@ -85,6 +85,13 @@ class BraidWord:
 
     def __str__(self) -> str:
         return self.format() or "<empty>"
+
+
+def _check_strands(strands: int) -> None:
+    # Strand count 0 is tolerated as the degenerate base of a mixed braid
+    # with an empty invariant set; it carries no letters.
+    if strands < 0:
+        raise ValueError(f"strand count must be >= 0, got {strands}")
 
 
 # A letter is s<k>, S<k>, <k> or -<k>, with k in ASCII digits.
@@ -155,8 +162,9 @@ def invert(a: BraidWord) -> BraidWord:
 
 def _valid(strands: int, letters: tuple[int, ...]) -> BraidWord:
     """The word of letters that are already valid on this strand count,
-    made without `BraidWord`'s per-letter check: for the library's own
-    words, such as a free reduction or a spelled canonical form."""
+    made without `BraidWord`'s per-letter check: for words whose letters
+    were checked as they were read or made, such as a parsed word, a free
+    reduction or a spelled canonical form."""
     word = object.__new__(BraidWord)
     word.__dict__.update(strands=strands, letters=letters)
     return word

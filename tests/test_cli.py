@@ -523,6 +523,48 @@ def test_cli_start_imports_only_standard_library():
     assert out[-1] == "[]"
 
 
+class TestParserReused:
+    """One parser per process: built on the first `run`, not at import,
+    and reused by every later `run`, after errors and help too."""
+
+    def test_not_built_at_import(self):
+        src = os.path.dirname(os.path.dirname(sb.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from snbraid import cli; print(cli._parser.cache_info().misses)"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+    def test_same_outcomes_as_fresh_parsers(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("COLUMNS", "100")
+        f = tmp_path / "orbits.txt"
+        f.write_text("s2 s2\ns2 s1 s1 S2 s2 s2 s2 S1 S1 S2\ns2 s2 s2 s2\n")
+        sequence = [
+            ["sn", "-n", "2", "-m", "1", "--betaA", "", "--ox", A2],
+            ["partition", "--help"],
+            ["partition", "-n", "2", "-m", "1", "--betaA", "", "--file", str(f)],
+            ["partition", "-n", "2", "-m", "-2", "--betaA", "s1 s1", "--file", str(f)],
+            ["sn", "-n", "1", "-m", "1", "--betaA", "", "--ox", "s1 s1", "--oy", "s1 s1 s1 s1"],
+        ]
+        fresh = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, argv))
+        assert [code for code, _, _ in fresh] == [1, 0, 0, 1, 0]
+        assert "the following arguments are required: --oy" in fresh[0][2]
+        assert fresh[3][2] == "error: bad block sizes (2, -2)\n"
+
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        assert [run(capsys, argv) for argv in sequence * 2] == fresh * 2
+        assert len(built) == 1
+
+
 # The 200-letter word of the `nf -n 5` console pin, where the tables are
 # built whole in a fresh process.
 NF5_WORD = (

@@ -879,6 +879,81 @@ class TestInstanceValidation:
             where = (__file__, call.__code__.co_firstlineno)
             assert [(c.filename, c.lineno) for c in caught] == [where] * count
 
+    @staticmethod
+    def checked_record(n, m, beta_A, name, w):
+        """An orbit record's braid, permutation and form built the checked
+        way: `ensure_kernel`, `MixedBraid` on the composed word, which
+        computes the permutation and checks the blocks, then the form, with
+        the warning when the orbit block is not one m-cycle."""
+        sb.mixed.ensure_kernel(n, m, w)
+        braid = sb.MixedBraid(n, m, sb.compose(sb.section(n, m, beta_A).word, w))
+        if m >= 1 and sum(c[0] > n for c in braid.perm.cycles()) != 1:
+            warnings.warn(
+                f"{name} does not induce a single {m}-cycle on the orbit block; "
+                "treating it as a formal instance"
+            )
+        return braid, braid.perm, sb.canonical_form(braid.word)
+
+    def test_one_pass_record_matches_checked_construction(self):
+        """`_orbit` checks and assembles w in one pass over its letters:
+        the same braid, permutation and form as the checked construction,
+        the same error for words off the kernel or on the wrong strand
+        count, and the same warning."""
+        from snbraid import decision
+
+        def outcome(build):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    got = build()
+                except ValueError as exc:
+                    got = type(exc), str(exc)
+            return got, [(c.category, str(c.message)) for c in caught]
+
+        def one_pass(n, m, beta_A, name, w):
+            record = decision._orbit(n, m, decision._base(n, m, beta_A), name, w)
+            assert record.word is w
+            return record.braid, record.braid.perm, record.cf
+
+        # The orbit strand passes left of the punctures, which then cross
+        # twice: projected s1 s1, not s2 s2. Then s1 s1 undone, in the
+        # kernel, and s2 s2 not undone, off it.
+        for tail, kernel in (("S1 S1", True), ("S2 S2", False)):
+            w = sb.BraidWord.parse(4, f"s3 s2 s1 s2 s2 S1 S2 S3 {tail}")
+            got = outcome(lambda: one_pass(3, 1, sb.BraidWord(3, ()), "orbit 0", w))
+            assert got == outcome(lambda: self.checked_record(3, 1, sb.BraidWord(3, ()), "orbit 0", w))
+            assert (got[0][0] is not sb.KernelMembershipError) == kernel
+
+        rng = random.Random(43)
+        seen = collections.Counter()
+        for n, m in itertools.product((0, 1, 2, 3), (1, 2)):
+            for _ in range(80):
+                beta_A = random_word(rng, n, 4)
+                # B_{0,1} = B_1 has no kernel generators.
+                length = rng.randint(0, 4) if n + m > 1 else 0
+                w = random_kernel_word(rng, n, m, length)
+                kind = rng.choice(("kernel", "lifted", "pure", "any", "strands"))
+                if kind == "lifted":
+                    # A conjugate by a lift: in the kernel, with crossings
+                    # of two punctures whose projection is trivial.
+                    g = sb.section(n, m, random_word(rng, n, 3)).word
+                    w = sb.compose(sb.compose(g, w), sb.invert(g))
+                elif kind == "pure" and n >= 2:
+                    # Punctures fixed, projection sigma_i^2: off the kernel.
+                    i = rng.randint(1, n - 1)
+                    w = sb.compose(sb.BraidWord(n + m, (i, i)), w)
+                elif kind == "any":
+                    w = random_word(rng, n + m, 6)
+                elif kind == "strands":
+                    w = random_word(rng, n + m + rng.choice((-1, 1)), 4)
+                got = outcome(lambda: one_pass(n, m, beta_A, "orbit 3", w))
+                assert got == outcome(lambda: self.checked_record(n, m, beta_A, "orbit 3", w))
+                result, caught = got
+                seen[result[0] if isinstance(result[0], type) else "record", bool(caught)] += 1
+        assert set(seen) == {
+            ("record", False), ("record", True), (sb.KernelMembershipError, False)
+        }, seen
+
 
 class TestPartition:
     def test_invariant_distinguished(self):
@@ -1022,7 +1097,9 @@ class TestPartitionAgainstReference:
     def test_each_orbit_validated_once_and_merged_pairs_skipped(self, monkeypatch):
         from snbraid import decision
 
-        counts = {"ensure_kernel": 0, "sn_equivalent_rel_A": 0}
+        # `_orbit` validates one orbit, in the pass that assembles its
+        # record.
+        counts = {"_orbit": 0, "sn_equivalent_rel_A": 0}
 
         def counted(name):
             fn = getattr(decision, name)
@@ -1038,7 +1115,7 @@ class TestPartitionAgainstReference:
         beta_A, orbits = thirty_orbits(6)
         res = sb.partition_sn_classes(2, 1, beta_A, orbits)
         assert len(res.classes) == 5 and res.unresolved == ()
-        assert counts["ensure_kernel"] == 30
+        assert counts["_orbit"] == 30
         assert counts["sn_equivalent_rel_A"] <= 25
 
     def test_each_orbit_normalized_once(self, monkeypatch):
@@ -1111,8 +1188,7 @@ class TestOrbitRecordsReused:
         owner, a record or an instance, that keeps its fact in `vars`, and
         return how many owners keep each fact. m >= 2, or a word past its
         bound, keeps None as its free word or search start without the
-        call, and the shift's exponent sum of beta_A is no record's fact."""
-        words = {vars(o).get("word") for o in owners}
+        call."""
         kept_counts = {}
         for _, name, attr, arguments in self.FACTS:
             kept = [o for o in owners if attr in vars(o)]
@@ -1122,8 +1198,6 @@ class TestOrbitRecordsReused:
             elif attr == "_free_search":
                 kept = [o for o in kept if None not in (o._x.free, o._y.free)]
             made = calls.get(name, [])
-            if attr == "exponent_sum":
-                made = [args for args in made if args[0] in words]
             assert collections.Counter(made) == collections.Counter(map(arguments, kept)), name
         return kept_counts
 
@@ -1252,6 +1326,28 @@ class TestOrbitRecordsReused:
             assert sb.is_conjugate(a, sb.compose(sb.compose(c, a), sb.invert(c))).conjugate
         kept = self.computed_once(calls, owners)
         assert kept["summit"] > 0 and kept["circuit"] > 0 and closures
+
+    def test_base_read_once(self, monkeypatch, calls):
+        """beta_A is read once per partition and once per instance, by
+        `_base`, whose record keeps the exponent sum the centralizer shift
+        reads, for every pair and both formulations."""
+        from snbraid import decision
+
+        bases = []
+
+        def counted(*args, fn=decision._base):
+            bases.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(decision, "_base", counted)
+        beta_A, orbits = thirty_orbits(6)
+        sb.partition_sn_classes(2, 1, beta_A, orbits)
+        assert bases == [(2, 1, beta_A)]
+        inst = ambient_s1()
+        for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
+            verify(inst, decide(inst))
+        assert len(bases) == 2 and inst._A.exponent_sum == sb.exponent_sum(inst.beta_A)
+        assert all(args[0] != inst.beta_A for args in calls.get("exponent_sum", []))
 
     def test_building_computes_nothing_for_a_decision(self, calls):
         beta_A, orbits = thirty_orbits(6)

@@ -95,6 +95,47 @@ class TestParsing:
         assert "out of range for 3 strands" in str(exc.value)
         assert (exc.value.line, exc.value.column) == (line, column)
 
+    @pytest.mark.parametrize(
+        "n,text,error",
+        [
+            (3, "s1 sx", "bad braid letter 'sx' (line 1, column 4)"),
+            (3, "s2\n  S3 s1", "letter -3 out of range for 3 strands (line 2, column 3)"),
+            (3, "# c\ns1 S0", "generator index 0 in 'S0' is not allowed (line 2, column 4)"),
+            (2, "s1\n\n  s1 s2", "letter 2 out of range for 2 strands (line 3, column 6)"),
+            (4, "s1\ts2  s4", "letter 4 out of range for 4 strands (line 1, column 8)"),
+            (3, "s1 s1 s1 s11", "letter 11 out of range for 3 strands (line 1, column 10)"),
+            (0, "s1", "letter 1 out of range for 0 strands (line 1, column 1)"),
+            (1, "S1", "letter -1 out of range for 1 strands (line 1, column 1)"),
+            (-1, "s1", "letter 1 out of range for -1 strands (line 1, column 1)"),
+        ],
+    )
+    def test_syntax_error_text(self, n, text, error):
+        """The whole text of each error, position included: a letter is
+        range-checked once, as it is read, and a negative strand count
+        with a letter reports the letter."""
+        with pytest.raises(sb.WordSyntaxError) as exc:
+            sb.BraidWord.parse(n, text)
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize("n,text", [(-1, ""), (-2, "  # only a comment")])
+    def test_negative_strand_count(self, n, text):
+        with pytest.raises(ValueError, match=f"^strand count must be >= 0, got {n}$") as exc:
+            sb.BraidWord.parse(n, text)
+        assert not isinstance(exc.value, sb.WordSyntaxError)
+
+    def test_parsed_letters_checked_once(self, monkeypatch):
+        """`parse` builds its word without `BraidWord`'s second check of
+        every letter, and the word is the one its letters make."""
+        rng = random.Random(40)
+        seeded = [random_word(rng, rng.randint(0, 7), 12) for _ in range(300)]
+        checks = []
+        check = sb.BraidWord.__post_init__
+        monkeypatch.setattr(sb.BraidWord, "__post_init__", lambda w: checks.append(w) or check(w))
+        for w in seeded:
+            got = sb.BraidWord.parse(w.strands, w.format())
+            assert got == w and hash(got) == hash(w) and type(got.letters) is tuple
+        assert checks == []
+
 
 class TestGroupPlumbing:
     def test_compose_concatenates(self):
