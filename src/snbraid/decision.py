@@ -47,10 +47,11 @@ state counts do not depend on which it uses.
 
 All a decision reads of one orbit w is its record `_Orbit`: w, the mixed
 braid section(beta_A) * w and that braid's canonical form, built once by
-`_orbit` in one pass over w's letters, which also checks w. It starts
-from the record of beta_A, `_Base`, read once per instance or partition,
-which also keeps beta_A's exponent sum for the centralizer shift. An
-`SNInstance` holds the base record and two orbit records, and
+`_orbit` in one pass over w's letters, which also checks w: the kernel
+test of `mixed.is_kernel`, run from where the lift leaves the strands.
+It starts from the record of beta_A, `_Base`, read once per instance or
+partition, which also keeps beta_A's exponent sum for the centralizer
+shift. An `SNInstance` holds the base record and two orbit records, and
 `partition_sn_classes` builds one base record, one orbit record per orbit
 and merges classes in a single union-find on the orbit indices.
 
@@ -98,8 +99,11 @@ from .invariants import linking_matrix
 from .mixed import (
     MixedBraid,
     _assembled,
+    _kernel_pass,
     _lift,
     _not_kernel,
+    _strand_pass,
+    is_kernel,
     kernel_generators,
 )
 from .words import (
@@ -230,10 +234,10 @@ def _free_bound(letters: tuple[int, ...]) -> int:
 @dataclasses.dataclass(frozen=True)
 class _Base:
     """The base braid beta_A of an instance, or of every pair of a
-    partition, read in one pass over its letters: the word of its lift
-    section(beta_A) on n + m strands, the strand, numbered from 0 by where
-    it starts, at each position after the lift, and the exponent sum of
-    beta_A, which the centralizer shift reads."""
+    partition: the word of its lift section(beta_A) on n + m strands, the
+    strand, numbered from 0 by where it starts, at each position after the
+    lift (`mixed._strand_pass`), and the exponent sum of beta_A, which the
+    centralizer shift reads."""
 
     lift: BraidWord
     occupant: tuple[int, ...]
@@ -245,22 +249,8 @@ def _base(n: int, m: int, beta_A: BraidWord) -> _Base:
     block sizes and the strand count of beta_A."""
     lift = _lift(n, m, beta_A)
     occupant = list(range(n + m))
-    e = 0
-    for k in beta_A.letters:
-        i = k - 1 if k > 0 else -k - 1
-        occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
-        e += 1 if k > 0 else -1
-    return _Base(lift, tuple(occupant), e)
-
-
-def _trivial(n: int, letters: list[int]) -> bool:
-    """Whether the word of these letters is the identity of B_n: for
-    n <= 2, where every letter is +-1, its exponent sum is 0, as B_1 is
-    trivial and B_2 is free abelian on sigma_1, and beyond that its
-    canonical form is the identity's."""
-    if n <= 2:
-        return sum(letters) == 0
-    return not letters or canonical_form(_valid(n, tuple(letters))) == CanonicalForm(n, 0, ())
+    _strand_pass(n, occupant, beta_A.letters)
+    return _Base(lift, tuple(occupant), sum(1 if k > 0 else -1 for k in beta_A.letters))
 
 
 def _orbit(n: int, m: int, base: _Base, name: str, w: BraidWord) -> _Orbit:
@@ -268,30 +258,18 @@ def _orbit(n: int, m: int, base: _Base, name: str, w: BraidWord) -> _Orbit:
     kernel, and warns, at the line that made the instance or called the
     partition, when w does not permute the orbit block as a single m-cycle.
 
-    One pass over w's letters, from where the lift leaves the strands,
-    gives where each strand of section(beta_A) * w ends, and, on the way,
-    w's projection to B_n: the lift keeps the punctures on the first n
-    positions, so a crossing of two punctures under w is one of w's
-    projected letters, re-indexed past the orbit strands on its left, as
-    `mixed.is_kernel` deletes them. The checks are `mixed.ensure_kernel`'s,
-    with its errors: the strand count, then the punctures, which w must
-    leave where the lift put them, then the projection, which must be
-    trivial in B_n (`_trivial`). The braid is made on the permutation of
-    the pass (`mixed._assembled`, which checks the blocks), so
+    The kernel test is `mixed.is_kernel`'s one pass (`mixed._kernel_pass`),
+    run from where the lift leaves the strands, with `ensure_kernel`'s
+    errors: the lift keeps the punctures on the first n positions, so the
+    pass reads w's projection to B_n as `is_kernel` does, and leaves where
+    each strand of section(beta_A) * w ends. The braid is made on that
+    permutation (`mixed._assembled`, which checks the blocks), so
     `permutation` does not run again."""
     strands = n + m
     if w.strands != strands:
         raise _not_kernel(n, m, w)
     occupant = list(base.occupant)
-    projected = []
-    for k in w.letters:
-        i = k - 1 if k > 0 else -k - 1
-        a, b = occupant[i], occupant[i + 1]
-        if a < n and b < n:
-            j = i + 1 - sum(s >= n for s in occupant[:i])
-            projected.append(j if k > 0 else -j)
-        occupant[i], occupant[i + 1] = b, a
-    if tuple(occupant[:n]) != base.occupant[:n] or not _trivial(n, projected):
+    if not _kernel_pass(n, occupant, w.letters):
         raise _not_kernel(n, m, w)
     images = [0] * strands
     for pos, start in enumerate(occupant, 1):
@@ -552,39 +530,17 @@ def _search_kernel_conjugator(
     return None, BudgetReport(budget.max_length, states)
 
 
-def _punctures(n: int, m: int, letters: tuple[int, ...]) -> tuple[list[int], int]:
-    """One pass over the letters of a braid on n + m strands: which
-    puncture strand, numbered 1 to n by where it starts, ends at each
-    position, 0 for an orbit strand, and the signed crossings between
-    two puncture strands. For n = 2 that sum is the exponent sum of the
-    projection to B_2, which keeps exactly those crossings."""
-    occupant = [*range(1, n + 1), *[0] * m]
-    crossings = 0
-    for k in letters:
-        i = k - 1 if k > 0 else -k - 1
-        a, b = occupant[i], occupant[i + 1]
-        if a and b:
-            crossings += 1 if k > 0 else -1
-        occupant[i], occupant[i + 1] = b, a
-    return occupant, crossings
-
-
-def _in_kernel(n: int, m: int, letters: tuple[int, ...]) -> bool:
-    """`mixed.is_kernel` for n <= 2 in one pass: each puncture strand ends
-    where it starts, and for n = 2 their signed crossings sum to 0, which
-    makes the projection trivial, as B_1 is trivial and B_2 is free
-    abelian on sigma_1."""
-    occupant, crossings = _punctures(n, m, letters)
-    return crossings == 0 and occupant[:n] == list(range(1, n + 1))
-
-
 def _form_punctures(n: int, cf: CanonicalForm) -> tuple[list[int], int]:
-    """`_punctures` for n <= 2 of the braid whose canonical form is cf,
-    read off its Delta power and factors instead of its letters: Delta^p
-    reverses the strands p times and crosses each pair p times, and a
-    factor, a permutation braid, crosses two strands once, positively,
-    exactly when its permutation swaps their order. Both counts are
-    invariants of the braid, so any word of it gives the same."""
+    """For n <= 2, which puncture strand, numbered 1 to n by where it
+    starts, ends at each position of the braid whose canonical form is
+    cf, 0 for an orbit strand, and the signed crossings between two
+    puncture strands; for n = 2 that sum is the exponent sum of the
+    projection to B_2. Both are read off cf's Delta power and factors
+    instead of a word's letters: Delta^p reverses the strands p times and
+    crosses each pair p times, and a factor, a permutation braid, crosses
+    two strands once, positively, exactly when its permutation swaps their
+    order. Both counts are invariants of the braid, so any word of it
+    gives the same."""
     strands, p, factors = cf
     perm = _simples(strands).perm
     # at[s] is the position, from 0, of puncture strand s + 1.
@@ -607,8 +563,8 @@ def _form_punctures(n: int, cf: CanonicalForm) -> tuple[list[int], int]:
 def _shift_powers(e: int, ends: list[int], crossings: int) -> tuple[int, int] | None:
     """The powers (a, b) that put h * Delta^2a * beta_y^b in the kernel
     for n <= 2, from where h takes the puncture strands (`ends`, as
-    `_punctures` gives them) and h's signed crossings between them; e is
-    the exponent sum of beta_A. None when no power does.
+    `_form_punctures` gives them) and h's signed crossings between them;
+    e is the exponent sum of beta_A. None when no power does.
 
     beta_y preserves the puncture block and permutes it as beta_A does:
     a swap, of order o = 2, when e is odd, and otherwise the identity,
@@ -658,8 +614,8 @@ def _centralizer_shift(
     canonical form (`_form_punctures`); for n = 0 the kernel is the whole
     group and the candidate is h. Delta^2a joins h's Delta power, and for
     b != 0 one `_product` multiplies in beta_y's form. Only the
-    candidate's form is spelled out, as its witness, which must pass the
-    one-pass kernel test (`_in_kernel`) and `accept`."""
+    candidate's form is spelled out, as its witness, which must pass
+    `mixed.is_kernel` and `accept`."""
     n, m = inst.n, inst.m
     c_cf = _witness(inst._x, inst._y, path)
     if n:
@@ -673,7 +629,7 @@ def _centralizer_shift(
             by_cf = inst._y.cf if b > 0 else inst._y.cf.inv()
             c_cf = _product(c_cf, *[by_cf] * abs(b))
     c = c_cf.to_word()
-    if _in_kernel(n, m, c.letters) and accept(c, c_cf):
+    if is_kernel(n, m, c) and accept(c, c_cf):
         return c
     return None
 

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: random word generators, legal rewrite
-moves, and the independent one-strand-at-a-time projection oracle."""
+moves, and the independent one-strand-at-a-time projection and kernel
+oracles."""
 
 import random
 
@@ -89,6 +90,21 @@ def project_oracle(b: sb.MixedBraid) -> sb.BraidWord:
     for _ in range(b.m):
         w = sb.delete_strand(w, b.n + 1)
     return w
+
+
+def kernel_oracle(n: int, m: int, w: sb.BraidWord) -> bool:
+    """Kernel membership without `is_kernel`: w is on n + m strands, its
+    permutation fixes each puncture, and what is left once the orbit strands
+    are deleted one at a time is equal to the identity. A word on the wrong
+    strand count, or a negative block size, is refused."""
+    if n < 0 or m < 0 or w.strands != n + m:
+        return False
+    perm = sb.permutation(w)
+    if any(perm(i) != i for i in range(1, n + 1)):
+        return False
+    for _ in range(m):
+        w = sb.delete_strand(w, n + 1)
+    return sb.equal(w, sb.BraidWord.identity(n))
 
 
 def conjugated_kernel_part(

@@ -774,6 +774,20 @@ CONSOLE_PINS = [
             },
         },
     ),
+    # The README example: the projection reads the base, and the kernel
+    # part is what is left.
+    ("decompose-readme", ["decompose", "-n", "2", "-m", "1", "s1 s2 s2"], 0,
+     {"base": "s1", "kernel_part": "s2 s2"}),
+    # The loop around the second puncture, moved to the first by s1.
+    ("act-loop", ["act", "-n", "2", "-m", "1", "--beta", "s1", "--gamma", "s2 s2"], 0,
+     {"result": "S1 s2 s2 s1"}),
+    # gamma's projection s1 S1 has letters: its kernel test normalizes it.
+    (
+        "act-normalized-projection",
+        ["act", "-n", "3", "-m", "1", "--beta", "s1 S2", "--gamma", "s1 s3 s2 s1 s1 S2 S3 S1"],
+        0,
+        {"result": "s2 s3 s2 s1 s1 S2 S3 S2"},
+    ),
     # Ranks only the letters the word uses.
     (
         "nf-2000-strands",

@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 import snbraid as sb
-from conftest import conjugated_kernel_part, random_kernel_word, random_word
+from conftest import conjugated_kernel_part, kernel_oracle, random_kernel_word, random_word
 from test_cli import CONSOLE_PINS
 
 A1 = sb.BraidWord(3, (2, 1, 1, -2))
@@ -882,10 +882,16 @@ class TestInstanceValidation:
     @staticmethod
     def checked_record(n, m, beta_A, name, w):
         """An orbit record's braid, permutation and form built the checked
-        way: `ensure_kernel`, `MixedBraid` on the composed word, which
+        way: the kernel test of `kernel_oracle`, with `ensure_kernel`'s
+        errors spelled out, `MixedBraid` on the composed word, which
         computes the permutation and checks the blocks, then the form, with
         the warning when the orbit block is not one m-cycle."""
-        sb.mixed.ensure_kernel(n, m, w)
+        if w.strands != n + m:
+            raise sb.KernelMembershipError(
+                f"word {w} has {w.strands} strands, expected {n + m} for blocks ({n}, {m})"
+            )
+        if not kernel_oracle(n, m, w):
+            raise sb.KernelMembershipError(f"word {w} is not in the kernel for blocks ({n}, {m})")
         braid = sb.MixedBraid(n, m, sb.compose(sb.section(n, m, beta_A).word, w))
         if m >= 1 and sum(c[0] > n for c in braid.perm.cycles()) != 1:
             warnings.warn(
@@ -1442,25 +1448,45 @@ class TestCentralizerShift:
         monkeypatch.setattr(sb.decision, "_centralizer_shift", recorded)
         return found
 
-    def test_gate_agrees_with_is_kernel(self):
-        """The one-pass test `_in_kernel` is `mixed.is_kernel` for n <= 2,
-        on kernel words, on random words and, for n = 2, on kernel words
-        times sigma_1^+-2, which fix every strand but project to a
-        nontrivial braid."""
+    def test_gate_agrees_with_is_kernel(self, monkeypatch):
+        """The shift's gate is `mixed.is_kernel`, which agrees with the
+        independent `kernel_oracle` on kernel words, on random words, on
+        kernel words times sigma_i^+-2, which fix every strand but project
+        to a nontrivial braid, and, for n = 3, on kernel words conjugated
+        by a base braid, whose puncture letters cancel in B_3. For n = 3
+        the normalizing branch answers both ways."""
+        normalized = []
+        normalize = sb.garside._normalize
+
+        def counted(n, factors):
+            normalized.append(n)
+            return normalize(n, factors)
+
+        monkeypatch.setattr(sb.garside, "_normalize", counted)
         rng = random.Random(72)
         seen = set()
-        for n, m in ((0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)):
+        shapes = ((0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
+        for n, m in shapes:
             for _ in range(150):
                 w = random_kernel_word(rng, n, m, rng.randint(0, 4))
                 draw = rng.random()
                 if draw < 0.3:
                     w = random_word(rng, n + m, 10)
-                elif draw < 0.6 and n == 2:
-                    w = sb.compose(w, sb.BraidWord(n + m, (rng.choice((1, -1)),) * 2))
-                got = sb.decision._in_kernel(n, m, w.letters)
-                assert got == sb.is_kernel(n, m, w), (n, m, w)
-                seen.add((n, got))
-        assert seen == {(0, True), (1, True), (1, False), (2, True), (2, False)}
+                elif draw < 0.6 and n >= 2:
+                    i = rng.choice((1, -1)) * rng.randint(1, n - 1)
+                    w = sb.compose(w, sb.BraidWord(n + m, (i, i)))
+                elif draw < 0.8 and n >= 3:
+                    c = random_word(rng, n, 3)
+                    w = sb.BraidWord(n + m, c.letters + w.letters + sb.invert(c).letters)
+                normalized.clear()
+                got, normalizations = sb.is_kernel(n, m, w), len(normalized)
+                assert got == kernel_oracle(n, m, w), (n, m, w)
+                assert normalizations <= (n >= 3)
+                seen.add((n, got, normalizations > 0))
+        assert {(n, got) for n, got, _ in seen} == {
+            (0, True), (1, True), (1, False), (2, True), (2, False), (3, True), (3, False)
+        }
+        assert {(3, True, True), (3, False, True)} <= seen
 
     def test_powers_are_the_least_solution(self):
         """`_shift_powers` against a box search over |a|, |b| <= 40: the
@@ -1506,9 +1532,10 @@ class TestCentralizerShift:
 
     def test_form_reading_matches_letters(self, monkeypatch, shifted):
         """The shift reads where h's puncture strands end, and their signed
-        crossings, off h's canonical form (`_form_punctures`); `_punctures`
-        on the letters of its spelling is the reference, for h and for
-        every witness. The seeded n = 1 and n = 2 instances give h Delta
+        crossings, off h's canonical form (`_form_punctures`); the strand
+        pass of `mixed` over the letters of its spelling is the reference,
+        for h and for every witness: the ends from where it leaves the
+        strands, the crossings as the signs of the projected letters. The seeded n = 1 and n = 2 instances give h Delta
         powers of both signs, and shifts with b = 0 and with b != 0."""
         decision = sb.decision
         read, powers = [], []
@@ -1529,8 +1556,11 @@ class TestCentralizerShift:
             sb.sn_equivalent_rel_A(inst, sb.Budget(3, 2000))
         witnesses = [(inst.n, sb.canonical_form(c)) for inst, c in shifted if c is not None]
         for n, cf in read + witnesses:
-            m = cf.strands - n
-            assert form_punctures(n, cf) == decision._punctures(n, m, cf.to_word().letters), cf
+            occupant = list(range(cf.strands))
+            projected = sb.mixed._strand_pass(n, occupant, cf.to_word().letters)
+            ends = [s + 1 if s < n else 0 for s in occupant]
+            crossings = sum(1 if k > 0 else -1 for k in projected)
+            assert form_punctures(n, cf) == (ends, crossings), cf
         assert {n for n, _ in read} == {1, 2}
         assert {(cf.delta_power > 0) - (cf.delta_power < 0) for _, cf in read} == {-1, 0, 1}
         assert {b != 0 for _, b in filter(None, powers)} == {False, True}
