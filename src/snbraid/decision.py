@@ -51,9 +51,16 @@ braid section(beta_A) * w and that braid's canonical form, built once by
 test of `mixed.is_kernel`, run from where the lift leaves the strands.
 It starts from the record of beta_A, `_Base`, read once per instance or
 partition, which also keeps beta_A's exponent sum for the centralizer
-shift. An `SNInstance` holds the base record and two orbit records, and
-`partition_sn_classes` builds one base record, one orbit record per orbit
-and merges classes in a single union-find on the orbit indices.
+shift and the anchor keys. An `SNInstance` holds the base record and two
+orbit records, and `partition_sn_classes` builds one base record, one
+orbit record per orbit and merges classes in a single union-find on the
+orbit indices. For n <= 2 it first merges the orbits of equal screens
+by a per-record key, the anchor of the record's cycling circuit (the
+tuple-least form among the circuit's elements and their tau-images, with
+a conjugator to it) and where that conjugator takes the punctures
+(`_anchor_key`). Orbits of one key are equivalent, so no pair inside a
+key is decided and no witness is built for it; the pair loop decides
+only what stays split.
 
 What a decision learns of one orbit alone is a lazy attribute of its
 record (`garside._lazy`, which takes no lock where functools' cached
@@ -61,16 +68,16 @@ property does before Python 3.12), computed on first use inside a
 decision and never when the record is built: each screened invariant,
 and the per-braid stage of the ambient conjugacy test, the summit and
 cycling circuit of the mixed braid (the record is a
-`garside._ConjugacyRecord`), and for m = 1 the orbit's word in F_n. The
-Artin images of beta_A that the m = 1 search acts by are kept per base
-braid (`_free_letters`), so a partition builds them once. Only
-the comparisons are per pair: the screens compare the kept values, and
-the ambient test meets the two records (`garside._conjugacy`), which
-returns the path it found; `garside._witness` multiplies a conjugator out
-of it only for the shift, for n <= 2. A partition's orbits of one form
-share one record, so each distinct mixed braid is screened and walked at
-most once, and the two formulations decided on one instance share its
-two records.
+`garside._ConjugacyRecord`, which also keeps the circuit's anchor), and
+for m = 1 the orbit's word in F_n. The Artin images of beta_A that the
+m = 1 search acts by are kept per base braid (`_free_letters`), so a
+partition builds them once. Only the comparisons are per pair: the
+screens compare the kept values, and the ambient test meets the two
+records (`garside._conjugacy`), which returns the path it found;
+`garside._witness` multiplies a conjugator out of it only for the shift,
+for n <= 2. A partition's orbits of one form share one record, so each
+distinct mixed braid is screened and walked at most once, and the two
+formulations decided on one instance share its two records.
 """
 
 from __future__ import annotations
@@ -237,7 +244,7 @@ class _Base:
     partition: the word of its lift section(beta_A) on n + m strands, the
     strand, numbered from 0 by where it starts, at each position after the
     lift (`mixed._strand_pass`), and the exponent sum of beta_A, which the
-    centralizer shift reads."""
+    centralizer shift and a partition's anchor keys read."""
 
     lift: BraidWord
     occupant: tuple[int, ...]
@@ -250,7 +257,7 @@ def _base(n: int, m: int, beta_A: BraidWord) -> _Base:
     lift = _lift(n, m, beta_A)
     occupant = list(range(n + m))
     _strand_pass(n, occupant, beta_A.letters)
-    return _Base(lift, tuple(occupant), sum(1 if k > 0 else -1 for k in beta_A.letters))
+    return _Base(lift, tuple(occupant), exponent_sum(beta_A))
 
 
 def _orbit(n: int, m: int, base: _Base, name: str, w: BraidWord) -> _Orbit:
@@ -715,6 +722,26 @@ class PartitionResult:
         }
 
 
+def _anchor_key(n: int, e: int, record: _Orbit) -> tuple:
+    """For n <= 2, the key on which `partition_sn_classes` merges orbits:
+    the record's anchor c* (`garside._ConjugacyRecord.anchor`) and the
+    positions, from 0, where its conjugator g takes the puncture strands,
+    read through the permutations of g's factors as `_form_punctures`
+    reads them, then reversed by g's closing Delta, if it has one. The
+    positions are sorted when e, the exponent sum of beta_A, is odd, and
+    kept in puncture order when it is even."""
+    anchor, factors, twisted = record.anchor
+    strands = record.cf.strands
+    perm = _simples(strands).perm
+    at = list(range(n))
+    for f in factors:
+        image = perm[f]
+        at = [image[x] for x in at]
+    if twisted:
+        at = [strands - 1 - x for x in at]
+    return anchor, tuple(sorted(at) if e % 2 else at)
+
+
 def partition_sn_classes(
     n: int,
     m: int,
@@ -728,24 +755,54 @@ def partition_sn_classes(
     there are fewer than two orbits and no pair to decide: each orbit gets
     a record (`_orbit`), then stands for the first record of its mixed
     braid's canonical form, so each distinct mixed braid is screened and
-    walked at most once. The orbits are grouped into buckets of equal key,
-    the `_SCREENS` values of their records, the exponent sum of w and the
-    linking matrix of its mixed braid: exactly what `_screen_invariants`
-    compares, so a pair across two buckets is NotEquivalent by certificate
-    and is never decided.
+    walked at most once. The orbits are grouped into buckets of equal
+    screens, the `_SCREENS` values of their records, the exponent sum of
+    w and the linking matrix of its mixed braid: exactly what
+    `_screen_invariants` compares, so a pair across two buckets is
+    NotEquivalent by certificate and is never decided.
 
-    Within a bucket the pairs (i, j) are decided in order with
-    `sn_equivalent_rel_A` on the instance of their two records, i's as
+    For n <= 2 the orbits of each bucket of two or more are first merged
+    by their anchor key (`_anchor_key`), with no pair decided and no
+    witness built. The key of orbit r is (c*, P_r): c* its record's
+    anchor, with g_r^-1 * beta_r * g_r = c* (`garside._ConjugacyRecord`),
+    and P_r the positions where g_r takes the puncture strands, sorted
+    when e = e(beta_A) is odd and in puncture order when e is even. Two
+    orbits i, j of one key are equivalent:
+    - h = g_i * g_j^-1 conjugates beta_j to beta_i, since both are
+      conjugated to c* by their g.
+    - g_i takes the puncture strands to P_i, and g_j^-1 takes the strands
+      at P_j = P_i back to the puncture positions, so h keeps the puncture
+      block. It swaps the two punctures only when the positions were
+      compared sorted, that is when e is odd.
+    - Every crossing between the two puncture strands changes their order,
+      so h's signed crossings between them have the parity of that swap.
+      Hence `_shift_powers`' equation 2a + e*b = -crossings, with
+      b = r mod o (r = 1 when h swaps the punctures; o = 2 when e is odd,
+      else 1), always has a solution: for r = 1, e is odd, and e*b is odd
+      like the crossings. h * Delta^2a * beta_y^b, with beta_y = beta_j,
+      then fixes each puncture strand, has no crossings between them, so
+      it lies in the kernel, and still conjugates beta_j to beta_i, as
+      Delta^2 is central and beta_j commutes with itself.
+    For n = 0 the key is the anchor alone and the kernel is the whole
+    group, and for n = 1 P_r is the one puncture's end. Equal keys need
+    no crossing counts. Orbits of one form share a record, so they share a
+    key too.
+
+    Then, for every n, the pairs (i, j) of a bucket are decided in order
+    with `sn_equivalent_rel_A` on the instance of their two records, i's as
     beta_x. Pairs of indices are decided, not pairs of forms: once the
     state budget runs out, the verdict of the bounded search can depend on
     which orbit is beta_x. One union-find on the orbit indices holds the
-    classes of all buckets; a pair that Equivalent verdicts have already
-    put in one class is skipped, and Inconclusive pairs are never merged. A
-    class is named by its smallest index, so the classes are those of
-    deciding every pair. `unresolved` lists, sorted, the Inconclusive pairs
-    whose final classes differ: an Inconclusive pair that ends inside one
-    class is equivalent by transitivity through pairs with witnesses, and
-    is dropped."""
+    classes of all buckets; a pair that the key stage or Equivalent
+    verdicts have already put in one class is skipped, and Inconclusive
+    pairs are never merged. A class is named by its smallest index. Each
+    key merge is an equivalence, so the classes are those of deciding
+    every pair wherever that decides every pair it needs, and otherwise
+    coarser: the key stage can merge pairs whose shift misses and whose
+    search is Inconclusive. `unresolved` lists, sorted, the Inconclusive
+    pairs whose final classes differ: an Inconclusive pair that ends
+    inside one class is equivalent by transitivity through pairs with
+    witnesses or key merges, and is dropped."""
     base = _base(n, m, beta_A)
     records = [_orbit(n, m, base, f"orbit {i}", w) for i, w in enumerate(orbits)]
     first: dict[CanonicalForm, _Orbit] = {}
@@ -758,6 +815,14 @@ def partition_sn_classes(
     # The union-find: each index points towards the smallest index of its
     # class.
     parent = list(range(len(orbits)))
+    if n <= 2:
+        # A bucket lists its indices in increasing order, so the first index
+        # of a key is the smallest of its class.
+        for bucket in buckets.values():
+            if len(bucket) > 1:
+                roots: dict[tuple, int] = {}
+                for i in bucket:
+                    parent[i] = roots.setdefault(_anchor_key(n, base.exponent_sum, records[i]), i)
 
     def find(i: int) -> int:
         while parent[i] != i:

@@ -867,7 +867,18 @@ class _ConjugacyRecord:
     and `_witness` multiplies out the conjugator of a pair they meet on.
     The second record's circuit may never be walked: when its summit
     element, or that element's tau-image, lies on the first record's
-    circuit, the pair meets there without it."""
+    circuit, the pair meets there without it.
+
+    `anchor` names the circuit by one of its elements: the tuple-least
+    form c* among the circuit elements c_0, ..., c_(L-1) and their
+    tau-images, with a conjugator g, g^-1 * cf * g = c*. With G the summit
+    conjugator, `pre` the steps from v to c_0 and s_i the circuit steps,
+    g = G pre s_0 ... s_(i-1) for c* = c_i, times Delta for c* = tau(c_i) =
+    Delta^-1 c_i Delta. It is kept as (c*, the factors of g before that
+    Delta, whether the Delta is there), and is computed once per record,
+    so once per distinct form where records are shared. Two braids with
+    one anchor are conjugate by g_a * g_b^-1; `decision` merges a
+    partition's orbits on it."""
 
     def __init__(self, cf: CanonicalForm):
         self.cf = cf
@@ -880,6 +891,23 @@ class _ConjugacyRecord:
     def circuit(self) -> tuple[list[CanonicalForm], list[int], list[int]]:
         orbit, steps, start = _cycling_orbit(self.summit[0])
         return orbit[start:], steps[start:], steps[:start]
+
+    @_lazy
+    def anchor(self) -> tuple[CanonicalForm, tuple[int, ...], bool]:
+        # Cycling keeps the infimum on a circuit, so its elements and their
+        # tau-images share strands and Delta power, and compare as their
+        # factors do.
+        circuit, steps, pre = self.circuit
+        tau = _simples(self.cf.strands).tau.__getitem__
+        best, i, twisted = circuit[0].factors, 0, False
+        for j, c in enumerate(circuit):
+            image = tuple(map(tau, c.factors))
+            if c.factors < best:
+                best, i, twisted = c.factors, j, False
+            if image < best:
+                best, i, twisted = image, j, True
+        form = CanonicalForm(self.cf.strands, circuit[0].delta_power, best)
+        return form, tuple(self.summit[1] + pre + steps[:i]), twisted
 
 
 def _conjugacy(a: _ConjugacyRecord, b: _ConjugacyRecord) -> list[int] | None:

@@ -62,21 +62,23 @@ class BraidWord:
         """Parse a word in the text grammar (see module docstring) on n
         strands; a letter out of range for n names its position. Each
         letter is range-checked here, once, so the word is built without
-        `BraidWord`'s second check of every letter."""
-        letters = []
-        for lineno, line in enumerate(text.splitlines() or [""], start=1):
-            body = line.split("#", 1)[0]
-            col = 0
-            for token in body.split():
-                col = body.index(token, col)
-                k = _parse_token(token, lineno, col + 1)
-                if abs(k) > n - 1:
-                    raise WordSyntaxError(
-                        f"letter {k} out of range for {n} strands", lineno, col + 1
-                    )
-                letters.append(k)
-                col += len(token)
-        _check_strands(n)  # reached with no letters: each is out of range
+        `BraidWord`'s second check of every letter.
+
+        Each token is looked up in `_TOKENS`, and the letters are checked
+        against n together. A token missing there, or a letter out of
+        range, sends the text to `_parse_located`, which reads it token by
+        token and raises the error with its line and column."""
+        try:
+            letters = [
+                _TOKENS[token]
+                for line in text.splitlines()
+                for token in line.split("#", 1)[0].split()
+            ]
+        except KeyError:
+            return _parse_located(n, text)
+        if letters and (max(letters) >= n or min(letters) <= -n):
+            return _parse_located(n, text)
+        _check_strands(n)
         return _valid(n, tuple(letters))
 
     def format(self) -> str:
@@ -96,6 +98,36 @@ def _check_strands(strands: int) -> None:
 
 # A letter is s<k>, S<k>, <k> or -<k>, with k in ASCII digits.
 _TOKEN = re.compile(r"([sS]|-?)([0-9]+)")
+
+# The tokens of every index below 100 written without leading zeros, with
+# their letters: what `parse` reads with one lookup per token.
+_TOKENS = {
+    f"{prefix}{i}": sign * i
+    for prefix, sign in (("s", 1), ("", 1), ("S", -1), ("-", -1))
+    for i in range(1, 100)
+}
+
+
+def _parse_located(n: int, text: str) -> BraidWord:
+    """`BraidWord.parse` token by token, each matched by `_TOKEN` and
+    range-checked where it stands, so that an error names its line and
+    column; for any token `_TOKENS` lacks, such as a leading zero or an
+    index of 100 or more, and for a letter out of range."""
+    letters = []
+    for lineno, line in enumerate(text.splitlines() or [""], start=1):
+        body = line.split("#", 1)[0]
+        col = 0
+        for token in body.split():
+            col = body.index(token, col)
+            k = _parse_token(token, lineno, col + 1)
+            if abs(k) > n - 1:
+                raise WordSyntaxError(
+                    f"letter {k} out of range for {n} strands", lineno, col + 1
+                )
+            letters.append(k)
+            col += len(token)
+    _check_strands(n)  # reached with no letters: each is out of range
+    return _valid(n, tuple(letters))
 
 
 def _parse_token(token: str, line: int, column: int) -> int:

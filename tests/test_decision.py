@@ -1161,11 +1161,13 @@ class TestOrbitRecordsReused:
 
     # Per lazy fact: the module and the function that compute it, the
     # attribute that keeps it, and the arguments of the one call, read off
-    # the record or instance that keeps it.
+    # the record or instance that keeps it. A function named `Class.attr`
+    # is the lazy attribute itself, counted per computation, whose one
+    # argument is the record.
     FACTS = (
         ("garside", "_summit", "summit", lambda r: (r.cf,)),
         ("garside", "_cycling_orbit", "circuit", lambda r: (r.summit[0],)),
-        ("decision", "exponent_sum", "exponent_sum", lambda r: (r.word,)),
+        ("decision", "_Orbit.exponent_sum", "exponent_sum", lambda r: (r,)),
         ("decision", "linking_matrix", "linking_matrix", lambda r: (r.braid,)),
         ("_free", "kernel_to_free", "free",
          lambda r: (r.braid.n, r.word.letters, sb.decision._free_bound(r.word.letters))),
@@ -1178,15 +1180,21 @@ class TestOrbitRecordsReused:
         function name."""
         import snbraid
 
+        lazy = sb.garside._lazy
         calls = {}
         for module, name, _, _ in self.FACTS:
-            module = getattr(snbraid, module)
+            owner, _, attr = f"{module}.{name}".rpartition(".")
+            owner = functools.reduce(getattr, owner.split("."), snbraid)
+            fn = vars(owner)[attr]
 
-            def counted(*args, fn=getattr(module, name), name=name):
+            def counted(*args, fn=fn.method if isinstance(fn, lazy) else fn, name=name):
                 calls.setdefault(name, []).append(args)
                 return fn(*args)
 
-            monkeypatch.setattr(module, name, counted)
+            if isinstance(fn, lazy):
+                counted.__name__ = attr
+                counted = lazy(counted)
+            monkeypatch.setattr(owner, attr, counted)
         return calls
 
     def computed_once(self, calls, owners) -> dict[str, int]:
@@ -1335,17 +1343,23 @@ class TestOrbitRecordsReused:
 
     def test_base_read_once(self, monkeypatch, calls):
         """beta_A is read once per partition and once per instance, by
-        `_base`, whose record keeps the exponent sum the centralizer shift
-        reads, for every pair and both formulations."""
+        `_base`, whose record keeps the exponent sum that the key stage and
+        the centralizer shift read, for every pair and both formulations:
+        `exponent_sum` runs once per base and once per orbit screen."""
         from snbraid import decision
 
-        bases = []
+        bases, sums = [], []
 
         def counted(*args, fn=decision._base):
             bases.append(args)
             return fn(*args)
 
+        def summed(w, fn=decision.exponent_sum):
+            sums.append(w)
+            return fn(w)
+
         monkeypatch.setattr(decision, "_base", counted)
+        monkeypatch.setattr(decision, "exponent_sum", summed)
         beta_A, orbits = thirty_orbits(6)
         sb.partition_sn_classes(2, 1, beta_A, orbits)
         assert bases == [(2, 1, beta_A)]
@@ -1353,7 +1367,10 @@ class TestOrbitRecordsReused:
         for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
             verify(inst, decide(inst))
         assert len(bases) == 2 and inst._A.exponent_sum == sb.exponent_sum(inst.beta_A)
-        assert all(args[0] != inst.beta_A for args in calls.get("exponent_sum", []))
+        screened = [record.word for (record,) in calls["_Orbit.exponent_sum"]]
+        assert collections.Counter(sums) == collections.Counter(
+            [args[2] for args in bases] + screened
+        )
 
     def test_building_computes_nothing_for_a_decision(self, calls):
         beta_A, orbits = thirty_orbits(6)
@@ -1409,6 +1426,12 @@ def shift_off(monkeypatch):
     """Decide as before the centralizer shift: the search follows the
     ambient test directly."""
     monkeypatch.setattr(sb.decision, "_centralizer_shift", lambda *args: None)
+
+
+def keys_off(monkeypatch):
+    """Partition as before the anchor keys: each orbit gets a key of its
+    own, so the key stage merges nothing and every pair is decided."""
+    monkeypatch.setattr(sb.decision, "_anchor_key", lambda *args: object())
 
 
 def shift_instances(seed, count, shapes):
@@ -1609,7 +1632,8 @@ class TestCentralizerShift:
     def test_partition_unresolved_only_shrinks(self, monkeypatch):
         """With the shift, a partition's classes only merge and its
         unresolved pairs only go: seeded lists with n <= 2 at tight
-        budgets, against the same lists decided without the shift."""
+        budgets, against the same lists decided without the shift and
+        without the key stage, which merges by the anchor keys."""
         shrunk = 0
         for seed in range(8):
             rng = random.Random(9100 + seed)
@@ -1623,9 +1647,183 @@ class TestCentralizerShift:
                 new = sb.partition_sn_classes(n, m, beta_A, orbits, budget)
                 with monkeypatch.context() as patch:
                     shift_off(patch)
+                    keys_off(patch)
                     old = sb.partition_sn_classes(n, m, beta_A, orbits, budget)
             assert set(new.unresolved) <= set(old.unresolved)
             merged = {i: cls for cls in new.classes for i in cls}
             assert all(set(cls) <= set(merged[cls[0]]) for cls in old.classes)
             shrunk += len(old.unresolved) - len(new.unresolved)
         assert shrunk > 0
+
+
+class TestAnchorKeys:
+    """For n <= 2 a partition first merges the orbits of each screen bucket
+    by their anchor keys (`decision._anchor_key`): the anchor c* of the
+    record's cycling circuit and where its conjugator g takes the
+    punctures. No pair inside a key is decided."""
+
+    # (n, m, beta_A): e(beta_A) odd, even and non-zero, and zero for n = 2.
+    SHAPES = [
+        (0, 2, ""), (0, 3, ""), (1, 1, ""), (1, 2, ""),
+        (2, 1, "s1"), (2, 1, "s1 s1"), (2, 1, ""),
+        (2, 2, "s1"), (2, 2, "s1 s1"), (2, 2, ""),
+    ]
+
+    @pytest.fixture
+    def keyed(self, monkeypatch):
+        """The (record, key) of every key a partition computes."""
+        found = []
+        anchor_key = sb.decision._anchor_key
+
+        def recorded(n, e, record):
+            found.append((record, anchor_key(n, e, record)))
+            return found[-1][1]
+
+        monkeypatch.setattr(sb.decision, "_anchor_key", recorded)
+        return found
+
+    @staticmethod
+    def conjugator(record) -> sb.BraidWord:
+        """The anchor's conjugator g, each factor spelled as the positive
+        word of its permutation, then Delta when the anchor is a
+        tau-image."""
+        _, factors, twisted = record.anchor
+        strands = record.cf.strands
+        perm = sb.garside._simples(strands).perm
+        letters = [k for f in factors for k in sb.garside._perm_word(perm[f])]
+        if twisted:
+            letters += sb.delta(strands).letters
+        return sb.BraidWord(strands, tuple(letters))
+
+    @staticmethod
+    def powers(n, e, h) -> tuple[int, int]:
+        """The (a, b) of `_shift_powers` for h, with h's puncture ends read
+        from its permutation and, for n = 2, its crossings from the
+        exponent sum of what is left once the orbit strands are deleted."""
+        perm = sb.permutation(h)
+        ends = [0] * n
+        for s in range(1, n + 1):
+            if perm(s) <= n:
+                ends[perm(s) - 1] = s
+        projected = h
+        for _ in range(h.strands - n):
+            projected = sb.delete_strand(projected, n + 1)
+        powers = sb.decision._shift_powers(e, ends, sb.exponent_sum(projected))
+        assert powers is not None, (n, e, h)
+        return powers
+
+    def test_key_merges_have_kernel_witnesses(self, keyed):
+        """For every two records of one key, h = g_i * g_j^-1 conjugates
+        beta_j to beta_i, and h * Delta^2a * beta_j^b, with the powers of
+        the centralizer shift, is a kernel element that does too, checked
+        by `kernel_oracle` and `equal`. Each g takes its braid to the
+        anchor, and orbits of one key end in one class."""
+        merges = collections.Counter()
+        rng = random.Random(4300)
+        for n, m, text in self.SHAPES:
+            beta_A = sb.BraidWord.parse(n, text)
+            e, strands = sb.exponent_sum(beta_A), n + m
+            lift = sb.section(n, m, beta_A).word
+            for _ in range(3):
+                cores = [random_kernel_word(rng, n, m, rng.randint(1, 3)) for _ in range(4)]
+                orbits = conjugate_classes(rng, n, m, beta_A, cores, 4)
+                keyed.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    res = sb.partition_sn_classes(n, m, beta_A, orbits, sb.Budget(3, 2000))
+                where = {i: k for k, cls in enumerate(res.classes) for i in cls}
+                forms = [sb.canonical_form(sb.compose(lift, w)) for w in orbits]
+                groups = collections.defaultdict(dict)
+                for record, key in keyed:
+                    groups[key][record.cf] = record
+                    g = self.conjugator(record)
+                    cf = sb.canonical_form(
+                        sb.compose(sb.compose(sb.invert(g), record.braid.word), g)
+                    )
+                    assert cf == record.anchor[0] == key[0]
+                for group in groups.values():
+                    assert len({where[i] for i, f in enumerate(forms) if f in group}) == 1
+                    for ri, rj in itertools.combinations(group.values(), 2):
+                        bx, by = ri.braid.word, rj.braid.word
+                        c = sb.compose(self.conjugator(ri), sb.invert(self.conjugator(rj)))
+                        if n:
+                            a, b = self.powers(n, e, c)
+                            twist = sb.full_twist(strands)
+                            for w, k in ((twist, a), (by, b)):
+                                c = sb.compose(c, sb.BraidWord(
+                                    strands, (w if k > 0 else sb.invert(w)).letters * abs(k)
+                                ))
+                        assert kernel_oracle(n, m, c), (n, m, text, c)
+                        assert sb.equal(bx, sb.compose(sb.compose(c, by), sb.invert(c)))
+                        merges[n, m, text] += 1
+        # Over B_2 every kernel conjugate has one form, so only orbits of
+        # one record share a key there.
+        assert set(merges) == {(n, m, t) for n, m, t in self.SHAPES if n + m >= 3}
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    @pytest.mark.parametrize("base", [(1,), (1, 1), ()], ids=["s1", "s1s1", "empty"])
+    def test_thirty_orbits_as_deciding_every_pair(self, monkeypatch, seed, base):
+        """On `thirty_orbits` the partition's output is byte for byte that
+        of deciding every pair, and over sigma_1 it decides no pair and
+        builds no witness."""
+        beta_A, orbits = thirty_orbits(seed, base)
+        classes, inconclusive = reference_partition(2, 1, beta_A, orbits, sb.Budget())
+        reference = sb.PartitionResult(classes, tuple(inconclusive))
+        decided = []
+        witness = sb.decision._witness
+
+        def counted(*args):
+            decided.append(args)
+            return witness(*args)
+
+        monkeypatch.setattr(sb.decision, "_witness", counted)
+        res = sb.partition_sn_classes(2, 1, beta_A, orbits)
+        assert json.dumps(res.to_json()) == json.dumps(reference.to_json())
+        assert len(res.classes) == 5
+        assert (decided == []) == (base == (1,))
+
+    def test_shift_misses_only_merge(self, monkeypatch):
+        """On seeded lists with n <= 2 at tight budgets, where the
+        centralizer shift misses, the classes are those of deciding every
+        pair or coarser, and `unresolved` only loses pairs."""
+        misses = []
+        shift = sb.decision._centralizer_shift
+
+        def recorded(*args):
+            c = shift(*args)
+            misses.append(c is None)
+            return c
+
+        for seed in range(8):
+            rng = random.Random(9100 + seed)
+            n, m = ((1, 2), (2, 1), (2, 2), (2, 1))[seed % 4]
+            beta_A = random_word(rng, n, 3)
+            cores = [random_kernel_word(rng, n, m, rng.randint(1, 3)) for _ in range(3)]
+            orbits = conjugate_classes(rng, n, m, beta_A, cores, 2)
+            budget = sb.Budget(1 + seed % 2, 200)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with monkeypatch.context() as patch:
+                    patch.setattr(sb.decision, "_centralizer_shift", recorded)
+                    classes, inconclusive = reference_partition(n, m, beta_A, orbits, budget)
+                res = sb.partition_sn_classes(n, m, beta_A, orbits, budget)
+            merged = {i: cls for cls in res.classes for i in cls}
+            assert all(set(cls) <= set(merged[cls[0]]) for cls in classes)
+            where = {i: k for k, cls in enumerate(classes) for i in cls}
+            across = {p for p in inconclusive if where[p[0]] != where[p[1]]}
+            assert set(res.unresolved) <= across
+        assert any(misses)
+
+    def test_n3_computes_no_key(self, keyed):
+        """n >= 3 decides its pairs as before, with no key stage: the
+        classes of deciding every pair."""
+        rng = random.Random(4301)
+        beta_A = random_word(rng, 3, 3)
+        cores = [random_kernel_word(rng, 3, 1, 2) for _ in range(2)]
+        orbits = conjugate_classes(rng, 3, 1, beta_A, cores, 2)
+        budget = sb.Budget(3, 2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = sb.partition_sn_classes(3, 1, beta_A, orbits, budget)
+            classes, _ = reference_partition(3, 1, beta_A, orbits, budget)
+        assert keyed == [] and res.classes == classes

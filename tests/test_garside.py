@@ -1884,6 +1884,52 @@ class TestRigidStop:
         assert sb.equal(ra.cf.to_word(), sb.compose(sb.compose(c, cf.to_word()), sb.invert(c)))
 
 
+class TestAnchor:
+    """A record's anchor is the tuple-least form among its cycling
+    circuit's elements and their tau-images, with a conjugator g built from
+    the summit conjugator, the steps onto the circuit and the circuit steps
+    up to it, then Delta for a tau-image."""
+
+    @staticmethod
+    def check(record):
+        """The anchor against `reference_orbit`'s circuit of the summit
+        element, and g^-1 * cf * g against it, g spelled factor by factor
+        from permutations. Returns whether the anchor is a tau-image and
+        whether g has steps onto the circuit."""
+        anchor, factors, twisted = record.anchor
+        v, summit_steps = record.summit
+        n = v.strands
+        orbit, _, start = reference_orbit(v)
+        circuit = orbit[start:]
+        assert anchor == min(circuit + [tau_form(c) for c in circuit])
+        assert tuple(factors[: len(summit_steps)]) == tuple(summit_steps)
+        letters = [k for f in factors for k in garside._perm_word(perms(n, (f,))[0])]
+        if twisted:
+            letters += sb.delta(n).letters
+        g = sb.BraidWord(n, tuple(letters))
+        moved = sb.compose(sb.compose(sb.invert(g), record.cf.to_word()), g)
+        assert canonical_form(moved) == anchor
+        return twisted, start > 0
+
+    def test_seeded_records(self):
+        """Records of seeded words on 3 to 6 strands, and one whose summit
+        element lies before its circuit: the summit walk rarely stops
+        there, so that record is given such an element, with the identity
+        conjugator, as `TestRigidStop` does."""
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(80):
+            n = rng.randint(3, 6)
+            cf = canonical_form(random_word(rng, n, 4 * n))
+            seen.add(self.check(garside._ConjugacyRecord(cf)))
+        cf = canonical_form(sb.BraidWord.parse(4, "S1 S2 s3 s1"))
+        record = garside._ConjugacyRecord(cf)
+        record.summit = (cf, [])
+        seen.add(self.check(record))
+        assert {twisted for twisted, _ in seen} == {False, True}
+        assert any(pre for _, pre in seen)
+
+
 class TestConjugateByRank:
     """The closure conjugates by the rank of each simple element, in one
     normalization, and builds no simple element as a form."""

@@ -136,6 +136,47 @@ class TestParsing:
             assert got == w and hash(got) == hash(w) and type(got.letters) is tuple
         assert checks == []
 
+    @staticmethod
+    def outcome(parse, n, text):
+        try:
+            w = parse(n, text)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return w, type(w.letters)
+
+    def test_token_table_agrees_with_located_reading(self, monkeypatch):
+        """`parse` looks each token up in `words._TOKENS` and sends the text
+        to `words._parse_located` on a miss or a letter out of range. On
+        seeded texts of valid, out-of-range, zero-padded, large and bad
+        tokens, with comments and line breaks, on strand counts from -1
+        to 120, both give the same word or the same error, message, line
+        and column included; a text of table tokens in range is read
+        without `_parse_located`."""
+        words = sb.words
+        located = words._parse_located
+        pool = ["s1", "S2", "3", "-4", "s9", "S10", "99", "-99", "s100", "S120", "s01",
+                "-007", "S0", "0", "sx", "s+1", "--1", "s\uff11", "\u0663", "-", "#", "# c\n"]
+        rng = random.Random(41)
+        cases = []
+        for _ in range(2000):
+            source = pool[:8] if rng.random() < 0.5 else pool
+            tokens = [rng.choice(source) for _ in range(rng.randint(0, 6))]
+            text = "".join(t + rng.choice((" ", "  ", "\n", "\t")) for t in tokens)
+            cases.append((rng.randint(-1, 120), text))
+        for n, text in cases:
+            assert self.outcome(sb.BraidWord.parse, n, text) == self.outcome(located, n, text)
+
+        def refused(n, text):
+            raise AssertionError(f"located reading of {text!r}")
+
+        def in_table(n, text):
+            body = [t for line in text.splitlines() for t in line.split("#", 1)[0].split()]
+            return n >= 0 and all(abs(words._TOKENS.get(t, n)) < n for t in body)
+
+        monkeypatch.setattr(words, "_parse_located", refused)
+        read = [sb.BraidWord.parse(n, text) for n, text in cases if in_table(n, text)]
+        assert sum(len(w.letters) > 2 for w in read) > 100
+
 
 class TestGroupPlumbing:
     def test_compose_concatenates(self):
