@@ -57,10 +57,10 @@ orbit record per orbit and merges classes in a single union-find on the
 orbit indices. For n <= 2 it first merges the orbits of equal screens
 by a per-record key, the anchor of the record's cycling circuit (the
 tuple-least form among the circuit's elements and their tau-images, with
-a conjugator to it) and where that conjugator takes the punctures
-(`_anchor_key`). Orbits of one key are equivalent, so no pair inside a
-key is decided and no witness is built for it; the pair loop decides
-only what stays split.
+the simple factors of a conjugator g to it) and where g takes the
+punctures (`_anchor_key`). Orbits of one key are equivalent, so no pair
+inside a key is decided and no witness is built for it; the pair loop
+decides only what stays split.
 
 What a decision learns of one orbit alone is a lazy attribute of its
 record (`garside._lazy`, which takes no lock where functools' cached
@@ -70,14 +70,17 @@ and the per-braid stage of the ambient conjugacy test, the summit and
 cycling circuit of the mixed braid (the record is a
 `garside._ConjugacyRecord`, which also keeps the circuit's anchor), and
 for m = 1 the orbit's word in F_n. The Artin images of beta_A that the
-m = 1 search acts by are kept per base braid (`_free_letters`), so a
-partition builds them once. Only the comparisons are per pair: the
-screens compare the kept values, and the ambient test meets the two
-records (`garside._conjugacy`), which returns the path it found;
-`garside._witness` multiplies a conjugator out of it only for the shift,
-for n <= 2. A partition's orbits of one form share one record, so each
-distinct mixed braid is screened and walked at most once, and the two
-formulations decided on one instance share its two records.
+m = 1 search acts by are a lazy attribute of the base record, read only
+once both orbits' words in F_n exist, so a partition builds them once.
+Only the comparisons are per pair: the screens compare the kept values,
+and the ambient test meets the two records (`garside._conjugacy`), which
+returns two conjugators (h, g) as lists of simple factors;
+`garside._quotient` multiplies h * g^-1 out of them only for the shift,
+for n <= 2, and `_puncture_ends` reads where that braid, or an anchor's
+g, takes the punctures. A partition's orbits of one form share one
+record, so each distinct mixed braid is screened and walked at most
+once, and the two formulations decided on one instance share its two
+records.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ import functools
 import itertools
 import sys
 import warnings
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import _free
 from .garside import (
@@ -97,8 +100,8 @@ from .garside import (
     _conjugacy,
     _lazy,
     _product,
+    _quotient,
     _simples,
-    _witness,
     canonical_form,
     is_conjugate,
 )
@@ -241,14 +244,34 @@ def _free_bound(letters: tuple[int, ...]) -> int:
 @dataclasses.dataclass(frozen=True)
 class _Base:
     """The base braid beta_A of an instance, or of every pair of a
-    partition: the word of its lift section(beta_A) on n + m strands, the
-    strand, numbered from 0 by where it starts, at each position after the
-    lift (`mixed._strand_pass`), and the exponent sum of beta_A, which the
-    centralizer shift and a partition's anchor keys read."""
+    partition: n, the word of its lift section(beta_A) on n + m strands
+    (beta_A's letters), the strand, numbered from 0 by where it starts, at
+    each position after the lift (`mixed._strand_pass`), the exponent sum
+    of beta_A, which the centralizer shift and a partition's anchor keys
+    read, and, as a lazy attribute, the letters the m = 1 kernel search
+    acts by, so a partition builds them once."""
 
+    n: int
     lift: BraidWord
     occupant: tuple[int, ...]
     exponent_sum: int
+
+    @_lazy
+    def free(self) -> tuple[tuple, tuple] | None:
+        """The forward and backward letters of the m = 1 kernel search:
+        per letter g = x_i^{+-1}, in `_kernel_alphabet`'s order,
+        (letter, phi(g), g^-1) forward and (letter, phi(g)^-1, g) backward,
+        with phi = phi_{beta_A}. None when an image phi(x_i) grows past its
+        bound (`_free_bound`)."""
+        n, letters = self.n, self.lift.letters
+        images = _free.artin(n, letters, _free_bound(letters))
+        if images is None:
+            return None
+        signed = [*range(1, n + 1), *range(-1, -n - 1, -1)]
+        twists = images + [_free.inverse(image) for image in images]
+        forward = tuple((g, phi, (-g,)) for g, phi in zip(signed, twists))
+        backward = tuple((g, phi, (g,)) for g, phi in zip(signed, twists[n:] + twists[:n]))
+        return forward, backward
 
 
 def _base(n: int, m: int, beta_A: BraidWord) -> _Base:
@@ -257,7 +280,7 @@ def _base(n: int, m: int, beta_A: BraidWord) -> _Base:
     lift = _lift(n, m, beta_A)
     occupant = list(range(n + m))
     _strand_pass(n, occupant, beta_A.letters)
-    return _Base(lift, tuple(occupant), exponent_sum(beta_A))
+    return _Base(n, lift, tuple(occupant), exponent_sum(beta_A))
 
 
 def _orbit(n: int, m: int, base: _Base, name: str, w: BraidWord) -> _Orbit:
@@ -347,45 +370,6 @@ class SNInstance:
     def mixed_y(self) -> MixedBraid:
         """section(beta_A) * beta_oy."""
         return self._y.braid
-
-    @_lazy
-    def _free_search(self) -> tuple | None:
-        """For m = 1, the start and the target of the kernel search on the
-        free kernel F_n, the images of beta_oy and beta_ox, and the forward
-        and backward letters of beta_A (`_free_letters`), built once for
-        both formulations. None when m >= 2 or a word grows past its bound
-        (`_free_bound`)."""
-        start, target = self._y.free, self._x.free
-        if start is None or target is None:
-            return None
-        letters = _free_letters(self.n, self.beta_A.letters)
-        if letters is None:
-            return None
-        return start, target, *letters
-
-
-# How many base braids `_free_letters` keeps. A partition shares one base
-# across all its pairs, so one entry serves it; the bound only keeps a
-# process that decides instances over many bases from holding the images
-# of every base it has met.
-_FREE_BASES_KEPT = 64
-
-
-@functools.lru_cache(maxsize=_FREE_BASES_KEPT)
-def _free_letters(n: int, base: tuple[int, ...]) -> tuple[tuple, tuple] | None:
-    """The forward and backward letters of the m = 1 kernel search over the
-    base braid with these letters on n strands: per letter g = x_i^{+-1},
-    in `_kernel_alphabet`'s order, (letter, phi(g), g^-1) forward and
-    (letter, phi(g)^-1, g) backward, with phi = phi_{beta_A}. None when an
-    image phi(x_i) grows past its bound (`_free_bound`)."""
-    images = _free.artin(n, base, _free_bound(base))
-    if images is None:
-        return None
-    letters = [*range(1, n + 1), *range(-1, -n - 1, -1)]
-    twists = images + [_free.inverse(image) for image in images]
-    forward = tuple((g, phi, (-g,)) for g, phi in zip(letters, twists))
-    backward = tuple((g, phi, (g,)) for g, phi in zip(letters, twists[n:] + twists[:n]))
-    return forward, backward
 
 
 def braid_type_equal(a: BraidWord, b: BraidWord) -> ConjugacyResult:
@@ -480,8 +464,9 @@ def _search_kernel_conjugator(
 
     A state is one of two kinds, with the same letters, order, dedup and
     matches:
-    - m = 1 (`SNInstance._free_search`): the kernel part x of the
-      conjugate section(beta_A) * x, a reduced word of the free kernel F_n.
+    - m = 1 (the orbit records' and the base record's `free`): the kernel
+      part x of the conjugate section(beta_A) * x, a reduced word of the
+      free kernel F_n.
       With phi = phi_{beta_A}, a forward step is x -> phi(g) * x * g^-1
       and a backward step x -> phi(g)^-1 * x * g, each one
       `_free.product`. x determines the conjugate, and the kernel is free
@@ -493,9 +478,10 @@ def _search_kernel_conjugator(
       in place and pushes only the outer forms onto its ends."""
     states = 1
     spelling, alphabet = _kernel_alphabet(inst.n, inst.m)
-    if (free := inst._free_search) is not None:
+    start, target = inst._y.free, inst._x.free
+    if start is not None and target is not None and (free := inst._A.free) is not None:
         step = _free.product
-        start, target, forward, backward = free
+        forward, backward = free
     else:
         # Each side conjugates by (left, right): g * . * g^-1 forward,
         # g^-1 * . * g backward.
@@ -537,59 +523,59 @@ def _search_kernel_conjugator(
     return None, BudgetReport(budget.max_length, states)
 
 
-def _form_punctures(n: int, cf: CanonicalForm) -> tuple[list[int], int]:
-    """For n <= 2, which puncture strand, numbered 1 to n by where it
-    starts, ends at each position of the braid whose canonical form is
-    cf, 0 for an orbit strand, and the signed crossings between two
-    puncture strands; for n = 2 that sum is the exponent sum of the
-    projection to B_2. Both are read off cf's Delta power and factors
-    instead of a word's letters: Delta^p reverses the strands p times and
-    crosses each pair p times, and a factor, a permutation braid, crosses
-    two strands once, positively, exactly when its permutation swaps their
-    order. Both counts are invariants of the braid, so any word of it
-    gives the same."""
-    strands, p, factors = cf
+def _puncture_ends(
+    n: int, strands: int, delta_power: int, factors: Iterable[int]
+) -> tuple[list[int], int]:
+    """For n <= 2, where the braid Delta^delta_power f_1 f_2 ... on these
+    strands takes the puncture strands, the f_i simple factors given by
+    rank (Delta among them as strands! - 1): the position, from 0, at
+    which puncture strand s + 1 ends, for each s; and, for n = 2, the
+    signed crossings between the two puncture strands, the exponent sum of
+    the projection to B_2 (0 for n < 2). Delta^p reverses the strands p
+    times and crosses each pair p times, and a simple factor, a
+    permutation braid, crosses two strands once, positively, exactly when
+    its permutation swaps their order. Both counts are invariants of the
+    braid, so a canonical form, whose fields are these three arguments,
+    and a conjugator's factor list read alike."""
     perm = _simples(strands).perm
-    # at[s] is the position, from 0, of puncture strand s + 1.
     at = list(range(n))
-    if p & 1:
+    if delta_power & 1:
         at = [strands - 1 - x for x in at]
-    crossings = p if n == 2 else 0
+    crossings = delta_power if n == 2 else 0
     for f in factors:
         image = perm[f]
         moved = [image[x] for x in at]
         if n == 2 and (moved[0] < moved[1]) != (at[0] < at[1]):
             crossings += 1
         at = moved
-    occupant = [0] * strands
-    for s, x in enumerate(at, 1):
-        occupant[x] = s
-    return occupant, crossings
+    return at, crossings
 
 
-def _shift_powers(e: int, ends: list[int], crossings: int) -> tuple[int, int] | None:
+def _shift_powers(e: int, at: list[int], crossings: int) -> tuple[int, int] | None:
     """The powers (a, b) that put h * Delta^2a * beta_y^b in the kernel
-    for n <= 2, from where h takes the puncture strands (`ends`, as
-    `_form_punctures` gives them) and h's signed crossings between them;
-    e is the exponent sum of beta_A. None when no power does.
+    for n <= 2, from the positions where h takes the puncture strands
+    (`at`, as `_puncture_ends` gives them) and h's signed crossings
+    between them; e is the exponent sum of beta_A. None when no power
+    does.
 
     beta_y preserves the puncture block and permutes it as beta_A does:
     a swap, of order o = 2, when e is odd, and otherwise the identity,
     o = 1. So h must preserve the block too, and b = r mod o, with r = 1
-    when h swaps the two punctures. Delta^2 adds two crossings between
-    them and each beta_y^+-1 adds +-e, its kernel part none, so
-    2a + e*b = -crossings. That is solvable for every such b: two strands
-    change order at each crossing between them, so crossings has the
-    parity of r, and e is odd when r = 1. Of the solutions the one with
-    least |a| + |b|, then least |b|, then least b is taken: along
+    when h swaps the two punctures, that is when it takes the first to
+    position 1. Delta^2 adds two crossings between them and each
+    beta_y^+-1 adds +-e, its kernel part none, so 2a + e*b = -crossings.
+    That is solvable for every such b: two strands change order at each
+    crossing between them, so crossings has the parity of r, and e is odd
+    when r = 1. Of the solutions the one with least |a| + |b|, then least
+    |b|, then least b is taken: along
     b = r + o*t the cost |b| + |crossings + e*b| / 2 is convex with its
     corners at b = 0 and b = -crossings / e, so it is least at a
     neighbour of one of them, and where it is flat, 0 ends the flat
     piece."""
-    if 0 in ends:
+    if max(at) >= len(at):
         return None
     order = 2 if e % 2 else 1
-    r = 1 if ends[0] == 2 else 0
+    r = at[0]
     if r >= order:
         return None
     # b = r + order * t, and the floor of t at each corner, exactly.
@@ -607,27 +593,28 @@ def _shift_powers(e: int, ends: list[int], crossings: int) -> tuple[int, int] | 
 
 
 def _centralizer_shift(
-    inst: SNInstance, path: list[int], accept: Callable[[BraidWord, CanonicalForm], bool]
+    inst: SNInstance,
+    pair: tuple[list[int], list[int]],
+    accept: Callable[[BraidWord, CanonicalForm], bool],
 ) -> BraidWord | None:
     """For n <= 2, a kernel conjugator from the ambient one, with no
     search, or None when this shift finds none.
 
     Every conjugator from beta_y to beta_x is h * z with h the ambient
-    conjugator `garside._witness` multiplies out of the path and z in
-    the centralizer of beta_y. Two elements of it are free: Delta^2,
-    which is central, and beta_y itself. For n <= 2 whether
-    h * Delta^2a * beta_y^b lies in the kernel is arithmetic on h's
-    puncture strands and crossings (`_shift_powers`), read off h's
-    canonical form (`_form_punctures`); for n = 0 the kernel is the whole
-    group and the candidate is h. Delta^2a joins h's Delta power, and for
-    b != 0 one `_product` multiplies in beta_y's form. Only the
-    candidate's form is spelled out, as its witness, which must pass
+    conjugator `garside._quotient` multiplies out of the pair
+    `garside._conjugacy` found and z in the centralizer of beta_y. Two
+    elements of it are free: Delta^2, which is central, and beta_y itself.
+    For n <= 2 whether h * Delta^2a * beta_y^b lies in the kernel is
+    arithmetic on h's puncture strands and crossings (`_shift_powers`),
+    read off h's canonical form (`_puncture_ends`); for n = 0 the kernel
+    is the whole group and the candidate is h. Delta^2a joins h's Delta
+    power, and for b != 0 one `_product` multiplies in beta_y's form. Only
+    the candidate's form is spelled out, as its witness, which must pass
     `mixed.is_kernel` and `accept`."""
     n, m = inst.n, inst.m
-    c_cf = _witness(inst._x, inst._y, path)
+    c_cf = _quotient(n + m, *pair)
     if n:
-        ends, crossings = _form_punctures(n, c_cf)
-        powers = _shift_powers(inst._A.exponent_sum, ends[:n], crossings)
+        powers = _shift_powers(inst._A.exponent_sum, *_puncture_ends(n, *c_cf))
         if powers is None:
             return None
         a, b = powers
@@ -652,8 +639,9 @@ def _decide(inst: SNInstance, budget: Budget) -> SNVerdict:
     before any invariant or summit is computed. Every witness, the
     identity too, is re-verified by one `accept` on the records' forms,
     c * beta_y * c^-1 = beta_x, which both formulations share. For
-    n <= 2 the ambient conjugator `garside._witness` multiplies out of
-    the path is shifted into the kernel by powers of Delta^2 and beta_y
+    n <= 2 the ambient conjugator h * g^-1 of the pair (h, g) that
+    `garside._conjugacy` returns, multiplied out by `garside._quotient`,
+    is shifted into the kernel by powers of Delta^2 and beta_y
     (`_centralizer_shift`), which for n = 0, where the kernel is the
     whole group, is the ambient conjugator itself; should the shift find
     no power or its witness be refused, the decision goes on to the
@@ -676,13 +664,13 @@ def _decide(inst: SNInstance, budget: Budget) -> SNVerdict:
     # equal linking matrices give them equal cycle types
     # (`_screen_invariants`): the checks `is_conjugate` makes on words, so
     # the records meet directly. Only n <= 2 multiplies a witness out of
-    # the path.
-    if (path := _conjugacy(inst._x, inst._y)) is None:
+    # the pair.
+    if (pair := _conjugacy(inst._x, inst._y)) is None:
         return SNVerdict(
             NOT_EQUIVALENT,
             certificate=Certificate(f"not conjugate in B_{inst.n + inst.m}"),
         )
-    if inst.n <= 2 and (witness := _centralizer_shift(inst, path, accept)) is not None:
+    if inst.n <= 2 and (witness := _centralizer_shift(inst, pair, accept)) is not None:
         return SNVerdict(EQUIVALENT, witness=witness)
 
     witness, report = _search_kernel_conjugator(inst, budget, accept)
@@ -725,20 +713,12 @@ class PartitionResult:
 def _anchor_key(n: int, e: int, record: _Orbit) -> tuple:
     """For n <= 2, the key on which `partition_sn_classes` merges orbits:
     the record's anchor c* (`garside._ConjugacyRecord.anchor`) and the
-    positions, from 0, where its conjugator g takes the puncture strands,
-    read through the permutations of g's factors as `_form_punctures`
-    reads them, then reversed by g's closing Delta, if it has one. The
-    positions are sorted when e, the exponent sum of beta_A, is odd, and
-    kept in puncture order when it is even."""
-    anchor, factors, twisted = record.anchor
-    strands = record.cf.strands
-    perm = _simples(strands).perm
-    at = list(range(n))
-    for f in factors:
-        image = perm[f]
-        at = [image[x] for x in at]
-    if twisted:
-        at = [strands - 1 - x for x in at]
+    positions, from 0, where its conjugator g takes the puncture strands
+    (`_puncture_ends` of g's factors). The positions are sorted when e,
+    the exponent sum of beta_A, is odd, and kept in puncture order when it
+    is even."""
+    anchor, g = record.anchor
+    at = _puncture_ends(n, record.cf.strands, 0, g)[0]
     return anchor, tuple(sorted(at) if e % 2 else at)
 
 

@@ -57,31 +57,33 @@ alone. Every cycling walk ends without a step bound: cycling never
 lowers the infimum nor raises the supremum, and a conjugacy class has
 finitely many elements between given bounds (from a super summit element,
 at most the size of the super summit set). Two braids are conjugate iff
-their ultra summit sets intersect. Every walk records its conjugator as a
-list of simple factors: the meet and the closure return only the path from
-the start of a's circuit, and only `_witness` joins each side's lists,
-when they become the witness h * g^-1. It normalizes them once, together:
-the inverse of a simple element t is Delta^-1 times its Delta-complement
-(El-Rifai and Morton 1994; Epstein et al., Word Processing in Groups,
-ch. 9), so g^-1 is a list of complements whose Deltas^-1 move to the front
-by tau, and no form of h or g is made, inverted or multiplied.
-`_witness` returns that form, and `CanonicalForm.to_word` spells it: a
-negative Delta power as a fraction, Delta^(p+j) P^-1 A_(j+1) ... A_r
-with P positive, so that few letters of Delta^-1 pad the witness.
+their ultra summit sets intersect. Every conjugator is passed as a list
+of simple factors, a Delta among them as the factor of rank n! - 1: a
+record's conjugator to its circuit's start, the pair stage's two
+conjugators (h, g) with h^-1 a h = g^-1 b g, and an anchor's. Only
+`_quotient` makes a form of one, the witness h * g^-1, and it normalizes
+the two lists once, together: the inverse of a simple element t is
+Delta^-1 times its Delta-complement (El-Rifai and Morton 1994; Epstein
+et al., Word Processing in Groups, ch. 9), so g^-1 is a list of
+complements whose Deltas^-1 move to the front by tau, and no form of h or
+g is made, inverted or multiplied. `CanonicalForm.to_word` spells that
+form: a negative Delta power as a fraction, Delta^(p+j) P^-1
+A_(j+1) ... A_r with P positive, so that few letters of Delta^-1 pad the
+witness.
 
 The decision has two stages. The summit and circuit walks depend on one
 braid only, and a per-braid record (`_ConjugacyRecord`) holds each as a
 lazy attribute, walked on first use: `_lazy`, which unlike functools'
 cached property takes no lock before Python 3.12. The pair stage
 (`_conjugacy`) meets two records: the infimum/supremum comparison, the
-circuit meet and the closure on a miss; it returns the path it found, from which `_witness`
-multiplies out a conjugator. `is_conjugate` is one word check, the
-exponent sum and the cycle type read in one pass over each word
+circuit meet and the closure on a miss; it returns the two conjugators it
+found, which `_quotient` multiplies out. `is_conjugate` is one word check,
+the exponent sum and the cycle type read in one pass over each word
 (`_word_invariants`), then the pair stage over two fresh records and the
-witness on a hit; a caller that
-decides many pairs of the same braids, as the strong Nielsen decision does
-per orbit, keeps one record per braid, walks each braid once and
-multiplies out a witness only when it needs one.
+witness on a hit; a caller that decides many pairs of the same braids, as
+the strong Nielsen decision does per orbit, keeps one record per braid,
+walks each braid once and multiplies out a witness only when it needs
+one, from the same lists whatever the records have walked before.
 
 A simple element is stored as the lexicographic rank of its permutation, an
 int (see `_Simples`): factor lists, conjugator lists and canonical forms
@@ -860,24 +862,25 @@ class _ConjugacyRecord:
     form `cf`. Both walks depend on this braid alone, so each runs once,
     on first use, and is kept as a lazy attribute (`_lazy`): `summit` is
     the summit element v and the simple factors of g with
-    v = g^-1 * cf * g (`_summit`), and `circuit` is v's cycling circuit,
-    the simple conjugator of each of its steps and the factors of the
-    steps from v to the circuit's start (`_cycling_orbit`). A record whose pairs are all
-    settled before a walk never runs it. `_conjugacy` meets two records,
-    and `_witness` multiplies out the conjugator of a pair they meet on.
-    The second record's circuit may never be walked: when its summit
-    element, or that element's tau-image, lies on the first record's
-    circuit, the pair meets there without it.
+    v = g^-1 * cf * g (`_summit`), and `circuit` is v's cycling circuit
+    c_0, ..., c_(L-1), the simple conjugator s_i of each of its steps and
+    the factors of the whole conjugator G to the circuit's start,
+    c_0 = G^-1 * cf * G: the summit steps, then the steps from v to c_0
+    (`_cycling_orbit`). A record whose pairs are all settled before a walk
+    never runs it. `_conjugacy` meets two records and returns two
+    conjugators, which `_quotient` multiplies out. The second record's
+    circuit may never be walked: when its summit element, or that
+    element's tau-image, lies on the first record's circuit, the pair
+    meets there without it.
 
     `anchor` names the circuit by one of its elements: the tuple-least
-    form c* among the circuit elements c_0, ..., c_(L-1) and their
-    tau-images, with a conjugator g, g^-1 * cf * g = c*. With G the summit
-    conjugator, `pre` the steps from v to c_0 and s_i the circuit steps,
-    g = G pre s_0 ... s_(i-1) for c* = c_i, times Delta for c* = tau(c_i) =
-    Delta^-1 c_i Delta. It is kept as (c*, the factors of g before that
-    Delta, whether the Delta is there), and is computed once per record,
-    so once per distinct form where records are shared. Two braids with
-    one anchor are conjugate by g_a * g_b^-1; `decision` merges a
+    form c* among the circuit elements and their tau-images, with the
+    factors of a conjugator g, g^-1 * cf * g = c*: G s_0 ... s_(i-1) for
+    c* = c_i, and for c* = tau(c_i) = Delta^-1 c_i Delta those factors and
+    Delta, the factor of rank n! - 1, as `_circuit_meet` writes a
+    tau-match. It is computed once per record, so once per distinct form
+    where records are shared. Two braids with one anchor are conjugate by
+    g_a * g_b^-1, `_quotient(n, g_a, g_b)`; `decision` merges a
     partition's orbits on it."""
 
     def __init__(self, cf: CanonicalForm):
@@ -890,69 +893,68 @@ class _ConjugacyRecord:
     @_lazy
     def circuit(self) -> tuple[list[CanonicalForm], list[int], list[int]]:
         orbit, steps, start = _cycling_orbit(self.summit[0])
-        return orbit[start:], steps[start:], steps[:start]
+        return orbit[start:], steps[start:], self.summit[1] + steps[:start]
 
     @_lazy
-    def anchor(self) -> tuple[CanonicalForm, tuple[int, ...], bool]:
+    def anchor(self) -> tuple[CanonicalForm, list[int]]:
         # Cycling keeps the infimum on a circuit, so its elements and their
         # tau-images share strands and Delta power, and compare as their
         # factors do.
-        circuit, steps, pre = self.circuit
-        tau = _simples(self.cf.strands).tau.__getitem__
-        best, i, twisted = circuit[0].factors, 0, False
+        circuit, steps, g = self.circuit
+        simples = _simples(self.cf.strands)
+        tau = simples.tau.__getitem__
+        best, end = circuit[0].factors, []
         for j, c in enumerate(circuit):
             image = tuple(map(tau, c.factors))
             if c.factors < best:
-                best, i, twisted = c.factors, j, False
+                best, end = c.factors, steps[:j]
             if image < best:
-                best, i, twisted = image, j, True
-        form = CanonicalForm(self.cf.strands, circuit[0].delta_power, best)
-        return form, tuple(self.summit[1] + pre + steps[:i]), twisted
+                best, end = image, steps[:j] + [simples.delta]
+        return CanonicalForm(self.cf.strands, circuit[0].delta_power, best), g + end
 
 
-def _conjugacy(a: _ConjugacyRecord, b: _ConjugacyRecord) -> list[int] | None:
+def _conjugacy(
+    a: _ConjugacyRecord, b: _ConjugacyRecord
+) -> tuple[list[int], list[int]] | None:
     """The pair stage of the conjugacy decision, over two per-braid records
     on the same strand count; a complete decision of whether a.cf and b.cf
     are conjugate. Returns None when they are not, and otherwise the simple
-    factors of the path from the start of a's cycling circuit to b's
-    element: b's summit element v_b when the pair meets on it, else the
-    start of b's circuit. `_witness` multiplies a conjugator out of it.
+    factors of two conjugators (h, g) with h^-1 * a.cf * h = g^-1 * b.cf * g,
+    from which `_quotient` makes the conjugator h * g^-1.
 
-    Equal forms are conjugate, with the empty path, and no walk runs.
-    Otherwise the summits must share infimum and supremum, and only then
-    is a's circuit walked. If v_b or its tau-image lies on a's circuit,
-    a's walk already holds the path (`_circuit_meet`), and b's circuit is
-    not walked: v_b is then on a circuit, its own, which starts at v_b, so
-    the path is the one b's circuit start would give. On a miss b's
-    circuit is walked, and its start, when it is not v_b, is looked for
-    on a's circuit too; if neither meets, the ultra summit set of a is
-    closed under simple-element conjugation until it reaches b's circuit
-    start (`_closure_search`). Raises ValueError when the closure search
-    is needed on more than MAX_CLOSURE_STRANDS strands."""
+    Equal forms are conjugate by ([], []), and no walk runs. Otherwise the
+    summits must share infimum and supremum, and only then is a's circuit
+    walked; h starts with a's conjugator to its circuit's start
+    (`_ConjugacyRecord.circuit`). If v_b, b's summit element, or its
+    tau-image lies on a's circuit, a's walk already holds the rest of h
+    (`_circuit_meet`), g is b's summit conjugator and b's circuit is not
+    walked. On a miss b's circuit is walked, g is b's conjugator to its
+    start, and that start, when it is not v_b, is looked for on a's circuit
+    too; if neither meets, the ultra summit set of a is closed under
+    simple-element conjugation until it reaches b's circuit start
+    (`_closure_search`). Raises ValueError when the closure search is
+    needed on more than MAX_CLOSURE_STRANDS strands."""
     if a.cf == b.cf:
-        return []
+        return [], []
     va, vb = a.summit[0], b.summit[0]
     if (va.inf, va.sup) != (vb.inf, vb.sup):
         return None
-    circuit, steps, _ = a.circuit
-    path = _circuit_meet(circuit, steps, vb)
-    if path is None and b.circuit[2]:
-        path = _circuit_meet(circuit, steps, b.circuit[0][0])
+    circuit, steps, h = a.circuit
+    if (path := _circuit_meet(circuit, steps, vb)) is not None:
+        return h + path, b.summit[1]
+    start, _, g = b.circuit
+    if start[0] != vb:
+        path = _circuit_meet(circuit, steps, start[0])
     if path is None:
-        path = _closure_search(circuit[0], b.circuit[0][0])
-    return path
+        path = _closure_search(circuit[0], start[0])
+    return None if path is None else (h + path, g)
 
 
-def _witness(a: _ConjugacyRecord, b: _ConjugacyRecord, path: list[int]) -> CanonicalForm:
-    """The canonical form of a conjugator c with c * b.cf * c^-1 = a.cf,
-    from the path `_conjugacy(a, b)` returned, for `to_word` to spell: the
-    identity for equal forms, and otherwise h * g^-1, in one
-    normalization. h = s_1 ... s_j joins a's summit and circuit walks with
-    the path, and g = t_1 ... t_k is b's summit walk, joined with its
-    steps to its circuit's start when that circuit was walked. When it
-    was not, the pair met on b's summit element; when it was, those
-    steps are none if the pair met on v_b, which then starts its own
-    circuit.
+def _quotient(n: int, h: list[int], g: list[int]) -> CanonicalForm:
+    """The canonical form of h * g^-1 on n strands, for the simple factors
+    h = s_1 ... s_j and g = t_1 ... t_k, in one normalization: with (h, g)
+    from `_conjugacy(a, b)` it conjugates b.cf to a.cf, c * b.cf * c^-1 =
+    a.cf, for `to_word` to spell.
 
     The inverse of a simple element t is Delta^-1 times its complement,
     t^-1 = Delta^-1 dt with dt = Delta t^-1 (El-Rifai and Morton 1994;
@@ -961,17 +963,12 @@ def _witness(a: _ConjugacyRecord, b: _ConjugacyRecord, path: list[int]) -> Canon
     h * g^-1 = Delta^-k tau^k(s_1) ... tau^k(s_j) tau^(k-1)(dt_k) ... dt_1,
     one `_normalize` over j + k ranks, with no form of h or g, no inverse
     and no product. The left normal form is unique, so this is the form
-    that multiplying out h and g^-1 gives."""
-    n = a.cf.strands
-    if a.cf == b.cf:
-        return CanonicalForm(n, 0, ())
+    that multiplying out h and g^-1 gives. A factor may be Delta, whose
+    complement is the identity, which `_normalize` skips."""
     simples = _simples(n)
     tau, complement = simples.tau, simples.complement
-    g = b.summit[1] + (b.circuit[2] if "circuit" in vars(b) else [])
     k = len(g)
-    factors = a.summit[1] + a.circuit[2] + path
-    if k & 1:
-        factors = [tau[s] for s in factors]
+    factors = [tau[s] for s in h] if k & 1 else list(h)
     for i, t in enumerate(reversed(g), 1):
         # dt_(k+1-i), twisted by the k - i Deltas^-1 to its right
         factors.append(tau[complement[t]] if (k - i) & 1 else complement[t])
@@ -1020,9 +1017,10 @@ def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
     Pairs that differ in exponent sum or cycle type are refused from the
     words, both read in one pass over each (`_word_invariants`); the rest
     is the pair stage `_conjugacy` over two fresh per-braid records
-    (`_ConjugacyRecord`) of the canonical forms, and a hit's path is
-    multiplied out by `_witness` in one normalization. Each cycling walk ends
-    because cycling stays inside the finite super summit set.
+    (`_ConjugacyRecord`) of the canonical forms, and a hit's two
+    conjugators are multiplied out by `_quotient` in one normalization.
+    Each cycling walk ends because cycling stays inside the finite super
+    summit set.
     Raises ValueError when a pair that does not meet on the circuit needs
     the closure search on more than MAX_CLOSURE_STRANDS strands.
     """
@@ -1030,10 +1028,10 @@ def is_conjugate(a: BraidWord, b: BraidWord) -> ConjugacyResult:
         raise StrandMismatchError("cannot compare words on different strand counts")
     if _word_invariants(a) != _word_invariants(b):
         return ConjugacyResult(False)
-    ra, rb = _ConjugacyRecord(canonical_form(a)), _ConjugacyRecord(canonical_form(b))
-    if (path := _conjugacy(ra, rb)) is None:
+    pair = _conjugacy(_ConjugacyRecord(canonical_form(a)), _ConjugacyRecord(canonical_form(b)))
+    if pair is None:
         return ConjugacyResult(False)
-    return ConjugacyResult(True, _witness(ra, rb, path).to_word())
+    return ConjugacyResult(True, _quotient(a.strands, *pair).to_word())
 
 
 def _circuit_meet(

@@ -60,24 +60,17 @@ class BraidWord:
     @staticmethod
     def parse(n: int, text: str) -> "BraidWord":
         """Parse a word in the text grammar (see module docstring) on n
-        strands; a letter out of range for n names its position. Each
-        letter is range-checked here, once, so the word is built without
-        `BraidWord`'s second check of every letter.
-
-        Each token is looked up in `_TOKENS`, and the letters are checked
-        against n together. A token missing there, or a letter out of
-        range, sends the text to `_parse_located`, which reads it token by
-        token and raises the error with its line and column."""
-        try:
-            letters = [
-                _TOKENS[token]
-                for line in text.splitlines()
-                for token in line.split("#", 1)[0].split()
-            ]
-        except KeyError:
-            return _parse_located(n, text)
-        if letters and (max(letters) >= n or min(letters) <= -n):
-            return _parse_located(n, text)
+        strands; a bad token or a letter out of range for n names its
+        position. Each token is looked up in `_TOKENS` and its letter
+        range-checked here, once, so the word is built without
+        `BraidWord`'s second check of every letter. Only a token missing
+        there, or a letter out of range, goes to `_letter`, which reads it
+        with `_TOKEN` and raises unless it is a letter in range."""
+        letters = [
+            k if -n < (k := _TOKENS.get(token, n)) < n else _letter(n, token, lineno, line)
+            for lineno, line in enumerate(text.splitlines(), 1)
+            for token in line.split("#", 1)[0].split()
+        ]
         _check_strands(n)
         return _valid(n, tuple(letters))
 
@@ -108,37 +101,25 @@ _TOKENS = {
 }
 
 
-def _parse_located(n: int, text: str) -> BraidWord:
-    """`BraidWord.parse` token by token, each matched by `_TOKEN` and
-    range-checked where it stands, so that an error names its line and
-    column; for any token `_TOKENS` lacks, such as a leading zero or an
-    index of 100 or more, and for a letter out of range."""
-    letters = []
-    for lineno, line in enumerate(text.splitlines() or [""], start=1):
-        body = line.split("#", 1)[0]
-        col = 0
-        for token in body.split():
-            col = body.index(token, col)
-            k = _parse_token(token, lineno, col + 1)
-            if abs(k) > n - 1:
-                raise WordSyntaxError(
-                    f"letter {k} out of range for {n} strands", lineno, col + 1
-                )
-            letters.append(k)
-            col += len(token)
-    _check_strands(n)  # reached with no letters: each is out of range
-    return _valid(n, tuple(letters))
-
-
-def _parse_token(token: str, line: int, column: int) -> int:
+def _letter(n: int, token: str, lineno: int, line: str) -> int:
+    """The letter of a token of line `lineno` that `_TOKENS` lacks, such as
+    one with a leading zero or an index of 100 or more, or whose letter is
+    out of range for n strands. Raises WordSyntaxError unless it is a
+    letter in range. The error names the column of the token's first
+    whitespace-delimited match on the line: an equal token before it would
+    have raised already."""
     match = _TOKEN.fullmatch(token)
     if match is None:
-        raise WordSyntaxError(f"bad braid letter {token!r}", line, column)
-    prefix, digits = match.groups()
-    value = int(digits)
-    if value == 0:
-        raise WordSyntaxError(f"generator index 0 in {token!r} is not allowed", line, column)
-    return -value if prefix in ("S", "-") else value
+        message = f"bad braid letter {token!r}"
+    elif not (value := int(match[2])):
+        message = f"generator index 0 in {token!r} is not allowed"
+    else:
+        k = -value if match[1] in ("S", "-") else value
+        if -n < k < n:
+            return k
+        message = f"letter {k} out of range for {n} strands"
+    at = re.search(rf"(?<!\S){re.escape(token)}(?!\S)", line)
+    raise WordSyntaxError(message, lineno, at.start() + 1)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -396,8 +396,10 @@ class TestMeetInTheMiddle:
 
 class TestFreeKernelStates:
     """For m = 1 the kernel search's states are reduced words of the free
-    kernel F_n (`decision.SNInstance._free_search`). Every verdict, and every
-    state count, is the one the same search gives on Garside states."""
+    kernel F_n (the orbit records' `free` words, acted on by the base
+    record's `free` letters, `decision._Base.free`). Every verdict, and
+    every state count, is the one the same search gives on Garside
+    states."""
 
     BUDGETS = [sb.Budget(), sb.Budget(8, 7), sb.Budget(8, 40), sb.Budget(8, 300)]
 
@@ -428,10 +430,10 @@ class TestFreeKernelStates:
                 for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
                     inst = make()
                     free.append(decide(inst, budget).to_json())
-                    if "_free_search" in vars(inst):
-                        assert inst._free_search is not None
+                    if "free" in vars(inst._A):
+                        assert inst._A.free is not None
                         searched.add(i)
-        monkeypatch.setattr(sb.SNInstance, "_free_search", None)
+        monkeypatch.setattr(sb.decision._Base, "free", None)
         for make in self.instances(31, 48):
             for budget in self.BUDGETS:
                 for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
@@ -456,15 +458,15 @@ class TestFreeKernelStates:
             inst = make()
             assert decide(inst).to_json() == pinned
             assert inst._x.free is None and inst._y.free == (1,)
-            assert inst._free_search is None
-        monkeypatch.setattr(sb.SNInstance, "_free_search", None)
+            assert "free" not in vars(inst._A)
+        monkeypatch.setattr(sb.decision._Base, "free", None)
         for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
             assert decide(make()).to_json() == pinned
 
     def test_base_past_the_bound_falls_back_to_garside_states(self, monkeypatch):
         """Under beta_A = (s1 S2)^5 on 3 strands the images phi(x_i) have
-        177, 67 and 111 letters against a bound of 88, so `_free_letters`
-        gives None although both orbits have short free words, and the
+        177, 67 and 111 letters against a bound of 88, so the base record's
+        `free` is None although both orbits have short free words, and the
         search runs on Garside states, with the output they give."""
         from snbraid import decision
 
@@ -478,7 +480,7 @@ class TestFreeKernelStates:
                 warnings.simplefilter("ignore")
                 return sb.SNInstance(3, 1, beta_A, ox, a1)
 
-        assert decision._free_letters(3, beta_A.letters) is None
+        assert decision._base(3, 1, beta_A).free is None
         pinned = [
             (sb.Budget(2, 100),
              {"status": "Inconclusive", "budget": {"max_len": 2, "states": 13}}),
@@ -489,8 +491,8 @@ class TestFreeKernelStates:
                 inst = make()
                 assert decide(inst, budget).to_json() == doc
                 assert inst._x.free is not None and inst._y.free == (1,)
-                assert inst._free_search is None
-        monkeypatch.setattr(sb.SNInstance, "_free_search", None)
+                assert inst._A.free is None
+        monkeypatch.setattr(decision._Base, "free", None)
         for budget, doc in pinned:
             for decide in (sb.sn_equivalent_rel_A, sb.sn_equivalent_twisted):
                 assert decide(make(), budget).to_json() == doc
@@ -715,7 +717,7 @@ class TestEmptyInvariantSet:
 
     def test_witness_is_braid_type_witness(self):
         """With no kernel strands the witness `_decide` multiplies out of
-        the ambient path is the one `is_conjugate` gives, in both
+        the ambient pair is the one `is_conjugate` gives, in both
         formulations."""
         equivalent = 0
         for a, b in self.pairs():
@@ -736,7 +738,7 @@ class TestEmptyInvariantSet:
         from snbraid import decision
 
         monkeypatch.setattr(
-            decision, "_witness", lambda a, b, path: sb.canonical_form(sb.BraidWord.identity(3))
+            decision, "_quotient", lambda n, h, g: sb.canonical_form(sb.BraidWord.identity(3))
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -767,9 +769,9 @@ def seeded_instances(seed, count):
 
 
 class TestAmbientPath:
-    """The ambient test of a decision keeps the path `garside._conjugacy`
-    found, and multiplies a witness out of it only for n <= 2, where the
-    centralizer shift reads it."""
+    """The ambient test of a decision keeps the pair of conjugators
+    `garside._conjugacy` found, and multiplies a witness out of it only for
+    n <= 2, where the centralizer shift reads it."""
 
     def test_kernel_strands_multiply_out_no_witness(self, monkeypatch):
         """On n >= 3 the decision goes from the ambient test straight to
@@ -779,9 +781,9 @@ class TestAmbientPath:
         from snbraid import decision
 
         def refused(*args):
-            raise AssertionError("_witness called with n >= 3 punctures")
+            raise AssertionError("_quotient called with n >= 3 punctures")
 
-        monkeypatch.setattr(decision, "_witness", refused)
+        monkeypatch.setattr(decision, "_quotient", refused)
         pinned = TestKernelSearchPinned()
         instances = [pinned_instance(pin) for pin in ("sn-free-n3-default-budget", "sn-free-guard")]
         instances += [inst for inst in seeded_instances(2323, 60) if inst.n >= 3]
@@ -793,16 +795,16 @@ class TestAmbientPath:
 
     def test_path_gives_ambient_conjugator(self):
         """On instances whose mixed braids are conjugate in B_{n+m}, the
-        path gives an h with h * beta_y * h^-1 = beta_x."""
-        from snbraid.garside import _conjugacy, _witness
+        pair gives an h with h * beta_y * h^-1 = beta_x."""
+        from snbraid.garside import _conjugacy, _quotient
 
         conjugate = 0
         for inst in seeded_instances(2324, 60):
-            path = _conjugacy(inst._x, inst._y)
-            if path is None:
+            pair = _conjugacy(inst._x, inst._y)
+            if pair is None:
                 continue
             conjugate += 1
-            h = _witness(inst._x, inst._y, path).to_word()
+            h = _quotient(inst.n + inst.m, *pair).to_word()
             bx, by = inst.mixed_x().word, inst.mixed_y().word
             assert sb.equal(bx, sb.compose(sb.compose(h, by), sb.invert(h)))
         assert conjugate >= 30
@@ -1155,15 +1157,15 @@ class TestPartitionAgainstReference:
 class TestOrbitRecordsReused:
     """What a decision learns of one orbit alone, its screens, the summit
     and circuit of its mixed braid and its word in F_n, is kept on the
-    orbit's record, and the kernel search's start on the instance. Each is
-    computed once, on first use inside a decision, and kept in the
-    record's or the instance's `vars` under its name."""
+    orbit's record, and the letters the kernel search acts by on the base
+    record. Each is computed once, on first use inside a decision, and
+    kept in the record's `vars` under its name."""
 
     # Per lazy fact: the module and the function that compute it, the
     # attribute that keeps it, and the arguments of the one call, read off
-    # the record or instance that keeps it. A function named `Class.attr`
-    # is the lazy attribute itself, counted per computation, whose one
-    # argument is the record.
+    # the record that keeps it. A function named `Class.attr` is the lazy
+    # attribute itself, counted per computation, whose one argument is the
+    # record; the `_Base` fact is counted under that name.
     FACTS = (
         ("garside", "_summit", "summit", lambda r: (r.cf,)),
         ("garside", "_cycling_orbit", "circuit", lambda r: (r.summit[0],)),
@@ -1171,7 +1173,7 @@ class TestOrbitRecordsReused:
         ("decision", "linking_matrix", "linking_matrix", lambda r: (r.braid,)),
         ("_free", "kernel_to_free", "free",
          lambda r: (r.braid.n, r.word.letters, sb.decision._free_bound(r.word.letters))),
-        ("decision", "_free_letters", "_free_search", lambda i: (i.n, i.beta_A.letters)),
+        ("decision", "_Base.free", "free", lambda b: (b,)),
     )
 
     @pytest.fixture
@@ -1199,18 +1201,18 @@ class TestOrbitRecordsReused:
 
     def computed_once(self, calls, owners) -> dict[str, int]:
         """Assert that the calls of each function of `FACTS` are one per
-        owner, a record or an instance, that keeps its fact in `vars`, and
-        return how many owners keep each fact. m >= 2, or a word past its
-        bound, keeps None as its free word or search start without the
+        owner, an orbit record or a base record, that keeps its fact in
+        `vars`, and return how many owners keep each fact. m >= 2, or a
+        word past its bound, keeps None as its free word without the
         call."""
         kept_counts = {}
         for _, name, attr, arguments in self.FACTS:
-            kept = [o for o in owners if attr in vars(o)]
-            kept_counts[attr] = len(kept)
-            if attr == "free":
+            on_base = name.startswith("_Base.")
+            kept = [o for o in owners
+                    if attr in vars(o) and isinstance(o, sb.decision._Base) == on_base]
+            kept_counts[name if on_base else attr] = len(kept)
+            if attr == "free" and not on_base:
                 kept = [o for o in kept if o.braid.m == 1]
-            elif attr == "_free_search":
-                kept = [o for o in kept if None not in (o._x.free, o._y.free)]
             made = calls.get(name, [])
             assert collections.Counter(made) == collections.Counter(map(arguments, kept)), name
         return kept_counts
@@ -1228,16 +1230,13 @@ class TestOrbitRecordsReused:
 
         owners = []
 
-        def kept_record(*args, fn=decision._orbit):
+        def kept_record(*args, fn):
             owners.append(fn(*args))
             return owners[-1]
 
-        def kept_instance(inst, budget, fn=decision.sn_equivalent_rel_A):
-            owners.append(inst)
-            return fn(inst, budget)
-
-        monkeypatch.setattr(decision, "_orbit", kept_record)
-        monkeypatch.setattr(decision, "sn_equivalent_rel_A", kept_instance)
+        for name in ("_orbit", "_base"):
+            fn = getattr(decision, name)
+            monkeypatch.setattr(decision, name, functools.partial(kept_record, fn=fn))
         beta_A, orbits = thirty_orbits(seed, base)
         lift = sb.section(2, 1, beta_A).word
         forms = {sb.canonical_form(sb.compose(lift, w)) for w in orbits}
@@ -1247,7 +1246,7 @@ class TestOrbitRecordsReused:
         kept = self.computed_once(calls, owners)
         assert 0 < kept["summit"] <= len(forms) and 0 < kept["circuit"] <= len(forms)
         assert kept["linking_matrix"] == kept["exponent_sum"] == len(forms)
-        assert (kept["_free_search"] > 0) == (base == (1, 1))
+        assert (kept["_Base.free"] > 0) == (base == (1, 1))
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_partition_acts_by_its_base_once(self, monkeypatch, seed):
@@ -1255,7 +1254,7 @@ class TestOrbitRecordsReused:
         phi_{beta_A}(x_i) of the m = 1 kernel search are built once for all
         of them. Over sigma_1^2 some pairs miss the centralizer shift and
         reach the search."""
-        from snbraid import _free, decision
+        from snbraid import _free
 
         calls = []
         artin = _free.artin
@@ -1265,7 +1264,6 @@ class TestOrbitRecordsReused:
             return artin(*args)
 
         monkeypatch.setattr(_free, "artin", counted)
-        decision._free_letters.cache_clear()
         beta_A, orbits = thirty_orbits(seed, (1, 1))
         res = sb.partition_sn_classes(2, 1, beta_A, orbits)
         assert len(res.classes) == 5 and res.unresolved == ()
@@ -1300,13 +1298,13 @@ class TestOrbitRecordsReused:
             calls.clear()
             inst = ambient_s1() if pin is None else pinned_instance(pin)
             rel_A = sb.sn_equivalent_rel_A(inst)
-            owners = [inst, inst._x, inst._y]
+            owners = [inst._A, inst._x, inst._y]
             kept = self.computed_once(calls, owners)
             twisted = sb.sn_equivalent_twisted(inst)
             assert self.computed_once(calls, owners) == kept
             assert kept["summit"] == 2 and kept["circuit"] == 1
             assert kept["exponent_sum"] == kept["linking_matrix"] == 2
-            assert kept["free"] == 2 * kept["_free_search"] == (0 if pin is None else 2)
+            assert kept["free"] == 2 * kept["_Base.free"] == (0 if pin is None else 2)
             assert rel_A.to_json() == twisted.to_json()
             verify(inst, rel_A)
 
@@ -1515,10 +1513,11 @@ class TestCentralizerShift:
         """`_shift_powers` against a box search over |a|, |b| <= 40: the
         least solution by |a| + |b|, then |b|, then b, of
         2a + e*b = -crossings with the punctures back in place, or None
-        when there is none. h's crossings have the parity of its swap."""
+        when there is none. h's crossings have the parity of its swap. The
+        positions are where h takes each puncture strand, from 0."""
         shift_powers = sb.decision._shift_powers
         for e in range(-5, 6):
-            for r, ends in ((0, [1, 2]), (1, [2, 1])):
+            for r, ends in ((0, [0, 1]), (1, [1, 0])):
                 for crossings in range(r - 12, 13, 2):
                     box = [
                         (abs(a) + abs(b), abs(b), b, a)
@@ -1528,9 +1527,9 @@ class TestCentralizerShift:
                     least = min(box, default=None)
                     expected = None if least is None else (least[3], least[2])
                     assert shift_powers(e, ends, crossings) == expected, (e, ends, crossings)
-        assert shift_powers(0, [1], 0) == (0, 0)
-        assert shift_powers(0, [0], 0) is None
-        assert shift_powers(1, [1, 0], 0) is None and shift_powers(2, [0, 2], 1) is None
+        assert shift_powers(0, [0], 0) == (0, 0)
+        assert shift_powers(0, [1], 0) is None
+        assert shift_powers(1, [0, 2], 0) is None and shift_powers(2, [2, 1], 1) is None
 
     def test_seeded_witnesses_are_kernel_conjugators(self, shifted):
         """On seeded instances with n in {0, 1, 2}, kernel conjugates and
@@ -1555,24 +1554,25 @@ class TestCentralizerShift:
 
     def test_form_reading_matches_letters(self, monkeypatch, shifted):
         """The shift reads where h's puncture strands end, and their signed
-        crossings, off h's canonical form (`_form_punctures`); the strand
+        crossings, off h's canonical form (`_puncture_ends`); the strand
         pass of `mixed` over the letters of its spelling is the reference,
         for h and for every witness: the ends from where it leaves the
-        strands, the crossings as the signs of the projected letters. The seeded n = 1 and n = 2 instances give h Delta
-        powers of both signs, and shifts with b = 0 and with b != 0."""
+        strands, the crossings as the signs of the projected letters. The
+        seeded n = 1 and n = 2 instances give h Delta powers of both
+        signs, and shifts with b = 0 and with b != 0."""
         decision = sb.decision
         read, powers = [], []
-        form_punctures, shift_powers = decision._form_punctures, decision._shift_powers
+        puncture_ends, shift_powers = decision._puncture_ends, decision._shift_powers
 
-        def recorded_read(n, cf):
-            read.append((n, cf))
-            return form_punctures(n, cf)
+        def recorded_read(n, *cf):
+            read.append((n, sb.CanonicalForm(*cf)))
+            return puncture_ends(n, *cf)
 
         def recorded_powers(*args):
             powers.append(shift_powers(*args))
             return powers[-1]
 
-        monkeypatch.setattr(decision, "_form_punctures", recorded_read)
+        monkeypatch.setattr(decision, "_puncture_ends", recorded_read)
         monkeypatch.setattr(decision, "_shift_powers", recorded_powers)
         shapes = ((1, 1), (1, 2), (2, 1), (2, 2))
         for inst in shift_instances(74, 160, shapes):
@@ -1581,9 +1581,9 @@ class TestCentralizerShift:
         for n, cf in read + witnesses:
             occupant = list(range(cf.strands))
             projected = sb.mixed._strand_pass(n, occupant, cf.to_word().letters)
-            ends = [s + 1 if s < n else 0 for s in occupant]
+            ends = [occupant.index(s) for s in range(n)]
             crossings = sum(1 if k > 0 else -1 for k in projected)
-            assert form_punctures(n, cf) == (ends, crossings), cf
+            assert puncture_ends(n, *cf) == (ends, crossings), cf
         assert {n for n, _ in read} == {1, 2}
         assert {(cf.delta_power > 0) - (cf.delta_power < 0) for _, cf in read} == {-1, 0, 1}
         assert {b != 0 for _, b in filter(None, powers)} == {False, True}
@@ -1686,10 +1686,13 @@ class TestAnchorKeys:
     def conjugator(record) -> sb.BraidWord:
         """The anchor's conjugator g, each factor spelled as the positive
         word of its permutation, then Delta when the anchor is a
-        tau-image."""
-        _, factors, twisted = record.anchor
+        tau-image, where g's last factor is Delta's rank."""
+        _, g = record.anchor
         strands = record.cf.strands
-        perm = sb.garside._simples(strands).perm
+        simples = sb.garside._simples(strands)
+        perm = simples.perm
+        twisted = g[-1:] == [simples.delta]
+        factors = g[:-1] if twisted else g
         letters = [k for f in factors for k in sb.garside._perm_word(perm[f])]
         if twisted:
             letters += sb.delta(strands).letters
@@ -1701,10 +1704,7 @@ class TestAnchorKeys:
         from its permutation and, for n = 2, its crossings from the
         exponent sum of what is left once the orbit strands are deleted."""
         perm = sb.permutation(h)
-        ends = [0] * n
-        for s in range(1, n + 1):
-            if perm(s) <= n:
-                ends[perm(s) - 1] = s
+        ends = [perm(s) - 1 for s in range(1, n + 1)]
         projected = h
         for _ in range(h.strands - n):
             projected = sb.delete_strand(projected, n + 1)
@@ -1770,13 +1770,13 @@ class TestAnchorKeys:
         classes, inconclusive = reference_partition(2, 1, beta_A, orbits, sb.Budget())
         reference = sb.PartitionResult(classes, tuple(inconclusive))
         decided = []
-        witness = sb.decision._witness
+        witness = sb.decision._quotient
 
         def counted(*args):
             decided.append(args)
             return witness(*args)
 
-        monkeypatch.setattr(sb.decision, "_witness", counted)
+        monkeypatch.setattr(sb.decision, "_quotient", counted)
         res = sb.partition_sn_classes(2, 1, beta_A, orbits)
         assert json.dumps(res.to_json()) == json.dumps(reference.to_json())
         assert len(res.classes) == 5

@@ -1599,8 +1599,8 @@ class TestFactorListConjugators:
 
     def test_records_shared_across_pairs(self, monkeypatch):
         """The pair stage over per-braid records kept across pairs returns
-        a path exactly when `is_conjugate` answers yes, `_witness` makes
-        of that path the witness `is_conjugate` gives, byte for byte, and
+        two conjugators exactly when `is_conjugate` answers yes, `_quotient`
+        makes of them the witness `is_conjugate` gives, byte for byte, and
         each braid is walked to its summit at most once."""
         rng = random.Random(23)
         words = []
@@ -1623,10 +1623,10 @@ class TestFactorListConjugators:
         monkeypatch.setattr(garside, "_summit", recorded)
         records = [garside._ConjugacyRecord(canonical_form(w)) for w in words]
         for (i, j), doc in expected.items():
-            path = garside._conjugacy(records[i], records[j])
-            assert (path is not None) == doc["conjugate"]
-            if path is not None:
-                witness = garside._witness(records[i], records[j], path).to_word()
+            pair = garside._conjugacy(records[i], records[j])
+            assert (pair is not None) == doc["conjugate"]
+            if pair is not None:
+                witness = garside._quotient(4, *pair).to_word()
                 assert witness.format() == doc["witness"]
         assert len(walked) <= len(words)
         assert any(doc["conjugate"] for doc in expected.values())
@@ -1662,7 +1662,7 @@ class TestFactorListConjugators:
 
         monkeypatch.setattr(garside, "_closure_search", refuse)
         normalized, inverted, inside = [], [], []
-        normalize, inv, witness = garside._normalize, CanonicalForm.inv, garside._witness
+        normalize, inv, witness = garside._normalize, CanonicalForm.inv, garside._quotient
 
         def counted_normalize(n, factors):
             if inside:
@@ -1682,22 +1682,22 @@ class TestFactorListConjugators:
 
         monkeypatch.setattr(garside, "_normalize", counted_normalize)
         monkeypatch.setattr(CanonicalForm, "inv", counted_inv)
-        monkeypatch.setattr(garside, "_witness", watched)
+        monkeypatch.setattr(garside, "_quotient", watched)
         a, b = sb.BraidWord(3, (1,)), sb.BraidWord(3, (2,))
         assert sb.is_conjugate(a, b).witness.letters == (1, 2, 1)
         assert len(normalized) == 1
         assert mul_calls == [] and inverted == []
 
 
-def reference_witness(a, b, path):
-    """garside._witness as it was before the complement identity: h and g
-    each normalized once, then h * g^-1 multiplied out."""
+def reference_witness(a, b, pair):
+    """The witness of the records a and b from the pair (h, g) that
+    `garside._conjugacy(a, b)` returns, as it was made before the
+    complement identity: h and g each normalized once, then h * g^-1
+    multiplied out."""
     n = a.cf.strands
     if a.cf == b.cf:
         return sb.BraidWord.identity(n)
-    h = product(n, a.summit[1] + a.circuit[2] + path)
-    prefix = b.circuit[2] if "circuit" in vars(b) else []
-    g = product(n, b.summit[1] + prefix)
+    h, g = (product(n, factors) for factors in pair)
     return sb.free_reduce(h.mul(g.inv()).to_word())
 
 
@@ -1715,31 +1715,31 @@ CONSOLE_CONJ_PINS = [
 
 
 class TestOneNormalizationWitness:
-    """`_witness` multiplies h * g^-1 out in one normalization, each
+    """`_quotient` multiplies h * g^-1 out in one normalization, each
     t^-1 written Delta^-1 times its complement; the left normal form is
     unique, so the witness is byte-identical to normalizing h and g apart
     and multiplying h by the inverse of g."""
 
     def compare_witnesses(self, pairs):
         """Compare the two witnesses on every conjugate pair with unequal
-        forms; per pair compared, return the length k of g, whether the
-        path ends in a tau-match's Delta, and whether a summit walk stopped
+        forms; per pair compared, return the length k of g, whether h
+        ends in a tau-match's Delta, and whether a summit walk stopped
         rigid on its inverse side."""
         seen = []
         for a, b in pairs:
             if garside._word_invariants(a) != garside._word_invariants(b):
                 continue
             ra, rb = (garside._ConjugacyRecord(canonical_form(w)) for w in (a, b))
-            path = garside._conjugacy(ra, rb)
-            if path is None or ra.cf == rb.cf:
+            pair = garside._conjugacy(ra, rb)
+            if pair is None or ra.cf == rb.cf:
                 continue
-            got = garside._witness(ra, rb, path).to_word()
-            assert got.letters == reference_witness(ra, rb, path).letters, (a, b)
+            got = garside._quotient(a.strands, *pair).to_word()
+            assert got.letters == reference_witness(ra, rb, pair).letters, (a, b)
             check_witness(a, b, sb.ConjugacyResult(True, got))
-            prefix = rb.circuit[2] if "circuit" in vars(rb) else []
+            h, g = pair
             seen.append((
-                len(rb.summit[1]) + len(prefix),
-                path[-1:] == [garside._simples(a.strands).delta],
+                len(g),
+                h[-1:] == [garside._simples(a.strands).delta],
                 1 in (reference_summit(ra.cf)[2], reference_summit(rb.cf)[2]),
             ))
         return seen
@@ -1753,23 +1753,60 @@ class TestOneNormalizationWitness:
         assert any(k % 2 for k in lengths) and any(k and not k % 2 for k in lengths)
         assert any(inverse_stop for _, _, inverse_stop in seen)
 
-    def test_delta_conjugate_pairs(self):
-        """Delta^-1 a Delta meets a by the tau-image, a path ending in Delta."""
+    @staticmethod
+    def delta_conjugate_pairs():
         pairs = []
         for cf in seeded_forms():
             a = cf.to_word()
             d = sb.delta(a.strands)
             b = sb.compose(sb.compose(sb.invert(d), a), d)
             pairs += [(a, b), (b, a)]
-        assert any(tau_match for _, tau_match, _ in self.compare_witnesses(pairs))
+        return pairs
 
-    def test_closure_pairs(self):
+    @staticmethod
+    def closure_pairs():
         pairs = []
         for n, seed in CLOSURE_PAIRS:
             b = seeded_word(n, seed, 8)
             c = seeded_word(n, 1000 + seed, 6)
             pairs.append((sb.free_reduce(sb.compose(sb.compose(c, b), sb.invert(c))), b))
+        return pairs
+
+    def test_delta_conjugate_pairs(self):
+        """Delta^-1 a Delta meets a by the tau-image, h ending in Delta."""
+        pairs = self.delta_conjugate_pairs()
+        assert any(tau_match for _, tau_match, _ in self.compare_witnesses(pairs))
+
+    def test_closure_pairs(self):
+        pairs = self.closure_pairs()
         assert len(self.compare_witnesses(pairs)) == len(CLOSURE_PAIRS)
+
+    def test_witness_ignores_what_b_has_walked(self, monkeypatch):
+        """On the reference, tau-match and closure pairs,
+        `_quotient(n, *_conjugacy(a, b))` is the same whether or not b's
+        `circuit` and `anchor` were read first, as a partition reads them
+        for its anchor keys, and equals `reference_witness`. Both cases
+        occur: some pairs meet on a's circuit without walking b's."""
+        walked = []
+        orbit = garside._cycling_orbit
+        monkeypatch.setattr(garside, "_cycling_orbit", lambda v: walked.append(v) or orbit(v))
+        pairs = reference_pairs() + self.delta_conjugate_pairs() + self.closure_pairs()
+        compared = unwalked = 0
+        for a, b in pairs:
+            if garside._word_invariants(a) != garside._word_invariants(b):
+                continue
+            ra, rb, read = (garside._ConjugacyRecord(canonical_form(w)) for w in (a, b, b))
+            walked.clear()
+            pair = garside._conjugacy(ra, rb)
+            if pair is None:
+                continue
+            unwalked += all(v is not rb.summit[0] for v in walked)
+            assert read.circuit and read.anchor
+            got = garside._quotient(a.strands, *pair)
+            assert garside._quotient(a.strands, *garside._conjugacy(ra, read)) == got, (a, b)
+            assert got.to_word().letters == reference_witness(ra, rb, pair).letters, (a, b)
+            compared += 1
+        assert 0 < unwalked < compared
 
     def test_console_pins(self):
         """Every pinned pair, and both ways round; the n = 4 pin stops its
@@ -1878,9 +1915,9 @@ class TestRigidStop:
         assert start > 0 and {(x.inf, x.sup) for x in orbit} == {(cf.inf, cf.sup)}
         ra, rb = garside._ConjugacyRecord(orbit[start]), garside._ConjugacyRecord(cf)
         rb.summit = (cf, [])
-        path = garside._conjugacy(ra, rb)
+        pair = garside._conjugacy(ra, rb)
         assert rb.circuit[2]
-        c = garside._witness(ra, rb, path).to_word()
+        c = garside._quotient(4, *pair).to_word()
         assert sb.equal(ra.cf.to_word(), sb.compose(sb.compose(c, cf.to_word()), sb.invert(c)))
 
 
@@ -1888,7 +1925,7 @@ class TestAnchor:
     """A record's anchor is the tuple-least form among its cycling
     circuit's elements and their tau-images, with a conjugator g built from
     the summit conjugator, the steps onto the circuit and the circuit steps
-    up to it, then Delta for a tau-image."""
+    up to it, then Delta, the factor of rank n! - 1, for a tau-image."""
 
     @staticmethod
     def check(record):
@@ -1896,9 +1933,11 @@ class TestAnchor:
         element, and g^-1 * cf * g against it, g spelled factor by factor
         from permutations. Returns whether the anchor is a tau-image and
         whether g has steps onto the circuit."""
-        anchor, factors, twisted = record.anchor
+        anchor, g = record.anchor
         v, summit_steps = record.summit
         n = v.strands
+        twisted = g[-1:] == [garside._simples(n).delta]
+        factors = g[:-1] if twisted else g
         orbit, _, start = reference_orbit(v)
         circuit = orbit[start:]
         assert anchor == min(circuit + [tau_form(c) for c in circuit])
@@ -2024,7 +2063,7 @@ class TestFractionSpelling:
         for n, a, b in CONSOLE_CONJ_PINS:
             a, b = sb.BraidWord.parse(n, a), sb.BraidWord.parse(n, b)
             ra, rb = (garside._ConjugacyRecord(canonical_form(w)) for w in (a, b))
-            cf = garside._witness(ra, rb, garside._conjugacy(ra, rb))
+            cf = garside._quotient(n, *garside._conjugacy(ra, rb))
             witness = sb.is_conjugate(a, b).witness
             old = sb.free_reduce(self.delta_spelling(cf))
             assert witness == cf.to_word() and sb.equal(witness, old)

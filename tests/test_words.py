@@ -21,6 +21,34 @@ def words(max_n=6, max_len=20):
     ).map(lambda t: sb.BraidWord(t[0], tuple(t[1])))
 
 
+def reference_parse(n, text):
+    """`BraidWord.parse` token by token, as the grammar reads: each token
+    matched by `words._TOKEN` and range-checked where it stands, an error
+    naming its line and column."""
+    letters = []
+    for lineno, line in enumerate(text.splitlines() or [""], start=1):
+        body = line.split("#", 1)[0]
+        col = 0
+        for token in body.split():
+            col = body.index(token, col)
+            where = (lineno, col + 1)
+            match = sb.words._TOKEN.fullmatch(token)
+            if match is None:
+                raise sb.WordSyntaxError(f"bad braid letter {token!r}", *where)
+            prefix, digits = match.groups()
+            value = int(digits)
+            if value == 0:
+                raise sb.WordSyntaxError(f"generator index 0 in {token!r} is not allowed", *where)
+            k = -value if prefix in ("S", "-") else value
+            if abs(k) > n - 1:
+                raise sb.WordSyntaxError(f"letter {k} out of range for {n} strands", *where)
+            letters.append(k)
+            col += len(token)
+    if n < 0:  # reached with no letters: each is out of range
+        raise ValueError(f"strand count must be >= 0, got {n}")
+    return sb.BraidWord(n, tuple(letters))
+
+
 class TestParsing:
     def test_generator_tokens(self):
         assert sb.BraidWord.parse(4, "s1 S3 s2").letters == (1, -3, 2)
@@ -107,6 +135,7 @@ class TestParsing:
             (0, "s1", "letter 1 out of range for 0 strands (line 1, column 1)"),
             (1, "S1", "letter -1 out of range for 1 strands (line 1, column 1)"),
             (-1, "s1", "letter 1 out of range for -1 strands (line 1, column 1)"),
+            (20, "s10 0", "generator index 0 in '0' is not allowed (line 1, column 5)"),
         ],
     )
     def test_syntax_error_text(self, n, text, error):
@@ -145,15 +174,15 @@ class TestParsing:
         return w, type(w.letters)
 
     def test_token_table_agrees_with_located_reading(self, monkeypatch):
-        """`parse` looks each token up in `words._TOKENS` and sends the text
-        to `words._parse_located` on a miss or a letter out of range. On
+        """`parse` looks each token up in `words._TOKENS` and sends only a
+        missing token or a letter out of range to `words._letter`. On
         seeded texts of valid, out-of-range, zero-padded, large and bad
         tokens, with comments and line breaks, on strand counts from -1
-        to 120, both give the same word or the same error, message, line
-        and column included; a text of table tokens in range is read
-        without `_parse_located`."""
+        to 120, it gives the same word or the same error, message, line
+        and column included, as `reference_parse`, which reads every
+        token with the grammar's pattern; a text of table tokens in range
+        is read without `_letter`."""
         words = sb.words
-        located = words._parse_located
         pool = ["s1", "S2", "3", "-4", "s9", "S10", "99", "-99", "s100", "S120", "s01",
                 "-007", "S0", "0", "sx", "s+1", "--1", "s\uff11", "\u0663", "-", "#", "# c\n"]
         rng = random.Random(41)
@@ -164,16 +193,17 @@ class TestParsing:
             text = "".join(t + rng.choice((" ", "  ", "\n", "\t")) for t in tokens)
             cases.append((rng.randint(-1, 120), text))
         for n, text in cases:
-            assert self.outcome(sb.BraidWord.parse, n, text) == self.outcome(located, n, text)
+            got = self.outcome(sb.BraidWord.parse, n, text)
+            assert got == self.outcome(reference_parse, n, text)
 
-        def refused(n, text):
-            raise AssertionError(f"located reading of {text!r}")
+        def refused(n, token, lineno, line):
+            raise AssertionError(f"located reading of {token!r} in {line!r}")
 
         def in_table(n, text):
             body = [t for line in text.splitlines() for t in line.split("#", 1)[0].split()]
             return n >= 0 and all(abs(words._TOKENS.get(t, n)) < n for t in body)
 
-        monkeypatch.setattr(words, "_parse_located", refused)
+        monkeypatch.setattr(words, "_letter", refused)
         read = [sb.BraidWord.parse(n, text) for n, text in cases if in_table(n, text)]
         assert sum(len(w.letters) > 2 for w in read) > 100
 
