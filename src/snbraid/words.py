@@ -106,8 +106,8 @@ def _letter(n: int, token: str, lineno: int, line: str) -> int:
     one with a leading zero or an index of 100 or more, or whose letter is
     out of range for n strands. Raises WordSyntaxError unless it is a
     letter in range. The error names the column of the token's first
-    whitespace-delimited match on the line: an equal token before it would
-    have raised already."""
+    whitespace-delimited match on the line's text before any `#`: an
+    equal token before it would have raised already."""
     match = _TOKEN.fullmatch(token)
     if match is None:
         message = f"bad braid letter {token!r}"
@@ -118,7 +118,7 @@ def _letter(n: int, token: str, lineno: int, line: str) -> int:
         if -n < k < n:
             return k
         message = f"letter {k} out of range for {n} strands"
-    at = re.search(rf"(?<!\S){re.escape(token)}(?!\S)", line)
+    at = re.search(rf"(?<!\S){re.escape(token)}(?!\S)", line.split("#", 1)[0])
     raise WordSyntaxError(message, lineno, at.start() + 1)
 
 

@@ -136,6 +136,9 @@ class TestParsing:
             (1, "S1", "letter -1 out of range for 1 strands (line 1, column 1)"),
             (-1, "s1", "letter 1 out of range for -1 strands (line 1, column 1)"),
             (20, "s10 0", "generator index 0 in '0' is not allowed (line 1, column 5)"),
+            (2, "s5# c", "letter 5 out of range for 2 strands (line 1, column 1)"),
+            (3, "s1 sx#c", "bad braid letter 'sx' (line 1, column 4)"),
+            (3, "s1\n s1 s03#s03 c", "letter 3 out of range for 3 strands (line 2, column 5)"),
         ],
     )
     def test_syntax_error_text(self, n, text, error):
@@ -190,7 +193,7 @@ class TestParsing:
         for _ in range(2000):
             source = pool[:8] if rng.random() < 0.5 else pool
             tokens = [rng.choice(source) for _ in range(rng.randint(0, 6))]
-            text = "".join(t + rng.choice((" ", "  ", "\n", "\t")) for t in tokens)
+            text = "".join(t + rng.choice((" ", "  ", "\n", "\t", "#")) for t in tokens)
             cases.append((rng.randint(-1, 120), text))
         for n, text in cases:
             got = self.outcome(sb.BraidWord.parse, n, text)
