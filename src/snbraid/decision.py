@@ -797,12 +797,18 @@ def partition_sn_classes(
     parent = list(range(len(orbits)))
     if n <= 2:
         # A bucket lists its indices in increasing order, so the first index
-        # of a key is the smallest of its class.
+        # of a key is the smallest of its class. Orbits of one record share
+        # its key, computed once.
         for bucket in buckets.values():
             if len(bucket) > 1:
                 roots: dict[tuple, int] = {}
+                found: dict[CanonicalForm, int] = {}
                 for i in bucket:
-                    parent[i] = roots.setdefault(_anchor_key(n, base.exponent_sum, records[i]), i)
+                    cf = records[i].cf
+                    if cf not in found:
+                        key = _anchor_key(n, base.exponent_sum, records[i])
+                        found[cf] = roots.setdefault(key, i)
+                    parent[i] = found[cf]
 
     def find(i: int) -> int:
         while parent[i] != i:

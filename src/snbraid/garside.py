@@ -25,7 +25,9 @@ those before it, so conjugating a long form by a short one costs about
 what the short one's factors travel. A cycling walk keeps one running
 factor list and makes one push per step, and builds a form only where it
 keeps one: `_summit` where each pass ends, and `_cycling_orbit` for
-each element it records. The right push is written once, `_push`:
+each element it records. A rigid element's circuit needs no walk at all:
+its elements are rotations of its factor list, read off as slices (see
+`_ConjugacyRecord`). The right push is written once, `_push`:
 `_normalize` calls it once per normalization, `_product` once per
 operand right of its pivot, and a walk once per step, with the step's one
 factor, each passing in its rank tables. A walk's list holds true values,
@@ -42,7 +44,8 @@ leave the infimum unchanged, or at the first rigid element, which is
 already in the ultra summit set: cycling a rigid element only rotates its
 factors, and its inverse is rigid too (Birman, Gebhardt and
 Gonzalez-Meneses, Conjugacy in Garside groups I: cyclings, powers and
-rigidity, Groups Geom. Dyn. 1 (2007); see `_summit`). a's summit element
+rigidity, Groups Geom. Dyn. 1 (2007); see `_summit`; one helper,
+`_rigid`, makes the test). a's summit element
 is then walked onto its circuit. Most conjugate pairs meet there: b's
 summit element, or its tau-image, lies on a's circuit, the walk gives the
 conjugator and b's circuit is never walked. Otherwise b's summit element
@@ -739,6 +742,13 @@ class ConjugacyResult:
 MAX_CLOSURE_STRANDS = 8
 
 
+def _rigid(last: int, first: int, count: int, leftweight) -> bool:
+    """Whether Delta^p A_1 ... A_k, k >= 1, is rigid, given last = A_k and
+    first = tau^p(A_1): whether (last, first) is left-weighted, one lookup
+    in the caller's table of `_Simples`."""
+    return leftweight[last * count + first][0] == last
+
+
 def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, list[int]]:
     """Bring cf into its super summit set by cycling alone; returns the
     summit element v and the simple factors s_1, ..., s_k of a conjugator
@@ -765,8 +775,8 @@ def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, list[int]]:
     Gebhardt and Gonzalez-Meneses, Conjugacy in Garside groups I:
     cyclings, powers and rigidity, Groups Geom. Dyn. 1 (2007)). A rigid
     element thus needs none of the n(n-1)/2 confirmation steps nor the
-    decycling pass. The test is one left-weighting lookup, the one the
-    step's push makes first when there are two factors or more.
+    decycling pass. The test is one left-weighting lookup (`_rigid`), the
+    one the step's push makes first when there are two factors or more.
 
     A pass walks one running factor list in true values. A step takes the
     first factor off, twisted by tau when the Delta power is odd
@@ -788,7 +798,7 @@ def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, list[int]]:
                 s = out[0]
                 if p & 1:
                     s = tau(s)
-                if leftweight[out[-1] * count + s][0] == out[-1]:
+                if _rigid(out[-1], s, count, leftweight):
                     v = CanonicalForm(n, p, tuple(out))
                     return (v.inv() if side else v), g
                 del out[0]
@@ -881,7 +891,16 @@ class _ConjugacyRecord:
     tau-match. It is computed once per record, so once per distinct form
     where records are shared. Two braids with one anchor are conjugate by
     g_a * g_b^-1, `_quotient(n, g_a, g_b)`; `decision` merges a
-    partition's orbits on it."""
+    partition's orbits on it. When the summit element v = Delta^p A_1 ...
+    A_k is rigid (`_rigid`), or a bare Delta power (k = 0), the anchor
+    walks no circuit and makes no form per element: v starts its circuit
+    (G is the summit conjugator), and cycling only rotates its factors, so
+    with ext = A A for even p and A tau(A) A tau(A) for odd p, c_j has the
+    factors ext[j : j + k] and s_j = ext[j + k], up to the first j > 0
+    where the slice is A again; tau(c_j) is a slice of tau(A) tau(A) for
+    even p and c_(j+k) for odd p. The candidates are compared in the
+    walk's order, c_j before tau(c_j) and j ascending, so the anchor and
+    g are the walk's. Any other summit element walks `circuit`."""
 
     def __init__(self, cf: CanonicalForm):
         self.cf = cf
@@ -900,17 +919,36 @@ class _ConjugacyRecord:
         # Cycling keeps the infimum on a circuit, so its elements and their
         # tau-images share strands and Delta power, and compare as their
         # factors do.
-        circuit, steps, g = self.circuit
-        simples = _simples(self.cf.strands)
+        (v, g), n = self.summit, self.cf.strands
+        simples = _simples(n)
         tau = simples.tau.__getitem__
-        best, end = circuit[0].factors, []
-        for j, c in enumerate(circuit):
-            image = tuple(map(tau, c.factors))
-            if c.factors < best:
-                best, end = c.factors, steps[:j]
+        p, a, k = v.delta_power, v.factors, len(v.factors)
+        twisted = tuple(map(tau, a))
+        if a and not _rigid(a[-1], (twisted if p & 1 else a)[0], simples.count, simples.leftweight):
+            circuit, steps, g = self.circuit
+            best, end = circuit[0].factors, []
+            for j, c in enumerate(circuit):
+                image = tuple(map(tau, c.factors))
+                if c.factors < best:
+                    best, end = c.factors, steps[:j]
+                if image < best:
+                    best, end = image, steps[:j] + [simples.delta]
+            return CanonicalForm(n, circuit[0].delta_power, best), g + end
+        # A rigid v, or a bare Delta power, starts its circuit, which only
+        # rotates its factors A: c_j = ext[j : j + k], step j is ext[j + k],
+        # and tau(c_j) is a slice of tau(A) tau(A), or c_(j+k) for odd p.
+        ext = (a + twisted) * 2 if p & 1 else a * 2
+        shifted = ext[k:] if p & 1 else twisted * 2
+        best, end = a, ()
+        for j in range(2 * k if p & 1 else k):
+            c, image = ext[j : j + k], shifted[j : j + k]
+            if j and c == a:
+                break
+            if c < best:
+                best, end = c, ext[k : k + j]
             if image < best:
-                best, end = image, steps[:j] + [simples.delta]
-        return CanonicalForm(self.cf.strands, circuit[0].delta_power, best), g + end
+                best, end = image, (*ext[k : k + j], simples.delta)
+        return CanonicalForm(n, p, best), [*g, *end]
 
 
 def _conjugacy(

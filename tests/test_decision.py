@@ -1224,19 +1224,27 @@ class TestOrbitRecordsReused:
     )
     def test_partition_walks_each_orbit_once(self, monkeypatch, calls, seed, base):
         """Orbits whose mixed braids have one canonical form share one
-        record: one summit and circuit walk, one set of screens and one
-        word in F_n. Over sigma_1^2 some pairs reach the search."""
+        record: one summit walk, one set of screens and one word in F_n.
+        Over sigma_1^2 some pairs reach the search; over sigma_1 the anchor
+        keys merge every pair, and a rigid or bare Delta-power summit's
+        anchor is read off its factors, so no circuit is walked."""
         from snbraid import decision
 
         owners = []
+        decided = []
 
         def kept_record(*args, fn):
             owners.append(fn(*args))
             return owners[-1]
 
+        def deciding(inst, budget, fn=decision.sn_equivalent_rel_A):
+            decided.append(inst)
+            return fn(inst, budget)
+
         for name in ("_orbit", "_base"):
             fn = getattr(decision, name)
             monkeypatch.setattr(decision, name, functools.partial(kept_record, fn=fn))
+        monkeypatch.setattr(decision, "sn_equivalent_rel_A", deciding)
         beta_A, orbits = thirty_orbits(seed, base)
         lift = sb.section(2, 1, beta_A).word
         forms = {sb.canonical_form(sb.compose(lift, w)) for w in orbits}
@@ -1244,7 +1252,9 @@ class TestOrbitRecordsReused:
         res = sb.partition_sn_classes(2, 1, beta_A, orbits)
         assert len(res.classes) == 5 and res.unresolved == ()
         kept = self.computed_once(calls, owners)
-        assert 0 < kept["summit"] <= len(forms) and 0 < kept["circuit"] <= len(forms)
+        assert bool(decided) == (base == (1, 1))
+        assert 0 < kept["summit"] <= len(forms) and kept["circuit"] <= len(forms)
+        assert (kept["circuit"] > 0) == bool(decided)
         assert kept["linking_matrix"] == kept["exponent_sum"] == len(forms)
         assert (kept["_Base.free"] > 0) == (base == (1, 1))
 

@@ -1137,6 +1137,22 @@ def reference_orbit(v):
         orbit.append(w)
 
 
+def reference_anchor(record):
+    """`garside._ConjugacyRecord.anchor` by walking the record's circuit:
+    the first least of c_0, tau(c_0), c_1, tau(c_1), ..., with the
+    conjugator to it, ending in Delta's rank for a tau-image."""
+    circuit, steps, g = record.circuit
+    simples = garside._simples(record.cf.strands)
+    best, end = circuit[0].factors, []
+    for j, c in enumerate(circuit):
+        image = tuple(simples.tau[f] for f in c.factors)
+        if c.factors < best:
+            best, end = c.factors, steps[:j]
+        if image < best:
+            best, end = image, steps[:j] + [simples.delta]
+    return CanonicalForm(record.cf.strands, circuit[0].delta_power, best), g + end
+
+
 class TestRunningCycling:
     """`_summit` and `_cycling_orbit` walk one running factor list; they
     equal the walks that build a form and push with `_normalize` per step."""
@@ -1967,6 +1983,52 @@ class TestAnchor:
         seen.add(self.check(record))
         assert {twisted for twisted, _ in seen} == {False, True}
         assert any(pre for _, pre in seen)
+
+    def test_rigid_summits_match_walked_anchor(self):
+        """A rigid or bare Delta-power summit element's anchor is read off
+        its factors with no circuit walk, and equals `reference_anchor`'s,
+        conjugator included, on seeded records of 2 to 6 strands (6 reads
+        the memo tables); so does every walked one. Words are repeated up
+        to three times, so some factor lists rotate back before k steps,
+        and a quarter are tau-fixed, each letter with its mirror n - i, so
+        their circuit elements tie with their tau-images."""
+        rng = random.Random(44)
+        delta = {n: garside._simples(n).delta for n in range(2, 7)}
+        seen = set()
+        for _ in range(2000):
+            n = rng.randint(2, 6)
+            letters = random_word(rng, n, 3 * n).letters * rng.randint(1, 3)
+            if rng.random() < 0.25:
+                letters = tuple(x for k in letters for x in sorted({k, (n - abs(k)) * (k // abs(k))}))
+            cf = canonical_form(sb.BraidWord(n, letters))
+            record, walked = garside._ConjugacyRecord(cf), garside._ConjugacyRecord(cf)
+            anchor, want = record.anchor, reference_anchor(walked)
+            assert anchor == want, cf
+            v = record.summit[0]
+            p, k = v.delta_power % 2, len(v.factors)
+            if "circuit" in vars(record):
+                assert not rigid(v)
+                seen.add("walked")
+                continue
+            assert k == 0 or rigid(v)
+            circuit = walked.circuit[0]
+            seen.add((p, min(k, 2)))
+            if len(circuit) < k:
+                seen.add((p, "rotates back"))
+            if want[1][-1:] == [delta[n]]:
+                seen.add((p, "tau-image", k == 1))
+            elif any(c.factors == anchor[0].factors == tau_form(c).factors for c in circuit[1:]):
+                seen.add("ties its tau-image")
+            if k and reference_summit(cf)[2] == 1:
+                seen.add("inverse side")
+        assert seen >= {
+            *((p, k) for p in (0, 1) for k in (0, 1, 2)),
+            *((p, "rotates back") for p in (0, 1)),
+            *((p, "tau-image", k1) for p in (0, 1) for k1 in (False, True)),
+            "ties its tau-image",
+            "inverse side",
+            "walked",
+        }
 
 
 class TestConjugateByRank:
