@@ -412,22 +412,22 @@ def _screen_invariants(inst: SNInstance) -> Certificate | None:
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel_alphabet(
-    n: int, m: int
-) -> tuple[dict[int, tuple[int, ...]], tuple[tuple[int, CanonicalForm, CanonicalForm], ...]]:
+def _kernel_alphabet(n: int, m: int) -> tuple[dict[int, tuple[int, ...]], tuple, tuple]:
     """The letters of the kernel search for (n, m): each standard kernel
     generator i and its inverse are letters i + 1 and -(i + 1). Returns the
-    braid letters of each letter and, per letter, (letter, form, inverse
-    form)."""
+    braid letters of each letter and the two sides of the Garside-state
+    search, per letter (letter, left, right): forward (letter, form,
+    inverse form), for g * . * g^-1, and backward (letter, inverse form,
+    form), for g^-1 * . * g."""
     spelling: dict[int, tuple[int, ...]] = {}
-    alphabet = []
+    forward = []
     for sign in (1, -1):
         for i, g in enumerate(kernel_generators(n, m)):
             word = g if sign == 1 else invert(g)
             cf = canonical_form(word)
             spelling[sign * (i + 1)] = word.letters
-            alphabet.append((sign * (i + 1), cf, cf.inv()))
-    return spelling, tuple(alphabet)
+            forward.append((sign * (i + 1), cf, cf.inv()))
+    return spelling, tuple(forward), tuple((g, right, left) for g, left, right in forward)
 
 
 def _search_kernel_conjugator(
@@ -477,17 +477,14 @@ def _search_kernel_conjugator(
       g^-1 (backward g^-1, it and g), which leaves the conjugate's factors
       in place and pushes only the outer forms onto its ends."""
     states = 1
-    spelling, alphabet = _kernel_alphabet(inst.n, inst.m)
+    spelling, forward, backward = _kernel_alphabet(inst.n, inst.m)
     start, target = inst._y.free, inst._x.free
     if start is not None and target is not None and (free := inst._A.free) is not None:
         step = _free.product
         forward, backward = free
     else:
-        # Each side conjugates by (left, right): g * . * g^-1 forward,
-        # g^-1 * . * g backward.
         step = _product
-        start, target, forward = inst._y.cf, inst._x.cf, alphabet
-        backward = [(letter, g_inv_cf, g_cf) for letter, g_cf, g_inv_cf in alphabet]
+        start, target = inst._y.cf, inst._x.cf
 
     # visited[side] maps a state to the tag of its word; side 0 is forward
     # (tag of u, first letter first), side 1 backward (tag of v, last
