@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import decision, garside, invariants, mixed
-from .words import BraidWord, WordSyntaxError
+from .words import BraidWord, WordSyntaxError, _lines
 
 
 def _add_budget_flags(p: argparse.ArgumentParser):
@@ -156,14 +156,15 @@ def _dispatch(args) -> int:
         return _verdict_exit(fn(inst, _budget(args)))
     elif cmd == "partition":
         orbits = []
-        with open(args.file) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    word = BraidWord.parse(n + args.m, line)
-                except WordSyntaxError as exc:
-                    raise WordSyntaxError(exc.message, lineno, exc.column) from None
-                if word.letters:  # blank and comment-only lines
-                    orbits.append(word)
+        with open(args.file, newline="") as fh:
+            text = fh.read()
+        for lineno, line in enumerate(_lines(text), start=1):
+            try:
+                word = BraidWord.parse(n + args.m, line)
+            except WordSyntaxError as exc:
+                raise WordSyntaxError(exc.message, lineno, exc.column) from None
+            if word.letters:  # blank and comment-only lines
+                orbits.append(word)
         beta_A = BraidWord.parse(n, args.betaA)
         budget = _budget(args)
         if args.workers < 1:

@@ -47,20 +47,23 @@ state counts do not depend on which it uses.
 
 All a decision reads of one orbit w is its record `_Orbit`: w, the mixed
 braid section(beta_A) * w and that braid's canonical form, built once by
-`_orbit` in one pass over w's letters, which also checks w: the kernel
-test of `mixed.is_kernel`, run from where the lift leaves the strands.
-It starts from the record of beta_A, `_Base`, read once per instance or
-partition, which also keeps beta_A's exponent sum for the centralizer
-shift and the anchor keys. An `SNInstance` holds the base record and two
-orbit records, and `partition_sn_classes` builds one base record, one
-orbit record per orbit and merges classes in a single union-find on the
-orbit indices. For n <= 2 it first merges the orbits of equal screens
-by a per-record key, the anchor of the record's cycling circuit (the
-tuple-least form among the circuit's elements and their tau-images, with
-the simple factors of a conjugator g to it) and where g takes the
-punctures (`_anchor_key`). Orbits of one key are equivalent, so no pair
-inside a key is decided and no witness is built for it; the pair loop
-decides only what stays split.
+`_orbit`. The braid is `mixed._over_base`'s, made in one pass over w's
+letters that also checks w: the kernel test of `mixed.is_kernel`, run
+from where the lift leaves the strands. `_orbit` adds only the m-cycle
+warning and the form. It starts from the record of beta_A, `_Base`, read
+once per instance or partition, which also keeps beta_A's exponent sum
+for the centralizer shift and the anchor keys. An `SNInstance` holds the
+base record and two orbit records, and `partition_sn_classes` builds one
+base record, one orbit record per orbit and merges classes in a single
+union-find on the orbit indices, which starts with the orbits of one
+canonical form in one class, sharing the record of the first. For
+n <= 2 it then merges the orbits of equal screens by a per-record key,
+the anchor of the record's cycling circuit (the tuple-least form among
+the circuit's elements and their tau-images, with the simple factors of
+a conjugator g to it) and where g takes the punctures (`_anchor_key`).
+Orbits of one form or one key are equivalent, so no pair inside either
+is decided and no witness is built for it; the pair loop decides only
+what stays split.
 
 What a decision learns of one orbit alone is a lazy attribute of its
 record (`garside._lazy`, which takes no lock where functools' cached
@@ -108,22 +111,13 @@ from .garside import (
 from .invariants import linking_matrix
 from .mixed import (
     MixedBraid,
-    _assembled,
-    _kernel_pass,
     _lift,
-    _not_kernel,
+    _over_base,
     _strand_pass,
     is_kernel,
     kernel_generators,
 )
-from .words import (
-    BraidWord,
-    PermutationTable,
-    _valid,
-    exponent_sum,
-    free_reduce,
-    invert,
-)
+from .words import BraidWord, exponent_sum, free_reduce, invert
 
 EQUIVALENT = "Equivalent"
 NOT_EQUIVALENT = "NotEquivalent"
@@ -288,24 +282,11 @@ def _orbit(n: int, m: int, base: _Base, name: str, w: BraidWord) -> _Orbit:
     kernel, and warns, at the line that made the instance or called the
     partition, when w does not permute the orbit block as a single m-cycle.
 
-    The kernel test is `mixed.is_kernel`'s one pass (`mixed._kernel_pass`),
-    run from where the lift leaves the strands, with `ensure_kernel`'s
-    errors: the lift keeps the punctures on the first n positions, so the
-    pass reads w's projection to B_n as `is_kernel` does, and leaves where
-    each strand of section(beta_A) * w ends. The braid is made on that
-    permutation (`mixed._assembled`, which checks the blocks), so
-    `permutation` does not run again."""
-    strands = n + m
-    if w.strands != strands:
-        raise _not_kernel(n, m, w)
-    occupant = list(base.occupant)
-    if not _kernel_pass(n, occupant, w.letters):
-        raise _not_kernel(n, m, w)
-    images = [0] * strands
-    for pos, start in enumerate(occupant, 1):
-        images[start] = pos
-    perm = PermutationTable(strands, tuple(images))
-    braid = _assembled(n, m, _valid(strands, base.lift.letters + w.letters), perm)
+    The braid section(beta_A) * w is made, with its permutation and
+    `ensure_kernel`'s errors, by `mixed._over_base` in one pass over w's
+    letters from where the lift leaves the strands."""
+    braid = _over_base(n, m, base.lift, base.occupant, w)
+    images = braid.perm.images
     # The lift fixes every orbit strand and w, a kernel element, every
     # puncture, so the braid's cycles on the orbit block are those of w.
     if m >= 1:
@@ -730,21 +711,24 @@ def partition_sn_classes(
 
     The base braid and every orbit are validated first, once, even when
     there are fewer than two orbits and no pair to decide: each orbit gets
-    a record (`_orbit`), then stands for the first record of its mixed
-    braid's canonical form, so each distinct mixed braid is screened and
-    walked at most once. The orbits are grouped into buckets of equal
-    screens, the `_SCREENS` values of their records, the exponent sum of
-    w and the linking matrix of its mixed braid: exactly what
-    `_screen_invariants` compares, so a pair across two buckets is
-    NotEquivalent by certificate and is never decided.
+    a record (`_orbit`). Orbits of one canonical form are one class, with
+    the identity as witness, so one union-find on the orbit indices starts
+    with each orbit in the class of the first orbit of its form, whose
+    record it takes: each distinct mixed braid is screened and walked at
+    most once, and no two orbits of one form are ever decided. The orbits
+    are grouped into buckets of equal screens, the `_SCREENS` values of
+    their records, the exponent sum of w and the linking matrix of its
+    mixed braid: exactly what `_screen_invariants` compares, so a pair
+    across two buckets is NotEquivalent by certificate and is never
+    decided.
 
-    For n <= 2 the orbits of each bucket of two or more are first merged
-    by their anchor key (`_anchor_key`), with no pair decided and no
-    witness built. The key of orbit r is (c*, P_r): c* its record's
-    anchor, with g_r^-1 * beta_r * g_r = c* (`garside._ConjugacyRecord`),
-    and P_r the positions where g_r takes the puncture strands, sorted
-    when e = e(beta_A) is odd and in puncture order when e is even. Two
-    orbits i, j of one key are equivalent:
+    For n <= 2 the first orbits of the forms in each bucket of two forms
+    or more are then merged by their anchor key (`_anchor_key`), with no pair
+    decided and no witness built. The key of orbit r is (c*, P_r): c* its
+    record's anchor, with g_r^-1 * beta_r * g_r = c*
+    (`garside._ConjugacyRecord`), and P_r the positions where g_r takes the
+    puncture strands, sorted when e = e(beta_A) is odd and in puncture
+    order when e is even. Two orbits i, j of one key are equivalent:
     - h = g_i * g_j^-1 conjugates beta_j to beta_i, since both are
       conjugated to c* by their g.
     - g_i takes the puncture strands to P_i, and g_j^-1 takes the strands
@@ -762,19 +746,18 @@ def partition_sn_classes(
       Delta^2 is central and beta_j commutes with itself.
     For n = 0 the key is the anchor alone and the kernel is the whole
     group, and for n = 1 P_r is the one puncture's end. Equal keys need
-    no crossing counts. Orbits of one form share a record, so they share a
-    key too.
+    no crossing counts.
 
     Then, for every n, the pairs (i, j) of a bucket are decided in order
     with `sn_equivalent_rel_A` on the instance of their two records, i's as
     beta_x. Pairs of indices are decided, not pairs of forms: once the
     state budget runs out, the verdict of the bounded search can depend on
-    which orbit is beta_x. One union-find on the orbit indices holds the
-    classes of all buckets; a pair that the key stage or Equivalent
-    verdicts have already put in one class is skipped, and Inconclusive
-    pairs are never merged. A class is named by its smallest index. Each
-    key merge is an equivalence, so the classes are those of deciding
-    every pair wherever that decides every pair it needs, and otherwise
+    which orbit is beta_x. The one union-find holds the classes of all
+    buckets; a pair that equal forms, the key stage or Equivalent verdicts
+    have already put in one class is skipped, and Inconclusive pairs are
+    never merged. A class is named by its smallest index. Each form or key
+    merge is an equivalence, so the classes are those of deciding every
+    pair wherever that decides every pair it needs, and otherwise
     coarser: the key stage can merge pairs whose shift misses and whose
     search is Inconclusive. `unresolved` lists, sorted, the Inconclusive
     pairs whose final classes differ: an Inconclusive pair that ends
@@ -782,30 +765,29 @@ def partition_sn_classes(
     witnesses or key merges, and is dropped."""
     base = _base(n, m, beta_A)
     records = [_orbit(n, m, base, f"orbit {i}", w) for i, w in enumerate(orbits)]
-    first: dict[CanonicalForm, _Orbit] = {}
-    records = [first.setdefault(record.cf, record) for record in records]
+    # The union-find: each index points towards the smallest index of its
+    # class, from the start an orbit at the first orbit of its form, whose
+    # record it takes.
+    first: dict[CanonicalForm, int] = {}
+    parent = [first.setdefault(record.cf, i) for i, record in enumerate(records)]
+    records = [records[i] for i in parent]
     buckets: dict[tuple, list[int]] = {}
     for i, record in enumerate(records):
         key = tuple(getattr(record, name) for name in _SCREENS)
         buckets.setdefault(key, []).append(i)
 
-    # The union-find: each index points towards the smallest index of its
-    # class.
-    parent = list(range(len(orbits)))
     if n <= 2:
         # A bucket lists its indices in increasing order, so the first index
-        # of a key is the smallest of its class. Orbits of one record share
-        # its key, computed once.
+        # of a key is the smallest of its class. Only the first orbit of a
+        # form is keyed, the others pointing at it already, and only where
+        # a bucket holds two forms or more.
         for bucket in buckets.values():
-            if len(bucket) > 1:
+            firsts = [i for i in bucket if parent[i] == i]
+            if len(firsts) > 1:
                 roots: dict[tuple, int] = {}
-                found: dict[CanonicalForm, int] = {}
-                for i in bucket:
-                    cf = records[i].cf
-                    if cf not in found:
-                        key = _anchor_key(n, base.exponent_sum, records[i])
-                        found[cf] = roots.setdefault(key, i)
-                    parent[i] = found[cf]
+                for i in firsts:
+                    key = _anchor_key(n, base.exponent_sum, records[i])
+                    parent[i] = roots.setdefault(key, i)
 
     def find(i: int) -> int:
         while parent[i] != i:

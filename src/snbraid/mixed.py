@@ -10,6 +10,13 @@ section(base) * kernel_part. The conjugation action of B_n on the kernel,
 phi_beta(gamma) = beta^-1 * gamma * beta, makes the sequence a semidirect
 product; note that beta -> phi_beta is an anti-homomorphism under this
 convention (phi_{b1 b2} = phi_{b2} o phi_{b1}).
+
+Kernel membership is one pass over a word's letters (`_kernel_pass`),
+which moves the strands and reads the projection to B_n as it goes. It
+serves `is_kernel` from the identity, and `_over_base` from where a lift
+section(beta_A) leaves the strands: that pass checks an orbit word w and
+leaves the permutation of section(beta_A) * w, so the braid is assembled
+with no second pass and no block check.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ def _check_blocks(n: int, m: int) -> None:
 class MixedBraid:
     """A validated element of B_{n,m}; block preservation is membership.
     `perm`, the permutation of the word, is computed once, by the check,
-    or handed in already computed (`_assembled`)."""
+    or handed in by the kernel pass that built the braid (`_over_base`)."""
 
     n: int
     m: int
@@ -59,27 +66,12 @@ class MixedBraid:
                 f"word has {self.word.strands} strands, expected {self.n + self.m}"
             )
         object.__setattr__(self, "perm", permutation(self.word))
-        _check_block_ends(self.n, self.perm)
-
-
-def _check_block_ends(n: int, perm: PermutationTable) -> None:
-    for start, end in enumerate(perm.images, 1):
-        if (start <= n) != (end <= n):
-            raise BlockViolationError(
-                f"strand {start} ends at position {end}, crossing the "
-                f"block boundary after position {n}"
-            )
-
-
-def _assembled(n: int, m: int, word: BraidWord, perm: PermutationTable) -> MixedBraid:
-    """`MixedBraid(n, m, word)` for a caller that has checked the block
-    sizes and the strand count and already holds perm, the permutation of
-    word: the block check runs on perm, and `permutation` does not run
-    again."""
-    _check_block_ends(n, perm)
-    braid = object.__new__(MixedBraid)
-    braid.__dict__.update(n=n, m=m, word=word, perm=perm)
-    return braid
+        for start, end in enumerate(self.perm.images, 1):
+            if (start <= self.n) != (end <= self.n):
+                raise BlockViolationError(
+                    f"strand {start} ends at position {end}, crossing the "
+                    f"block boundary after position {self.n}"
+                )
 
 
 def validate(n: int, m: int, w: BraidWord) -> MixedBraid:
@@ -125,6 +117,32 @@ def _kernel_pass(n: int, occupant: list[int], letters: tuple[int, ...]) -> bool:
     if n <= 2:
         return sum(projected) == 0
     return not projected or canonical_form(_valid(n, tuple(projected))) == CanonicalForm(n, 0, ())
+
+
+def _over_base(
+    n: int, m: int, lift: BraidWord, occupant: tuple[int, ...], w: BraidWord
+) -> MixedBraid:
+    """section(beta_A) * w, for lift the word of section(beta_A) and
+    occupant where it leaves the strands (see `_strand_pass`), in one pass
+    over w's letters. Raises `ensure_kernel`'s errors unless w is a kernel
+    word on n + m strands: the lift keeps the punctures on the first n
+    positions, so `_kernel_pass` run from there reads w's projection to
+    B_n as `is_kernel` does, and leaves where each strand of the product
+    ends. That is the braid's permutation, so `permutation` does not run
+    again, and the blocks are not checked: the pass has put every puncture
+    strand back on the first n positions."""
+    strands, ends = n + m, list(occupant)
+    if w.strands != strands or not _kernel_pass(n, ends, w.letters):
+        raise _not_kernel(n, m, w)
+    images = [0] * strands
+    for pos, start in enumerate(ends, 1):
+        images[start] = pos
+    braid = object.__new__(MixedBraid)
+    braid.__dict__.update(
+        n=n, m=m, word=_valid(strands, lift.letters + w.letters),
+        perm=PermutationTable(strands, tuple(images)),
+    )
+    return braid
 
 
 def delete_strand(w: BraidWord, start: int) -> BraidWord:

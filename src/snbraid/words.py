@@ -10,8 +10,9 @@ left-to-right: "a b" means a happens first (cylinders stacked bottom to top).
 Text grammar, used by every interface that reads or prints words:
 `s3` = sigma_3, `S3` = sigma_3 inverse, plain integers also work (`3` /
 `-3`), tokens separated by whitespace. Indices are ASCII digits; any other
-token (`s+1`, `1_0`, `S-1`, non-ASCII digits) is a bad braid letter. The
-strand count is always given out-of-band.
+token (`s+1`, `1_0`, `S-1`, non-ASCII digits) is a bad braid letter. A `#`
+starts a comment that runs to the end of its line, and lines end at LF,
+CR LF or CR only (`_lines`). The strand count is always given out-of-band.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class BraidWord:
         with `_TOKEN` and raises unless it is a letter in range."""
         letters = [
             k if -n < (k := _TOKENS.get(token, n)) < n else _letter(n, token, lineno, line)
-            for lineno, line in enumerate(text.splitlines(), 1)
+            for lineno, line in enumerate(_lines(text), 1)
             for token in line.split("#", 1)[0].split()
         ]
         _check_strands(n)
@@ -80,6 +81,15 @@ class BraidWord:
 
     def __str__(self) -> str:
         return self.format() or "<empty>"
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of a text: it breaks at LF, CR LF and CR, the ends of line
+    of a file read in text mode, and nowhere else, so `parse` and the
+    lines of an orbit file (`cli`) agree. Other characters that
+    `str.splitlines` breaks at, such as a form feed, are whitespace inside
+    a line, and a # comment runs past them to the end of the line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _check_strands(strands: int) -> None:

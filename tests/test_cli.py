@@ -274,6 +274,20 @@ class TestErrors:
         )
         assert code == 1 and out == ""
         assert "(line 3, column 4)" in err
+        # A form feed is whitespace inside a line, as a file read in text
+        # mode has it, so the bad token's column is its column in the
+        # file's line 2; CR LF and CR end lines as LF does.
+        for text, where in (
+            ("S1 S2 S2 s1\ns1 s1\fs9\n", "(line 2, column 7)"),
+            ("S1 S2 S2 s1\r\n\rs1 s1\fs9\r\n", "(line 3, column 7)"),
+        ):
+            f.write_bytes(text.encode())
+            code, out, err = run(
+                capsys,
+                ["partition", "-n", "2", "-m", "1", "--betaA", "", "--file", str(f)],
+            )
+            assert code == 1 and out == ""
+            assert err == f"error: letter 9 out of range for 3 strands {where}\n"
 
     def test_partition_out_of_range_names_file_line(self, capsys, tmp_path):
         f = tmp_path / "orbits.txt"

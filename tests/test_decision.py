@@ -9,7 +9,13 @@ import warnings
 import pytest
 
 import snbraid as sb
-from conftest import conjugated_kernel_part, kernel_oracle, random_kernel_word, random_word
+from conftest import (
+    conjugated_kernel_part,
+    kernel_oracle,
+    random_kernel_word,
+    random_rewrite,
+    random_word,
+)
 from test_cli import CONSOLE_PINS
 
 A1 = sb.BraidWord(3, (2, 1, 1, -2))
@@ -906,8 +912,25 @@ class TestInstanceValidation:
         """`_orbit` checks and assembles w in one pass over its letters:
         the same braid, permutation and form as the checked construction,
         the same error for words off the kernel or on the wrong strand
-        count, and the same warning."""
-        from snbraid import decision
+        count, and the same warning. Its braid is `mixed._over_base`'s,
+        which on the same words gives `MixedBraid(n, m, lift * w)`'s word
+        and permutation, or raises `ensure_kernel`'s two errors."""
+        from snbraid import decision, mixed
+
+        def over_base(n, m, beta_A, w):
+            """`_over_base` from the lift and the strand at each position
+            after it, read off the lift's permutation."""
+            lift = sb.section(n, m, beta_A).word
+            occupant = [0] * (n + m)
+            for start, end in enumerate(sb.permutation(lift).images):
+                occupant[end - 1] = start
+            try:
+                braid = mixed._over_base(n, m, lift, tuple(occupant), w)
+            except ValueError as exc:
+                return type(exc), str(exc)
+            checked = sb.MixedBraid(n, m, sb.compose(lift, w))
+            assert (braid.word, braid.perm) == (checked.word, checked.perm)
+            return "braid"
 
         def outcome(build):
             with warnings.catch_warnings(record=True) as caught:
@@ -934,6 +957,7 @@ class TestInstanceValidation:
 
         rng = random.Random(43)
         seen = collections.Counter()
+        errors = set()
         for n, m in itertools.product((0, 1, 2, 3), (1, 2)):
             for _ in range(80):
                 beta_A = random_word(rng, n, 4)
@@ -958,9 +982,14 @@ class TestInstanceValidation:
                 assert got == outcome(lambda: self.checked_record(n, m, beta_A, "orbit 3", w))
                 result, caught = got
                 seen[result[0] if isinstance(result[0], type) else "record", bool(caught)] += 1
+                built = over_base(n, m, beta_A, w)
+                assert built == ("braid" if result[0] is not sb.KernelMembershipError else result)
+                if built != "braid":
+                    errors.add("strands" if f"expected {n + m} for" in built[1] else "kernel")
         assert set(seen) == {
             ("record", False), ("record", True), (sb.KernelMembershipError, False)
         }, seen
+        assert errors == {"strands", "kernel"}
 
 
 class TestPartition:
@@ -1080,15 +1109,48 @@ class TestPartitionAgainstReference:
     SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
     BUDGETS = [sb.Budget(1, 200), sb.Budget(3, 2000)]
 
-    def test_same_classes_as_deciding_every_pair(self):
+    def test_same_classes_as_deciding_every_pair(self, monkeypatch):
+        """Against deciding every pair: lists of kernel conjugates, then,
+        for n = 0..4, lists that also hold rewritten copies of their
+        orbits, whose mixed braids have one form. The partition never
+        decides two orbits of one form: they start in one class."""
+        from snbraid import decision
+
+        decided = []
+
+        def recorded(inst, budget):
+            decided.append((inst.n, inst._x.cf == inst._y.cf))
+            return sb.sn_equivalent_rel_A(inst, budget)
+
+        monkeypatch.setattr(decision, "sn_equivalent_rel_A", recorded)
+
+        def lists():
+            for seed in range(10):
+                rng = random.Random(9000 + seed)
+                n, m = self.SHAPES[seed % 5]
+                beta_A = random_word(rng, n, 3)
+                cores = [random_kernel_word(rng, n, m, rng.randint(1, 3)) for _ in range(3)]
+                yield n, m, beta_A, conjugate_classes(rng, n, m, beta_A, cores, 2), seed // 5
+            for seed in range(10):
+                rng = random.Random(4600 + seed)
+                n, m = ((0, 3), (1, 2), (2, 1), (3, 1), (4, 1))[seed % 5]
+                beta_A = random_word(rng, n, 3)
+                cores = [random_kernel_word(rng, n, m, rng.randint(1, 3)) for _ in range(3)]
+                orbits = conjugate_classes(rng, n, m, beta_A, cores, 1)
+                for _ in range(3):
+                    w = rng.choice(orbits)
+                    orbits.append(random_rewrite(rng, random_rewrite(rng, w)))
+                rng.shuffle(orbits)
+                yield n, m, beta_A, orbits, seed // 5
+
         dropped = 0
-        for seed in range(10):
-            rng = random.Random(9000 + seed)
-            n, m = self.SHAPES[seed % 5]
-            budget = self.BUDGETS[seed // 5]
-            beta_A = random_word(rng, n, 3)
-            cores = [random_kernel_word(rng, n, m, rng.randint(1, 3)) for _ in range(3)]
-            orbits = conjugate_classes(rng, n, m, beta_A, cores, 2)
+        repeated = set()
+        for n, m, beta_A, orbits, b in lists():
+            budget = self.BUDGETS[b]
+            lift = sb.section(n, m, beta_A).word
+            forms = {sb.canonical_form(sb.compose(lift, w)) for w in orbits}
+            if len(forms) < len(orbits):
+                repeated.add(n)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 classes, inconclusive = reference_partition(n, m, beta_A, orbits, budget)
@@ -1101,6 +1163,11 @@ class TestPartitionAgainstReference:
         # Some Inconclusive pair ends inside a class, so the lists exercise
         # the pairs that `unresolved` drops.
         assert dropped > 0
+        # Every n has a list with repeated forms, n >= 3 too, where no
+        # anchor key merges them; none of their pairs is decided.
+        assert repeated == {0, 1, 2, 3, 4}
+        assert any(n >= 3 for n, _ in decided)
+        assert not any(same for _, same in decided)
 
     def test_each_orbit_validated_once_and_merged_pairs_skipped(self, monkeypatch):
         from snbraid import decision

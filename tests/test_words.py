@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,12 +22,17 @@ def words(max_n=6, max_len=20):
     ).map(lambda t: sb.BraidWord(t[0], tuple(t[1])))
 
 
+# Lines end at LF, CR LF or CR, as in a file read in text mode; a form
+# feed or another break of `str.splitlines` is whitespace inside a line.
+LINE_END = re.compile(r"\r\n|\r|\n")
+
+
 def reference_parse(n, text):
     """`BraidWord.parse` token by token, as the grammar reads: each token
     matched by `words._TOKEN` and range-checked where it stands, an error
     naming its line and column."""
     letters = []
-    for lineno, line in enumerate(text.splitlines() or [""], start=1):
+    for lineno, line in enumerate(LINE_END.split(text), start=1):
         body = line.split("#", 1)[0]
         col = 0
         for token in body.split():
@@ -180,9 +186,10 @@ class TestParsing:
         """`parse` looks each token up in `words._TOKENS` and sends only a
         missing token or a letter out of range to `words._letter`. On
         seeded texts of valid, out-of-range, zero-padded, large and bad
-        tokens, with comments and line breaks, on strand counts from -1
-        to 120, it gives the same word or the same error, message, line
-        and column included, as `reference_parse`, which reads every
+        tokens, with comments, line breaks and characters that
+        `str.splitlines` breaks at but a line does not, on strand counts
+        from -1 to 120, it gives the same word or the same error, message,
+        line and column included, as `reference_parse`, which reads every
         token with the grammar's pattern; a text of table tokens in range
         is read without `_letter`."""
         words = sb.words
@@ -193,7 +200,10 @@ class TestParsing:
         for _ in range(2000):
             source = pool[:8] if rng.random() < 0.5 else pool
             tokens = [rng.choice(source) for _ in range(rng.randint(0, 6))]
-            text = "".join(t + rng.choice((" ", "  ", "\n", "\t", "#")) for t in tokens)
+            text = "".join(
+                t + rng.choice((" ", "  ", "\n", "\t", "#", "\f", "\r\n", "\r", "\x1c", "\u2028"))
+                for t in tokens
+            )
             cases.append((rng.randint(-1, 120), text))
         for n, text in cases:
             got = self.outcome(sb.BraidWord.parse, n, text)
@@ -203,7 +213,7 @@ class TestParsing:
             raise AssertionError(f"located reading of {token!r} in {line!r}")
 
         def in_table(n, text):
-            body = [t for line in text.splitlines() for t in line.split("#", 1)[0].split()]
+            body = [t for line in LINE_END.split(text) for t in line.split("#", 1)[0].split()]
             return n >= 0 and all(abs(words._TOKENS.get(t, n)) < n for t in body)
 
         monkeypatch.setattr(words, "_letter", refused)
