@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import decision, garside, invariants, mixed
-from .words import BraidWord, WordSyntaxError, _lines
+from .words import BraidWord, _words
 
 
 def _add_budget_flags(p: argparse.ArgumentParser):
@@ -35,7 +35,9 @@ def _budget(args) -> decision.Budget:
     return decision.Budget(args.max_len, args.max_states)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, made once (see the module docstring)."""
     parser = argparse.ArgumentParser(
         prog="snbraid",
         description="Exact braid-group computations for strong Nielsen "
@@ -89,12 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """`build_parser()`, built on first use and reused by every `run`."""
-    return build_parser()
 
 
 def _emit(doc: dict) -> None:
@@ -155,16 +151,10 @@ def _dispatch(args) -> int:
         fn = decision.sn_equivalent_rel_A if cmd == "sn" else decision.sn_equivalent_twisted
         return _verdict_exit(fn(inst, _budget(args)))
     elif cmd == "partition":
-        orbits = []
+        # One leading byte order mark, as editors write at the start of a
+        # UTF-8 file, is not part of the first line's word.
         with open(args.file, newline="") as fh:
-            text = fh.read()
-        for lineno, line in enumerate(_lines(text), start=1):
-            try:
-                word = BraidWord.parse(n + args.m, line)
-            except WordSyntaxError as exc:
-                raise WordSyntaxError(exc.message, lineno, exc.column) from None
-            if word.letters:  # blank and comment-only lines
-                orbits.append(word)
+            orbits = _words(n + args.m, fh.read().removeprefix("\ufeff"))
         beta_A = BraidWord.parse(n, args.betaA)
         budget = _budget(args)
         if args.workers < 1:

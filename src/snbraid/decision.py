@@ -3,87 +3,34 @@ Decision procedures for strong Nielsen equivalence of periodic orbits
 relative to an invariant point set, reduced to conjugacy questions in mixed
 braid groups.
 
-Two orbits with kernel parts beta_ox, beta_oy over the same base braid
-beta_A are equivalent iff the assembled mixed braids beta_x = section(beta_A)
-* beta_ox and beta_y = section(beta_A) * beta_oy are conjugate by a KERNEL
-element; equivalently iff beta_ox = phi_{beta_A}(c) * beta_oy * c^-1 for some
-kernel c (the twisted-conjugacy form). Both formulations are implemented.
-They share one decision, `_decide`, and one `accept`, which re-verifies a
-witness c as c * beta_y * c^-1 = beta_x on the orbit records' canonical
-forms: the twisted equation is that one multiplied on the left by
-section(beta_A)^-1 (see `sn_equivalent_twisted`), so the two agree by
-construction, and the twisted form is not a second, independent decision.
+Two orbits with kernel parts beta_ox, beta_oy over one base braid beta_A
+are equivalent iff beta_x = section(beta_A) * beta_ox and beta_y =
+section(beta_A) * beta_oy are conjugate by a kernel element. That question
+has no known complete desk-scale algorithm, so a verdict is three-valued:
+Equivalent with a witness that re-verifies, NotEquivalent with a
+certificate, or Inconclusive with the search budget it exhausted. Each rule
+is stated once, in the docstring named here.
 
-The kernel-restricted conjugacy problem has no known complete desk-scale
-algorithm, so verdicts are three-valued: certified Equivalent (with a
-verifying witness), certified NotEquivalent (an invariant mismatch or a
-failed conjugacy test in the ambient group), or an honest Inconclusive with
-the exhausted search budget. The stages run cheapest first, and each
-settles what it can before the next begins:
-- equal canonical forms of the two mixed braids: Equivalent, with the
-  identity as witness;
-- two invariant screens, the exponent sum of the orbit word and the
-  linking matrix of its mixed braid (which implies the per-block cycle
-  type, see `_screen_invariants`);
-- conjugacy in the full group B_{n+m};
-- for n <= 2, the centralizer shift: the ambient conjugator h is moved
-  into the kernel by powers of Delta^2 and beta_y, which commute with
-  beta_y, solved for in closed form (`_centralizer_shift`);
-- where the shift finds nothing, and always for n >= 3, a
-  meet-in-the-middle search for a kernel conjugator over the standard
-  kernel generators, grown from both beta_y and beta_x, shortest first.
+Records
+- one orbit's record, and what decisions learn of it lazily: `_Orbit`,
+  built and checked by `_orbit`
+- the base braid's record, read once per instance or partition: `_Base`
+- the twisted-conjugacy formulation, and why it runs the same decision:
+  `sn_equivalent_twisted`
 
-`Budget` bounds only that search. The shift's witnesses are not
-shortest: each is the canonical form of h * Delta^2a * beta_y^b spelled
-out.
+One decision, `_decide`: its stages, cheapest first, and its one `accept`
+- the two screens, and why no other invariant is screened:
+  `_screen_invariants`
+- the ambient test on the two records: `garside._conjugacy`
+- for n <= 2, the centralizer shift into the kernel: `_centralizer_shift`,
+  its powers `_shift_powers` and the puncture reading `_puncture_ends`
+- the bounded kernel search and its two kinds of state:
+  `_search_kernel_conjugator`, over `_kernel_alphabet`, bounded by `Budget`
 
-The search's states are kernel elements. For m = 1 the kernel is the free
-group F_n on the loops A_i (`_free`), and a state is a reduced word of
-F_n: the orbits are rewritten into F_n once, and beta_A acts by the Artin
-action. For m >= 2, or when a free word grows past its bound
-(`_free_bound`), a state is a Garside normal form in B_{n+m}. Either way
-the search visits the same states in the same order, so its witnesses and
-state counts do not depend on which it uses.
-
-All a decision reads of one orbit w is its record `_Orbit`: w, the mixed
-braid section(beta_A) * w and that braid's canonical form, built once by
-`_orbit`. The braid is `mixed._over_base`'s, made in one pass over w's
-letters that also checks w: the kernel test of `mixed.is_kernel`, run
-from where the lift leaves the strands. `_orbit` adds only the m-cycle
-warning and the form. It starts from the record of beta_A, `_Base`, read
-once per instance or partition, which also keeps beta_A's exponent sum
-for the centralizer shift and the anchor keys. An `SNInstance` holds the
-base record and two orbit records, and `partition_sn_classes` builds one
-base record, one orbit record per orbit and merges classes in a single
-union-find on the orbit indices, which starts with the orbits of one
-canonical form in one class, sharing the record of the first. For
-n <= 2 it then merges the orbits of equal screens by a per-record key,
-the anchor of the record's cycling circuit (the tuple-least form among
-the circuit's elements and their tau-images, with the simple factors of
-a conjugator g to it) and where g takes the punctures (`_anchor_key`).
-Orbits of one form or one key are equivalent, so no pair inside either
-is decided and no witness is built for it; the pair loop decides only
-what stays split.
-
-What a decision learns of one orbit alone is a lazy attribute of its
-record (`garside._lazy`, which takes no lock where functools' cached
-property does before Python 3.12), computed on first use inside a
-decision and never when the record is built: each screened invariant,
-and the per-braid stage of the ambient conjugacy test, the summit and
-cycling circuit of the mixed braid (the record is a
-`garside._ConjugacyRecord`, which also keeps the circuit's anchor), and
-for m = 1 the orbit's word in F_n. The Artin images of beta_A that the
-m = 1 search acts by are a lazy attribute of the base record, read only
-once both orbits' words in F_n exist, so a partition builds them once.
-Only the comparisons are per pair: the screens compare the kept values,
-and the ambient test meets the two records (`garside._conjugacy`), which
-returns two conjugators (h, g) as lists of simple factors;
-`garside._quotient` multiplies h * g^-1 out of them only for the shift,
-for n <= 2, and `_puncture_ends` reads where that braid, or an anchor's
-g, takes the punctures. A partition's orbits of one form share one
-record, so each distinct mixed braid is screened and walked at most
-once, and the two formulations decided on one instance share its two
-records.
+Partitions
+- one union-find over equal forms, anchor keys for n <= 2 and decided
+  pairs, and what `unresolved` lists: `partition_sn_classes`, with the key
+  of `_anchor_key`
 """
 
 from __future__ import annotations
@@ -192,9 +139,8 @@ class _Orbit(_ConjugacyRecord):
     learn of w alone: the two screened invariants (`_SCREENS`), the
     exponent sum of w and the linking matrix of the mixed braid, and, for
     m = 1, w as a word of the free kernel F_n, the kernel search's state
-    on that side. A lazy attribute (`garside._lazy`) is stored without the
-    lock functools' cached property takes on first access before
-    Python 3.12. The record is the conjugacy record of its canonical form
+    on that side (`garside._lazy`); none is computed when the record is
+    built. The record is the conjugacy record of its canonical form
     (`garside._ConjugacyRecord`), so the summit and cycling circuit that
     the ambient test walks are lazy attributes of it too."""
 
@@ -283,7 +229,7 @@ def _orbit(n: int, m: int, base: _Base, name: str, w: BraidWord) -> _Orbit:
     partition, when w does not permute the orbit block as a single m-cycle.
 
     The braid section(beta_A) * w is made, with its permutation and
-    `ensure_kernel`'s errors, by `mixed._over_base` in one pass over w's
+    `mixed._not_kernel`'s errors, by `mixed._over_base` in one pass over w's
     letters from where the lift leaves the strands."""
     braid = _over_base(n, m, base.lift, base.occupant, w)
     images = braid.perm.images
@@ -588,7 +534,7 @@ def _centralizer_shift(
     is the whole group and the candidate is h. Delta^2a joins h's Delta
     power, and for b != 0 one `_product` multiplies in beta_y's form. Only
     the candidate's form is spelled out, as its witness, which must pass
-    `mixed.is_kernel` and `accept`."""
+    `mixed.is_kernel` and `accept`. It is not a shortest witness."""
     n, m = inst.n, inst.m
     c_cf = _quotient(n + m, *pair)
     if n:

@@ -1,123 +1,39 @@
 """
 Garside left canonical form and the conjugacy decision for Artin braid groups.
 
-A braid is stored as Delta^p A_1 ... A_k where Delta is the positive half
-twist and each factor A_i is a permutation braid (a positive braid in which
-any two strands cross at most once), identified with its permutation and
-stored as that permutation's rank (see below). Adjacent factors satisfy the left-weighted condition: the starting set of
-A_{i+1} is contained in the finishing set of A_i. Two words are equal in B_n
-iff their canonical forms are identical, which solves the word problem.
+A braid is Delta^p A_1 ... A_k, Delta the positive half twist and each
+factor A_i a permutation braid, stored as the rank of its permutation, with
+each pair of neighbours left-weighted. Two words are equal in B_n iff their
+forms are identical, which solves the word problem, and two braids are
+conjugate iff their ultra summit sets meet (Gebhardt 2005), which
+`is_conjugate` decides with a witness. Every conjugator is passed as a list
+of simple factors, Delta among them as the factor of rank n! - 1. Each rule
+is stated once, in the docstring named here.
 
-The form is built incrementally: factors are pushed one at a time onto a
-left-weighted list, and each push left-weights pairs from the right end
-leftward only until a pair is already left-weighted (see `_normalize`).
-A push that makes a Delta factor drops it and counts it: x Delta = Delta
-tau(x), so the factors before it only change by tau (El-Rifai and Morton
-1994; Epstein et al., Word Processing in Groups, ch. 9). The list is kept
-in tau^flips coordinates, flips counting the Deltas dropped: left-weighting
-commutes with tau, so an absorption re-twists only the factors its push
-wrote. A push thus costs only the distance it travels, and in practice the
-normal form of a word takes time linear in its length. A product of any
-number of forms is one pass (`_product`): it keeps the left-weighted
-factors of its longest operand in place and pushes those of the others
-onto them, from the right for the operands after it and from the left for
-those before it, so conjugating a long form by a short one costs about
-what the short one's factors travel. A cycling walk keeps one running
-factor list and makes one push per step, and builds a form only where it
-keeps one: `_summit` where each pass ends, and `_cycling_orbit` for
-each element it records. A rigid element's circuit needs no walk at all:
-its elements are rotations of its factor list, read off as slices (see
-`_ConjugacyRecord`). The right push is written once, `_push`:
-`_normalize` calls it once per normalization, `_product` once per
-operand right of its pivot, and a walk once per step, with the step's one
-factor, each passing in its rank tables. A walk's list holds true values,
-so a push that makes a Delta is followed by one tau pass over the list.
-The left push of `_product` is a different loop, inline, which carries a
-factor rightward by the first domino rule.
+Simple elements
+- ranks, rank order, the tables of B_n and when they are complete lists:
+  `_Simples`, made once per strand count by `_simples`
+- left-weighting one pair: `_leftweight`; every pair of ranks in one pass:
+  `_leftweight_table`; tau and the Delta-complement: `_tau`,
+  `_delta_complement`
 
-Conjugacy is decided through the ultra summit set (Gebhardt 2005). A
-representative reaches the super summit set in at most one cycling pass
-per side: cycling it makes its infimum maximal, and cycling its inverse
-decycles it, making its supremum minimal without lowering the infimum, so
-no second round is needed. A pass ends after n(n-1)/2 steps in a row that
-leave the infimum unchanged, or at the first rigid element, which is
-already in the ultra summit set: cycling a rigid element only rotates its
-factors, and its inverse is rigid too (Birman, Gebhardt and
-Gonzalez-Meneses, Conjugacy in Garside groups I: cyclings, powers and
-rigidity, Groups Geom. Dyn. 1 (2007); see `_summit`; one helper,
-`_rigid`, makes the test). a's summit element
-is then walked onto its circuit. Most conjugate pairs meet there: b's
-summit element, or its tau-image, lies on a's circuit, the walk gives the
-conjugator and b's circuit is never walked. Otherwise b's summit element
-is walked onto its circuit, and the circuit's start is looked for on a's
-circuit too. Only pairs that do not meet go on to the closure, where a's
-ultra summit set is closed under conjugation by simple elements, keeping
-only elements with the summit infimum/supremum that lie on their own
-cycling circuit. It conjugates by rank, each s^-1 v s in one normalization
-(see `_conjugate`), and its strand limit, MAX_CLOSURE_STRANDS, bounds the
-time of the n! - 1 conjugations per element and applies to those pairs
-alone. Every cycling walk ends without a step bound: cycling never
-lowers the infimum nor raises the supremum, and a conjugacy class has
-finitely many elements between given bounds (from a super summit element,
-at most the size of the super summit set). Two braids are conjugate iff
-their ultra summit sets intersect. Every conjugator is passed as a list
-of simple factors, a Delta among them as the factor of rank n! - 1: a
-record's conjugator to its circuit's start, the pair stage's two
-conjugators (h, g) with h^-1 a h = g^-1 b g, and an anchor's. Only
-`_quotient` makes a form of one, the witness h * g^-1, and it normalizes
-the two lists once, together: the inverse of a simple element t is
-Delta^-1 times its Delta-complement (El-Rifai and Morton 1994; Epstein
-et al., Word Processing in Groups, ch. 9), so g^-1 is a list of
-complements whose Deltas^-1 move to the front by tau, and no form of h or
-g is made, inverted or multiplied. That rule is written once, `_inverse`,
-which `CanonicalForm.inv`, `_quotient` and `to_word` call; `_conjugate`
-keeps its one complement inline. An anchor's conjugator is found on the
-circuit by the scan that meets two records, `_circuit_meet`.
-`CanonicalForm.to_word` spells that form: a negative Delta power as a
-fraction, Delta^(p+j) P^-1 A_(j+1) ... A_r with P positive, so that few
-letters of Delta^-1 pad the witness.
+Normal forms
+- pushing factors onto a left-weighted list, a Delta absorbed by tau:
+  `_push`, and why a push stops early: `_normalize`
+- a product of forms around its longest operand, with the left push of the
+  first domino rule: `_product`
+- the inverse of a factor list: `_inverse`; a form as a word, a negative
+  Delta power spelled as a fraction: `CanonicalForm.to_word`
 
-The decision has two stages. The summit and circuit walks depend on one
-braid only, and a per-braid record (`_ConjugacyRecord`) holds each as a
-lazy attribute, walked on first use: `_lazy`, which unlike functools'
-cached property takes no lock before Python 3.12. The pair stage
-(`_conjugacy`) meets two records: the infimum/supremum comparison, the
-circuit meet and the closure on a miss; it returns the two conjugators it
-found, which `_quotient` multiplies out. `is_conjugate` is one word check,
-the exponent sum and the cycle type read in one pass over each word
-(`_word_invariants`), then the pair stage over two fresh records and the
-witness on a hit; a caller that decides many pairs of the same braids, as
-the strong Nielsen decision does per orbit, keeps one record per braid,
-walks each braid once and multiplies out a witness only when it needs
-one, from the same lists whatever the records have walked before.
-
-A simple element is stored as the lexicographic rank of its permutation, an
-int (see `_Simples`): factor lists, conjugator lists and canonical forms
-hold ranks, and left-weighting, tau, the Delta-complement and the factor of
-each letter are read from int-keyed tables, so the hot loops hash and
-compare ints only. On up to _FULL_TABLE_STRANDS (5) strands, tau, the
-complement and left-weighting are complete lists, built when the tables of
-B_n are first used, the left-weighting of all n!^2 pairs in one pass over
-ranks; on more strands they fill as they are read. The letter table fills
-as it is read on any strand count, so a word on many strands fills only the
-letters it uses. `CanonicalForm` is a NamedTuple, made, hashed and
-compared in C; as it equals the plain tuple of its fields, no map mixes the
-two as keys. Rank order is the order of the permutation tuples, so every
-sort and search order is that of the permutations. `CanonicalForm.to_json`
-and `to_word` are where a rank is read back as a permutation, `to_word`
-through the spelling table, which spells each rank once, on first use,
-and is bounded like the letter table; a rank made
-from a letter, or by ranking a permutation, keeps that permutation, so on
-many strands the form of a word is read back without unranking (which is
-quadratic in n). The complete left-weighting table is built from the
-starting and finishing sets of each simple element and the ranks one
-crossing away, read once per rank off its permutation and dropped after
-the pass (`_leftweight_table`); on more strands, `_leftweight` fills each
-miss on the pair's permutations. The permutations are
-0-based tuples mapping start position to end position. Delta is the
-reversal, so tau(p) = Delta^-1 p Delta is p reversed with each value v
-replaced by n - 1 - v, and the Delta-complement Delta p^-1 is the inverse
-of p reversed.
+Conjugacy
+- the per-braid walks, kept as lazy attributes (`_lazy`), and the circuit
+  anchor: `_ConjugacyRecord`
+- the super summit pass and its stop at a rigid element: `_summit`, `_rigid`
+- the cycling circuit, and why a walk ends: `_cycling_orbit`
+- the pair stage, circuit meet first: `_conjugacy`, `_circuit_meet`
+- the closure under simple conjugators and its strand limit:
+  `_closure_search`, `_conjugate`, MAX_CLOSURE_STRANDS
+- the witness h * g^-1 of two factor lists, in one normalization: `_quotient`
 """
 
 from __future__ import annotations
@@ -129,6 +45,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .words import BraidWord, StrandMismatchError, _valid
 
+# A permutation: a 0-based tuple whose entry i is where position i ends.
+# Delta is the reversal.
 Perm = tuple[int, ...]
 
 # ---------------------------------------------------------------------------
@@ -143,13 +61,15 @@ def _pinv(p: Perm) -> Perm:
 
 
 def _tau(p: Perm) -> Perm:
-    """Conjugation by Delta: tau(x) = Delta^-1 x Delta. An involution."""
+    """Conjugation by Delta: tau(x) = Delta^-1 x Delta, p reversed with
+    each value v replaced by n - 1 - v. An involution."""
     n = len(p)
     return tuple(n - 1 - v for v in reversed(p))
 
 
 def _delta_complement(p: Perm) -> Perm:
-    """The simple element Delta * p^-1, so that p^-1 = Delta^-1 * complement."""
+    """The simple element Delta * p^-1, so that p^-1 = Delta^-1 * complement:
+    the inverse of p, reversed."""
     return _pinv(p)[::-1]
 
 
@@ -243,15 +163,10 @@ class _Memo(dict):
 # On up to this many strands, `_Simples` builds complete tau, complement and
 # left-weighting tables when it is made, as flat lists, the left-weighting
 # of all n!^2 pairs in one pass over ranks (`_leftweight_table`). At n = 5
-# the pass builds 14,400 pairs in about 4-5 ms, and `_Simples(5)` takes
-# about 5-7 ms in all; filled lazily instead, one miss at a time, the table
-# took 13,193 misses at about 3.4 us each, 45 ms in all, in one
-# garside-scaling benchmark run. A list index is also cheaper than a memo
-# hit: warm 5-strand normal forms went from about 470k to 630k letters per
-# second (medians of 8 processes, 2-vCPU guest, Python 3.11). At n = 6 the
-# table would hold 518,400 pairs and take about 250 ms, more than most
-# processes spend on lazy fills, so from 6 strands on the tables fill as
-# they are read.
+# the pass builds 14,400 pairs in a few ms, far less than filling them one
+# miss at a time, and a list index is cheaper than a memo hit. At n = 6 the
+# table would hold 518,400 pairs, more than most processes ever read, so
+# from 6 strands on the tables fill as they are read.
 _FULL_TABLE_STRANDS = 5
 
 _PERMS: list[_Memo] = []
@@ -504,12 +419,8 @@ def _inverse(simples: _Simples, factors: Sequence[int], p: int) -> tuple[int, ..
     this is the inverse's normal form (`CanonicalForm.inv`); a factor may
     also be Delta, whose complement is the identity, or the identity,
     whose complement is Delta, which a later `_normalize` absorbs
-    (`_quotient`). The parity flips once per factor in a plain loop: on
-    900 seeded forms of 3 to 5 strands, `inv` took 1.54 us per call over
-    the loop on `enumerate` it replaced and 1.14 us over this one (medians
-    of 10 alternated processes), and a list comprehension on `enumerate`
-    took 1.04 times the replaced loop's time (Python 3.11.7, 2-vCPU
-    guest)."""
+    (`_quotient`). The parity flips once per factor in a plain loop, the
+    fastest of the spellings tried."""
     complement, tau = simples.complement, simples.tau
     twist = (len(factors) + p) & 1
     out = []
@@ -546,7 +457,8 @@ class CanonicalForm(NamedTuple):
     Each factor A_i is the lexicographic rank of its permutation (see
     `_Simples`), an int from 1 to n! - 2; `to_json` and `to_word` are the
     ways to read it as a permutation. A NamedTuple: immutable, and equal to
-    and hashed as the tuple of its fields."""
+    and hashed as the tuple of its fields, so no map mixes the two as
+    keys."""
 
     strands: int
     delta_power: int
@@ -636,15 +548,8 @@ def _product(*forms: CanonicalForm) -> CanonicalForm:
     factors still to come pass it, a tau more.
 
     The right push goes through `_push` once per operand, with the tables
-    read here passed in, and the left push is inlined. On the 9265
-    kernel-search products of the seed-5 sn-ambient benchmark corpus,
-    `_normalize` for the right pushes plus a one-factor left-push helper
-    took 1.38 times as long as both loops inlined, and one `_normalize`
-    pushing every factor but the first operand's 1.77 times (medians of 31
-    interleaved passes, 2-vCPU guest, Python 3.11). Calling `_push` once
-    per operand instead of inlining it took 0.998-1.015 times as long on
-    normal forms, conjugacy tests and decisions (medians of 100
-    interleaved passes, same guest)."""
+    read here passed in, and the left push is inlined, as a helper call
+    per left factor costs more than the loop."""
     pivot, longest = 0, -1
     for i, form in enumerate(forms):
         if len(form.factors) > longest:
@@ -755,15 +660,12 @@ class ConjugacyResult:
 
 
 # The closure search conjugates each element it visits by all n! - 1 simple
-# elements, one normalization each: at n = 8 about 0.3 s per element once
-# the rank tables are filled, and 1.8-2.0 s for the first element, which
-# fills them; at n = 6 about 6 ms once filled, 33-38 ms for the first
-# element, and 21-29 ms for a later element's first pass, which fills what
-# the first left (quartiles over 22 processes, 2-vCPU guest, Python 3.11).
-# The count grows n-fold per strand, so the limit bounds time; 8 is the
-# largest strand count the tests and benchmark exercise. Pairs that meet on
-# a cycling circuit never reach the closure, so the limit refuses only the
-# pairs that do not.
+# elements, one normalization each: about 0.3 s per element at n = 8 once
+# the rank tables are filled, and seconds for the first element, which
+# fills them. The count grows n-fold per strand, so the limit bounds time;
+# 8 is the largest strand count the tests and benchmark exercise. Pairs that
+# meet on a cycling circuit never reach the closure, so the limit refuses
+# only the pairs that do not.
 MAX_CLOSURE_STRANDS = 8
 
 
@@ -845,8 +747,18 @@ def _cycling_orbit(
     its own circuit, that is in its ultra summit set, iff that index is 0.
     The walk steps one running factor list as `_summit` does, one `_push`
     call per step, and builds the canonical form of each element only to
-    record it, or to find the repeat among those recorded. A Delta power
-    with no factors is its own cycle, by the identity."""
+    record it, or to find the repeat among those recorded. The walk ends
+    with no step bound: cycling never lowers the infimum nor raises the
+    supremum, and a conjugacy class has finitely many elements between
+    given bounds (from a super summit element, at most the size of the
+    super summit set).
+
+    A Delta power with no factors is its own cycle, by the identity. A
+    step whose push makes a Delta raises the infimum and re-twists the list
+    once. This module walks only super summit elements (`_summit`'s, and
+    the closure's candidates, which share their bounds), whose infimum is
+    already maximal, so it never runs that step; the step keeps the walk
+    right on any form, which the tests check against a reference orbit."""
     n = v.strands
     simples = _simples(n)
     count, delta, leftweight = simples.count, simples.delta, simples.leftweight
@@ -877,10 +789,8 @@ class _lazy:
     every later access finds it first, as this descriptor defines no
     `__set__`. Writing the `__dict__` directly works on frozen dataclasses
     too. functools' cached property does the same but, before Python 3.12,
-    takes a lock on every first access: a first access to a method that
-    returns a constant took 0.78 us through it and 0.35 us through this
-    (best of 15 passes over 100,000 objects, Python 3.11.7, 2-vCPU guest),
-    paid on each fact a decision computes."""
+    takes a lock on every first access, a cost paid on each fact a
+    decision computes."""
 
     def __init__(self, method):
         self.method, self.name = method, method.__name__
@@ -1123,13 +1033,9 @@ def _conjugate(v: CanonicalForm, p: int) -> CanonicalForm:
     which `_normalize` skips, and the Delta pushed last is absorbed.
 
     It pushes all k factors of v where `_product` would push only c and s
-    onto them, yet it is the faster: summit elements have few factors
-    (about 3 at n = 3..5), and going through `_product` needs two forms
-    made per call and s = Delta, no factor of a form, taken apart. Over 60
-    summit elements times all simple elements that took 2.1 against 2.0 ms
-    at n = 3, 11.4 against 9.5 ms at n = 4 and 65.7 against 54.9 ms at
-    n = 5, faster in 4, 0 and 1 of 11 interleaved runs (2-vCPU guest,
-    Python 3.11)."""
+    onto them, yet it is the faster: summit elements have few factors, and
+    going through `_product` needs two forms made per call and s = Delta,
+    no factor of a form, taken apart."""
     n, d = v.strands, v.delta_power
     simples = _simples(n)
     head = simples.complement[p]

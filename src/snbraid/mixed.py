@@ -124,7 +124,7 @@ def _over_base(
 ) -> MixedBraid:
     """section(beta_A) * w, for lift the word of section(beta_A) and
     occupant where it leaves the strands (see `_strand_pass`), in one pass
-    over w's letters. Raises `ensure_kernel`'s errors unless w is a kernel
+    over w's letters. Raises `_not_kernel`'s errors unless w is a kernel
     word on n + m strands: the lift keeps the punctures on the first n
     positions, so `_kernel_pass` run from there reads w's projection to
     B_n as `is_kernel` does, and leaves where each strand of the product
@@ -203,15 +203,10 @@ def is_kernel(n: int, m: int, w: BraidWord) -> bool:
     return _kernel_pass(n, list(range(n + m)), w.letters)
 
 
-def ensure_kernel(n: int, m: int, w: BraidWord) -> BraidWord:
-    if not is_kernel(n, m, w):
-        raise _not_kernel(n, m, w)
-    return w
-
-
 def _not_kernel(n: int, m: int, w: BraidWord) -> KernelMembershipError:
     """The error for a word w outside the kernel for blocks (n, m): on the
-    wrong strand count, or on n + m strands but not in the kernel."""
+    wrong strand count, or on n + m strands but not in the kernel. The one
+    maker of kernel errors, for `act` and `_over_base`."""
     if w.strands != n + m:
         return KernelMembershipError(
             f"word {w} has {w.strands} strands, expected {n + m} for blocks ({n}, {m})"
@@ -239,6 +234,7 @@ def act(beta: BraidWord, gamma: BraidWord, m: int) -> BraidWord:
     """The semidirect-product action phi_beta(gamma) = beta^-1 gamma beta,
     with beta included via the section. Kernel in, kernel out (normality)."""
     n = beta.strands
-    ensure_kernel(n, m, gamma)
+    if not is_kernel(n, m, gamma):
+        raise _not_kernel(n, m, gamma)
     lifted = section(n, m, beta).word
     return free_reduce(compose(compose(invert(lifted), gamma), lifted))

@@ -61,17 +61,9 @@ class BraidWord:
     @staticmethod
     def parse(n: int, text: str) -> "BraidWord":
         """Parse a word in the text grammar (see module docstring) on n
-        strands; a bad token or a letter out of range for n names its
-        position. Each token is looked up in `_TOKENS` and its letter
-        range-checked here, once, so the word is built without
-        `BraidWord`'s second check of every letter. Only a token missing
-        there, or a letter out of range, goes to `_letter`, which reads it
-        with `_TOKEN` and raises unless it is a letter in range."""
-        letters = [
-            k if -n < (k := _TOKENS.get(token, n)) < n else _letter(n, token, lineno, line)
-            for lineno, line in enumerate(_lines(text), 1)
-            for token in line.split("#", 1)[0].split()
-        ]
+        strands, its lines read by one `_read`; a bad token or a letter out
+        of range for n names its position."""
+        letters = _read(n, _lines(text))
         _check_strands(n)
         return _valid(n, tuple(letters))
 
@@ -85,11 +77,33 @@ class BraidWord:
 
 def _lines(text: str) -> list[str]:
     """The lines of a text: it breaks at LF, CR LF and CR, the ends of line
-    of a file read in text mode, and nowhere else, so `parse` and the
-    lines of an orbit file (`cli`) agree. Other characters that
+    of a file read in text mode, and nowhere else. Other characters that
     `str.splitlines` breaks at, such as a form feed, are whitespace inside
     a line, and a # comment runs past them to the end of the line."""
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _read(n: int, lines: list[str], first: int = 1) -> list[int]:
+    """The letters on n strands of these lines of a text, the first of
+    them its line `first`. Each token is looked up in `_TOKENS` and its
+    letter range-checked here, once, so a word is built without
+    `BraidWord`'s second check of every letter. Only a token missing
+    there, or a letter out of range, goes to `_letter`, which reads it
+    with `_TOKEN` and raises unless it is a letter in range."""
+    return [
+        k if -n < (k := _TOKENS.get(token, n)) < n else _letter(n, token, lineno, line)
+        for lineno, line in enumerate(lines, first)
+        for token in line.split("#", 1)[0].split()
+    ]
+
+
+def _words(n: int, text: str) -> list[BraidWord]:
+    """The words on n strands of a text that holds one word per line, as
+    an orbit file does; blank and comment-only lines hold none. A bad
+    token names its line in the text."""
+    _check_strands(n)
+    lines = enumerate(_lines(text), 1)
+    return [_valid(n, tuple(w)) for lineno, line in lines if (w := _read(n, [line], lineno))]
 
 
 def _check_strands(strands: int) -> None:

@@ -890,7 +890,7 @@ class TestInstanceValidation:
     @staticmethod
     def checked_record(n, m, beta_A, name, w):
         """An orbit record's braid, permutation and form built the checked
-        way: the kernel test of `kernel_oracle`, with `ensure_kernel`'s
+        way: the kernel test of `kernel_oracle`, with `mixed._not_kernel`'s
         errors spelled out, `MixedBraid` on the composed word, which
         computes the permutation and checks the blocks, then the form, with
         the warning when the orbit block is not one m-cycle."""
@@ -914,7 +914,7 @@ class TestInstanceValidation:
         the same error for words off the kernel or on the wrong strand
         count, and the same warning. Its braid is `mixed._over_base`'s,
         which on the same words gives `MixedBraid(n, m, lift * w)`'s word
-        and permutation, or raises `ensure_kernel`'s two errors."""
+        and permutation, or raises `mixed._not_kernel`'s two errors."""
         from snbraid import decision, mixed
 
         def over_base(n, m, beta_A, w):

@@ -55,6 +55,22 @@ def reference_parse(n, text):
     return sb.BraidWord(n, tuple(letters))
 
 
+def reference_file_words(n, text):
+    """The words of an orbit file as `partition --file` read them before
+    `words._words`: each line parsed on its own, a bad token's error
+    re-labelled with the line's number, blank and comment-only lines
+    dropped."""
+    orbits = []
+    for lineno, line in enumerate(LINE_END.split(text), start=1):
+        try:
+            word = sb.BraidWord.parse(n, line)
+        except sb.WordSyntaxError as exc:
+            raise sb.WordSyntaxError(exc.message, lineno, exc.column) from None
+        if word.letters:
+            orbits.append(word)
+    return orbits
+
+
 class TestParsing:
     def test_generator_tokens(self):
         assert sb.BraidWord.parse(4, "s1 S3 s2").letters == (1, -3, 2)
@@ -219,6 +235,36 @@ class TestParsing:
         monkeypatch.setattr(words, "_letter", refused)
         read = [sb.BraidWord.parse(n, text) for n, text in cases if in_table(n, text)]
         assert sum(len(w.letters) > 2 for w in read) > 100
+
+
+    def test_file_reader_agrees_with_line_by_line_parse(self):
+        """`words._words` reads a text of one word per line in one pass:
+        on seeded texts of valid, out-of-range and bad tokens, with LF, CR
+        LF and CR line ends, blank lines and # comments, it gives the words
+        of `reference_file_words`, or the same WordSyntaxError, message,
+        line and column included."""
+
+        def outcome(read, n, text):
+            try:
+                got = read(n, text)
+            except sb.WordSyntaxError as exc:
+                return str(exc), exc.message, exc.line, exc.column
+            return [(w, type(w.letters)) for w in got]
+
+        pool = ["s1", "S2", "3", "-1", "s2", "S3", "s9", "x2", "S0", "# c"]
+        rng = random.Random(47)
+        errors = 0
+        for _ in range(1500):
+            source = pool[:6] if rng.random() < 0.7 else pool
+            text = "".join(
+                rng.choice(source) + rng.choice((" ", " ", "\n", "\r\n", "\r", "\n\n", "#"))
+                for _ in range(rng.randint(0, 12))
+            )
+            n = rng.randint(1, 5)
+            got = outcome(sb.words._words, n, text)
+            assert got == outcome(reference_file_words, n, text)
+            errors += isinstance(got, tuple)
+        assert 300 < errors < 1200
 
 
 class TestGroupPlumbing:
