@@ -151,10 +151,8 @@ def _dispatch(args) -> int:
         fn = decision.sn_equivalent_rel_A if cmd == "sn" else decision.sn_equivalent_twisted
         return _verdict_exit(fn(inst, _budget(args)))
     elif cmd == "partition":
-        # One leading byte order mark, as editors write at the start of a
-        # UTF-8 file, is not part of the first line's word.
-        with open(args.file, newline="") as fh:
-            orbits = _words(n + args.m, fh.read().removeprefix("\ufeff"))
+        with open(args.file, encoding="utf-8-sig", newline="") as fh:
+            orbits = _words(n + args.m, fh.read())
         beta_A = BraidWord.parse(n, args.betaA)
         budget = _budget(args)
         if args.workers < 1:

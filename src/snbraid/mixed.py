@@ -149,6 +149,8 @@ def delete_strand(w: BraidWord, start: int) -> BraidWord:
     """Delete the single strand starting at position `start` (1-based).
 
     Independent of `project`; used as the one-strand-at-a-time oracle."""
+    if not 1 <= start <= w.strands:
+        raise ValueError(f"start {start} out of range for {w.strands} strands")
     pos = start
     letters = []
     for k in w.letters:
@@ -187,9 +189,7 @@ class Decomposition:
 
 def decompose(b: MixedBraid) -> Decomposition:
     base = project(b)
-    kernel_part = free_reduce(
-        compose(invert(section(b.n, b.m, base).word), b.word)
-    )
+    kernel_part = free_reduce(compose(invert(_lift(b.n, b.m, base)), b.word))
     return Decomposition(base, kernel_part)
 
 
@@ -218,6 +218,7 @@ def kernel_generators(n: int, m: int) -> list[BraidWord]:
     """Standard generating set of the kernel: the internal crossings of the
     orbit block, plus one loop of strand n+1 around each puncture i,
     A_i = (s_n ... s_{i+1}) s_i^2 (S_{i+1} ... S_n)."""
+    _check_blocks(n, m)
     if m < 1:
         raise ValueError("kernel generators need m >= 1")
     total = n + m
@@ -232,9 +233,10 @@ def kernel_generators(n: int, m: int) -> list[BraidWord]:
 
 def act(beta: BraidWord, gamma: BraidWord, m: int) -> BraidWord:
     """The semidirect-product action phi_beta(gamma) = beta^-1 gamma beta,
-    with beta included via the section. Kernel in, kernel out (normality)."""
+    with beta included via the section. Kernel in, kernel out (normality).
+    The block sizes are checked, by `_lift`, before gamma's kernel test."""
     n = beta.strands
+    lifted = _lift(n, m, beta)
     if not is_kernel(n, m, gamma):
         raise _not_kernel(n, m, gamma)
-    lifted = section(n, m, beta).word
     return free_reduce(compose(compose(invert(lifted), gamma), lifted))

@@ -159,9 +159,6 @@ class PermutationTable:
         if sorted(self.images) != list(range(1, self.size + 1)):
             raise ValueError(f"images {self.images} are not a bijection")
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition, each cycle starting at its smallest element,
         cycles sorted by that element. Includes fixed points."""
@@ -172,16 +169,13 @@ class PermutationTable:
                 continue
             cycle = [start]
             seen.add(start)
-            j = self(start)
+            j = self.images[start - 1]
             while j != start:
                 cycle.append(j)
                 seen.add(j)
-                j = self(j)
+                j = self.images[j - 1]
             out.append(tuple(cycle))
         return tuple(out)
-
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted(len(c) for c in self.cycles()))
 
 
 def compose(a: BraidWord, b: BraidWord) -> BraidWord:

@@ -100,7 +100,7 @@ def kernel_oracle(n: int, m: int, w: sb.BraidWord) -> bool:
     if n < 0 or m < 0 or w.strands != n + m:
         return False
     perm = sb.permutation(w)
-    if any(perm(i) != i for i in range(1, n + 1)):
+    if any(perm.images[i - 1] != i for i in range(1, n + 1)):
         return False
     for _ in range(m):
         w = sb.delete_strand(w, n + 1)

@@ -308,6 +308,33 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err == "error: bad braid letter '\\ufeffs1' (line 1, column 1)\n"
 
+    @pytest.mark.parametrize(
+        "text, classes",
+        [("\ufeffs2 s2\r\ns2 s1 s1 S2 s2 s2 s2 S1 S1 S2\r\ns2 s2 s2 s2\r\ns2 s2\r\n",
+          [[0, 1, 3], [2]]),
+         ("s2 s2 # caf\u00e9\ns2 s2 s2 s2\n", [[0], [1]])],
+        ids=["bom-crlf", "comment"],
+    )
+    def test_partition_file_is_utf8_in_any_locale(self, tmp_path, text, classes):
+        # Under an ASCII locale, with neither UTF-8 mode nor locale
+        # coercion, the file is still read as UTF-8 and its one leading
+        # byte order mark skipped.
+        f = tmp_path / "orbits.txt"
+        f.write_bytes(text.encode("utf-8"))
+        src = os.path.dirname(os.path.dirname(sb.__file__))
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="POSIX", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "snbraid.cli", "partition", "-n", "2", "-m", "1",
+             "--betaA", "", "--file", str(f)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"classes": classes, "unresolved": []}
+
     def test_partition_out_of_range_names_file_line(self, capsys, tmp_path):
         f = tmp_path / "orbits.txt"
         f.write_text(f"{A2}\n\n  s1 s3\n")

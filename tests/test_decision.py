@@ -1781,7 +1781,7 @@ class TestAnchorKeys:
         from its permutation and, for n = 2, its crossings from the
         exponent sum of what is left once the orbit strands are deleted."""
         perm = sb.permutation(h)
-        ends = [perm(s) - 1 for s in range(1, n + 1)]
+        ends = [perm.images[s - 1] - 1 for s in range(1, n + 1)]
         projected = h
         for _ in range(h.strands - n):
             projected = sb.delete_strand(projected, n + 1)

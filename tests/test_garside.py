@@ -38,6 +38,12 @@ def perms(n, factors):
     return tuple(garside._unrank(n, r) for r in factors)
 
 
+def cycle_lengths(w):
+    """The cycle type of w's permutation: the sorted lengths of its
+    `cycles()`, fixed points included."""
+    return tuple(sorted(len(c) for c in sb.permutation(w).cycles()))
+
+
 def then(p, q):
     """p then q, as braid stacking (q o p as functions): the composition
     the reversal identities of tau and the Delta-complement replace."""
@@ -1026,7 +1032,7 @@ class TestWordInvariants:
         """The one-pass gate of `is_conjugate` reads the exponent sum and
         the cycle type that `exponent_sum` and `permutation` give."""
         assert garside._word_invariants(w) == (
-            sb.exponent_sum(w), sb.permutation(w).cycle_type()
+            sb.exponent_sum(w), cycle_lengths(w)
         )
 
 
@@ -1366,7 +1372,7 @@ def closure_only_is_conjugate(a, b):
     n = a.strands
     if sb.exponent_sum(a) != sb.exponent_sum(b):
         return sb.ConjugacyResult(False)
-    if sb.permutation(a).cycle_type() != sb.permutation(b).cycle_type():
+    if cycle_lengths(a) != cycle_lengths(b):
         return sb.ConjugacyResult(False)
     ca, cb = canonical_form(a), canonical_form(b)
     if ca == cb:
@@ -1558,7 +1564,7 @@ def stepwise_is_conjugate(a, b):
     n = a.strands
     if sb.exponent_sum(a) != sb.exponent_sum(b):
         return sb.ConjugacyResult(False)
-    if sb.permutation(a).cycle_type() != sb.permutation(b).cycle_type():
+    if cycle_lengths(a) != cycle_lengths(b):
         return sb.ConjugacyResult(False)
     ca, cb = canonical_form(a), canonical_form(b)
     if ca == cb:
@@ -1936,7 +1942,7 @@ class TestRigidStop:
             va, vb = garside._summit(ca)[0], garside._summit(cb)[0]
             if ca == cb or (va.inf, va.sup) != (vb.inf, vb.sup):
                 continue
-            if sb.permutation(a).cycle_type() != sb.permutation(b).cycle_type():
+            if cycle_lengths(a) != cycle_lengths(b):
                 continue
             orbit, _, start = walk(va)
             meets = vb in orbit[start:] or tau_form(vb) in orbit[start:]

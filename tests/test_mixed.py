@@ -1,9 +1,100 @@
+import contextlib
+import functools
+import io
+import os
 import random
 
 import pytest
 
 import snbraid as sb
+from snbraid import cli
 from conftest import project_oracle, random_kernel_word, random_mixed, random_word
+
+
+def _cli(*argv):
+    """Run the command line and raise what it printed after `error: `
+    as a ValueError, as the library entries raise; it must exit 1 and
+    print nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run([str(a) for a in argv])
+    text = err.getvalue()
+    assert (code, out.getvalue()) == (1, ""), text
+    assert text.startswith("error: ") and text.endswith("\n"), text
+    raise ValueError(text[len("error: "):-1])
+
+
+def _base(n):
+    return sb.BraidWord(max(n, 0), ())
+
+
+def _word(n, m):
+    return sb.BraidWord(max(n + m, 0), ())
+
+
+# Every public entry that takes the block sizes (n, m). Base words are on
+# max(n, 0) strands and words of B_{n,m} on max(n + m, 0), so that they
+# exist even where a size is negative.
+BLOCK_ENTRIES = {
+    "section": lambda n, m: sb.section(n, m, _base(n)),
+    "MixedBraid": lambda n, m: sb.MixedBraid(n, m, _word(n, m)),
+    "act": lambda n, m: sb.act(_base(n), _word(n, m), m),
+    "kernel_generators": sb.kernel_generators,
+    "SNInstance": lambda n, m: sb.SNInstance(n, m, _base(n), _word(n, m), _word(n, m)),
+    "partition_sn_classes": lambda n, m: sb.partition_sn_classes(
+        n, m, _base(n), [_word(n, m), _word(n, m)]
+    ),
+    "cli act": lambda n, m: _cli("act", "-n", n, "-m", m, "--beta", "", "--gamma", ""),
+    "cli sn": lambda n, m: _cli("sn", "-n", n, "-m", m, "--betaA", "", "--ox", "", "--oy", ""),
+    "cli sn-twisted": lambda n, m: _cli(
+        "sn-twisted", "-n", n, "-m", m, "--betaA", "", "--ox", "", "--oy", ""
+    ),
+    "cli partition": lambda n, m: _cli(
+        "partition", "-n", n, "-m", m, "--betaA", "", "--file", os.devnull
+    ),
+    "cli decompose": lambda n, m: _cli("decompose", "-n", n, "-m", m, ""),
+    "cli invariants": lambda n, m: _cli("invariants", "-n", n, "-m", m, ""),
+}
+
+NEGATIVE_SIZES = [(2, -1), (-1, 2), (0, -3), (-2, -1)]
+
+# Each row: a call at a boundary of its input, and its exact error.
+# `act` reads n off its base word, whose strand count is never negative.
+BOUNDARY = [
+    pytest.param(
+        functools.partial(call, n, m), f"bad block sizes ({n}, {m})", id=f"{name} ({n}, {m})"
+    )
+    for name, call in BLOCK_ENTRIES.items()
+    for n, m in NEGATIVE_SIZES
+    if n >= 0 or name != "act"
+] + [
+    pytest.param(
+        functools.partial(sb.kernel_generators, 0, 0), "bad block sizes (0, 0)",
+        id="kernel_generators (0, 0)",
+    ),
+    pytest.param(
+        functools.partial(sb.kernel_generators, 2, 0), "kernel generators need m >= 1",
+        id="kernel_generators (2, 0)",
+    ),
+] + [
+    pytest.param(
+        functools.partial(sb.delete_strand, sb.BraidWord(3, (1, 2)), start),
+        f"start {start} out of range for 3 strands",
+        id=f"delete_strand start {start}",
+    )
+    for start in (0, 4)
+]
+
+
+@pytest.mark.parametrize("call, message", BOUNDARY)
+def test_boundary_inputs_refused(call, message):
+    """Each boundary input is refused with its exact message. A negative
+    block size is refused as such, before any word on n + m strands is
+    read, and never as a kernel error."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+    assert not isinstance(exc.value, sb.KernelMembershipError)
 
 
 class TestValidation:
@@ -165,11 +256,13 @@ class TestKernel:
     @pytest.mark.parametrize("n,m", [(2, -1), (-1, 2)])
     def test_negative_block_size(self, n, m):
         # n + m strands exist, but a negative block has no kernel. `act`
-        # reads n off a base word, so only a negative m reaches its error.
+        # reads n off a base word, so only a negative m reaches it, and it
+        # refuses the block sizes before any kernel test.
         assert not sb.is_kernel(n, m, sb.BraidWord(1, ()))
         if n >= 0:
-            with pytest.raises(sb.KernelMembershipError):
+            with pytest.raises(ValueError, match=rf"^bad block sizes \({n}, {m}\)$") as exc:
                 sb.act(sb.BraidWord(n, ()), sb.BraidWord(1, ()), m)
+            assert not isinstance(exc.value, sb.KernelMembershipError)
 
     def test_generators_2_1(self):
         gens = sb.kernel_generators(2, 1)

@@ -326,9 +326,9 @@ class TestPermutations:
     def test_cycles_and_type(self):
         p = sb.permutation(sb.BraidWord(3, (1, 2)))
         assert p.cycles() == ((1, 3, 2),)
-        assert p.cycle_type() == (3,)
+        assert sorted(map(len, p.cycles())) == [3]
         q = sb.permutation(sb.BraidWord(3, (1,)))
-        assert q.cycle_type() == (1, 2)
+        assert sorted(map(len, q.cycles())) == [1, 2]
 
     def test_images_not_a_bijection(self):
         with pytest.raises(ValueError, match="not a bijection"):
@@ -339,14 +339,14 @@ class TestPermutations:
         if a.strands != b.strands:
             return
         # a happens first: the strand starting at i ends at b's image of a's.
-        pa, pb = sb.permutation(a), sb.permutation(b)
+        pa, pb = sb.permutation(a).images, sb.permutation(b).images
         lhs = sb.permutation(sb.compose(a, b))
-        assert lhs.images == tuple(pb(pa(i)) for i in range(1, a.strands + 1))
+        assert lhs.images == tuple(pb[pa[i - 1] - 1] for i in range(1, a.strands + 1))
 
     @given(words())
     def test_inverse_permutation(self, w):
-        p, q = sb.permutation(w), sb.permutation(sb.invert(w))
-        assert all(q(p(i)) == i for i in range(1, w.strands + 1))
+        p, q = sb.permutation(w).images, sb.permutation(sb.invert(w)).images
+        assert all(q[p[i - 1] - 1] == i for i in range(1, w.strands + 1))
 
 
 @given(words(), words())
