@@ -12,7 +12,8 @@ is stated once, in the docstring named here.
 
 Simple elements
 - ranks, rank order, the tables of B_n and when they are complete lists:
-  `_Simples`, made once per strand count by `_simples`
+  `_Simples`, made once per strand count by `_simples`; the four tables a
+  push reads, as one tuple: `_Simples.push`
 - left-weighting one pair: `_leftweight`; every pair of ranks in one pass:
   `_leftweight_table`; tau and the Delta-complement: `_tau`,
   `_delta_complement`
@@ -245,7 +246,11 @@ class _Simples:
     strands they are memo tables that fill as they are read, a
     left-weighting miss by `_leftweight` on the pair's permutations. Lists
     and memo tables are both read with `[]`, so the loops that read them do
-    not tell them apart.
+    not tell them apart. `push` holds the four tables a push reads, in
+    `_push`'s argument order: (count, delta, leftweight, tau's
+    `__getitem__`), count being n!. It is set once, after the choice
+    between lists and memo tables, so either regime sits behind it, and a
+    walk reads its tables with one attribute read and one unpack.
 
     The `letter` table, keyed by a letter k of B_n, gives the rank of the
     simple factor that stands for k in a canonical form and that of its
@@ -261,7 +266,8 @@ class _Simples:
     meets."""
 
     __slots__ = (
-        "count", "delta", "perm", "rank", "tau", "complement", "leftweight", "letter", "spelling"
+        "count", "delta", "perm", "rank", "tau", "complement", "leftweight", "push", "letter",
+        "spelling",
     )
 
     def __init__(self, n: int):
@@ -295,6 +301,7 @@ class _Simples:
                 return rank[lx], rank[ly]
 
             self.leftweight = _Memo(leftweight, _LEFTWEIGHTS, 1 << 20)
+        self.push = (count, self.delta, self.leftweight, self.tau.__getitem__)
 
         def sigma(i: int) -> Perm:
             return (*range(i - 1), i, i - 1, *range(i + 1, n))
@@ -333,9 +340,9 @@ def _push(
     written there in those coordinates, tau^t(f); a Delta a push makes is
     deleted and counted in t, and the part of the list that push wrote is
     re-twisted (see `_normalize`). Identity factors are skipped. `count`,
-    `delta`, `leftweight` and `tau` (a `__getitem__`) are the caller's
-    tables of `_Simples`, taken as arguments so that `_push` reads no
-    attribute. It is called once per normalization, once per right
+    `delta`, `leftweight` and `tau` (a `__getitem__`) are `_Simples.push`,
+    unpacked once by the caller and passed as arguments so that `_push`
+    reads no attribute. It is called once per normalization, once per right
     operand of `_product` and once per cycling step that has factors, not
     once per factor of a normalization. A cycling step, which pushes one
     factor and starts at t = 0, returns 1 exactly when its push made a
@@ -392,10 +399,9 @@ def _normalize(n: int, factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     at the front, which left-weighting never changes, stay there and are
     counted with the rest. Factors are ranks (see `_Simples`), so the
     identity is 0."""
-    simples = _simples(n)
-    delta, tau = simples.delta, simples.tau.__getitem__
+    count, delta, leftweight, tau = _simples(n).push
     out: list[int] = []
-    flips = _push(out, factors, 0, simples.count, delta, simples.leftweight, tau)
+    flips = _push(out, factors, 0, count, delta, leftweight, tau)
     if flips & 1:
         out = list(map(tau, out))
     lo = 0
@@ -555,9 +561,7 @@ def _product(*forms: CanonicalForm) -> CanonicalForm:
         if len(form.factors) > longest:
             pivot, longest = i, len(form.factors)
     n = forms[pivot].strands
-    simples = _simples(n)
-    count, delta, leftweight = simples.count, simples.delta, simples.leftweight
-    tau = simples.tau.__getitem__
+    count, delta, leftweight, tau = _simples(n).push
     out = list(forms[pivot].factors)
     # t and u count the Delta powers the factors pass on each side, as
     # Deltas of the operands or made by a push; they sum to the product's.
@@ -714,9 +718,7 @@ def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, list[int]]:
     the pass ends."""
     n = cf.strands
     bound = max(1, n * (n - 1) // 2)
-    simples = _simples(n)
-    count, delta, leftweight = simples.count, simples.delta, simples.leftweight
-    tau = simples.tau.__getitem__
+    count, delta, leftweight, tau = _simples(n).push
     v, g = cf, []
     for side in range(2):
         if v.factors:
@@ -760,9 +762,7 @@ def _cycling_orbit(
     already maximal, so it never runs that step; the step keeps the walk
     right on any form, which the tests check against a reference orbit."""
     n = v.strands
-    simples = _simples(n)
-    count, delta, leftweight = simples.count, simples.delta, simples.leftweight
-    tau = simples.tau.__getitem__
+    count, delta, leftweight, tau = _simples(n).push
     p, out = v.delta_power, list(v.factors)
     orbit = [v]
     steps: list[int] = []
@@ -860,11 +860,10 @@ class _ConjugacyRecord:
         # tau-images share strands and Delta power, and compare as their
         # factors do.
         (v, g), n = self.summit, self.cf.strands
-        simples = _simples(n)
-        tau = simples.tau.__getitem__
+        count, delta, leftweight, tau = _simples(n).push
         p, a, k = v.delta_power, v.factors, len(v.factors)
         twisted = tuple(map(tau, a))
-        if a and not _rigid(a[-1], (twisted if p & 1 else a)[0], simples.count, simples.leftweight):
+        if a and not _rigid(a[-1], (twisted if p & 1 else a)[0], count, leftweight):
             circuit, steps, g = self.circuit
             best = min(f for c in circuit for f in (c.factors, tuple(map(tau, c.factors))))
             anchor = circuit[0]._replace(factors=best)
@@ -882,7 +881,7 @@ class _ConjugacyRecord:
             if c < best:
                 best, end = c, ext[k : k + j]
             if image < best:
-                best, end = image, (*ext[k : k + j], simples.delta)
+                best, end = image, (*ext[k : k + j], delta)
         return CanonicalForm(n, p, best), [*g, *end]
 
 
@@ -1012,15 +1011,13 @@ def _circuit_meet(
     tau-match circuit[j] = Delta^-1 target Delta needs one more Delta, as
     Delta^2 is central. Every element found is an explicit conjugate of
     circuit[0], so a match is sound; a miss decides nothing."""
-    simples = _simples(target.strands)
-    target_tau = CanonicalForm(
-        target.strands, target.delta_power, tuple(map(simples.tau.__getitem__, target.factors))
-    )
+    _, delta, _, tau = _simples(target.strands).push
+    target_tau = CanonicalForm(target.strands, target.delta_power, tuple(map(tau, target.factors)))
     for j, v in enumerate(circuit):
         if v == target:
             return steps[:j]
         if v == target_tau:
-            return steps[:j] + [simples.delta]
+            return steps[:j] + [delta]
     return None
 
 

@@ -8,8 +8,10 @@ checkout:
     PYTHONPATH=src python tests/output_digest.py
 
 The final line it prints for the committed code is kept in
-tests/output_digest.sha256, and CI fails when they differ; a change that
-means to change outputs updates that file.
+tests/output_digest.sha256, and tier-1 fails when they differ
+(tests/test_outputs.py, which also runs the demos against
+demos/expected_output.txt); a change that means to change outputs updates
+that file.
 
 The corpus is built by the benchmark's seeded generators, perfbench/corpus.py,
 which is only imported, and by the generators below:
@@ -45,8 +47,7 @@ shows two branches that no input reaches, and none can:
 
 Orbit words that do not permute their block as one cycle warn with the path
 of the caller; those warnings are silenced, so the output does not depend on
-where the checkout lies. The file is not named test_*, so pytest does not
-collect it.
+where the checkout lies.
 """
 
 import hashlib
@@ -185,15 +186,22 @@ def appended():
             yield f"non-USS summit {n} {k}", sb.is_conjugate(a, b).to_json()
 
 
-def main():
+def lines():
+    """Yield every output line of the corpus, then the `sha256 ...` line
+    of all of them."""
     digest = hashlib.sha256()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for label, doc in outputs():
             line = f"{label} {json.dumps(doc, sort_keys=True)}"
-            print(line)
             digest.update(line.encode() + b"\n")
-    print(f"sha256 {digest.hexdigest()}")
+            yield line
+    yield f"sha256 {digest.hexdigest()}"
+
+
+def main():
+    for line in lines():
+        print(line)
 
 
 if __name__ == "__main__":

@@ -69,10 +69,14 @@ class CountedLookups(dict):
 
 
 def count_leftweight(monkeypatch, n):
-    """Route every left-weighting lookup on n strands through a counter."""
+    """Route every left-weighting lookup on n strands through a counter:
+    the table itself and the third slot of `push`, the tuple the walks
+    unpack, which holds the table it was made with."""
     simples = garside._simples(n)
     counted = CountedLookups(simples.leftweight)
+    count, delta, _, tau = simples.push
     monkeypatch.setattr(simples, "leftweight", counted)
+    monkeypatch.setattr(simples, "push", (count, delta, counted, tau))
     return counted
 
 
@@ -307,7 +311,7 @@ class TestProduct:
                     assert got == word_product([g, x, g_inv])
             return calls
 
-        assert lookups(80) <= 1.25 * lookups(10)
+        assert 0 < lookups(80) <= 1.25 * lookups(10)
 
 
 class TestOneRightPush:
@@ -620,7 +624,7 @@ class TestIncrementalNormalForm:
                 calls += counted.count - before
             return calls / (length * len(seeds))
 
-        assert calls_per_letter(3200, [20]) <= 1.5 * calls_per_letter(200, range(20, 36))
+        assert 0 < calls_per_letter(3200, [20]) <= 1.5 * calls_per_letter(200, range(20, 36))
 
     def test_no_quadratic_blow_up(self, monkeypatch):
         # A 1600-letter word on 5 strands: the fixpoint sweep makes about
@@ -629,7 +633,7 @@ class TestIncrementalNormalForm:
         w = sb.BraidWord(5, tuple(rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(1600)))
         counted = count_leftweight(monkeypatch, 5)
         canonical_form(w)
-        assert counted.count < 300_000
+        assert 0 < counted.count < 300_000
 
 
 class TestRankEncoding:
@@ -1688,7 +1692,7 @@ class TestFactorListConjugators:
             if pair is not None:
                 witness = garside._quotient(4, *pair).to_word()
                 assert witness.format() == doc["witness"]
-        assert len(walked) <= len(words)
+        assert 0 < len(walked) <= len(words)
         assert any(doc["conjugate"] for doc in expected.values())
         assert not all(doc["conjugate"] for doc in expected.values())
 
