@@ -696,19 +696,21 @@ def partition_sn_classes(
 
     Then, for every n, the pairs (i, j) of a bucket are decided in order
     with `sn_equivalent_rel_A` on the instance of their two records, i's as
-    beta_x. Pairs of indices are decided, not pairs of forms: once the
-    state budget runs out, the verdict of the bounded search can depend on
-    which orbit is beta_x. The one union-find holds the classes of all
-    buckets; a pair that equal forms, the key stage or Equivalent verdicts
-    have already put in one class is skipped, and Inconclusive pairs are
-    never merged. A class is named by its smallest index. Each form or key
-    merge is an equivalence, so the classes are those of deciding every
-    pair wherever that decides every pair it needs, and otherwise
-    coarser: the key stage can merge pairs whose shift misses and whose
-    search is Inconclusive. `unresolved` lists, sorted, the Inconclusive
-    pairs whose final classes differ: an Inconclusive pair that ends
-    inside one class is equivalent by transitivity through pairs with
-    witnesses or key merges, and is dropped."""
+    beta_x. Each ordered pair of records is decided once, and a later pair
+    of orbits of the same two forms, in the same order, reads its status:
+    the order is kept because, once the state budget runs out, the verdict
+    of the bounded search can depend on which record is beta_x. The one
+    union-find holds the classes of all buckets; a pair that equal forms,
+    the key stage or Equivalent verdicts have already put in one class is
+    skipped, and Inconclusive pairs are never merged. A class is named by
+    its smallest index. Each form or key merge is an equivalence, so the
+    classes are those of deciding every pair wherever that decides every
+    pair it needs, and otherwise coarser: the key stage can merge pairs
+    whose shift misses and whose search is Inconclusive. `unresolved`
+    lists, sorted, the Inconclusive pairs whose final classes differ: an
+    Inconclusive pair that ends inside one class is equivalent by
+    transitivity through pairs with witnesses or key merges, and is
+    dropped."""
     base = _base(n, m, beta_A)
     records = [_orbit(n, m, base, f"orbit {i}", w) for i, w in enumerate(orbits)]
     # The union-find: each index points towards the smallest index of its
@@ -716,7 +718,7 @@ def partition_sn_classes(
     # record it takes.
     first: dict[CanonicalForm, int] = {}
     parent = [first.setdefault(record.cf, i) for i, record in enumerate(records)]
-    records = [records[i] for i in parent]
+    records, forms = [records[i] for i in parent], parent[:]
     buckets: dict[tuple, list[int]] = {}
     for i, record in enumerate(records):
         key = tuple(getattr(record, name) for name in _SCREENS)
@@ -741,14 +743,18 @@ def partition_sn_classes(
             i = parent[i]
         return i
 
+    # The status of each ordered pair of records, by their forms' first
+    # orbits: a later orbit of one form repeats that decision.
+    statuses: dict[tuple[int, int], str] = {}
     inconclusive = []
     for bucket in buckets.values():
         for i, j in itertools.combinations(bucket, 2):
             ri, rj = find(i), find(j)
             if ri == rj:
                 continue
-            inst = SNInstance._of(n, m, beta_A, base, records[i], records[j])
-            status = sn_equivalent_rel_A(inst, budget).status
+            if (status := statuses.get((forms[i], forms[j]))) is None:
+                inst = SNInstance._of(n, m, beta_A, base, records[i], records[j])
+                status = statuses[forms[i], forms[j]] = sn_equivalent_rel_A(inst, budget).status
             if status == EQUIVALENT:
                 parent[max(ri, rj)] = min(ri, rj)
             elif status == INCONCLUSIVE:

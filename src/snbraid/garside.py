@@ -14,6 +14,8 @@ Simple elements
 - ranks, rank order, the tables of B_n and when they are complete lists:
   `_Simples`, made once per strand count by `_simples`; the four tables a
   push reads, as one tuple: `_Simples.push`
+- memo tables and the one entry bound of each kind, their families in
+  `_FAMILIES`: `_Memo`
 - left-weighting one pair: `_leftweight`; every pair of ranks in one pass:
   `_leftweight_table`; tau and the Delta-complement: `_tau`,
   `_delta_complement`
@@ -23,8 +25,9 @@ Normal forms
   `_push`, and why a push stops early: `_normalize`
 - a product of forms around its longest operand, with the left push of the
   first domino rule: `_product`
-- the inverse of a factor list: `_inverse`; a form as a word, a negative
-  Delta power spelled as a fraction: `CanonicalForm.to_word`
+- the inverse of a factor list: `_inverse`; a simple element as a word,
+  Delta too: `_perm_word`; a form as a word, by one rule for every sign
+  of its Delta power: `CanonicalForm.to_word`
 
 Conjugacy
 - the per-braid walks, kept as lazy attributes (`_lazy`), and the circuit
@@ -39,6 +42,7 @@ Conjugacy
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import math
@@ -139,16 +143,17 @@ def _unrank(n: int, r: int) -> Perm:
 class _Memo(dict):
     """A memo table: a hit is a plain dict lookup, done in C, and a miss
     computes the entry with `fill`. The tables of one kind, one per strand
-    count, share `family` and a bound on their entries together: a miss, or
-    a `store` from another table's fill, that finds the bound reached
-    empties them all first, so no input makes them grow without bound."""
+    count, share `family`, their list in `_FAMILIES`, and a bound on their
+    entries together: a miss, or a `store` from another table's fill, that
+    finds the bound reached empties them all first, so no input makes them
+    grow without bound."""
 
     __slots__ = ("fill", "family", "bound")
 
-    def __init__(self, fill, family: list, bound: int):
+    def __init__(self, fill, kind: str, bound: int):
         super().__init__()
-        self.fill, self.family, self.bound = fill, family, bound
-        family.append(self)
+        self.fill, self.family, self.bound = fill, _FAMILIES.setdefault(kind, []), bound
+        self.family.append(self)
 
     def __missing__(self, key):
         return self.store(key, self.fill(key))
@@ -170,13 +175,8 @@ class _Memo(dict):
 # from 6 strands on the tables fill as they are read.
 _FULL_TABLE_STRANDS = 5
 
-_PERMS: list[_Memo] = []
-_RANKS: list[_Memo] = []
-_TAUS: list[_Memo] = []
-_COMPLEMENTS: list[_Memo] = []
-_LEFTWEIGHTS: list[_Memo] = []
-_LETTERS: list[_Memo] = []
-_SPELLINGS: list[_Memo] = []
+# Each kind's memo tables, one per strand count (`_Memo`).
+_FAMILIES: dict[str, list[_Memo]] = {}
 
 
 def _leftweight_table(n: int, perm: _Memo, rank: _Memo) -> list[tuple[int, int]]:
@@ -261,9 +261,13 @@ class _Simples:
 
     The `spelling` table, keyed by rank, gives the positive word of the
     simple element, `_perm_word` of its permutation, as a tuple of
-    letters. It fills as it is read, so `CanonicalForm.to_word` sorts each
-    permutation into letters once per rank, not once per factor it
-    meets."""
+    letters; the rank n! - 1 gives Delta's. It fills as it is read, so
+    `CanonicalForm.to_word` sorts each permutation into letters once per
+    rank, not once per factor it meets.
+
+    Every table that fills as it is read is a `_Memo`, named by its
+    attribute as its kind, and shares that kind's entry bound with the
+    tables of the other strand counts, its family in `_FAMILIES`."""
 
     __slots__ = (
         "count", "delta", "perm", "rank", "tau", "complement", "leftweight", "push", "letter",
@@ -274,14 +278,14 @@ class _Simples:
         count = math.factorial(n)
         self.count = count
         self.delta = count - 1
-        perm = self.perm = _Memo(lambda r: _unrank(n, r), _PERMS, 1 << 18)
+        perm = self.perm = _Memo(lambda r: _unrank(n, r), "perm", 1 << 18)
 
         def ranked(p: Perm) -> int:
             r = _rank(p)
             perm.store(r, p)
             return r
 
-        rank = self.rank = _Memo(ranked, _RANKS, 1 << 18)
+        rank = self.rank = _Memo(ranked, "rank", 1 << 18)
 
         def on_perm(f):
             return lambda r: rank[f(perm[r])]
@@ -292,15 +296,15 @@ class _Simples:
             self.complement = list(map(on_perm(_delta_complement), ranks))
             self.leftweight = _leftweight_table(n, perm, rank)
         else:
-            self.tau = _Memo(on_perm(_tau), _TAUS, 1 << 18)
-            self.complement = _Memo(on_perm(_delta_complement), _COMPLEMENTS, 1 << 18)
+            self.tau = _Memo(on_perm(_tau), "tau", 1 << 18)
+            self.complement = _Memo(on_perm(_delta_complement), "complement", 1 << 18)
 
             def leftweight(key: int) -> tuple[int, int]:
                 x, y = divmod(key, count)
                 lx, ly = _leftweight(perm[x], perm[y])
                 return rank[lx], rank[ly]
 
-            self.leftweight = _Memo(leftweight, _LEFTWEIGHTS, 1 << 20)
+            self.leftweight = _Memo(leftweight, "leftweight", 1 << 20)
         self.push = (count, self.delta, self.leftweight, self.tau.__getitem__)
 
         def sigma(i: int) -> Perm:
@@ -318,10 +322,10 @@ class _Simples:
                 perm.store(r, p if k > 0 else p[::-1])
             return ranks
 
-        self.letter = _Memo(letter, _LETTERS, 1 << 18)
+        self.letter = _Memo(letter, "letter", 1 << 18)
         # A spelling has up to n(n-1)/2 letters, so this family holds fewer
         # entries than the others: all 40,320 ranks of 8 strands fit.
-        self.spelling = _Memo(lambda r: tuple(_perm_word(perm[r])), _SPELLINGS, 1 << 16)
+        self.spelling = _Memo(lambda r: tuple(_perm_word(perm[r])), "spelling", 1 << 16)
 
 
 @functools.lru_cache(maxsize=None)
@@ -436,20 +440,20 @@ def _inverse(simples: _Simples, factors: Sequence[int], p: int) -> tuple[int, ..
     return tuple(out)
 
 
-def _perm_word(p: Perm) -> list[int]:
-    """A positive word (1-based letters) whose permutation braid is p: the
-    swaps that sort p, each at the leftmost descent. A swap at i leaves no
-    descent left of i - 1, so the scan for the next one resumes there."""
-    q = list(p)
-    out = []
-    i = 0
-    while i < len(q) - 1:
-        if q[i] > q[i + 1]:
-            out.append(i + 1)
-            q[i], q[i + 1] = q[i + 1], q[i]
-            i = max(i - 1, 0)
-        else:
-            i += 1
+def _perm_word(p: Sequence[int]) -> list[int]:
+    """A positive word (1-based letters) whose permutation braid is p, by
+    insertion sort: each entry in turn moves left past the larger entries
+    before it, one swap and so one letter per entry passed, their number
+    read by `bisect` on the sorted prefix. This is the word of sorting by
+    swaps at the leftmost descent: while a prefix is sorted, the leftmost
+    descent is the one the next entry makes, and it stays that entry's
+    until the entry is in place. On the reversal the word is
+    (s1)(s2 s1)...(s_(n-1) ... s1), the spelling of Delta (`delta`)."""
+    seen, out = [], []
+    for i, v in enumerate(p):
+        j = bisect.bisect(seen, v)
+        seen.insert(j, v)
+        out.extend(range(i, j, -1))
     return out
 
 
@@ -491,27 +495,24 @@ class CanonicalForm(NamedTuple):
 
     def to_word(self) -> BraidWord:
         """The form spelled out, each factor's letters read from the
-        spelling table of `_Simples`, free-reduced. With p >= 0 it is the
-        letters of Delta, p times, then the factors'. With p < 0 it is a
-        fraction, so that few letters of Delta^-1 are spelled: with r
-        factors and j = min(-p, r),
-        Delta^p A_1 ... A_r = Delta^(p+j) P^-1 A_(j+1) ... A_r,
+        spelling table of `_Simples`, Delta among them as the factor of rank
+        n! - 1, free-reduced: one rule for every sign of p. With r factors,
+        j = min(-p, r) and q = -p - j for p < 0, and j = q = 0 otherwise, it
+        is the fraction
+        Delta^p A_1 ... A_r = (P Delta^q)^-1 Delta^max(p, 0) A_(j+1) ... A_r,
         where P = (Delta^-j A_1 ... A_j)^-1 is positive, its factors read
-        by `_inverse`. Only inverse letters come before A_(j+1), and none
-        of them cancels against it: P's first factor is A_j's right
-        complement, which starts with no letter A_(j+1) starts with, as
-        (A_j, A_(j+1)) is left-weighted."""
+        by `_inverse`, so that few letters of Delta^-1 are spelled. Only
+        inverse letters come before A_(j+1), and none of them cancels
+        against it: P's first factor is A_j's right complement, which
+        starts with no letter A_(j+1) starts with, as (A_j, A_(j+1)) is
+        left-weighted."""
         n, p, factors = self
-        spelling = _simples(n).spelling
-        if p >= 0:
-            letters = _delta_letters(n) * p
-            j = 0
-        else:
-            j = min(-p, len(factors))
-            letters = [-k for k in reversed(_delta_letters(n))] * (-p - j)
-            for f in reversed(_inverse(_simples(n), factors[:j], -j)):
-                letters.extend(-k for k in reversed(spelling[f]))
-        for f in factors[j:]:
+        simples = _simples(n)
+        spelling, delta = simples.spelling, simples.delta
+        j = max(min(-p, len(factors)), 0)
+        inverted = (*_inverse(simples, factors[:j], -j), *[delta] * (-p - j))
+        letters = [-k for f in reversed(inverted) for k in reversed(spelling[f])]
+        for f in (*[delta] * p, *factors[j:]):
             letters.extend(spelling[f])
         return _valid(n, tuple(letters))
 
@@ -599,14 +600,6 @@ def _product(*forms: CanonicalForm) -> CanonicalForm:
     return CanonicalForm(n, t + u, tuple(out))
 
 
-def _delta_letters(n: int) -> list[int]:
-    """Half twist as a word: (s1)(s2 s1)...(s_{n-1} ... s1)."""
-    out: list[int] = []
-    for i in range(1, n):
-        out.extend(range(i, 0, -1))
-    return out
-
-
 def canonical_form(a: BraidWord) -> CanonicalForm:
     """Left canonical form of a word; idempotent on its own spellings."""
     n = a.strands
@@ -637,7 +630,7 @@ def delta(n: int) -> BraidWord:
     """The positive half twist Delta_n."""
     if n < 2:
         raise ValueError("delta requires n >= 2")
-    return BraidWord(n, tuple(_delta_letters(n)))
+    return BraidWord(n, tuple(_perm_word(range(n - 1, -1, -1))))
 
 
 def full_twist(n: int) -> BraidWord:

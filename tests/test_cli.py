@@ -910,6 +910,68 @@ CONSOLE_PINS = [
 ]
 
 
+# The partition pins: each entry is (id, n, m, beta_A, the text of the
+# orbit file, its classes) of one `snbraid partition` run, whose whole JSON
+# output is the classes and no unresolved pair. `TestPartitionPins` runs
+# them through `cli.run`, and CI's partition step writes each file and runs
+# it through the installed `snbraid` script.
+PARTITION_PINS = [
+    # The README example plus a repeated orbit.
+    ("readme", 2, 1, "", "s2 s2\ns2 s1 s1 S2 s2 s2 s2 S1 S1 S2\ns2 s2 s2 s2\ns2 s2\n",
+     [[0, 1, 3], [2]]),
+    # The README list again, written with a UTF-8 byte order mark and CR LF
+    # line ends.
+    ("readme-bom-crlf", 2, 1, "",
+     "\ufeffs2 s2\r\ns2 s1 s1 S2 s2 s2 s2 S1 S1 S2\r\ns2 s2 s2 s2\r\ns2 s2\r\n",
+     [[0, 1, 3], [2]]),
+    # One list each over an odd (s1) and an even (s1 s1) exponent sum of
+    # beta_A.
+    ("betaA-s1", 2, 1, "s1",
+     "s2 s2\ns2 s2 s2 s2\nS1 s2 s2 s1\nS1 S2 S2 s1 s2 s2 s2 s2 s2 s2\n"
+     "S1 S2 S2 s1 s2 s2 s2 s2\nS1 s2 s2 s1 s2 s2\n",
+     [[0, 2, 4], [1, 3, 5]]),
+    ("betaA-s1s1", 2, 1, "s1 s1",
+     "s2 s2\ns2 s2 s2 s2\nS1 S1 s2 s2 s1 s1\nS1 S1 S2 S2 s1 s1 s2 s2 s2 s2 s2 s2\n"
+     "S1 S1 S2 S2 s1 s1 s2 s2 s2 s2\nS1 S1 s2 s2 s1 s1 s2 s2\n",
+     [[0, 2, 4], [1, 3, 5]]),
+    # Over beta_A s1, anchor keys merge a one-factor rigid summit with odd
+    # Delta power by its tau-image, and a bare Delta power, read off their
+    # factors with no circuit walk.
+    ("betaA-s1-rigid", 2, 1, "s1",
+     "s2 s1 s1 S2 s2 s1 s1 S2\ns2 s2\nS1 s2 s1 s1 S2 s1 s2 s1 s1 S2\nS2 S2\n"
+     "S1 s2 s2 s1\nS1 S2 S2 s1\n",
+     [[0, 2], [1, 4], [3, 5]]),
+    # n = 1 and n = 0, whose anchor keys merge every pair, three of them by
+    # tau-image anchors.
+    ("n1", 1, 2, "",
+     "s2\ns1 s1 s2\ns2 s1 s1\nS1 S1 s2 s1 s1\ns2 s2 s2\ns1 s1 s2 S1 S1\n"
+     "S2 s1 s1 s2 s2\ns2 S1 S1\n",
+     [[0, 3, 5], [1, 2, 6], [4], [7]]),
+    ("n0", 0, 3, "",
+     "s1 s2\ns2 s1\ns1 s1 s1 s2\ns2 s2 s2 s1\nS1 s2\ns1 s2 s1 s1 S1 S1\n"
+     "s1 s2 s1 s2\ns2 s1 s2 s1\n",
+     [[0, 1, 5], [2, 3, 6, 7], [4]]),
+]
+
+
+class TestPartitionPins:
+    """Every entry of `PARTITION_PINS`, its text written to a file as
+    UTF-8, through `cli.run` with no flag, `--workers 1` and `--workers 4`:
+    the exit code and the whole JSON."""
+
+    @pytest.mark.parametrize(
+        "n, m, beta_A, text, classes",
+        [pytest.param(*pin, id=pin_id) for pin_id, *pin in PARTITION_PINS],
+    )
+    @pytest.mark.parametrize("flags", [[], ["--workers", "1"], ["--workers", "4"]],
+                             ids=["plain", "workers-1", "workers-4"])
+    def test_pin(self, capsys, tmp_path, n, m, beta_A, text, classes, flags):
+        f = tmp_path / "orbits.txt"
+        f.write_bytes(text.encode("utf-8"))
+        argv = ["partition", "-n", str(n), "-m", str(m), "--betaA", beta_A, "--file", str(f)]
+        assert run_json(capsys, argv + flags) == {"classes": classes, "unresolved": []}
+
+
 class TestConsolePins:
     """Every entry of `CONSOLE_PINS`, run as `python -m snbraid.cli` in a
     fresh process, so that every rank table starts cold: the exit code and

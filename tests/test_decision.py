@@ -1039,6 +1039,37 @@ class TestPartition:
         with pytest.raises(sb.KernelMembershipError, match="5 strands, expected 3"):
             sb.partition_sn_classes(2, 1, sb.BraidWord(2, (1,)), [sb.BraidWord(5, ())])
 
+    @pytest.mark.parametrize(
+        "n, beta_A, a, b, budget, expected",
+        [
+            # NotEquivalent: the pair (0, 2) repeats (0, 1)'s decision.
+            (3, "s1 S2", "S3 S3 s3 s2 s1 s1 S2 S3 S3 S3",
+             "s3 s2 S1 S1 S2 S3 s3 s2 S1 S1 S2 S3 s3 s3", sb.Budget(1, 50),
+             sb.PartitionResult(((0,), (1, 2)), ())),
+            # Inconclusive: a repeat would run the search to exhaustion again.
+            (2, "", A2.format(), DEEP.format(), sb.Budget(max_length=1, max_states=500),
+             sb.PartitionResult(((0,), (1, 2)), ((0, 1), (0, 2)))),
+        ],
+        ids=["not-equivalent", "inconclusive"],
+    )
+    def test_each_pair_of_records_decided_once(self, monkeypatch, n, beta_A, a, b, budget,
+                                               expected):
+        """Orbits 1 and 2 are two words of one form, so they share a record,
+        and the pair (0, 2) is the pair (0, 1) of records again: it reads
+        that decision's status and is not decided a second time."""
+        a, b = sb.BraidWord.parse(n + 1, a), sb.BraidWord.parse(n + 1, b)
+        loop = sb.kernel_generators(n, 1)[0]
+        calls = []
+        decide = sb.decision.sn_equivalent_rel_A
+        monkeypatch.setattr(
+            sb.decision, "sn_equivalent_rel_A",
+            lambda inst, budget: calls.append(inst) or decide(inst, budget),
+        )
+        orbits = [a, b, b * loop * sb.invert(loop)]
+        res = sb.partition_sn_classes(n, 1, sb.BraidWord.parse(n, beta_A), orbits, budget)
+        assert res == expected
+        assert 0 < len(calls) == 1
+
     def test_buckets_share_one_union_find(self):
         """Six buckets, each a core and three kernel conjugates of it: the
         one union-find gives six classes and no unresolved pair."""

@@ -50,6 +50,32 @@ def then(p, q):
     return tuple(q[v] for v in p)
 
 
+def bubble_perm_word(p):
+    """The spelling of a permutation braid as the swaps that sort p, each
+    at the leftmost descent, the scan resuming one position left of a
+    swap: the reference `garside._perm_word` must equal."""
+    q = list(p)
+    out = []
+    i = 0
+    while i < len(q) - 1:
+        if q[i] > q[i + 1]:
+            out.append(i + 1)
+            q[i], q[i + 1] = q[i + 1], q[i]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return out
+
+
+def delta_letters(n):
+    """The half twist as the word (s1)(s2 s1)...(s_(n-1) ... s1): the
+    reference `garside.delta` must equal."""
+    out = []
+    for i in range(1, n):
+        out.extend(range(i, 0, -1))
+    return out
+
+
 def normalize_perms(n, factors):
     """garside._normalize on factors given and returned as permutations."""
     shift, fs = garside._normalize(n, ranks(factors))
@@ -706,8 +732,7 @@ class TestRankEncoding:
         """Above _FULL_TABLE_STRANDS strands the left-weighting table is a
         memo table: each new pair runs `_leftweight` on its permutations
         once, and a key already read runs nothing."""
-        for name in ("_PERMS", "_RANKS", "_TAUS", "_COMPLEMENTS", "_LEFTWEIGHTS", "_LETTERS"):
-            monkeypatch.setattr(garside, name, [])
+        monkeypatch.setattr(garside, "_FAMILIES", {})
         calls = []
         leftweight = garside._leftweight
         monkeypatch.setattr(
@@ -917,6 +942,27 @@ class TestRankEncoding:
             cases.append(tuple(p))
         for p in cases:
             assert garside._perm_word(p) == rescanning(p)
+
+    def test_perm_word_is_the_bubble_sort(self):
+        """`_perm_word`, an insertion sort, spells the word of the bubble
+        sort at the leftmost descent on every permutation of up to 7
+        strands and on 1000 seeded random ones of up to 300."""
+        cases = [p for n in range(8) for p in itertools.permutations(range(n))]
+        rng = random.Random(50)
+        for _ in range(1000):
+            p = list(range(rng.randint(8, 300)))
+            rng.shuffle(p)
+            cases.append(tuple(p))
+        for p in cases:
+            assert garside._perm_word(p) == bubble_perm_word(p), p
+
+    def test_delta_is_the_half_twist_spelling(self):
+        """`delta(n)`, the spelling of the reversal, is (s1)(s2 s1)... on up
+        to 12 strands, and so is the spelling-table entry of rank n! - 1."""
+        for n in range(2, 13):
+            assert sb.delta(n).letters == tuple(delta_letters(n)), n
+            simples = garside._simples(n)
+            assert simples.spelling[simples.delta] == tuple(delta_letters(n)), n
 
 
 class TestWordProblem:
@@ -2141,10 +2187,10 @@ class TestFractionSpelling:
     @staticmethod
     def delta_spelling(cf):
         n, p, factors = cf
-        delta = garside._delta_letters(n)
+        delta = delta_letters(n)
         letters = delta * p if p >= 0 else [-k for k in reversed(delta)] * -p
         for f in factors:
-            letters += garside._perm_word(garside._unrank(n, f))
+            letters += bubble_perm_word(garside._unrank(n, f))
         return sb.BraidWord(n, tuple(letters))
 
     def test_same_braid_as_the_delta_spelling(self):
