@@ -338,7 +338,11 @@ def _screen_invariants(inst: SNInstance) -> Certificate | None:
     return None
 
 
-@functools.lru_cache(maxsize=None)
+# Each alphabet holds canonical forms on n + m strands, so those of at most
+# eight shapes are kept, as `garside._simples` keeps the tables of at most
+# eight strand counts; the search reads it once per decision, so a bounded
+# cache's reordering on a hit costs nothing there.
+@functools.lru_cache(maxsize=8)
 def _kernel_alphabet(n: int, m: int) -> tuple[dict[int, tuple[int, ...]], tuple, tuple]:
     """The letters of the kernel search for (n, m): each standard kernel
     generator i and its inverse are letters i + 1 and -(i + 1). Returns the

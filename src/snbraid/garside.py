@@ -12,10 +12,10 @@ is stated once, in the docstring named here.
 
 Simple elements
 - ranks, rank order, the tables of B_n and when they are complete lists:
-  `_Simples`, made once per strand count by `_simples`; the four tables a
-  push reads, as one tuple: `_Simples.push`
-- memo tables and the one entry bound of each kind, their families in
-  `_FAMILIES`: `_Memo`
+  `_Simples`; the four tables a push reads, as one tuple: `_Simples.push`
+- memo tables, each bounding its own entries: `_Memo`; the tables of at
+  most _KEPT_STRANDS strand counts, made on first use: `_simples`, and
+  those of up to _FULL_TABLE_STRANDS strands for good: `_full_simples`
 - left-weighting one pair: `_leftweight`; every pair of ranks in one pass:
   `_leftweight_table`; tau and the Delta-complement: `_tau`,
   `_delta_complement`
@@ -142,26 +142,23 @@ def _unrank(n: int, r: int) -> Perm:
 
 class _Memo(dict):
     """A memo table: a hit is a plain dict lookup, done in C, and a miss
-    computes the entry with `fill`. The tables of one kind, one per strand
-    count, share `family`, their list in `_FAMILIES`, and a bound on their
-    entries together: a miss, or a `store` from another table's fill, that
-    finds the bound reached empties them all first, so no input makes them
-    grow without bound."""
+    computes the entry with `fill`. A miss, or a `store` from another
+    table's fill, that finds `bound` entries here empties this table first,
+    so no input makes it grow without bound, and a miss costs O(1). It
+    lives as long as the `_Simples` that holds it (`_simples`)."""
 
-    __slots__ = ("fill", "family", "bound")
+    __slots__ = ("fill", "bound")
 
-    def __init__(self, fill, kind: str, bound: int):
+    def __init__(self, fill, bound: int):
         super().__init__()
-        self.fill, self.family, self.bound = fill, _FAMILIES.setdefault(kind, []), bound
-        self.family.append(self)
+        self.fill, self.bound = fill, bound
 
     def __missing__(self, key):
         return self.store(key, self.fill(key))
 
     def store(self, key, value):
-        if sum(map(len, self.family)) >= self.bound:
-            for table in self.family:
-                table.clear()
+        if len(self) >= self.bound:
+            self.clear()
         self[key] = value
         return value
 
@@ -174,9 +171,6 @@ class _Memo(dict):
 # table would hold 518,400 pairs, more than most processes ever read, so
 # from 6 strands on the tables fill as they are read.
 _FULL_TABLE_STRANDS = 5
-
-# Each kind's memo tables, one per strand count (`_Memo`).
-_FAMILIES: dict[str, list[_Memo]] = {}
 
 
 def _leftweight_table(n: int, perm: _Memo, rank: _Memo) -> list[tuple[int, int]]:
@@ -256,8 +250,8 @@ class _Simples:
     simple factor that stands for k in a canonical form and that of its
     tau-image: sigma_i itself for k = i, and Delta sigma_i^-1 for k = -i,
     since sigma_i^-1 = Delta^-1 (Delta sigma_i^-1). It fills one letter at
-    a time from two factorials, with no permutation ranked, and stores the
-    two permutations, built in O(n), in `perm`.
+    a time from i! and (n - i)!, with no permutation ranked, and stores
+    the two permutations, built in O(n), in `perm`.
 
     The `spelling` table, keyed by rank, gives the positive word of the
     simple element, `_perm_word` of its permutation, as a tuple of
@@ -265,9 +259,11 @@ class _Simples:
     `CanonicalForm.to_word` sorts each permutation into letters once per
     rank, not once per factor it meets.
 
-    Every table that fills as it is read is a `_Memo`, named by its
-    attribute as its kind, and shares that kind's entry bound with the
-    tables of the other strand counts, its family in `_FAMILIES`."""
+    Every table that fills as it is read is a `_Memo` with its own entry
+    bound. The tables of at most _KEPT_STRANDS strand counts above
+    _FULL_TABLE_STRANDS are kept (`_simples`), so those of one kind there
+    hold at most that many times their bound together; up to that, a
+    table holds at most n! entries."""
 
     __slots__ = (
         "count", "delta", "perm", "rank", "tau", "complement", "leftweight", "push", "letter",
@@ -278,14 +274,14 @@ class _Simples:
         count = math.factorial(n)
         self.count = count
         self.delta = count - 1
-        perm = self.perm = _Memo(lambda r: _unrank(n, r), "perm", 1 << 18)
+        perm = self.perm = _Memo(lambda r: _unrank(n, r), 1 << 16)
 
         def ranked(p: Perm) -> int:
             r = _rank(p)
             perm.store(r, p)
             return r
 
-        rank = self.rank = _Memo(ranked, "rank", 1 << 18)
+        rank = self.rank = _Memo(ranked, 1 << 16)
 
         def on_perm(f):
             return lambda r: rank[f(perm[r])]
@@ -296,15 +292,15 @@ class _Simples:
             self.complement = list(map(on_perm(_delta_complement), ranks))
             self.leftweight = _leftweight_table(n, perm, rank)
         else:
-            self.tau = _Memo(on_perm(_tau), "tau", 1 << 18)
-            self.complement = _Memo(on_perm(_delta_complement), "complement", 1 << 18)
+            self.tau = _Memo(on_perm(_tau), 1 << 16)
+            self.complement = _Memo(on_perm(_delta_complement), 1 << 16)
 
             def leftweight(key: int) -> tuple[int, int]:
                 x, y = divmod(key, count)
                 lx, ly = _leftweight(perm[x], perm[y])
                 return rank[lx], rank[ly]
 
-            self.leftweight = _Memo(leftweight, "leftweight", 1 << 20)
+            self.leftweight = _Memo(leftweight, 1 << 18)
         self.push = (count, self.delta, self.leftweight, self.tau.__getitem__)
 
         def sigma(i: int) -> Perm:
@@ -314,24 +310,47 @@ class _Simples:
             # sigma_i swaps positions i - 1 and i, so its rank is (n - i)!,
             # and tau(sigma_i) = sigma_(n-i). Delta sigma_i^-1 is sigma_i
             # reversed: tau(sigma_i) with each value v replaced by n - 1 - v,
-            # which turns a rank r into n! - 1 - r.
-            i = abs(k)
-            head, tail = math.factorial(n - i), math.factorial(i)
+            # which turns a rank r into n! - 1 - r. Of i! and (n - i)!, the
+            # larger is (n - j)! for the shorter side j, read off n! as
+            # n! / (n!/(n - j)!) rather than computed as a second factorial;
+            # head, (n - i)!, is the larger when 2i <= n.
+            j = min(i := abs(k), n - i)
+            head, tail = sorted((math.factorial(j), count // math.perm(n, j)), reverse=2 * i <= n)
             ranks = (head, tail) if k > 0 else (self.delta - tail, self.delta - head)
             for r, p in zip(ranks, (sigma(i), sigma(n - i))):
                 perm.store(r, p if k > 0 else p[::-1])
             return ranks
 
-        self.letter = _Memo(letter, "letter", 1 << 18)
-        # A spelling has up to n(n-1)/2 letters, so this family holds fewer
-        # entries than the others: all 40,320 ranks of 8 strands fit.
-        self.spelling = _Memo(lambda r: tuple(_perm_word(perm[r])), "spelling", 1 << 16)
+        self.letter = _Memo(letter, 1 << 16)
+        # A spelling has up to n(n-1)/2 letters, so this table holds fewer
+        # entries than the others: all 5,040 ranks of 7 strands fit.
+        self.spelling = _Memo(lambda r: tuple(_perm_word(perm[r])), 1 << 14)
+
+
+# `_simples` keeps the tables of at most this many strand counts.
+_KEPT_STRANDS = 8
+
+# The tables of at most _FULL_TABLE_STRANDS strands, kept for the whole
+# process: they are few and small, and their complete lists are the costly
+# ones to make again.
+_full_simples = functools.cache(_Simples)
 
 
 @functools.lru_cache(maxsize=None)
 def _simples(n: int) -> _Simples:
-    """The rank tables of B_n, made on first use."""
-    return _Simples(n)
+    """The rank tables of B_n, made on first use and kept. Before it makes
+    the tables of a strand count it does not hold, it empties itself if it
+    holds those of _KEPT_STRANDS strand counts already, so the tables of at
+    most that many are kept and each `_Memo` is freed with its `_Simples`;
+    those of up to _FULL_TABLE_STRANDS strands come back from
+    `_full_simples`, not made again. Forms, records and anchors hold ranks,
+    never tables, so a table made again fills again with the same values.
+    An unbounded cache with this reset, not a bounded one: a bounded
+    `lru_cache` reorders its entries on every hit, and every walk starts
+    with a hit here."""
+    if _simples.cache_info().currsize >= _KEPT_STRANDS:
+        _simples.cache_clear()
+    return (_full_simples if n <= _FULL_TABLE_STRANDS else _Simples)(n)
 
 
 def _push(

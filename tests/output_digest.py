@@ -50,6 +50,7 @@ of the caller; those warnings are silenced, so the output does not depend on
 where the checkout lies.
 """
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -92,7 +93,13 @@ NON_USS_SUMMITS = (
 def larger_shape(seed, per_shape):
     """per_shape instances of each of LARGER_SHAPES, as corpus.decide_mix
     writes them; every beta_ox is a conjugate of beta_oy's mixed braid by a
-    braid outside the kernel, so many are Inconclusive at small budgets."""
+    braid outside the kernel, so many are Inconclusive at small budgets.
+
+    Each also holds, under "witness", a kernel conjugator known by
+    construction. With beta_y = beta_A oy, beta_ox is written so that
+    beta_x = beta_A ox = g beta_y g^-1 for g = beta_A^k h, h a kernel
+    letter; then c = g beta_y^-k projects to beta_A^k beta_A^-k = 1, and
+    c beta_y c^-1 = g beta_y g^-1 = beta_x."""
     rng = random.Random(seed)
     for n, m in LARGER_SHAPES:
         gens = O.kernel_generators(n, m)
@@ -103,7 +110,12 @@ def larger_shape(seed, per_shape):
             k = rng.choice((1, -1, 2))
             g = (beta_a * k if k > 0 else O.inverse(beta_a) * -k) + rng.choice(letters)
             ox = O.free_reduce(O.inverse(beta_a) + g + beta_a + oy + O.inverse(g))
-            yield {"n": n, "m": m, "beta_A": O.fmt(beta_a), "ox": O.fmt(ox), "oy": O.fmt(oy)}
+            beta_y = beta_a + oy
+            c = O.free_reduce(g + (O.inverse(beta_y) * k if k > 0 else beta_y * -k))
+            yield {
+                "n": n, "m": m, "beta_A": O.fmt(beta_a), "ox": O.fmt(ox), "oy": O.fmt(oy),
+                "witness": O.fmt(c),
+            }
 
 
 def partition_list(rng, n, m):
@@ -160,14 +172,24 @@ def outputs():
     yield from appended()
 
 
+@functools.cache
+def larger_shape_verdicts():
+    """(i, instance, budget, formulation, verdict) for every decision of
+    the larger-shape probe at LARGER_BUDGETS, in digest order, decided once
+    per process: the digest and tests/test_ledger.py read the same ones."""
+    return [
+        (i, inst, budget, decide, decide(instance(inst), budget))
+        for i, inst in enumerate(larger_shape(5, 24))
+        for budget in LARGER_BUDGETS
+        for decide in FORMULATIONS
+    ]
+
+
 def appended():
     """The outputs after the first 9828, each a path the lines above do not
     reach."""
-    for i, inst in enumerate(map(instance, larger_shape(5, 24))):
-        for budget in LARGER_BUDGETS:
-            for decide in FORMULATIONS:
-                label = f"larger-shape 5 {i} {decide.__name__} {budget}"
-                yield label, decide(inst, budget).to_json()
+    for i, _, budget, decide, verdict in larger_shape_verdicts():
+        yield f"larger-shape 5 {i} {decide.__name__} {budget}", verdict.to_json()
     for shapes, label in ((REPEATED_SHAPES, "repeated-forms"), (WALKED_SHAPES, "walked-anchors")):
         for seed in range(4):
             for n, m in shapes:

@@ -399,6 +399,15 @@ class TestMeetInTheMiddle:
                     assert reports[0].max_length_tried == budget.max_length
         assert searched >= 120
 
+    def test_alphabets_of_at_most_eight_shapes_kept(self):
+        """The search's alphabet is kept for at most eight shapes (n, m),
+        and one made again after twelve other shapes is the same."""
+        first = sb.decision._kernel_alphabet(1, 1)
+        for n, m in itertools.product(range(2, 6), range(1, 4)):
+            sb.decision._kernel_alphabet(n, m)
+        assert sb.decision._kernel_alphabet.cache_info().currsize <= 8
+        assert sb.decision._kernel_alphabet(1, 1) == first
+
 
 class TestFreeKernelStates:
     """For m = 1 the kernel search's states are reduced words of the free

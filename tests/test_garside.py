@@ -1,7 +1,9 @@
 import functools
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -732,7 +734,6 @@ class TestRankEncoding:
         """Above _FULL_TABLE_STRANDS strands the left-weighting table is a
         memo table: each new pair runs `_leftweight` on its permutations
         once, and a key already read runs nothing."""
-        monkeypatch.setattr(garside, "_FAMILIES", {})
         calls = []
         leftweight = garside._leftweight
         monkeypatch.setattr(
@@ -797,6 +798,24 @@ class TestRankEncoding:
         for n, k in cases:
             assert garside._simples(n).letter[k] == ranked(n, k), (n, k)
 
+    def test_letter_ranks_take_one_large_factorial(self, monkeypatch):
+        """The letter table's ranks are (n - i)! and i! for sigma_i, and
+        n! - 1 less them for its inverse, on every letter below 40 strands;
+        sigma_1 on 5000 strands computes one factorial of 1000 or more, n!,
+        and reads (n - 1)! off it."""
+        for n in range(2, 40):
+            simples = garside._Simples(n)
+            for i in range(1, n):
+                head, tail = math.factorial(n - i), math.factorial(i)
+                assert simples.letter[i] == (head, tail), (n, i)
+                assert simples.letter[-i] == (simples.delta - tail, simples.delta - head), (n, i)
+        calls = []
+        factorial = math.factorial
+        monkeypatch.setattr(math, "factorial", lambda k: calls.append(k) or factorial(k))
+        garside._simples.cache_clear()
+        assert canonical_form(sb.BraidWord(5000, (1,))).factors == (factorial(4999),)
+        assert [k for k in calls if k >= 1000] == [5000]
+
     def test_one_strand(self):
         """On one strand the identity and Delta are both rank 0."""
         e = CanonicalForm(1, 0, ())
@@ -836,9 +855,9 @@ class TestRankEncoding:
 
     def test_tables_stay_bounded(self, monkeypatch):
         """A long word on 12 strands misses the tables on nearly every
-        lookup; with the bounds cut to 100 entries per kind, each kind of
-        table stays within it, and the form and its inverse are the same as
-        with the full bounds."""
+        lookup; with each table's bound cut to 100 entries, each table
+        stays within it, and the form and its inverse are the same as with
+        the full bounds."""
         n = 12
         w = seeded_word(n, 26, 1500)
 
@@ -849,37 +868,82 @@ class TestRankEncoding:
         expected = forms()
         simples = garside._simples(n)
         tables = (simples.perm, simples.rank, simples.tau, simples.complement, simples.leftweight)
-        assert [t.bound for t in tables] == [1 << 18] * 4 + [1 << 20]
-        # Every kind fills past 100 entries, so the bounded run empties each.
+        assert [t.bound for t in tables] == [1 << 16] * 4 + [1 << 18]
+        # Every table fills past 100 entries, so the bounded run empties each.
         assert min(map(len, tables)) > 100
         for table in tables:
-            for member in table.family:
-                member.clear()
+            table.clear()
             monkeypatch.setattr(table, "bound", 100)
         assert forms() == expected
         for table in tables:
-            assert sum(map(len, table.family)) <= 100
-        assert sum(map(len, simples.leftweight.family)) > 0
+            assert len(table) <= 100
+        assert len(simples.leftweight) > 0
 
     def test_letter_table_fills_per_letter(self, monkeypatch):
         """A one-letter word on 300 strands ranks that letter alone, not all
-        598; with the family's bound cut to 3 entries, a word of six letters
+        598; with the table's bound cut to 3 entries, a word of six letters
         keeps the table within it and gets the same form."""
         n = 300
         letters = garside._simples(n).letter
-        assert letters.bound == 1 << 18
-        for member in letters.family:
-            member.clear()
+        assert letters.bound == 1 << 16
+        letters.clear()
         cf = canonical_form(sb.BraidWord(n, (150,)))
         assert list(letters) == [150]
         assert cf.to_json()["factors"] == [[*range(1, 150), 151, 150, *range(152, n + 1)]]
         w = sb.BraidWord(n, (1, -2, 299, -299, 150, 3))
         expected = canonical_form(w)
-        for member in letters.family:
-            member.clear()
+        letters.clear()
         monkeypatch.setattr(letters, "bound", 3)
         assert canonical_form(w) == expected
-        assert 0 < sum(map(len, letters.family)) <= 3
+        assert 0 < len(letters) <= 3
+
+    def test_strand_sweep_holds_bounded_memory(self):
+        """One normal form on each of 392 strand counts keeps the tables of
+        at most 8 of them: under 1 MB stays held after the sweep, where
+        keeping every strand count's tables held about 7 MB."""
+        tracemalloc.start()
+        try:
+            gc.collect()
+            start = tracemalloc.get_traced_memory()[0]
+            for n in range(8, 400):
+                canonical_form(sb.BraidWord(n, (1, 2)))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
+        assert garside._simples.cache_info().currsize <= 8
+
+    def test_forms_read_alike_when_tables_are_made_again(self, monkeypatch):
+        """Forms of 5 and 8 strands give the same JSON, words, inverses and
+        conjugacy results before and after a sweep over nine other strand
+        counts empties `_simples`, so that the 8-strand tables are made
+        again; the complete 5-strand tables are kept, and no left-weighting
+        table is built again."""
+
+        def readings():
+            out = []
+            for n in (5, 8):
+                w, g = seeded_word(n, 50 + n, 24), seeded_word(n, 60 + n, 3)
+                cf = canonical_form(w)
+                conjugate = sb.free_reduce(sb.compose(sb.compose(g, w), sb.invert(g)))
+                result = sb.is_conjugate(conjugate, w)
+                assert result.conjugate
+                out.append((cf.to_json(), cf.to_word(), cf.inv(), result.to_json()))
+            return out
+
+        before = readings()
+        tables = garside._simples(5), garside._simples(8)
+        built = []
+        table = garside._leftweight_table
+        monkeypatch.setattr(
+            garside, "_leftweight_table", lambda n, *rest: built.append(n) or table(n, *rest)
+        )
+        for n in range(20, 29):
+            canonical_form(sb.BraidWord(n, (1, 2)))
+        assert garside._simples(5) is tables[0] and garside._simples(8) is not tables[1]
+        assert readings() == before
+        assert built == []
 
     def test_spelling_table_matches_perm_word(self):
         """`to_word` reads each factor's letters from the spelling table,
@@ -897,22 +961,21 @@ class TestRankEncoding:
                     assert CanonicalForm(n, 0, (r,)).to_word().letters == expected
 
     def test_spelling_table_stays_bounded(self, monkeypatch):
-        """A store that finds the family's bound reached empties the family
+        """A store that finds the table's bound reached empties the table
         first, and the words read back are the same."""
         n = 5
         spelling = garside._simples(n).spelling
-        assert spelling.bound == 1 << 16
+        assert spelling.bound == 1 << 14
         forms = [canonical_form(seeded_word(n, 40 + i, 30)) for i in range(6)]
         expected = [cf.to_word() for cf in forms]
-        for member in spelling.family:
-            member.clear()
+        spelling.clear()
         monkeypatch.setattr(spelling, "bound", 4)
         for r in range(1, 5):
             spelling[r]
         spelling[5]
-        assert list(spelling) == [5] and sum(map(len, spelling.family)) == 1
+        assert list(spelling) == [5]
         assert [cf.to_word() for cf in forms] == expected
-        assert sum(map(len, spelling.family)) <= 4
+        assert len(spelling) <= 4
 
     def test_perm_word_sorts_by_the_leftmost_descent(self):
         """`_perm_word` spells the same word as swapping the leftmost
