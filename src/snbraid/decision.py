@@ -18,7 +18,8 @@ Records
 - the twisted-conjugacy formulation, and why it runs the same decision:
   `sn_equivalent_twisted`
 
-One decision, `_decide`: its stages, cheapest first, and its one `accept`
+One decision, `_decide`: its stages, cheapest first, each returning its
+own verdict or None to go on, and its one `accept`
 - the two screens, and why no other invariant is screened:
   `_screen_invariants`
 - the ambient test on the two records: `garside._conjugacy`
@@ -308,33 +309,36 @@ def braid_type_equal(a: BraidWord, b: BraidWord) -> ConjugacyResult:
 _SCREENS = ("exponent_sum", "linking_matrix")
 
 
-def _screen_invariants(inst: SNInstance) -> Certificate | None:
+def _screen_invariants(inst: SNInstance) -> SNVerdict | None:
     """Compare the screened invariants of the two orbits (`_SCREENS`) in
     turn: the exponent sum of w, then the linking matrix of the mixed braid
-    section(beta_A) * w. The first mismatch is a certificate, and no later
-    invariant is computed.
+    section(beta_A) * w. The first mismatch is NotEquivalent with it as the
+    certificate, and no later invariant is computed; None when every screen
+    agrees.
 
     The Burau characteristic polynomial of the whole mixed braid is not
     screened: it is an invariant of conjugacy in the ambient B_{n+m}, so
     every pair it separates is also rejected by the ambient conjugacy
     test that follows, and screening it cannot change a verdict.
 
-    Nor is the per-block cycle type (`invariants.cycle_type`): equal
-    linking matrices imply equal cycle types. The lift section(beta_A)
-    fixes every orbit strand and w, a kernel element, every puncture, so
-    the puncture-block cycles of both braids are those of beta_A, with the
-    same tags ("A", strands...); say c_A of them. The matrix has one entry
-    per unordered pair of the c cycles of the braid, so its length
-    c(c - 1)/2 gives c, or that c <= 1. The orbit block has the other
-    c - c_A cycles. When c <= 1 that is 0 or 1 cycle, so the orbit block's
-    cycle type is () or (m,). When c >= 2, each orbit cycle of length L
-    meets each of the c - 1 other cycles in one entry, so across the
-    entries the tag ("o", L) occurs c - 1 times per orbit cycle of length
-    L, and the matrix gives the multiset of orbit cycle lengths."""
+    Nor is the per-block cycle type (`invariants.cycle_type`): equal linking
+    matrices imply equal cycle types. Both are read off one labelling of the
+    cycles, `invariants._cycle_labels`: the cycle type is its tags' block
+    lengths, and the matrix pairs those tags. The lift section(beta_A) fixes
+    every orbit strand and w, a kernel element, every puncture, so the
+    puncture-block cycles of both braids are those of beta_A, with the same
+    tags ("A", strands...); say c_A of them. The matrix has one entry per
+    unordered pair of the c cycles of the braid, so its length c(c - 1)/2
+    gives c, or that c <= 1. The orbit block has the other c - c_A cycles.
+    When c <= 1 that is 0 or 1 cycle, so the orbit block's cycle type is ()
+    or (m,). When c >= 2, each orbit cycle of length L meets each of the
+    c - 1 other cycles in one entry, so across the entries the tag
+    ("o", L) occurs c - 1 times per orbit cycle of length L, and the matrix
+    gives the multiset of orbit cycle lengths."""
     for name in _SCREENS:
         x, y = getattr(inst._x, name), getattr(inst._y, name)
         if x != y:
-            return Certificate(name, x, y)
+            return SNVerdict(NOT_EQUIVALENT, certificate=Certificate(name, x, y))
     return None
 
 
@@ -365,10 +369,11 @@ def _search_kernel_conjugator(
     inst: SNInstance,
     budget: Budget,
     accept: Callable[[BraidWord, CanonicalForm], bool],
-) -> tuple[BraidWord | None, BudgetReport]:
+) -> SNVerdict:
     """Meet-in-the-middle search, shortest first, for a kernel element
     c = v * u with c * beta_y * c^-1 = beta_x, over the standard generators
-    and their inverses.
+    and their inverses: Equivalent with c as the witness, or Inconclusive
+    with the budget it exhausted.
 
     The forward side holds conjugates u * beta_y * u^-1 and grows u by
     PREPENDING a generator g, one simple conjugation g * . * g^-1 per state;
@@ -433,7 +438,7 @@ def _search_kernel_conjugator(
                     continue
                 states += 1
                 if states > budget.max_states:
-                    return None, BudgetReport(length, states)
+                    return SNVerdict(INCONCLUSIVE, budget_report=BudgetReport(length, states))
                 new_conj = step(left, conj, right)
                 if new_conj in seen:
                     continue
@@ -445,10 +450,10 @@ def _search_kernel_conjugator(
                     letters_of_c = [k for t in v_tag[::-1] + u_tag for k in spelling[t]]
                     c = free_reduce(BraidWord(inst.n + inst.m, tuple(letters_of_c)))
                     if accept(c, canonical_form(c)):
-                        return c, BudgetReport(length, states)
+                        return SNVerdict(EQUIVALENT, witness=c)
                 nxt.append((new_tag, new_conj))
         frontiers[side] = nxt
-    return None, BudgetReport(budget.max_length, states)
+    return SNVerdict(INCONCLUSIVE, budget_report=BudgetReport(budget.max_length, states))
 
 
 def _puncture_ends(
@@ -524,9 +529,9 @@ def _centralizer_shift(
     inst: SNInstance,
     pair: tuple[list[int], list[int]],
     accept: Callable[[BraidWord, CanonicalForm], bool],
-) -> BraidWord | None:
-    """For n <= 2, a kernel conjugator from the ambient one, with no
-    search, or None when this shift finds none.
+) -> SNVerdict | None:
+    """For n <= 2, Equivalent with a kernel conjugator from the ambient one
+    as the witness, with no search, or None when this shift finds none.
 
     Every conjugator from beta_y to beta_x is h * z with h the ambient
     conjugator `garside._quotient` multiplies out of the pair
@@ -552,7 +557,7 @@ def _centralizer_shift(
             c_cf = _product(c_cf, *[by_cf] * abs(b))
     c = c_cf.to_word()
     if is_kernel(n, m, c) and accept(c, c_cf):
-        return c
+        return SNVerdict(EQUIVALENT, witness=c)
     return None
 
 
@@ -561,7 +566,9 @@ def _decide(inst: SNInstance, budget: Budget) -> SNVerdict:
     records: equal canonical forms first, then the screens, then ambient
     conjugacy in B_{n+m}, then, for n <= 2, the centralizer shift, and
     last the bounded kernel search. Every stage but the shift and the
-    search compares what the records hold, filling it on first use.
+    search compares what the records hold, filling it on first use. Each
+    stage returns its own verdict, or None when it decides nothing, and
+    the first verdict is the decision's.
 
     Equal forms are equivalent with the identity as witness, and settle
     before any invariant or summit is computed. Every witness, the
@@ -584,9 +591,8 @@ def _decide(inst: SNInstance, budget: Budget) -> SNVerdict:
         if accept(identity, canonical_form(identity)):
             return SNVerdict(EQUIVALENT, witness=identity)
 
-    cert = _screen_invariants(inst)
-    if cert is not None:
-        return SNVerdict(NOT_EQUIVALENT, certificate=cert)
+    if (verdict := _screen_invariants(inst)) is not None:
+        return verdict
 
     # Equal screens give the two mixed braids equal exponent sums, and
     # equal linking matrices give them equal cycle types
@@ -598,13 +604,9 @@ def _decide(inst: SNInstance, budget: Budget) -> SNVerdict:
             NOT_EQUIVALENT,
             certificate=Certificate(f"not conjugate in B_{inst.n + inst.m}"),
         )
-    if inst.n <= 2 and (witness := _centralizer_shift(inst, pair, accept)) is not None:
-        return SNVerdict(EQUIVALENT, witness=witness)
-
-    witness, report = _search_kernel_conjugator(inst, budget, accept)
-    if witness is not None:
-        return SNVerdict(EQUIVALENT, witness=witness)
-    return SNVerdict(INCONCLUSIVE, budget_report=report)
+    if inst.n <= 2 and (verdict := _centralizer_shift(inst, pair, accept)) is not None:
+        return verdict
+    return _search_kernel_conjugator(inst, budget, accept)
 
 
 def sn_equivalent_rel_A(inst: SNInstance, budget: Budget = Budget()) -> SNVerdict:

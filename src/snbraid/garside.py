@@ -959,7 +959,7 @@ def _word_invariants(a: BraidWord) -> tuple[int, tuple[int, ...]]:
     (occupant[pos] is the start of the strand at pos), which ends as the
     inverse of the permutation and so has its cycle type; the cycles are
     then read off that list with a `seen` list. It equals
-    `exponent_sum(a)` and the sorted lengths of `permutation(a).cycles()`
+    `exponent_sum(a)` and the sorted cycle lengths of `permutation(a)`
     without building the permutation or its cycles."""
     occupant = list(range(a.strands))
     total = 0

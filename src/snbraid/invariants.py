@@ -9,6 +9,9 @@ relies on that to turn a mismatch into a certificate. It screens only the
 linking matrix and the orbit word's exponent sum. `standard_reports` also
 reports the per-block cycle type, which is not screened: for two mixed
 braids over one base braid, equal linking matrices imply equal cycle types.
+Both are read off one labelling of the permutation's cycles,
+`_cycle_labels`: the cycle type from the tags alone, the linking matrix
+from the tags and the crossings between the labelled cycles.
 
 The Burau characteristic polynomial, computed exactly over integer Laurent
 polynomials in t, is a library function that no command reports and no
@@ -38,32 +41,14 @@ class InvariantReport:
         return {"name": self.name, "value": self.value}
 
 
-def cycle_type(b: MixedBraid) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Multisets of cycle lengths of the permutation restricted to the
-    invariant block and to the orbit block."""
-    first, second = [], []
-    for cycle in b.perm.cycles():
-        (first if cycle[0] <= b.n else second).append(len(cycle))
-    return tuple(sorted(first)), tuple(sorted(second))
-
-
-def linking_matrix(b: MixedBraid) -> tuple[tuple, ...]:
-    """Pairwise linking numbers of the closure components.
-
-    Each unordered pair of permutation cycles contributes one entry
-    (tag_i, tag_j, lk) where lk is half the signed count of crossings between
-    strands of the two cycles. Cycles in the invariant block are tagged
-    ("A", sorted strands): kernel conjugation fixes those strands pointwise,
-    so the full strand content is invariant and distinguishes loops around
-    different punctures. Orbit cycles may be permuted by kernel conjugation,
-    so they carry only ("o", length). Returned as a sorted tuple; zero
-    entries are kept so the component count is part of the value.
-
-    The cycles are labelled in one sweep over the permutation's images,
-    without building `PermutationTable.cycles`."""
+def _cycle_labels(b: MixedBraid) -> tuple[list[int], list[tuple]]:
+    """The cycles of the braid's permutation, labelled in one sweep over
+    its images: at[p] is the cycle of the strand at position p + 1, and
+    tags[ci] is cycle ci's tag, ("A", sorted strands...) for a cycle in the
+    invariant block and ("o", length) for one in the orbit block. Cycles
+    are numbered in the order of their smallest strands: a cycle's first
+    unvisited start is its smallest strand."""
     images = b.perm.images
-    # at[p] is the cycle of the strand at position p + 1; a crossing of
-    # cycles ci and cj adds its sign to counts[ci * c + cj].
     at = [-1] * len(images)
     tags = []
     for start in range(len(images)):
@@ -76,6 +61,33 @@ def linking_matrix(b: MixedBraid) -> tuple[tuple, ...]:
                 j = images[j] - 1
             strands.sort()
             tags.append(("A", *strands) if start < b.n else ("o", len(strands)))
+    return at, tags
+
+
+def cycle_type(b: MixedBraid) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Multisets of cycle lengths of the permutation restricted to the
+    invariant block and to the orbit block, read off the tags of
+    `_cycle_labels`."""
+    tags = _cycle_labels(b)[1]
+    first = tuple(sorted(len(tag) - 1 for tag in tags if tag[0] == "A"))
+    return first, tuple(sorted(tag[1] for tag in tags if tag[0] == "o"))
+
+
+def linking_matrix(b: MixedBraid) -> tuple[tuple, ...]:
+    """Pairwise linking numbers of the closure components.
+
+    Each unordered pair of permutation cycles contributes one entry
+    (tag_i, tag_j, lk) where lk is half the signed count of crossings between
+    strands of the two cycles. Cycles in the invariant block are tagged
+    ("A", sorted strands): kernel conjugation fixes those strands pointwise,
+    so the full strand content is invariant and distinguishes loops around
+    different punctures. Orbit cycles may be permuted by kernel conjugation,
+    so they carry only ("o", length). Returned as a sorted tuple; zero
+    entries are kept so the component count is part of the value. The
+    cycles and their tags are `_cycle_labels`'."""
+    # at follows the strands through the word; a crossing of cycles ci
+    # and cj adds its sign to counts[ci * c + cj].
+    at, tags = _cycle_labels(b)
     c = len(tags)
     counts = [0] * (c * c)
     for k in b.word.letters:

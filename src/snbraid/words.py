@@ -159,24 +159,6 @@ class PermutationTable:
         if sorted(self.images) != list(range(1, self.size + 1)):
             raise ValueError(f"images {self.images} are not a bijection")
 
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Cycle decomposition, each cycle starting at its smallest element,
-        cycles sorted by that element. Includes fixed points."""
-        seen = set()
-        out = []
-        for start in range(1, self.size + 1):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            j = self.images[start - 1]
-            while j != start:
-                cycle.append(j)
-                seen.add(j)
-                j = self.images[j - 1]
-            out.append(tuple(cycle))
-        return tuple(out)
-
 
 def compose(a: BraidWord, b: BraidWord) -> BraidWord:
     """Concatenate: a happens first, then b."""

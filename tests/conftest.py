@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: random word generators, legal rewrite
-moves, and the independent one-strand-at-a-time projection and kernel
-oracles."""
+moves, a reference cycle reader, and the independent one-strand-at-a-time
+projection and kernel oracles."""
 
 import random
 
@@ -82,6 +82,26 @@ def random_mixed(rng: random.Random, n: int, m: int, tries: int = 200) -> sb.Mix
     if m >= 1:
         w = sb.compose(w, random_kernel_word(rng, n, m, rng.randint(0, 4)))
     return sb.MixedBraid(n, m, w)
+
+
+def permutation_cycles(perm: sb.PermutationTable) -> tuple[tuple[int, ...], ...]:
+    """Cycle decomposition of a permutation, read from its images: each
+    cycle starts at its smallest element, cycles are sorted by that
+    element, and fixed points are included."""
+    seen = set()
+    out = []
+    for start in range(1, perm.size + 1):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        j = perm.images[start - 1]
+        while j != start:
+            cycle.append(j)
+            seen.add(j)
+            j = perm.images[j - 1]
+        out.append(tuple(cycle))
+    return tuple(out)
 
 
 def project_oracle(b: sb.MixedBraid) -> sb.BraidWord:

@@ -12,6 +12,7 @@ import snbraid as sb
 from conftest import (
     conjugated_kernel_part,
     kernel_oracle,
+    permutation_cycles,
     random_kernel_word,
     random_rewrite,
     random_word,
@@ -306,7 +307,7 @@ def one_sided_search(inst, budget, accept):
     max_len_tried = 0
 
     if accept(identity, sb.canonical_form(identity)):
-        return identity, sb.decision.BudgetReport(0, states)
+        return sb.SNVerdict(sb.EQUIVALENT, witness=identity)
     target = sb.canonical_form(inst.mixed_x().word)
     start = sb.canonical_form(beta_y)
     visited = {start}
@@ -320,7 +321,7 @@ def one_sided_search(inst, budget, accept):
                     continue
                 states += 1
                 if states > budget.max_states:
-                    return None, sb.decision.BudgetReport(max_len_tried, states)
+                    return inconclusive(max_len_tried, states)
                 new_conj = g_cf.mul(conj_cf).mul(g_inv_cf)
                 if new_conj in visited:
                     continue
@@ -332,10 +333,16 @@ def one_sided_search(inst, budget, accept):
                         c = sb.compose(c, spelling[t])
                     c = sb.free_reduce(c)
                     if accept(c, sb.canonical_form(c)):
-                        return c, sb.decision.BudgetReport(depth, states)
+                        return sb.SNVerdict(sb.EQUIVALENT, witness=c)
                 nxt.append((new_tag, new_conj))
         frontier = nxt
-    return None, sb.decision.BudgetReport(max_len_tried, states)
+    return inconclusive(max_len_tried, states)
+
+
+def inconclusive(max_length_tried, states):
+    return sb.SNVerdict(
+        sb.INCONCLUSIVE, budget_report=sb.decision.BudgetReport(max_length_tried, states)
+    )
 
 
 class TestMeetInTheMiddle:
@@ -346,13 +353,26 @@ class TestMeetInTheMiddle:
     def decide_with(self, monkeypatch, search, decide, inst, budget):
         """Decide with `search` as the kernel search. The centralizer shift
         is switched off, so every instance that passes the ambient test
-        reaches the search, n <= 2 too."""
+        reaches the search, n <= 2 too. Each search is recorded by its
+        budget report: an Inconclusive verdict's own, and for an Equivalent
+        one, which carries none, the least length bound at which the search
+        still finds a witness, the length it found it at, with no count of
+        states."""
         reports = []
 
         def recorded(inst, budget, accept):
-            found, report = search(inst, budget, accept)
+            verdict = search(inst, budget, accept)
+            report = verdict.budget_report
+            if report is None:
+                found_at = next(
+                    length
+                    for length in range(budget.max_length + 1)
+                    if search(inst, sb.Budget(length, budget.max_states), accept).status
+                    == sb.EQUIVALENT
+                )
+                report = sb.decision.BudgetReport(found_at, None)
             reports.append(report)
-            return found, report
+            return verdict
 
         monkeypatch.setattr(sb.decision, "_search_kernel_conjugator", recorded)
         monkeypatch.setattr(sb.decision, "_centralizer_shift", lambda *args: None)
@@ -389,13 +409,13 @@ class TestMeetInTheMiddle:
                 if not reports:
                     continue
                 searched += 1
-                assert ref_reports[0].states_enumerated <= budget.max_states
                 if v.status == sb.EQUIVALENT:
                     verify(inst, v)
                     verify(inst, ref)
                     assert reports[0].max_length_tried == ref_reports[0].max_length_tried
                 else:
                     assert v.status == sb.INCONCLUSIVE
+                    assert ref_reports[0].states_enumerated <= budget.max_states
                     assert reports[0].max_length_tried == budget.max_length
         assert searched >= 120
 
@@ -910,7 +930,7 @@ class TestInstanceValidation:
         if not kernel_oracle(n, m, w):
             raise sb.KernelMembershipError(f"word {w} is not in the kernel for blocks ({n}, {m})")
         braid = sb.MixedBraid(n, m, sb.compose(sb.section(n, m, beta_A).word, w))
-        if m >= 1 and sum(c[0] > n for c in braid.perm.cycles()) != 1:
+        if m >= 1 and sum(c[0] > n for c in permutation_cycles(braid.perm)) != 1:
             warnings.warn(
                 f"{name} does not induce a single {m}-cycle on the orbit block; "
                 "treating it as a formal instance"
@@ -1579,9 +1599,9 @@ class TestCentralizerShift:
         shift = sb.decision._centralizer_shift
 
         def recorded(inst, path, accept):
-            c = shift(inst, path, accept)
-            found.append((inst, c))
-            return c
+            verdict = shift(inst, path, accept)
+            found.append((inst, None if verdict is None else verdict.witness))
+            return verdict
 
         monkeypatch.setattr(sb.decision, "_centralizer_shift", recorded)
         return found
@@ -1907,9 +1927,9 @@ class TestAnchorKeys:
         shift = sb.decision._centralizer_shift
 
         def recorded(*args):
-            c = shift(*args)
-            misses.append(c is None)
-            return c
+            verdict = shift(*args)
+            misses.append(verdict is None)
+            return verdict
 
         for seed in range(8):
             rng = random.Random(9100 + seed)

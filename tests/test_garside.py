@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 import snbraid as sb
 from snbraid import decision, garside
 from snbraid.garside import CanonicalForm, canonical_form
-from conftest import random_rewrite, random_word
+from conftest import permutation_cycles, random_rewrite, random_word
 
 
 def starting_set(images):
@@ -42,8 +42,8 @@ def perms(n, factors):
 
 def cycle_lengths(w):
     """The cycle type of w's permutation: the sorted lengths of its
-    `cycles()`, fixed points included."""
-    return tuple(sorted(len(c) for c in sb.permutation(w).cycles()))
+    cycles (`conftest.permutation_cycles`), fixed points included."""
+    return tuple(sorted(len(c) for c in permutation_cycles(sb.permutation(w))))
 
 
 def then(p, q):

@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -11,7 +12,13 @@ from snbraid.invariants import (
     linking_matrix,
     standard_reports,
 )
-from conftest import conjugated_kernel_part, random_kernel_word, random_mixed, random_word
+from conftest import (
+    conjugated_kernel_part,
+    permutation_cycles,
+    random_kernel_word,
+    random_mixed,
+    random_word,
+)
 
 
 class TestCycleType:
@@ -26,6 +33,43 @@ class TestCycleType:
     def test_full_cycle_orbit(self):
         b = sb.validate(0, 3, sb.BraidWord(3, (1, 2)))
         assert cycle_type(b) == ((), (3,))
+
+    def test_orbit_block_cycles(self):
+        """On three orbit strands s1 s2 is one 3-cycle, and s1 a
+        transposition and a fixed point."""
+        assert cycle_type(sb.MixedBraid(0, 3, sb.BraidWord(3, (1, 2)))) == ((), (3,))
+        assert cycle_type(sb.MixedBraid(0, 3, sb.BraidWord(3, (1,)))) == ((), (1, 2))
+
+    def test_agrees_with_oracle(self, monkeypatch):
+        """The cycle type read off `invariants._cycle_labels` against the
+        benchmark oracle's `block_cycle_types`, which builds its own
+        permutation and cycles, on 600 seeded mixed braids with n = 0..4,
+        m = 0..3 and n + m >= 1: products of random mixed braids, braids
+        with no orbit strand among them, and every third one a pure braid,
+        a conjugate of squared generators."""
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+        import oracle
+
+        rng = random.Random(53)
+        shapes, pure = set(), 0
+        for trial in range(600):
+            n = rng.randint(0, 4)
+            m = rng.randint(0 if n else 1, 3)
+            w = sb.BraidWord.identity(n + m)
+            if trial % 3 == 0:
+                c = random_word(rng, n + m, 6)
+                for _ in range(rng.randint(0, 4) if n + m > 1 else 0):
+                    k = rng.choice([1, -1]) * rng.randint(1, n + m - 1)
+                    w = sb.compose(w, sb.BraidWord(n + m, (k, k)))
+                w = sb.compose(sb.compose(c, w), sb.invert(c))
+            elif n + m > 1:
+                for _ in range(rng.randint(1, 3)):
+                    w = sb.compose(w, random_mixed(rng, n, m).word)
+            b = sb.MixedBraid(n, m, w)
+            assert cycle_type(b) == oracle.block_cycle_types(n, n + m, w.letters)
+            shapes.add((n, m))
+            pure += b.perm.images == tuple(range(1, n + m + 1))
+        assert len(shapes) == 19 and pure >= 200
 
 
 class TestLinking:
@@ -88,7 +132,7 @@ def linking_matrix_reference(b):
     entry built and sorted per pair."""
     word = b.word
     total = word.strands
-    cycles = b.perm.cycles()
+    cycles = permutation_cycles(b.perm)
     cycle_of = {}
     for ci, cyc in enumerate(cycles):
         for s in cyc:

@@ -323,13 +323,6 @@ class TestPermutations:
     def test_square_is_trivial(self):
         assert sb.permutation(sb.BraidWord(2, (1, 1))).images == (1, 2)
 
-    def test_cycles_and_type(self):
-        p = sb.permutation(sb.BraidWord(3, (1, 2)))
-        assert p.cycles() == ((1, 3, 2),)
-        assert sorted(map(len, p.cycles())) == [3]
-        q = sb.permutation(sb.BraidWord(3, (1,)))
-        assert sorted(map(len, q.cycles())) == [1, 2]
-
     def test_images_not_a_bijection(self):
         with pytest.raises(ValueError, match="not a bijection"):
             sb.PermutationTable(3, (1, 1, 2))
