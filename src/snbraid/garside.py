@@ -12,13 +12,15 @@ is stated once, in the docstring named here.
 
 Simple elements
 - ranks, rank order, the tables of B_n and when they are complete lists:
-  `_Simples`; the four tables a push reads, as one tuple: `_Simples.push`
+  `_Simples`; the three tables a push reads, as one tuple: `_Simples.push`
 - memo tables, each bounding its own entries: `_Memo`; the tables of at
   most _KEPT_STRANDS strand counts, made on first use: `_simples`, and
   those of up to _FULL_TABLE_STRANDS strands for good: `_full_simples`
-- left-weighting one pair: `_leftweight`; every pair of ranks in one pass:
-  `_leftweight_table`; tau and the Delta-complement: `_tau`,
-  `_delta_complement`
+- left-weighting one pair: `_leftweight`; the table of pairs of ranks, read
+  `leftweight[x][y]` and None on a pair already left-weighted, as complete
+  rows built in one pass: `_leftweight_table`, or as rows that fill as
+  they are read under one entry bound: `_Rows`; tau and the
+  Delta-complement: `_tau`, `_delta_complement`
 
 Normal forms
 - pushing factors onto a left-weighted list, a Delta absorbed by tau:
@@ -164,19 +166,22 @@ class _Memo(dict):
 
 
 # On up to this many strands, `_Simples` builds complete tau, complement and
-# left-weighting tables when it is made, as flat lists, the left-weighting
-# of all n!^2 pairs in one pass over ranks (`_leftweight_table`). At n = 5
-# the pass builds 14,400 pairs in a few ms, far less than filling them one
-# miss at a time, and a list index is cheaper than a memo hit. At n = 6 the
-# table would hold 518,400 pairs, more than most processes ever read, so
-# from 6 strands on the tables fill as they are read.
+# left-weighting tables when it is made, as lists, the left-weighting as n!
+# rows of n! entries built in one pass over ranks (`_leftweight_table`). At
+# n = 5 the pass builds 14,400 pairs in a few ms, far less than filling them
+# one miss at a time, and a list index is cheaper than a memo hit. At n = 6
+# the rows would hold 518,400 pairs, more than most processes ever read, so
+# from 6 strands on the tables fill as they are read, the left-weighting as
+# rows that share one entry bound (`_Rows`).
 _FULL_TABLE_STRANDS = 5
 
 
-def _leftweight_table(n: int, perm: _Memo, rank: _Memo) -> list[tuple[int, int]]:
-    """The left-weighting of every pair of simple elements of B_n, indexed
-    x * n! + y, in one pass over ranks; `perm` and `rank` are the rank
-    tables of `_Simples`.
+def _leftweight_table(n: int, perm: _Memo, rank: _Memo) -> list[list]:
+    """The left-weighting of every pair of simple elements of B_n, as n!
+    rows of n! entries read `table[x][y]`, in one pass over ranks; `perm`
+    and `rank` are the rank tables of `_Simples`. An entry is None when
+    (x, y) is already left-weighted, and otherwise the left-weighted pair
+    of ranks with the same product.
 
     It first reads the atoms of each rank r off its permutation p: the
     starting and finishing sets S and F as bitmasks, bit i for
@@ -184,15 +189,16 @@ def _leftweight_table(n: int, perm: _Memo, rank: _Memo) -> list[tuple[int, int]]
     i the rank of sigma_(i+1)^-1 r for i in S, which is p with the
     positions i and i + 1 swapped, and that of r sigma_(i+1) for i not in
     F, which is p with the values i and i + 1 swapped, at q[i] and
-    q[i + 1]. A pair with S(y) in F(x) is left-weighted and is its own
-    entry. Otherwise moving the lowest crossing i of S(y) \\ F(x) from y to
-    x, as `_leftweight` does on permutations, leads to the pair
+    q[i + 1]. A pair with S(y) in F(x) is left-weighted and keeps its None.
+    Otherwise moving the lowest crossing i of S(y) \\ F(x) from y to x, as
+    `_leftweight` does on permutations, leads to the pair
     (x sigma, sigma^-1 y), sigma = sigma_(i+1), with the same product. A
     left-weighted pair of simple elements is fixed by its product, its
     first factor being xy meet Delta (El-Rifai and Morton 1994), so the
-    entry is that pair's. Taking the crossing off the head of y swaps a
-    descent of its permutation, which lowers the rank, so going through y
-    in rank order finds that entry already built."""
+    entry is that pair's, or that pair itself where its entry is None.
+    Taking the crossing off the head of y swaps a descent of its
+    permutation, which lowers the rank, so going through y in rank order
+    finds that entry already built."""
     count = math.factorial(n)
     atoms = []
     for r in range(count):
@@ -209,17 +215,59 @@ def _leftweight_table(n: int, perm: _Memo, rank: _Memo) -> list[tuple[int, int]]
             else:
                 up[i] = rank[_swap(p, q[i], q[i + 1])]
         atoms.append((starts, finishes, up, down))
-    table: list = [None] * (count * count)
+    rows = [[None] * count for _ in range(count)]
     for y, (starts, _, _, down) in enumerate(atoms):
-        key = y
-        for x, (_, finishes, up, _) in enumerate(atoms):
+        for row, (_, finishes, up, _) in zip(rows, atoms):
             if move := starts & ~finishes:
                 i = (move & -move).bit_length() - 1
-                table[key] = table[up[i] * count + down[i]]
-            else:
-                table[key] = (x, y)
-            key += count
-    return table
+                row[y] = rows[up[i]][down[i]] or (up[i], down[i])
+    return rows
+
+
+class _Rows(dict):
+    """The left-weighting table on more than _FULL_TABLE_STRANDS strands: a
+    memo of row memos, read `table[x][y]` as the complete rows are, both
+    lookups plain dict hits. Row x is made on first use and fills as it is
+    read, an entry by `fill(x, y)`, None or a pair as in
+    `_leftweight_table`. The rows share one entry bound: every row's fill
+    counts into `size` here, and a fill that finds `bound` entries in all
+    rows together empties every row first, so no input makes the table
+    grow without bound, however its entries spread over rows."""
+
+    __slots__ = ("fill", "bound", "size")
+
+    def __init__(self, fill, bound: int):
+        super().__init__()
+        self.fill, self.bound, self.size = fill, bound, 0
+
+    def __missing__(self, x):
+        row = self[x] = _Row(self, x)
+        return row
+
+    def clear(self):
+        super().clear()
+        self.size = 0
+
+
+class _Row(dict):
+    """Row x of a `_Rows` table; a miss fills one entry and counts it
+    there."""
+
+    __slots__ = ("rows", "x")
+
+    def __init__(self, rows: _Rows, x: int):
+        super().__init__()
+        self.rows, self.x = rows, x
+
+    def __missing__(self, y):
+        rows = self.rows
+        if rows.size >= rows.bound:
+            rows.clear()
+            self.clear()
+            rows[self.x] = self
+        rows.size += 1
+        value = self[y] = rows.fill(self.x, y)
+        return value
 
 
 class _Simples:
@@ -227,24 +275,27 @@ class _Simples:
     rank of its permutation: 0 is the identity, n! - 1 is Delta, and rank
     order is the order of the permutation tuples. Tables keyed by rank give
     tau, the Delta-complement and the permutation; the left-weighting of a
-    pair (x, y) is keyed by x * n! + y and gives a pair of ranks. tau and
-    the complement are computed on permutations (`_tau`,
-    `_delta_complement`) and ranked back through the `rank` table, keyed by
-    permutation, which fills as it is read and also stores the permutation
-    it ranks in `perm`, so a rank made there is read back without
-    unranking.
+    pair (x, y) is read `leftweight[x][y]`, from row x, and is None when
+    the pair is already left-weighted, the left-weighted pair of ranks
+    with the same product otherwise. tau and the complement are computed
+    on permutations (`_tau`, `_delta_complement`) and ranked back through
+    the `rank` table, keyed by permutation, which fills as it is read and
+    also stores the permutation it ranks in `perm`, so a rank made there is
+    read back without unranking.
 
     On up to _FULL_TABLE_STRANDS strands, tau, the complement and the
-    left-weighting are complete lists, built here, the left-weighting of
-    every pair in one pass over ranks (`_leftweight_table`). On more
-    strands they are memo tables that fill as they are read, a
-    left-weighting miss by `_leftweight` on the pair's permutations. Lists
-    and memo tables are both read with `[]`, so the loops that read them do
-    not tell them apart. `push` holds the four tables a push reads, in
-    `_push`'s argument order: (count, delta, leftweight, tau's
-    `__getitem__`), count being n!. It is set once, after the choice
-    between lists and memo tables, so either regime sits behind it, and a
-    walk reads its tables with one attribute read and one unpack.
+    left-weighting are complete lists, built here, the left-weighting as
+    n! rows, every pair in one pass over ranks (`_leftweight_table`). On
+    more strands they are memo tables that fill as they are read, the
+    left-weighting a memo of row memos with one entry bound shared by all
+    its rows (`_Rows`), a miss by `_leftweight` on the pair's
+    permutations. Lists and memo tables are both read with `[]`, so the
+    loops that read them do not tell them apart. `push` holds the three
+    tables a push reads, in `_push`'s argument order: (delta, leftweight,
+    tau's `__getitem__`). It is set once, after the choice between lists
+    and memo tables, so either regime sits behind it, and a walk reads its
+    tables with one attribute read and one unpack. `count`, n!, is kept
+    for the closure, which enumerates ranks.
 
     The `letter` table, keyed by a letter k of B_n, gives the rank of the
     simple factor that stands for k in a canonical form and that of its
@@ -260,7 +311,8 @@ class _Simples:
     rank, not once per factor it meets.
 
     Every table that fills as it is read is a `_Memo` with its own entry
-    bound. The tables of at most _KEPT_STRANDS strand counts above
+    bound, or the `_Rows` of the left-weighting with one bound on all its
+    rows. The tables of at most _KEPT_STRANDS strand counts above
     _FULL_TABLE_STRANDS are kept (`_simples`), so those of one kind there
     hold at most that many times their bound together; up to that, a
     table holds at most n! entries."""
@@ -295,13 +347,13 @@ class _Simples:
             self.tau = _Memo(on_perm(_tau), 1 << 16)
             self.complement = _Memo(on_perm(_delta_complement), 1 << 16)
 
-            def leftweight(key: int) -> tuple[int, int]:
-                x, y = divmod(key, count)
-                lx, ly = _leftweight(perm[x], perm[y])
-                return rank[lx], rank[ly]
+            def leftweight(x: int, y: int) -> tuple[int, int] | None:
+                px = perm[x]
+                lx, ly = _leftweight(px, perm[y])
+                return None if lx == px else (rank[lx], rank[ly])
 
-            self.leftweight = _Memo(leftweight, 1 << 18)
-        self.push = (count, self.delta, self.leftweight, self.tau.__getitem__)
+            self.leftweight = _Rows(leftweight, 1 << 18)
+        self.push = (self.delta, self.leftweight, self.tau.__getitem__)
 
         def sigma(i: int) -> Perm:
             return (*range(i - 1), i, i - 1, *range(i + 1, n))
@@ -353,41 +405,41 @@ def _simples(n: int) -> _Simples:
     return (_full_simples if n <= _FULL_TABLE_STRANDS else _Simples)(n)
 
 
-def _push(
-    out: list[int], factors: Iterable[int], t: int, count: int, delta: int, leftweight, tau
-) -> int:
+def _push(out: list[int], factors: Iterable[int], t: int, delta: int, leftweight, tau) -> int:
     """Push `factors` one at a time onto the right end of the left-weighted
     list `out`, in place, and return t plus the Deltas the pushes made.
 
     `out` holds tau^t of its factors' true values, and each factor is
     written there in those coordinates, tau^t(f); a Delta a push makes is
     deleted and counted in t, and the part of the list that push wrote is
-    re-twisted (see `_normalize`). Identity factors are skipped. `count`,
-    `delta`, `leftweight` and `tau` (a `__getitem__`) are `_Simples.push`,
-    unpacked once by the caller and passed as arguments so that `_push`
-    reads no attribute. It is called once per normalization, once per right
-    operand of `_product` and once per cycling step that has factors, not
-    once per factor of a normalization. A cycling step, which pushes one
-    factor and starts at t = 0, returns 1 exactly when its push made a
-    Delta."""
+    re-twisted (see `_normalize`). Identity factors are skipped. `delta`,
+    `leftweight` and `tau` (a `__getitem__`) are `_Simples.push`, unpacked
+    once by the caller and passed as arguments so that `_push` reads no
+    attribute. The moving factor is carried in `f`, not read back from the
+    list: each step looks up the pair it makes with its left neighbour,
+    `leftweight[out[i - 1]][f]`, stops where that reads None, and
+    otherwise writes the pair's second factor where f stood and carries
+    the first on, one place left. It is called once per normalization,
+    once per right operand of `_product` and once per cycling step that has
+    factors, not once per factor of a normalization. A cycling step, which
+    pushes one factor and starts at t = 0, returns 1 exactly when its push
+    made a Delta."""
     for f in factors:
         if not f:
             continue
+        if t & 1:
+            f = tau(f)
         i = len(out)
-        out.append(tau(f) if t & 1 else f)
-        while i > 0:
-            a = out[i - 1]
-            x, y = leftweight[a * count + out[i]]
-            if x == a:
-                break
-            out[i] = y
-            if x == delta:
-                del out[i - 1]
-                t += 1
-                out[i - 1 :] = map(tau, out[i - 1 :])
-                break
-            out[i - 1] = x
+        out.append(f)
+        while i and (pair := leftweight[out[i - 1]][f]) is not None:
+            f, out[i] = pair
             i -= 1
+            if f == delta:
+                del out[i]
+                t += 1
+                out[i:] = map(tau, out[i:])
+                break
+            out[i] = f
         if not out[-1]:
             out.pop()
     return t
@@ -422,9 +474,9 @@ def _normalize(n: int, factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     at the front, which left-weighting never changes, stay there and are
     counted with the rest. Factors are ranks (see `_Simples`), so the
     identity is 0."""
-    count, delta, leftweight, tau = _simples(n).push
+    delta, leftweight, tau = _simples(n).push
     out: list[int] = []
-    flips = _push(out, factors, 0, count, delta, leftweight, tau)
+    flips = _push(out, factors, 0, delta, leftweight, tau)
     if flips & 1:
         out = list(map(tau, out))
     lo = 0
@@ -562,9 +614,9 @@ def _product(*forms: CanonicalForm) -> CanonicalForm:
     passed in, a Delta they make counted in t. A left push of c onto
     A_1 ... A_k left-weights (c, A_1) into (x_1, y_1), then (y_1, A_2)
     into (x_2, y_2), and so on, writing each x_i over A_i, until a pair is
-    left unchanged, where the carry is inserted, or the carry becomes the
-    identity. This is the first domino
-    rule (Dehornoy et al., Foundations of Garside Theory, 2015): if
+    left unchanged, its entry None, where the carry is inserted, or the
+    carry becomes the identity. This is the first domino rule (Dehornoy
+    et al., Foundations of Garside Theory, 2015): if
     (A_1, A_2) is left-weighted and so are c A_1 = x_1 y_1 and
     y_1 A_2 = x_2 y_2, then so is (x_1, x_2); so the x_i are left-weighted
     and, as in `_normalize`, the untouched rest stays so. The operands are
@@ -581,7 +633,7 @@ def _product(*forms: CanonicalForm) -> CanonicalForm:
         if len(form.factors) > longest:
             pivot, longest = i, len(form.factors)
     n = forms[pivot].strands
-    count, delta, leftweight, tau = _simples(n).push
+    delta, leftweight, tau = _simples(n).push
     out = list(forms[pivot].factors)
     # t and u count the Delta powers the factors pass on each side, as
     # Deltas of the operands or made by a push; they sum to the product's.
@@ -589,7 +641,7 @@ def _product(*forms: CanonicalForm) -> CanonicalForm:
     for form in forms[pivot + 1 :]:
         if form.strands != n:
             raise StrandMismatchError("strand counts differ")
-        t = _push(out, form.factors, t + form.delta_power, count, delta, leftweight, tau)
+        t = _push(out, form.factors, t + form.delta_power, delta, leftweight, tau)
     u = forms[pivot].delta_power
     for form in reversed(forms[:pivot]):
         if form.strands != n:
@@ -598,17 +650,14 @@ def _product(*forms: CanonicalForm) -> CanonicalForm:
             if u & 1:
                 c = tau(c)
             i = 0
-            while i < len(out):
-                x, y = leftweight[c * count + out[i]]
-                if x == c:
-                    break
+            while i < len(out) and (pair := leftweight[c][out[i]]) is not None:
+                x, c = pair
                 if x == delta:
                     del out[0]
                     u += 1
                 else:
                     out[i] = x
                     i += 1
-                c = y
                 if not c:
                     break
             if c:
@@ -685,11 +734,12 @@ class ConjugacyResult:
 MAX_CLOSURE_STRANDS = 8
 
 
-def _rigid(last: int, first: int, count: int, leftweight) -> bool:
+def _rigid(last: int, first: int, leftweight) -> bool:
     """Whether Delta^p A_1 ... A_k, k >= 1, is rigid, given last = A_k and
-    first = tau^p(A_1): whether (last, first) is left-weighted, one lookup
-    in the caller's table of `_Simples`."""
-    return leftweight[last * count + first][0] == last
+    first = tau^p(A_1): whether (last, first) is left-weighted, that is
+    whether its entry in the caller's left-weighting table of `_Simples`
+    is None."""
+    return leftweight[last][first] is None
 
 
 def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, list[int]]:
@@ -730,7 +780,7 @@ def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, list[int]]:
     the pass ends."""
     n = cf.strands
     bound = max(1, n * (n - 1) // 2)
-    count, delta, leftweight, tau = _simples(n).push
+    delta, leftweight, tau = _simples(n).push
     v, g = cf, []
     for side in range(2):
         if v.factors:
@@ -739,13 +789,13 @@ def _summit(cf: CanonicalForm) -> tuple[CanonicalForm, list[int]]:
                 s = out[0]
                 if p & 1:
                     s = tau(s)
-                if _rigid(out[-1], s, count, leftweight):
+                if _rigid(out[-1], s, leftweight):
                     v = CanonicalForm(n, p, tuple(out))
                     return (v.inv() if side else v), g
                 del out[0]
                 g.append(s)
                 stale += 1
-                if _push(out, (s,), 0, count, delta, leftweight, tau):
+                if _push(out, (s,), 0, delta, leftweight, tau):
                     p, out, stale = p + 1, list(map(tau, out)), 0
             v = CanonicalForm(n, p, tuple(out))
         v = v.inv()
@@ -774,7 +824,7 @@ def _cycling_orbit(
     already maximal, so it never runs that step; the step keeps the walk
     right on any form, which the tests check against a reference orbit."""
     n = v.strands
-    count, delta, leftweight, tau = _simples(n).push
+    delta, leftweight, tau = _simples(n).push
     p, out = v.delta_power, list(v.factors)
     orbit = [v]
     steps: list[int] = []
@@ -785,7 +835,7 @@ def _cycling_orbit(
             s = out.pop(0)
             if p & 1:
                 s = tau(s)
-            if _push(out, (s,), 0, count, delta, leftweight, tau):
+            if _push(out, (s,), 0, delta, leftweight, tau):
                 p, out = p + 1, list(map(tau, out))
         steps.append(s)
         w = CanonicalForm(n, p, tuple(out))
@@ -872,10 +922,10 @@ class _ConjugacyRecord:
         # tau-images share strands and Delta power, and compare as their
         # factors do.
         (v, g), n = self.summit, self.cf.strands
-        count, delta, leftweight, tau = _simples(n).push
+        delta, leftweight, tau = _simples(n).push
         p, a, k = v.delta_power, v.factors, len(v.factors)
         twisted = tuple(map(tau, a))
-        if a and not _rigid(a[-1], (twisted if p & 1 else a)[0], count, leftweight):
+        if a and not _rigid(a[-1], (twisted if p & 1 else a)[0], leftweight):
             circuit, steps, g = self.circuit
             best = min(f for c in circuit for f in (c.factors, tuple(map(tau, c.factors))))
             anchor = circuit[0]._replace(factors=best)
@@ -1023,7 +1073,7 @@ def _circuit_meet(
     tau-match circuit[j] = Delta^-1 target Delta needs one more Delta, as
     Delta^2 is central. Every element found is an explicit conjugate of
     circuit[0], so a match is sound; a miss decides nothing."""
-    _, delta, _, tau = _simples(target.strands).push
+    delta, _, tau = _simples(target.strands).push
     target_tau = CanonicalForm(target.strands, target.delta_power, tuple(map(tau, target.factors)))
     for j, v in enumerate(circuit):
         if v == target:

@@ -736,6 +736,20 @@ CONSOLE_PINS = [
             "witness": "S4 S5 S6 S7 S2 S3 S4 S5 S6 S2 S3 S4 S5 S1 S2 S3 S4 S3 S1 s7",
         },
     ),
+    # Seeded: with rng = random.Random(21), a random word w of 8 strands
+    # and a conjugate g w g^-1 of it, g random too. The pair meets only in
+    # the closure, whose normalizations fill the left-weighting rows of 8
+    # strands, shared bound and all, in about 0.5 s from a cold process.
+    (
+        "conj-8-strands-closure-seeded",
+        [
+            "conj", "-n", "8",
+            "S1 s7 s2 s4 S6 S6 S4 s5 s7 s1 S4 S2 S7 s1",
+            "S6 S6 S4 s7 S7 s5 s7 s1",
+        ],
+        0,
+        {"conjugate": True, "witness": "S1 s2 s4 s7"},
+    ),
     # Through the kernel search: the ambient conjugator moves a puncture
     # strand onto the orbit strand, so the centralizer shift misses.
     *sn_both(

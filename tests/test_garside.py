@@ -78,6 +78,19 @@ def delta_letters(n):
     return out
 
 
+def leftweight_entry(x, y):
+    """What the left-weighting table holds for the pair of permutations
+    (x, y), as permutations: None when `_leftweight` leaves the pair as it
+    is, the pair it makes otherwise."""
+    pair = garside._leftweight(x, y)
+    return None if pair == (x, y) else pair
+
+
+def entry_perms(n, entry):
+    """A left-weighting table entry read as permutations."""
+    return None if entry is None else perms(n, entry)
+
+
 def normalize_perms(n, factors):
     """garside._normalize on factors given and returned as permutations."""
     shift, fs = garside._normalize(n, ranks(factors))
@@ -85,7 +98,9 @@ def normalize_perms(n, factors):
 
 
 class CountedLookups(dict):
-    """Stands in for a memo table and counts the lookups made through it."""
+    """Stands in for a memo table and counts the lookups made through it;
+    in front of the left-weighting table, one per row read, so one per
+    `leftweight[x][y]`."""
 
     def __init__(self, table):
         super().__init__()
@@ -98,13 +113,13 @@ class CountedLookups(dict):
 
 def count_leftweight(monkeypatch, n):
     """Route every left-weighting lookup on n strands through a counter:
-    the table itself and the third slot of `push`, the tuple the walks
+    the table itself and the second slot of `push`, the tuple the walks
     unpack, which holds the table it was made with."""
     simples = garside._simples(n)
     counted = CountedLookups(simples.leftweight)
-    count, delta, _, tau = simples.push
+    delta, _, tau = simples.push
     monkeypatch.setattr(simples, "leftweight", counted)
-    monkeypatch.setattr(simples, "push", (count, delta, counted, tau))
+    monkeypatch.setattr(simples, "push", (delta, counted, tau))
     return counted
 
 
@@ -693,20 +708,22 @@ class TestRankEncoding:
                 assert simples.rank[x] == rx
                 assert garside._unrank(n, simples.tau[rx]) == garside._tau(x)
                 assert garside._unrank(n, simples.complement[rx]) == garside._delta_complement(x)
-                got = simples.leftweight[rx * simples.count + ry]
-                assert perms(n, got) == garside._leftweight(x, y)
+                got = simples.leftweight[rx][ry]
+                assert entry_perms(n, got) == leftweight_entry(x, y)
 
     def test_full_tables_match_permutation_functions(self):
         """Every entry of the complete tables of up to 5 strands equals the
-        permutation functions: `_leftweight` on each pair, and `_tau` and
-        `_delta_complement` on each rank."""
+        permutation functions: `_leftweight` on each pair, read as n! rows
+        of n! entries with None where it leaves the pair as it is, and
+        `_tau` and `_delta_complement` on each rank."""
         for n in range(1, garside._FULL_TABLE_STRANDS + 1):
             simples = garside._simples(n)
             count = simples.count
             every = list(itertools.permutations(range(n)))
-            assert len(simples.leftweight) == count * count
-            assert [perms(n, lw) for lw in simples.leftweight] == [
-                garside._leftweight(x, y) for x, y in itertools.product(every, repeat=2)
+            assert len(simples.leftweight) == count
+            assert all(len(row) == count for row in simples.leftweight)
+            assert [entry_perms(n, lw) for row in simples.leftweight for lw in row] == [
+                leftweight_entry(x, y) for x, y in itertools.product(every, repeat=2)
             ]
             assert perms(n, simples.tau) == tuple(map(garside._tau, every))
             assert perms(n, simples.complement) == tuple(map(garside._delta_complement, every))
@@ -730,10 +747,60 @@ class TestRankEncoding:
         monkeypatch.setattr(garside, "_leftweight", boom)
         assert canonical_form(w) == expected
 
+    def test_entries_are_none_exactly_on_left_weighted_pairs(self):
+        """A left-weighting entry is None exactly when `_leftweight` leaves
+        the pair as it is, and otherwise the pair it makes, ranked back: on
+        every pair up to 5 strands and on 300 seeded pairs on each of 6 to 8,
+        both kinds of entry met on each strand count from 3 on."""
+        rng = random.Random(54)
+        for n in range(1, 9):
+            simples = garside._simples(n)
+            if n <= garside._FULL_TABLE_STRANDS:
+                pairs = itertools.product(itertools.permutations(range(n)), repeat=2)
+            else:
+                pairs = [
+                    tuple(tuple(rng.sample(range(n), n)) for _ in range(2)) for _ in range(300)
+                ]
+            kinds = set()
+            for x, y in pairs:
+                entry = simples.leftweight[garside._rank(x)][garside._rank(y)]
+                made = garside._leftweight(x, y)
+                if made == (x, y):
+                    assert entry is None
+                else:
+                    assert entry == tuple(map(garside._rank, made))
+                kinds.add(entry is None)
+            assert n < 3 or kinds == {True, False}
+
+    def test_leftweight_rows_share_one_bound(self, monkeypatch):
+        """Above _FULL_TABLE_STRANDS strands the left-weighting rows share
+        one entry bound, 2^18: a 1500-letter word on 12 strands fills more
+        than 100 entries across its rows, and with the shared bound cut to
+        100 it gets the same form and inverse while the rows together hold
+        at most 100 entries, and more than none."""
+        n = 12
+        w = seeded_word(n, 26, 1500)
+
+        def forms():
+            cf = canonical_form(w)
+            return cf.to_json(), cf.inv().to_json()
+
+        def entries(rows):
+            return sum(map(len, rows.values()))
+
+        expected = forms()
+        rows = garside._simples(n).leftweight
+        assert rows.bound == 1 << 18
+        assert entries(rows) > 100
+        rows.clear()
+        monkeypatch.setattr(rows, "bound", 100)
+        assert forms() == expected
+        assert 0 < entries(rows) <= 100
+
     def test_leftweight_misses_above_the_cut(self, monkeypatch):
         """Above _FULL_TABLE_STRANDS strands the left-weighting table is a
-        memo table: each new pair runs `_leftweight` on its permutations
-        once, and a key already read runs nothing."""
+        memo of row memos: each new pair runs `_leftweight` on its
+        permutations once, and a pair already read runs nothing."""
         calls = []
         leftweight = garside._leftweight
         monkeypatch.setattr(
@@ -744,8 +811,9 @@ class TestRankEncoding:
         rng = random.Random(25)
         pairs = [tuple(tuple(rng.sample(range(n), n)) for _ in range(2)) for _ in range(50)]
         for x, y in pairs + pairs:
-            got = simples.leftweight[garside._rank(x) * simples.count + garside._rank(y)]
-            assert perms(n, got) == leftweight(x, y)
+            got = simples.leftweight[garside._rank(x)][garside._rank(y)]
+            made = leftweight(x, y)
+            assert entry_perms(n, got) == (None if made == (x, y) else made)
         assert calls == list(dict.fromkeys(pairs))
 
     def test_forms_read_back_without_unranking(self, monkeypatch):
@@ -854,10 +922,11 @@ class TestRankEncoding:
         assert canonical_form(cf.to_word()) == cf
 
     def test_tables_stay_bounded(self, monkeypatch):
-        """A long word on 12 strands misses the tables on nearly every
-        lookup; with each table's bound cut to 100 entries, each table
-        stays within it, and the form and its inverse are the same as with
-        the full bounds."""
+        """A long word on 12 strands misses the rank memo tables on nearly
+        every lookup; with each one's bound cut to 100 entries, each stays
+        within it, and the form and its inverse are the same as with the
+        full bounds. The left-weighting rows, whose bound is shared, are
+        `test_leftweight_rows_share_one_bound`."""
         n = 12
         w = seeded_word(n, 26, 1500)
 
@@ -867,8 +936,8 @@ class TestRankEncoding:
 
         expected = forms()
         simples = garside._simples(n)
-        tables = (simples.perm, simples.rank, simples.tau, simples.complement, simples.leftweight)
-        assert [t.bound for t in tables] == [1 << 16] * 4 + [1 << 18]
+        tables = (simples.perm, simples.rank, simples.tau, simples.complement)
+        assert [t.bound for t in tables] == [1 << 16] * 4
         # Every table fills past 100 entries, so the bounded run empties each.
         assert min(map(len, tables)) > 100
         for table in tables:
@@ -876,8 +945,7 @@ class TestRankEncoding:
             monkeypatch.setattr(table, "bound", 100)
         assert forms() == expected
         for table in tables:
-            assert len(table) <= 100
-        assert len(simples.leftweight) > 0
+            assert 0 < len(table) <= 100
 
     def test_letter_table_fills_per_letter(self, monkeypatch):
         """A one-letter word on 300 strands ranks that letter alone, not all
@@ -1344,10 +1412,10 @@ class TestRunningCycling:
         push = garside._push
         travelled = 0
 
-        def counted(out, factors, t, count, delta, leftweight, tau):
+        def counted(out, factors, t, delta, leftweight, tau):
             nonlocal travelled
             k, table = len(out), CountedLookups(leftweight)
-            made = push(out, factors, t, count, delta, table, tau)
+            made = push(out, factors, t, delta, table, tau)
             # The last lookup made the Delta and each before it moved a
             # pair left; fewer than k lookups leave a factor in front. A
             # normalization pushes onto an empty list, so only a walk's
