@@ -23,10 +23,11 @@ Simple elements
   Delta-complement: `_tau`, `_delta_complement`
 
 Normal forms
-- pushing factors onto a left-weighted list, a Delta absorbed by tau:
-  `_push`, and why a push stops early: `_normalize`
-- a product of forms around its longest operand, with the left push of the
-  first domino rule: `_product`
+- pushing factors onto a left-weighted list, a Delta absorbed by tau: on
+  the right `_push`, and why a push stops early: `_normalize`; on the left,
+  by the first domino rule, `_push_left`
+- a product of forms around its longest operand, one push per operand:
+  `_product`
 - the inverse of a factor list: `_inverse`; a simple element as a word,
   Delta too: `_perm_word`; a form as a word, by one rule for every sign
   of its Delta power: `CanonicalForm.to_word`
@@ -36,9 +37,12 @@ Conjugacy
   anchor: `_ConjugacyRecord`
 - the super summit pass and its stop at a rigid element: `_summit`, `_rigid`
 - the cycling circuit, and why a walk ends: `_cycling_orbit`
-- the pair stage, circuit meet first: `_conjugacy`, `_circuit_meet`
-- the closure under simple conjugators and its strand limit:
-  `_closure_search`, `_conjugate`, MAX_CLOSURE_STRANDS
+- the pair stage, each step only when those before it settle nothing: the
+  refutation from one summit's bounds, the meet at a rigid summit element
+  with no walk, then the circuit meet: `_conjugacy`, `_circuit_meet`
+- the closure under simple conjugators, each candidate two pushes onto the
+  element's own factors, and its strand limit: `_closure_search`,
+  `_conjugates`, MAX_CLOSURE_STRANDS
 - the witness h * g^-1 of two factor lists, in one normalization: `_quotient`
 """
 
@@ -48,7 +52,7 @@ import bisect
 import dataclasses
 import functools
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .words import BraidWord, StrandMismatchError, _valid
 
@@ -445,6 +449,45 @@ def _push(out: list[int], factors: Iterable[int], t: int, delta: int, leftweight
     return t
 
 
+def _push_left(out: list[int], factors: Sequence[int], u: int, delta: int, leftweight, tau) -> int:
+    """Push `factors`, last first, onto the left end of the left-weighted
+    list `out`, in place, and return u plus the Deltas the pushes made.
+
+    Each factor passes the Delta^u between it and the list, so it is
+    twisted by tau^u first, u counting the Deltas made so far. A push of c
+    onto A_1 ... A_k left-weights (c, A_1) into (x_1, y_1), then
+    (y_1, A_2) into (x_2, y_2), and so on, writing each x_i over A_i,
+    until a pair is left unchanged, its entry None, where the carry is
+    inserted, or the carry becomes the identity. This is the first domino
+    rule (Dehornoy et al., Foundations of Garside Theory, 2015): if
+    (A_1, A_2) is left-weighted and so are c A_1 = x_1 y_1 and
+    y_1 A_2 = x_2 y_2, then so is (x_1, x_2); so the x_i are left-weighted
+    and, as in `_normalize`, the untouched rest stays so. Multiplying by a
+    simple element raises the infimum by at most one, so only x_1 can be
+    Delta: it is deleted and counted in u, and the factors still to come
+    pass it, a tau more. The list's factors need not be proper: an
+    identity c is still pushed, so that a Delta the list holds at its
+    front, as a `_push` onto an empty list leaves one, is absorbed. The
+    arguments after u are `_Simples.push`, as for `_push`."""
+    for c in reversed(factors):
+        if u & 1:
+            c = tau(c)
+        i = 0
+        while i < len(out) and (pair := leftweight[c][out[i]]) is not None:
+            x, c = pair
+            if x == delta:
+                del out[0]
+                u += 1
+            else:
+                out[i] = x
+                i += 1
+            if not c:
+                break
+        if c:
+            out.insert(i, c)
+    return u
+
+
 def _normalize(n: int, factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """Left-weight `factors`; return the power of Delta in the product and
     the remaining factors (no Delta, no id).
@@ -611,23 +654,10 @@ def _product(*forms: CanonicalForm) -> CanonicalForm:
     Delta^t left at the right end moves to the front too, so the list holds
     tau^t of the product's factors, and one tau pass at the end undoes an
     odd t. The right pushes are `_push`, one call per operand with t
-    passed in, a Delta they make counted in t. A left push of c onto
-    A_1 ... A_k left-weights (c, A_1) into (x_1, y_1), then (y_1, A_2)
-    into (x_2, y_2), and so on, writing each x_i over A_i, until a pair is
-    left unchanged, its entry None, where the carry is inserted, or the
-    carry becomes the identity. This is the first domino rule (Dehornoy
-    et al., Foundations of Garside Theory, 2015): if
-    (A_1, A_2) is left-weighted and so are c A_1 = x_1 y_1 and
-    y_1 A_2 = x_2 y_2, then so is (x_1, x_2); so the x_i are left-weighted
-    and, as in `_normalize`, the untouched rest stays so. The operands are
-    canonical forms, whose factors are never Delta or the identity, and
-    multiplying by a simple element raises the infimum by at most one, so
-    only x_1 can be Delta: it is dropped and counted in u, and the left
-    factors still to come pass it, a tau more.
-
-    The right push goes through `_push` once per operand, with the tables
-    read here passed in, and the left push is inlined, as a helper call
-    per left factor costs more than the loop."""
+    passed in, a Delta they make counted in t; the left pushes are
+    `_push_left` (the first domino rule), one call per operand with u
+    passed in, a Delta they make counted in u. Both are called with the
+    tables read here, so neither reads an attribute."""
     pivot, longest = 0, -1
     for i, form in enumerate(forms):
         if len(form.factors) > longest:
@@ -646,23 +676,7 @@ def _product(*forms: CanonicalForm) -> CanonicalForm:
     for form in reversed(forms[:pivot]):
         if form.strands != n:
             raise StrandMismatchError("strand counts differ")
-        for c in reversed(form.factors):
-            if u & 1:
-                c = tau(c)
-            i = 0
-            while i < len(out) and (pair := leftweight[c][out[i]]) is not None:
-                x, c = pair
-                if x == delta:
-                    del out[0]
-                    u += 1
-                else:
-                    out[i] = x
-                    i += 1
-                if not c:
-                    break
-            if c:
-                out.insert(i, c)
-        u += form.delta_power
+        u = _push_left(out, form.factors, u, delta, leftweight, tau) + form.delta_power
     if t & 1:
         out = map(tau, out)
     return CanonicalForm(n, t + u, tuple(out))
@@ -725,8 +739,8 @@ class ConjugacyResult:
 
 
 # The closure search conjugates each element it visits by all n! - 1 simple
-# elements, one normalization each: about 0.3 s per element at n = 8 once
-# the rank tables are filled, and seconds for the first element, which
+# elements, two pushes each: about 0.1 s for a one-factor element at n = 8
+# once the rank tables are filled, and seconds for the first element, which
 # fills them. The count grows n-fold per strand, so the limit bounds time;
 # 8 is the largest strand count the tests and benchmark exercise. Pairs that
 # meet on a cycling circuit never reach the closure, so the limit refuses
@@ -875,10 +889,13 @@ class _ConjugacyRecord:
     c_0 = G^-1 * cf * G: the summit steps, then the steps from v to c_0
     (`_cycling_orbit`). A record whose pairs are all settled before a walk
     never runs it. `_conjugacy` meets two records and returns two
-    conjugators, which `_quotient` multiplies out. The second record's
-    circuit may never be walked: when its summit element, or that
-    element's tau-image, lies on the first record's circuit, the pair
-    meets there without it.
+    conjugators, which `_quotient` multiplies out. The record with fewer
+    factors may never walk its summit: the other's summit can refute the
+    pair from its bounds alone. The second record's circuit may never be
+    walked: when its summit element, or that element's tau-image, lies on
+    the first record's circuit, the pair meets there without it, and when
+    it equals the first record's rigid summit element neither circuit is
+    walked.
 
     `anchor` names the circuit by one of its elements: the tuple-least
     form c* among the circuit elements and their tau-images, with the
@@ -954,12 +971,23 @@ def _conjugacy(
     on the same strand count; a complete decision of whether a.cf and b.cf
     are conjugate. Returns None when they are not, and otherwise the simple
     factors of two conjugators (h, g) with h^-1 * a.cf * h = g^-1 * b.cf * g,
-    from which `_quotient` makes the conjugator h * g^-1.
+    from which `_quotient` makes the conjugator h * g^-1. Each step below
+    runs only when the ones before it settled nothing.
 
     Equal forms are conjugate by ([], []), and no walk runs. Otherwise the
-    summits must share infimum and supremum, and only then is a's circuit
-    walked; h starts with a's conjugator to its circuit's start
-    (`_ConjugacyRecord.circuit`). If v_b, b's summit element, or its
+    summit of the record with more factors (a on a tie) is walked first.
+    A summit pass only raises the infimum and lowers the supremum, and all
+    super summit elements of a class share both (El-Rifai and Morton
+    1994), so when the other record's form has a larger Delta power than
+    that summit's infimum, or a smaller supremum than its supremum, the
+    pair is not conjugate and the other summit is never walked. Then the
+    two summits must share infimum and supremum. A rigid v_a, a's summit
+    element (`_rigid`), is the first element of its own circuit, so when
+    v_b, b's summit element, or its tau-image equals v_a, h is a's summit
+    conjugator, with Delta for a tau-match, g is b's, and no circuit is
+    walked: the answer `_circuit_meet` gives at the circuit's first
+    element. Only then is a's circuit walked; h starts with a's conjugator
+    to its circuit's start (`_ConjugacyRecord.circuit`). If v_b or its
     tau-image lies on a's circuit, a's walk already holds the rest of h
     (`_circuit_meet`), g is b's summit conjugator and b's circuit is not
     walked. On a miss b's circuit is walked, g is b's conjugator to its
@@ -970,9 +998,18 @@ def _conjugacy(
     needed on more than MAX_CLOSURE_STRANDS strands."""
     if a.cf == b.cf:
         return [], []
+    wide, narrow = (b, a) if len(b.cf.factors) > len(a.cf.factors) else (a, b)
+    v = wide.summit[0]
+    if narrow.cf.inf > v.inf or narrow.cf.sup < v.sup:
+        return None
     va, vb = a.summit[0], b.summit[0]
     if (va.inf, va.sup) != (vb.inf, vb.sup):
         return None
+    n, p, factors = va
+    _, leftweight, tau = _simples(n).push
+    if factors and _rigid(factors[-1], tau(factors[0]) if p & 1 else factors[0], leftweight):
+        if (path := _circuit_meet([va], [], vb)) is not None:
+            return a.summit[1] + path, b.summit[1]
     circuit, steps, h = a.circuit
     if (path := _circuit_meet(circuit, steps, vb)) is not None:
         return h + path, b.summit[1]
@@ -1083,25 +1120,30 @@ def _circuit_meet(
     return None
 
 
-def _conjugate(v: CanonicalForm, p: int) -> CanonicalForm:
-    """s^-1 v s for the simple element s of rank p, in one normalization.
+def _conjugates(v: CanonicalForm) -> Iterator[tuple[int, CanonicalForm]]:
+    """The candidates of the closure at v: (p, s^-1 v s) for each simple
+    element s of rank p, in rank order, Delta included, whose conjugate
+    shares v's infimum and supremum; the others are passed over.
 
     With v = Delta^d A_1 ... A_k and s^-1 = Delta^-1 c, c the
-    Delta-complement of s, moving Delta^d past c gives s^-1 v s =
-    Delta^(d-1) tau^d(c) A_1 ... A_k s. For s = Delta, c is the identity,
-    which `_normalize` skips, and the Delta pushed last is absorbed.
-
-    It pushes all k factors of v where `_product` would push only c and s
-    onto them, yet it is the faster: summit elements have few factors, and
-    going through `_product` needs two forms made per call and s = Delta,
-    no factor of a form, taken apart."""
-    n, d = v.strands, v.delta_power
+    Delta-complement of s, s^-1 v s = Delta^(d-1) tau^d(c) A_1 ... A_k s,
+    and A_1 ... A_k is already left-weighted. So each candidate starts from
+    a copy of v's factors, pushes s on the right (`_push`) and c on the
+    left (`_push_left`, which twists it by tau^d), and reads its Delta
+    power and factor count off the raw list: a form is made only for a
+    candidate that keeps v's bounds. For s = Delta, c is the identity, and
+    on a bare Delta power the right push leaves s stored in an empty list,
+    where the left push of c absorbs it."""
+    n, d, factors = v
     simples = _simples(n)
-    head = simples.complement[p]
-    if d % 2:
-        head = simples.tau[head]
-    shift, fs = _normalize(n, (head, *v.factors, p))
-    return CanonicalForm(n, d - 1 + shift, fs)
+    delta, leftweight, tau = simples.push
+    complement, k = simples.complement, len(factors)
+    for p in range(1, simples.count):
+        out = list(factors)
+        t = _push(out, (p,), 0, delta, leftweight, tau)
+        u = _push_left(out, (complement[p],), d, delta, leftweight, tau)
+        if t + u - 1 == d and len(out) == k:
+            yield p, CanonicalForm(n, d, tuple(map(tau, out) if t & 1 else out))
 
 
 def _closure_search(va: CanonicalForm, target: CanonicalForm) -> list[int] | None:
@@ -1110,9 +1152,9 @@ def _closure_search(va: CanonicalForm, target: CanonicalForm) -> list[int] | Non
     infimum and supremum, so that is the order of their factor ranks),
     until it reaches target, which must differ from va (`_circuit_meet`
     has compared them). Each element is conjugated by every simple element
-    in rank order (`_conjugate`). Returns the simple factors of h with
-    target = h^-1 va h, read back along the breadth-first tree, or None
-    once the set is exhausted.
+    in rank order that keeps its infimum and supremum (`_conjugates`).
+    Returns the simple factors of h with target = h^-1 va h, read back
+    along the breadth-first tree, or None once the set is exhausted.
 
     Each visited element records only its parent and the simple element
     that conjugates the parent to it; the path is read back once, on a hit.
@@ -1127,7 +1169,6 @@ def _closure_search(va: CanonicalForm, target: CanonicalForm) -> list[int] | Non
             f"{n}! simple elements per summit element, and the limit is "
             f"{MAX_CLOSURE_STRANDS} strands"
         )
-    inf_sup = (va.inf, va.sup)
     parent: dict[CanonicalForm, tuple[CanonicalForm, int] | None] = {va: None}
     rejected: set[CanonicalForm] = set()
     members: set[CanonicalForm] = set()
@@ -1136,10 +1177,7 @@ def _closure_search(va: CanonicalForm, target: CanonicalForm) -> list[int] | Non
         frontier.sort()
         nxt: list[CanonicalForm] = []
         for v in frontier:
-            for p in range(1, _simples(n).count):
-                w = _conjugate(v, p)
-                if (w.inf, w.sup) != inf_sup:
-                    continue
+            for p, w in _conjugates(v):
                 if w in parent or w in rejected:
                     continue
                 if w not in members:

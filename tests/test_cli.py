@@ -682,6 +682,13 @@ CONSOLE_PINS = [
     # The README example.
     ("conj-3-strands", ["conj", "-n", "3", "s1", "s2"], 0,
      {"conjugate": True, "witness": "s1 s2 s1"}),
+    # Refuted from one summit: the words agree in exponent sum and cycle
+    # type, and the second form's summit has a smaller infimum than the
+    # first form's Delta power, so the first summit is never walked. The
+    # rigid first-element meet is pinned by conj-3-strands: sigma_1 is
+    # rigid and is tau(sigma_2), so the witness is Delta = s1 s2 s1.
+    ("conj-3-strands-one-summit", ["conj", "-n", "3", "S2 s1", "s2 S1 s2 S1"], 0,
+     {"conjugate": False}),
     # The second form's Delta power is odd: its summit walk twists the
     # factors it moves and absorbs a Delta.
     (

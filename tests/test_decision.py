@@ -1354,7 +1354,10 @@ class TestOrbitRecordsReused:
         record: one summit walk, one set of screens and one word in F_n.
         Over sigma_1^2 some pairs reach the search; over sigma_1 the anchor
         keys merge every pair, and a rigid or bare Delta-power summit's
-        anchor is read off its factors, so no circuit is walked."""
+        anchor is read off its factors, so no circuit is walked. Over
+        sigma_1^2 the decided pairs' ambient tests meet at a rigid summit
+        element, the first of its own circuit, so none is walked there
+        either."""
         from snbraid import decision
 
         owners = []
@@ -1380,8 +1383,7 @@ class TestOrbitRecordsReused:
         assert len(res.classes) == 5 and res.unresolved == ()
         kept = self.computed_once(calls, owners)
         assert bool(decided) == (base == (1, 1))
-        assert 0 < kept["summit"] <= len(forms) and kept["circuit"] <= len(forms)
-        assert (kept["circuit"] > 0) == bool(decided)
+        assert 0 < kept["summit"] <= len(forms) and kept["circuit"] == 0
         assert kept["linking_matrix"] == kept["exponent_sum"] == len(forms)
         assert (kept["_Base.free"] > 0) == (base == (1, 1))
 
@@ -1430,7 +1432,9 @@ class TestOrbitRecordsReused:
     def test_formulations_share_one_instance(self, calls):
         """Both formulations decide one instance on its two records: the
         shift decides ambient_s1, and two console pins reach the search on
-        free words, for n = 3 and after the shift misses."""
+        free words, for n = 3 and after the shift misses. In all three the
+        ambient test meets at x's rigid summit element, the first of its
+        own circuit, so no circuit is walked."""
         for pin in (None, "sn-free-n3-default-budget", "sn-deep-default-budget"):
             calls.clear()
             inst = ambient_s1() if pin is None else pinned_instance(pin)
@@ -1439,7 +1443,7 @@ class TestOrbitRecordsReused:
             kept = self.computed_once(calls, owners)
             twisted = sb.sn_equivalent_twisted(inst)
             assert self.computed_once(calls, owners) == kept
-            assert kept["summit"] == 2 and kept["circuit"] == 1
+            assert kept["summit"] == 2 and kept["circuit"] == 0
             assert kept["exponent_sum"] == kept["linking_matrix"] == 2
             assert kept["free"] == 2 * kept["_Base.free"] == (0 if pin is None else 2)
             assert rel_A.to_json() == twisted.to_json()

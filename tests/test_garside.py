@@ -1216,6 +1216,24 @@ class TestWordInvariants:
             sb.exponent_sum(w), cycle_lengths(w)
         )
 
+    def test_gate_runs_before_any_form(self, monkeypatch):
+        """`is_conjugate` refuses pairs whose words differ in cycle type or
+        exponent sum before it makes a canonical form, so no summit is
+        walked for them; on 300 strands a summit walk costs far more than
+        the gate's pass over the letters."""
+        calls = {"canonical_form": 0, "_word_invariants": 0}
+        for name in calls:
+            def counted(*args, fn=getattr(garside, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(garside, name, counted)
+        # Cycle types differ, then exponent sums.
+        for x, y in (("s1 s2", "s1 s3"), ("s1 s2 s3", "s1")):
+            got = sb.is_conjugate(sb.BraidWord.parse(300, x), sb.BraidWord.parse(300, y))
+            assert got == sb.ConjugacyResult(False)
+        assert calls["canonical_form"] == 0 and calls["_word_invariants"] > 0
+
 
 def tau_form(x):
     """Delta^-1 x Delta: tau applied to every factor."""
@@ -2108,8 +2126,10 @@ class TestRigidStop:
 
     def test_meet_on_a_circuit_walks_one_circuit(self, monkeypatch):
         """A pair whose b-summit, or its tau-image, lies on a's circuit walks
-        only a's circuit, and its witness is the one that walking both
-        circuits makes; a pair that misses walks b's circuit too."""
+        at most a's circuit, and none when a's summit is rigid and is that
+        element, the first of its own circuit; its witness is the one that
+        walking both circuits makes. A pair that misses walks b's circuit
+        too."""
         walk = garside._cycling_orbit
         walks = []
 
@@ -2117,7 +2137,7 @@ class TestRigidStop:
             walks.append(v)
             return walk(v)
 
-        met = missed = 0
+        met = first = missed = 0
         for a, b in reference_pairs():
             ca, cb = canonical_form(a), canonical_form(b)
             va, vb = garside._summit(ca)[0], garside._summit(cb)[0]
@@ -2133,12 +2153,14 @@ class TestRigidStop:
             monkeypatch.setattr(garside, "_cycling_orbit", walk)
             if meets:
                 met += 1
-                assert len(walks) == 1
+                at_first = rigid(va) and va in (vb, tau_form(vb))
+                first += at_first
+                assert len(walks) == (0 if at_first else 1)
                 assert got.to_json() == stepwise_is_conjugate(a, b).to_json()
             else:
                 missed += 1
                 assert len(walks) >= 2
-        assert met > 0 and missed > 0
+        assert met > first > 0 and missed > 0
 
     def test_summit_before_its_circuit_meets_by_circuit_start(self, monkeypatch):
         """A summit element in the super summit set but before its own
@@ -2160,6 +2182,59 @@ class TestRigidStop:
         assert rb.circuit[2]
         c = garside._quotient(4, *pair).to_word()
         assert sb.equal(ra.cf.to_word(), sb.compose(sb.compose(c, cf.to_word()), sb.invert(c)))
+
+
+def pair_stage_pairs():
+    """Pairs (a, b, conjugate by construction) for the pair stage:
+    `reference_pairs()`, whose even entries are conjugate by construction;
+    the seeded closure pairs, all conjugate; and a seeded batch on 3 to 5
+    strands of conjugates c b c^-1 of b and of independent random pairs,
+    which are rarely conjugate."""
+    for i, (a, b) in enumerate(reference_pairs()):
+        yield a, b, i % 2 == 0 or a.strands == 6
+    for n, seed in CLOSURE_PAIRS:
+        b, c = seeded_word(n, seed, 8), seeded_word(n, 1000 + seed, 6)
+        yield sb.free_reduce(sb.compose(sb.compose(c, b), sb.invert(c))), b, True
+    rng = random.Random(55)
+    for _ in range(200):
+        n = rng.randint(3, 5)
+        b, c = random_word(rng, n, 16), random_word(rng, n, 8)
+        yield sb.free_reduce(sb.compose(sb.compose(c, b), sb.invert(c))), b, True
+        yield random_word(rng, n, 16), b, False
+
+
+class TestPairStageShortcuts:
+    """Two steps of `_conjugacy` that settle a pair before any circuit
+    walk: the refutation from the bounds of one summit, and the meet at a
+    rigid summit element, the first element of its own circuit."""
+
+    def test_one_summit_refutation_and_rigid_meet(self):
+        """A pair whose narrow record, the one with fewer factors (b on a
+        tie), keeps no `summit` was refuted from the wide record's summit
+        alone: every such pair is not conjugate by
+        `closure_only_is_conjugate`, and no pair conjugate by construction
+        is refuted at all. A conjugate pair of distinct forms that walked
+        no circuit met at a's rigid summit element, with the witness that
+        `stepwise_is_conjugate` makes. Both happen, so the test fails if
+        either step is bypassed."""
+        refuted = at_first = 0
+        for a, b, conjugate in pair_stage_pairs():
+            ra = garside._ConjugacyRecord(canonical_form(a))
+            rb = garside._ConjugacyRecord(canonical_form(b))
+            pair = garside._conjugacy(ra, rb)
+            assert pair is not None or not conjugate, (a, b)
+            if ra.cf == rb.cf:
+                continue
+            narrow = ra if len(ra.cf.factors) < len(rb.cf.factors) else rb
+            if "summit" not in vars(narrow):
+                refuted += 1
+                assert pair is None and "summit" in vars(rb if narrow is ra else ra)
+                assert not closure_only_is_conjugate(a, b).conjugate, (a, b)
+            elif pair is not None and "circuit" not in vars(ra) and "circuit" not in vars(rb):
+                at_first += 1
+                assert rigid(ra.summit[0]), (a, b)
+                assert sb.is_conjugate(a, b).to_json() == stepwise_is_conjugate(a, b).to_json()
+        assert refuted > 0 and at_first > 0
 
 
 class TestAnchor:
@@ -2257,12 +2332,18 @@ class TestAnchor:
 
 
 class TestConjugateByRank:
-    """The closure conjugates by the rank of each simple element, in one
-    normalization, and builds no simple element as a form."""
+    """The closure conjugates by the rank of each simple element, with two
+    pushes onto the element's own factors, and builds no simple element as
+    a form."""
 
     def test_matches_form_products(self):
         """For every rank, Delta included, on ultra summit elements with
-        even and odd Delta powers."""
+        even and odd Delta powers: a candidate is made, in rank order,
+        exactly when the product s^-1 v s keeps v's infimum and supremum,
+        and equals it.
+        The forms include bare Delta powers, on which the right push of s
+        onto an empty list leaves Delta stored for the left push of its
+        complement to absorb."""
         for n in range(2, 6):
             forms = [CanonicalForm(n, k, ()) for k in (-1, 2)]
             for seed in range(6):
@@ -2270,10 +2351,18 @@ class TestConjugateByRank:
                 forms += orbit[start:]
             if n > 2:
                 assert {v.delta_power % 2 for v in forms if v.factors} == {0, 1}
+            kept = 0
             for v in forms:
+                want = {}
                 for p in range(1, garside._simples(n).count):
                     s = product(n, [p])
-                    assert garside._conjugate(v, p) == s.inv().mul(v).mul(s), (v, p)
+                    w = s.inv().mul(v).mul(s)
+                    if (w.inf, w.sup) == (v.inf, v.sup):
+                        want[p] = w
+                assert list(garside._conjugates(v)) == list(want.items()), v
+                kept += len(want)
+            # On 2 strands the one rank is Delta, which keeps both bounds.
+            assert 0 < kept < len(forms) * (garside._simples(n).count - 1) or n == 2
 
     def test_closure_multiplies_no_forms(self, monkeypatch):
         """No `CanonicalForm.mul` or `inv` call runs inside the closure on
