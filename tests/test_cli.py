@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -27,6 +29,32 @@ def run_json(capsys, argv, expect_code=0):
     code, out, _ = run(capsys, argv)
     assert code == expect_code
     return json.loads(out)
+
+
+# The source tree of the snbraid under test, which every fresh process
+# imports.
+SRC = os.path.dirname(os.path.dirname(sb.__file__))
+# Seconds a fresh process may run: a pin that slows past it fails, however
+# right its output.
+FRESH_TIMEOUT_S = 10
+
+
+def run_fresh(*args, **env):
+    """`python *args` in a fresh interpreter, so that every table starts
+    cold, with `PYTHONPATH` the source tree and `env` added to the
+    environment: (exit code, stdout, stderr). Fails the test when the
+    process runs past `FRESH_TIMEOUT_S`."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, *args],
+            env=dict(os.environ, PYTHONPATH=SRC, **env),
+            capture_output=True,
+            text=True,
+            timeout=FRESH_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"python {shlex.join(args)[:200]} ran past {FRESH_TIMEOUT_S} s")
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestWordCommands:
@@ -321,19 +349,12 @@ class TestErrors:
         # byte order mark skipped.
         f = tmp_path / "orbits.txt"
         f.write_bytes(text.encode("utf-8"))
-        src = os.path.dirname(os.path.dirname(sb.__file__))
-        env = dict(os.environ, PYTHONPATH=src, LC_ALL="POSIX", PYTHONUTF8="0",
-                   PYTHONCOERCECLOCALE="0")
-        proc = subprocess.run(
-            [sys.executable, "-m", "snbraid.cli", "partition", "-n", "2", "-m", "1",
-             "--betaA", "", "--file", str(f)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
+        code, out, err = run_fresh(
+            "-m", "snbraid.cli", "partition", "-n", "2", "-m", "1", "--betaA", "", "--file", str(f),
+            LC_ALL="POSIX", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
         )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"classes": classes, "unresolved": []}
+        assert code == 0, err
+        assert json.loads(out) == {"classes": classes, "unresolved": []}
 
     def test_partition_out_of_range_names_file_line(self, capsys, tmp_path):
         f = tmp_path / "orbits.txt"
@@ -557,7 +578,6 @@ def test_cli_start_imports_only_standard_library():
     # The command line must stay quick to start: running it may load
     # snbraid and standard-library modules, nothing else (no third-party
     # algebra package, say), beyond what the bare interpreter loaded.
-    src = os.path.dirname(os.path.dirname(sb.__file__))
     script = (
         "import runpy, sys\n"
         "def tops():\n"
@@ -570,15 +590,9 @@ def test_cli_start_imports_only_standard_library():
         "    assert exc.code == 0, exc.code\n"
         "print(sorted(tops() - before - sys.stdlib_module_names - {'snbraid'}))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = proc.stdout.splitlines()
+    code, out, err = run_fresh("-c", script)
+    assert code == 0, err
+    out = out.splitlines()
     assert json.loads("\n".join(out[:-1])) == {"n": 3, "delta_power": 1, "factors": []}
     assert out[-1] == "[]"
 
@@ -588,15 +602,8 @@ class TestParserReused:
     and reused by every later `run`, after errors and help too."""
 
     def test_not_built_at_import(self):
-        src = os.path.dirname(os.path.dirname(sb.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c", "from snbraid import cli; print(cli._parser.cache_info().misses)"],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+        code, out, err = run_fresh("-c", "from snbraid import cli; print(cli._parser.cache_info().misses)")
+        assert (code, out) == (0, "0\n"), err
 
     def test_same_outcomes_as_fresh_parsers(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("COLUMNS", "100")
@@ -675,8 +682,8 @@ def sn_both(name, argv, code, doc):
 
 # The console pins: each entry is (id, argv, exit code, whole JSON output)
 # of one `snbraid` command, the exit code 0 for a verdict and 2 for
-# Inconclusive. `TestConsolePins` runs them as `python -m snbraid.cli`, and
-# CI's console step runs them through the installed `snbraid` script.
+# Inconclusive. `TestConsolePins` runs each once, as `python -m snbraid.cli`
+# in a fresh process that must finish within `FRESH_TIMEOUT_S`.
 CONSOLE_PINS = [
     ("nf-3-strands", ["nf", "-n", "3", "s1 s2 s1"], 0, {"n": 3, "delta_power": 1, "factors": []}),
     # The README example.
@@ -933,9 +940,9 @@ CONSOLE_PINS = [
 
 # The partition pins: each entry is (id, n, m, beta_A, the text of the
 # orbit file, its classes) of one `snbraid partition` run, whose whole JSON
-# output is the classes and no unresolved pair. `TestPartitionPins` runs
-# them through `cli.run`, and CI's partition step writes each file and runs
-# it through the installed `snbraid` script.
+# output is the classes and no unresolved pair. `TestPartitionPins` writes
+# each text to a file and runs the pin once, as `python -m snbraid.cli` in a
+# fresh process that must finish within `FRESH_TIMEOUT_S`.
 PARTITION_PINS = [
     # The README example plus a repeated orbit.
     ("readme", 2, 1, "", "s2 s2\ns2 s1 s1 S2 s2 s2 s2 S1 S1 S2\ns2 s2 s2 s2\ns2 s2\n",
@@ -977,39 +984,82 @@ PARTITION_PINS = [
 
 class TestPartitionPins:
     """Every entry of `PARTITION_PINS`, its text written to a file as
-    UTF-8, through `cli.run` with no flag, `--workers 1` and `--workers 4`:
-    the exit code and the whole JSON."""
+    UTF-8, run once in a fresh process: the exit code and the whole JSON."""
 
     @pytest.mark.parametrize(
         "n, m, beta_A, text, classes",
-        [pytest.param(*pin, id=pin_id) for pin_id, *pin in PARTITION_PINS],
+        [pytest.param(*pin, id=f"plain-{pin_id}") for pin_id, *pin in PARTITION_PINS],
     )
-    @pytest.mark.parametrize("flags", [[], ["--workers", "1"], ["--workers", "4"]],
-                             ids=["plain", "workers-1", "workers-4"])
-    def test_pin(self, capsys, tmp_path, n, m, beta_A, text, classes, flags):
+    def test_pin(self, tmp_path, n, m, beta_A, text, classes):
         f = tmp_path / "orbits.txt"
         f.write_bytes(text.encode("utf-8"))
-        argv = ["partition", "-n", str(n), "-m", str(m), "--betaA", beta_A, "--file", str(f)]
-        assert run_json(capsys, argv + flags) == {"classes": classes, "unresolved": []}
+        code, out, err = run_fresh(
+            "-m", "snbraid.cli", "partition", "-n", str(n), "-m", str(m), "--betaA", beta_A,
+            "--file", str(f),
+        )
+        assert code == 0, err
+        assert json.loads(out) == {"classes": classes, "unresolved": []}
 
 
 class TestConsolePins:
-    """Every entry of `CONSOLE_PINS`, run as `python -m snbraid.cli` in a
-    fresh process, so that every rank table starts cold: the exit code and
-    the whole JSON."""
+    """Every entry of `CONSOLE_PINS`, run once in a fresh process, so that
+    every rank table starts cold: the exit code and the whole JSON."""
 
     @pytest.mark.parametrize(
         "argv, code, doc",
         [pytest.param(argv, code, doc, id=pin_id) for pin_id, argv, code, doc in CONSOLE_PINS],
     )
     def test_pin(self, argv, code, doc):
-        src = os.path.dirname(os.path.dirname(sb.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "snbraid.cli", *argv],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == code, proc.stderr
-        assert json.loads(proc.stdout) == doc
+        got, out, err = run_fresh("-m", "snbraid.cli", *argv)
+        assert got == code, err
+        assert json.loads(out) == doc
+
+
+# A 300-letter word on 15 + 15 strands. The `invariants` command reports
+# no Burau polynomial, whose cost has no bound, so on this word it reports
+# the three invariants of one pass each within `FRESH_TIMEOUT_S`.
+INVARIANTS_30_WORD = (
+    "s21 S17 s20 S4 s20 s15 s15 S15 S15 S22 s20 s27 S27 s26 s20 s25 s21 S23 s8 S28 "
+    "S16 S26 s5 S28 s23 S15 S15 s4 s12 S7 S18 S21 S15 S15 s18 s10 s15 s15 s7 S2 "
+    "S10 S29 S28 s10 S7 s10 s24 s15 s15 S28 S28 S20 s7 S22 S11 S9 s7 s23 s21 s5 "
+    "s4 S9 s15 s15 S26 S12 s4 s7 s7 s3 S7 S17 S26 s7 s17 S15 S15 S9 S16 S7 "
+    "s17 s15 s15 s22 s11 S2 S17 s27 s13 s19 s16 s11 S10 S6 s16 S15 S15 s19 s20 S14 "
+    "s11 s29 s16 S19 S4 s15 s15 S15 S15 S2 S14 s1 s22 S19 s27 S27 S13 S23 S27 s3 "
+    "S1 s15 s15 s15 s15 S19 s11 s25 S3 s18 s22 S4 S3 s12 S13 s10 s15 s15 S20 S19 "
+    "s17 s9 S13 S1 s22 s19 s15 s15 s28 s8 s1 S10 S15 S15 S12 S10 S15 S15 S16 S8 "
+    "s9 S21 S15 S15 s23 s16 s8 S15 S15 s1 s24 s24 S27 s14 S10 s6 S2 S4 S7 s26 "
+    "S22 S19 S16 s13 S23 s16 S29 S15 S15 s26 s13 s8 s7 S19 S16 S27 s14 s21 S5 s12 "
+    "S27 s2 S23 S26 S16 s6 s1 s15 s15 s19 s21 s3 S8 s28 S9 S26 s22 s25 S18 s18 "
+    "s20 S15 S15 S3 S16 S4 s8 s6 s5 s6 S16 S13 s12 S14 s23 S18 s23 S17 s26 s17 "
+    "s18 S25 S24 S18 S9 s15 s15 S5 S19 S13 S6 S23 S27 S29 s28 s19 s12 s15 s15 s9 "
+    "s3 s4 s24 S22 s16 s7 s5 S13 s15 s15 S6 S5 s18 s17 S16 s16 S9 S15 S15 S17 "
+    "s14 S1 s19 s24 s3 s21 s13 s15 s15 s21 S10 S24 S11 s7 s29 S9 S19 S18 S4 S19"
+)
+
+
+def test_invariants_on_30_strands_report_no_burau():
+    code, out, err = run_fresh("-m", "snbraid.cli", "invariants", "-n", "15", "-m", "15",
+                               INVARIANTS_30_WORD)
+    assert code == 0, err
+    names = [report["name"] for report in json.loads(out)["invariants"]]
+    assert names == ["exponent_sum", "cycle_type", "linking_matrix"]
+
+
+def readme_examples():
+    """Each `snbraid ...` line of README.md that is followed by its output,
+    a `# {...}` line, and reads no file: (argv, the output's JSON)."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    return [
+        pytest.param(shlex.split(line)[1:], json.loads(doc[1:]), id=line.split()[1])
+        for line, doc in zip(lines, lines[1:])
+        if line.startswith("snbraid ") and doc.startswith("# {") and "--file" not in line
+    ]
+
+
+@pytest.mark.parametrize("argv, doc", readme_examples())
+def test_readme_example(argv, doc):
+    """The README shows what the command prints."""
+    code, out, err = run_fresh("-m", "snbraid.cli", *argv)
+    assert code == 0, err
+    assert json.loads(out) == doc

@@ -1797,6 +1797,34 @@ class TestCentralizerShift:
         assert shrunk > 0
 
 
+class TestTracedStages:
+    """A traced benchmark run reads each decision stage through a wrapper
+    that `perfbench/tracing.py` sets on the stage's module attribute. A
+    stage renamed, or called through a reference taken at import, escapes
+    its wrapper, and its counter reads 0."""
+
+    def test_every_stage_counter_reads_work(self, corpus):
+        import tracing  # perfbench/, on the path through `corpus`
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            instances = [corpus_instance(inst) for inst in corpus.decide_mix(1, 96)]
+            tracer = tracing.Tracer()
+            tracer.install()
+            try:
+                # Through the module: the tracer wraps `decision`'s name,
+                # not the package's.
+                for inst in instances:
+                    sb.decision.sn_equivalent_rel_A(inst, sb.Budget(4, 4000))
+            finally:
+                tracer.uninstall()
+        metrics = tracer.metrics()
+        names = ("decision.screen.s", "decision.kernel_search.s", "invariants.linking_matrix.s",
+                 "decision.kernel_states_kept")
+        counters = {name: metrics[name][0] for name in names}
+        assert all(value > 0 for value in counters.values()), counters
+
+
 class TestAnchorKeys:
     """For n <= 2 a partition first merges the orbits of each screen bucket
     by their anchor keys (`decision._anchor_key`): the anchor c* of the

@@ -1960,8 +1960,9 @@ def reference_witness(a, b, pair):
     return sb.free_reduce(h.mul(g.inv()).to_word())
 
 
-# The conjugate pairs that tier1.yml pins by their `snbraid conj` witness,
-# and the words of its n = 0 `sn` pin, which decides braid-type conjugacy.
+# The conjugate pairs that `test_cli.CONSOLE_PINS` pins by their `snbraid
+# conj` witness, and the words of its n = 0 `sn` pin, which decides
+# braid-type conjugacy.
 CONSOLE_CONJ_PINS = [
     (3, "s1", "s2"),
     (5, "S4 S4 S2 s3 s1 s1", "s2 S4 s1 s2 S4 S4 S2 s3 s1 s1 S2 S1 s4 S2"),
